@@ -71,9 +71,10 @@ let sup_term =
       & opt int 0
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
-            "Write a resumable checkpoint every $(docv) rounds (0 = off; \
-             requires --checkpoint-dir). Supported by checkpointing scenarios \
-             (pathdyn).")
+            "Write a resumable checkpoint every $(docv) work steps (0 = off; \
+             requires --checkpoint-dir): beaconing rounds for pathdyn, slots \
+             for traffic. Supported by the checkpointing scenarios (pathdyn, \
+             traffic).")
   in
   let checkpoint_dir =
     Arg.(

@@ -163,62 +163,6 @@ let build_tasks cfg ~core ~pairs =
   in
   (cells_arr, tasks)
 
-(* --- checkpoint codec -------------------------------------------------- *)
-
-let ckpt_prefix = "pathdyn"
-
-let ckpt_version = 1
-
-(* The schema fingerprints everything a resumed run must agree on: every
-   trial's full soak configuration plus the chunking. A checkpoint from
-   a different scale / seed / horizon is rejected on load. *)
-let schema_of cfg tasks =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "pathdyn/%d/%d;" cfg.rounds cfg.chunk);
-  Array.iter (fun t -> Buffer.add_string b (Soak.config_key t.soak)) tasks;
-  "pathdyn:" ^ Sha256.hex (Sha256.digest (Buffer.contents b))
-
-let w_status w = function
-  | Ok bytes ->
-      Snapshot.w_u8 w 0;
-      Snapshot.w_str w bytes
-  | Error (f : Run_report.failure) ->
-      Snapshot.w_u8 w 1;
-      Snapshot.w_int w f.Run_report.index;
-      Snapshot.w_str w f.Run_report.label;
-      Snapshot.w_opt w Snapshot.w_i64 f.Run_report.seed;
-      Snapshot.w_int w f.Run_report.attempts;
-      Snapshot.w_str w f.Run_report.error;
-      Snapshot.w_str w f.Run_report.backtrace
-
-let r_status r =
-  match Snapshot.r_u8 r with
-  | 0 -> Ok (Snapshot.r_str r)
-  | 1 ->
-      let index = Snapshot.r_int r in
-      let label = Snapshot.r_str r in
-      let seed = Snapshot.r_opt r Snapshot.r_i64 in
-      let attempts = Snapshot.r_int r in
-      let error = Snapshot.r_str r in
-      let backtrace = Snapshot.r_str r in
-      Error { Run_report.index; label; seed; attempts; error; backtrace }
-  | t -> raise (Snapshot.Corrupt (Printf.sprintf "pathdyn: bad status tag %d" t))
-
-let encode_progress ~rounds_done statuses =
-  let w = Snapshot.writer () in
-  Snapshot.w_int w rounds_done;
-  Snapshot.w_arr w w_status statuses;
-  Snapshot.contents w
-
-let decode_progress ~n_tasks data =
-  let r = Snapshot.reader data in
-  let rounds_done = Snapshot.r_int r in
-  let statuses = Snapshot.r_arr r r_status in
-  Snapshot.r_end r;
-  if Array.length statuses <> n_tasks then
-    raise (Snapshot.Corrupt "pathdyn checkpoint: trial count mismatch");
-  (rounds_done, statuses)
-
 (* --- execution --------------------------------------------------------- *)
 
 let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
@@ -233,100 +177,27 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
     Exp_common.sample_pairs core ~count:d.Exp_common.sample_pairs ~seed:0xFA12L
   in
   let cells_arr, tasks = build_tasks cfg ~core ~pairs in
-  let n_tasks = Array.length tasks in
-  let schema = schema_of cfg tasks in
-  let sup = cfg.sup in
-  (* Start fresh at round 0 — or, with --resume, from the newest
-     compatible checkpoint in the checkpoint directory. *)
-  let start_round, statuses =
-    let fresh () =
-      (0, Array.map (fun t -> Ok (Soak.encode (Soak.create t.soak))) tasks)
-    in
-    match sup.Supervise.checkpoint_dir with
-    | Some dir when sup.Supervise.resume -> (
-        match Checkpoint.latest ~dir ~prefix:ckpt_prefix with
-        | None -> fresh ()
-        | Some (_, file) ->
-            let payload =
-              Checkpoint.load ~dir ~name:file ~schema ~version:ckpt_version
-            in
-            let rounds_done, statuses = decode_progress ~n_tasks payload in
-            Printf.eprintf "pathdyn: resumed from %s (round %d)\n%!" file
-              rounds_done;
-            (rounds_done, statuses))
-    | _ -> fresh ()
+  (* Every trial's full soak configuration plus the chunking: a
+     checkpoint from a different scale / seed / horizon is rejected. *)
+  let fingerprint =
+    Printf.sprintf "pathdyn/%d/%d;" cfg.rounds cfg.chunk
+    ^ String.concat ""
+        (Array.to_list (Array.map (fun t -> Soak.config_key t.soak) tasks))
   in
-  let statuses = Array.copy statuses in
-  let policy = Supervise.policy_of_cli sup in
-  let ckpts_written = ref 0 in
-  let last_ckpt = ref start_round in
-  let rounds_done = ref start_round in
-  while !rounds_done < cfg.rounds do
-    let upto = min cfg.rounds (!rounds_done + cfg.chunk) in
-    let alive =
-      Array.of_list
-        (List.filter
-           (fun i -> Result.is_ok statuses.(i))
-           (List.init n_tasks Fun.id))
-    in
-    let inputs =
-      Array.map (fun i -> (i, Result.get_ok statuses.(i))) alive
-    in
-    (* Jobs advance a *decoded copy* of the trial snapshot and hand back
-       fresh bytes, so a crashed or timed-out attempt can never leak
-       partial progress: every retry replays from the same snapshot.
-       Deliberately unobserved — per-chunk supervision counters would
-       differ between an uninterrupted run and a resumed one. *)
-    let results, _chunk_report =
-      Supervise.map ~policy
-        ~label_of:(fun j -> tasks.(alive.(j)).label)
-        ~jobs
-        ~base_seed:(Runner.job_seed cfg.seed (cfg.rounds + !rounds_done))
-        (fun ~obs:_ ~seed:_ ~watchdog (i, bytes) ->
-          (match sup.Supervise.inject_fail with
-          | Some k when k = i ->
-              failwith (Printf.sprintf "injected failure (--inject-fail %d)" i)
-          | _ -> ());
-          let t = Soak.restore tasks.(i).soak bytes in
-          Soak.advance ~watchdog t ~upto;
-          Soak.encode t)
-        inputs
-    in
-    Array.iteri
-      (fun j r ->
-        let i = alive.(j) in
-        match r with
-        | Ok bytes -> statuses.(i) <- Ok bytes
-        | Error f -> statuses.(i) <- Error { f with Run_report.index = i })
-      results;
-    rounds_done := upto;
-    match sup.Supervise.checkpoint_dir with
-    | Some dir
-      when sup.Supervise.checkpoint_every > 0
-           && (upto - !last_ckpt >= sup.Supervise.checkpoint_every
-              || upto = cfg.rounds) ->
-        (* Consistency gate before anything hits disk. *)
-        Array.iteri
-          (fun i status ->
-            match status with
-            | Error _ -> ()
-            | Ok bytes ->
-                Invariants.check_exn
-                  (Soak.invariant_ctx (Soak.restore tasks.(i).soak bytes)))
-          statuses;
-        ignore
-          (Checkpoint.save ~dir
-             ~name:(Checkpoint.numbered_name ~prefix:ckpt_prefix ~n:upto)
-             ~schema ~version:ckpt_version
-             (encode_progress ~rounds_done:upto statuses));
-        last_ckpt := upto;
-        incr ckpts_written;
-        (match sup.Supervise.kill_after with
-        | Some k when !ckpts_written >= k ->
-            raise (Supervise.Killed { checkpoints = !ckpts_written })
-        | _ -> ())
-    | _ -> ()
-  done;
+  let states, report =
+    Supervise.run_cells ~cli:cfg.sup ~jobs ~seed:cfg.seed ~horizon:cfg.rounds
+      ~chunk:cfg.chunk
+      {
+        Supervise.name;
+        fingerprint;
+        labels = Array.map (fun t -> t.label) tasks;
+        create = (fun i -> Soak.create tasks.(i).soak);
+        restore = (fun i -> Soak.restore tasks.(i).soak);
+        advance = (fun ~watchdog t ~upto -> Soak.advance ~watchdog t ~upto);
+        encode = Soak.encode;
+        check = (fun t -> Invariants.check_exn (Soak.invariant_ctx t));
+      }
+  in
   (* Aggregate the surviving trials per cell; failed trials are excluded
      from the statistics and surface in the run report instead. *)
   let cell_results =
@@ -352,11 +223,10 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
         Array.iteri
           (fun i task ->
             if task.cell_idx = cell_idx then
-              match statuses.(i) with
+              match states.(i) with
               | Error _ -> incr failed
-              | Ok bytes ->
+              | Ok t ->
                   incr ok;
-                  let t = Soak.restore task.soak bytes in
                   let r = Soak.report t in
                   Registry.merge ~into:cell_reg (Soak.registry t);
                   avail_sum := !avail_sum +. r.Soak.availability_mean;
@@ -402,17 +272,12 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
         })
       (Array.to_list cells_arr)
   in
-  let report =
-    Run_report.make ~jobs:n_tasks
-      (Array.to_list statuses
-      |> List.filter_map (function Ok _ -> None | Error f -> Some f))
-  in
   if Obs.on obs then Run_report.observe obs report;
   {
     scale = cfg.scale;
     rounds = cfg.rounds;
     pairs = Array.length pairs;
-    failures_allowed = sup.Supervise.max_failures;
+    failures_allowed = cfg.sup.Supervise.max_failures;
     cells = cell_results;
     report;
   }

@@ -10,8 +10,8 @@
     stability, and per-AS-pair availability.
 
     This is also the proving ground for the supervision layer. Trials
-    advance in [chunk]-round work units through {!Supervise.map} — a
-    crashing or watchdog-expired trial is retried with deterministic
+    advance in [chunk]-round work units through {!Supervise.run_cells}
+    — a crashing or watchdog-expired trial is retried with deterministic
     seeds and, past its retry budget, excluded from aggregation and
     reported in the {!Run_report} while every other trial completes.
     Between chunks the full state of every trial round-trips through

@@ -93,9 +93,6 @@ let resolve_paths cs pairs =
       else arr)
     pairs
 
-(* A mid-run outage on a path link of the most popular resolvable pair
-   — preferring a link some alternate path avoids, so failover (not
-   just blackout) is exercised. *)
 (* Fail a link on the path the latency-greedy strategy would actually
    prefer (the minimum-latency one) for the most popular resolvable
    pair, preferring a link some alternate path avoids — so the outage
@@ -191,61 +188,6 @@ let build_tasks cfg ~graph ~latency_ms ~paths ~swarm_paths ~demand ~swarm_demand
   in
   Array.of_list (demand_tasks @ swarm_tasks)
 
-(* --- checkpoint codec --------------------------------------------------- *)
-
-let ckpt_prefix = "traffic"
-
-let ckpt_version = 1
-
-let schema_of cfg tasks =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "traffic/%d;" cfg.chunk);
-  Array.iter
-    (fun t -> Buffer.add_string b (Traffic_sim.config_key t.sim))
-    tasks;
-  "traffic:" ^ Sha256.hex (Sha256.digest (Buffer.contents b))
-
-let w_status w = function
-  | Ok bytes ->
-      Snapshot.w_u8 w 0;
-      Snapshot.w_str w bytes
-  | Error (f : Run_report.failure) ->
-      Snapshot.w_u8 w 1;
-      Snapshot.w_int w f.Run_report.index;
-      Snapshot.w_str w f.Run_report.label;
-      Snapshot.w_opt w Snapshot.w_i64 f.Run_report.seed;
-      Snapshot.w_int w f.Run_report.attempts;
-      Snapshot.w_str w f.Run_report.error;
-      Snapshot.w_str w f.Run_report.backtrace
-
-let r_status r =
-  match Snapshot.r_u8 r with
-  | 0 -> Ok (Snapshot.r_str r)
-  | 1 ->
-      let index = Snapshot.r_int r in
-      let label = Snapshot.r_str r in
-      let seed = Snapshot.r_opt r Snapshot.r_i64 in
-      let attempts = Snapshot.r_int r in
-      let error = Snapshot.r_str r in
-      let backtrace = Snapshot.r_str r in
-      Error { Run_report.index; label; seed; attempts; error; backtrace }
-  | t -> raise (Snapshot.Corrupt (Printf.sprintf "traffic: bad status tag %d" t))
-
-let encode_progress ~slots_done statuses =
-  let w = Snapshot.writer () in
-  Snapshot.w_int w slots_done;
-  Snapshot.w_arr w w_status statuses;
-  Snapshot.contents w
-
-let decode_progress ~n_tasks data =
-  let r = Snapshot.reader data in
-  let slots_done = Snapshot.r_int r in
-  let statuses = Snapshot.r_arr r r_status in
-  Snapshot.r_end r;
-  if Array.length statuses <> n_tasks then
-    raise (Snapshot.Corrupt "traffic checkpoint: cell count mismatch");
-  (slots_done, statuses)
-
 (* --- execution ---------------------------------------------------------- *)
 
 let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
@@ -303,108 +245,38 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
     build_tasks cfg ~graph ~latency_ms ~paths ~swarm_paths ~demand
       ~swarm_demand ~swarm_params ~plan
   in
-  let n_tasks = Array.length tasks in
   let max_slots =
     Array.fold_left (fun acc t -> max acc t.sim.Traffic_sim.slots) 0 tasks
   in
-  let schema = schema_of cfg tasks in
-  let sup = cfg.sup in
-  (* Start fresh at slot 0 — or, with --resume, from the newest
-     compatible checkpoint. *)
-  let start_slot, statuses =
-    let fresh () =
-      ( 0,
-        Array.map
-          (fun t -> Ok (Traffic_sim.encode (Traffic_sim.create t.sim)))
-          tasks )
-    in
-    match sup.Supervise.checkpoint_dir with
-    | Some dir when sup.Supervise.resume -> (
-        match Checkpoint.latest ~dir ~prefix:ckpt_prefix with
-        | None -> fresh ()
-        | Some (_, file) ->
-            let payload =
-              Checkpoint.load ~dir ~name:file ~schema ~version:ckpt_version
-            in
-            let slots_done, statuses = decode_progress ~n_tasks payload in
-            Printf.eprintf "traffic: resumed from %s (slot %d)\n%!" file
-              slots_done;
-            (slots_done, statuses))
-    | _ -> fresh ()
+  let fingerprint =
+    Printf.sprintf "traffic/%d;" cfg.chunk
+    ^ String.concat ""
+        (Array.to_list
+           (Array.map (fun t -> Traffic_sim.config_key t.sim) tasks))
   in
-  let statuses = Array.copy statuses in
-  let policy = Supervise.policy_of_cli sup in
-  let ckpts_written = ref 0 in
-  let last_ckpt = ref start_slot in
-  let slots_done = ref start_slot in
-  while !slots_done < max_slots do
-    let upto = min max_slots (!slots_done + cfg.chunk) in
-    let alive =
-      Array.of_list
-        (List.filter
-           (fun i -> Result.is_ok statuses.(i))
-           (List.init n_tasks Fun.id))
-    in
-    let inputs = Array.map (fun i -> (i, Result.get_ok statuses.(i))) alive in
-    (* Jobs advance a decoded copy of the cell snapshot and hand back
-       fresh bytes: a crashed or timed-out attempt can never leak
-       partial progress. Deliberately unobserved — per-chunk counters
-       would differ between uninterrupted and resumed runs. *)
-    let results, _chunk_report =
-      Supervise.map ~policy
-        ~label_of:(fun j -> tasks.(alive.(j)).label)
-        ~jobs
-        ~base_seed:(Runner.job_seed cfg.seed (max_slots + !slots_done))
-        (fun ~obs:_ ~seed:_ ~watchdog (i, bytes) ->
-          (match sup.Supervise.inject_fail with
-          | Some k when k = i ->
-              failwith (Printf.sprintf "injected failure (--inject-fail %d)" i)
-          | _ -> ());
-          let t = Traffic_sim.restore tasks.(i).sim bytes in
-          Traffic_sim.advance ~watchdog t ~upto;
-          Traffic_sim.encode t)
-        inputs
-    in
-    Array.iteri
-      (fun j r ->
-        let i = alive.(j) in
-        match r with
-        | Ok bytes -> statuses.(i) <- Ok bytes
-        | Error f -> statuses.(i) <- Error { f with Run_report.index = i })
-      results;
-    slots_done := upto;
-    match sup.Supervise.checkpoint_dir with
-    | Some dir
-      when sup.Supervise.checkpoint_every > 0
-           && (upto - !last_ckpt >= sup.Supervise.checkpoint_every
-              || upto = max_slots) ->
-        (* Consistency gate before anything hits disk: every surviving
-           snapshot must decode cleanly against its config. *)
-        Array.iteri
-          (fun i status ->
-            match status with
-            | Error _ -> ()
-            | Ok bytes -> ignore (Traffic_sim.restore tasks.(i).sim bytes))
-          statuses;
-        ignore
-          (Checkpoint.save ~dir
-             ~name:(Checkpoint.numbered_name ~prefix:ckpt_prefix ~n:upto)
-             ~schema ~version:ckpt_version
-             (encode_progress ~slots_done:upto statuses));
-        last_ckpt := upto;
-        incr ckpts_written;
-        (match sup.Supervise.kill_after with
-        | Some k when !ckpts_written >= k ->
-            raise (Supervise.Killed { checkpoints = !ckpts_written })
-        | _ -> ())
-    | _ -> ()
-  done;
+  let states, report =
+    Supervise.run_cells ~cli:cfg.sup ~jobs ~seed:cfg.seed ~horizon:max_slots
+      ~chunk:cfg.chunk
+      {
+        Supervise.name;
+        fingerprint;
+        labels = Array.map (fun t -> t.label) tasks;
+        create = (fun i -> Traffic_sim.create tasks.(i).sim);
+        restore = (fun i -> Traffic_sim.restore tasks.(i).sim);
+        advance =
+          (fun ~watchdog t ~upto -> Traffic_sim.advance ~watchdog t ~upto);
+        encode = Traffic_sim.encode;
+        (* Restoring every surviving snapshot against its config is the
+           whole gate. *)
+        check = ignore;
+      }
+  in
   (* Terminal accounting per cell, in task order (deterministic obs
      merges). *)
   let cell_results =
     Array.mapi
       (fun i task ->
-        match statuses.(i) with
+        match states.(i) with
         | Error _ ->
             {
               label = task.label;
@@ -412,8 +284,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
               width = task.width;
               report = None;
             }
-        | Ok bytes ->
-            let t = Traffic_sim.restore task.sim bytes in
+        | Ok t ->
             Traffic_sim.finish t;
             let r = Traffic_sim.report t in
             if Obs.on obs then begin
@@ -450,11 +321,6 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
       (fun acc offered -> if Array.length offered > 0 then acc + 1 else acc)
       0 paths
   in
-  let report =
-    Run_report.make ~jobs:n_tasks
-      (Array.to_list statuses
-      |> List.filter_map (function Ok _ -> None | Error f -> Some f))
-  in
   if Obs.on obs then Run_report.observe obs report;
   {
     scale = cfg.scale;
@@ -466,7 +332,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
     outage_link;
     cells = cell_results;
     swarm;
-    failures_allowed = sup.Supervise.max_failures;
+    failures_allowed = cfg.sup.Supervise.max_failures;
     report;
   }
 

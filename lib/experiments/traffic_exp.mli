@@ -11,9 +11,9 @@
     bulk file-transfer demand in forced single-path and two multipath
     modes, demonstrating the multipath completion-time win.
 
-    Cells advance in [chunk]-slot work units through {!Supervise.map};
-    between chunks each cell's full simulation state round-trips
-    through {!Traffic_sim.encode}, so [--checkpoint-every N
+    Cells advance in [chunk]-slot work units through
+    {!Supervise.run_cells}; between chunks each cell's full simulation
+    state round-trips through {!Traffic_sim.encode}, so [--checkpoint-every N
     --checkpoint-dir D] writes resumable checkpoints and [--resume]
     continues from the newest one. Interrupting at any checkpoint and
     resuming yields byte-identical stdout and [--metrics-out] JSON at

@@ -11,8 +11,10 @@
     {!Run_report}.
 
     The other half of supervision — deterministic checkpoint/resume —
-    lives in {!Snapshot}, {!Checkpoint} and {!Soak}; {!cli} carries the
-    flags both halves share. *)
+    is {!run_cells}: it advances a set of snapshot-able cells to a
+    horizon in supervised chunks, writing {!Checkpoint} files between
+    chunks and resuming from them. {!cli} carries the flags both halves
+    share. *)
 
 type policy = {
   retries : int;  (** additional attempts after the first (default 1) *)
@@ -22,13 +24,15 @@ type policy = {
 val default_policy : policy
 
 exception Killed of { checkpoints : int }
-(** Raised by a checkpointing scenario when its [kill_after] budget is
-    reached: a deterministic stand-in for SIGKILL at a checkpoint
-    boundary, used by the resume tests and CI. The driver maps it to
-    exit code 3 without printing results. *)
+(** Raised by {!run_cells} when its [kill_after] budget is reached: a
+    deterministic stand-in for SIGKILL at a checkpoint boundary, used by
+    the resume tests and CI. The CLI maps it to exit code 3 without
+    printing results. *)
 
 type cli = {
-  checkpoint_every : int;  (** rounds between checkpoints; 0 = off *)
+  checkpoint_every : int;
+      (** work steps between checkpoints (beaconing rounds for [pathdyn],
+          slots for [traffic]); 0 = off *)
   checkpoint_dir : string option;
   resume : bool;  (** continue from the latest checkpoint *)
   kill_after : int option;  (** abort after N checkpoint writes *)
@@ -72,3 +76,56 @@ val map :
     deterministic [f]); watchdog timeouts are the only wall-clock
     dependent outcomes and surface only in the report, never as
     corrupted results. *)
+
+(** {1 Chunked, checkpointed cells} *)
+
+type 's cells = {
+  name : string;
+      (** checkpoint file prefix, schema tag and message prefix, e.g.
+          ["pathdyn"] *)
+  fingerprint : string;
+      (** everything a resumed run must agree on (chunking plus every
+          cell's configuration key); hashed into the checkpoint schema *)
+  labels : string array;  (** one per cell; fixes the cell count *)
+  create : int -> 's;  (** fresh state of cell [i] *)
+  restore : int -> string -> 's;  (** decode cell [i] from [encode] bytes *)
+  advance : watchdog:Watchdog.t -> 's -> upto:int -> unit;
+      (** run the cell up to work step [upto] *)
+  encode : 's -> string;
+  check : 's -> unit;
+      (** consistency gate run on every surviving cell before a
+          checkpoint is written; raise to abort the run *)
+}
+(** The per-cell functions {!run_cells} drives. Cells must be
+    deterministic and survive an [encode]/[restore] round trip
+    unchanged. *)
+
+val run_cells :
+  cli:cli ->
+  jobs:int ->
+  seed:int64 ->
+  horizon:int ->
+  chunk:int ->
+  's cells ->
+  ('s, Run_report.failure) result array * Run_report.t
+(** [run_cells ~cli ~jobs ~seed ~horizon ~chunk cells] advances every
+    cell from step 0 — or, with [cli.resume], from the newest checkpoint
+    in [cli.checkpoint_dir] — to [horizon] in [chunk]-step work units.
+    Each unit is one {!map} over the surviving cells with base seed
+    [Runner.job_seed seed (horizon + steps_done)]; a job restores its
+    cell from bytes, advances it and re-encodes it, so a failed attempt
+    never leaks partial progress. A cell that exhausts its retries (or
+    is [cli.inject_fail]) stays [Error] from then on.
+
+    After a unit ending at least [cli.checkpoint_every] steps past the
+    last checkpoint, or at [horizon], every surviving cell passes
+    [check] and the progress is saved as [<name>.%06d.ckpt]; the
+    [cli.kill_after]-th save raises {!Killed}.
+
+    Returns the surviving cells restored and the {!Run_report} over all
+    cells (failures carry the cell's own index). Resuming at any
+    checkpoint gives the same result as an uninterrupted run, at any
+    [jobs]. Raises {!Snapshot.Corrupt} when the resumed checkpoint is
+    malformed, belongs to another configuration, records a different
+    cell count, a step below 0 or past [horizon], or a failure whose index
+    differs from its position. *)

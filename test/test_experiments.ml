@@ -166,6 +166,27 @@ let test_scenarios_registry () =
       Alcotest.(check bool) (S.name ^ " has doc") true (String.length S.doc > 0))
     Scenarios.all
 
+(* Pathdyn at the size the benchmark replays it (one profile, one
+   limit, 3 rounds in 1-round chunks): killed at its first checkpoint
+   and resumed, it reports exactly what an uninterrupted run does. *)
+let test_pathdyn_kill_and_resume () =
+  let cfg sup =
+    Pathdyn.config ~rounds:3 ~chunk:1
+      ~profiles:
+        [
+          Pathdyn.P_flapping
+            { period_s = 3600.0; down_fraction = 0.25; n_links = 3 };
+        ]
+      ~limits:[ 5 ] ~sup Exp_common.Tiny
+  in
+  let json r = Obs_json.to_string (Pathdyn.to_json r) in
+  let want = Pathdyn.run (cfg Supervise.default_cli) in
+  check Alcotest.int "clean exit" 0 (Pathdyn.exit_code want);
+  check Alcotest.string "killed + resumed equals uninterrupted" (json want)
+    (json
+       (Test_supervise.kill_and_resume ~every:1 (fun sup ->
+            Pathdyn.run ~jobs:2 (cfg sup))))
+
 let suite =
   [
     ("scales", `Quick, test_scales);
@@ -178,4 +199,5 @@ let suite =
     ("tuning evaluate", `Quick, test_tuning_evaluate);
     ("table1 measure", `Slow, test_table1_measure);
     ("scenario registry", `Quick, test_scenarios_registry);
+    ("pathdyn kill and resume", `Slow, test_pathdyn_kill_and_resume);
   ]

@@ -1,4 +1,4 @@
-(* Tests for scion_sim: the discrete-event engine and metrics. *)
+(* Tests for scion_sim: the discrete-event engine. *)
 
 let check = Alcotest.check
 
@@ -139,38 +139,6 @@ let test_des_obs_instrumentation () =
   let h = Registry.histogram (Obs.registry obs) "des_queue_depth" in
   Alcotest.(check bool) "queue depth sampled" true (Histogram.count h > 0)
 
-let test_metrics () =
-  let m = Metrics.create () in
-  Metrics.add m "bytes" 10.0;
-  Metrics.add m "bytes" 5.0;
-  Metrics.incr m "msgs";
-  Alcotest.(check (float 1e-9)) "sum" 15.0 (Metrics.get m "bytes");
-  Alcotest.(check (float 1e-9)) "incr" 1.0 (Metrics.get m "msgs");
-  Alcotest.(check (float 1e-9)) "unknown" 0.0 (Metrics.get m "nope");
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "sorted" [ ("bytes", 15.0); ("msgs", 1.0) ] (Metrics.to_sorted_list m);
-  Metrics.reset m;
-  Alcotest.(check (float 1e-9)) "reset" 0.0 (Metrics.get m "bytes")
-
-(* reset zeroes values but keeps the keys (stable series identity for
-   windowed reporting); clear drops everything. *)
-let test_metrics_reset_vs_clear () =
-  let m = Metrics.create () in
-  Metrics.add m "bytes" 10.0;
-  Metrics.incr m "msgs";
-  Metrics.reset m;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "keys survive reset at 0" [ ("bytes", 0.0); ("msgs", 0.0) ]
-    (Metrics.to_sorted_list m);
-  Metrics.add m "bytes" 2.0;
-  Alcotest.(check (float 1e-9)) "accumulates after reset" 2.0 (Metrics.get m "bytes");
-  Metrics.clear m;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "clear drops keys" [] (Metrics.to_sorted_list m)
-
 let suite =
   [
     ("des ordering", `Quick, test_des_ordering);
@@ -188,6 +156,4 @@ let suite =
     ("des interleaved every", `Quick, test_des_interleaved_every);
     ("des nan guards", `Quick, test_des_nan_guards);
     ("des obs instrumentation", `Quick, test_des_obs_instrumentation);
-    ("metrics", `Quick, test_metrics);
-    ("metrics reset vs clear", `Quick, test_metrics_reset_vs_clear);
   ]

@@ -1,7 +1,8 @@
 (* Tests for scion_supervise: the snapshot codec (primitives and every
    component codec), checkpoint framing/corruption/series, the
    cooperative watchdog, supervised map retry/degradation/determinism,
-   the invariant checker, and byte-identical soak chunking. *)
+   the chunked cell driver (kill/resume, checkpoint format, malformed
+   progress), the invariant checker, and byte-identical soak chunking. *)
 
 let check = Alcotest.check
 
@@ -67,6 +68,24 @@ let rm_rf dir =
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
     Sys.rmdir dir
   end
+
+(* Run a checkpointing scenario killed at its first checkpoint (every
+   [every] steps, in a fresh directory), then resume it to completion;
+   returns the resumed result. *)
+let kill_and_resume ~every run =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sup =
+    {
+      Supervise.default_cli with
+      Supervise.checkpoint_every = every;
+      checkpoint_dir = Some dir;
+    }
+  in
+  (match run { sup with Supervise.kill_after = Some 1 } with
+  | _ -> Alcotest.fail "expected Supervise.Killed"
+  | exception Supervise.Killed _ -> ());
+  run { sup with Supervise.resume = true }
 
 (* --- Snapshot: primitives ------------------------------------------- *)
 
@@ -615,6 +634,177 @@ let test_soak_config_key () =
   Alcotest.(check bool) "storage limit changes it" true
     (Soak.config_key cfg <> Soak.config_key (soak_config ~limit:6 ()))
 
+(* --- Supervise.run_cells ----------------------------------------------- *)
+
+(* A fake cell: a counter whose encoding is its decimal value. Cell [i]
+   starts at [i] and each chunk adds the step it advances to, so the
+   final value depends on every chunk having run exactly once. *)
+let counter_cells n =
+  {
+    Supervise.name = "counter";
+    fingerprint = Printf.sprintf "counter/%d;" n;
+    labels = Array.init n (Printf.sprintf "c%d");
+    create = (fun i -> ref i);
+    restore =
+      (fun _ s ->
+        match int_of_string_opt s with
+        | Some v -> ref v
+        | None -> raise (Snapshot.Corrupt "counter"));
+    advance = (fun ~watchdog:_ t ~upto -> t := !t + upto);
+    encode = (fun t -> string_of_int !t);
+    check = ignore;
+  }
+
+let counter_schema n =
+  "counter:" ^ Sha256.hex (Sha256.digest (Printf.sprintf "counter/%d;" n))
+
+(* Horizon 7 in 1-step chunks, checkpoints at steps 2, 4, 6 and 7. *)
+let run_counters ?(n = 3) ?dir ?(resume = false) ?kill_after ?inject_fail ~jobs
+    () =
+  let cli =
+    {
+      Supervise.default_cli with
+      Supervise.checkpoint_every = 2;
+      checkpoint_dir = dir;
+      resume;
+      kill_after;
+      inject_fail;
+    }
+  in
+  Supervise.run_cells ~cli ~jobs ~seed:9L ~horizon:7 ~chunk:1 (counter_cells n)
+
+(* Everything but the backtrace, which is not part of the contract. *)
+let strip_failure (f : Run_report.failure) =
+  (f.Run_report.index, f.Run_report.label, f.Run_report.seed,
+   f.Run_report.attempts, f.Run_report.error)
+
+let strip_run (states, (report : Run_report.t)) =
+  ( Array.map
+      (function Ok t -> Ok !t | Error f -> Error (strip_failure f))
+      states,
+    report.Run_report.jobs,
+    List.map strip_failure report.Run_report.failures )
+
+let kill_counters ?inject_fail ~dir ~jobs () =
+  match run_counters ?inject_fail ~dir ~kill_after:1 ~jobs () with
+  | _ -> Alcotest.fail "expected Supervise.Killed"
+  | exception Supervise.Killed { checkpoints } ->
+      check Alcotest.int "killed at the first checkpoint" 1 checkpoints
+
+let test_run_cells_kill_and_resume () =
+  let want = strip_run (run_counters ~jobs:1 ()) in
+  let states, _, _ = want in
+  (* 1+2+...+7 = 28 on top of the cell's start value. *)
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool) "every chunk ran once" true (r = Ok (i + 28)))
+    states;
+  List.iter
+    (fun jobs ->
+      let dir = fresh_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      kill_counters ~dir ~jobs ();
+      Alcotest.(check bool) "only the first checkpoint exists" true
+        (Checkpoint.latest ~dir ~prefix:"counter"
+        = Some (2, "counter.000002.ckpt"));
+      Alcotest.(check bool)
+        (Printf.sprintf "resumed = uninterrupted (jobs %d)" jobs)
+        true
+        (strip_run (run_counters ~dir ~resume:true ~jobs ()) = want))
+    [ 1; 2 ]
+
+(* The checkpoint payload format is fixed: the step, then one status per
+   cell (tag 0 + snapshot bytes, or tag 1 + the failure record). *)
+let test_run_cells_checkpoint_format () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  kill_counters ~dir ~jobs:1 ();
+  let w = Snapshot.writer () in
+  Snapshot.w_int w 2;
+  Snapshot.w_arr w
+    (fun w v ->
+      Snapshot.w_u8 w 0;
+      Snapshot.w_str w (string_of_int v))
+    [| 3; 4; 5 |];
+  check Alcotest.string "payload bytes" (Snapshot.contents w)
+    (Checkpoint.load ~dir ~name:"counter.000002.ckpt" ~schema:(counter_schema 3)
+       ~version:1)
+
+let test_run_cells_inject_fail_survives_resume () =
+  let want = strip_run (run_counters ~inject_fail:1 ~jobs:1 ()) in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  kill_counters ~inject_fail:1 ~dir ~jobs:2 ();
+  (* Resume without the injection: the failure must come back from the
+     checkpoint, still at its own index. *)
+  let ((states, _, failures) as got) =
+    strip_run (run_counters ~dir ~resume:true ~jobs:2 ())
+  in
+  Alcotest.(check bool) "same as uninterrupted" true (got = want);
+  (match states.(1) with
+  | Error (index, label, _, attempts, error) ->
+      check Alcotest.int "own index" 1 index;
+      check Alcotest.string "own label" "c1" label;
+      check Alcotest.int "retried once" 2 attempts;
+      Alcotest.(check bool) "injected error kept" true
+        (contains error "injected failure")
+  | Ok _ -> Alcotest.fail "cell 1 should stay failed");
+  Alcotest.(check bool) "other cells complete" true
+    (states.(0) = Ok 28 && states.(2) = Ok 30);
+  check Alcotest.int "one failure reported" 1 (List.length failures)
+
+let test_run_cells_rejects_bad_progress () =
+  let frame what payload =
+    let dir = fresh_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    ignore
+      (Checkpoint.save ~dir ~name:"counter.000002.ckpt"
+         ~schema:(counter_schema 3) ~version:1 payload);
+    match run_counters ~dir ~resume:true ~jobs:1 () with
+    | _ -> Alcotest.fail (what ^ ": expected Snapshot.Corrupt")
+    | exception Snapshot.Corrupt _ -> ()
+    | exception e ->
+        Alcotest.fail (what ^ ": raised " ^ Printexc.to_string e)
+  in
+  let progress ~step statuses =
+    let w = Snapshot.writer () in
+    Snapshot.w_int w step;
+    Snapshot.w_arr w (fun w f -> f w) statuses;
+    Snapshot.contents w
+  in
+  let ok v w =
+    Snapshot.w_u8 w 0;
+    Snapshot.w_str w (string_of_int v)
+  in
+  let failed index w =
+    Snapshot.w_u8 w 1;
+    Snapshot.w_int w index;
+    Snapshot.w_str w "c";
+    Snapshot.w_opt w Snapshot.w_i64 None;
+    Snapshot.w_int w 1;
+    Snapshot.w_str w "boom";
+    Snapshot.w_str w ""
+  in
+  let good = progress ~step:2 [| ok 3; ok 4; ok 5 |] in
+  frame "wrong cell count" (progress ~step:2 [| ok 3; ok 4 |]);
+  frame "bad status tag"
+    (progress ~step:2 [| ok 3; (fun w -> Snapshot.w_u8 w 7); ok 5 |]);
+  frame "truncated payload" (String.sub good 0 (String.length good - 1));
+  frame "trailing bytes" (good ^ "\x00");
+  frame "step past the horizon" (progress ~step:8 [| ok 3; ok 4; ok 5 |]);
+  frame "negative step" (progress ~step:(-1) [| ok 3; ok 4; ok 5 |]);
+  frame "failure index differs from its position"
+    (progress ~step:2 [| ok 3; ok 4; failed 1 |]);
+  (* Sanity: the well-formed payload resumes. *)
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  ignore
+    (Checkpoint.save ~dir ~name:"counter.000002.ckpt"
+       ~schema:(counter_schema 3) ~version:1 good);
+  Alcotest.(check bool) "well-formed progress resumes" true
+    (strip_run (run_counters ~dir ~resume:true ~jobs:1 ())
+    = strip_run (run_counters ~jobs:1 ()))
+
 (* qcheck: whatever the fault-plan seed and wherever the run is cut,
    save -> load -> invariant-check -> re-save is byte-stable and the
    resumed run converges on the direct run's bytes. *)
@@ -663,5 +853,13 @@ let suite =
     ("soak chunked determinism", `Slow, test_soak_chunked_byte_identical);
     ("soak restore rejects mismatch", `Quick, test_soak_restore_rejects_mismatch);
     ("soak config key", `Quick, test_soak_config_key);
+    ("run_cells kill and resume", `Quick, test_run_cells_kill_and_resume);
+    ("run_cells checkpoint format", `Quick, test_run_cells_checkpoint_format);
+    ( "run_cells inject-fail survives resume",
+      `Quick,
+      test_run_cells_inject_fail_survives_resume );
+    ( "run_cells rejects bad progress",
+      `Quick,
+      test_run_cells_rejects_bad_progress );
     QCheck_alcotest.to_alcotest prop_soak_resume_byte_identical;
   ]

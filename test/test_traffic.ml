@@ -434,7 +434,7 @@ let test_swarm_multipath_wins () =
   Alcotest.(check bool) "adaptive multipath also wins" true
     (c.Swarm.speedup_adaptive > 1.0)
 
-(* --- The scenario: jobs-independence ----------------------------------- *)
+(* --- The scenario: jobs- and resume-independence ------------------------ *)
 
 let test_scenario_jobs_independent () =
   let cfg =
@@ -447,6 +447,13 @@ let test_scenario_jobs_independent () =
     (Obs_json.to_string (Traffic_exp.to_json a)
     = Obs_json.to_string (Traffic_exp.to_json b));
   check Alcotest.int "clean exit" 0 (Traffic_exp.exit_code a);
+  let resumed =
+    Test_supervise.kill_and_resume ~every:1 (fun sup ->
+        Traffic_exp.run ~jobs:2 { cfg with Traffic_exp.sup })
+  in
+  check Alcotest.string "killed + resumed equals uninterrupted"
+    (Obs_json.to_string (Traffic_exp.to_json a))
+    (Obs_json.to_string (Traffic_exp.to_json resumed));
   (match a.Traffic_exp.swarm with
   | None -> Alcotest.fail "swarm comparison missing"
   | Some c ->
