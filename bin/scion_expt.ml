@@ -5,18 +5,11 @@
 
      scion_expt run SCENARIO [--scale S] [--seed N] [--jobs N] [--out F]
 
-   with SCENARIO one of table1, fig5, fig6, scionlab, convergence,
-   latency, tune (see Scenarios.all). The historical per-experiment
-   subcommands remain as aliases with their extra flags:
+   with SCENARIO one of Scenarios.names. The remaining subcommands are
+   not scenarios:
 
-   scion_expt table1 [--scale S] [--measure]
-   scion_expt fig5   [--scale S]
-   scion_expt fig6   [--scale S]
-   scion_expt scionlab
-   scion_expt tune   [--cores N] [--verbose]
-   scion_expt convergence [--scale S] [--failures N]
-   scion_expt latency [--scale S]
-   scion_expt topo   [--scale S]
+   scion_expt lookup [--requests N]
+   scion_expt topo   [--scale S] [--save PREFIX]
    scion_expt all    [--scale S] *)
 
 open Cmdliner
@@ -62,8 +55,8 @@ let out_term =
 let resolve_jobs jobs = if jobs = 0 then Runner.default_jobs () else jobs
 
 (* Supervision flags (checkpoint/resume, retries, failure injection).
-   Only the generic [run] subcommand exposes them; the historical
-   aliases run unsupervised with Supervise.default_cli. *)
+   Only the generic [run] subcommand exposes them; [all] runs
+   unsupervised with Supervise.default_cli. *)
 let sup_term =
   let checkpoint_every =
     Arg.(
@@ -239,16 +232,16 @@ let with_obs (metrics_out, metrics_csv, trace) f =
         (fun () -> f obs)
 
 (* Run one scenario end to end: build, run, print, optionally export.
-   The aliases below feed hand-built configs through the same path.
    Exits nonzero when the scenario reports a failure budget overrun,
    and with code 3 on a deliberate --kill-after abort (after the
    with_obs finalizers have run). *)
-let exec (type c) (module S : Scenario.Cli with type config = c) (config : c) jobs
-    out obs_opts =
+let exec (module S : Scenario.Cli) cli jobs out obs_opts =
   match
     with_obs obs_opts (fun obs ->
         timed S.name (fun () ->
-            let result = S.run ~obs ~jobs:(resolve_jobs jobs) config in
+            let result =
+              S.run ~obs ~jobs:(resolve_jobs jobs) (S.config_of_cli cli)
+            in
             S.print result;
             write_result out (S.to_json result);
             S.exit_code result))
@@ -314,88 +307,24 @@ let run_cmd =
               (String.concat ", " Scenarios.names) )
     | Some (module S : Scenario.Cli) ->
         exec (module S)
-          (S.config_of_cli
-             { Scenario.scale; seed; sup; flows; strategy; capacity_scale })
+          { Scenario.scale; seed; sup; flows; strategy; capacity_scale }
           jobs out obs_opts;
         `Ok ()
   in
+  let man =
+    `S "SCENARIOS"
+    :: List.map
+         (fun (module S : Scenario.Cli) ->
+           `I (Printf.sprintf "$(b,%s)" S.name, S.doc))
+         Scenarios.all
+  in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run any experiment through the generic scenario driver")
+    (Cmd.info "run" ~man
+       ~doc:"Run any experiment through the generic scenario driver")
     Term.(
       ret
         (const run $ scenario $ scale_term $ seed_term $ sup_term $ traffic_term
        $ jobs_term $ out_term $ obs_term))
-
-let table1_cmd =
-  let measure =
-    Arg.(value & flag & info [ "measure" ] ~doc:"Also run the grounding simulation.")
-  in
-  let run scale measure jobs out obs_opts =
-    exec (module Table1) (Table1.config ~measure scale) jobs out obs_opts
-  in
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Table 1: control-plane overhead taxonomy")
-    Term.(const run $ scale_term $ measure $ jobs_term $ out_term $ obs_term)
-
-let scenario_alias (module S : Scenario.Cli) ~doc =
-  let run scale seed jobs out obs_opts =
-    exec (module S)
-      (S.config_of_cli
-         {
-           Scenario.scale;
-           seed;
-           sup = Supervise.default_cli;
-           flows = None;
-           strategy = None;
-           capacity_scale = None;
-         })
-      jobs out obs_opts
-  in
-  Cmd.v (Cmd.info S.name ~doc)
-    Term.(const run $ scale_term $ seed_term $ jobs_term $ out_term $ obs_term)
-
-let fig5_cmd =
-  scenario_alias (module Fig5) ~doc:"Figure 5: control-plane overhead relative to BGP"
-
-let fig6_cmd =
-  scenario_alias (module Fig6) ~doc:"Figure 6: path quality (resilience and capacity)"
-
-let scionlab_cmd =
-  scenario_alias (module Scionlab_exp) ~doc:"Appendix B: SCIONLab figures 7, 8 and 9"
-
-let latency_cmd =
-  scenario_alias
-    (module Latency_exp)
-    ~doc:"Latency-aware path construction (section 4.2 'other criteria' extension)"
-
-let convergence_cmd =
-  let failures =
-    Arg.(value & opt int 5 & info [ "failures" ] ~docv:"N" ~doc:"Adjacencies to fail.")
-  in
-  let run scale failures seed jobs out obs_opts =
-    let config =
-      match seed with
-      | None -> Convergence.config ~n_failures:failures scale
-      | Some seed -> Convergence.config ~n_failures:failures ~seed scale
-    in
-    exec (module Convergence) config jobs out obs_opts
-  in
-  Cmd.v
-    (Cmd.info "convergence"
-       ~doc:"BGP reconvergence vs SCION failover after link failures")
-    Term.(const run $ scale_term $ failures $ seed_term $ jobs_term $ out_term $ obs_term)
-
-let tune_cmd =
-  let cores =
-    Arg.(value & opt int 30 & info [ "cores" ] ~docv:"N" ~doc:"Core ASes in the tuning topology.")
-  in
-  let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every candidate.") in
-  let run cores verbose jobs out obs_opts =
-    exec (module Tuning) (Tuning.config ~cores ~verbose ()) jobs out obs_opts
-  in
-  Cmd.v
-    (Cmd.info "tune" ~doc:"Grid search for diversity parameters (section 4.2)")
-    Term.(const run $ cores $ verbose $ jobs_term $ out_term $ obs_term)
 
 let lookup_cmd =
   let requests =
@@ -496,14 +425,7 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            table1_cmd;
-            fig5_cmd;
-            fig6_cmd;
-            scionlab_cmd;
-            convergence_cmd;
-            latency_cmd;
             lookup_cmd;
-            tune_cmd;
             topo_cmd;
             all_cmd;
           ]))

@@ -303,8 +303,13 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     end
   in
 
-  (* --- Baseline selection: P shortest per origin per interface. --- *)
-  let run_baseline_as ~now x =
+  (* --- Candidate gathering, shared by both selection algorithms:
+     the origins AS [x] disseminates for (itself first when it is an
+     originator) and, per origin, the candidate PCBs — a fresh origin
+     PCB for [x] itself, otherwise the stored paths [x]'s filters
+     allow. Candidates are computed on first use and memoised for the
+     round. --- *)
+  let gather ~now x =
     let store = stores.(x) in
     let cand_cache : (int, Pcb.t list) Hashtbl.t = Hashtbl.create 16 in
     let candidates o =
@@ -332,6 +337,12 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     let origins =
       (if originator.(x) then [ x ] else []) @ Beacon_store.origins store
     in
+    (candidates, origins)
+  in
+
+  (* --- Baseline selection: P shortest per origin per interface. --- *)
+  let run_baseline_as ~now x =
+    let candidates, origins = gather ~now x in
     Array.iter
       (fun (h : Graph.half_link) ->
         let nbr = h.Graph.peer in
@@ -360,32 +371,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   let run_quality_as ~now ~(params : Beacon_policy.div_params) ~quality ~track_history x =
     let store = stores.(x) in
     let st = div_states.(x) in
-    let cand_cache : (int, Pcb.t list) Hashtbl.t = Hashtbl.create 16 in
-    let candidates o =
-      match Hashtbl.find_opt cand_cache o with
-      | Some c -> c
-      | None ->
-          let c =
-            if o = x then begin
-              if obs_on then c_originated := !c_originated +. 1.0;
-              [ Pcb.origin_pcb ~origin:x ~now ~lifetime:cfg.lifetime ]
-            end
-            else begin
-              let all = Beacon_store.paths store ~now ~origin:o in
-              let kept = List.filter (policy_allows x) all in
-              if obs_on then
-                c_filtered :=
-                  !c_filtered
-                  +. float_of_int (List.length all - List.length kept);
-              kept
-            end
-          in
-          Hashtbl.replace cand_cache o c;
-          c
-    in
-    let origins =
-      (if originator.(x) then [ x ] else []) @ Beacon_store.origins store
-    in
+    let candidates, origins = gather ~now x in
     List.iter
       (fun (nbr, hlist) ->
         List.iter
@@ -620,16 +606,10 @@ let engine_outcome e =
     stats = e.eng_stats;
   }
 
-let run ?(obs = Obs.disabled) ?link_up ?on_round_start ?on_round g cfg =
+let run ?(obs = Obs.disabled) ?link_up g cfg =
   let e = engine ~obs ?link_up g cfg in
-  let rounds = e.eng_stats.rounds in
-  for r = 0 to rounds - 1 do
-    let now = float_of_int r *. cfg.interval in
-    (match on_round_start with
-    | None -> ()
-    | Some f -> f ~round:r ~now ~stores:e.eng_stores);
-    e.eng_step ~round:r;
-    match on_round with None -> () | Some f -> f ~round:r ~now
+  for r = 0 to e.eng_stats.rounds - 1 do
+    e.eng_step ~round:r
   done;
   let outcome = engine_outcome e in
   if Obs.on obs then observe obs outcome;

@@ -90,9 +90,10 @@ val engine :
 val engine_round : engine -> round:int -> unit
 (** Execute beaconing interval [round] (0-based): prune (every 6th
     round), select, disseminate, deliver. Rounds must be driven in
-    increasing order starting at the first non-executed round;
-    {!run}'s [on_round_start]/[on_round] hooks correspond to calling
-    code before/after [engine_round]. *)
+    increasing order starting at the first non-executed round. Callers
+    that interleave work with beaconing (fault injection, soaks) run it
+    before or after each [engine_round]; {!run} steps every round with
+    nothing in between. *)
 
 val engine_stores : engine -> Beacon_store.t array
 (** The live store array (the one passed in, if any). *)
@@ -108,8 +109,6 @@ val engine_outcome : engine -> outcome
 val run :
   ?obs:Obs.t ->
   ?link_up:(now:float -> int -> bool) ->
-  ?on_round_start:(round:int -> now:float -> stores:Beacon_store.t array -> unit) ->
-  ?on_round:(round:int -> now:float -> unit) ->
   Graph.t ->
   config ->
   outcome
@@ -118,12 +117,9 @@ val run :
     [link_up ~now l] (default: always [true]) gates dissemination on
     link liveness: a PCB selected for propagation over a dead link is
     silently discarded — no bytes are accounted and nothing is
-    delivered — modelling a border router whose interface is down
-    (fault injection, {!Faults}). [on_round_start] fires at the start
-    of every interval, before pruning and selection, with the live
-    store array; fault drivers use it to advance an external event
-    clock and expire revoked PCBs in lock-step with beaconing.
-    [on_round] fires after the interval's messages are delivered.
+    delivered — modelling a border router whose interface is down.
+    To run work between rounds (fault injection, soaks), step an
+    engine with {!engine_round} instead.
 
     With an enabled [obs] context (default {!Obs.disabled}, which costs
     one branch per send) the run maintains

@@ -19,8 +19,6 @@ let generate ks scheme ~id =
 
 let key_id kp = kp.id
 
-let scheme_of kp = kp.scheme
-
 (* Expand the 32-byte HMAC tag to the scheme's wire size with counter-mode
    rehashing, so signatures have realistic length and remain deterministic. *)
 let expand tag size =

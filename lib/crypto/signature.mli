@@ -32,11 +32,10 @@ val generate : keystore -> scheme -> id:string -> keypair
 val key_id : keypair -> string
 
 val sign : keypair -> string -> string
-(** [sign kp msg] is a signature of exactly
-    [signature_size (scheme_of kp)] bytes. *)
+(** [sign kp msg] is a signature of exactly [signature_size scheme]
+    bytes, for the [scheme] [kp] was generated with. *)
 
 val verify : keystore -> id:string -> msg:string -> signature:string -> bool
 (** Checks the signature against the registered key for [id]. Unknown
     ids or wrong-size signatures verify as [false]. *)
 
-val scheme_of : keypair -> scheme

@@ -63,10 +63,10 @@ module type Cli = sig
   include S
 
   val name : string
-  (** Subcommand name ([fig5], [table1], …). *)
+  (** Scenario name for [run <scenario>] ([fig5], [table1], …). *)
 
   val doc : string
-  (** One-line description for [--help]. *)
+  (** One-line description, listed under SCENARIOS in [run --help]. *)
 
   val config_of_cli : cli -> config
   (** Default config from the shared flags. *)

@@ -83,12 +83,12 @@ let refine (p : Beacon_policy.div_params) =
         [ p.Beacon_policy.beta *. 0.75; p.Beacon_policy.beta; p.Beacon_policy.beta *. 1.25 ])
     [ p.Beacon_policy.alpha *. 0.5; p.Beacon_policy.alpha; p.Beacon_policy.alpha *. 1.5 ]
 
-let best_of ?(obs = Obs.disabled) ?(jobs = 1) ?(verbose = false) ?duration_rounds
-    ?lifetime_rounds g cands =
+let best_of ?(obs = Obs.disabled) ?(jobs = 1) ?duration_rounds ?lifetime_rounds g
+    cands =
   (* Candidate evaluations are independent; fan them out, then pick the
-     winner (and print, in candidate order) after the barrier so the
-     choice and the output are identical at any [jobs] value. The
-     earliest candidate wins ties, as in the sequential fold. *)
+     winner after the barrier so the choice is identical at any [jobs]
+     value. The earliest candidate wins ties, as in the sequential
+     fold. *)
   let objectives =
     Runner.map_jobs_obs ~obs ~jobs
       (fun ~obs p -> evaluate ~obs ?duration_rounds ?lifetime_rounds g p)
@@ -96,54 +96,48 @@ let best_of ?(obs = Obs.disabled) ?(jobs = 1) ?(verbose = false) ?duration_round
   in
   Array.fold_left
     (fun acc o ->
-      let p = o.params in
-      if verbose then
-        Printf.printf
-          "  alpha=%-5.1f beta=%-5.2f gamma=%-4.1f thr=%-5.3f -> conn=%.3f cap=%.3f bytes=%.3g score=%.3f\n%!"
-          p.Beacon_policy.alpha p.Beacon_policy.beta p.Beacon_policy.gamma
-          p.Beacon_policy.threshold o.connectivity o.capacity_fraction
-          o.overhead_bytes o.score;
       match acc with
       | Some best when best.score >= o.score -> Some best
       | _ -> Some o)
     None objectives
 
-let grid_search ?obs ?jobs ?(verbose = false) ?duration_rounds ?lifetime_rounds g =
-  if verbose then print_endline "Stage 1: exponentially spaced grid";
+let grid_search ?obs ?jobs ?duration_rounds ?lifetime_rounds g =
   let stage1 =
     match
-      best_of ?obs ?jobs ~verbose ?duration_rounds ?lifetime_rounds g candidates_stage1
+      best_of ?obs ?jobs ?duration_rounds ?lifetime_rounds g candidates_stage1
     with
     | Some o -> o
     | None -> invalid_arg "Tuning.grid_search: empty candidate set"
   in
-  if verbose then print_endline "Stage 2: linear refinement around the winner";
   match
-    best_of ?obs ?jobs ~verbose ?duration_rounds ?lifetime_rounds g
+    best_of ?obs ?jobs ?duration_rounds ?lifetime_rounds g
       (refine stage1.params)
   with
   | Some o when o.score > stage1.score -> o
   | _ -> stage1
 
-type config = { cores : int; verbose : bool }
+type config = unit
 
-let config ?(cores = 30) ?(verbose = false) () = { cores; verbose }
+let config () = ()
 
 let name = "tune"
 
 let doc = "Grid search for diversity parameters (§4.2)"
 
-(* The tuning topology is sized by [cores], not by the CLI scale. *)
+(* The tuning topology has a fixed size; the CLI scale does not apply. *)
 let config_of_cli (_ : Scenario.cli) = config ()
+
+(* Core ASes of the tuning topology. *)
+let cores = 30
 
 type result = { cores : int; best : objective }
 
-let run ?obs ?jobs { cores; verbose } =
+let run ?obs ?jobs () =
   let full =
     Caida_like.generate { Caida_like.small_params with Caida_like.n = cores * 8 }
   in
   let core, _ = Caida_like.core_subset full ~k:cores in
-  { cores; best = grid_search ?obs ?jobs ~verbose core }
+  { cores; best = grid_search ?obs ?jobs core }
 
 let to_json (r : result) =
   let p = r.best.params in

@@ -30,26 +30,24 @@ val evaluate :
 val grid_search :
   ?obs:Obs.t ->
   ?jobs:int ->
-  ?verbose:bool ->
   ?duration_rounds:int ->
   ?lifetime_rounds:int ->
   Graph.t ->
   objective
 (** Exponential stage over (α, β, γ, threshold), then a linear
     refinement around the winner. With [jobs > 1] each stage evaluates
-    its candidates on that many domains; the winner, the tie-breaking
-    (earliest candidate) and the [verbose] output are identical at any
-    [jobs] value. Deterministic. *)
+    its candidates on that many domains; the winner and the tie-breaking
+    (earliest candidate) are identical at any [jobs] value.
+    Deterministic. *)
 
 (** {1 The {!Scenario.Cli} face}
 
-    The tuning topology is a Caida-like graph sized by [cores]; the
-    CLI scale and seed do not apply. *)
+    The tuning topology is a fixed Caida-like core of 30 ASes; the CLI
+    scale and seed do not apply. *)
 
-type config = { cores : int; verbose : bool }
+type config = unit
 
-val config : ?cores:int -> ?verbose:bool -> unit -> config
-(** [cores] defaults to 30, [verbose] to [false]. *)
+val config : unit -> config
 
 val name : string
 

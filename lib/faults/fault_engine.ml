@@ -37,12 +37,14 @@ let run ?(obs = Obs.disabled) cfg =
   let recov = Recovery.create () in
   let ps = Path_server.create ~obs () in
   let reg_keys = Fwd_keys.create () in
-  (* The live store array: set by the round hook before any event can
-     fire, refreshed from the outcome for the post-run drain. *)
-  let stores_ref = ref [||] in
+  let eng =
+    Beaconing.engine ~obs
+      ~link_up:(fun ~now:_ l -> Link_state.up state l)
+      g cfg.beacon
+  in
+  let stores = Beaconing.engine_stores eng in
   let on_down ~now ~link =
     Recovery.record_event recov ~action:Fault_plan.Down;
-    let stores = !stores_ref in
     let lk = Graph.link g link in
     let msg =
       {
@@ -63,19 +65,17 @@ let run ?(obs = Obs.disabled) cfg =
     let notified = ref 0 in
     Array.iter
       (fun (s, d) ->
-        if Array.length stores > 0 then begin
-          let paths = Beacon_store.paths stores.(s) ~now ~origin:d in
-          let affected = List.filter (on_path link) paths in
-          if affected <> [] then begin
-            Recovery.record_affected recov ~pair:(s, d);
-            incr notified;
-            if List.compare_lengths paths affected = 0 then
-              Recovery.open_blackout recov ~now ~pair:(s, d)
-            else
-              Recovery.record_failover recov
-                ~recovery_s:
-                  (float_of_int (failure_distance link paths) *. cfg.scmp_delay_s)
-          end
+        let paths = Beacon_store.paths stores.(s) ~now ~origin:d in
+        let affected = List.filter (on_path link) paths in
+        if affected <> [] then begin
+          Recovery.record_affected recov ~pair:(s, d);
+          incr notified;
+          if List.compare_lengths paths affected = 0 then
+            Recovery.open_blackout recov ~now ~pair:(s, d)
+          else
+            Recovery.record_failover recov
+              ~recovery_s:
+                (float_of_int (failure_distance link paths) *. cfg.scmp_delay_s)
         end)
       cfg.pairs;
     let dropped =
@@ -108,40 +108,22 @@ let run ?(obs = Obs.disabled) cfg =
   in
   let events = Fault_plan.compile ~graph:g cfg.plan in
   ignore (Fault_driver.install ~des ~state ~on_down ~on_up events);
-  let on_round_start ~round:_ ~now ~stores =
-    stores_ref := stores;
-    Des.run ~until:now des
-  in
-  let on_round ~round:_ ~now =
-    let stores = !stores_ref in
+  for r = 0 to (Beaconing.engine_stats eng).Beaconing.rounds - 1 do
+    let now = float_of_int r *. cfg.beacon.Beaconing.interval in
+    Des.run ~until:now des;
+    Beaconing.engine_round eng ~round:r;
     Array.iter
       (fun (s, d) ->
         let paths = Beacon_store.paths stores.(s) ~now ~origin:d in
         (* Re-beaconing found a path again: the blackout (if any) ends. *)
         if paths <> [] then Recovery.close_blackout recov ~now ~pair:(s, d);
-        (* Keep the path server stocked with the pair's current best
-           segments so revocations have real registrations to purge. *)
-        let rec register k = function
-          | [] -> ()
-          | pcb :: rest ->
-              if k > 0 && Array.length pcb.Pcb.hops > 0 then begin
-                let seg =
-                  Segment.terminate g reg_keys ~kind:Segment.Core_seg ~holder:s pcb
-                in
-                ignore (Path_server.register_core ps ~now seg);
-                register (k - 1) rest
-              end
-        in
-        register cfg.beacon.Beaconing.dissemination_limit paths)
+        Path_server.register_best_core ps g reg_keys ~now ~holder:s
+          ~k:cfg.beacon.Beaconing.dissemination_limit paths)
       cfg.pairs
-  in
-  let outcome =
-    Beaconing.run ~obs
-      ~link_up:(fun ~now:_ l -> Link_state.up state l)
-      ~on_round_start ~on_round g cfg.beacon
-  in
+  done;
+  let outcome = Beaconing.engine_outcome eng in
+  Beaconing.observe obs outcome;
   (* Events past the last round (repairs, late failures) still count. *)
-  stores_ref := outcome.Beaconing.stores;
   let horizon = cfg.beacon.Beaconing.duration in
   Des.run ~until:horizon des;
   Recovery.finish recov ~now:horizon;

@@ -100,35 +100,6 @@ let diff ~before ~after =
 let labels_to_string labels =
   String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
 
-let sample_to_json s =
-  let fields =
-    [
-      ("name", Obs_json.String s.name);
-      ( "labels",
-        Obs_json.Obj (List.map (fun (k, v) -> (k, Obs_json.String v)) s.labels) );
-    ]
-  in
-  let value_fields =
-    match s.value with
-    | Counter v -> [ ("kind", Obs_json.String "counter"); ("value", Obs_json.Float v) ]
-    | Gauge v -> [ ("kind", Obs_json.String "gauge"); ("value", Obs_json.Float v) ]
-    | Hist h ->
-        [
-          ("kind", Obs_json.String "histogram");
-          ("count", Obs_json.Int h.Histogram.count);
-          ("sum", Obs_json.Float h.Histogram.sum);
-          ("min", Obs_json.Float h.Histogram.min);
-          ("max", Obs_json.Float h.Histogram.max);
-          ("mean", Obs_json.Float h.Histogram.mean);
-          ("p50", Obs_json.Float h.Histogram.p50);
-          ("p90", Obs_json.Float h.Histogram.p90);
-          ("p99", Obs_json.Float h.Histogram.p99);
-        ]
-  in
-  Obs_json.Obj (fields @ value_fields)
-
-let snapshot_to_json snap = Obs_json.List (List.map sample_to_json snap)
-
 let to_json t =
   (* Full export: histograms carry their buckets, not just the summary. *)
   let metrics =

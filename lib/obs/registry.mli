@@ -65,10 +65,6 @@ val to_json : t -> Obs_json.t
 (** Full machine-readable export: every series with kind, labels and —
     for histograms — the occupied buckets (see {!Histogram.to_json}). *)
 
-val snapshot_to_json : snapshot -> Obs_json.t
-(** Summary-level export of a snapshot (histograms as p50/p90/p99
-    summaries without buckets). *)
-
 val to_csv : t -> string
 (** One row per series with a fixed
     [name,labels,kind,value,count,sum,min,max,mean,p50,p90,p99]

@@ -33,7 +33,7 @@ type sink =
 
 type t = {
   max_level : level option;  (* [None]: tracing entirely off *)
-  mutable sink : sink;
+  sink : sink;
   capacity : int;
   mutable ring : event array;  (* allocated on first emit *)
   mutable next : int;
@@ -63,8 +63,6 @@ let create ?(capacity = 4096) ?(sink = Null) level =
     stored = 0;
     emitted = 0;
   }
-
-let set_sink t sink = t.sink <- sink
 
 let enabled t level =
   match t.max_level with

@@ -50,8 +50,6 @@ val create : ?capacity:int -> ?sink:sink -> level -> t
 (** Tracer accepting events up to [level]. [capacity] (default 4096)
     bounds the ring buffer; 0 disables retention (sink only). *)
 
-val set_sink : t -> sink -> unit
-
 val enabled : t -> level -> bool
 (** Check before building an event payload on a hot path. *)
 

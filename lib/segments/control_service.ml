@@ -96,16 +96,6 @@ let build ?now ~(core : Beaconing.outcome) ~(intra : Beaconing.outcome) () =
   ingest_core t core;
   t
 
-let build_intra_only ?now (intra : Beaconing.outcome) =
-  let now =
-    match now with
-    | Some n -> n
-    | None -> intra.Beaconing.config.Beaconing.duration -. 1.0
-  in
-  let t = make intra.Beaconing.graph now in
-  ingest_intra t intra;
-  t
-
 let up_segments t ~src =
   Option.value ~default:[] (Hashtbl.find_opt t.up_store src)
 

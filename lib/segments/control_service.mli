@@ -22,10 +22,6 @@ val build :
     [now] defaults to the end of the beaconing runs. Raises
     [Invalid_argument] if the graphs differ. *)
 
-val build_intra_only : ?now:float -> Beaconing.outcome -> t
-(** Single-ISD network: no core segments, paths combine up- and
-    down-segments at shared core ASes plus shortcuts. *)
-
 val graph : t -> Graph.t
 
 val keys : t -> Fwd_keys.t

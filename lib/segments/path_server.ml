@@ -95,6 +95,16 @@ let register_down t ~now s = register t t.down ~idx:s.Segment.leaf ~now s
 
 let register_core t ~now s = register t t.core ~idx:s.Segment.origin ~now s
 
+let register_best_core t g keys ~now ~holder ~k paths =
+  let rec go k = function
+    | (p : Pcb.t) :: rest when k > 0 && Array.length p.Pcb.hops > 0 ->
+        let seg = Segment.terminate g keys ~kind:Segment.Core_seg ~holder p in
+        ignore (register_core t ~now seg);
+        go (k - 1) rest
+    | _ -> ()
+  in
+  go k paths
+
 let lookup table ~now idx =
   match Hashtbl.find_opt table idx with
   | None -> []

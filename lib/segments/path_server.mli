@@ -28,6 +28,21 @@ val register_down : t -> now:float -> Segment.t -> bool
 val register_core : t -> now:float -> Segment.t -> bool
 (** Register a core-path segment under its remote (origin) core AS. *)
 
+val register_best_core :
+  t ->
+  Graph.t ->
+  Fwd_keys.t ->
+  now:float ->
+  holder:int ->
+  k:int ->
+  Pcb.t list ->
+  unit
+(** Terminate at [holder] and {!register_core} the first [k] PCBs of
+    [paths] in list order (shortest first, as {!Beacon_store.paths}
+    returns them), stopping early at a PCB without hops. Keeps a path server
+    stocked with a pair's current best segments so revocations have
+    real registrations to purge. *)
+
 val lookup_down : t -> now:float -> leaf:int -> Segment.t list
 (** Valid down-path segments to [leaf], sorted by segment key (a total
     order, so replies never depend on internal hash-table layout);

@@ -95,8 +95,6 @@ let contains_link t l = Array.exists (fun x -> x = l) t.links
 
 let is_valid t ~now = now < t.expiry
 
-let reversed_ases t = List.rev (ases t)
-
 let registration_bytes t =
   Wire.path_segment_registration_bytes ~hops:(Array.length t.hops)
 

@@ -56,9 +56,6 @@ val contains_link : t -> int -> bool
 
 val is_valid : t -> now:float -> bool
 
-val reversed_ases : t -> int list
-(** Leaf → origin, the traversal order when used as an up-segment. *)
-
 val registration_bytes : t -> int
 (** Wire size of registering this segment at a path server (§4.1). *)
 

@@ -129,21 +129,8 @@ let barrier t ~round:r ~now =
     (fun i (s, o) ->
       let tr = st.tracks.(i) in
       let paths = Beacon_store.paths st.stores.(s) ~now ~origin:o in
-      (* Keep the path server stocked with the pair's current best
-         segments, so revocation consistency is observable. *)
-      let rec register k = function
-        | [] -> ()
-        | (p : Pcb.t) :: rest ->
-            if k > 0 && Array.length p.Pcb.hops > 0 then begin
-              let seg =
-                Segment.terminate cfg.graph t.fwd_keys ~kind:Segment.Core_seg
-                  ~holder:s p
-              in
-              ignore (Path_server.register_core st.ps ~now seg);
-              register (k - 1) rest
-            end
-      in
-      register cfg.register_top paths;
+      Path_server.register_best_core st.ps cfg.graph t.fwd_keys ~now ~holder:s
+        ~k:cfg.register_top paths;
       let keys =
         List.sort_uniq compare (List.map (fun (p : Pcb.t) -> p.Pcb.key) paths)
       in
