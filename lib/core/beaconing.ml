@@ -258,10 +258,10 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   let outbox = ref [] in
   let outbox_len = ref 0 in
   let link_alive =
-    match link_up with None -> fun ~now:_ _ -> true | Some f -> f
+    match link_up with None -> fun _ -> true | Some f -> f
   in
   let send ~now ~sender ~(h : Graph.half_link) pcb =
-    if not (link_alive ~now h.Graph.via) then ()
+    if not (link_alive h.Graph.via) then ()
     else begin
     let ingress =
       match Pcb.last_link pcb with

@@ -75,7 +75,7 @@ type engine
 
 val engine :
   ?obs:Obs.t ->
-  ?link_up:(now:float -> int -> bool) ->
+  ?link_up:(int -> bool) ->
   ?stores:Beacon_store.t array ->
   ?stats:stats ->
   Graph.t ->
@@ -108,13 +108,13 @@ val engine_outcome : engine -> outcome
 
 val run :
   ?obs:Obs.t ->
-  ?link_up:(now:float -> int -> bool) ->
+  ?link_up:(int -> bool) ->
   Graph.t ->
   config ->
   outcome
 (** Simulate [duration / interval] beaconing intervals.
 
-    [link_up ~now l] (default: always [true]) gates dissemination on
+    [link_up l] (default: always [true]) gates dissemination on
     link liveness: a PCB selected for propagation over a dead link is
     silently discarded — no bytes are accounted and nothing is
     delivered — modelling a border router whose interface is down.

@@ -32,15 +32,12 @@ let run ?(obs = Obs.disabled) cfg =
   let g = cfg.graph in
   let obs_on = Obs.on obs in
   let tr = Obs.trace obs in
-  let des = Des.create ~obs () in
   let state = Link_state.create ~n_links:(Graph.num_links g) in
   let recov = Recovery.create () in
   let ps = Path_server.create ~obs () in
   let reg_keys = Fwd_keys.create () in
   let eng =
-    Beaconing.engine ~obs
-      ~link_up:(fun ~now:_ l -> Link_state.up state l)
-      g cfg.beacon
+    Beaconing.engine ~obs ~link_up:(Link_state.up state) g cfg.beacon
   in
   let stores = Beaconing.engine_stores eng in
   let on_down ~now ~link =
@@ -107,10 +104,14 @@ let run ?(obs = Obs.disabled) cfg =
         "link repaired"
   in
   let events = Fault_plan.compile ~graph:g cfg.plan in
-  ignore (Fault_driver.install ~des ~state ~on_down ~on_up events);
+  let cursor = ref 0 in
+  let replay ~until =
+    cursor :=
+      Link_state.replay state events ~from:!cursor ~until ~on_down ~on_up
+  in
   for r = 0 to (Beaconing.engine_stats eng).Beaconing.rounds - 1 do
     let now = float_of_int r *. cfg.beacon.Beaconing.interval in
-    Des.run ~until:now des;
+    replay ~until:now;
     Beaconing.engine_round eng ~round:r;
     Array.iter
       (fun (s, d) ->
@@ -125,7 +126,7 @@ let run ?(obs = Obs.disabled) cfg =
   Beaconing.observe obs outcome;
   (* Events past the last round (repairs, late failures) still count. *)
   let horizon = cfg.beacon.Beaconing.duration in
-  Des.run ~until:horizon des;
+  replay ~until:horizon;
   Recovery.finish recov ~now:horizon;
   (* Validation pass: resolve and forward end-to-end over the surviving
      topology, with still-down links failed at the routers. *)

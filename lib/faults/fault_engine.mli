@@ -3,8 +3,9 @@
     Couples one beaconing run to a compiled fault plan and closes the
     failure→reaction→recovery loop of §4.1:
 
-    - the plan's events fire between beaconing rounds on a {!Des.t}
-      clock driven in lock-step with the rounds;
+    - before each beaconing round, {!Link_state.replay} applies the
+      plan's events up to that round's start time (and, after the
+      last round, up to the run's duration);
     - on a real link-down transition, beacon stores expire every PCB
       over the link ({!Beacon_store.drop_link}), the path server
       revokes affected segments ({!Path_server.revoke_link}), and the
@@ -50,8 +51,8 @@ type result = {
 }
 
 val run : ?obs:Obs.t -> config -> result
-(** With an enabled [obs] (default {!Obs.disabled}): the beaconing,
-    DES and path-server instrumentation all attach to it, fault
+(** With an enabled [obs] (default {!Obs.disabled}): the beaconing
+    and path-server instrumentation attach to it, fault
     transitions emit [fault]-category trace events ([Warn] down,
     [Info] up) and {!Recovery.observe} exports the trial's counters
     and histograms on completion. *)

@@ -2,11 +2,11 @@
 
     A plan is a list of failure specifications over a topology's links;
     {!compile} expands it into a flat, time-sorted array of link
-    down/up transitions that a {!Fault_driver} replays through the
-    discrete-event engine. Compilation is a pure function of the plan
-    (including its seed) and the graph, so the same plan always yields
-    the same event sequence — the property the resilience experiments
-    lean on for byte-identical parallel runs. *)
+    down/up transitions that {!Link_state.replay} applies between
+    beaconing rounds or traffic slots. Compilation is a pure function of
+    the plan (including its seed) and the graph, so the same plan always
+    yields the same event sequence — the property the resilience
+    experiments lean on for byte-identical parallel runs. *)
 
 type action = Down | Up
 

@@ -22,6 +22,18 @@ let apply t ~now ~link ~action =
         if t.holds.(link) = 0 then Went_up else No_change
       end
 
+let replay t events ~from ~until ~on_down ~on_up =
+  let i = ref from in
+  while !i < Array.length events && events.(!i).Fault_plan.time <= until do
+    let { Fault_plan.time = now; link; action } = events.(!i) in
+    (match apply t ~now ~link ~action with
+    | Went_down -> on_down ~now ~link
+    | Went_up -> on_up ~now ~link
+    | No_change -> ());
+    incr i
+  done;
+  !i
+
 let up t l = t.holds.(l) = 0
 
 let down_since t l = if t.holds.(l) > 0 then Some t.since.(l) else None

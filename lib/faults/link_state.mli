@@ -19,6 +19,23 @@ val apply : t -> now:float -> link:int -> action:Fault_plan.action -> transition
     ([Went_down] on the 0→1 edge); [Up] decrements it, never below
     zero ([Went_up] on the 1→0 edge). *)
 
+val replay :
+  t ->
+  Fault_plan.event array ->
+  from:int ->
+  until:float ->
+  on_down:(now:float -> link:int -> unit) ->
+  on_up:(now:float -> link:int -> unit) ->
+  int
+(** [replay t events ~from ~until ~on_down ~on_up] folds the compiled,
+    time-sorted [events] into [t] with {!apply}, starting at index
+    [from] and stopping before the first event later than [until]
+    ([until] is inclusive). [on_down]/[on_up] run only on real
+    transitions, with [now] the event's time. Returns the index of the
+    first unapplied event: the cursor to pass as [from] next time.
+    Stepped round by round, this is the whole fault replay; the cursor
+    is what a checkpoint stores. *)
+
 val up : t -> int -> bool
 
 val down_since : t -> int -> float option

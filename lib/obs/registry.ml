@@ -211,5 +211,3 @@ let merge ~into src =
           let h' = histogram ~growth:(Histogram.growth h) into ~labels name in
           Histogram.merge ~into:h' h)
     src.tbl
-
-let reset t = Hashtbl.reset t.tbl

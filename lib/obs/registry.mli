@@ -103,6 +103,3 @@ val merge : into:t -> t -> unit
     merged after the barrier, giving the same totals as a sequential
     run. Merging counters and histograms is commutative, so the final
     state does not depend on merge order (gauges excepted). *)
-
-val reset : t -> unit
-(** Drop every series. *)

@@ -47,5 +47,3 @@ let merge ~into src =
       e'.total <- e'.total +. e.total;
       e'.count <- e'.count + e.count)
     src.tbl
-
-let reset t = Hashtbl.reset t.tbl

@@ -32,5 +32,3 @@ val merge : into:t -> t -> unit
     the source is left unchanged. Totals merged from concurrently
     running phases report aggregate busy time, which can exceed
     wall-clock time. *)
-
-val reset : t -> unit

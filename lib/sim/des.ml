@@ -48,30 +48,6 @@ let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Des.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) action
 
-let every t ~interval ?start ?until action =
-  if not (interval > 0.0) then invalid_arg "Des.every: interval must be positive";
-  let first = match start with Some s -> s | None -> t.clock +. interval in
-  (* Tick times are computed multiplicatively from [first] and snapped
-     to [until] when within a relative epsilon, so a tick that lands
-     exactly on the boundary is not lost to accumulated floating-point
-     drift (e.g. interval 0.1, until 0.3). *)
-  let eps = interval *. 1e-9 in
-  let time_of k =
-    let ti = first +. (float_of_int k *. interval) in
-    match until with
-    | Some u when Float.abs (ti -. u) <= eps -> u
-    | _ -> ti
-  in
-  let rec tick k sim =
-    action sim;
-    let next = time_of (k + 1) in
-    match until with
-    | Some u when next > u -> ()
-    | _ -> schedule_at sim ~time:next (tick (k + 1))
-  in
-  let skip = match until with Some u -> time_of 0 > u | None -> false in
-  if not skip then schedule_at t ~time:(time_of 0) (tick 0)
-
 let step t =
   match Heap.pop t.queue with
   | None -> false
@@ -89,18 +65,5 @@ let step t =
       end;
       ev.action t;
       true
-
-let run ?until t =
-  match until with
-  | None -> while step t do () done
-  | Some u ->
-      let continue = ref true in
-      while !continue do
-        match Heap.peek t.queue with
-        | Some ev when ev.time <= u -> ignore (step t)
-        | _ ->
-            t.clock <- max t.clock u;
-            continue := false
-      done
 
 let pending t = Heap.length t.queue

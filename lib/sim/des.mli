@@ -2,7 +2,10 @@
 
     Replaces the ns-3 core the paper's simulator is built on: a virtual
     clock and a time-ordered event queue. Events scheduled for the same
-    instant fire in scheduling order, which keeps runs reproducible. *)
+    instant fire in scheduling order, which keeps runs reproducible.
+    Only the BGP simulator ([Bgp_sim]) runs on it: beaconing is stepped
+    in rounds, and fault plans are replayed between rounds by
+    [Link_state.replay]. *)
 
 type t
 
@@ -23,20 +26,10 @@ val schedule : t -> delay:float -> (t -> unit) -> unit
 val schedule_at : t -> time:float -> (t -> unit) -> unit
 (** Absolute-time variant; the time must not be in the past (nor nan). *)
 
-val every : t -> interval:float -> ?start:float -> ?until:float -> (t -> unit) -> unit
-(** Periodic event starting at [start] (default [interval] from now),
-    repeating until virtual time exceeds [until] (default: forever).
-    A tick landing exactly on [until] fires: tick times are derived
-    multiplicatively from the start time and snapped to [until] within
-    a relative epsilon of [1e-9 * interval], so accumulated
-    floating-point drift cannot skip the boundary tick. *)
-
-val run : ?until:float -> t -> unit
-(** Drain the event queue. With [until], stop once the next event lies
-    strictly beyond that time (the clock is then advanced to [until]). *)
-
 val step : t -> bool
-(** Execute one event; [false] if the queue was empty. *)
+(** Execute the earliest event, advancing the clock to its time;
+    [false] if the queue was empty. The caller's loop decides when to
+    stop. *)
 
 val pending : t -> int
 (** Number of queued events. *)

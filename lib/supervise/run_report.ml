@@ -9,8 +9,6 @@ type failure = {
 
 type t = { jobs : int; failures : failure list }
 
-let empty ~jobs = { jobs; failures = [] }
-
 let make ~jobs failures =
   {
     jobs;

@@ -18,8 +18,6 @@ type failure = {
 type t = { jobs : int; failures : failure list }
 (** [failures] is sorted by index. *)
 
-val empty : jobs:int -> t
-
 val make : jobs:int -> failure list -> t
 (** Sorts the failures by index. *)
 

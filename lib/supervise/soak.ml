@@ -170,15 +170,9 @@ let advance ?watchdog t ~upto =
   let upto = min upto (rounds_total t) in
   if st.round < upto then begin
     let eng =
-      Beaconing.engine
-        ~link_up:(fun ~now:_ l -> Link_state.up st.links l)
-        ~stores:st.stores ~stats:st.stats cfg.graph cfg.beacon
+      Beaconing.engine ~link_up:(Link_state.up st.links) ~stores:st.stores
+        ~stats:st.stats cfg.graph cfg.beacon
     in
-    let des = Des.create () in
-    (* Restore the virtual clock to the horizon the consumed events
-       already covered, then install only the unconsumed suffix. *)
-    if st.round > 0 then
-      Des.run ~until:(float_of_int (st.round - 1) *. interval) des;
     let on_down ~now:_ ~link =
       st.link_failures <- st.link_failures + 1;
       st.pcbs_dropped <-
@@ -190,16 +184,11 @@ let advance ?watchdog t ~upto =
         st.segments_revoked + Path_server.revoke_link st.ps ~link
     in
     let on_up ~now:_ ~link:_ = st.link_repairs <- st.link_repairs + 1 in
-    let remaining =
-      Array.sub t.events st.cursor (Array.length t.events - st.cursor)
-    in
-    ignore
-      (Fault_driver.install
-         ~on_event:(fun () -> st.cursor <- st.cursor + 1)
-         ~des ~state:st.links ~on_down ~on_up remaining);
     for r = st.round to upto - 1 do
       let now = float_of_int r *. interval in
-      Des.run ~until:now des;
+      st.cursor <-
+        Link_state.replay st.links t.events ~from:st.cursor ~until:now ~on_down
+          ~on_up;
       Beaconing.engine_round eng ~round:r;
       barrier t ~round:r ~now;
       st.round <- r + 1;

@@ -80,5 +80,3 @@ let bottleneck t links =
     best := !thin
   end;
   !best
-
-let clear t = Array.fill t.counts 0 (Array.length t.counts) 0

@@ -44,6 +44,3 @@ val bottleneck : t -> int array -> int
     link when the whole path is idle; [-1] on an empty path. *)
 
 val n_links : t -> int
-
-val clear : t -> unit
-(** Zero every count (capacities are kept). *)

@@ -371,22 +371,12 @@ let advance ?watchdog t ~upto =
   if st.finished then invalid_arg "Traffic_sim.advance: already finished";
   let upto = min upto cfg.slots in
   if st.slot < upto then begin
-    let des = Des.create () in
-    (* Restore the virtual clock to the horizon the consumed events
-       already covered, then install only the unconsumed suffix. *)
-    if st.slot > 0 then
-      Des.run ~until:(float_of_int (st.slot - 1) *. cfg.slot_s) des;
-    let remaining =
-      Array.sub t.events st.cursor (Array.length t.events - st.cursor)
-    in
-    ignore
-      (Fault_driver.install
-         ~on_event:(fun () -> st.cursor <- st.cursor + 1)
-         ~des ~state:st.links ~on_down:(on_down t) ~on_up:(on_up t) remaining);
     for s = st.slot to upto - 1 do
       let t0 = float_of_int s *. cfg.slot_s in
       let t1 = t0 +. cfg.slot_s in
-      Des.run ~until:t0 des;
+      st.cursor <-
+        Link_state.replay st.links t.events ~from:st.cursor ~until:t0
+          ~on_down:(on_down t) ~on_up:(on_up t);
       if cfg.strategy = Strategy.Load_adaptive && cfg.adapt_margin > 1.0 then
         Array.iter (reconsider t) st.active;
       admit t ~t1;

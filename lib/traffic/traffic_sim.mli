@@ -1,14 +1,14 @@
 (** Checkpointable flow-level traffic simulation.
 
-    A slotted fluid model driven by the discrete-event engine: time
-    advances in fixed slots; at each slot boundary the pending fault
-    events fire (through {!Fault_driver} into a {!Link_state}), new
-    flows are admitted onto strategy-chosen paths, the load-adaptive
-    strategy may re-select paths for in-flight flows, and every active
-    flow then transfers at its fluid rate — each subflow gets the
-    fair share of its bottleneck link ({!Link_load.fair_share}), a
-    flow's rate is the sum over its subflows, and completions inside
-    the slot are interpolated exactly.
+    A slotted fluid model: time advances in fixed slots; at each slot
+    boundary the fault events due by then are applied to a
+    {!Link_state} ({!Link_state.replay}), new flows are admitted onto
+    strategy-chosen paths, the load-adaptive strategy may re-select
+    paths for in-flight flows, and every active flow then transfers at
+    its fluid rate — each subflow gets the fair share of its bottleneck
+    link ({!Link_load.fair_share}), a flow's rate is the sum over its
+    subflows, and completions inside the slot are interpolated
+    exactly.
 
     When a link failure kills every path a flow rides, the flow fails
     over through the same {!Strategy} to the surviving offered paths

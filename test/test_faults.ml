@@ -1,5 +1,5 @@
 (* Tests for scion_faults: plan compilation, flap scheduling, link
-   state refcounting, driver replay, and the engine's reaction wiring
+   state refcounting, cursor replay, and the engine's reaction wiring
    (revocation propagation, endpoint failover, blackout accounting). *)
 
 let check = Alcotest.check
@@ -163,7 +163,6 @@ let test_link_state_refcount () =
 
 let test_driver_replay () =
   let g = ring () in
-  let des = Des.create () in
   let state = Link_state.create ~n_links:(Graph.num_links g) in
   let log = ref [] in
   let events =
@@ -175,18 +174,97 @@ let test_driver_replay () =
          ])
   in
   let n =
-    Fault_driver.install ~des ~state
+    Link_state.replay state events ~from:0 ~until:infinity
       ~on_down:(fun ~now ~link -> log := (now, link, `Down) :: !log)
       ~on_up:(fun ~now ~link -> log := (now, link, `Up) :: !log)
-      events
   in
-  check Alcotest.int "4 raw events installed" 4 n;
-  Des.run des;
+  check Alcotest.int "cursor past all 4 raw events" 4 n;
   (* The overlapping second failure neither re-fails nor re-repairs:
      one real down at 10, one real up at 30. *)
   check Alcotest.int "two real transitions" 2 (List.length !log);
   Alcotest.(check bool) "down at 10, up at 30" true
     (List.rev !log = [ (10.0, 0, `Down); (30.0, 0, `Up) ])
+
+(* Replaying in chunks (as the round-stepped callers and a resumed run
+   do) must equal one call. The plan has ties at equal times (two
+   failures of link 0 at 10 s, an AS outage taking several links down
+   at 40 s), a cut exactly on an event time (until is inclusive) and a
+   repair at [infinity], which no finite cut reaches. *)
+let prop_replay_chunked =
+  let g = ring () in
+  let horizon = 600.0 in
+  let events seed =
+    Array.append
+      (Fault_plan.compile ~graph:g
+         (Fault_plan.plan ~seed:(Int64.of_int seed)
+            [
+              Fault_plan.Link_down { link = 0; at = 10.0; duration = 20.0 };
+              Fault_plan.Link_down { link = 0; at = 10.0; duration = 5.0 };
+              Fault_plan.As_outage { as_idx = 2; at = 40.0; duration = 30.0 };
+              Fault_plan.Flapping
+                {
+                  link = 1;
+                  at = 0.0;
+                  period = 20.0;
+                  down_fraction = 0.5;
+                  until = 100.0;
+                };
+              Fault_plan.Link_down { link = 3; at = 50.0; duration = infinity };
+              Fault_plan.Stochastic
+                { mtbf = 150.0; mttr = 30.0; start = 0.0; until = horizon };
+            ]))
+      [| { Fault_plan.time = infinity; link = 3; action = Fault_plan.Up } |]
+  in
+  (* Every returned cursor must count exactly the events due by [until]. *)
+  let due events until =
+    Array.fold_left
+      (fun k (e : Fault_plan.event) ->
+        if e.Fault_plan.time <= until then k + 1 else k)
+      0 events
+  in
+  let replay events cuts =
+    let st = Link_state.create ~n_links:(Graph.num_links g) in
+    let log = ref [] in
+    let cursor =
+      List.fold_left
+        (fun from until ->
+          let c =
+            Link_state.replay st events ~from ~until
+              ~on_down:(fun ~now ~link -> log := (now, link, `Down) :: !log)
+              ~on_up:(fun ~now ~link -> log := (now, link, `Up) :: !log)
+          in
+          if c <> due events until then
+            QCheck.Test.fail_reportf "cursor %d after until=%g, %d events due" c
+              until (due events until);
+          c)
+        0 cuts
+    in
+    let holds = Array.init (Graph.num_links g) (Link_state.holds st) in
+    (cursor, List.rev !log, holds)
+  in
+  QCheck.Test.make ~name:"replay in chunks equals one replay" ~count:200
+    QCheck.(
+      pair (int_bound 1000)
+        (list_of_size (Gen.int_range 0 8)
+           (pair (float_bound_inclusive horizon) (option small_nat))))
+    (fun (seed, cuts) ->
+      let events = events seed in
+      let n = Array.length events in
+      (* [Some i] cuts exactly on the time of a finite event (capped at
+         the horizon: a stochastic repair may fall after it). *)
+      let cuts =
+        List.map
+          (function
+            | _, Some i ->
+                Float.min horizon events.(i mod (n - 1)).Fault_plan.time
+            | x, None -> x)
+          cuts
+      in
+      let chunked =
+        replay events (List.sort compare (10.0 :: cuts) @ [ horizon ])
+      in
+      let ((cursor, _, holds) as whole) = replay events [ horizon ] in
+      chunked = whole && cursor < n && holds.(3) > 0)
 
 (* --- Beacon_store.drop_link / Beaconing link_up gate --- *)
 
@@ -211,7 +289,7 @@ let test_beaconing_link_up_gate () =
   let g = ring () in
   let cfg = { Beaconing.default_config with Beaconing.duration = 1800.0 } in
   let gated =
-    Beaconing.run ~link_up:(fun ~now:_ _ -> false) g cfg
+    Beaconing.run ~link_up:(fun _ -> false) g cfg
   in
   check Alcotest.int "all dissemination suppressed" 0
     gated.Beaconing.stats.Beaconing.total_pcbs;
@@ -330,6 +408,7 @@ let suite =
     ("adjacency sampler", `Quick, test_sample_adjacencies_siblings);
     ("link state refcount", `Quick, test_link_state_refcount);
     ("driver replay", `Quick, test_driver_replay);
+    QCheck_alcotest.to_alcotest prop_replay_chunked;
     ("store drop link", `Quick, test_store_drop_link);
     ("beaconing link_up gate", `Quick, test_beaconing_link_up_gate);
     ("engine failover + revocation", `Quick, test_engine_failover_and_revocation);

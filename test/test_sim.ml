@@ -2,13 +2,16 @@
 
 let check = Alcotest.check
 
+(* Fire every queued event, including ones scheduled while draining. *)
+let drain sim = while Des.step sim do () done
+
 let test_des_ordering () =
   let sim = Des.create () in
   let log = ref [] in
   Des.schedule sim ~delay:3.0 (fun _ -> log := 3 :: !log);
   Des.schedule sim ~delay:1.0 (fun _ -> log := 1 :: !log);
   Des.schedule sim ~delay:2.0 (fun _ -> log := 2 :: !log);
-  Des.run sim;
+  drain sim;
   check (Alcotest.list Alcotest.int) "time order" [ 1; 2; 3 ] (List.rev !log)
 
 let test_des_fifo_same_time () =
@@ -17,14 +20,14 @@ let test_des_fifo_same_time () =
   for i = 1 to 5 do
     Des.schedule sim ~delay:1.0 (fun _ -> log := i :: !log)
   done;
-  Des.run sim;
+  drain sim;
   check (Alcotest.list Alcotest.int) "fifo at equal time" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
 let test_des_clock_advances () =
   let sim = Des.create () in
   let seen = ref 0.0 in
   Des.schedule sim ~delay:5.5 (fun s -> seen := Des.now s);
-  Des.run sim;
+  drain sim;
   Alcotest.(check (float 1e-9)) "clock at event time" 5.5 !seen
 
 let test_des_nested_scheduling () =
@@ -33,25 +36,9 @@ let test_des_nested_scheduling () =
   Des.schedule sim ~delay:1.0 (fun s ->
       fired := Des.now s :: !fired;
       Des.schedule s ~delay:2.0 (fun s' -> fired := Des.now s' :: !fired));
-  Des.run sim;
+  drain sim;
   check (Alcotest.list (Alcotest.float 1e-9)) "nested event at 3.0" [ 1.0; 3.0 ]
     (List.rev !fired)
-
-let test_des_run_until () =
-  let sim = Des.create () in
-  let count = ref 0 in
-  Des.every sim ~interval:1.0 (fun _ -> incr count);
-  Des.run ~until:5.5 sim;
-  check Alcotest.int "five firings" 5 !count;
-  Alcotest.(check (float 1e-9)) "clock at until" 5.5 (Des.now sim);
-  Alcotest.(check bool) "event still pending" true (Des.pending sim > 0)
-
-let test_des_every_until () =
-  let sim = Des.create () in
-  let count = ref 0 in
-  Des.every sim ~interval:1.0 ~start:0.0 ~until:3.0 (fun _ -> incr count);
-  Des.run sim;
-  check Alcotest.int "fires at 0,1,2,3" 4 !count
 
 let test_des_negative_delay () =
   let sim = Des.create () in
@@ -61,7 +48,7 @@ let test_des_negative_delay () =
 let test_des_past_time () =
   let sim = Des.create () in
   Des.schedule sim ~delay:2.0 (fun _ -> ());
-  Des.run sim;
+  drain sim;
   Alcotest.check_raises "past" (Invalid_argument "Des.schedule_at: time is in the past")
     (fun () -> Des.schedule_at sim ~time:1.0 (fun _ -> ()))
 
@@ -70,26 +57,6 @@ let test_des_step () =
   Des.schedule sim ~delay:1.0 (fun _ -> ());
   Alcotest.(check bool) "one step" true (Des.step sim);
   Alcotest.(check bool) "empty" false (Des.step sim)
-
-(* Regression: interval 0.1 accumulates float drift (0.1 is not exact
-   in binary), so the naive [now +. interval] recurrence lands at
-   0.30000000000000004 > until and skipped the boundary tick. Tick
-   times must be derived multiplicatively from the start. *)
-let test_des_every_boundary_drift () =
-  let sim = Des.create () in
-  let times = ref [] in
-  Des.every sim ~interval:0.1 ~start:0.0 ~until:0.3 (fun s ->
-      times := Des.now s :: !times);
-  Des.run sim;
-  check Alcotest.int "fires at 0, 0.1, 0.2 and 0.3" 4 (List.length !times);
-  Alcotest.(check (float 1e-9)) "last tick on the boundary" 0.3 (List.hd !times)
-
-let test_des_every_start_beyond_until () =
-  let sim = Des.create () in
-  let count = ref 0 in
-  Des.every sim ~interval:1.0 ~start:5.0 ~until:2.0 (fun _ -> incr count);
-  Des.run sim;
-  check Alcotest.int "never fires" 0 !count
 
 (* An event scheduled with delay 0 from inside a handler runs at the
    same instant but after everything already queued for that time. *)
@@ -100,23 +67,11 @@ let test_des_same_instant_nested () =
       log := "a" :: !log;
       Des.schedule s ~delay:0.0 (fun _ -> log := "nested" :: !log));
   Des.schedule sim ~delay:1.0 (fun _ -> log := "b" :: !log);
-  Des.run sim;
+  drain sim;
   check
     (Alcotest.list Alcotest.string)
     "nested after queued peers" [ "a"; "b"; "nested" ] (List.rev !log);
   Alcotest.(check (float 1e-9)) "no time advance" 1.0 (Des.now sim)
-
-(* Two periodic streams sharing tick instants interleave in creation
-   order at every shared instant. *)
-let test_des_interleaved_every () =
-  let sim = Des.create () in
-  let log = ref [] in
-  Des.every sim ~interval:1.0 ~start:1.0 ~until:2.0 (fun _ -> log := "x" :: !log);
-  Des.every sim ~interval:1.0 ~start:1.0 ~until:2.0 (fun _ -> log := "y" :: !log);
-  Des.run sim;
-  check
-    (Alcotest.list Alcotest.string)
-    "x before y at each instant" [ "x"; "y"; "x"; "y" ] (List.rev !log)
 
 let test_des_nan_guards () =
   let sim = Des.create () in
@@ -133,7 +88,7 @@ let test_des_obs_instrumentation () =
   for i = 1 to 100 do
     Des.schedule sim ~delay:(float_of_int i) (fun _ -> ())
   done;
-  Des.run sim;
+  drain sim;
   let c = Registry.counter (Obs.registry obs) "des_events_total" in
   Alcotest.(check (float 1e-9)) "all events counted" 100.0 !c;
   let h = Registry.histogram (Obs.registry obs) "des_queue_depth" in
@@ -145,15 +100,10 @@ let suite =
     ("des fifo same time", `Quick, test_des_fifo_same_time);
     ("des clock advances", `Quick, test_des_clock_advances);
     ("des nested scheduling", `Quick, test_des_nested_scheduling);
-    ("des run until", `Quick, test_des_run_until);
-    ("des every until", `Quick, test_des_every_until);
     ("des negative delay", `Quick, test_des_negative_delay);
     ("des past time", `Quick, test_des_past_time);
     ("des step", `Quick, test_des_step);
-    ("des every boundary drift", `Quick, test_des_every_boundary_drift);
-    ("des every start beyond until", `Quick, test_des_every_start_beyond_until);
     ("des same-instant nested", `Quick, test_des_same_instant_nested);
-    ("des interleaved every", `Quick, test_des_interleaved_every);
     ("des nan guards", `Quick, test_des_nan_guards);
     ("des obs instrumentation", `Quick, test_des_obs_instrumentation);
   ]
