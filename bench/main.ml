@@ -197,6 +197,42 @@ let tests =
       (Staged.stage (fun () ->
            let s = Beacon_store.create ~limit:60 in
            ignore (Beacon_store.insert s ~now:0.0 (Lazy.force sample_pcb))));
+    (* A full limit-60 slot: one rejected newcomer (longer than every
+       entry) and one evicting newcomer (newer than the oldest entry).
+       61 paths are inserted round-robin with rising timestamps, so the
+       slot always holds the 60 newest and the next one evicts; the
+       ring is refilled once its timestamps run out. *)
+    Test.make ~name:"core/beacon-store-insert-full"
+      (Staged.stage
+         (let pcb ~ts links =
+            Array.fold_left
+              (fun p l -> Pcb.extend p ~asn:l ~ingress:1 ~egress:2 ~link:l ~peers:[||])
+              (Pcb.origin_pcb ~origin:0 ~now:ts ~lifetime:1e9)
+              links
+          in
+          let ring =
+            Array.init (64 * 61) (fun i ->
+                let j = 3 * (i mod 61) in
+                pcb ~ts:(float_of_int i) [| j; j + 1; j + 2 |])
+          in
+          let now = float_of_int (Array.length ring) in
+          let rejected = pcb ~ts:0.0 [| 500; 501; 502; 503 |] in
+          let fill () =
+            let s = Beacon_store.create ~limit:60 in
+            for i = 0 to 59 do
+              ignore (Beacon_store.insert s ~now ring.(i))
+            done;
+            s
+          in
+          let s = ref (fill ()) and next = ref 60 in
+          fun () ->
+            if !next = Array.length ring then begin
+              s := fill ();
+              next := 60
+            end;
+            ignore (Beacon_store.insert !s ~now rejected);
+            ignore (Beacon_store.insert !s ~now ring.(!next));
+            incr next));
     Test.make ~name:"core/diversity-score"
       (Staged.stage
          (let st = Diversity_state.create ~n_as:64 in

@@ -1,6 +1,9 @@
 type per_origin = {
   by_key : (string, Pcb.t) Hashtbl.t;
   mutable last_modified : float;
+  mutable worst : Pcb.t option;
+      (* the worst entry as of [worst_now]; [None] after any mutation *)
+  mutable worst_now : float;
 }
 
 type t = { limit : int; origins : (int, per_origin) Hashtbl.t }
@@ -17,18 +20,56 @@ let slot t origin =
   match Hashtbl.find_opt t.origins origin with
   | Some s -> s
   | None ->
-      let s = { by_key = Hashtbl.create 8; last_modified = neg_infinity } in
+      let s =
+        {
+          by_key = Hashtbl.create 8;
+          last_modified = neg_infinity;
+          worst = None;
+          worst_now = neg_infinity;
+        }
+      in
       Hashtbl.replace t.origins origin s;
       s
 
+let invalidate s = s.worst <- None
+
 (* Lexicographic badness: expired, then longer, then older. The path
    key breaks the remaining ties so the ordering is total — which entry
-   wins never depends on hash-table iteration order. *)
-let badness ~now (p : Pcb.t) =
-  ( (if Pcb.is_valid p ~now then 0 else 1),
-    Pcb.num_hops p,
-    -.p.Pcb.timestamp,
-    p.Pcb.key )
+   wins never depends on hash-table iteration order. Positive when [a]
+   is worse than [b]. *)
+let compare_badness ~now (a : Pcb.t) (b : Pcb.t) =
+  let ea = not (Pcb.is_valid a ~now) and eb = not (Pcb.is_valid b ~now) in
+  if ea <> eb then if ea then 1 else -1
+  else
+    let ha = Pcb.num_hops a and hb = Pcb.num_hops b in
+    if ha <> hb then Int.compare ha hb
+    else if a.Pcb.timestamp <> b.Pcb.timestamp then
+      Float.compare b.Pcb.timestamp a.Pcb.timestamp
+    else String.compare a.Pcb.key b.Pcb.key
+
+(* The worst entry of a non-empty slot at [now]: one scan, then cached
+   until the slot changes or [now] moves. *)
+let worst_entry s ~now =
+  match s.worst with
+  | Some w when s.worst_now = now -> w
+  | _ ->
+      let w =
+        Hashtbl.fold
+          (fun _ p acc ->
+            match acc with
+            | Some wp when compare_badness ~now p wp <= 0 -> acc
+            | _ -> Some p)
+          s.by_key None
+        |> Option.get
+      in
+      s.worst <- Some w;
+      s.worst_now <- now;
+      w
+
+let store s ~now (pcb : Pcb.t) =
+  Hashtbl.replace s.by_key pcb.Pcb.key pcb;
+  s.last_modified <- now;
+  invalidate s
 
 let insert t ~now (pcb : Pcb.t) =
   if not (Pcb.is_valid pcb ~now) then Rejected
@@ -37,38 +78,25 @@ let insert t ~now (pcb : Pcb.t) =
     match Hashtbl.find_opt s.by_key pcb.Pcb.key with
     | Some existing ->
         if pcb.Pcb.timestamp > existing.Pcb.timestamp then begin
-          Hashtbl.replace s.by_key pcb.Pcb.key pcb;
-          s.last_modified <- now;
+          store s ~now pcb;
           Refreshed
         end
         else Rejected
     | None ->
         if Hashtbl.length s.by_key < t.limit then begin
-          Hashtbl.replace s.by_key pcb.Pcb.key pcb;
-          s.last_modified <- now;
+          store s ~now pcb;
           Added
         end
         else begin
-          (* Full: find the worst entry and replace it if the newcomer
-             is strictly better. *)
-          let worst =
-            Hashtbl.fold
-              (fun key p acc ->
-                match acc with
-                | None -> Some (key, p)
-                | Some (_, wp) ->
-                    if compare (badness ~now p) (badness ~now wp) > 0 then
-                      Some (key, p)
-                    else acc)
-              s.by_key None
-          in
-          match worst with
-          | Some (wkey, wp) when compare (badness ~now pcb) (badness ~now wp) < 0 ->
-              Hashtbl.remove s.by_key wkey;
-              Hashtbl.replace s.by_key pcb.Pcb.key pcb;
-              s.last_modified <- now;
-              Evicted_other
-          | _ -> Rejected
+          (* Full: replace the worst entry if the newcomer is strictly
+             better. *)
+          let w = worst_entry s ~now in
+          if compare_badness ~now pcb w < 0 then begin
+            Hashtbl.remove s.by_key w.Pcb.key;
+            store s ~now pcb;
+            Evicted_other
+          end
+          else Rejected
         end
   end
 
@@ -114,7 +142,8 @@ let prune_expired t ~now =
           (fun key p acc -> if Pcb.is_valid p ~now then acc else key :: acc)
           s.by_key []
       in
-      List.iter (Hashtbl.remove s.by_key) stale)
+      List.iter (Hashtbl.remove s.by_key) stale;
+      invalidate s)
     t.origins
 
 let drop_link t ~link =
@@ -132,7 +161,8 @@ let drop_link t ~link =
         (fun key ->
           Hashtbl.remove s.by_key key;
           incr dropped)
-        doomed)
+        doomed;
+      invalidate s)
     t.origins;
   !dropped
 

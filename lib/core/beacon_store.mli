@@ -4,8 +4,10 @@
     storage limit of §5.1 (the maximum number of PCBs per origin AS a
     beacon server keeps). A new instance of an already-stored path
     replaces the older instance; when the per-origin budget is full, a
-    new path is admitted only by evicting a worse entry (expired first,
-    then longest, then oldest). *)
+    new path is admitted only by evicting a worse entry. "Worse" is
+    lexicographic: expired first, then more hops, then older, then the
+    greater path key (a total order, so the evicted entry never depends
+    on hash-table layout). *)
 
 type t
 
@@ -18,7 +20,13 @@ val create : limit:int -> t
 val limit : t -> int
 
 val insert : t -> now:float -> Pcb.t -> insert_outcome
-(** Expired PCBs are rejected outright. *)
+(** Expired PCBs are rejected outright.
+
+    Cost: O(1) expected unless the origin's slot is full. Into a full
+    slot, finding the worst entry scans the slot once (O(limit), no
+    allocation per entry); the result is cached with its [now] until the
+    slot next changes, so further rejections at the same [now] — most
+    newcomers in a flooding round — cost O(1) after the first scan. *)
 
 val paths : t -> now:float -> origin:int -> Pcb.t list
 (** Valid stored PCBs from [origin], sorted by (hop count, newer

@@ -109,6 +109,18 @@ let observe ?(top = 16) obs (outcome : outcome) =
         "beaconing complete"
   end
 
+(* Does the combination ([p], [egress]) use a link stamped [cur]? *)
+let uses_stamped stamps cur (p : Pcb.t) egress =
+  stamps.(egress) = cur
+  ||
+  let links = p.Pcb.links in
+  let n = Array.length links in
+  let i = ref 0 in
+  while !i < n && stamps.(links.(!i)) <> cur do
+    incr i
+  done;
+  !i < n
+
 type engine = {
   eng_graph : Graph.t;
   eng_config : config;
@@ -255,6 +267,11 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     | Beacon_policy.Diversity _ | Beacon_policy.Latency_aware _ ->
         Array.init n (fun _ -> Diversity_state.create ~n_as:n)
   in
+  (* Per-link stamps for the diversity re-scoring pass: a link carries
+     the current [stamp] iff the last dissemination touched its
+     counter. *)
+  let link_stamp = Array.make num_links 0 in
+  let stamp = ref 0 in
   let outbox = ref [] in
   let outbox_len = ref 0 in
   let link_alive =
@@ -437,12 +454,6 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                           hlist)
                     cands
                 in
-                (* Does the combo (p, egress) use any counter touched by
-                   the sent path (its links plus its egress link)? *)
-                let shares_link (p : Pcb.t) egress links extra =
-                  let touched l = l = extra || Array.exists (fun l' -> l' = l) links in
-                  touched egress || Array.exists touched p.Pcb.links
-                in
                 while !sent_cnt < cfg.dissemination_limit && not !stop do
                   let best = ref None in
                   let best_score = ref 0.0 in
@@ -480,8 +491,19 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                             ~egress:h.Graph.via ~key:key_new ~links:links_full
                             ~ds:ds_post ~expires_at);
                       incr sent_cnt;
-                      (* Re-score what this dissemination affected. *)
-                      let sent_links = p.Pcb.links and sent_egress = h.Graph.via in
+                      (* Re-score what this dissemination affected: stamp
+                         the counters it touched (the sent path's links
+                         plus its egress link), then test each combo's
+                         links against the stamp. *)
+                      if track_history then begin
+                        incr stamp;
+                        let links = p.Pcb.links in
+                        for i = 0 to Array.length links - 1 do
+                          link_stamp.(links.(i)) <- !stamp
+                        done;
+                        link_stamp.(h.Graph.via) <- !stamp
+                      end;
+                      let cur = !stamp in
                       List.iter
                         (fun (p', h', key', score', action') ->
                           let self = key' = key_new && h'.Graph.via = h.Graph.via in
@@ -489,9 +511,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                             self
                             || (track_history
                                && (match !action' with
-                                  | `New ->
-                                      shares_link p' h'.Graph.via sent_links
-                                        sent_egress
+                                  | `New -> uses_stamped link_stamp cur p' h'.Graph.via
                                   | `Resend _ -> false))
                           in
                           if affected then begin

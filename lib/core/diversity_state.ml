@@ -46,35 +46,41 @@ let history_table t ~origin ~neighbor =
       Hashtbl.replace t.history k h;
       h
 
+(* The pair's Link History Table if it holds any counter. Reads go
+   through this, so they never create a table: an absent table counts
+   as an empty one. *)
+let find_history t ~origin ~neighbor =
+  match Hashtbl.find_opt t.history (pair_key t ~origin ~neighbor) with
+  | Some h when Hashtbl.length h > 0 -> Some h
+  | _ -> None
+
 let counter table link =
   match Hashtbl.find_opt table link with Some r -> !r | None -> 0
 
 let counters_gm t ~origin ~neighbor ~links ~extra =
-  let table = history_table t ~origin ~neighbor in
-  if Hashtbl.length table = 0 then 1.0
-  else begin
-  let log_sum = ref 0.0 in
-  Array.iter
-    (fun l -> log_sum := !log_sum +. log (float_of_int (1 + counter table l)))
-    links;
-  log_sum := !log_sum +. log (float_of_int (1 + counter table extra));
-  exp (!log_sum /. float_of_int (Array.length links + 1))
-  end
+  match find_history t ~origin ~neighbor with
+  | None -> 1.0
+  | Some table ->
+      let log_sum = ref 0.0 in
+      Array.iter
+        (fun l -> log_sum := !log_sum +. log (float_of_int (1 + counter table l)))
+        links;
+      log_sum := !log_sum +. log (float_of_int (1 + counter table extra));
+      exp (!log_sum /. float_of_int (Array.length links + 1))
 
 let counters_mean t ~kind ~origin ~neighbor ~links ~extra =
   match kind with
   | Beacon_policy.Geometric -> counters_gm t ~origin ~neighbor ~links ~extra
-  | Beacon_policy.Arithmetic ->
-      let table = history_table t ~origin ~neighbor in
-      if Hashtbl.length table = 0 then 1.0
-      else begin
-        let sum = ref 0.0 in
-        Array.iter
-          (fun l -> sum := !sum +. float_of_int (1 + counter table l))
-          links;
-        sum := !sum +. float_of_int (1 + counter table extra);
-        !sum /. float_of_int (Array.length links + 1)
-      end
+  | Beacon_policy.Arithmetic -> (
+      match find_history t ~origin ~neighbor with
+      | None -> 1.0
+      | Some table ->
+          let sum = ref 0.0 in
+          Array.iter
+            (fun l -> sum := !sum +. float_of_int (1 + counter table l))
+            links;
+          sum := !sum +. float_of_int (1 + counter table extra);
+          !sum /. float_of_int (Array.length links + 1))
 
 let bump table link delta =
   match Hashtbl.find_opt table link with
@@ -134,8 +140,9 @@ let prune t ~now =
       List.iter
         (fun (key, info) ->
           Hashtbl.remove table key;
-          let h = history_table t ~origin:info.origin ~neighbor:info.neighbor in
-          Array.iter (fun l -> bump h l (-1)) info.links)
+          match find_history t ~origin:info.origin ~neighbor:info.neighbor with
+          | Some h -> Array.iter (fun l -> bump h l (-1)) info.links
+          | None -> ())
         dead)
     t.sent
 

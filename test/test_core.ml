@@ -156,6 +156,145 @@ let prop_store_limit =
       List.iter (fun links -> ignore (Beacon_store.insert s ~now:0.0 (mk_pcb links))) pcbs;
       Beacon_store.count s ~origin:0 <= 3)
 
+(* Model-based check of Beacon_store against a naive list-based
+   reference: full-scan eviction in the order documented in
+   beacon_store.mli (expired, then more hops, then older, then greater
+   path key). Random interleavings of inserts (with repeated and
+   advancing clocks, several origins, expired and valid PCBs), prunes,
+   link drops and dump/of_dump round trips must agree on every outcome
+   and on the final dump; this guards the store's worst-entry cache. *)
+module Ref_store = struct
+  type slot = { mutable lm : float; mutable pcbs : Pcb.t list }
+
+  type t = { limit : int; mutable slots : (int * slot) list }
+
+  let create ~limit = { limit; slots = [] }
+
+  let badness ~now (p : Pcb.t) =
+    ((if Pcb.is_valid p ~now then 0 else 1), Pcb.num_hops p, -.p.Pcb.timestamp, p.Pcb.key)
+
+  let insert t ~now (p : Pcb.t) =
+    if not (Pcb.is_valid p ~now) then Beacon_store.Rejected
+    else begin
+      let s =
+        match List.assoc_opt p.Pcb.origin t.slots with
+        | Some s -> s
+        | None ->
+            let s = { lm = neg_infinity; pcbs = [] } in
+            t.slots <- (p.Pcb.origin, s) :: t.slots;
+            s
+      in
+      let keep outcome rest =
+        s.pcbs <- p :: rest;
+        s.lm <- now;
+        outcome
+      in
+      match List.find_opt (fun (q : Pcb.t) -> q.Pcb.key = p.Pcb.key) s.pcbs with
+      | Some q ->
+          if p.Pcb.timestamp > q.Pcb.timestamp then
+            keep Beacon_store.Refreshed (List.filter (fun q' -> q' != q) s.pcbs)
+          else Beacon_store.Rejected
+      | None when List.length s.pcbs < t.limit -> keep Beacon_store.Added s.pcbs
+      | None ->
+          let worst =
+            List.fold_left
+              (fun w q -> if compare (badness ~now q) (badness ~now w) > 0 then q else w)
+              (List.hd s.pcbs) s.pcbs
+          in
+          if compare (badness ~now p) (badness ~now worst) < 0 then
+            keep Beacon_store.Evicted_other (List.filter (fun q -> q != worst) s.pcbs)
+          else Beacon_store.Rejected
+    end
+
+  let prune t ~now =
+    List.iter (fun (_, s) -> s.pcbs <- List.filter (fun p -> Pcb.is_valid p ~now) s.pcbs) t.slots
+
+  let drop_link t ~link =
+    List.fold_left
+      (fun acc (_, s) ->
+        let kept, gone =
+          List.partition (fun (p : Pcb.t) -> not (Array.mem link p.Pcb.links)) s.pcbs
+        in
+        s.pcbs <- kept;
+        acc + List.length gone)
+      0 t.slots
+
+  let dump t =
+    {
+      Beacon_store.d_limit = t.limit;
+      d_origins =
+        List.sort compare t.slots
+        |> List.map (fun (o, s) ->
+               ( o,
+                 s.lm,
+                 List.sort (fun (a : Pcb.t) (b : Pcb.t) -> compare a.Pcb.key b.Pcb.key) s.pcbs ));
+    }
+end
+
+type store_op =
+  | Insert of int * int list * float * float  (** origin, links, age, lifetime *)
+  | Advance of float
+  | Prune
+  | Drop of int
+  | Roundtrip
+
+let show_store_op = function
+  | Insert (o, links, age, lifetime) ->
+      Printf.sprintf "insert o=%d [%s] age=%g life=%g" o
+        (String.concat ";" (List.map string_of_int links))
+        age lifetime
+  | Advance dt -> Printf.sprintf "advance %g" dt
+  | Prune -> "prune"
+  | Drop l -> Printf.sprintf "drop %d" l
+  | Roundtrip -> "of_dump (dump s)"
+
+let gen_store_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 12,
+          map
+            (fun (o, links, age, lifetime) -> Insert (o, links, age, lifetime))
+            (quad (int_bound 2)
+               (list_size (int_range 1 4) (int_bound 6))
+               (oneofl [ 0.0; 0.0; 50.0; 200.0; 400.0; 700.0 ])
+               (oneofl [ 300.0; 600.0 ])) );
+        (3, map (fun dt -> Advance dt) (oneofl [ 0.0; 50.0; 250.0; 600.0 ]));
+        (1, return Prune);
+        (1, map (fun l -> Drop l) (int_bound 6));
+        (1, return Roundtrip);
+      ])
+
+let prop_store_matches_reference =
+  QCheck.Test.make ~name:"store agrees with a naive full-scan reference" ~count:300
+    QCheck.(
+      pair (int_range 1 4)
+        (make
+           ~print:(fun ops -> String.concat "\n" (List.map show_store_op ops))
+           Gen.(list_size (int_range 0 80) gen_store_op)))
+    (fun (limit, ops) ->
+      let s = ref (Beacon_store.create ~limit) in
+      let r = Ref_store.create ~limit in
+      let now = ref 1000.0 in
+      List.for_all
+        (function
+          | Insert (origin, links, age, lifetime) ->
+              let p = mk_pcb ~origin ~now:(!now -. age) ~lifetime links in
+              Beacon_store.insert !s ~now:!now p = Ref_store.insert r ~now:!now p
+          | Advance dt ->
+              now := !now +. dt;
+              true
+          | Prune ->
+              Beacon_store.prune_expired !s ~now:!now;
+              Ref_store.prune r ~now:!now;
+              true
+          | Drop link -> Beacon_store.drop_link !s ~link = Ref_store.drop_link r ~link
+          | Roundtrip ->
+              s := Beacon_store.of_dump (Beacon_store.dump !s);
+              true)
+        ops
+      && Beacon_store.dump !s = Ref_store.dump r)
+
 (* --- Scoring (§4.2) --- *)
 
 let params = Beacon_policy.default_div_params
@@ -576,6 +715,94 @@ let test_received_sent_balance () =
   Alcotest.(check (float 1e-6)) "conservation" sent recv;
   Alcotest.(check (float 1e-6)) "matches total" out.Beaconing.stats.Beaconing.total_bytes sent
 
+(* --- Golden beaconing outcomes ---
+
+   Baseline, diversity and latency-aware beaconing on the tiny fig5
+   core for 3 rounds (enough to fill store slots and exercise
+   eviction). The digests come from the straightforward full-scan
+   eviction and full share-test re-scoring, so any change in a
+   selection, a store's content or the per-interface accounting shows
+   up here. *)
+
+let golden_rounds = 3
+
+let iface_digest (stats : Beaconing.stats) =
+  let b = Buffer.create 4096 in
+  Array.iter (fun c -> Printf.bprintf b "%d\n" c) stats.Beaconing.pcbs_on_iface;
+  Sha256.hex (Buffer.contents b)
+
+(* Every store's dump, in AS order, PCBs in wire encoding. *)
+let stores_digest stores =
+  let b = Buffer.create 65536 in
+  Array.iteri
+    (fun i s ->
+      let d = Beacon_store.dump s in
+      Printf.bprintf b "store %d limit %d\n" i d.Beacon_store.d_limit;
+      List.iter
+        (fun (origin, last_modified, pcbs) ->
+          Printf.bprintf b "origin %d %h %d\n" origin last_modified (List.length pcbs);
+          List.iter (fun p -> Buffer.add_string b (Pcb_codec.encode p)) pcbs)
+        d.Beacon_store.d_origins)
+    stores;
+  Sha256.hex (Buffer.contents b)
+
+(* name, total_pcbs, total_bytes (%h), pcbs_on_iface digest, stores digest *)
+let golden_outcomes =
+  [
+    ( "baseline",
+      495493,
+      "0x1.8e5888p+27",
+      "df61ece49f2098396733de50314aca31b1469f68c6610b18e3dce84da67f1f0d",
+      "f6b58f6f3975514591fb02317b8fa87cdf815512e7207a8e98d5a3c0192d751f" );
+    ( "diversity",
+      85681,
+      "0x1.20df5p+25",
+      "c461d50c94be85d00d7f4c04bcdea815f08864c243710a2adc1bc69b76d17de7",
+      "158fffd5382d6eee157d40ef7c0c2e7f03564b0a21d8ab422b8953b74fed422b" );
+    ( "latency",
+      83206,
+      "0x1.0b84cp+25",
+      "04d056f6c2e7dea02adf28b34852762666f7e5c8d42d4b02163ec1c38b0d8063",
+      "2eccf3dd0c3b6bbf504d9725e9fe8d68d406580c2db96e18b19c0595e4e50c62" );
+  ]
+
+let test_golden_beaconing () =
+  let prepared = Exp_common.prepare Exp_common.Tiny in
+  let core = prepared.Exp_common.core in
+  let weights = Geo.latency_table core in
+  let base =
+    {
+      Exp_common.beacon_config with
+      Beaconing.duration =
+        Exp_common.beacon_config.Beaconing.interval *. float_of_int golden_rounds;
+    }
+  in
+  let algorithms =
+    [
+      ("baseline", Beacon_policy.Baseline);
+      ("diversity", Beacon_policy.Diversity Beacon_policy.default_div_params);
+      ( "latency",
+        Beacon_policy.Latency_aware
+          {
+            Beacon_policy.base = Beacon_policy.default_div_params;
+            link_latency_ms = weights;
+            latency_scale_ms = 4.0 *. Stats.mean weights *. 8.0;
+          } );
+    ]
+  in
+  List.iter2
+    (fun (name, algorithm) (gname, pcbs, bytes, iface, stores) ->
+      check Alcotest.string "golden order" gname name;
+      let out = Beaconing.run core { base with Beaconing.algorithm } in
+      let stats = out.Beaconing.stats in
+      check Alcotest.int (name ^ " total_pcbs") pcbs stats.Beaconing.total_pcbs;
+      check Alcotest.string (name ^ " total_bytes") bytes
+        (Printf.sprintf "%h" stats.Beaconing.total_bytes);
+      check Alcotest.string (name ^ " pcbs_on_iface") iface (iface_digest stats);
+      check Alcotest.string (name ^ " stores") stores
+        (stores_digest out.Beaconing.stores))
+    algorithms golden_outcomes
+
 let suite =
   [
     ("pcb origin", `Quick, test_pcb_origin);
@@ -592,6 +819,7 @@ let suite =
     ("store prune", `Quick, test_store_prune);
     ("store last modified", `Quick, test_store_last_modified);
     QCheck_alcotest.to_alcotest prop_store_limit;
+    QCheck_alcotest.to_alcotest prop_store_matches_reference;
     ("score fresh age zero", `Quick, test_score_fresh_age_zero);
     ("score fresh decreasing in age", `Quick, test_score_fresh_decreasing_in_age);
     ("score fresh increasing in ds", `Quick, test_score_fresh_increasing_in_ds);
@@ -619,4 +847,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_beaconing_invariants;
     ("rounds count", `Quick, test_rounds_count);
     ("received/sent balance", `Quick, test_received_sent_balance);
+    ("golden beaconing outcomes (tiny core)", `Quick, test_golden_beaconing);
   ]
