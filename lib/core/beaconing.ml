@@ -121,6 +121,24 @@ let uses_stamped stamps cur (p : Pcb.t) egress =
   done;
   !i < n
 
+(* The base score of a quality-aware algorithm (§4.2): link diversity
+   against the Link History Table, or path latency. *)
+type metric = Link_diversity | Path_latency of Beacon_policy.latency_params
+
+(* One evaluation's (path, egress) combinations as parallel arrays, in
+   candidate order and then egress order; the first [n] slots are in
+   use. The arrays are reused across evaluations and only grow. *)
+type combos = {
+  mutable n : int;
+  mutable path : Pcb.t array;
+  mutable egress : Graph.half_link array;
+  mutable score : float array;
+  mutable sent : Diversity_state.sent_info option array;
+      (* the Sent PCBs List entry: looked up once when the combination
+         is built, refreshed when the combination itself is sent *)
+  mutable resend : bool array;  (* scored by the resend branch *)
+}
+
 type engine = {
   eng_graph : Graph.t;
   eng_config : config;
@@ -194,7 +212,9 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
             let prev = Option.value ~default:[] (Hashtbl.find_opt groups h.Graph.peer) in
             Hashtbl.replace groups h.Graph.peer (h :: prev))
           out_links.(v);
-        Hashtbl.fold (fun peer hs acc -> (peer, List.rev hs) :: acc) groups []
+        Hashtbl.fold
+          (fun peer hs acc -> (peer, Array.of_list (List.rev hs)) :: acc)
+          groups []
         |> List.sort (fun (a, _) (b, _) -> compare a b))
   in
   let peer_links =
@@ -272,6 +292,29 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
      counter. *)
   let link_stamp = Array.make num_links 0 in
   let stamp = ref 0 in
+  let view = Diversity_state.create_view ~num_links in
+  let combos =
+    {
+      n = 0;
+      path = [||];
+      egress = [||];
+      score = [||];
+      sent = [||];
+      resend = [||];
+    }
+  in
+  (* Make room for [cap] combinations; [p] and [h] fill new slots. *)
+  let reserve_combos cap p h =
+    let len = Array.length combos.score in
+    if cap > len then begin
+      let cap = max cap (2 * len) in
+      combos.path <- Array.make cap p;
+      combos.egress <- Array.make cap h;
+      combos.score <- Array.make cap 0.0;
+      combos.sent <- Array.make cap None;
+      combos.resend <- Array.make cap false
+    end
+  in
   let outbox = ref [] in
   let outbox_len = ref 0 in
   let link_alive =
@@ -381,16 +424,36 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   in
 
   (* --- Quality-aware selection: Algorithm 1 per (origin, neighbor).
-     [quality] is the metric-specific base score of a candidate path
-     (link diversity, or latency for the §4.2 extension);
-     [track_history] maintains the Link History Table (only meaningful
-     for the diversity metric). --- *)
-  let run_quality_as ~now ~(params : Beacon_policy.div_params) ~quality ~track_history x =
+     [metric] picks the base score of a candidate path: link diversity
+     against the Link History Table (read from the dense view), or
+     latency for the §4.2 extension. Only the diversity metric
+     maintains link history. --- *)
+  let run_quality_as ~now ~(params : Beacon_policy.div_params) ~metric x =
     let store = stores.(x) in
     let st = div_states.(x) in
+    let track_history =
+      match metric with Link_diversity -> true | Path_latency _ -> false
+    in
+    let threshold = params.Beacon_policy.threshold in
+    let quality (p : Pcb.t) egress =
+      match metric with
+      | Link_diversity ->
+          Beacon_policy.diversity_of_gm params
+            (Diversity_state.view_mean view
+               ~kind:params.Beacon_policy.mean_kind ~links:p.Pcb.links
+               ~extra:egress)
+      | Path_latency lp ->
+          let table = lp.Beacon_policy.link_latency_ms in
+          let links = p.Pcb.links in
+          let total = ref table.(egress) in
+          for i = 0 to Array.length links - 1 do
+            total := !total +. table.(links.(i))
+          done;
+          Beacon_policy.latency_quality lp ~total_ms:!total
+    in
     let candidates, origins = gather ~now x in
     List.iter
-      (fun (nbr, hlist) ->
+      (fun (nbr, hs) ->
         List.iter
           (fun o ->
             if o <> nbr then begin
@@ -402,20 +465,13 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                   ~store_last_mod ~now
               then begin
                 Diversity_state.begin_evaluation st ~origin:o ~neighbor:nbr ~now;
-                let cands = candidates o in
-                let sent_cnt = ref 0 in
-                let stop = ref false in
-                (* Score every (path, egress) combination once; after a
-                   dissemination only combinations whose inputs changed
-                   are re-scored: the selected one (its key enters the
-                   Sent PCBs List) and, when link history is tracked,
-                   fresh-branch combinations sharing a link with the
-                   sent path. Selections are identical to a full rescan
-                   of Algorithm 1 at a fraction of the cost. *)
-                let score_of (p : Pcb.t) (h : Graph.half_link) key_new =
-                  match
-                    Diversity_state.find_sent st ~egress:h.Graph.via ~key:key_new
-                  with
+                if track_history then
+                  Diversity_state.load_view view st ~origin:o ~neighbor:nbr;
+                (* Score combination [k] into [combos.score.(k)] from its
+                   cached Sent PCBs List entry. *)
+                let score k =
+                  let p = combos.path.(k) in
+                  match combos.sent.(k) with
                   | Some info when info.Diversity_state.sent_expires_at > now ->
                       let s =
                         Beacon_policy.score_resend params
@@ -424,103 +480,114 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                             (info.Diversity_state.sent_expires_at -. now)
                           ~current_remaining:(Pcb.remaining p ~now)
                       in
-                      if s <= params.Beacon_policy.threshold then
+                      if s <= threshold then
                         Diversity_state.propose_next_eval st ~origin:o ~neighbor:nbr
                           (Beacon_policy.resend_crossing_time params
                              ~ds:info.Diversity_state.ds ~now
                              ~sent_expires_at:info.Diversity_state.sent_expires_at
                              ~current_expires_at:(Pcb.expires_at p));
-                      (s, `Resend info)
+                      combos.score.(k) <- s;
+                      combos.resend.(k) <- true
                   | _ ->
-                      let ds =
-                        quality st ~origin:o ~neighbor:nbr ~p ~egress:h.Graph.via
-                      in
-                      let s =
+                      let ds = quality p combos.egress.(k).Graph.via in
+                      combos.score.(k) <-
                         Beacon_policy.score_fresh params ~ds ~age:(Pcb.age p ~now)
-                          ~lifetime:p.Pcb.lifetime
-                      in
-                      (s, `New)
+                          ~lifetime:p.Pcb.lifetime;
+                      combos.resend.(k) <- false
                 in
-                let combos =
-                  List.concat_map
-                    (fun (p : Pcb.t) ->
-                      if Pcb.contains_as p nbr then []
-                      else
-                        List.map
-                          (fun (h : Graph.half_link) ->
-                            let key_new = Pcb.extend_key p.Pcb.key h.Graph.via in
-                            let score, action = score_of p h key_new in
-                            (p, h, key_new, ref score, ref action))
-                          hlist)
-                    cands
-                in
+                let cands = candidates o in
+                let nh = Array.length hs in
+                (match cands with
+                | [] -> ()
+                | p0 :: _ -> reserve_combos (List.length cands * nh) p0 hs.(0));
+                combos.n <- 0;
+                List.iter
+                  (fun (p : Pcb.t) ->
+                    if not (Pcb.contains_as p nbr) then
+                      for j = 0 to nh - 1 do
+                        let k = combos.n in
+                        let h = hs.(j) in
+                        combos.path.(k) <- p;
+                        combos.egress.(k) <- h;
+                        combos.sent.(k) <-
+                          Diversity_state.find_sent st ~egress:h.Graph.via
+                            ~key:p.Pcb.key;
+                        score k;
+                        combos.n <- k + 1
+                      done)
+                  cands;
+                (* Score every combination once; after a dissemination
+                   only combinations whose inputs changed are re-scored:
+                   the sent one (its Sent PCBs List entry changed) and,
+                   when link history is tracked, fresh-branch
+                   combinations sharing a link with the sent path.
+                   Selections are identical to a full rescan of
+                   Algorithm 1 at a fraction of the cost. *)
+                let sent_cnt = ref 0 in
+                let stop = ref false in
                 while !sent_cnt < cfg.dissemination_limit && not !stop do
-                  let best = ref None in
+                  (* Strict [>]: the first maximum wins. *)
+                  let best = ref (-1) in
                   let best_score = ref 0.0 in
-                  List.iter
-                    (fun ((_, _, _, score, _) as combo) ->
+                  let scores = combos.score in
+                  for k = 0 to combos.n - 1 do
+                    let s = scores.(k) in
+                    if s > threshold && s > !best_score then begin
+                      best_score := s;
+                      best := k
+                    end
+                  done;
+                  if !best < 0 then stop := true
+                  else begin
+                    let i = !best in
+                    let p = combos.path.(i) in
+                    let h = combos.egress.(i) in
+                    send ~now ~sender:x ~h p;
+                    let expires_at = Pcb.expires_at p in
+                    (match combos.sent.(i) with
+                    | Some info when combos.resend.(i) ->
+                        Diversity_state.refresh_sent info ~expires_at
+                    | _ ->
+                        if track_history then
+                          Diversity_state.view_increment view st ~origin:o
+                            ~neighbor:nbr ~links:p.Pcb.links ~extra:h.Graph.via;
+                        (* The recorded base score reflects the state
+                           after this dissemination. *)
+                        let ds_post = quality p h.Graph.via in
+                        let links_full = Array.append p.Pcb.links [| h.Graph.via |] in
+                        Diversity_state.record_sent st ~origin:o ~neighbor:nbr
+                          ~egress:h.Graph.via ~key:p.Pcb.key ~links:links_full
+                          ~ds:ds_post ~expires_at;
+                        combos.sent.(i) <-
+                          Diversity_state.find_sent st ~egress:h.Graph.via
+                            ~key:p.Pcb.key);
+                    incr sent_cnt;
+                    (* Re-score what this dissemination affected: stamp
+                       the counters it touched (the sent path's links
+                       plus its egress link), then test each fresh-branch
+                       combination's links against the stamp. *)
+                    if track_history then begin
+                      incr stamp;
+                      let links = p.Pcb.links in
+                      for j = 0 to Array.length links - 1 do
+                        link_stamp.(links.(j)) <- !stamp
+                      done;
+                      link_stamp.(h.Graph.via) <- !stamp
+                    end;
+                    let cur = !stamp in
+                    for k = 0 to combos.n - 1 do
                       if
-                        !score > params.Beacon_policy.threshold
-                        && !score > !best_score
-                      then begin
-                        best_score := !score;
-                        best := Some combo
-                      end)
-                    combos;
-                  match !best with
-                  | None -> stop := true
-                  | Some (p, h, key_new, _score_ref, action_ref) ->
-                      send ~now ~sender:x ~h p;
-                      let expires_at = Pcb.expires_at p in
-                      (match !action_ref with
-                      | `Resend info ->
-                          Diversity_state.refresh_sent info ~expires_at
-                      | `New ->
-                          if track_history then
-                            Diversity_state.increment st ~origin:o ~neighbor:nbr
-                              ~links:p.Pcb.links ~extra:h.Graph.via;
-                          (* The recorded base score reflects the state
-                             after this dissemination. *)
-                          let ds_post =
-                            quality st ~origin:o ~neighbor:nbr ~p ~egress:h.Graph.via
-                          in
-                          let links_full =
-                            Array.append p.Pcb.links [| h.Graph.via |]
-                          in
-                          Diversity_state.record_sent st ~origin:o ~neighbor:nbr
-                            ~egress:h.Graph.via ~key:key_new ~links:links_full
-                            ~ds:ds_post ~expires_at);
-                      incr sent_cnt;
-                      (* Re-score what this dissemination affected: stamp
-                         the counters it touched (the sent path's links
-                         plus its egress link), then test each combo's
-                         links against the stamp. *)
-                      if track_history then begin
-                        incr stamp;
-                        let links = p.Pcb.links in
-                        for i = 0 to Array.length links - 1 do
-                          link_stamp.(links.(i)) <- !stamp
-                        done;
-                        link_stamp.(h.Graph.via) <- !stamp
-                      end;
-                      let cur = !stamp in
-                      List.iter
-                        (fun (p', h', key', score', action') ->
-                          let self = key' = key_new && h'.Graph.via = h.Graph.via in
-                          let affected =
-                            self
-                            || (track_history
-                               && (match !action' with
-                                  | `New -> uses_stamped link_stamp cur p' h'.Graph.via
-                                  | `Resend _ -> false))
-                          in
-                          if affected then begin
-                            let s, a = score_of p' h' key' in
-                            score' := s;
-                            action' := a
-                          end)
-                        combos
-                done
+                        k = i
+                        || track_history
+                           && (not combos.resend.(k))
+                           && uses_stamped link_stamp cur combos.path.(k)
+                                combos.egress.(k).Graph.via
+                      then score k
+                    done
+                  end
+                done;
+                if track_history then
+                  Diversity_state.unload_view view st ~origin:o ~neighbor:nbr
               end
             end)
           origins)
@@ -572,24 +639,10 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
         match cfg.algorithm with
         | Beacon_policy.Baseline -> run_baseline_as ~now x
         | Beacon_policy.Diversity params ->
-            let quality st ~origin ~neighbor ~p ~egress =
-              Beacon_policy.diversity_of_gm params
-                (Diversity_state.counters_mean st
-                   ~kind:params.Beacon_policy.mean_kind ~origin ~neighbor
-                   ~links:p.Pcb.links ~extra:egress)
-            in
-            run_quality_as ~now ~params ~quality ~track_history:true x
+            run_quality_as ~now ~params ~metric:Link_diversity x
         | Beacon_policy.Latency_aware lp ->
-            let table = lp.Beacon_policy.link_latency_ms in
-            let quality _st ~origin:_ ~neighbor:_ ~p ~egress =
-              let total =
-                Array.fold_left (fun acc l -> acc +. table.(l)) table.(egress)
-                  p.Pcb.links
-              in
-              Beacon_policy.latency_quality lp ~total_ms:total
-            in
-            run_quality_as ~now ~params:lp.Beacon_policy.base ~quality
-              ~track_history:false x
+            run_quality_as ~now ~params:lp.Beacon_policy.base
+              ~metric:(Path_latency lp) x
       done
     in
     Obs.phase obs "beacon.selection_round" select;

@@ -14,7 +14,8 @@ type pair_state = {
 type t = {
   n_as : int;
   history : (int, (int, int ref) Hashtbl.t) Hashtbl.t; (* pair key -> link -> count *)
-  sent : (int, (string, sent_info) Hashtbl.t) Hashtbl.t; (* egress link -> path key -> info *)
+  sent : (int, (string, sent_info) Hashtbl.t) Hashtbl.t;
+      (* egress link -> parent path key -> info *)
   pairs : (int, pair_state) Hashtbl.t;
 }
 
@@ -55,18 +56,18 @@ let find_history t ~origin ~neighbor =
   | _ -> None
 
 let counter table link =
-  match Hashtbl.find_opt table link with Some r -> !r | None -> 0
+  match Hashtbl.find table link with r -> !r | exception Not_found -> 0
 
 let counters_gm t ~origin ~neighbor ~links ~extra =
   match find_history t ~origin ~neighbor with
   | None -> 1.0
   | Some table ->
       let log_sum = ref 0.0 in
-      Array.iter
-        (fun l -> log_sum := !log_sum +. log (float_of_int (1 + counter table l)))
-        links;
-      log_sum := !log_sum +. log (float_of_int (1 + counter table extra));
-      exp (!log_sum /. float_of_int (Array.length links + 1))
+      for i = 0 to Array.length links - 1 do
+        log_sum := !log_sum +. log (float_of_int (1 + counter table links.(i)))
+      done;
+      let log_sum = !log_sum +. log (float_of_int (1 + counter table extra)) in
+      exp (log_sum /. float_of_int (Array.length links + 1))
 
 let counters_mean t ~kind ~origin ~neighbor ~links ~extra =
   match kind with
@@ -76,11 +77,11 @@ let counters_mean t ~kind ~origin ~neighbor ~links ~extra =
       | None -> 1.0
       | Some table ->
           let sum = ref 0.0 in
-          Array.iter
-            (fun l -> sum := !sum +. float_of_int (1 + counter table l))
-            links;
-          sum := !sum +. float_of_int (1 + counter table extra);
-          !sum /. float_of_int (Array.length links + 1))
+          for i = 0 to Array.length links - 1 do
+            sum := !sum +. float_of_int (1 + counter table links.(i))
+          done;
+          let sum = !sum +. float_of_int (1 + counter table extra) in
+          sum /. float_of_int (Array.length links + 1))
 
 let bump table link delta =
   match Hashtbl.find_opt table link with
@@ -93,6 +94,68 @@ let increment t ~origin ~neighbor ~links ~extra =
   let table = history_table t ~origin ~neighbor in
   Array.iter (fun l -> bump table l 1) links;
   bump table extra 1
+
+(* The dense counter view. Between evaluations every entry is 0; while
+   a pair is loaded, [counts.(l)] equals the pair's counter for link
+   [l]. The Link History Table stays the source of truth: [increment]
+   adds to it first, and the loaded table's keys cover every nonzero
+   entry, which is how [unload_view] finds them. *)
+type view = { counts : int array }
+
+let create_view ~num_links = { counts = Array.make num_links 0 }
+
+let load_view v t ~origin ~neighbor =
+  match find_history t ~origin ~neighbor with
+  | None -> ()
+  | Some table -> Hashtbl.iter (fun l r -> v.counts.(l) <- !r) table
+
+let unload_view v t ~origin ~neighbor =
+  match find_history t ~origin ~neighbor with
+  | None -> ()
+  | Some table -> Hashtbl.iter (fun l _ -> v.counts.(l) <- 0) table
+
+let view_increment v t ~origin ~neighbor ~links ~extra =
+  increment t ~origin ~neighbor ~links ~extra;
+  let counts = v.counts in
+  for i = 0 to Array.length links - 1 do
+    let l = links.(i) in
+    counts.(l) <- counts.(l) + 1
+  done;
+  counts.(extra) <- counts.(extra) + 1
+
+let view_is_clear v = Array.for_all (fun c -> c = 0) v.counts
+
+(* [log_one_plus.(c)] is [log (float_of_int (1 + c))], computed with
+   that exact expression so table reads are bit-identical to it. *)
+let log_table_size = 4096
+
+let log_one_plus = Array.init log_table_size (fun c -> log (float_of_int (1 + c)))
+
+let[@inline] log_count c =
+  if c < log_table_size then log_one_plus.(c)
+  else log (float_of_int (1 + c))
+
+(* Same additions in the same order as [counters_mean], so the result
+   is bit-identical; an all-zero view gives exactly the 1.0 that
+   [counters_mean] returns for an empty table. *)
+let view_mean v ~kind ~links ~extra =
+  let counts = v.counts in
+  let n = Array.length links in
+  match kind with
+  | Beacon_policy.Geometric ->
+      let log_sum = ref 0.0 in
+      for i = 0 to n - 1 do
+        log_sum := !log_sum +. log_count counts.(links.(i))
+      done;
+      let log_sum = !log_sum +. log_count counts.(extra) in
+      exp (log_sum /. float_of_int (n + 1))
+  | Beacon_policy.Arithmetic ->
+      let sum = ref 0.0 in
+      for i = 0 to n - 1 do
+        sum := !sum +. float_of_int (1 + counts.(links.(i)))
+      done;
+      let sum = !sum +. float_of_int (1 + counts.(extra)) in
+      sum /. float_of_int (n + 1)
 
 let sent_table t egress =
   match Hashtbl.find_opt t.sent egress with

@@ -7,7 +7,11 @@
       origin to the neighbor that traverse the link;
     - the {e Sent PCBs List} per egress interface, remembering for each
       disseminated path its diversity score at send time and the expiry
-      of the instance last sent.
+      of the instance last sent. Within one egress's list a path is
+      keyed by its {e parent} path key: the [Pcb.key] of the stored PCB
+      before the egress link is appended. The egress fixes the appended
+      link, so parent keys and disseminated paths correspond one to
+      one.
 
     Plus one engineering addition: per-pair evaluation gating, so the
     beacon server skips (origin, neighbor) pairs whose inputs cannot
@@ -46,7 +50,49 @@ val counters_mean :
 val increment : t -> origin:int -> neighbor:int -> links:int array -> extra:int -> unit
 (** Count a newly disseminated path on every traversed link. *)
 
+(** {2 Dense counter view}
+
+    One (origin, neighbor) evaluation reads the pair's counters for
+    every combination it scores. The view serves those reads from an
+    [int array] indexed by link id instead of the hash table. Contract:
+
+    - between evaluations every entry is 0;
+    - {!load_view} copies one pair's Link History Table into the view;
+      from then until {!unload_view} for the same pair, entry [l] is the
+      pair's counter for link [l], provided every change to the pair's
+      counters goes through {!view_increment} ({!prune} runs only
+      between evaluations);
+    - {!view_mean} equals {!counters_mean} on the loaded pair bit for
+      bit, under both mean kinds;
+    - {!unload_view} zeroes every entry again.
+
+    The Link History Table stays the source of truth. *)
+
+type view
+
+val create_view : num_links:int -> view
+(** An all-zero view for link ids [0 .. num_links - 1]; one per engine. *)
+
+val load_view : view -> t -> origin:int -> neighbor:int -> unit
+
+val view_increment :
+  view -> t -> origin:int -> neighbor:int -> links:int array -> extra:int -> unit
+(** {!increment} the loaded pair and its view entries alike. *)
+
+val view_mean :
+  view -> kind:Beacon_policy.mean_kind -> links:int array -> extra:int -> float
+(** {!counters_mean} of the loaded pair, read from the view. *)
+
+val unload_view : view -> t -> origin:int -> neighbor:int -> unit
+
+val view_is_clear : view -> bool
+(** Every entry is 0 (for tests). *)
+
+(** {2 Sent PCBs List} *)
+
 val find_sent : t -> egress:int -> key:string -> sent_info option
+(** The entry of the path [key ^ egress], where [key] is the parent path
+    key (the stored PCB's [Pcb.key]). *)
 
 val record_sent :
   t ->
@@ -59,7 +105,8 @@ val record_sent :
   expires_at:float ->
   unit
 (** Insert a fresh Sent-PCBs-List entry (first dissemination of this
-    path on this interface). *)
+    path on this interface), under the parent path [key] as in
+    {!find_sent}. [links] is the full path including the egress link. *)
 
 val refresh_sent : sent_info -> expires_at:float -> unit
 (** A path was re-sent: only its timers are updated (§4.2). *)

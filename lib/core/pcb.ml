@@ -27,13 +27,6 @@ let path_key links =
     links;
   Bytes.to_string b
 
-let extend_key key link =
-  let b = Bytes.create 3 in
-  Bytes.set b 0 (Char.chr (link land 0xFF));
-  Bytes.set b 1 (Char.chr ((link lsr 8) land 0xFF));
-  Bytes.set b 2 (Char.chr ((link lsr 16) land 0xFF));
-  key ^ Bytes.to_string b
-
 let with_signature t s = { t with signatures = s :: t.signatures }
 
 let origin_pcb ~origin ~now ~lifetime =
@@ -69,7 +62,15 @@ let remaining t ~now = max 0.0 (expires_at t -. now)
 let num_hops t = Array.length t.hops
 
 let contains_as t a =
-  t.origin = a || Array.exists (fun h -> h.asn = a) t.hops
+  t.origin = a
+  ||
+  let hops = t.hops in
+  let n = Array.length hops in
+  let i = ref 0 in
+  while !i < n && hops.(!i).asn <> a do
+    incr i
+  done;
+  !i < n
 
 let last_link t =
   let n = Array.length t.links in

@@ -66,10 +66,6 @@ val path_key : int array -> string
 (** Canonical key for a link sequence (also used for candidate paths
     that have not been materialised as PCBs yet). *)
 
-val extend_key : string -> int -> string
-(** [extend_key key link] is the key of the path obtained by appending
-    [link], without materialising the PCB. *)
-
 val with_signature : t -> string -> t
 (** Attach the newest AS entry's signature (computed over
     {!signable_bytes} of the extended PCB). *)

@@ -47,17 +47,6 @@ let test_pcb_extend () =
   Alcotest.(check bool) "not contains 9" false (Pcb.contains_as p2 9);
   check Alcotest.string "key matches links" (Pcb.path_key [| 10; 11 |]) p2.Pcb.key
 
-let test_pcb_extend_key () =
-  let k = Pcb.path_key [| 10 |] in
-  check Alcotest.string "extend_key" (Pcb.path_key [| 10; 11 |]) (Pcb.extend_key k 11)
-
-let prop_extend_key =
-  QCheck.Test.make ~name:"extend_key equals path_key of appended array" ~count:200
-    QCheck.(pair (list_of_size (Gen.int_range 0 6) (int_bound 0xFFFFFF)) (int_bound 0xFFFFFF))
-    (fun (ls, l) ->
-      let arr = Array.of_list ls in
-      Pcb.extend_key (Pcb.path_key arr) l = Pcb.path_key (Array.append arr [| l |]))
-
 let test_pcb_wire_bytes () =
   let p = Pcb.origin_pcb ~origin:0 ~now:0.0 ~lifetime:600.0 in
   let p1 = Pcb.extend p ~asn:0 ~ingress:0 ~egress:1 ~link:0 ~peers:[||] in
@@ -408,19 +397,40 @@ let test_diversity_state_counters () =
     (Diversity_state.counters_gm st ~origin:1 ~neighbor:3 ~links:[| 5 |] ~extra:6)
 
 let test_diversity_state_sent () =
+  (* Entries are keyed by (egress, parent path key): the stored PCB's
+     key before the egress link is appended. *)
   let st = Diversity_state.create ~n_as:10 in
+  let parent = Pcb.path_key [| 4 |] in
   Alcotest.(check bool) "absent" true
-    (Diversity_state.find_sent st ~egress:3 ~key:"k" = None);
-  Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:3 ~key:"k" ~links:[| 3 |]
-    ~ds:0.8 ~expires_at:600.0;
-  (match Diversity_state.find_sent st ~egress:3 ~key:"k" with
+    (Diversity_state.find_sent st ~egress:3 ~key:parent = None);
+  Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:3 ~key:parent
+    ~links:[| 4; 3 |] ~ds:0.8 ~expires_at:600.0;
+  Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:5 ~key:parent
+    ~links:[| 4; 5 |] ~ds:0.6 ~expires_at:300.0;
+  check Alcotest.int "one entry per egress" 2 (Diversity_state.sent_count st);
+  Alcotest.(check bool) "not under the extended path's key" true
+    (Diversity_state.find_sent st ~egress:3 ~key:(Pcb.path_key [| 4; 3 |]) = None);
+  (match Diversity_state.find_sent st ~egress:3 ~key:parent with
   | None -> Alcotest.fail "should be present"
   | Some info ->
       Alcotest.(check (float 1e-9)) "ds" 0.8 info.Diversity_state.ds;
-      Diversity_state.refresh_sent info ~expires_at:900.0;
+      Diversity_state.refresh_sent info ~expires_at:900.0);
+  (match Diversity_state.find_sent st ~egress:3 ~key:parent with
+  | None -> Alcotest.fail "still present after refresh"
+  | Some info ->
       Alcotest.(check (float 1e-9)) "timer updated" 900.0
         info.Diversity_state.sent_expires_at);
-  check Alcotest.int "one entry" 1 (Diversity_state.sent_count st)
+  (match Diversity_state.find_sent st ~egress:5 ~key:parent with
+  | None -> Alcotest.fail "other egress present"
+  | Some info ->
+      Alcotest.(check (float 1e-9)) "other egress untouched" 300.0
+        info.Diversity_state.sent_expires_at);
+  Diversity_state.prune st ~now:600.0;
+  check Alcotest.int "expired entry pruned" 1 (Diversity_state.sent_count st);
+  Alcotest.(check bool) "pruned on its egress" true
+    (Diversity_state.find_sent st ~egress:5 ~key:parent = None);
+  Alcotest.(check bool) "refreshed entry kept" true
+    (Diversity_state.find_sent st ~egress:3 ~key:parent <> None)
 
 let test_diversity_state_prune_decrements () =
   let st = Diversity_state.create ~n_as:10 in
@@ -431,6 +441,135 @@ let test_diversity_state_prune_decrements () =
   check Alcotest.int "entry dropped" 0 (Diversity_state.sent_count st);
   Alcotest.(check (float 1e-9)) "counter decremented back to gm 1" 1.0
     (Diversity_state.counters_gm st ~origin:1 ~neighbor:2 ~links:[||] ~extra:3)
+
+(* --- Dense counter view: oracle is counters_mean on the hash table --- *)
+
+let mean_kinds = [ Beacon_policy.Geometric; Beacon_policy.Arithmetic ]
+
+let view_agrees view st ~origin ~neighbor ~links ~extra =
+  List.for_all
+    (fun kind ->
+      Int64.equal
+        (Int64.bits_of_float (Diversity_state.view_mean view ~kind ~links ~extra))
+        (Int64.bits_of_float
+           (Diversity_state.counters_mean st ~kind ~origin ~neighbor ~links ~extra)))
+    mean_kinds
+
+type eval_step = Query of int array * int | Bump of int array * int
+
+type view_op =
+  | Increment of int * int array * int
+  | Record_sent of int * int array * int * float
+  | Prune_at of float
+  | Evaluate of int * eval_step list
+
+let show_links ls = String.concat "," (Array.to_list (Array.map string_of_int ls))
+
+let show_view_op = function
+  | Increment (p, ls, e) -> Printf.sprintf "increment pair%d [%s]+%d" p (show_links ls) e
+  | Record_sent (p, ls, e, t) ->
+      Printf.sprintf "record_sent pair%d [%s]+%d until %.0f" p (show_links ls) e t
+  | Prune_at t -> Printf.sprintf "prune %.0f" t
+  | Evaluate (p, steps) ->
+      Printf.sprintf "evaluate pair%d: %s" p
+        (String.concat "; "
+           (List.map
+              (function
+                | Query (ls, e) -> Printf.sprintf "query [%s]+%d" (show_links ls) e
+                | Bump (ls, e) -> Printf.sprintf "bump [%s]+%d" (show_links ls) e)
+              steps))
+
+let view_pairs = [| (1, 2); (1, 3); (4, 2) |]
+
+let view_links = 8
+
+let gen_view_op =
+  QCheck.Gen.(
+    let links = array_size (int_range 0 4) (int_bound (view_links - 1)) in
+    let link = int_bound (view_links - 1) in
+    let pair = int_bound (Array.length view_pairs - 1) in
+    let step =
+      frequency
+        [
+          (3, map2 (fun ls e -> Query (ls, e)) links link);
+          (2, map2 (fun ls e -> Bump (ls, e)) links link);
+        ]
+    in
+    frequency
+      [
+        (3, map3 (fun p ls e -> Increment (p, ls, e)) pair links link);
+        ( 2,
+          map
+            (fun (p, ls, e, t) -> Record_sent (p, ls, e, float_of_int (100 * t)))
+            (quad pair links link (int_bound 10)) );
+        (1, map (fun t -> Prune_at (float_of_int (100 * t))) (int_bound 10));
+        ( 3,
+          map2
+            (fun p steps -> Evaluate (p, steps))
+            pair
+            (list_size (int_range 1 6) step) );
+      ])
+
+let prop_view_matches_counters =
+  QCheck.Test.make ~name:"dense counter view equals counters_mean bit for bit"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map show_view_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_view_op))
+    (fun ops ->
+      let st = Diversity_state.create ~n_as:10 in
+      let view = Diversity_state.create_view ~num_links:view_links in
+      let sent_id = ref 0 in
+      List.for_all
+        (function
+          | Increment (p, links, extra) ->
+              let origin, neighbor = view_pairs.(p) in
+              Diversity_state.increment st ~origin ~neighbor ~links ~extra;
+              true
+          | Record_sent (p, links, egress, expires_at) ->
+              (* As the engine does: count the path, then record it. *)
+              let origin, neighbor = view_pairs.(p) in
+              Diversity_state.increment st ~origin ~neighbor ~links ~extra:egress;
+              incr sent_id;
+              Diversity_state.record_sent st ~origin ~neighbor ~egress
+                ~key:(string_of_int !sent_id)
+                ~links:(Array.append links [| egress |])
+                ~ds:0.5 ~expires_at;
+              true
+          | Prune_at now ->
+              Diversity_state.prune st ~now;
+              true
+          | Evaluate (p, steps) ->
+              let origin, neighbor = view_pairs.(p) in
+              Diversity_state.load_view view st ~origin ~neighbor;
+              let agreed =
+                List.for_all
+                  (function
+                    | Query (links, extra) ->
+                        view_agrees view st ~origin ~neighbor ~links ~extra
+                    | Bump (links, extra) ->
+                        Diversity_state.view_increment view st ~origin ~neighbor
+                          ~links ~extra;
+                        true)
+                  steps
+              in
+              Diversity_state.unload_view view st ~origin ~neighbor;
+              agreed && Diversity_state.view_is_clear view)
+        ops)
+
+let test_view_beyond_log_table () =
+  (* Counters past the precomputed log table fall back to the
+     expression itself; the view still agrees bit for bit. *)
+  let st = Diversity_state.create ~n_as:10 in
+  for _ = 1 to 5000 do
+    Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:[| 0 |] ~extra:1
+  done;
+  let view = Diversity_state.create_view ~num_links:3 in
+  Diversity_state.load_view view st ~origin:1 ~neighbor:2;
+  Alcotest.(check bool) "agrees" true
+    (view_agrees view st ~origin:1 ~neighbor:2 ~links:[| 0; 2 |] ~extra:1);
+  Diversity_state.unload_view view st ~origin:1 ~neighbor:2;
+  Alcotest.(check bool) "cleared" true (Diversity_state.view_is_clear view)
 
 let test_diversity_state_gating () =
   let st = Diversity_state.create ~n_as:10 in
@@ -717,9 +856,9 @@ let test_received_sent_balance () =
 
 (* --- Golden beaconing outcomes ---
 
-   Baseline, diversity and latency-aware beaconing on the tiny fig5
-   core for 3 rounds (enough to fill store slots and exercise
-   eviction). The digests come from the straightforward full-scan
+   Baseline, diversity (geometric and arithmetic mean) and
+   latency-aware beaconing on the tiny fig5 core for 3 rounds (enough
+   to fill store slots and exercise eviction). The digests come from the straightforward full-scan
    eviction and full share-test re-scoring, so any change in a
    selection, a store's content or the per-interface accounting shows
    up here. *)
@@ -764,6 +903,11 @@ let golden_outcomes =
       "0x1.0b84cp+25",
       "04d056f6c2e7dea02adf28b34852762666f7e5c8d42d4b02163ec1c38b0d8063",
       "2eccf3dd0c3b6bbf504d9725e9fe8d68d406580c2db96e18b19c0595e4e50c62" );
+    ( "diversity-arithmetic",
+      82877,
+      "0x1.15ddep+25",
+      "166301001177111c6b5e326b4cc37330d91b8f9fcd74c88749e87d92f2c1a843",
+      "9ce362fae954061e8dab64d5939b551a731c1e6b96de856a960916656538072b" );
   ]
 
 let test_golden_beaconing () =
@@ -788,6 +932,12 @@ let test_golden_beaconing () =
             link_latency_ms = weights;
             latency_scale_ms = 4.0 *. Stats.mean weights *. 8.0;
           } );
+      ( "diversity-arithmetic",
+        Beacon_policy.Diversity
+          {
+            Beacon_policy.default_div_params with
+            Beacon_policy.mean_kind = Beacon_policy.Arithmetic;
+          } );
     ]
   in
   List.iter2
@@ -807,8 +957,6 @@ let suite =
   [
     ("pcb origin", `Quick, test_pcb_origin);
     ("pcb extend", `Quick, test_pcb_extend);
-    ("pcb extend_key", `Quick, test_pcb_extend_key);
-    QCheck_alcotest.to_alcotest prop_extend_key;
     ("pcb wire bytes", `Quick, test_pcb_wire_bytes);
     ("pcb age/remaining", `Quick, test_pcb_age_remaining);
     ("store insert", `Quick, test_store_insert);
@@ -834,6 +982,8 @@ let suite =
     ("diversity state sent list", `Quick, test_diversity_state_sent);
     ("diversity state prune decrements", `Quick, test_diversity_state_prune_decrements);
     ("diversity state gating", `Quick, test_diversity_state_gating);
+    QCheck_alcotest.to_alcotest prop_view_matches_counters;
+    ("dense view beyond the log table", `Quick, test_view_beyond_log_table);
     ("baseline propagates", `Quick, test_baseline_propagates);
     ("baseline shortest on chain", `Quick, test_baseline_shortest_on_chain);
     ("diversity propagates", `Quick, test_diversity_propagates);
