@@ -113,10 +113,22 @@ let sup_term =
             "Retry a crashed or timed-out job up to $(docv) times with \
              deterministically re-derived seeds.")
   in
+  let seconds =
+    let parse s =
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v && v > 0.0 -> Ok v
+      | _ ->
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "invalid value '%s', expected a positive number of seconds" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let watchdog =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "watchdog" ] ~docv:"SECONDS"
           ~doc:
             "Per-attempt wall-clock budget; a job exceeding it is abandoned at \

@@ -28,7 +28,6 @@ type event = {
 type sink =
   | Null
   | Stderr
-  | Channel of out_channel
   | Custom of (event -> unit)
 
 type t = {
@@ -87,9 +86,6 @@ let to_sink t ev =
       output_string stderr (render ev);
       output_char stderr '\n';
       flush stderr
-  | Channel oc ->
-      output_string oc (render ev);
-      output_char oc '\n'
   | Custom f -> f ev
 
 let store t ev =

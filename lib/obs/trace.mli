@@ -37,7 +37,6 @@ type event = {
 type sink =
   | Null  (** ring buffer only *)
   | Stderr  (** one rendered line per event, flushed *)
-  | Channel of out_channel  (** rendered lines; caller owns the channel *)
   | Custom of (event -> unit)
 
 type t

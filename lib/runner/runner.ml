@@ -1,153 +1,18 @@
-exception
-  Job_failed of {
-    index : int;
-    label : string;
-    seed : int64 option;
-    backtrace : string;
-    exn : exn;
-  }
+exception Job_failed of { index : int; backtrace : string; exn : exn }
 
 let () =
   Printexc.register_printer (function
-    | Job_failed { index; label; seed; exn; _ } ->
-        let seed_part =
-          match seed with
-          | None -> ""
-          | Some s -> Printf.sprintf " seed %Ld" s
-        in
+    | Job_failed { index; exn; _ } ->
         Some
-          (Printf.sprintf "Runner.Job_failed(job %d %S%s: %s)" index label
-             seed_part (Printexc.to_string exn))
+          (Printf.sprintf "Runner.Job_failed(job %d: %s)" index
+             (Printexc.to_string exn))
     | _ -> None)
-
-type job = unit -> unit
-
-type t = {
-  mutex : Mutex.t;
-  cond : Condition.t;  (* signaled on: new job, job completion, shutdown *)
-  queue : job Queue.t;
-  mutable stopped : bool;
-  mutable workers : unit Domain.t list;
-}
-
-type 'a state =
-  | Pending
-  | Done of 'a
-  | Failed of exn * Printexc.raw_backtrace
-
-type 'a future = { pool : t; mutable state : 'a state }
 
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* The stdlib caps live domains at 128 (including the main one); clamp
    so a generous --jobs cannot abort the program. *)
 let max_workers = 126
-
-let worker_loop pool =
-  let rec take () =
-    (* Called with the mutex held. *)
-    match Queue.take_opt pool.queue with
-    | Some j -> Some j
-    | None ->
-        if pool.stopped then None
-        else begin
-          Condition.wait pool.cond pool.mutex;
-          take ()
-        end
-  in
-  let rec loop () =
-    Mutex.lock pool.mutex;
-    let j = take () in
-    Mutex.unlock pool.mutex;
-    match j with
-    | None -> ()
-    | Some j ->
-        j ();
-        loop ()
-  in
-  loop ()
-
-let create ~domains () =
-  let pool =
-    {
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      queue = Queue.create ();
-      stopped = false;
-      workers = [];
-    }
-  in
-  let n = max 0 (min domains max_workers) in
-  pool.workers <- List.init n (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-  pool
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  pool.stopped <- true;
-  Condition.broadcast pool.cond;
-  Mutex.unlock pool.mutex;
-  let workers = pool.workers in
-  pool.workers <- [];
-  List.iter Domain.join workers
-
-let with_pool ~domains f =
-  let pool = create ~domains () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-let submit pool ?(label = "job") f =
-  let fut = { pool; state = Pending } in
-  let run () =
-    (* Run outside the lock; only the state hand-off is critical. *)
-    let result =
-      match f () with
-      | v -> Done v
-      | exception exn -> Failed (exn, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock pool.mutex;
-    fut.state <- result;
-    Condition.broadcast pool.cond;
-    Mutex.unlock pool.mutex
-  in
-  Mutex.lock pool.mutex;
-  if pool.stopped then begin
-    Mutex.unlock pool.mutex;
-    invalid_arg (Printf.sprintf "Runner.submit %S: pool is shut down" label)
-  end;
-  Queue.push run pool.queue;
-  Condition.broadcast pool.cond;
-  Mutex.unlock pool.mutex;
-  fut
-
-let await_result fut =
-  let pool = fut.pool in
-  let rec wait () =
-    Mutex.lock pool.mutex;
-    match fut.state with
-    | Done v ->
-        Mutex.unlock pool.mutex;
-        Ok v
-    | Failed (exn, bt) ->
-        Mutex.unlock pool.mutex;
-        Error (exn, bt)
-    | Pending -> (
-        (* Help: run queued jobs instead of idling, so a job awaiting a
-           sub-job it just submitted cannot deadlock the pool. *)
-        match Queue.take_opt pool.queue with
-        | Some j ->
-            Mutex.unlock pool.mutex;
-            j ();
-            wait ()
-        | None ->
-            Condition.wait pool.cond pool.mutex;
-            Mutex.unlock pool.mutex;
-            wait ())
-  in
-  wait ()
-
-let await fut =
-  match await_result fut with
-  | Ok v -> v
-  | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
 
 (* Golden-ratio stepping plus the SplitMix64 finalizer (via Rng): jobs
    get well-separated, statistically independent streams for any base. *)
@@ -156,64 +21,54 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 let job_seed base i =
   Rng.int64 (Rng.create (Int64.add base (Int64.mul golden_gamma (Int64.of_int i))))
 
-let fail ?base_seed ?label_of index exn bt =
-  let label =
-    match label_of with Some f -> f index | None -> string_of_int index
-  in
-  let seed = Option.map (fun base -> job_seed base index) base_seed in
+let fail index exn bt =
   raise
     (Job_failed
-       { index; label; seed; backtrace = Printexc.raw_backtrace_to_string bt; exn })
+       { index; backtrace = Printexc.raw_backtrace_to_string bt; exn })
 
-let map_jobs_on ?base_seed ?label_of pool f arr =
-  let futs =
-    Array.mapi (fun i x -> submit pool ~label:(string_of_int i) (fun () -> f x)) arr
-  in
-  (* Unconditional barrier: every job finishes before any error is
-     reported, so the raised failure is the first by input index, not
-     by completion order. *)
-  let results = Array.map await_result futs in
-  Array.mapi
-    (fun index r ->
-      match r with
-      | Ok v -> v
-      | Error (exn, bt) -> fail ?base_seed ?label_of index exn bt)
-    results
-
-let map_jobs ?pool ?base_seed ?label_of ~jobs f arr =
+let map_jobs_obs ?(obs = Obs.disabled) ~jobs f arr =
   let n = Array.length arr in
   if jobs <= 1 || n <= 1 then
     (* Sequential path: same code path as Array.map, but failures still
-       carry their job context so a crash is reproducible standalone. *)
+       carry their job context. *)
     Array.mapi
       (fun i x ->
-        match f x with
+        match f ~obs x with
         | v -> v
-        | exception exn ->
-            let bt = Printexc.get_raw_backtrace () in
-            fail ?base_seed ?label_of i exn bt)
+        | exception exn -> fail i exn (Printexc.get_raw_backtrace ()))
       arr
-  else
-    match pool with
-    | Some pool -> map_jobs_on ?base_seed ?label_of pool f arr
-    | None ->
-        (* The caller helps through the awaits, so [jobs - 1] workers
-           give [jobs]-way parallelism. *)
-        with_pool ~domains:(min (jobs - 1) (n - 1)) (fun pool ->
-            map_jobs_on ?base_seed ?label_of pool f arr)
-
-let map_jobs_obs ?(obs = Obs.disabled) ?pool ?base_seed ?label_of ~jobs f arr =
-  let n = Array.length arr in
-  if jobs <= 1 || n <= 1 then
-    map_jobs ?base_seed ?label_of ~jobs:1 (fun x -> f ~obs x) arr
   else begin
     let children = Array.map (fun _ -> Obs.fork obs) arr in
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    (* Every claimed job stores its outcome instead of raising, so the
+       barrier below is unconditional. *)
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          Some
+            (match f ~obs:children.(i) arr.(i) with
+            | v -> Ok v
+            | exception exn -> Error (exn, Printexc.get_raw_backtrace ()));
+        claim ()
+      end
+    in
+    (* Backtrace recording is per domain: workers follow the caller. *)
+    let record = Printexc.backtrace_status () in
+    let workers =
+      List.init (min max_workers (min (jobs - 1) (n - 1))) (fun _ ->
+          Domain.spawn (fun () ->
+              Printexc.record_backtrace record;
+              claim ()))
+    in
+    claim ();
+    List.iter Domain.join workers;
     (* Merge in input order even if a job failed, so the metrics of the
        completed jobs survive the error. *)
-    Fun.protect
-      ~finally:(fun () -> Array.iter (fun child -> Obs.merge ~into:obs child) children)
-      (fun () ->
-        map_jobs ?pool ?base_seed ?label_of ~jobs
-          (fun (i, x) -> f ~obs:children.(i) x)
-          (Array.mapi (fun i x -> (i, x)) arr))
+    Array.iter (fun child -> Obs.merge ~into:obs child) children;
+    Array.mapi
+      (fun i r ->
+        match Option.get r with Ok v -> v | Error (exn, bt) -> fail i exn bt)
+      results
   end

@@ -1,104 +1,42 @@
 (** Deterministic parallel experiment engine.
 
-    A fixed-size pool of OCaml 5 domains executes independent jobs —
-    beaconing runs, per-trial failure simulations, grid-search
-    candidates — while keeping every observable result identical to the
+    One order-preserving map runs independent jobs — beaconing runs,
+    per-trial failure simulations, grid-search candidates — on OCaml 5
+    domains while keeping every observable result identical to the
     sequential execution:
 
-    - {!map_jobs} preserves input order: result [i] always comes from
-      input [i], no matter which domain computed it or in which order
-      jobs finished.
-    - [jobs:1] (the default everywhere) bypasses the pool entirely and
-      runs on the calling domain, so sequential behaviour is not merely
-      equivalent but literally the same code path.
-    - Failures carry their job context: the first failing job (by input
-      index, not completion order) is re-raised as {!Job_failed} after
-      the barrier, so which error surfaces does not depend on domain
-      scheduling.
+    - {!map_jobs_obs} preserves input order: result [i] always comes
+      from input [i], no matter which domain computed it or in which
+      order jobs finished. Spawned domains and the calling domain claim
+      input indices from one atomic counter and write each result into
+      its own slot.
+    - [jobs:1] (the default everywhere) spawns nothing and runs on the
+      calling domain, so sequential behaviour is not merely equivalent
+      but literally the same code path.
+    - Failures carry their job context: every job runs to completion,
+      then the failing job with the smallest input index (not the first
+      to finish) is re-raised as {!Job_failed}, so which error surfaces
+      does not depend on domain scheduling.
     - {!job_seed} derives statistically independent per-job RNG seeds
       from a base seed and the job index, so stochastic jobs partition
       their randomness deterministically instead of sharing a stream.
-    - {!map_jobs_obs} forks one {!Obs.t} child context per job and
-      merges the children back into the parent registry after the
-      barrier (in input order), so metrics aggregate race-free and
-      counter totals match the sequential run.
 
-    The pool uses only the stdlib ([Domain], [Mutex], [Condition],
-    [Queue]); there is no dependency on domainslib. Blocked {!await}
-    calls help execute queued jobs instead of idling, which makes
-    nested submissions (a job that itself submits and awaits sub-jobs)
-    deadlock-free even on a pool with a single worker. *)
+    Only the stdlib ([Domain], [Atomic]) is used; there is no dependency
+    on domainslib. A job may itself call {!map_jobs_obs}: the nested
+    call spawns its own domains, so nesting cannot deadlock. *)
 
 exception
   Job_failed of {
     index : int;  (** input position of the failing job *)
-    label : string;  (** job label (the index unless [label_of] was given) *)
-    seed : int64 option;
-        (** the job's {!job_seed} when [base_seed] was given, so the
-            failing job can be re-run standalone *)
-    backtrace : string;  (** backtrace captured on the worker domain *)
+    backtrace : string;  (** backtrace captured where the job ran *)
     exn : exn;  (** the original exception *)
   }
-(** Raised by {!map_jobs} (and friends) when a job fails. The original
-    exception and its worker-side backtrace are preserved. *)
-
-type t
-(** A pool of worker domains sharing one FIFO job queue. *)
-
-type 'a future
-(** Handle to a submitted job's eventual result. *)
+(** Raised by {!map_jobs_obs} when a job fails. The original exception
+    and its backtrace are preserved. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — a sensible [--jobs] value
     for "use the whole machine". *)
-
-val create : domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains] worker domains (clamped to
-    [0 .. 126] so the stdlib's domain limit cannot be exceeded; [0] is
-    legal and means all work happens in helping {!await} calls). *)
-
-val shutdown : t -> unit
-(** Drain the queue, stop the workers and join their domains.
-    Idempotent. Submitting to a shut-down pool raises
-    [Invalid_argument]. *)
-
-val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] runs [f] over a fresh pool and always shuts
-    it down, also on exception. *)
-
-val submit : t -> ?label:string -> (unit -> 'a) -> 'a future
-(** Enqueue a job. The result (or exception) is captured on whichever
-    domain runs it and delivered at {!await}. *)
-
-val await : 'a future -> 'a
-(** Block until the job finished; while its result is pending, execute
-    other queued jobs on the calling domain (this is what makes nested
-    submit/await safe). Re-raises the job's exception (with its
-    original backtrace) if it failed. *)
-
-val map_jobs :
-  ?pool:t ->
-  ?base_seed:int64 ->
-  ?label_of:(int -> string) ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
-(** [map_jobs ~jobs f arr] applies [f] to every element, running up to
-    [jobs] applications concurrently, and returns the results in input
-    order. With [jobs <= 1] (or fewer than two elements) the
-    applications run sequentially on the calling domain. With [pool]
-    the jobs run on the given pool (whose worker count then bounds the
-    parallelism); otherwise a transient pool of [jobs - 1] workers is
-    created — the caller participates as the [jobs]-th worker through
-    helping {!await}s — and shut down before returning.
-
-    If any job raises, the remaining jobs still run to completion (the
-    barrier is unconditional), and then the failure with the {e
-    smallest input index} is re-raised as {!Job_failed}. [base_seed]
-    stamps the failure with [job_seed base_seed index]; [label_of]
-    supplies a human-readable label per index. Both affect only error
-    reporting, never the computation. *)
 
 val job_seed : int64 -> int -> int64
 (** [job_seed base i] is a SplitMix64-derived seed for job [i]:
@@ -107,21 +45,20 @@ val job_seed : int64 -> int -> int64
     stream. *)
 
 val map_jobs_obs :
-  ?obs:Obs.t ->
-  ?pool:t ->
-  ?base_seed:int64 ->
-  ?label_of:(int -> string) ->
-  jobs:int ->
-  (obs:Obs.t -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** {!map_jobs} for instrumented jobs. With [jobs <= 1] every job
-    receives the parent [obs] unchanged (the exact sequential
-    behaviour). With [jobs > 1] each job receives {!Obs.fork}[ obs] —
-    an isolated child context — and after the barrier the children are
-    merged back into the parent with {!Obs.merge}, in input order, so
+  ?obs:Obs.t -> jobs:int -> (obs:Obs.t -> 'a -> 'b) -> 'a array -> 'b array
+(** [map_jobs_obs ~obs ~jobs f arr] applies [f] to every element,
+    running up to [jobs] applications concurrently, and returns the
+    results in input order.
+
+    With [jobs <= 1] or fewer than two elements the applications run
+    sequentially on the calling domain, every job receives the parent
+    [obs] unchanged, and the first failure is raised at once. Otherwise
+    [min (jobs - 1) (n - 1)] domains are spawned (capped below the
+    stdlib's domain limit) and the caller works as the [jobs]-th. Each
+    job then receives {!Obs.fork}[ obs], an isolated child context.
+    After every job finished, the children are merged back into the
+    parent with {!Obs.merge} in input order, also when a job failed, so
     counters, histograms and phase timers aggregate exactly as in the
-    sequential run (gauges keep the last-indexed job's value). The
-    children are merged even when a job failed, before {!Job_failed}
-    propagates. On a disabled [obs] (the default) instrumentation stays
-    zero-cost. *)
+    sequential run (gauges keep the last-indexed job's value). Only then
+    is the smallest-index failure re-raised as {!Job_failed}. On a
+    disabled [obs] (the default) instrumentation stays zero-cost. *)

@@ -1,6 +1,6 @@
 (** Structured outcome of a supervised job batch.
 
-    Where unsupervised {!Runner.map_jobs} aborts the whole batch by
+    Where unsupervised {!Runner.map_jobs_obs} aborts the whole batch by
     raising {!Runner.Job_failed}, a supervised run degrades gracefully:
     every job either succeeded or is recorded here as a {!failure}
     carrying everything needed to re-run it standalone — index, label,

@@ -187,6 +187,8 @@ let w_histogram w (d : Histogram.dump) =
 
 let r_histogram r =
   let d_growth = r_f64 r in
+  if not (Float.is_finite d_growth && d_growth > 1.0) then
+    corrupt "bad histogram growth %h" d_growth;
   let d_count = r_int r in
   let d_sum = r_f64 r in
   let d_vmin = r_f64 r in
@@ -254,6 +256,7 @@ let w_beacon_store w (d : Beacon_store.dump) =
 
 let r_beacon_store r =
   let d_limit = r_int r in
+  if d_limit < 1 then corrupt "bad beacon store limit %d" d_limit;
   let d_origins =
     r_list r (fun r ->
         let origin = r_int r in
@@ -314,6 +317,8 @@ let w_path_server w (d : Path_server.dump) =
 
 let r_path_server r =
   let d_per_leaf_limit = r_int r in
+  if d_per_leaf_limit < 1 then
+    corrupt "bad path server per-leaf limit %d" d_per_leaf_limit;
   let d_down = r_bucket_list r in
   let d_core = r_bucket_list r in
   let d_stats = r_ps_stats r in
@@ -326,6 +331,9 @@ let w_link_state w (d : Link_state.dump) =
 let r_link_state r =
   let d_holds = r_arr r r_int in
   let d_since = r_arr r r_f64 in
+  if Array.length d_holds <> Array.length d_since then
+    corrupt "link state: %d holds but %d timestamps" (Array.length d_holds)
+      (Array.length d_since);
   { Link_state.d_holds; d_since }
 
 let w_beacon_stats w (s : Beaconing.stats) =

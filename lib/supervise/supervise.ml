@@ -43,11 +43,11 @@ let attempt_seed ~base_seed ~index ~attempt =
   let s0 = Runner.job_seed base_seed index in
   if attempt = 0 then s0 else Runner.job_seed s0 attempt
 
-let map ?obs ?pool ?(policy = default_policy) ?label_of ~jobs ~base_seed f arr =
+let map ?obs ?(policy = default_policy) ?label_of ~jobs ~base_seed f arr =
   let retries = max 0 policy.retries in
   let label i = match label_of with Some f -> f i | None -> string_of_int i in
   (* The wrapper returns a [result] instead of raising, so a crashing
-     or timed-out job can never abort the pool: surviving jobs always
+     or timed-out job can never abort the batch: surviving jobs always
      complete and the failures come back as data. *)
   let supervised ~obs (i, x) =
     let rec attempt k =
@@ -71,7 +71,7 @@ let map ?obs ?pool ?(policy = default_policy) ?label_of ~jobs ~base_seed f arr =
     attempt 0
   in
   let results =
-    Runner.map_jobs_obs ?obs ?pool ~base_seed ?label_of ~jobs supervised
+    Runner.map_jobs_obs ?obs ~jobs supervised
       (Array.mapi (fun i x -> (i, x)) arr)
   in
   let failures =

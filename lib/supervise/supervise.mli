@@ -1,12 +1,12 @@
 (** Run supervision: crash isolation, retries, graceful degradation.
 
-    {!map} is the supervised mode of {!Runner.map_jobs}: each job runs
+    {!map} is the supervised mode of {!Runner.map_jobs_obs}: each job runs
     under a {!Watchdog} deadline and is retried up to [policy.retries]
     times on any exception (including {!Watchdog.Timeout}), with
     deterministic per-attempt seeds derived from the same SplitMix64
     partitioning as {!Runner.job_seed} — so a retried batch is exactly
     reproducible from [(base_seed, index, attempt)]. A job that
-    exhausts its retries does {e not} abort the pool: the surviving
+    exhausts its retries does {e not} abort the batch: the surviving
     jobs complete and the failure is reported as data in a
     {!Run_report}.
 
@@ -57,7 +57,6 @@ val attempt_seed : base_seed:int64 -> index:int -> attempt:int -> int64
 
 val map :
   ?obs:Obs.t ->
-  ?pool:Runner.t ->
   ?policy:policy ->
   ?label_of:(int -> string) ->
   jobs:int ->

@@ -498,7 +498,13 @@ let restore cfg data =
       finished;
     }
   in
-  let t = make state cfg in
+  (* [make] binds the metric handles: a series of the wrong kind means
+     the registry was corrupted. *)
+  let t =
+    match make state cfg with
+    | t -> t
+    | exception Invalid_argument msg -> corrupt msg
+  in
   if cursor < 0 || cursor > Array.length t.events then
     corrupt "fault cursor out of range";
   t

@@ -1,10 +1,12 @@
-(* Tests for scion_runner: the domain pool, order preservation,
+(* Tests for scion_runner: order preservation, nesting,
    exception propagation, seed partitioning, the Obs fork/merge
    reduction, and jobs-independence of whole experiments. *)
 
 let check = Alcotest.check
 
-(* --- map_jobs ------------------------------------------------------ *)
+(* --- map_jobs_obs -------------------------------------------------- *)
+
+let map ~jobs f arr = Runner.map_jobs_obs ~jobs (fun ~obs:_ x -> f x) arr
 
 let test_map_jobs_order () =
   let input = Array.init 100 (fun i -> i) in
@@ -15,115 +17,71 @@ let test_map_jobs_order () =
         (Alcotest.array Alcotest.int)
         (Printf.sprintf "jobs=%d" jobs)
         expect
-        (Runner.map_jobs ~jobs (fun i -> i * i) input))
+        (map ~jobs (fun i -> i * i) input))
     [ 1; 2; 4; 9 ]
 
 let test_map_jobs_small_inputs () =
   check (Alcotest.array Alcotest.int) "empty" [||]
-    (Runner.map_jobs ~jobs:4 (fun i -> i) [||]);
+    (map ~jobs:4 (fun i -> i) [||]);
   check (Alcotest.array Alcotest.int) "singleton" [| 7 |]
-    (Runner.map_jobs ~jobs:4 (fun i -> i + 4) [| 3 |])
-
-let test_map_jobs_on_shared_pool () =
-  Runner.with_pool ~domains:2 (fun pool ->
-      let a = Runner.map_jobs ~pool ~jobs:4 (fun i -> i + 1) (Array.init 10 (fun i -> i)) in
-      let b = Runner.map_jobs ~pool ~jobs:4 (fun i -> i * 2) (Array.init 10 (fun i -> i)) in
-      check (Alcotest.array Alcotest.int) "first" (Array.init 10 (fun i -> i + 1)) a;
-      check (Alcotest.array Alcotest.int) "second" (Array.init 10 (fun i -> i * 2)) b)
+    (map ~jobs:4 (fun i -> i + 4) [| 3 |])
 
 let test_exception_propagation () =
   (* Two jobs fail; the one with the smallest input index wins, no
-     matter which finishes first. *)
+     matter which finishes first, and every other job still runs. *)
+  let ran = Array.init 8 (fun _ -> Atomic.make false) in
   match
-    Runner.map_jobs ~jobs:3
-      (fun i -> if i >= 3 then failwith (Printf.sprintf "boom%d" i) else i)
-      (Array.init 6 (fun i -> i))
+    map ~jobs:3
+      (fun i ->
+        if i = 1 || i = 4 then failwith (Printf.sprintf "boom%d" i);
+        Atomic.set ran.(i) true;
+        i)
+      (Array.init 8 (fun i -> i))
   with
   | _ -> Alcotest.fail "expected Job_failed"
   | exception Runner.Job_failed { index; exn = Failure msg; _ } ->
-      check Alcotest.int "smallest failing index" 3 index;
-      check Alcotest.string "original exception" "boom3" msg
+      check Alcotest.int "smallest failing index" 1 index;
+      check Alcotest.string "original exception" "boom1" msg;
+      Array.iteri
+        (fun i r ->
+          if i <> 1 && i <> 4 then
+            Alcotest.(check bool)
+              (Printf.sprintf "job %d ran" i)
+              true (Atomic.get r))
+        ran
   | exception e -> raise e
 
 let test_failure_carries_context () =
-  (* Job_failed records everything needed to re-run the failing job
-     standalone: its label and its job_seed-derived base seed. *)
+  (* Job_failed records the failing index, the original exception and
+     the backtrace captured where the job ran, on both paths. *)
   Printexc.record_backtrace true;
-  match
-    Runner.map_jobs ~jobs:2 ~base_seed:9L
-      ~label_of:(Printf.sprintf "trial-%d")
-      (fun i -> if i = 2 then failwith "kaboom" else i)
-      (Array.init 4 (fun i -> i))
-  with
-  | _ -> Alcotest.fail "expected Job_failed"
-  | exception Runner.Job_failed { index; label; seed; backtrace; exn = Failure msg } ->
-      check Alcotest.int "failing index" 2 index;
-      check Alcotest.string "label" "trial-2" label;
-      (match seed with
-      | Some s -> check Alcotest.int64 "seed of the failing job" (Runner.job_seed 9L 2) s
-      | None -> Alcotest.fail "seed must be stamped when base_seed is given");
-      check Alcotest.string "original exception" "kaboom" msg;
-      Alcotest.(check bool) "backtrace captured on the worker" true
-        (String.length backtrace > 0);
-      (* Without base_seed the failure is unstamped. *)
-      (match
-         Runner.map_jobs ~jobs:1 (fun _ -> failwith "x") [| 0 |]
-       with
+  List.iter
+    (fun jobs ->
+      match
+        map ~jobs
+          (fun i -> if i = 2 then failwith "kaboom" else i)
+          (Array.init 4 (fun i -> i))
+      with
       | _ -> Alcotest.fail "expected Job_failed"
-      | exception Runner.Job_failed { seed = None; _ } -> ()
-      | exception Runner.Job_failed _ -> Alcotest.fail "no base_seed, no seed")
+      | exception Runner.Job_failed { index; backtrace; exn = Failure msg } ->
+          check Alcotest.int "failing index" 2 index;
+          check Alcotest.string "original exception" "kaboom" msg;
+          Alcotest.(check bool) "backtrace captured" true
+            (String.length backtrace > 0))
+    [ 1; 2 ]
 
-let test_pool_reusable_after_failure () =
-  Runner.with_pool ~domains:2 (fun pool ->
-      (match
-         Runner.map_jobs ~pool ~jobs:4 (fun i -> if i = 1 then failwith "x" else i)
-           (Array.init 4 (fun i -> i))
-       with
-      | _ -> Alcotest.fail "expected Job_failed"
-      | exception Runner.Job_failed _ -> ());
-      check (Alcotest.array Alcotest.int) "pool still works"
-        (Array.init 4 (fun i -> i))
-        (Runner.map_jobs ~pool ~jobs:4 (fun i -> i) (Array.init 4 (fun i -> i))))
-
-(* --- submit / await / nesting -------------------------------------- *)
-
-let test_submit_await () =
-  Runner.with_pool ~domains:2 (fun pool ->
-      let futs = List.init 16 (fun i -> Runner.submit pool (fun () -> i * 3)) in
-      List.iteri (fun i f -> check Alcotest.int "future value" (i * 3) (Runner.await f)) futs)
-
-let test_await_reraises () =
-  Runner.with_pool ~domains:1 (fun pool ->
-      let f = Runner.submit pool (fun () -> failwith "direct") in
-      match Runner.await f with
-      | _ -> Alcotest.fail "expected Failure"
-      | exception Failure msg -> check Alcotest.string "original message" "direct" msg)
-
-let nested_sum pool =
-  let outer =
-    Runner.submit pool (fun () ->
-        let subs = List.init 4 (fun i -> Runner.submit pool (fun () -> i * 10)) in
-        List.fold_left (fun acc f -> acc + Runner.await f) 0 subs)
-  in
-  Runner.await outer
-
-let test_nested_submit () =
-  (* Help-first await makes nesting safe even when every worker is
-     occupied by the outer job (domains:1), and even with no workers at
-     all (domains:0 — the awaiting caller runs everything). *)
-  Runner.with_pool ~domains:1 (fun pool ->
-      check Alcotest.int "one worker" 60 (nested_sum pool));
-  Runner.with_pool ~domains:0 (fun pool ->
-      check Alcotest.int "zero workers" 60 (nested_sum pool))
-
-let test_shutdown_rejects_submit () =
-  let pool = Runner.create ~domains:1 () in
-  Runner.shutdown pool;
-  Runner.shutdown pool;
-  (* idempotent *)
-  match Runner.submit pool (fun () -> ()) with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
+let test_nested_map () =
+  (* A job may itself fan out: the inner map spawns its own domains, so
+     nesting cannot deadlock. *)
+  check
+    (Alcotest.array Alcotest.int)
+    "sums of the inner maps"
+    (Array.init 5 (fun i -> 60 + (4 * i)))
+    (map ~jobs:3
+       (fun i ->
+         Array.fold_left ( + ) 0
+           (map ~jobs:2 (fun j -> (j * 10) + i) (Array.init 4 Fun.id)))
+       (Array.init 5 (fun i -> i)))
 
 (* --- seed partitioning --------------------------------------------- *)
 
@@ -273,14 +231,9 @@ let suite =
   [
     ("map_jobs order", `Quick, test_map_jobs_order);
     ("map_jobs small inputs", `Quick, test_map_jobs_small_inputs);
-    ("map_jobs on shared pool", `Quick, test_map_jobs_on_shared_pool);
     ("exception propagation", `Quick, test_exception_propagation);
     ("failure carries context", `Quick, test_failure_carries_context);
-    ("pool reusable after failure", `Quick, test_pool_reusable_after_failure);
-    ("submit/await", `Quick, test_submit_await);
-    ("await re-raises", `Quick, test_await_reraises);
-    ("nested submit", `Quick, test_nested_submit);
-    ("shutdown rejects submit", `Quick, test_shutdown_rejects_submit);
+    ("nested map", `Quick, test_nested_map);
     ("job seeds", `Quick, test_job_seed);
     ("registry merge", `Quick, test_registry_merge);
     ("timer merge", `Quick, test_timer_merge);

@@ -625,6 +625,77 @@ let test_soak_restore_rejects_mismatch () =
   expect_corrupt "truncated bytes" (fun () ->
       Soak.restore cfg (String.sub bytes 0 (String.length bytes / 2)))
 
+(* Each dump below is well-framed but violates a constructor's
+   precondition, so only the decoder's own check stands between it and
+   an [Invalid_argument] from [of_dump]. *)
+let expect_decode_corrupt w_f v r_f of_dump =
+  let w = Snapshot.writer () in
+  w_f w v;
+  match of_dump (r_f (Snapshot.reader (Snapshot.contents w))) with
+  | _ -> Alcotest.fail "expected Snapshot.Corrupt"
+  | exception Snapshot.Corrupt _ -> ()
+
+let test_snapshot_rejects_store_limit () =
+  expect_decode_corrupt Snapshot.w_beacon_store
+    { Beacon_store.d_limit = 0; d_origins = [] }
+    Snapshot.r_beacon_store Beacon_store.of_dump
+
+let test_snapshot_rejects_path_server_limit () =
+  expect_decode_corrupt Snapshot.w_path_server
+    {
+      (Path_server.dump (Path_server.create ())) with
+      Path_server.d_per_leaf_limit = 0;
+    }
+    Snapshot.r_path_server Path_server.of_dump
+
+let test_snapshot_rejects_link_state_lengths () =
+  expect_decode_corrupt Snapshot.w_link_state
+    { Link_state.d_holds = [| 0; 0 |]; d_since = [| nan |] }
+    Snapshot.r_link_state Link_state.of_dump
+
+let test_snapshot_rejects_histogram_growth () =
+  List.iter
+    (fun d_growth ->
+      expect_decode_corrupt Snapshot.w_histogram
+        { (Histogram.dump (Histogram.create ())) with Histogram.d_growth }
+        Snapshot.r_histogram Histogram.of_dump)
+    [ 1.0; 0.5; nan; infinity ]
+
+(* A mutation of a valid snapshot: flip one bit, overwrite one byte, or
+   truncate. Positions wrap modulo the snapshot length. *)
+let mutate s (kind, pos, v) =
+  let n = String.length s in
+  let pos = pos mod n in
+  match kind with
+  | 0 ->
+      let b = Bytes.of_string s in
+      Bytes.set b pos (Char.chr (Char.code s.[pos] lxor (1 lsl (v land 7))));
+      Bytes.to_string b
+  | 1 ->
+      let b = Bytes.of_string s in
+      Bytes.set b pos (Char.chr (v land 0xFF));
+      Bytes.to_string b
+  | _ -> String.sub s 0 pos
+
+(* qcheck: a restorer fed a mutated mid-run snapshot either returns or
+   raises [Snapshot.Corrupt], never anything else. *)
+let prop_restore_total ~name restore snapshot =
+  QCheck.Test.make ~name ~count:200
+    QCheck.(triple (int_bound 2) (int_bound 1_000_000) (int_bound 255))
+    (fun m ->
+      let s = Lazy.force snapshot in
+      match restore (mutate s m) with
+      | _ -> true
+      | exception Snapshot.Corrupt _ -> true)
+
+let prop_soak_restore_total =
+  let cfg = soak_config () in
+  prop_restore_total ~name:"soak restore raises only Corrupt" (Soak.restore cfg)
+    (lazy
+      (let t = Soak.create cfg in
+       Soak.advance t ~upto:6;
+       Soak.encode t))
+
 let test_soak_config_key () =
   let cfg = soak_config () in
   check Alcotest.string "stable fingerprint" (Soak.config_key cfg)
@@ -852,6 +923,16 @@ let suite =
     ("invariants: stale stores", `Quick, test_invariants_detect_stale_stores);
     ("soak chunked determinism", `Slow, test_soak_chunked_byte_identical);
     ("soak restore rejects mismatch", `Quick, test_soak_restore_rejects_mismatch);
+    ("snapshot rejects store limit", `Quick, test_snapshot_rejects_store_limit);
+    ( "snapshot rejects path-server limit",
+      `Quick,
+      test_snapshot_rejects_path_server_limit );
+    ( "snapshot rejects link-state lengths",
+      `Quick,
+      test_snapshot_rejects_link_state_lengths );
+    ( "snapshot rejects histogram growth",
+      `Quick,
+      test_snapshot_rejects_histogram_growth );
     ("soak config key", `Quick, test_soak_config_key);
     ("run_cells kill and resume", `Quick, test_run_cells_kill_and_resume);
     ("run_cells checkpoint format", `Quick, test_run_cells_checkpoint_format);
@@ -862,4 +943,5 @@ let suite =
       `Quick,
       test_run_cells_rejects_bad_progress );
     QCheck_alcotest.to_alcotest prop_soak_resume_byte_identical;
+    QCheck_alcotest.to_alcotest prop_soak_restore_total;
   ]

@@ -368,7 +368,36 @@ let test_sim_restore_rejects_corrupt () =
   | exception Snapshot.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated snapshot accepted");
   let r = Traffic_sim.restore cfg s in
-  check Alcotest.int "clock restored" 50 (Traffic_sim.slot r)
+  check Alcotest.int "clock restored" 50 (Traffic_sim.slot r);
+  (* Turn the admitted-flows counter into a gauge. Its kind tag follows
+     the name and the label list [workload=test]: a count and two
+     strings, each prefixed with an 8-byte length. *)
+  let name = "traffic_flows_admitted_total" in
+  let rec find i =
+    if String.sub s i (String.length name) = name then i else find (i + 1)
+  in
+  let tag = find 0 + String.length name + 8 + (8 + 8) + (8 + 4) in
+  check Alcotest.string "labels precede the tag" "test"
+    (String.sub s (tag - 4) 4);
+  check Alcotest.char "counter tag" '\000' s.[tag];
+  let b = Bytes.of_string s in
+  Bytes.set b tag '\001';
+  match Traffic_sim.restore cfg (Bytes.to_string b) with
+  | exception Snapshot.Corrupt _ -> ()
+  | _ -> Alcotest.fail "counter turned gauge accepted"
+
+let prop_sim_restore_total =
+  let cfg =
+    lazy
+      (sim_config ~strategy:Strategy.Load_adaptive ~width:2
+         ~plan:(outage_events ()) ())
+  in
+  Test_supervise.prop_restore_total ~name:"sim restore raises only Corrupt"
+    (fun s -> Traffic_sim.restore (Lazy.force cfg) s)
+    (lazy
+      (let t = Traffic_sim.create (Lazy.force cfg) in
+       Traffic_sim.advance t ~upto:50;
+       Traffic_sim.encode t))
 
 let test_sim_fault_composition () =
   let cfg = sim_config ~plan:(outage_events ()) () in
@@ -485,4 +514,5 @@ let suite =
     ("sim config-key sensitivity", `Quick, test_sim_config_key_sensitivity);
     ("swarm multipath wins", `Slow, test_swarm_multipath_wins);
     ("scenario jobs-independent", `Slow, test_scenario_jobs_independent);
+    QCheck_alcotest.to_alcotest prop_sim_restore_total;
   ]
