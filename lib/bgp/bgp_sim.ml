@@ -49,19 +49,27 @@ type stats_mut = {
   mutable last_route_change : float;
 }
 
+(* A pending event. The queue pops by (time, seq), so events for the
+   same instant fire in the order they were scheduled. *)
+type event = { time : float; seq : int; fire : unit -> unit }
+
 type t = {
   graph : Graph.t;
   config : config;
-  des : Des.t;
+  queue : event Heap.t;
+  mutable clock : float;
+  mutable next_seq : int;
   nodes : node array;
   st : stats_mut;
   (* Observability cells, hoisted at creation (one branch per update
-     when disabled). *)
+     or event when disabled). *)
   obs_on : bool;
   tr : Trace.t;
   c_updates : float ref;
   c_withdrawals : float ref;
   c_bytes : float ref;
+  c_events : float ref;
+  h_depth : Histogram.t;
 }
 
 type stats = {
@@ -73,7 +81,19 @@ type stats = {
   last_route_change : float;
 }
 
+let compare_event a b =
+  match Float.compare a.time b.time with
+  | 0 -> Int.compare a.seq b.seq
+  | c -> c
+
 let create ?(obs = Obs.disabled) g config =
+  let check name d =
+    if not (Float.is_finite d && d >= 0.0) then
+      invalid_arg ("Bgp_sim.create: " ^ name ^ " must be finite and >= 0")
+  in
+  check "mrai" config.mrai;
+  check "processing_delay" config.processing_delay;
+  check "propagation_delay" config.propagation_delay;
   let n = Graph.n g in
   let nodes =
     Array.init n (fun idx ->
@@ -107,25 +127,31 @@ let create ?(obs = Obs.disabled) g config =
   let proto_labels =
     [ ("proto", if config.bgpsec then "bgpsec" else "bgp") ]
   in
-  let c_updates, c_withdrawals, c_bytes =
+  let c_updates, c_withdrawals, c_bytes, c_events, h_depth =
     if obs_on then begin
       let reg = Obs.registry obs in
       ( Registry.counter reg ~labels:proto_labels "bgp_updates_sent_total",
         Registry.counter reg ~labels:proto_labels "bgp_withdrawals_sent_total",
-        Registry.counter reg ~labels:proto_labels "bgp_bytes_sent_total" )
+        Registry.counter reg ~labels:proto_labels "bgp_bytes_sent_total",
+        Registry.counter reg "des_events_total",
+        Registry.histogram reg "des_queue_depth" )
     end
-    else (ref 0.0, ref 0.0, ref 0.0)
+    else (ref 0.0, ref 0.0, ref 0.0, ref 0.0, Histogram.create ())
   in
   {
     graph = g;
     config;
-    des = Des.create ~obs ();
+    queue = Heap.create ~cmp:compare_event;
+    clock = 0.0;
+    next_seq = 0;
     nodes;
     obs_on;
     tr = Obs.trace obs;
     c_updates;
     c_withdrawals;
     c_bytes;
+    c_events;
+    h_depth;
     st =
       {
         updates_sent = 0;
@@ -137,7 +163,26 @@ let create ?(obs = Obs.disabled) g config =
       };
   }
 
-let sim t = t.des
+let now t = t.clock
+
+(* Schedule [fire] at absolute [time]; [create]'s delay check keeps
+   every [time] at or after [now]. *)
+let at t time fire =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Heap.push t.queue { time; seq; fire }
+
+(* Instrumentation of one fired event; the queue depth is sampled every
+   64 events. *)
+let observe_event t ev =
+  t.c_events := !(t.c_events) +. 1.0;
+  let depth = Heap.length t.queue in
+  if int_of_float !(t.c_events) land 63 = 0 then
+    Histogram.observe t.h_depth (float_of_int depth);
+  if Trace.enabled t.tr Trace.Debug then
+    Trace.emit t.tr Trace.Debug ~time:ev.time ~category:"des"
+      ~fields:[ ("queue", string_of_int depth) ]
+      "event fired"
 
 let class_of_dir = function
   | Graph.To_customer -> Bgp_routes.Via_customer
@@ -206,7 +251,7 @@ let decide t node prefix =
   |> fun best -> best
 
 let rec flush_session t node (s : session) =
-  let now = Des.now t.des in
+  let now = t.clock in
   if now >= s.ready_at then begin
     let prefixes = Hashtbl.fold (fun p () acc -> p :: acc) s.pending [] in
     Hashtbl.reset s.pending;
@@ -266,7 +311,7 @@ let rec flush_session t node (s : session) =
             end;
             let receiver = s.neighbor in
             let sender = node.idx in
-            Des.schedule t.des ~delay:t.config.propagation_delay (fun _ ->
+            at t (now +. t.config.propagation_delay) (fun () ->
                 receive t ~receiver ~sender ~prefix ~path:announce ~size)
           end)
         prefixes;
@@ -275,7 +320,7 @@ let rec flush_session t node (s : session) =
   end
   else if not s.fire_scheduled then begin
     s.fire_scheduled <- true;
-    Des.schedule_at t.des ~time:s.ready_at (fun _ ->
+    at t s.ready_at (fun () ->
         s.fire_scheduled <- false;
         flush_session t node s)
   end
@@ -301,9 +346,9 @@ and reconsider t node prefix =
     (match winner with
     | Some r -> Hashtbl.replace node.best prefix r
     | None -> Hashtbl.remove node.best prefix);
-    t.st.last_route_change <- Des.now t.des;
+    t.st.last_route_change <- t.clock;
     if t.obs_on && Trace.enabled t.tr Trace.Debug then
-      Trace.emit t.tr Trace.Debug ~time:(Des.now t.des) ~category:"bgp"
+      Trace.emit t.tr Trace.Debug ~time:t.clock ~category:"bgp"
         ~fields:
           [
             ("as", string_of_int node.idx);
@@ -321,15 +366,14 @@ and receive t ~receiver ~sender ~prefix ~path ~size =
   let node = t.nodes.(receiver) in
   (* Serialise processing: each update occupies the speaker for the
      configured processing delay. *)
-  let now = Des.now t.des in
-  let start = max now node.busy_until in
+  let start = max t.clock node.busy_until in
   let done_at = start +. t.config.processing_delay in
   node.busy_until <- done_at;
   t.st.updates_received_per_as.(receiver) <-
     t.st.updates_received_per_as.(receiver) + 1;
   t.st.bytes_received_per_as.(receiver) <-
     t.st.bytes_received_per_as.(receiver) +. size;
-  Des.schedule_at t.des ~time:done_at (fun _ ->
+  at t done_at (fun () ->
       (* The session may have gone down while the update was in flight. *)
       match Hashtbl.find_opt node.sessions sender with
       | Some s when s.live_links > 0 ->
@@ -411,15 +455,18 @@ let restore_link t l =
   raise_ lk.Graph.b lk.Graph.a
 
 let run_to_quiescence ?(max_time = 3600.0) t =
-  let t_start = Des.now t.des in
+  let t_start = t.clock in
   let updates_before = t.st.updates_sent + t.st.withdrawals_sent in
   let deadline = t_start +. max_time in
-  let continue = ref true in
-  while !continue do
-    if Des.pending t.des = 0 || Des.now t.des > deadline then continue := false
-    else ignore (Des.step t.des)
+  (* The deadline is checked before popping, so a bounded run leaves
+     later events queued for the next call. *)
+  while (not (Heap.is_empty t.queue)) && t.clock <= deadline do
+    let ev = Heap.pop_exn t.queue in
+    t.clock <- ev.time;
+    if t.obs_on then observe_event t ev;
+    ev.fire ()
   done;
-  let t_end = Des.now t.des in
+  let t_end = t.clock in
   if t.obs_on && Trace.enabled t.tr Trace.Info then
     Trace.emit t.tr Trace.Info ~time:t_end ~category:"bgp"
       ~fields:

@@ -34,18 +34,22 @@ type t
 
 val create : ?obs:Obs.t -> Graph.t -> config -> t
 (** Build per-AS RIBs and BGP sessions; nothing is announced yet.
+    Raises [Invalid_argument] unless [mrai], [processing_delay] and
+    [propagation_delay] are finite and [>= 0].
 
     With an enabled [obs] context (default {!Obs.disabled}) the
     simulator maintains
     [bgp_{updates,withdrawals,bytes}_sent_total] counters labeled
-    [{proto}] ([bgp] or [bgpsec]), emits [bgp]-category trace events
-    (per-message sends and best-route changes at [Debug], convergence
-    epochs at [Info]) and passes [obs] to its internal {!Des.create},
-    so the event engine's [des_events_total] / [des_queue_depth]
-    instrumentation is active too. *)
+    [{proto}] ([bgp] or [bgpsec]) and emits [bgp]-category trace
+    events (per-message sends and best-route changes at [Debug],
+    convergence epochs at [Info]). Its event queue counts fired events
+    in [des_events_total], samples its depth into the
+    [des_queue_depth] histogram every 64 events and emits a
+    [des]-category [Debug] trace event per firing. *)
 
-val sim : t -> Des.t
-(** The underlying event engine (shared clock). *)
+val now : t -> float
+(** Current virtual time in seconds. Events scheduled for the same
+    instant fire in scheduling order. *)
 
 val announce_all : t -> unit
 (** Every AS originates its own prefix at the current virtual time. *)

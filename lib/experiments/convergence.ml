@@ -138,7 +138,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; n_failures; seed } =
                 (* Churn for the adjacency failure, measured from the
                    converged state. *)
                 Bgp_sim.reset_stats bgp;
-                let t0 = Des.now (Bgp_sim.sim bgp) in
+                let t0 = Bgp_sim.now bgp in
                 List.iter (Bgp_sim.fail_link bgp) s.sel_siblings;
                 let tq = Bgp_sim.run_to_quiescence bgp in
                 let st = Bgp_sim.stats bgp in

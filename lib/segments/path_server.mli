@@ -77,6 +77,9 @@ val total_segments : t -> int
 
 (** {1 Checkpointing} *)
 
+val seg_key : Segment.t -> string
+(** A segment's identity within its bucket: origin plus path key. *)
+
 type dump = {
   d_per_leaf_limit : int;
   d_down : (int * Segment.t list) list;

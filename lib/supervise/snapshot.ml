@@ -97,6 +97,17 @@ let r_str r =
 
 let r_list r f = List.init (r_len r "list") (fun _ -> f r)
 
+(* A list the encoder wrote in strictly increasing [key] order (the
+   dump's sort order, no duplicates); anything else is corrupt. *)
+let r_sorted r what key f =
+  let l = r_list r f in
+  let rec ok = function
+    | a :: (b :: _ as rest) -> compare (key a) (key b) < 0 && ok rest
+    | _ -> true
+  in
+  if not (ok l) then corrupt "%s out of order" what;
+  l
+
 let r_arr r f = Array.init (r_len r "array") (fun _ -> f r)
 
 let r_opt r f =
@@ -195,7 +206,7 @@ let r_histogram r =
   let d_vmax = r_f64 r in
   let d_nonpos = r_int r in
   let d_buckets =
-    r_list r (fun r ->
+    r_sorted r "histogram buckets" fst (fun r ->
         let i = r_int r in
         let c = r_int r in
         (i, c))
@@ -210,10 +221,15 @@ let w_labels w (labels : Registry.labels) =
     labels
 
 let r_labels r =
-  r_list r (fun r ->
-      let k = r_str r in
-      let v = r_str r in
-      (k, v))
+  let l =
+    r_list r (fun r ->
+        let k = r_str r in
+        let v = r_str r in
+        (k, v))
+  in
+  if List.stable_sort (fun (a, _) (b, _) -> compare a b) l <> l then
+    corrupt "metric labels out of order";
+  l
 
 let w_registry w (d : Registry.dump) =
   w_list w
@@ -233,7 +249,7 @@ let w_registry w (d : Registry.dump) =
     d
 
 let r_registry r =
-  r_list r (fun r ->
+  r_sorted r "registry series" (fun (n, l, _) -> (n, l)) (fun r ->
       let name = r_str r in
       let labels = r_labels r in
       let m =
@@ -258,10 +274,13 @@ let r_beacon_store r =
   let d_limit = r_int r in
   if d_limit < 1 then corrupt "bad beacon store limit %d" d_limit;
   let d_origins =
-    r_list r (fun r ->
+    r_sorted r "beacon store origins" (fun (o, _, _) -> o) (fun r ->
         let origin = r_int r in
         let last_modified = r_f64 r in
-        let pcbs = r_list r r_pcb in
+        let pcbs = r_sorted r "beacon store PCBs" (fun p -> p.Pcb.key) r_pcb in
+        if List.compare_length_with pcbs d_limit > 0
+           || List.exists (fun (p : Pcb.t) -> p.Pcb.origin <> origin) pcbs
+        then corrupt "beacon store slot %d: surplus or foreign PCB" origin;
         (origin, last_modified, pcbs))
   in
   { Beacon_store.d_limit; d_origins }
@@ -303,10 +322,16 @@ let w_bucket_list w l =
       w_list w w_segment segs)
     l
 
-let r_bucket_list r =
-  r_list r (fun r ->
+(* A bucket is never empty, holds at most [limit] segments and is keyed
+   by [idx_of] of each of them (leaf for down, origin for core). *)
+let r_bucket_list r ~limit ~idx_of =
+  r_sorted r "path server buckets" fst (fun r ->
       let idx = r_int r in
-      let segs = r_list r r_segment in
+      let segs = r_sorted r "segments" Path_server.seg_key r_segment in
+      if segs = []
+         || List.compare_length_with segs limit > 0
+         || List.exists (fun s -> idx_of s <> idx) segs
+      then corrupt "path server bucket %d: empty, surplus or foreign" idx;
       (idx, segs))
 
 let w_path_server w (d : Path_server.dump) =
@@ -319,8 +344,9 @@ let r_path_server r =
   let d_per_leaf_limit = r_int r in
   if d_per_leaf_limit < 1 then
     corrupt "bad path server per-leaf limit %d" d_per_leaf_limit;
-  let d_down = r_bucket_list r in
-  let d_core = r_bucket_list r in
+  let r_buckets = r_bucket_list r ~limit:d_per_leaf_limit in
+  let d_down = r_buckets ~idx_of:(fun s -> s.Segment.leaf) in
+  let d_core = r_buckets ~idx_of:(fun s -> s.Segment.origin) in
   let d_stats = r_ps_stats r in
   { Path_server.d_per_leaf_limit; d_down; d_core; d_stats }
 
@@ -392,7 +418,7 @@ let w_recovery w (d : Recovery.dump) =
 let r_recovery r =
   let d_events_down = r_int r in
   let d_events_up = r_int r in
-  let d_affected = r_list r r_pair in
+  let d_affected = r_sorted r "recovery pairs" Fun.id r_pair in
   let d_failovers = r_int r in
   let d_blackouts = r_int r in
   let d_unrecovered = r_int r in
@@ -400,7 +426,7 @@ let r_recovery r =
   let d_recovery = r_arr r r_f64 in
   let d_blackout = r_arr r r_f64 in
   let d_open =
-    r_list r (fun r ->
+    r_sorted r "open recovery windows" fst (fun r ->
         let pair = r_pair r in
         let since = r_f64 r in
         (pair, since))

@@ -455,7 +455,8 @@ let restore cfg data =
   let links = Link_state.of_dump (Snapshot.r_link_state r) in
   let delivered = Snapshot.r_arr r Snapshot.r_f64 in
   let recov = Recovery.of_dump (Snapshot.r_recovery r) in
-  let metrics = Registry.of_dump (Snapshot.r_registry r) in
+  let metrics_dump = Snapshot.r_registry r in
+  let metrics = Registry.of_dump metrics_dump in
   Snapshot.r_end r;
   let corrupt msg = raise (Snapshot.Corrupt ("traffic snapshot: " ^ msg)) in
   let n_pairs = Array.length (Demand.pairs cfg.demand) in
@@ -498,13 +499,15 @@ let restore cfg data =
       finished;
     }
   in
-  (* [make] binds the metric handles: a series of the wrong kind means
-     the registry was corrupted. *)
+  (* [make] binds the metric handles: a series of the wrong kind, or
+     one it has to create, means the registry was corrupted. *)
   let t =
     match make state cfg with
     | t -> t
     | exception Invalid_argument msg -> corrupt msg
   in
+  if List.compare_lengths (Registry.dump metrics) metrics_dump <> 0 then
+    corrupt "metric series missing";
   if cursor < 0 || cursor > Array.length t.events then
     corrupt "fault cursor out of range";
   t

@@ -178,6 +178,253 @@ let test_generated_topology_full_reachability () =
   done;
   check Alcotest.int "every AS reaches every prefix" 0 !missing
 
+(* Oracle for the message-size accounting behind Fig. 5's BGP
+   normaliser (RFC 4271 / RFC 8205), computed by hand rather than by
+   calling [Wire]. The topology is a 4-AS provider chain
+   0 > 1 > 2 > 3 (each AS is the provider of the next). *)
+let line_graph () =
+  let b = Graph.builder () in
+  for i = 0 to 3 do
+    ignore (Graph.add_as b ~tier:(i + 1) (Id.ia 1 (i + 1)))
+  done;
+  for i = 0 to 2 do
+    Graph.add_link b ~rel:Graph.Provider_customer i (i + 1)
+  done;
+  Graph.freeze b
+
+(* RFC 4271 UPDATE announcing one prefix over an AS_PATH of [n]
+   4-byte ASNs, summed field by field: header 19 (marker 16 + length 2
+   + type 1), withdrawn routes length 2, total path attribute length 2,
+   ORIGIN 4 (flags, type, length, value), AS_PATH (attribute header 3,
+   segment type 1 + segment length 1, 4 per ASN), NEXT_HOP 7 (header 3
+   + IPv4 4), one NLRI 5 (length 1 + prefix 4). *)
+let plain_update_bytes = function
+  | 1 -> 19 + 2 + 2 + 4 + (3 + 2 + 4) + 7 + 5
+  | 2 -> 19 + 2 + 2 + 4 + (3 + 2 + 4 + 4) + 7 + 5
+  | 3 -> 19 + 2 + 2 + 4 + (3 + 2 + 4 + 4 + 4) + 7 + 5
+  | 4 -> 19 + 2 + 2 + 4 + (3 + 2 + 4 + 4 + 4 + 4) + 7 + 5
+  | n -> Alcotest.failf "no hand-computed size for path length %d" n
+
+(* RFC 4271 UPDATE withdrawing one prefix: header 19, withdrawn routes
+   length 2, one withdrawn route 5, total path attribute length 2. *)
+let withdraw_bytes = 19 + 2 + 5 + 2
+
+(* RFC 8205 UPDATE for one prefix over [n] hops with 96-byte
+   signatures: header 19, withdrawn routes length 2, total path
+   attribute length 2, ORIGIN 4, NEXT_HOP 7, one NLRI 5; Secure_Path
+   length 2, then 6 per hop (pCount 1 + flags 1 + ASN 4);
+   Signature_Block length 2 + algorithm suite 1, then per hop SKI 20 +
+   signature length 2 + signature 96. The BGPsec_PATH attribute's own
+   header (flags, type, extended length) is not counted, as in
+   [Wire]. *)
+let bgpsec_update_bytes = function
+  | 1 -> 19 + 2 + 2 + 4 + 7 + 5 + (2 + 6) + (3 + (20 + 2 + 96))
+  | 2 -> 19 + 2 + 2 + 4 + 7 + 5 + (2 + 6 + 6) + (3 + ((20 + 2 + 96) * 2))
+  | 3 ->
+      19 + 2 + 2 + 4 + 7 + 5 + (2 + 6 + 6 + 6) + (3 + ((20 + 2 + 96) * 3))
+  | 4 ->
+      19 + 2 + 2 + 4 + 7 + 5
+      + (2 + 6 + 6 + 6 + 6)
+      + (3 + ((20 + 2 + 96) * 4))
+  | n -> Alcotest.failf "no hand-computed size for path length %d" n
+
+(* Initial convergence on the chain. Every AS has exactly one loop-free
+   route per prefix, so each best route is installed once and every
+   (AS, neighbor, prefix) export is sent exactly once. Customer and
+   own routes go to every neighbor (including the one they came from);
+   provider routes go to customers only. Sender: prefix -> receivers
+   (AS_PATH length).
+     AS 0: p0 -> 1 (1); p1 -> 1 (2); p2 -> 1 (3); p3 -> 1 (4)
+     AS 1: p0 -> 2 (2); p1 -> 0,2 (1); p2 -> 0,2 (2); p3 -> 0,2 (3)
+     AS 2: p0 -> 3 (3); p1 -> 3 (2); p2 -> 1,3 (1); p3 -> 1,3 (2)
+     AS 3: p3 -> 2 (1); p0..p2 are provider routes, no customers
+   18 updates: 6 of length 1, 7 of length 2, 4 of length 3, 1 of
+   length 4. Then AS 3 withdraws its prefix: 3 -> 2, 2 -> 1,3,
+   1 -> 0,2, 0 -> 1 (every AS had announced p3 to every neighbor):
+   6 withdrawals, no updates. *)
+let initial_lengths = [ (1, 6); (2, 7); (3, 4); (4, 1) ]
+
+let test_line_size_oracle () =
+  (* Literal sums against the wire-size model. *)
+  for n = 1 to 4 do
+    check Alcotest.int
+      (Printf.sprintf "RFC 4271 update, path %d" n)
+      (plain_update_bytes n)
+      (Wire.bgp_update_bytes ~as_path_len:n ~prefixes:1);
+    check Alcotest.int
+      (Printf.sprintf "RFC 8205 update, path %d" n)
+      (bgpsec_update_bytes n)
+      (Wire.bgpsec_update_bytes ~as_path_len:n ~signature_bytes:96)
+  done;
+  check Alcotest.int "RFC 4271 withdrawal" withdraw_bytes
+    (Wire.bgp_withdraw_bytes ~prefixes:1);
+  (* The simulator's counters against the enumerated messages. *)
+  let g = line_graph () in
+  List.iter
+    (fun (mode, bgpsec, size) ->
+      let t =
+        converged_sim ~config:{ Bgp_sim.default_config with Bgp_sim.bgpsec } g
+      in
+      let st = Bgp_sim.stats t in
+      check Alcotest.int (mode ^ " updates") 18 st.Bgp_sim.updates_sent;
+      check Alcotest.int (mode ^ " withdrawals") 0 st.Bgp_sim.withdrawals_sent;
+      let bytes =
+        List.fold_left (fun acc (n, k) -> acc + (k * size n)) 0 initial_lengths
+      in
+      Alcotest.(check (float 0.0))
+        (mode ^ " bytes") (float_of_int bytes) st.Bgp_sim.bytes_sent;
+      Bgp_sim.reset_stats t;
+      Bgp_sim.withdraw_origin t ~origin:3;
+      ignore (Bgp_sim.run_to_quiescence t);
+      let st = Bgp_sim.stats t in
+      check Alcotest.int (mode ^ " withdraw: updates") 0
+        st.Bgp_sim.updates_sent;
+      check Alcotest.int (mode ^ " withdraw: withdrawals") 6
+        st.Bgp_sim.withdrawals_sent;
+      Alcotest.(check (float 0.0))
+        (mode ^ " withdraw: bytes")
+        (float_of_int (6 * withdraw_bytes))
+        st.Bgp_sim.bytes_sent)
+    [
+      ("bgp", false, plain_update_bytes);
+      ("bgpsec", true, bgpsec_update_bytes);
+    ]
+
+(* Golden event order: the convergence scenario's configuration on the
+   tiny core, where many events share an instant. Any change to the
+   order in which same-instant events fire moves these numbers. The
+   values were recorded from the discrete-event engine this simulator
+   used to run on. *)
+let test_golden_event_order () =
+  let g = (Exp_common.prepare Exp_common.Tiny).Exp_common.core in
+  let t =
+    Bgp_sim.create g { Bgp_sim.default_config with Bgp_sim.full_transit = true }
+  in
+  Bgp_sim.announce_all t;
+  let t1 = Bgp_sim.run_to_quiescence t in
+  let st1 = Bgp_sim.stats t in
+  Bgp_sim.reset_stats t;
+  (* The first link that is the only one between its ends, so its
+     failure tears the session down. *)
+  let l =
+    let rec find l =
+      let lk = Graph.link g l in
+      if List.length (Graph.links_between g lk.Graph.a lk.Graph.b) = 1 then l
+      else find (l + 1)
+    in
+    find 0
+  in
+  Bgp_sim.fail_link t l;
+  let t2 = Bgp_sim.run_to_quiescence t in
+  let st2 = Bgp_sim.stats t in
+  let summary (st : Bgp_sim.stats) =
+    let b = Buffer.create 4096 in
+    Array.iter
+      (fun x -> Printf.bprintf b "%d," x)
+      st.Bgp_sim.updates_received_per_as;
+    Array.iter
+      (fun x -> Printf.bprintf b "%h," x)
+      st.Bgp_sim.bytes_received_per_as;
+    Printf.sprintf "%h %d %d %h %s" st.Bgp_sim.last_route_change
+      st.Bgp_sim.updates_sent st.Bgp_sim.withdrawals_sent st.Bgp_sim.bytes_sent
+      (Sha256.hex (Buffer.contents b))
+  in
+  check Alcotest.int "failed link" 863 l;
+  check Alcotest.string "initial quiescence" "0x1.6ba3d70a3d72ap+5"
+    (Printf.sprintf "%h" t1);
+  check Alcotest.string "initial stats"
+    "0x1.e8e147ae1479p+4 14400 0 0x1.7fe88p+19 \
+     e4f164c571b8595255c82b5ab61c25b3c03fbe7a667b8b372ae5b0bad1c1fc87"
+    (summary st1);
+  check Alcotest.string "failure quiescence" "0x1.e047ae147ae16p+5"
+    (Printf.sprintf "%h" t2);
+  check Alcotest.string "failure stats"
+    "0x1.6bc28f5c28f7cp+5 54 0 0x1.888p+11 \
+     a33106d9c92f31daa7325a52dfd81a897ee1b4ea0982d233abe2054e032e5831"
+    (summary st2)
+
+let test_create_rejects_bad_delays () =
+  let g = policy_graph () in
+  let c = Bgp_sim.default_config in
+  List.iter
+    (fun (name, config) ->
+      match Bgp_sim.create g config with
+      | _ -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("nan mrai", { c with Bgp_sim.mrai = nan });
+      ("negative mrai", { c with Bgp_sim.mrai = -1.0 });
+      ("infinite processing", { c with Bgp_sim.processing_delay = infinity });
+      ("negative processing", { c with Bgp_sim.processing_delay = -0.001 });
+      ("nan propagation", { c with Bgp_sim.propagation_delay = nan });
+      ("infinite propagation", { c with Bgp_sim.propagation_delay = infinity });
+    ];
+  (* Zero delays are allowed. *)
+  ignore
+    (Bgp_sim.create g
+       {
+         c with
+         Bgp_sim.mrai = 0.0;
+         processing_delay = 0.0;
+         propagation_delay = 0.0;
+       })
+
+(* A bounded run stops before popping past its deadline; the next call
+   picks up every event it left queued, so the end state equals one
+   unbounded run. *)
+let test_bounded_quiescence_resumes () =
+  let g = policy_graph () in
+  let whole = converged_sim g in
+  let t = Bgp_sim.create g Bgp_sim.default_config in
+  Bgp_sim.announce_all t;
+  let t_bounded = Bgp_sim.run_to_quiescence ~max_time:0.02 t in
+  Alcotest.(check bool) "stopped early" true (t_bounded < Bgp_sim.now whole);
+  let tq = Bgp_sim.run_to_quiescence t in
+  Alcotest.(check (float 0.0)) "same quiescence" (Bgp_sim.now whole) tq;
+  let a = Bgp_sim.stats whole and b = Bgp_sim.stats t in
+  check Alcotest.int "updates" a.Bgp_sim.updates_sent b.Bgp_sim.updates_sent;
+  Alcotest.(check (float 0.0))
+    "bytes" a.Bgp_sim.bytes_sent b.Bgp_sim.bytes_sent;
+  Alcotest.(check (float 0.0))
+    "last change" a.Bgp_sim.last_route_change b.Bgp_sim.last_route_change;
+  for src = 0 to 6 do
+    for dst = 0 to 6 do
+      Alcotest.(check (option (list int)))
+        "same best path"
+        (Bgp_sim.best_path whole ~src ~prefix:dst)
+        (Bgp_sim.best_path t ~src ~prefix:dst)
+    done
+  done
+
+(* The event queue's instrumentation: one [des_events_total] tick and
+   one [des] trace event per fired event, and a [des_queue_depth]
+   sample every 64 events. *)
+let test_queue_instrumentation () =
+  let trace = Trace.create ~capacity:100_000 Trace.Debug in
+  let obs = Obs.create ~trace () in
+  let t = Bgp_sim.create ~obs (policy_graph ()) Bgp_sim.default_config in
+  Bgp_sim.announce_all t;
+  let tq = Bgp_sim.run_to_quiescence t in
+  check Alcotest.int "nothing dropped" 0 (Trace.dropped trace);
+  let fired =
+    List.filter
+      (fun (e : Trace.event) ->
+        e.Trace.category = "des" && e.Trace.message = "event fired")
+      (Trace.events trace)
+  in
+  let n = List.length fired in
+  Alcotest.(check bool) "events fired" true (n > 64);
+  let c = Registry.counter (Obs.registry obs) "des_events_total" in
+  Alcotest.(check (float 0.0)) "one tick per event" (float_of_int n) !c;
+  let h = Registry.histogram (Obs.registry obs) "des_queue_depth" in
+  check Alcotest.int "depth sampled every 64 events" (n / 64)
+    (Histogram.count h);
+  let times = List.map (fun (e : Trace.event) -> e.Trace.time) fired in
+  Alcotest.(check bool) "fired in time order" true
+    (times = List.sort Float.compare times);
+  Alcotest.(check (float 0.0)) "last event at quiescence" tq
+    (List.nth times (n - 1))
+
 let suite =
   [
     ("converges to closed form", `Quick, test_converges_to_closed_form);
@@ -190,4 +437,9 @@ let suite =
     ("bgpsec bytes larger", `Quick, test_bgpsec_bytes_larger);
     ("quiescence time positive", `Quick, test_quiescence_time_positive);
     ("generated topology reachability", `Slow, test_generated_topology_full_reachability);
+    ("line size oracle", `Quick, test_line_size_oracle);
+    ("golden event order", `Quick, test_golden_event_order);
+    ("create rejects bad delays", `Quick, test_create_rejects_bad_delays);
+    ("bounded quiescence resumes", `Quick, test_bounded_quiescence_resumes);
+    ("queue instrumentation", `Quick, test_queue_instrumentation);
   ]

@@ -5,7 +5,6 @@ let () =
       ("crypto", Test_crypto.suite);
       ("types", Test_types.suite);
       ("topology", Test_topology.suite);
-      ("sim", Test_sim.suite);
       ("obs", Test_obs.suite);
       ("runner", Test_runner.suite);
       ("core", Test_core.suite);

@@ -696,6 +696,37 @@ let prop_soak_restore_total =
        Soak.advance t ~upto:6;
        Soak.encode t))
 
+(* Every single-bit flip of a valid snapshot either raises
+   [Snapshot.Corrupt] or decodes to a state that re-encodes to exactly
+   the flipped bytes: the decoders accept only what the encoder can
+   have written. Fails with the first offending flips. *)
+let check_bit_flips ~restore ~encode s =
+  let bad = ref [] in
+  for pos = String.length s - 1 downto 0 do
+    for bit = 7 downto 0 do
+      let m = mutate s (0, pos, bit) in
+      match restore m with
+      | exception Snapshot.Corrupt _ -> ()
+      | t -> if encode t <> m then bad := (pos, bit) :: !bad
+    done
+  done;
+  match !bad with
+  | [] -> ()
+  | l ->
+      Alcotest.failf "%d of %d flips decode to a different encoding: %s"
+        (List.length l)
+        (8 * String.length s)
+        (String.concat " "
+           (List.filteri (fun i _ -> i < 20) l
+           |> List.map (fun (pos, bit) -> Printf.sprintf "%d.%d" pos bit)))
+
+let test_soak_bit_flips () =
+  let cfg = soak_config () in
+  let t = Soak.create cfg in
+  Soak.advance t ~upto:6;
+  check_bit_flips ~restore:(Soak.restore cfg) ~encode:Soak.encode
+    (Soak.encode t)
+
 let test_soak_config_key () =
   let cfg = soak_config () in
   check Alcotest.string "stable fingerprint" (Soak.config_key cfg)
@@ -944,4 +975,5 @@ let suite =
       test_run_cells_rejects_bad_progress );
     QCheck_alcotest.to_alcotest prop_soak_resume_byte_identical;
     QCheck_alcotest.to_alcotest prop_soak_restore_total;
+    ("soak bit flips decode canonically", `Quick, test_soak_bit_flips);
   ]

@@ -399,6 +399,16 @@ let prop_sim_restore_total =
        Traffic_sim.advance t ~upto:50;
        Traffic_sim.encode t))
 
+let test_sim_bit_flips () =
+  let cfg =
+    sim_config ~strategy:Strategy.Load_adaptive ~width:2
+      ~plan:(outage_events ()) ()
+  in
+  let t = Traffic_sim.create cfg in
+  Traffic_sim.advance t ~upto:50;
+  Test_supervise.check_bit_flips ~restore:(Traffic_sim.restore cfg)
+    ~encode:Traffic_sim.encode (Traffic_sim.encode t)
+
 let test_sim_fault_composition () =
   let cfg = sim_config ~plan:(outage_events ()) () in
   let t = run_to_end cfg in
@@ -515,4 +525,5 @@ let suite =
     ("swarm multipath wins", `Slow, test_swarm_multipath_wins);
     ("scenario jobs-independent", `Slow, test_scenario_jobs_independent);
     QCheck_alcotest.to_alcotest prop_sim_restore_total;
+    ("sim bit flips decode canonically", `Quick, test_sim_bit_flips);
   ]
