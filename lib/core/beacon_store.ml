@@ -176,29 +176,39 @@ let all_paths t ~now =
   |> List.sort (fun (a : Pcb.t) (b : Pcb.t) ->
          compare (a.Pcb.origin, a.Pcb.key) (b.Pcb.origin, b.Pcb.key))
 
-type dump = { d_limit : int; d_origins : (int * float * Pcb.t list) list }
+(* PCBs travel in their wire encoding; decoding rebuilds the key. *)
+let write w t =
+  let by_key (a : Pcb.t) (b : Pcb.t) = String.compare a.Pcb.key b.Pcb.key in
+  Snapshot.w_int w t.limit;
+  Snapshot.w_list w
+    (fun w (origin, s) ->
+      Snapshot.w_int w origin;
+      Snapshot.w_f64 w s.last_modified;
+      Snapshot.w_list w
+        (fun w p -> Snapshot.w_str w (Pcb_codec.encode p))
+        (Hashtbl.fold (fun _ p acc -> p :: acc) s.by_key []
+        |> List.sort by_key))
+    (Hashtbl.fold (fun origin s acc -> (origin, s) :: acc) t.origins []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
 
-let dump t =
-  let d_origins =
-    Hashtbl.fold
-      (fun origin s acc ->
-        let pcbs =
-          Hashtbl.fold (fun _ p acc -> p :: acc) s.by_key []
-          |> List.sort (fun (a : Pcb.t) (b : Pcb.t) ->
-                 compare a.Pcb.key b.Pcb.key)
-        in
-        (origin, s.last_modified, pcbs) :: acc)
-      t.origins []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  { d_limit = t.limit; d_origins }
-
-let of_dump d =
-  let t = create ~limit:d.d_limit in
-  List.iter
-    (fun (origin, last_modified, pcbs) ->
+let read r =
+  let limit = Snapshot.r_int r in
+  if limit < 1 then Snapshot.corrupt "bad beacon store limit %d" limit;
+  let t = create ~limit in
+  Snapshot.r_sorted r "beacon store origins" (fun r ->
+      let origin = Snapshot.r_int r in
       let s = slot t origin in
-      List.iter (fun (p : Pcb.t) -> Hashtbl.replace s.by_key p.Pcb.key p) pcbs;
-      s.last_modified <- last_modified)
-    d.d_origins;
+      s.last_modified <- Snapshot.r_f64 r;
+      Snapshot.r_sorted r "beacon store PCBs" (fun r ->
+          let p =
+            match Pcb_codec.decode (Snapshot.r_str r) with
+            | Ok p -> p
+            | Error e -> Snapshot.corrupt "bad PCB: %s" e
+          in
+          if p.Pcb.origin <> origin || Hashtbl.length s.by_key >= limit then
+            Snapshot.corrupt "beacon store slot %d: surplus or foreign PCB"
+              origin;
+          Hashtbl.replace s.by_key p.Pcb.key p;
+          p.Pcb.key);
+      origin);
   t

@@ -58,20 +58,16 @@ val all_paths : t -> now:float -> Pcb.t list
 
 (** {1 Checkpointing} *)
 
-type dump = {
-  d_limit : int;
-  d_origins : (int * float * Pcb.t list) list;
-      (** (origin, last_modified, PCBs sorted by key), sorted by
-          origin *)
-}
-(** Canonical value of the whole store: equal stores dump equal values
-    regardless of insertion order or hash-table layout. Validity is
-    {e not} re-checked — expired entries are dumped too, so a restored
-    store behaves identically (including future [prune_expired]
-    calls). *)
+val write : Snapshot.writer -> t -> unit
+(** The whole store — limit, then per origin (ascending) its last
+    modification time and its PCBs in path-key order — so equal stores
+    write equal bytes regardless of insertion order or hash-table
+    layout. Validity is {e not} re-checked: expired entries are written
+    too, so a restored store behaves identically (including future
+    [prune_expired] calls). *)
 
-val dump : t -> dump
-
-val of_dump : dump -> t
-(** Rebuild a store from a dump; [dump (of_dump d) = d] and every
-    subsequent operation behaves as on the original. *)
+val read : Snapshot.reader -> t
+(** Inverse of {!write}: every subsequent operation behaves as on the
+    original. Raises {!Snapshot.Corrupt} on a limit below 1, origins or
+    PCB keys out of strictly increasing order, an undecodable PCB, a
+    PCB filed under another origin, or a slot over the limit. *)

@@ -36,6 +36,30 @@ type stats = {
   rounds : int;
 }
 
+let write_stats w s =
+  Snapshot.w_arr w Snapshot.w_f64 s.bytes_on_iface;
+  Snapshot.w_arr w Snapshot.w_int s.pcbs_on_iface;
+  Snapshot.w_f64 w s.total_bytes;
+  Snapshot.w_int w s.total_pcbs;
+  Snapshot.w_int w s.crypto_failures;
+  Snapshot.w_int w s.rounds
+
+let read_stats r =
+  let bytes_on_iface = Snapshot.r_arr r Snapshot.r_f64 in
+  let pcbs_on_iface = Snapshot.r_arr r Snapshot.r_int in
+  let total_bytes = Snapshot.r_f64 r in
+  let total_pcbs = Snapshot.r_int r in
+  let crypto_failures = Snapshot.r_int r in
+  let rounds = Snapshot.r_int r in
+  {
+    bytes_on_iface;
+    pcbs_on_iface;
+    total_bytes;
+    total_pcbs;
+    crypto_failures;
+    rounds;
+  }
+
 type outcome = {
   graph : Graph.t;
   config : config;

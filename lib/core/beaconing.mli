@@ -52,6 +52,13 @@ type stats = {
   rounds : int;
 }
 
+val write_stats : Snapshot.writer -> stats -> unit
+(** Every field, arrays in interface order; checkpoints the engine's
+    byte accounting. *)
+
+val read_stats : Snapshot.reader -> stats
+(** Inverse of {!write_stats}; raises only {!Snapshot.Corrupt}. *)
+
 type outcome = {
   graph : Graph.t;
   config : config;

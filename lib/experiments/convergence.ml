@@ -48,7 +48,8 @@ type selected = {
 let select_failures ~rng ~core ~scion ~now ~n_failures =
   Fault_plan.sample_adjacencies ~rng ~count:n_failures core
     ~accept:(fun ~link:lk ~siblings ->
-      let on_any p = Array.exists (fun x -> List.mem x siblings) p.Pcb.links in
+      let failed x = List.mem x siblings in
+      let on_any p = Array.exists failed p.Pcb.links in
       let s = lk.Graph.a in
       let victims =
         List.filter_map
@@ -62,18 +63,8 @@ let select_failures ~rng ~core ~scion ~now ~n_failures =
                 let alternatives =
                   List.length (List.filter (fun p -> not (on_any p)) paths)
                 in
-                (* Failure distance: position of the link on the first
-                   affected path determines the SCMP round trip. *)
-                let dist =
-                  match on_link with
-                  | p :: _ ->
-                      let pos = ref 0 in
-                      Array.iteri
-                        (fun i x -> if List.mem x siblings then pos := i)
-                        p.Pcb.links;
-                      !pos + 1
-                  | [] -> 1
-                in
+                (* The SCMP round trip: same model as the fault engine. *)
+                let dist = Fault_engine.failure_distance failed paths in
                 Some (d, alternatives, dist)
               end
             end)

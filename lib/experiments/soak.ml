@@ -225,12 +225,10 @@ let encode t =
   Snapshot.w_int w st.link_repairs;
   Snapshot.w_int w st.pcbs_dropped;
   Snapshot.w_int w st.segments_revoked;
-  Snapshot.w_arr w
-    (fun w s -> Snapshot.w_beacon_store w (Beacon_store.dump s))
-    st.stores;
-  Snapshot.w_beacon_stats w st.stats;
-  Snapshot.w_link_state w (Link_state.dump st.links);
-  Snapshot.w_path_server w (Path_server.dump st.ps);
+  Snapshot.w_arr w Beacon_store.write st.stores;
+  Beaconing.write_stats w st.stats;
+  Link_state.write w st.links;
+  Path_server.write w st.ps;
   Snapshot.w_arr w
     (fun w tr ->
       Snapshot.w_list w Snapshot.w_str tr.prev_keys;
@@ -243,7 +241,7 @@ let encode t =
       Snapshot.w_f64 w tr.jaccard_sum;
       Snapshot.w_int w tr.jaccard_n)
     st.tracks;
-  Snapshot.w_registry w (Registry.dump st.metrics);
+  Registry.write w st.metrics;
   Snapshot.contents w
 
 let restore cfg data =
@@ -256,12 +254,10 @@ let restore cfg data =
   let link_repairs = Snapshot.r_int r in
   let pcbs_dropped = Snapshot.r_int r in
   let segments_revoked = Snapshot.r_int r in
-  let stores =
-    Snapshot.r_arr r (fun r -> Beacon_store.of_dump (Snapshot.r_beacon_store r))
-  in
-  let stats = Snapshot.r_beacon_stats r in
-  let links = Link_state.of_dump (Snapshot.r_link_state r) in
-  let ps = Path_server.of_dump (Snapshot.r_path_server r) in
+  let stores = Snapshot.r_arr r Beacon_store.read in
+  let stats = Beaconing.read_stats r in
+  let links = Link_state.read r in
+  let ps = Path_server.read r in
   let tracks =
     Snapshot.r_arr r (fun r ->
         let prev_keys = Snapshot.r_list r Snapshot.r_str in
@@ -276,7 +272,7 @@ let restore cfg data =
         let jaccard_n = Snapshot.r_int r in
         { prev_keys; births; avail_rounds; jaccard_sum; jaccard_n })
   in
-  let metrics = Registry.of_dump (Snapshot.r_registry r) in
+  let metrics = Registry.read r in
   Snapshot.r_end r;
   let events = Fault_plan.compile ~graph:cfg.graph cfg.plan in
   if Array.length stores <> Graph.n cfg.graph then

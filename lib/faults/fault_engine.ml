@@ -17,15 +17,13 @@ type result = {
 
 let on_path link (p : Pcb.t) = Array.exists (fun x -> x = link) p.Pcb.links
 
-(* Position of the failed link on the first affected path: the SCMP
-   notification travels that many hops back to the source (same
-   failure-distance model as the convergence experiment). *)
-let failure_distance link paths =
-  match List.find_opt (on_path link) paths with
+let failure_distance failed paths =
+  let affected (p : Pcb.t) = Array.exists failed p.Pcb.links in
+  match List.find_opt affected paths with
   | None -> 1
   | Some p ->
       let pos = ref 0 in
-      Array.iteri (fun i x -> if x = link then pos := i) p.Pcb.links;
+      Array.iteri (fun i x -> if failed x then pos := i) p.Pcb.links;
       !pos + 1
 
 let run ?(obs = Obs.disabled) cfg =
@@ -72,7 +70,8 @@ let run ?(obs = Obs.disabled) cfg =
           else
             Recovery.record_failover recov
               ~recovery_s:
-                (float_of_int (failure_distance link paths) *. cfg.scmp_delay_s)
+                (float_of_int (failure_distance (Int.equal link) paths)
+                *. cfg.scmp_delay_s)
         end)
       cfg.pairs;
     let dropped =

@@ -56,3 +56,10 @@ val run : ?obs:Obs.t -> config -> result
     transitions emit [fault]-category trace events ([Warn] down,
     [Info] up) and {!Recovery.observe} exports the trial's counters
     and histograms on completion. *)
+
+val failure_distance : (int -> bool) -> Pcb.t list -> int
+(** [failure_distance failed paths] is the failure-distance model shared
+    with the convergence experiment: the 1-based position of the last
+    link satisfying [failed] on the first path in [paths] that has one —
+    the hops an SCMP notification travels back to the source. [1] when
+    no path is affected. *)

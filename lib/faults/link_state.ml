@@ -49,11 +49,14 @@ let n_links t = Array.length t.holds
 
 let holds t l = t.holds.(l)
 
-type dump = { d_holds : int array; d_since : float array }
+let write w t =
+  Snapshot.w_arr w Snapshot.w_int t.holds;
+  Snapshot.w_arr w Snapshot.w_f64 t.since
 
-let dump t = { d_holds = Array.copy t.holds; d_since = Array.copy t.since }
-
-let of_dump d =
-  if Array.length d.d_holds <> Array.length d.d_since then
-    invalid_arg "Link_state.of_dump: array length mismatch";
-  { holds = Array.copy d.d_holds; since = Array.copy d.d_since }
+let read r =
+  let holds = Snapshot.r_arr r Snapshot.r_int in
+  let since = Snapshot.r_arr r Snapshot.r_f64 in
+  if Array.length holds <> Array.length since then
+    Snapshot.corrupt "link state: %d holds but %d timestamps"
+      (Array.length holds) (Array.length since);
+  { holds; since }

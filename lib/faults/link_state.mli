@@ -51,11 +51,10 @@ val holds : t -> int -> int
 
 (** {1 Checkpointing} *)
 
-type dump = { d_holds : int array; d_since : float array }
+val write : Snapshot.writer -> t -> unit
+(** Hold counts, then down-since times, each in link order. *)
 
-val dump : t -> dump
-(** Copies of the internal arrays. *)
-
-val of_dump : dump -> t
-(** Rebuild from a dump (copying); raises [Invalid_argument] if the
-    arrays differ in length. *)
+val read : Snapshot.reader -> t
+(** Inverse of {!write}. Raises {!Snapshot.Corrupt} if the two arrays
+    differ in length; hold counts are taken as written (negative ones
+    are for the invariant checks to flag). *)

@@ -81,63 +81,60 @@ let finish t ~now =
       t.unrecovered <- t.unrecovered + 1)
     dangling
 
-type dump = {
-  d_events_down : int;
-  d_events_up : int;
-  d_affected : (int * int) list;
-  d_failovers : int;
-  d_blackouts : int;
-  d_unrecovered : int;
-  d_blackout_time_s : float;
-  d_recovery : float array;
-  d_blackout : float array;
-  d_open : ((int * int) * float) list;
-  d_revoked_segments : int;
-  d_revocation_msgs : int;
-  d_revocation_bytes : float;
-  d_dropped_pcbs : int;
-}
+let w_pair w (a, b) =
+  Snapshot.w_int w a;
+  Snapshot.w_int w b
 
-let dump t =
-  {
-    d_events_down = t.events_down;
-    d_events_up = t.events_up;
-    d_affected =
-      Hashtbl.fold (fun pair () acc -> pair :: acc) t.affected []
-      |> List.sort compare;
-    d_failovers = t.failovers;
-    d_blackouts = t.blackouts;
-    d_unrecovered = t.unrecovered;
-    d_blackout_time_s = t.blackout_time_s;
-    d_recovery = Array.of_list (List.rev t.recovery_rev);
-    d_blackout = Array.of_list (List.rev t.blackout_rev);
-    d_open =
-      Hashtbl.fold (fun pair since acc -> (pair, since) :: acc) t.open_blackouts []
-      |> List.sort compare;
-    d_revoked_segments = t.revoked_segments;
-    d_revocation_msgs = t.revocation_msgs;
-    d_revocation_bytes = t.revocation_bytes;
-    d_dropped_pcbs = t.dropped_pcbs;
-  }
+let r_pair r =
+  let a = Snapshot.r_int r in
+  (a, Snapshot.r_int r)
 
-let of_dump d =
+let write w t =
+  Snapshot.w_int w t.events_down;
+  Snapshot.w_int w t.events_up;
+  Snapshot.w_list w w_pair
+    (Hashtbl.fold (fun pair () acc -> pair :: acc) t.affected []
+    |> List.sort compare);
+  Snapshot.w_int w t.failovers;
+  Snapshot.w_int w t.blackouts;
+  Snapshot.w_int w t.unrecovered;
+  Snapshot.w_f64 w t.blackout_time_s;
+  Snapshot.w_list w Snapshot.w_f64 (List.rev t.recovery_rev);
+  Snapshot.w_list w Snapshot.w_f64 (List.rev t.blackout_rev);
+  Snapshot.w_list w
+    (fun w (pair, since) ->
+      w_pair w pair;
+      Snapshot.w_f64 w since)
+    (Hashtbl.fold (fun pair since acc -> (pair, since) :: acc) t.open_blackouts
+       []
+    |> List.sort (fun (a, _) (b, _) -> compare a b));
+  Snapshot.w_int w t.revoked_segments;
+  Snapshot.w_int w t.revocation_msgs;
+  Snapshot.w_f64 w t.revocation_bytes;
+  Snapshot.w_int w t.dropped_pcbs
+
+let read r =
   let t = create () in
-  t.events_down <- d.d_events_down;
-  t.events_up <- d.d_events_up;
-  List.iter (fun pair -> Hashtbl.replace t.affected pair ()) d.d_affected;
-  t.failovers <- d.d_failovers;
-  t.blackouts <- d.d_blackouts;
-  t.unrecovered <- d.d_unrecovered;
-  t.blackout_time_s <- d.d_blackout_time_s;
-  t.recovery_rev <- List.rev (Array.to_list d.d_recovery);
-  t.blackout_rev <- List.rev (Array.to_list d.d_blackout);
-  List.iter
-    (fun (pair, since) -> Hashtbl.replace t.open_blackouts pair since)
-    d.d_open;
-  t.revoked_segments <- d.d_revoked_segments;
-  t.revocation_msgs <- d.d_revocation_msgs;
-  t.revocation_bytes <- d.d_revocation_bytes;
-  t.dropped_pcbs <- d.d_dropped_pcbs;
+  t.events_down <- Snapshot.r_int r;
+  t.events_up <- Snapshot.r_int r;
+  Snapshot.r_sorted r "recovery pairs" (fun r ->
+      let pair = r_pair r in
+      Hashtbl.replace t.affected pair ();
+      pair);
+  t.failovers <- Snapshot.r_int r;
+  t.blackouts <- Snapshot.r_int r;
+  t.unrecovered <- Snapshot.r_int r;
+  t.blackout_time_s <- Snapshot.r_f64 r;
+  t.recovery_rev <- List.rev (Snapshot.r_list r Snapshot.r_f64);
+  t.blackout_rev <- List.rev (Snapshot.r_list r Snapshot.r_f64);
+  Snapshot.r_sorted r "open recovery windows" (fun r ->
+      let pair = r_pair r in
+      Hashtbl.replace t.open_blackouts pair (Snapshot.r_f64 r);
+      pair);
+  t.revoked_segments <- Snapshot.r_int r;
+  t.revocation_msgs <- Snapshot.r_int r;
+  t.revocation_bytes <- Snapshot.r_f64 r;
+  t.dropped_pcbs <- Snapshot.r_int r;
   t
 
 type summary = {

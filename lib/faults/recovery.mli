@@ -49,31 +49,17 @@ val finish : t -> now:float -> unit
     The accounting is shared between the resilience trials and the
     traffic workload engine; the latter checkpoints mid-trial, so the
     full recording state — including still-open blackout windows — is
-    exposed in a canonical (sorted, hash-layout-independent) dump
-    form, mirroring {!Link_state.dump}. *)
+    written in a canonical (sorted, hash-layout-independent) order. *)
 
-type dump = {
-  d_events_down : int;
-  d_events_up : int;
-  d_affected : (int * int) list;  (** sorted *)
-  d_failovers : int;
-  d_blackouts : int;
-  d_unrecovered : int;
-  d_blackout_time_s : float;
-  d_recovery : float array;  (** recording order *)
-  d_blackout : float array;  (** recording order *)
-  d_open : ((int * int) * float) list;  (** open windows, sorted *)
-  d_revoked_segments : int;
-  d_revocation_msgs : int;
-  d_revocation_bytes : float;
-  d_dropped_pcbs : int;
-}
+val write : Snapshot.writer -> t -> unit
+(** Counters, affected pairs (sorted), recovery and blackout samples
+    (recording order) and open windows (sorted by pair). *)
 
-val dump : t -> dump
-(** Canonical copy of the full recording state;
-    [dump (of_dump d) = d]. *)
-
-val of_dump : dump -> t
+val read : Snapshot.reader -> t
+(** Inverse of {!write}: the restored accounting writes the same bytes
+    and keeps recording (an open window can still close). Raises
+    {!Snapshot.Corrupt} on affected pairs or open windows out of
+    strictly increasing pair order. *)
 
 (** {1 Results} *)
 

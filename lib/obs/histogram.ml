@@ -124,35 +124,33 @@ let reset t =
   t.nonpos <- 0;
   Hashtbl.reset t.buckets
 
-type dump = {
-  d_growth : float;
-  d_count : int;
-  d_sum : float;
-  d_vmin : float;
-  d_vmax : float;
-  d_nonpos : int;
-  d_buckets : (int * int) list;
-}
+let write w t =
+  Snapshot.w_f64 w t.growth;
+  Snapshot.w_int w t.count;
+  Snapshot.w_f64 w t.sum;
+  Snapshot.w_f64 w t.vmin;
+  Snapshot.w_f64 w t.vmax;
+  Snapshot.w_int w t.nonpos;
+  Snapshot.w_list w
+    (fun w (i, c) ->
+      Snapshot.w_int w i;
+      Snapshot.w_int w c)
+    (sorted_buckets t)
 
-let dump t =
-  {
-    d_growth = t.growth;
-    d_count = t.count;
-    d_sum = t.sum;
-    d_vmin = t.vmin;
-    d_vmax = t.vmax;
-    d_nonpos = t.nonpos;
-    d_buckets = sorted_buckets t;
-  }
-
-let of_dump d =
-  let t = create ~growth:d.d_growth () in
-  t.count <- d.d_count;
-  t.sum <- d.d_sum;
-  t.vmin <- d.d_vmin;
-  t.vmax <- d.d_vmax;
-  t.nonpos <- d.d_nonpos;
-  List.iter (fun (i, c) -> Hashtbl.replace t.buckets i (ref c)) d.d_buckets;
+let read r =
+  let growth = Snapshot.r_f64 r in
+  if not (Float.is_finite growth && growth > 1.0) then
+    Snapshot.corrupt "bad histogram growth %h" growth;
+  let t = create ~growth () in
+  t.count <- Snapshot.r_int r;
+  t.sum <- Snapshot.r_f64 r;
+  t.vmin <- Snapshot.r_f64 r;
+  t.vmax <- Snapshot.r_f64 r;
+  t.nonpos <- Snapshot.r_int r;
+  Snapshot.r_sorted r "histogram buckets" (fun r ->
+      let i = Snapshot.r_int r in
+      Hashtbl.replace t.buckets i (ref (Snapshot.r_int r));
+      i);
   t
 
 type summary = {

@@ -60,24 +60,16 @@ val reset : t -> unit
 
 (** {1 Checkpointing} *)
 
-type dump = {
-  d_growth : float;
-  d_count : int;
-  d_sum : float;
-  d_vmin : float;
-  d_vmax : float;
-  d_nonpos : int;
-  d_buckets : (int * int) list;  (** occupied buckets, sorted by index *)
-}
-(** Complete, canonical value of a histogram: two histograms with the
-    same observations dump equal values regardless of internal
-    hash-table layout. *)
+val write : Snapshot.writer -> t -> unit
+(** The complete state, occupied buckets sorted by index: two
+    histograms with the same observations write equal bytes regardless
+    of internal hash-table layout. *)
 
-val dump : t -> dump
-
-val of_dump : dump -> t
-(** Inverse of {!dump}: the rebuilt histogram answers every query
-    identically and [dump (of_dump d) = d]. *)
+val read : Snapshot.reader -> t
+(** Inverse of {!write}: the rebuilt histogram answers every query
+    identically and writes the same bytes. Raises {!Snapshot.Corrupt}
+    on a growth that is not a finite float > 1 or buckets out of
+    strictly increasing index order. *)
 
 type summary = {
   count : int;

@@ -163,38 +163,51 @@ let to_csv t =
     (snapshot t);
   Buffer.contents buf
 
-type metric_dump =
-  | D_counter of float
-  | D_gauge of float
-  | D_hist of Histogram.dump
+let write w t =
+  let series =
+    Hashtbl.fold (fun key m acc -> (key, m) :: acc) t.tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  Snapshot.w_list w
+    (fun w ((name, labels), m) ->
+      Snapshot.w_str w name;
+      Snapshot.w_list w
+        (fun w (k, v) ->
+          Snapshot.w_str w k;
+          Snapshot.w_str w v)
+        labels;
+      match m with
+      | M_counter r ->
+          Snapshot.w_u8 w 0;
+          Snapshot.w_f64 w !r
+      | M_gauge r ->
+          Snapshot.w_u8 w 1;
+          Snapshot.w_f64 w !r
+      | M_hist h ->
+          Snapshot.w_u8 w 2;
+          Histogram.write w h)
+    series
 
-type dump = (string * labels * metric_dump) list
-
-let dump t =
-  Hashtbl.fold
-    (fun (name, labels) m acc ->
-      let d =
-        match m with
-        | M_counter r -> D_counter !r
-        | M_gauge r -> D_gauge !r
-        | M_hist h -> D_hist (Histogram.dump h)
-      in
-      (name, labels, d) :: acc)
-    t.tbl []
-  |> List.sort (fun (n, l, _) (n', l', _) -> compare (n, l) (n', l'))
-
-let of_dump d =
+let read r =
   let t = create () in
-  List.iter
-    (fun (name, labels, m) ->
-      let m =
-        match m with
-        | D_counter v -> M_counter (ref v)
-        | D_gauge v -> M_gauge (ref v)
-        | D_hist h -> M_hist (Histogram.of_dump h)
+  Snapshot.r_sorted r "registry series" (fun r ->
+      let name = Snapshot.r_str r in
+      let labels =
+        Snapshot.r_list r (fun r ->
+            let k = Snapshot.r_str r in
+            (k, Snapshot.r_str r))
       in
-      Hashtbl.replace t.tbl (name, norm labels) m)
-    d;
+      if norm labels <> labels then
+        Snapshot.corrupt "metric labels out of order";
+      let m =
+        match Snapshot.r_u8 r with
+        | 0 -> M_counter (ref (Snapshot.r_f64 r))
+        | 1 -> M_gauge (ref (Snapshot.r_f64 r))
+        | 2 -> M_hist (Histogram.read r)
+        | v -> Snapshot.corrupt "bad metric tag %d" v
+      in
+      Hashtbl.replace t.tbl (name, labels) m;
+      (name, labels));
   t
 
 let merge ~into src =

@@ -75,20 +75,15 @@ val labels_to_string : labels -> string
 
 (** {1 Checkpointing} *)
 
-type metric_dump =
-  | D_counter of float
-  | D_gauge of float
-  | D_hist of Histogram.dump
-
-type dump = (string * labels * metric_dump) list
+val write : Snapshot.writer -> t -> unit
 (** Complete registry contents, sorted by (name, labels) with labels
-    normalised — a canonical value independent of hash-table layout,
-    suitable for binary snapshots. *)
+    normalised: equal registries write equal bytes regardless of
+    hash-table layout. *)
 
-val dump : t -> dump
-
-val of_dump : dump -> t
-(** Rebuild a registry from a dump; [dump (of_dump d) = d]. *)
+val read : Snapshot.reader -> t
+(** Inverse of {!write}. Raises {!Snapshot.Corrupt} on series out of
+    strictly increasing (name, labels) order, labels not sorted by key,
+    or a bad metric tag. *)
 
 val merge : into:t -> t -> unit
 (** Accumulate every series of the source registry into [into],

@@ -205,52 +205,87 @@ let total_segments t =
   let count table = Hashtbl.fold (fun _ b acc -> acc + Hashtbl.length b) table 0 in
   count t.down + count t.core
 
-type dump = {
-  d_per_leaf_limit : int;
-  d_down : (int * Segment.t list) list;
-  d_core : (int * Segment.t list) list;
-  d_stats : stats;
-}
-
-let dump_table table =
+(* Non-empty buckets in index order, each in segment-key order: the
+   canonical order of [write] and [iter]. *)
+let sorted_buckets table =
   Hashtbl.fold
     (fun idx b acc ->
-      let segs =
-        Hashtbl.fold (fun key s acc -> (key, s) :: acc) b []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-        |> List.map snd
-      in
-      if segs = [] then acc else (idx, segs) :: acc)
+      if Hashtbl.length b = 0 then acc
+      else
+        let segs =
+          Hashtbl.fold (fun key s acc -> (key, s) :: acc) b []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+          |> List.map snd
+        in
+        (idx, segs) :: acc)
     table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let dump t =
-  {
-    d_per_leaf_limit = t.per_leaf_limit;
-    d_down = dump_table t.down;
-    d_core = dump_table t.core;
-    d_stats = stats t;
-  }
-
-let of_dump ?obs d =
-  let t = create ?obs ~per_leaf_limit:d.d_per_leaf_limit () in
-  (* Write the buckets directly: going through [register] would bump
-     registration stats and obs counters a second time. *)
-  let fill table entries =
+let iter t f =
+  let each ~core table =
     List.iter
-      (fun (idx, segs) ->
-        let b = bucket table idx in
-        List.iter (fun s -> Hashtbl.replace b (seg_key s) s) segs)
-      entries
+      (fun (idx, segs) -> List.iter (f ~core ~idx) segs)
+      (sorted_buckets table)
   in
-  fill t.down d.d_down;
-  fill t.core d.d_core;
-  t.registrations <- d.d_stats.registrations;
-  t.registration_bytes <- d.d_stats.registration_bytes;
-  t.lookups_down <- d.d_stats.lookups_down;
-  t.lookups_core <- d.d_stats.lookups_core;
-  t.reply_segments_down <- d.d_stats.reply_segments_down;
-  t.reply_segments_core <- d.d_stats.reply_segments_core;
-  t.revocations <- d.d_stats.revocations;
-  t.revoked_segments <- d.d_stats.revoked_segments;
+  each ~core:false t.down;
+  each ~core:true t.core
+
+let write w t =
+  let w_table table =
+    Snapshot.w_list w
+      (fun w (idx, segs) ->
+        Snapshot.w_int w idx;
+        Snapshot.w_list w Segment.write segs)
+      (sorted_buckets table)
+  in
+  Snapshot.w_int w t.per_leaf_limit;
+  w_table t.down;
+  w_table t.core;
+  List.iter (Snapshot.w_int w)
+    [
+      t.registrations;
+      t.registration_bytes;
+      t.lookups_down;
+      t.lookups_core;
+      t.reply_segments_down;
+      t.reply_segments_core;
+      t.revocations;
+      t.revoked_segments;
+    ]
+
+let read ?obs r =
+  let limit = Snapshot.r_int r in
+  if limit < 1 then Snapshot.corrupt "bad path server per-leaf limit %d" limit;
+  let t = create ?obs ~per_leaf_limit:limit () in
+  (* Fill the buckets directly: going through [register] would bump
+     registration stats and obs counters a second time. A bucket is
+     never empty, holds at most [limit] segments and is keyed by
+     [idx_of] of each of them (leaf for down, origin for core). *)
+  let r_table table idx_of =
+    Snapshot.r_sorted r "path server buckets" (fun r ->
+        let idx = Snapshot.r_int r in
+        let b = bucket table idx in
+        let bad () =
+          Snapshot.corrupt "path server bucket %d: empty, surplus or foreign"
+            idx
+        in
+        Snapshot.r_sorted r "segments" (fun r ->
+            let s = Segment.read r in
+            if idx_of s <> idx || Hashtbl.length b >= limit then bad ();
+            let key = seg_key s in
+            Hashtbl.replace b key s;
+            key);
+        if Hashtbl.length b = 0 then bad ();
+        idx)
+  in
+  r_table t.down (fun s -> s.Segment.leaf);
+  r_table t.core (fun s -> s.Segment.origin);
+  t.registrations <- Snapshot.r_int r;
+  t.registration_bytes <- Snapshot.r_int r;
+  t.lookups_down <- Snapshot.r_int r;
+  t.lookups_core <- Snapshot.r_int r;
+  t.reply_segments_down <- Snapshot.r_int r;
+  t.reply_segments_core <- Snapshot.r_int r;
+  t.revocations <- Snapshot.r_int r;
+  t.revoked_segments <- Snapshot.r_int r;
   t

@@ -75,26 +75,22 @@ val stats : t -> stats
 
 val total_segments : t -> int
 
+val iter : t -> (core:bool -> idx:int -> Segment.t -> unit) -> unit
+(** Every registered segment, valid or not: down-path buckets (indexed
+    by leaf) before core-path buckets (indexed by origin), each in
+    bucket-index and then segment-key order — the order {!write}
+    emits. *)
+
 (** {1 Checkpointing} *)
 
-val seg_key : Segment.t -> string
-(** A segment's identity within its bucket: origin plus path key. *)
+val write : Snapshot.writer -> t -> unit
+(** The whole server, registry plus counters, in {!iter} order: equal
+    servers write equal bytes regardless of registration order. *)
 
-type dump = {
-  d_per_leaf_limit : int;
-  d_down : (int * Segment.t list) list;
-      (** (leaf, segments sorted by key), sorted by leaf *)
-  d_core : (int * Segment.t list) list;
-      (** (origin, segments sorted by key), sorted by origin *)
-  d_stats : stats;
-}
-(** Canonical value of the whole server (registry plus counters):
-    equal servers dump equal values regardless of registration order. *)
-
-val dump : t -> dump
-
-val of_dump : ?obs:Obs.t -> dump -> t
-(** Rebuild a server from a dump; [dump (of_dump d) = d]. Restoring
-    does {e not} re-count registrations — stats come back exactly as
-    dumped, and obs counters (of the fresh [obs] context) start at
-    zero. *)
+val read : ?obs:Obs.t -> Snapshot.reader -> t
+(** Inverse of {!write}. Restoring does {e not} re-count registrations
+    — stats come back exactly as written, and obs counters (of the
+    fresh [obs] context) start at zero. Raises {!Snapshot.Corrupt} on a
+    per-leaf limit below 1, buckets or segment keys out of strictly
+    increasing order, or a bucket that is empty, over the limit or
+    holds a segment of another leaf (down) or origin (core). *)

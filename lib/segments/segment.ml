@@ -104,3 +104,49 @@ let pp fmt t =
   in
   Format.fprintf fmt "Seg[%s %d->%d via %s]" kind_s t.origin t.leaf
     (String.concat "," (List.map string_of_int (ases t)))
+
+let write_hop w h =
+  Snapshot.w_int w h.as_idx;
+  Snapshot.w_int w h.ingress;
+  Snapshot.w_int w h.egress;
+  Snapshot.w_int w h.link_in;
+  Snapshot.w_int w h.link_out;
+  Snapshot.w_arr w Snapshot.w_int h.peers;
+  Snapshot.w_f64 w h.expiry;
+  Snapshot.w_str w h.mac
+
+let read_hop r =
+  let as_idx = Snapshot.r_int r in
+  let ingress = Snapshot.r_int r in
+  let egress = Snapshot.r_int r in
+  let link_in = Snapshot.r_int r in
+  let link_out = Snapshot.r_int r in
+  let peers = Snapshot.r_arr r Snapshot.r_int in
+  let expiry = Snapshot.r_f64 r in
+  let mac = Snapshot.r_str r in
+  { as_idx; ingress; egress; link_in; link_out; peers; expiry; mac }
+
+let write w t =
+  Snapshot.w_u8 w (match t.kind with Up -> 0 | Down -> 1 | Core_seg -> 2);
+  Snapshot.w_int w t.origin;
+  Snapshot.w_int w t.leaf;
+  Snapshot.w_f64 w t.timestamp;
+  Snapshot.w_f64 w t.expiry;
+  Snapshot.w_arr w write_hop t.hops;
+  Snapshot.w_arr w Snapshot.w_int t.links
+
+let read r =
+  let kind =
+    match Snapshot.r_u8 r with
+    | 0 -> Up
+    | 1 -> Down
+    | 2 -> Core_seg
+    | v -> Snapshot.corrupt "bad segment kind %d" v
+  in
+  let origin = Snapshot.r_int r in
+  let leaf = Snapshot.r_int r in
+  let timestamp = Snapshot.r_f64 r in
+  let expiry = Snapshot.r_f64 r in
+  let hops = Snapshot.r_arr r read_hop in
+  let links = Snapshot.r_arr r Snapshot.r_int in
+  { kind; origin; leaf; timestamp; expiry; hops; links }

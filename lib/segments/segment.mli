@@ -60,3 +60,11 @@ val registration_bytes : t -> int
 (** Wire size of registering this segment at a path server (§4.1). *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Checkpointing} *)
+
+val write : Snapshot.writer -> t -> unit
+(** Every field, hop fields included, in declaration order. *)
+
+val read : Snapshot.reader -> t
+(** Inverse of {!write}; raises only {!Snapshot.Corrupt}. *)

@@ -97,29 +97,20 @@ let check_path_server ctx =
   | None -> []
   | Some ps ->
       let vs = ref [] in
-      let d = Path_server.dump ps in
-      let scan kind entries =
-        List.iter
-          (fun (idx, segs) ->
-            List.iter
-              (fun (s : Segment.t) ->
-                if Segment.is_valid s ~now:ctx.now then
-                  Array.iter
-                    (fun l ->
-                      if not (Link_state.up ctx.links l) then
-                        vs :=
-                          violation "path-server"
-                            "%s bucket %d holds an unrevoked segment over down \
-                             link %d"
-                            kind idx l
-                          :: !vs)
-                    s.Segment.links)
-              segs)
-          entries
-      in
-      scan "down" d.Path_server.d_down;
-      scan "core" d.Path_server.d_core;
-      let st = d.Path_server.d_stats in
+      Path_server.iter ps (fun ~core ~idx (s : Segment.t) ->
+          if Segment.is_valid s ~now:ctx.now then
+            Array.iter
+              (fun l ->
+                if not (Link_state.up ctx.links l) then
+                  vs :=
+                    violation "path-server"
+                      "%s bucket %d holds an unrevoked segment over down link \
+                       %d"
+                      (if core then "core" else "down")
+                      idx l
+                    :: !vs)
+              s.Segment.links);
+      let st = Path_server.stats ps in
       if
         st.Path_server.registrations < 0
         || st.Path_server.revoked_segments < 0

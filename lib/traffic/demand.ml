@@ -29,6 +29,7 @@ type t = {
   pair_zipf : Zipf.t;
   rank_of_as : int array;  (** degree rank (0 = best connected) per AS *)
   pop_zipf : Zipf.t;
+  sorted : flow_spec array;  (** every flow, in admission order *)
 }
 
 let validate g p =
@@ -52,6 +53,27 @@ let degree_ranking g =
   let rank_of_as = Array.make n 0 in
   Array.iteri (fun rank v -> rank_of_as.(v) <- rank) order;
   (order, rank_of_as)
+
+(* Flow [i]'s attributes, a pure function of [(seed, i)]. Pareto sizes
+   with the requested mean: x_min = mean * (alpha-1) / alpha. *)
+let spec p pair_zipf i =
+  let rng = Rng.create (Runner.job_seed p.seed i) in
+  let arrival_s = Rng.float rng p.horizon_s in
+  let pair = Zipf.sample pair_zipf rng in
+  let x_min = p.mean_size_mbit *. (p.pareto_alpha -. 1.0) /. p.pareto_alpha in
+  let size_mbit = Rng.pareto rng ~alpha:p.pareto_alpha ~x_min in
+  { arrival_s; size_mbit; pair }
+
+let arrival_order p pair_zipf =
+  let specs = Array.init p.flows (spec p pair_zipf) in
+  (* Stable by construction: ties on arrival keep flow-index order. *)
+  let order = Array.init p.flows Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = compare specs.(a).arrival_s specs.(b).arrival_s in
+      if c <> 0 then c else compare a b)
+    order;
+  Array.map (fun i -> specs.(i)) order
 
 let create g p =
   validate g p;
@@ -81,12 +103,14 @@ let create g p =
   done;
   let pairs = Array.of_list (List.rev !acc) in
   if Array.length pairs = 0 then invalid_arg "Demand.create: no usable pair";
+  let pair_zipf = Zipf.create ~n:(Array.length pairs) ~s:p.pair_zipf_s in
   {
     params = p;
     pairs;
-    pair_zipf = Zipf.create ~n:(Array.length pairs) ~s:p.pair_zipf_s;
+    pair_zipf;
     rank_of_as;
     pop_zipf;
+    sorted = arrival_order p pair_zipf;
   }
 
 let params t = t.params
@@ -95,31 +119,12 @@ let pairs t = t.pairs
 
 let population t v = Zipf.weight t.pop_zipf t.rank_of_as.(v)
 
-(* Pareto with the requested mean: x_min = mean * (alpha-1) / alpha. *)
-let size_of rng t =
-  let p = t.params in
-  let x_min = p.mean_size_mbit *. (p.pareto_alpha -. 1.0) /. p.pareto_alpha in
-  Rng.pareto rng ~alpha:p.pareto_alpha ~x_min
-
 let flow t i =
-  let p = t.params in
-  if i < 0 || i >= p.flows then invalid_arg "Demand.flow: index out of range";
-  let rng = Rng.create (Runner.job_seed p.seed i) in
-  let arrival_s = Rng.float rng p.horizon_s in
-  let pair = Zipf.sample t.pair_zipf rng in
-  let size_mbit = size_of rng t in
-  { arrival_s; size_mbit; pair }
+  if i < 0 || i >= t.params.flows then
+    invalid_arg "Demand.flow: index out of range";
+  spec t.params t.pair_zipf i
 
-let sorted_flows t =
-  let specs = Array.init t.params.flows (flow t) in
-  (* Stable by construction: ties on arrival keep flow-index order. *)
-  let order = Array.init t.params.flows Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = compare specs.(a).arrival_s specs.(b).arrival_s in
-      if c <> 0 then c else compare a b)
-    order;
-  Array.map (fun i -> specs.(i)) order
+let sorted_flows t = t.sorted
 
 let config_key t =
   let p = t.params in

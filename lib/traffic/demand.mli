@@ -56,7 +56,8 @@ val flow : t -> int -> flow_spec
 
 val sorted_flows : t -> flow_spec array
 (** All flows sorted by arrival time (ties by flow index) — the
-    admission order the simulator consumes. *)
+    admission order the simulator consumes. Computed once by {!create};
+    the array is shared, so callers must not mutate it. *)
 
 val population : t -> int -> float
 (** Normalised population weight of an AS (endpoint density). *)

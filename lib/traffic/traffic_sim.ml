@@ -41,7 +41,6 @@ type state = {
 
 type t = {
   config : config;
-  arrivals : Demand.flow_spec array;
   events : Fault_plan.event array;
   ctx : Strategy.ctx;
   state : state;
@@ -87,7 +86,6 @@ let make t_of_state cfg =
   in
   {
     config = cfg;
-    arrivals = Demand.sorted_flows cfg.demand;
     events = Fault_plan.compile ~graph:cfg.graph cfg.plan;
     ctx = { Strategy.latency_ms = cfg.latency_ms; load = t_of_state.load };
     state = t_of_state;
@@ -252,12 +250,13 @@ let reconsider t f =
 
 let admit t ~t1 =
   let st = t.state in
-  let n = Array.length t.arrivals in
+  let arrivals = Demand.sorted_flows t.config.demand in
+  let n = Array.length arrivals in
   let acc = ref [] in
   while
-    st.next_arrival < n && t.arrivals.(st.next_arrival).Demand.arrival_s < t1
+    st.next_arrival < n && arrivals.(st.next_arrival).Demand.arrival_s < t1
   do
-    let spec = t.arrivals.(st.next_arrival) in
+    let spec = arrivals.(st.next_arrival) in
     let id = st.next_arrival in
     st.next_arrival <- st.next_arrival + 1;
     if Array.length t.config.paths.(spec.Demand.pair) = 0 then
@@ -425,10 +424,10 @@ let encode t =
       Snapshot.w_arr w Snapshot.w_int f.sel;
       Snapshot.w_int w f.switches)
     st.active;
-  Snapshot.w_link_state w (Link_state.dump st.links);
+  Link_state.write w st.links;
   Snapshot.w_arr w Snapshot.w_f64 st.delivered;
-  Snapshot.w_recovery w (Recovery.dump st.recov);
-  Snapshot.w_registry w (Registry.dump st.metrics);
+  Recovery.write w st.recov;
+  Registry.write w st.metrics;
   Snapshot.contents w
 
 let restore cfg data =
@@ -452,11 +451,10 @@ let restore cfg data =
         let switches = Snapshot.r_int r in
         { id; pair; arrival_s; remaining; sel; switches })
   in
-  let links = Link_state.of_dump (Snapshot.r_link_state r) in
+  let links = Link_state.read r in
   let delivered = Snapshot.r_arr r Snapshot.r_f64 in
-  let recov = Recovery.of_dump (Snapshot.r_recovery r) in
-  let metrics_dump = Snapshot.r_registry r in
-  let metrics = Registry.of_dump metrics_dump in
+  let recov = Recovery.read r in
+  let metrics = Registry.read r in
   Snapshot.r_end r;
   let corrupt msg = raise (Snapshot.Corrupt ("traffic snapshot: " ^ msg)) in
   let n_pairs = Array.length (Demand.pairs cfg.demand) in
@@ -501,13 +499,14 @@ let restore cfg data =
   in
   (* [make] binds the metric handles: a series of the wrong kind, or
      one it has to create, means the registry was corrupted. *)
+  let series () = List.length (Registry.snapshot metrics) in
+  let n_series = series () in
   let t =
     match make state cfg with
     | t -> t
     | exception Invalid_argument msg -> corrupt msg
   in
-  if List.compare_lengths (Registry.dump metrics) metrics_dump <> 0 then
-    corrupt "metric series missing";
+  if series () <> n_series then corrupt "metric series missing";
   if cursor < 0 || cursor > Array.length t.events then
     corrupt "fault cursor out of range";
   t

@@ -150,8 +150,8 @@ let prop_store_limit =
    beacon_store.mli (expired, then more hops, then older, then greater
    path key). Random interleavings of inserts (with repeated and
    advancing clocks, several origins, expired and valid PCBs), prunes,
-   link drops and dump/of_dump round trips must agree on every outcome
-   and on the final dump; this guards the store's worst-entry cache. *)
+   link drops and write/read round trips must agree on every outcome
+   and on the final bytes; this guards the store's worst-entry cache. *)
 module Ref_store = struct
   type slot = { mutable lm : float; mutable pcbs : Pcb.t list }
 
@@ -208,17 +208,28 @@ module Ref_store = struct
         acc + List.length gone)
       0 t.slots
 
-  let dump t =
-    {
-      Beacon_store.d_limit = t.limit;
-      d_origins =
-        List.sort compare t.slots
-        |> List.map (fun (o, s) ->
-               ( o,
-                 s.lm,
-                 List.sort (fun (a : Pcb.t) (b : Pcb.t) -> compare a.Pcb.key b.Pcb.key) s.pcbs ));
-    }
+  (* The layout beacon_store.mli documents: limit, then per origin
+     (ascending) its last-modified time and its PCBs in key order. *)
+  let bytes t =
+    let w = Snapshot.writer () in
+    Snapshot.w_int w t.limit;
+    Snapshot.w_list w
+      (fun w (o, s) ->
+        Snapshot.w_int w o;
+        Snapshot.w_f64 w s.lm;
+        Snapshot.w_list w
+          (fun w p -> Snapshot.w_str w (Pcb_codec.encode p))
+          (List.sort
+             (fun (a : Pcb.t) (b : Pcb.t) -> compare a.Pcb.key b.Pcb.key)
+             s.pcbs))
+      (List.sort compare t.slots);
+    Snapshot.contents w
 end
+
+let store_bytes s =
+  let w = Snapshot.writer () in
+  Beacon_store.write w s;
+  Snapshot.contents w
 
 type store_op =
   | Insert of int * int list * float * float  (** origin, links, age, lifetime *)
@@ -235,7 +246,7 @@ let show_store_op = function
   | Advance dt -> Printf.sprintf "advance %g" dt
   | Prune -> "prune"
   | Drop l -> Printf.sprintf "drop %d" l
-  | Roundtrip -> "of_dump (dump s)"
+  | Roundtrip -> "read (write s)"
 
 let gen_store_op =
   QCheck.Gen.(
@@ -279,10 +290,12 @@ let prop_store_matches_reference =
               true
           | Drop link -> Beacon_store.drop_link !s ~link = Ref_store.drop_link r ~link
           | Roundtrip ->
-              s := Beacon_store.of_dump (Beacon_store.dump !s);
+              let rd = Snapshot.reader (store_bytes !s) in
+              s := Beacon_store.read rd;
+              Snapshot.r_end rd;
               true)
         ops
-      && Beacon_store.dump !s = Ref_store.dump r)
+      && store_bytes !s = Ref_store.bytes r)
 
 (* --- Scoring (§4.2) --- *)
 
@@ -870,18 +883,25 @@ let iface_digest (stats : Beaconing.stats) =
   Array.iter (fun c -> Printf.bprintf b "%d\n" c) stats.Beaconing.pcbs_on_iface;
   Sha256.hex (Buffer.contents b)
 
-(* Every store's dump, in AS order, PCBs in wire encoding. *)
+(* Every store's full content (as [Beacon_store.write] lays it out), in
+   AS order, PCBs in wire encoding. *)
 let stores_digest stores =
   let b = Buffer.create 65536 in
   Array.iteri
     (fun i s ->
-      let d = Beacon_store.dump s in
-      Printf.bprintf b "store %d limit %d\n" i d.Beacon_store.d_limit;
+      let r = Snapshot.reader (store_bytes s) in
+      Printf.bprintf b "store %d limit %d\n" i (Snapshot.r_int r);
+      let origins =
+        Snapshot.r_list r (fun r ->
+            let origin = Snapshot.r_int r in
+            let last_modified = Snapshot.r_f64 r in
+            (origin, last_modified, Snapshot.r_list r Snapshot.r_str))
+      in
       List.iter
         (fun (origin, last_modified, pcbs) ->
           Printf.bprintf b "origin %d %h %d\n" origin last_modified (List.length pcbs);
-          List.iter (fun p -> Buffer.add_string b (Pcb_codec.encode p)) pcbs)
-        d.Beacon_store.d_origins)
+          List.iter (Buffer.add_string b) pcbs)
+        origins)
     stores;
   Sha256.hex (Buffer.contents b)
 

@@ -1,8 +1,9 @@
-(* Tests for scion_supervise: the snapshot codec (primitives and every
-   component codec), checkpoint framing/corruption/series, the
-   cooperative watchdog, supervised map retry/degradation/determinism,
-   the chunked cell driver (kill/resume, checkpoint format, malformed
-   progress), the invariant checker, and byte-identical soak chunking. *)
+(* Tests for scion_supervise and what it checkpoints: the snapshot
+   primitives and every component's write/read, checkpoint
+   framing/corruption/series, the cooperative watchdog, supervised map
+   retry/degradation/determinism, the chunked cell driver (kill/resume,
+   checkpoint format, malformed progress), the invariant checker, and
+   byte-identical soak chunking. *)
 
 let check = Alcotest.check
 
@@ -159,6 +160,16 @@ let test_snapshot_corruption () =
       let w = Snapshot.writer () in
       Snapshot.w_u8 w 9;
       Snapshot.r_opt (Snapshot.reader (Snapshot.contents w)) Snapshot.r_u8);
+  let sorted keys =
+    let w = Snapshot.writer () in
+    Snapshot.w_list w Snapshot.w_int keys;
+    Snapshot.r_sorted
+      (Snapshot.reader (Snapshot.contents w))
+      "keys" Snapshot.r_int
+  in
+  sorted [ 1; 2; 5 ];
+  expect_corrupt "keys out of order" (fun () -> sorted [ 2; 1 ]);
+  expect_corrupt "duplicate key" (fun () -> sorted [ 3; 3 ]);
   expect_corrupt "trailing bytes" (fun () ->
       let w = Snapshot.writer () in
       Snapshot.w_int w 1;
@@ -204,21 +215,30 @@ let sample_segment () =
     links = [| 0; 4 |];
   }
 
+(* [v]'s bytes under [write], and the bytes of what [read] rebuilds from
+   them (which must consume them exactly). *)
+let roundtrip write read v =
+  let bytes v =
+    let w = Snapshot.writer () in
+    write w v;
+    Snapshot.contents w
+  in
+  let b = bytes v in
+  let r = Snapshot.reader b in
+  let v' = read r in
+  Snapshot.r_end r;
+  (b, bytes v', v')
+
 let test_snapshot_segment () =
   let s = sample_segment () in
-  let w = Snapshot.writer () in
-  Snapshot.w_segment w s;
-  let r = Snapshot.reader (Snapshot.contents w) in
-  let s' = Snapshot.r_segment r in
-  Snapshot.r_end r;
-  Alcotest.(check bool) "segment roundtrips" true (s = s');
+  let b, b', s' = roundtrip Segment.write Segment.read s in
+  Alcotest.(check bool) "segment roundtrips" true (s = s' && b = b');
   List.iter
     (fun kind ->
-      let w = Snapshot.writer () in
-      Snapshot.w_segment w { s with Segment.kind };
-      Alcotest.(check bool) "kind preserved" true
-        ((Snapshot.r_segment (Snapshot.reader (Snapshot.contents w))).Segment.kind
-        = kind))
+      let _, _, s' =
+        roundtrip Segment.write Segment.read { s with Segment.kind }
+      in
+      Alcotest.(check bool) "kind preserved" true (s'.Segment.kind = kind))
     [ Segment.Up; Segment.Down; Segment.Core_seg ]
 
 let test_snapshot_registry () =
@@ -227,17 +247,11 @@ let test_snapshot_registry () =
   Registry.add reg ~labels:[ ("k", "v"); ("a", "b") ] "c" 7.0;
   Registry.set reg "g" (-3.0);
   List.iter (Registry.observe reg "h") [ 0.1; 5.0; -2.0; 40.0 ];
-  let d = Registry.dump reg in
-  let w = Snapshot.writer () in
-  Snapshot.w_registry w d;
-  let r = Snapshot.reader (Snapshot.contents w) in
-  let d' = Snapshot.r_registry r in
-  Snapshot.r_end r;
-  Alcotest.(check bool) "registry dump roundtrips" true (d = d');
-  (* The rebuilt registry re-dumps canonically to the same value. *)
-  Alcotest.(check bool) "of_dump/dump fixpoint" true
-    (Registry.dump (Registry.of_dump d') = d);
-  let s = Histogram.summarize (Registry.histogram (Registry.of_dump d') "h") in
+  let b, b', reg' = roundtrip Registry.write Registry.read reg in
+  Alcotest.(check bool) "registry bytes roundtrip" true (b = b');
+  Alcotest.(check bool) "same series" true
+    (Registry.snapshot reg = Registry.snapshot reg');
+  let s = Histogram.summarize (Registry.histogram reg' "h") in
   check Alcotest.int "histogram observations survive" 4 s.Histogram.count
 
 (* One soak gives real instances of every remaining component: beacon
@@ -250,52 +264,33 @@ let soaked =
      Soak.advance t ~upto:8;
      (cfg, t))
 
-let roundtrip w_f r_f v =
-  let w = Snapshot.writer () in
-  w_f w v;
-  let r = Snapshot.reader (Snapshot.contents w) in
-  let v' = r_f r in
-  Snapshot.r_end r;
-  v'
-
 let test_snapshot_components_from_soak () =
   let _, t = Lazy.force soaked in
   let ctx = Soak.invariant_ctx t in
-  (* Beacon stores (at least one must be non-empty after 8 rounds). *)
-  let occupied = ref 0 in
-  Array.iter
-    (fun store ->
-      let d = Beacon_store.dump store in
-      if d.Beacon_store.d_origins <> [] then incr occupied;
-      let d' = roundtrip Snapshot.w_beacon_store Snapshot.r_beacon_store d in
-      Alcotest.(check bool) "beacon store dump roundtrips" true (d = d');
-      Alcotest.(check bool) "of_dump re-dumps equal" true
-        (Beacon_store.dump (Beacon_store.of_dump d') = d))
-    ctx.Invariants.stores;
-  Alcotest.(check bool) "stores hold PCBs" true (!occupied > 0);
-  (* Link state. A never-failed link's d_since is nan, so compare the
-     float array bit-exactly rather than structurally. *)
-  let same_link_dump (a : Link_state.dump) (b : Link_state.dump) =
-    a.Link_state.d_holds = b.Link_state.d_holds
-    && Array.map Int64.bits_of_float a.Link_state.d_since
-       = Array.map Int64.bits_of_float b.Link_state.d_since
+  let same what write read v =
+    let b, b', _ = roundtrip write read v in
+    Alcotest.(check bool) (what ^ " bytes roundtrip") true (b = b')
   in
-  let ld = Link_state.dump ctx.Invariants.links in
-  let ld' = roundtrip Snapshot.w_link_state Snapshot.r_link_state ld in
-  Alcotest.(check bool) "link state dump roundtrips" true (same_link_dump ld ld');
-  Alcotest.(check bool) "link state of_dump re-dumps equal" true
-    (same_link_dump (Link_state.dump (Link_state.of_dump ld')) ld);
+  (* Beacon stores (at least one must be non-empty after 8 rounds). *)
+  Array.iter (same "beacon store" Beacon_store.write Beacon_store.read)
+    ctx.Invariants.stores;
+  Alcotest.(check bool) "stores hold PCBs" true
+    (Array.exists (fun s -> Beacon_store.total s > 0) ctx.Invariants.stores);
+  (* Link state: a never-failed link's down-since time is nan, which
+     the byte comparison checks bit-exactly. *)
+  same "link state" Link_state.write Link_state.read ctx.Invariants.links;
   (* Path server (including its stats). *)
   match ctx.Invariants.path_server with
   | None -> Alcotest.fail "soak must run a path server"
   | Some ps ->
-      let pd = Path_server.dump ps in
       Alcotest.(check bool) "path server saw registrations" true
         ((Path_server.stats ps).Path_server.registrations > 0);
-      let pd' = roundtrip Snapshot.w_path_server Snapshot.r_path_server pd in
-      Alcotest.(check bool) "path server dump roundtrips" true (pd = pd');
-      Alcotest.(check bool) "path server of_dump re-dumps equal" true
-        (Path_server.dump (Path_server.of_dump pd') = pd)
+      let b, b', ps' =
+        roundtrip Path_server.write (fun r -> Path_server.read r) ps
+      in
+      Alcotest.(check bool) "path server bytes roundtrip" true (b = b');
+      Alcotest.(check bool) "stats restored" true
+        (Path_server.stats ps' = Path_server.stats ps)
 
 let test_snapshot_beacon_stats () =
   let outcome =
@@ -308,7 +303,7 @@ let test_snapshot_beacon_stats () =
   in
   let s = outcome.Beaconing.stats in
   Alcotest.(check bool) "stats have traffic" true (s.Beaconing.total_pcbs > 0);
-  let s' = roundtrip Snapshot.w_beacon_stats Snapshot.r_beacon_stats s in
+  let _, _, s' = roundtrip Beaconing.write_stats Beaconing.read_stats s in
   Alcotest.(check bool) "beacon stats roundtrip" true (s = s')
 
 (* --- Checkpoint files ------------------------------------------------ *)
@@ -523,11 +518,11 @@ let test_invariants_detect_negative_holds () =
   let g = ring () in
   let n = Graph.num_links g in
   let links =
-    Link_state.of_dump
-      {
-        Link_state.d_holds = Array.init n (fun l -> if l = 1 then -1 else 0);
-        d_since = Array.make n 0.0;
-      }
+    let w = Snapshot.writer () in
+    Snapshot.w_arr w Snapshot.w_int
+      (Array.init n (fun l -> if l = 1 then -1 else 0));
+    Snapshot.w_arr w Snapshot.w_f64 (Array.make n 0.0);
+    Link_state.read (Snapshot.reader (Snapshot.contents w))
   in
   let ctx =
     {
@@ -625,40 +620,45 @@ let test_soak_restore_rejects_mismatch () =
   expect_corrupt "truncated bytes" (fun () ->
       Soak.restore cfg (String.sub bytes 0 (String.length bytes / 2)))
 
-(* Each dump below is well-framed but violates a constructor's
-   precondition, so only the decoder's own check stands between it and
-   an [Invalid_argument] from [of_dump]. *)
-let expect_decode_corrupt w_f v r_f of_dump =
+(* Each byte string below is well-framed but violates a constructor's
+   precondition, so only the reader's own check stands between it and
+   an [Invalid_argument]. *)
+let expect_decode_corrupt read fill =
   let w = Snapshot.writer () in
-  w_f w v;
-  match of_dump (r_f (Snapshot.reader (Snapshot.contents w))) with
+  fill w;
+  match read (Snapshot.reader (Snapshot.contents w)) with
   | _ -> Alcotest.fail "expected Snapshot.Corrupt"
   | exception Snapshot.Corrupt _ -> ()
 
 let test_snapshot_rejects_store_limit () =
-  expect_decode_corrupt Snapshot.w_beacon_store
-    { Beacon_store.d_limit = 0; d_origins = [] }
-    Snapshot.r_beacon_store Beacon_store.of_dump
+  (* Limit 0, no origins. *)
+  expect_decode_corrupt Beacon_store.read (fun w ->
+      Snapshot.w_int w 0;
+      Snapshot.w_int w 0)
 
 let test_snapshot_rejects_path_server_limit () =
-  expect_decode_corrupt Snapshot.w_path_server
-    {
-      (Path_server.dump (Path_server.create ())) with
-      Path_server.d_per_leaf_limit = 0;
-    }
-    Snapshot.r_path_server Path_server.of_dump
+  (* Limit 0, no down or core buckets, eight zeroed stats: eleven zeros. *)
+  expect_decode_corrupt
+    (fun r -> Path_server.read r)
+    (fun w -> List.iter (Snapshot.w_int w) (List.init 11 (fun _ -> 0)))
 
 let test_snapshot_rejects_link_state_lengths () =
-  expect_decode_corrupt Snapshot.w_link_state
-    { Link_state.d_holds = [| 0; 0 |]; d_since = [| nan |] }
-    Snapshot.r_link_state Link_state.of_dump
+  expect_decode_corrupt Link_state.read (fun w ->
+      Snapshot.w_arr w Snapshot.w_int [| 0; 0 |];
+      Snapshot.w_arr w Snapshot.w_f64 [| nan |])
 
 let test_snapshot_rejects_histogram_growth () =
   List.iter
-    (fun d_growth ->
-      expect_decode_corrupt Snapshot.w_histogram
-        { (Histogram.dump (Histogram.create ())) with Histogram.d_growth }
-        Snapshot.r_histogram Histogram.of_dump)
+    (fun growth ->
+      expect_decode_corrupt Histogram.read (fun w ->
+          (* growth, count, sum, min, max, non-positive, no buckets *)
+          Snapshot.w_f64 w growth;
+          Snapshot.w_int w 0;
+          Snapshot.w_f64 w 0.0;
+          Snapshot.w_f64 w infinity;
+          Snapshot.w_f64 w neg_infinity;
+          Snapshot.w_int w 0;
+          Snapshot.w_int w 0))
     [ 1.0; 0.5; nan; infinity ]
 
 (* A mutation of a valid snapshot: flip one bit, overwrite one byte, or
@@ -720,11 +720,64 @@ let check_bit_flips ~restore ~encode s =
            (List.filteri (fun i _ -> i < 20) l
            |> List.map (fun (pos, bit) -> Printf.sprintf "%d.%d" pos bit)))
 
+(* The same contract for wider corruptions: every byte overwritten with
+   0x00 and with 0xFF, then every 8-byte window (a length or integer
+   field wherever one starts) replaced by big-endian -1, 0, 1 and
+   2^62. Mutants are labelled [pos=byte] and [pos:value]. *)
+let check_overwrites ~restore ~encode s =
+  let n = String.length s in
+  let with_bytes f =
+    let b = Bytes.of_string s in
+    f b;
+    Bytes.to_string b
+  in
+  let bytes =
+    Seq.init n Fun.id
+    |> Seq.concat_map (fun pos ->
+           List.to_seq
+             (List.map
+                (fun c ->
+                  ( Printf.sprintf "%d=%02x" pos (Char.code c),
+                    with_bytes (fun b -> Bytes.set b pos c) ))
+                [ '\x00'; '\xff' ]))
+  in
+  let windows =
+    Seq.init (max 0 (n - 7)) Fun.id
+    |> Seq.concat_map (fun pos ->
+           List.to_seq
+             (List.map
+                (fun v ->
+                  ( Printf.sprintf "%d:%Ld" pos v,
+                    with_bytes (fun b -> Bytes.set_int64_be b pos v) ))
+                [ -1L; 0L; 1L; Int64.shift_left 1L 62 ]))
+  in
+  let bad = ref [] and tried = ref 0 in
+  Seq.iter
+    (fun (label, m) ->
+      incr tried;
+      match restore m with
+      | exception Snapshot.Corrupt _ -> ()
+      | t -> if encode t <> m then bad := label :: !bad)
+    (Seq.append bytes windows);
+  match List.rev !bad with
+  | [] -> ()
+  | l ->
+      Alcotest.failf "%d of %d overwrites decode to a different encoding: %s"
+        (List.length l) !tried
+        (String.concat " " (List.filteri (fun i _ -> i < 20) l))
+
 let test_soak_bit_flips () =
   let cfg = soak_config () in
   let t = Soak.create cfg in
   Soak.advance t ~upto:6;
   check_bit_flips ~restore:(Soak.restore cfg) ~encode:Soak.encode
+    (Soak.encode t)
+
+let test_soak_overwrites () =
+  let cfg = soak_config () in
+  let t = Soak.create cfg in
+  Soak.advance t ~upto:6;
+  check_overwrites ~restore:(Soak.restore cfg) ~encode:Soak.encode
     (Soak.encode t)
 
 let test_soak_config_key () =
@@ -976,4 +1029,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_soak_resume_byte_identical;
     QCheck_alcotest.to_alcotest prop_soak_restore_total;
     ("soak bit flips decode canonically", `Quick, test_soak_bit_flips);
+    ( "soak byte overwrites decode canonically",
+      `Quick,
+      test_soak_overwrites );
   ]

@@ -1,6 +1,6 @@
 (* Tests for scion_traffic: capacity model, path-selection strategy
    invariants, demand purity, the checkpointable flow simulation
-   (chunked advance vs direct, fault composition, recovery dump
+   (chunked advance vs direct, fault composition, recovery byte
    round-trip) and the swarm multipath comparison. *)
 
 let check = Alcotest.check
@@ -247,7 +247,7 @@ let test_demand_pure_and_sorted () =
   Alcotest.(check bool) "fingerprint stable" true
     (Demand.config_key d = Demand.config_key d')
 
-(* --- Recovery dump (shared with the resilience scenario) --------------- *)
+(* --- Recovery codec (shared with the resilience scenario) --------------- *)
 
 let test_recovery_dump_roundtrip () =
   let r = Recovery.create () in
@@ -261,15 +261,29 @@ let test_recovery_dump_roundtrip () =
   Recovery.close_blackout r ~now:14.0 ~pair:(5, 6);
   Recovery.open_blackout r ~now:20.0 ~pair:(7, 8);
   Recovery.record_revocation r ~segments:4 ~msgs:9 ~bytes:512;
-  let d = Recovery.dump r in
-  check Alcotest.int "affected deduped" 2 (List.length d.Recovery.d_affected);
+  let bytes r =
+    let w = Snapshot.writer () in
+    Recovery.write w r;
+    Snapshot.contents w
+  in
+  let b = bytes r in
+  (* The affected pairs follow the two event counters. *)
+  let rd = Snapshot.reader b in
+  ignore (Snapshot.r_int rd);
+  ignore (Snapshot.r_int rd);
+  let affected =
+    Snapshot.r_list rd (fun rd ->
+        let a = Snapshot.r_int rd in
+        (a, Snapshot.r_int rd))
+  in
+  check Alcotest.int "affected deduped" 2 (List.length affected);
   Alcotest.(check bool) "affected sorted" true
-    (d.Recovery.d_affected = List.sort compare d.Recovery.d_affected);
-  check Alcotest.int "open window carried" 1 (List.length d.Recovery.d_open);
-  Alcotest.(check bool) "dump round-trips" true
-    (Recovery.dump (Recovery.of_dump d) = d);
+    (affected = List.sort compare affected);
+  let rd = Snapshot.reader b in
+  let r' = Recovery.read rd in
+  Snapshot.r_end rd;
+  Alcotest.(check bool) "bytes round-trip" true (bytes r' = b);
   (* The restored copy keeps accounting live: the open window closes. *)
-  let r' = Recovery.of_dump d in
   Recovery.close_blackout r' ~now:26.0 ~pair:(7, 8);
   let s = Recovery.summary r' in
   check Alcotest.int "failovers preserved" 2 s.Recovery.failovers;
@@ -333,6 +347,11 @@ let test_sim_accounting () =
     (r.Traffic_sim.max_utilization >= r.Traffic_sim.mean_utilization
     && r.Traffic_sim.mean_utilization > 0.0)
 
+let registry_bytes t =
+  let w = Snapshot.writer () in
+  Registry.write w (Traffic_sim.registry t);
+  Snapshot.contents w
+
 let test_sim_chunked_equals_direct () =
   let cfg = sim_config ~strategy:Strategy.Load_adaptive ~width:2
       ~plan:(outage_events ()) ()
@@ -354,8 +373,7 @@ let test_sim_chunked_equals_direct () =
   Alcotest.(check bool) "chunked run is byte-identical" true
     (t_direct = Traffic_sim.report chunked);
   Alcotest.(check bool) "registries agree" true
-    (Registry.dump (Traffic_sim.registry direct)
-    = Registry.dump (Traffic_sim.registry chunked))
+    (registry_bytes direct = registry_bytes chunked)
 
 let test_sim_restore_rejects_corrupt () =
   let cfg = sim_config () in
@@ -407,6 +425,16 @@ let test_sim_bit_flips () =
   let t = Traffic_sim.create cfg in
   Traffic_sim.advance t ~upto:50;
   Test_supervise.check_bit_flips ~restore:(Traffic_sim.restore cfg)
+    ~encode:Traffic_sim.encode (Traffic_sim.encode t)
+
+let test_sim_overwrites () =
+  let cfg =
+    sim_config ~strategy:Strategy.Load_adaptive ~width:2
+      ~plan:(outage_events ()) ()
+  in
+  let t = Traffic_sim.create cfg in
+  Traffic_sim.advance t ~upto:50;
+  Test_supervise.check_overwrites ~restore:(Traffic_sim.restore cfg)
     ~encode:Traffic_sim.encode (Traffic_sim.encode t)
 
 let test_sim_fault_composition () =
@@ -526,4 +554,5 @@ let suite =
     ("scenario jobs-independent", `Slow, test_scenario_jobs_independent);
     QCheck_alcotest.to_alcotest prop_sim_restore_total;
     ("sim bit flips decode canonically", `Quick, test_sim_bit_flips);
+    ("sim byte overwrites decode canonically", `Quick, test_sim_overwrites);
   ]
