@@ -27,6 +27,14 @@ let flow_of_links g links ~src ~dst =
 
 let of_pcbs g pcbs ~src ~dst = flow_of_links g (links_of_pcbs pcbs) ~src ~dst
 
+let of_outcome g (outcome : Beaconing.outcome) pairs =
+  let now = outcome.config.Beaconing.duration -. 1.0 in
+  Array.map
+    (fun (s, d) ->
+      let pcbs = Beacon_store.paths outcome.stores.(s) ~now ~origin:d in
+      of_pcbs g pcbs ~src:s ~dst:d)
+    pairs
+
 let of_as_paths g paths ~src ~dst =
   let seen = Hashtbl.create 64 in
   List.iter

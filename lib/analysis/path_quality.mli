@@ -14,6 +14,10 @@ val of_pcbs : Graph.t -> Pcb.t list -> src:int -> dst:int -> int
 (** Flow restricted to the union of links appearing in the PCBs
     (SCION: the paths from origin [dst] stored at [src]). *)
 
+val of_outcome : Graph.t -> Beaconing.outcome -> (int * int) array -> int array
+(** {!of_pcbs} for each [(src, dst)] pair over the PCBs from [dst] that
+    [src] holds one second before the end of the beaconing run. *)
+
 val of_as_paths : Graph.t -> int list list -> src:int -> dst:int -> int
 (** Flow restricted to the union of AS-level paths, each AS adjacency
     expanded to {e all} parallel links between the two ASes — the

@@ -1,121 +1,52 @@
 let version = 1
 
-exception Bad of string
-
-let u8 buf v =
-  if v < 0 || v > 0xFF then invalid_arg "Pcb_codec: u8 out of range";
-  Buffer.add_char buf (Char.chr v)
-
-let u16 buf v =
-  if v < 0 || v > 0xFFFF then invalid_arg "Pcb_codec: u16 out of range";
-  u8 buf (v lsr 8);
-  u8 buf (v land 0xFF)
-
-let u24 buf v =
-  if v < 0 || v > 0xFFFFFF then invalid_arg "Pcb_codec: u24 out of range";
-  u8 buf (v lsr 16);
-  u16 buf (v land 0xFFFF)
-
-let u32 buf v =
-  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Pcb_codec: u32 out of range";
-  u16 buf (v lsr 16);
-  u16 buf (v land 0xFFFF)
-
-let f64 buf v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
-
-type cursor = { data : string; mutable pos : int }
-
-let need c n = if c.pos + n > String.length c.data then raise (Bad "truncated PCB")
-
-let r_u8 c =
-  need c 1;
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let r_u16 c =
-  let hi = r_u8 c in
-  let lo = r_u8 c in
-  (hi lsl 8) lor lo
-
-let r_u24 c =
-  let hi = r_u8 c in
-  let lo = r_u16 c in
-  (hi lsl 16) lor lo
-
-let r_u32 c =
-  let hi = r_u16 c in
-  let lo = r_u16 c in
-  (hi lsl 16) lor lo
-
-let r_f64 c =
-  let bits = ref 0L in
-  for _ = 1 to 8 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (r_u8 c))
-  done;
-  Int64.float_of_bits !bits
-
-let r_bytes c n =
-  need c n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
 let encode (p : Pcb.t) =
-  let buf = Buffer.create 128 in
-  u8 buf version;
-  u32 buf p.Pcb.origin;
-  f64 buf p.Pcb.timestamp;
-  f64 buf p.Pcb.lifetime;
-  u8 buf (Array.length p.Pcb.hops);
+  let w = Snapshot.writer () in
+  Snapshot.w_u8 w version;
+  Snapshot.w_u32 w p.Pcb.origin;
+  Snapshot.w_f64 w p.Pcb.timestamp;
+  Snapshot.w_f64 w p.Pcb.lifetime;
+  Snapshot.w_u8 w (Array.length p.Pcb.hops);
   Array.iter
     (fun (h : Pcb.hop) ->
-      u32 buf h.Pcb.asn;
-      u16 buf h.Pcb.ingress;
-      u16 buf h.Pcb.egress;
-      u24 buf h.Pcb.link;
-      u8 buf (Array.length h.Pcb.peers);
-      Array.iter (fun l -> u24 buf l) h.Pcb.peers)
+      Snapshot.w_u32 w h.Pcb.asn;
+      Snapshot.w_u16 w h.Pcb.ingress;
+      Snapshot.w_u16 w h.Pcb.egress;
+      Snapshot.w_u24 w h.Pcb.link;
+      Snapshot.w_u8 w (Array.length h.Pcb.peers);
+      Array.iter (fun l -> Snapshot.w_u24 w l) h.Pcb.peers)
     p.Pcb.hops;
-  u8 buf (List.length p.Pcb.signatures);
+  Snapshot.w_u8 w (List.length p.Pcb.signatures);
   List.iter
     (fun s ->
-      u16 buf (String.length s);
-      Buffer.add_string buf s)
+      Snapshot.w_u16 w (String.length s);
+      Snapshot.w_raw w s)
     p.Pcb.signatures;
-  Buffer.contents buf
+  Snapshot.contents w
 
 let decode s =
   try
-    let c = { data = s; pos = 0 } in
-    let v = r_u8 c in
-    if v <> version then raise (Bad (Printf.sprintf "unsupported PCB version %d" v));
-    let origin = r_u32 c in
-    let timestamp = r_f64 c in
-    let lifetime = r_f64 c in
-    let n_hops = r_u8 c in
+    let r = Snapshot.reader s in
+    let v = Snapshot.r_u8 r in
+    if v <> version then Snapshot.corrupt "unsupported PCB version %d" v;
+    let origin = Snapshot.r_u32 r in
+    let timestamp = Snapshot.r_f64 r in
+    let lifetime = Snapshot.r_f64 r in
     let hops =
-      List.init n_hops (fun _ ->
-          let asn = r_u32 c in
-          let ingress = r_u16 c in
-          let egress = r_u16 c in
-          let link = r_u24 c in
-          let n_peers = r_u8 c in
-          let peers = Array.init n_peers (fun _ -> r_u24 c) in
+      List.init (Snapshot.r_u8 r) (fun _ ->
+          let asn = Snapshot.r_u32 r in
+          let ingress = Snapshot.r_u16 r in
+          let egress = Snapshot.r_u16 r in
+          let link = Snapshot.r_u24 r in
+          let peers =
+            Array.init (Snapshot.r_u8 r) (fun _ -> Snapshot.r_u24 r)
+          in
           (asn, ingress, egress, link, peers))
     in
-    let n_sigs = r_u8 c in
     let signatures =
-      List.init n_sigs (fun _ ->
-          let len = r_u16 c in
-          r_bytes c len)
+      List.init (Snapshot.r_u8 r) (fun _ -> Snapshot.r_raw r (Snapshot.r_u16 r))
     in
-    if c.pos <> String.length s then raise (Bad "trailing bytes");
+    Snapshot.r_end r;
     (* Rebuild through the smart constructors so the key is correct.
        Signatures are attached newest-first, matching the original. *)
     let pcb = ref (Pcb.origin_pcb ~origin ~now:timestamp ~lifetime) in
@@ -123,8 +54,10 @@ let decode s =
       (fun (asn, ingress, egress, link, peers) ->
         pcb := Pcb.extend !pcb ~asn ~ingress ~egress ~link ~peers)
       hops;
-    List.iter (fun sg -> pcb := Pcb.with_signature !pcb sg) (List.rev signatures);
+    List.iter
+      (fun sg -> pcb := Pcb.with_signature !pcb sg)
+      (List.rev signatures);
     Ok !pcb
-  with Bad msg -> Error msg
+  with Snapshot.Corrupt msg -> Error msg
 
 let encoded_size p = String.length (encode p)

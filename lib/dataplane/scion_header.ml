@@ -7,131 +7,46 @@ type header = {
 
 let version = 1
 
-exception Bad of string
+(* Link ids are 24-bit on the wire, with -1 ("none") as 0xFFFFFF. *)
+let write_link w v =
+  if v < -1 || v > 0xFFFFFE then
+    invalid_arg "Scion_header: link id out of range";
+  Snapshot.w_u24 w (if v = -1 then 0xFFFFFF else v)
 
-(* --- Writers (big-endian) --- *)
-
-let u8 buf v =
-  if v < 0 || v > 0xFF then invalid_arg "Scion_header: u8 out of range";
-  Buffer.add_char buf (Char.chr v)
-
-let u16 buf v =
-  if v < 0 || v > 0xFFFF then invalid_arg "Scion_header: u16 out of range";
-  Buffer.add_char buf (Char.chr (v lsr 8));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let u24 buf v =
-  if v < 0 || v > 0xFFFFFF then invalid_arg "Scion_header: u24 out of range";
-  Buffer.add_char buf (Char.chr (v lsr 16));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let u32 buf v =
-  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Scion_header: u32 out of range";
-  u16 buf (v lsr 16);
-  u16 buf (v land 0xFFFF)
-
-let u48 buf v =
-  if v < 0 || v > 0xFFFFFFFFFFFF then invalid_arg "Scion_header: u48 out of range";
-  u24 buf (v lsr 24);
-  u24 buf (v land 0xFFFFFF)
-
-let f64 buf v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
-
-(* Signed 24-bit field for link ids, which use -1 as "none". *)
-let link24 buf v =
-  if v < -1 || v > 0xFFFFFE then invalid_arg "Scion_header: link id out of range";
-  u24 buf (if v = -1 then 0xFFFFFF else v)
-
-let bytes_fixed buf s n =
-  if String.length s <> n then invalid_arg "Scion_header: bad raw address length";
-  Buffer.add_string buf s
-
-(* --- Readers --- *)
-
-type cursor = { data : string; mutable pos : int }
-
-let need c n = if c.pos + n > String.length c.data then raise (Bad "truncated header")
-
-let r_u8 c =
-  need c 1;
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-(* Explicit lets: OCaml evaluates operator arguments right-to-left, so
-   [(r_u8 c lsl 8) lor r_u8 c] would read the bytes in reverse order. *)
-let r_u16 c =
-  let hi = r_u8 c in
-  let lo = r_u8 c in
-  (hi lsl 8) lor lo
-
-let r_u24 c =
-  let hi = r_u16 c in
-  let lo = r_u8 c in
-  (hi lsl 8) lor lo
-
-let r_u32 c =
-  let hi = r_u16 c in
-  let lo = r_u16 c in
-  (hi lsl 16) lor lo
-
-let r_u48 c =
-  let hi = r_u24 c in
-  let lo = r_u24 c in
-  (hi lsl 24) lor lo
-
-let r_f64 c =
-  let bits = ref 0L in
-  for _ = 1 to 8 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (r_u8 c))
-  done;
-  Int64.float_of_bits !bits
-
-let r_link24 c =
-  let v = r_u24 c in
+let read_link r =
+  let v = Snapshot.r_u24 r in
   if v = 0xFFFFFF then -1 else v
-
-let r_bytes c n =
-  need c n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
 
 (* --- Addresses --- *)
 
-let w_host buf = function
+let write_host w = function
   | Id.Ipv4 v ->
-      u8 buf 1;
-      u32 buf (Int32.to_int (Int32.logand v 0xFFFFFFFFl) land 0xFFFFFFFF)
-  | Id.Ipv6 raw ->
-      u8 buf 2;
-      bytes_fixed buf raw 16
-  | Id.Mac raw ->
-      u8 buf 3;
-      bytes_fixed buf raw 6
+      Snapshot.w_u8 w 1;
+      Snapshot.w_u32 w (Int32.to_int v land 0xFFFFFFFF)
+  | Id.Ipv6 raw when String.length raw = 16 ->
+      Snapshot.w_u8 w 2;
+      Snapshot.w_raw w raw
+  | Id.Mac raw when String.length raw = 6 ->
+      Snapshot.w_u8 w 3;
+      Snapshot.w_raw w raw
+  | Id.Ipv6 _ | Id.Mac _ -> invalid_arg "Scion_header: bad raw address length"
 
-let r_host c =
-  match r_u8 c with
-  | 1 -> Id.Ipv4 (Int32.of_int (r_u32 c))
-  | 2 -> Id.Ipv6 (r_bytes c 16)
-  | 3 -> Id.Mac (r_bytes c 6)
-  | t -> raise (Bad (Printf.sprintf "unknown host address type %d" t))
+let read_host r =
+  match Snapshot.r_u8 r with
+  | 1 -> Id.Ipv4 (Int32.of_int (Snapshot.r_u32 r))
+  | 2 -> Id.Ipv6 (Snapshot.r_raw r 16)
+  | 3 -> Id.Mac (Snapshot.r_raw r 6)
+  | t -> Snapshot.corrupt "unknown host address type %d" t
 
-let w_endpoint buf (e : Id.endpoint) =
-  u16 buf e.Id.host_ia.Id.isd;
-  u48 buf e.Id.host_ia.Id.asn;
-  w_host buf e.Id.local
+let write_endpoint w (e : Id.endpoint) =
+  Snapshot.w_u16 w e.Id.host_ia.Id.isd;
+  Snapshot.w_u48 w e.Id.host_ia.Id.asn;
+  write_host w e.Id.local
 
-let r_endpoint c =
-  let isd = r_u16 c in
-  let asn = r_u48 c in
-  let local = r_host c in
+let read_endpoint r =
+  let isd = Snapshot.r_u16 r in
+  let asn = Snapshot.r_u48 r in
+  let local = read_host r in
   { Id.host_ia = Id.ia isd asn; local }
 
 (* --- Path --- *)
@@ -157,30 +72,30 @@ let combination_of_tag = function
   | 6 -> Fwd_path.Up_core_down
   | 7 -> Fwd_path.Shortcut
   | 8 -> Fwd_path.Peering_shortcut
-  | t -> raise (Bad (Printf.sprintf "unknown path combination tag %d" t))
+  | t -> Snapshot.corrupt "unknown path combination tag %d" t
 
-let w_proof buf (p : Segment.hop_field) =
-  u32 buf p.Segment.as_idx;
-  u16 buf p.Segment.ingress;
-  u16 buf p.Segment.egress;
-  link24 buf p.Segment.link_in;
-  link24 buf p.Segment.link_out;
-  u8 buf (Array.length p.Segment.peers);
-  Array.iter (fun l -> u24 buf l) p.Segment.peers;
-  f64 buf p.Segment.expiry;
-  if String.length p.Segment.mac <> 6 then invalid_arg "Scion_header: MAC must be 6 bytes";
-  Buffer.add_string buf p.Segment.mac
+let write_proof w (p : Segment.hop_field) =
+  Snapshot.w_u32 w p.Segment.as_idx;
+  Snapshot.w_u16 w p.Segment.ingress;
+  Snapshot.w_u16 w p.Segment.egress;
+  write_link w p.Segment.link_in;
+  write_link w p.Segment.link_out;
+  Snapshot.w_u8 w (Array.length p.Segment.peers);
+  Array.iter (fun l -> Snapshot.w_u24 w l) p.Segment.peers;
+  Snapshot.w_f64 w p.Segment.expiry;
+  if String.length p.Segment.mac <> 6 then
+    invalid_arg "Scion_header: MAC must be 6 bytes";
+  Snapshot.w_raw w p.Segment.mac
 
-let r_proof c =
-  let as_idx = r_u32 c in
-  let ingress = r_u16 c in
-  let egress = r_u16 c in
-  let link_in = r_link24 c in
-  let link_out = r_link24 c in
-  let n_peers = r_u8 c in
-  let peers = Array.init n_peers (fun _ -> r_u24 c) in
-  let expiry = r_f64 c in
-  let mac = r_bytes c 6 in
+let read_proof r =
+  let as_idx = Snapshot.r_u32 r in
+  let ingress = Snapshot.r_u16 r in
+  let egress = Snapshot.r_u16 r in
+  let link_in = read_link r in
+  let link_out = read_link r in
+  let peers = Array.init (Snapshot.r_u8 r) (fun _ -> Snapshot.r_u24 r) in
+  let expiry = Snapshot.r_f64 r in
+  let mac = Snapshot.r_raw r 6 in
   {
     Segment.as_idx;
     ingress;
@@ -192,53 +107,56 @@ let r_proof c =
     mac;
   }
 
-let w_crossing buf (cr : Fwd_path.crossing) =
-  u32 buf cr.Fwd_path.as_idx;
-  u16 buf cr.Fwd_path.in_if;
-  u16 buf cr.Fwd_path.out_if;
-  link24 buf cr.Fwd_path.in_link;
-  link24 buf cr.Fwd_path.out_link;
-  u8 buf (List.length cr.Fwd_path.proofs);
-  List.iter (w_proof buf) cr.Fwd_path.proofs
+let write_crossing w (cr : Fwd_path.crossing) =
+  Snapshot.w_u32 w cr.Fwd_path.as_idx;
+  Snapshot.w_u16 w cr.Fwd_path.in_if;
+  Snapshot.w_u16 w cr.Fwd_path.out_if;
+  write_link w cr.Fwd_path.in_link;
+  write_link w cr.Fwd_path.out_link;
+  Snapshot.w_u8 w (List.length cr.Fwd_path.proofs);
+  List.iter (write_proof w) cr.Fwd_path.proofs
 
-let r_crossing c =
-  let as_idx = r_u32 c in
-  let in_if = r_u16 c in
-  let out_if = r_u16 c in
-  let in_link = r_link24 c in
-  let out_link = r_link24 c in
-  let n = r_u8 c in
-  let proofs = List.init n (fun _ -> r_proof c) in
+let read_crossing r =
+  let as_idx = Snapshot.r_u32 r in
+  let in_if = Snapshot.r_u16 r in
+  let out_if = Snapshot.r_u16 r in
+  let in_link = read_link r in
+  let out_link = read_link r in
+  let proofs = List.init (Snapshot.r_u8 r) (fun _ -> read_proof r) in
   { Fwd_path.as_idx; in_if; out_if; in_link; out_link; proofs }
 
 let encode h =
-  let buf = Buffer.create 128 in
-  u8 buf version;
-  u16 buf h.payload_len;
-  w_endpoint buf h.src;
-  w_endpoint buf h.dst;
-  u8 buf (combination_tag h.path.Fwd_path.combination);
-  u8 buf (Array.length h.path.Fwd_path.crossings);
-  Array.iter (w_crossing buf) h.path.Fwd_path.crossings;
-  u8 buf (Array.length h.path.Fwd_path.links);
-  Array.iter (fun l -> u24 buf l) h.path.Fwd_path.links;
-  Buffer.contents buf
+  let w = Snapshot.writer () in
+  Snapshot.w_u8 w version;
+  Snapshot.w_u16 w h.payload_len;
+  write_endpoint w h.src;
+  write_endpoint w h.dst;
+  Snapshot.w_u8 w (combination_tag h.path.Fwd_path.combination);
+  Snapshot.w_u8 w (Array.length h.path.Fwd_path.crossings);
+  Array.iter (write_crossing w) h.path.Fwd_path.crossings;
+  Snapshot.w_u8 w (Array.length h.path.Fwd_path.links);
+  Array.iter (fun l -> Snapshot.w_u24 w l) h.path.Fwd_path.links;
+  Snapshot.contents w
 
 let decode s =
   try
-    let c = { data = s; pos = 0 } in
-    let v = r_u8 c in
-    if v <> version then raise (Bad (Printf.sprintf "unsupported version %d" v));
-    let payload_len = r_u16 c in
-    let src = r_endpoint c in
-    let dst = r_endpoint c in
-    let combination = combination_of_tag (r_u8 c) in
-    let n_cross = r_u8 c in
-    let crossings = Array.init n_cross (fun _ -> r_crossing c) in
-    let n_links = r_u8 c in
-    let links = Array.init n_links (fun _ -> r_u24 c) in
-    if c.pos <> String.length s then raise (Bad "trailing bytes");
-    Ok { src; dst; payload_len; path = { Fwd_path.crossings; links; combination } }
-  with Bad msg -> Error msg
+    let r = Snapshot.reader s in
+    let v = Snapshot.r_u8 r in
+    if v <> version then Snapshot.corrupt "unsupported version %d" v;
+    let payload_len = Snapshot.r_u16 r in
+    let src = read_endpoint r in
+    let dst = read_endpoint r in
+    let combination = combination_of_tag (Snapshot.r_u8 r) in
+    let crossings = Array.init (Snapshot.r_u8 r) (fun _ -> read_crossing r) in
+    let links = Array.init (Snapshot.r_u8 r) (fun _ -> Snapshot.r_u24 r) in
+    Snapshot.r_end r;
+    Ok
+      {
+        src;
+        dst;
+        payload_len;
+        path = { Fwd_path.crossings; links; combination };
+      }
+  with Snapshot.Corrupt msg -> Error msg
 
 let encoded_size h = String.length (encode h)

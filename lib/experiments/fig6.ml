@@ -44,17 +44,6 @@ let kind_name = function
    (unlimited) maps onto the engine's [max_int] representation. *)
 let beaconing_limit = function None -> max_int | Some limit -> limit
 
-let scion_flows core outcome pairs =
-  Array.map
-    (fun (s, d) ->
-      let pcbs =
-        Beacon_store.paths outcome.Beaconing.stores.(s)
-          ~now:(outcome.Beaconing.config.Beaconing.duration -. 1.0)
-          ~origin:d
-      in
-      Path_quality.of_pcbs core pcbs ~src:s ~dst:d)
-    pairs
-
 (* Independent stages: the optimum cuts, the BGP flows and one
    beaconing run per algorithm all fan out as parallel jobs. *)
 type stage = S_optimum of int array | S_algo of algo
@@ -70,7 +59,11 @@ let run ?(obs = Obs.disabled) ?(jobs = 1)
   let cfg = beacon in
   let beacon_algo ~obs kind config =
     let out = Beaconing.run ~obs core config in
-    { kind; name = kind_name kind; flows = scion_flows core out pairs }
+    {
+      kind;
+      name = kind_name kind;
+      flows = Path_quality.of_outcome core out pairs;
+    }
   in
   let stages =
     Array.of_list

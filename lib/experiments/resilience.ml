@@ -6,18 +6,7 @@ type cell_result = {
   algo : algo_kind;
   rate : rate;
   trials : int;
-  events_down : int;
-  events_up : int;
-  affected_pairs : int;
-  failovers : int;
-  blackouts : int;
-  unrecovered : int;
-  blackout_time_s : float;
-  recovery_samples : float array;
-  revocation_msgs : int;
-  revocation_bytes : float;
-  revoked_segments : int;
-  dropped_pcbs : int;
+  recovery : Recovery.summary;
   validated_pairs : int;
   validated_delivered : int;
   validated_failovers : int;
@@ -148,61 +137,25 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   let cell_results =
     List.mapi
       (fun cell_idx (algo, rate) ->
-        let acc =
-          ref
-            {
-              algo;
-              rate;
-              trials = 0;
-              events_down = 0;
-              events_up = 0;
-              affected_pairs = 0;
-              failovers = 0;
-              blackouts = 0;
-              unrecovered = 0;
-              blackout_time_s = 0.0;
-              recovery_samples = [||];
-              revocation_msgs = 0;
-              revocation_bytes = 0.0;
-              revoked_segments = 0;
-              dropped_pcbs = 0;
-              validated_pairs = 0;
-              validated_delivered = 0;
-              validated_failovers = 0;
-            }
+        let trials =
+          List.filteri
+            (fun i _ -> tasks.(i).cell_idx = cell_idx)
+            (Array.to_list results)
         in
-        Array.iteri
-          (fun i (r : Fault_engine.result) ->
-            if tasks.(i).cell_idx = cell_idx then begin
-              let s = r.Fault_engine.recovery in
-              let c = !acc in
-              acc :=
-                {
-                  c with
-                  trials = c.trials + 1;
-                  events_down = c.events_down + s.Recovery.events_down;
-                  events_up = c.events_up + s.Recovery.events_up;
-                  affected_pairs = c.affected_pairs + s.Recovery.affected_pairs;
-                  failovers = c.failovers + s.Recovery.failovers;
-                  blackouts = c.blackouts + s.Recovery.blackouts;
-                  unrecovered = c.unrecovered + s.Recovery.unrecovered;
-                  blackout_time_s = c.blackout_time_s +. s.Recovery.blackout_time_s;
-                  recovery_samples =
-                    Array.append c.recovery_samples s.Recovery.recovery_samples;
-                  revocation_msgs = c.revocation_msgs + s.Recovery.revocation_msgs;
-                  revocation_bytes =
-                    c.revocation_bytes +. s.Recovery.revocation_bytes;
-                  revoked_segments = c.revoked_segments + s.Recovery.revoked_segments;
-                  dropped_pcbs = c.dropped_pcbs + s.Recovery.dropped_pcbs;
-                  validated_pairs = c.validated_pairs + r.Fault_engine.validated_pairs;
-                  validated_delivered =
-                    c.validated_delivered + r.Fault_engine.validated_delivered;
-                  validated_failovers =
-                    c.validated_failovers + r.Fault_engine.validated_failovers;
-                }
-            end)
-          results;
-        !acc)
+        let total f = List.fold_left (fun acc r -> acc + f r) 0 trials in
+        {
+          algo;
+          rate;
+          trials = List.length trials;
+          recovery =
+            Recovery.sum
+              (List.map (fun (r : Fault_engine.result) -> r.recovery) trials);
+          validated_pairs = total (fun r -> r.Fault_engine.validated_pairs);
+          validated_delivered =
+            total (fun r -> r.Fault_engine.validated_delivered);
+          validated_failovers =
+            total (fun r -> r.Fault_engine.validated_failovers);
+        })
       cells
   in
   { scale = cfg.scale; pairs = Array.length pairs; cells = cell_results }
@@ -220,8 +173,9 @@ let to_json (r : result) =
         Obs_json.List
           (List.map
              (fun c ->
+               let (s : Recovery.summary) = c.recovery in
                let q x =
-                 match quantile_opt c.recovery_samples x with
+                 match quantile_opt s.recovery_samples x with
                  | None -> Obs_json.Null
                  | Some v -> Obs_json.Float v
                in
@@ -232,21 +186,22 @@ let to_json (r : result) =
                    ("mtbf_s", Obs_json.Float c.rate.mtbf_s);
                    ("mttr_s", Obs_json.Float c.rate.mttr_s);
                    ("trials", Obs_json.Int c.trials);
-                   ("events_down", Obs_json.Int c.events_down);
-                   ("events_up", Obs_json.Int c.events_up);
-                   ("affected_pairs", Obs_json.Int c.affected_pairs);
-                   ("failovers", Obs_json.Int c.failovers);
-                   ("blackouts", Obs_json.Int c.blackouts);
-                   ("unrecovered", Obs_json.Int c.unrecovered);
-                   ("blackout_time_s", Obs_json.Float c.blackout_time_s);
-                   ("recoveries", Obs_json.Int (Array.length c.recovery_samples));
+                   ("events_down", Obs_json.Int s.events_down);
+                   ("events_up", Obs_json.Int s.events_up);
+                   ("affected_pairs", Obs_json.Int s.affected_pairs);
+                   ("failovers", Obs_json.Int s.failovers);
+                   ("blackouts", Obs_json.Int s.blackouts);
+                   ("unrecovered", Obs_json.Int s.unrecovered);
+                   ("blackout_time_s", Obs_json.Float s.blackout_time_s);
+                   ( "recoveries",
+                     Obs_json.Int (Array.length s.recovery_samples) );
                    ("recovery_p50_s", q 0.5);
                    ("recovery_p90_s", q 0.9);
                    ("recovery_p99_s", q 0.99);
-                   ("revocation_msgs", Obs_json.Int c.revocation_msgs);
-                   ("revocation_bytes", Obs_json.Float c.revocation_bytes);
-                   ("revoked_segments", Obs_json.Int c.revoked_segments);
-                   ("dropped_pcbs", Obs_json.Int c.dropped_pcbs);
+                   ("revocation_msgs", Obs_json.Int s.revocation_msgs);
+                   ("revocation_bytes", Obs_json.Float s.revocation_bytes);
+                   ("revoked_segments", Obs_json.Int s.revoked_segments);
+                   ("dropped_pcbs", Obs_json.Int s.dropped_pcbs);
                    ("validated_pairs", Obs_json.Int c.validated_pairs);
                    ("validated_delivered", Obs_json.Int c.validated_delivered);
                    ("validated_failovers", Obs_json.Int c.validated_failovers);
@@ -260,8 +215,8 @@ let print (r : result) =
      pairs)\n\n"
     (Exp_common.scale_to_string r.scale)
     r.pairs;
-  let fmt_q c x =
-    match quantile_opt c.recovery_samples x with
+  let fmt_q (s : Recovery.summary) x =
+    match quantile_opt s.recovery_samples x with
     | None -> "-"
     | Some v -> Printf.sprintf "%.1f s" v
   in
@@ -284,19 +239,20 @@ let print (r : result) =
     ~rows:
       (List.map
          (fun c ->
+           let (s : Recovery.summary) = c.recovery in
            [
              algo_name c.algo;
              c.rate.rate_name;
-             Printf.sprintf "%d/%d" c.events_down c.events_up;
-             string_of_int c.affected_pairs;
-             string_of_int c.failovers;
-             Printf.sprintf "%d (%d open)" c.blackouts c.unrecovered;
-             Printf.sprintf "%.0f s" c.blackout_time_s;
-             fmt_q c 0.5;
-             fmt_q c 0.9;
-             fmt_q c 0.99;
-             Printf.sprintf "%d msg / %.1f KB" c.revocation_msgs
-               (c.revocation_bytes /. 1024.0);
+             Printf.sprintf "%d/%d" s.events_down s.events_up;
+             string_of_int s.affected_pairs;
+             string_of_int s.failovers;
+             Printf.sprintf "%d (%d open)" s.blackouts s.unrecovered;
+             Printf.sprintf "%.0f s" s.blackout_time_s;
+             fmt_q s 0.5;
+             fmt_q s 0.9;
+             fmt_q s 0.99;
+             Printf.sprintf "%d msg / %.1f KB" s.revocation_msgs
+               (s.revocation_bytes /. 1024.0);
              Printf.sprintf "%d/%d" c.validated_delivered c.validated_pairs;
            ])
          r.cells);

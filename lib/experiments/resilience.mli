@@ -34,18 +34,7 @@ type cell_result = {
   algo : algo_kind;
   rate : rate;
   trials : int;
-  events_down : int;
-  events_up : int;
-  affected_pairs : int;
-  failovers : int;
-  blackouts : int;
-  unrecovered : int;
-  blackout_time_s : float;
-  recovery_samples : float array;  (** all trials, input order *)
-  revocation_msgs : int;
-  revocation_bytes : float;
-  revoked_segments : int;
-  dropped_pcbs : int;
+  recovery : Recovery.summary;  (** summed over the cell's trials *)
   validated_pairs : int;
   validated_delivered : int;
   validated_failovers : int;

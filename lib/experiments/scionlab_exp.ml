@@ -28,17 +28,6 @@ let all_pairs g =
   done;
   Array.of_list (List.rev !acc)
 
-let scion_flows g outcome pairs =
-  Array.map
-    (fun (s, d) ->
-      let pcbs =
-        Beacon_store.paths outcome.Beaconing.stores.(s)
-          ~now:(outcome.Beaconing.config.Beaconing.duration -. 1.0)
-          ~origin:d
-      in
-      Path_quality.of_pcbs g pcbs ~src:s ~dst:d)
-    pairs
-
 (* Independent stages: the all-pairs optimum, the baseline(5) run (which
    also yields the measured path set and the Fig. 9 interface rates) and
    one diversity run per storage limit. *)
@@ -77,7 +66,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { diversity } =
                     in
                     {
                       name = Printf.sprintf "SCION Diversity (%d)" limit;
-                      flows = scion_flows g out pairs;
+                      flows = Path_quality.of_outcome g out pairs;
                     })))
            div_limits)
   in
@@ -92,7 +81,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { diversity } =
     Array.to_list staged
     |> List.filter_map (function S_div a -> Some a | _ -> None)
   in
-  let baseline_flows = scion_flows g baseline5 pairs in
+  let baseline_flows = Path_quality.of_outcome g baseline5 pairs in
   let algos =
     { name = "Measurement"; flows = baseline_flows }
     :: { name = "SCION Baseline (5)"; flows = baseline_flows }

@@ -168,6 +168,26 @@ let summary (t : t) =
     dropped_pcbs = t.dropped_pcbs;
   }
 
+let sum summaries =
+  List.fold_left
+    (fun a b ->
+      {
+        events_down = a.events_down + b.events_down;
+        events_up = a.events_up + b.events_up;
+        affected_pairs = a.affected_pairs + b.affected_pairs;
+        failovers = a.failovers + b.failovers;
+        blackouts = a.blackouts + b.blackouts;
+        unrecovered = a.unrecovered + b.unrecovered;
+        blackout_time_s = a.blackout_time_s +. b.blackout_time_s;
+        recovery_samples = Array.append a.recovery_samples b.recovery_samples;
+        revoked_segments = a.revoked_segments + b.revoked_segments;
+        revocation_msgs = a.revocation_msgs + b.revocation_msgs;
+        revocation_bytes = a.revocation_bytes +. b.revocation_bytes;
+        dropped_pcbs = a.dropped_pcbs + b.dropped_pcbs;
+      })
+    (summary (create ()))
+    summaries
+
 let observe obs (t : t) =
   if Obs.on obs then begin
     let reg = Obs.registry obs in

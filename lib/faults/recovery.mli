@@ -82,6 +82,10 @@ type summary = {
 
 val summary : t -> summary
 
+val sum : summary list -> summary
+(** Field-wise total, adding in list order; recovery samples are
+    concatenated in list order. [sum []] is an empty trial's summary. *)
+
 val observe : Obs.t -> t -> unit
 (** Export into an {!Obs.t} registry: [fault_events_total{action}],
     [fault_affected_pairs_total], [fault_failovers_total],

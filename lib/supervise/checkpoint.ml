@@ -10,10 +10,9 @@ let frame ~schema ~version payload =
   Snapshot.contents w
 
 let unframe ~schema ~version data =
-  let n = String.length magic in
-  if String.length data < n || String.sub data 0 n <> magic then
+  let r = Snapshot.reader data in
+  if Snapshot.r_raw r (String.length magic) <> magic then
     raise (Snapshot.Corrupt "not a checkpoint file (bad magic)");
-  let r = Snapshot.reader (String.sub data n (String.length data - n)) in
   let v = Snapshot.r_int r in
   if v <> version then
     raise

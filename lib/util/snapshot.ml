@@ -6,13 +6,32 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 type writer = Buffer.t
 
-let writer () = Buffer.create 4096
+(* Small, because every stored PCB is encoded through its own writer;
+   large snapshots grow the buffer by doubling. *)
+let writer () = Buffer.create 128
 
 let contents = Buffer.contents
 
-let w_u8 w v = Buffer.add_char w (Char.chr (v land 0xFF))
+(* Unsigned [bits]-bit field, most significant byte first. *)
+let w_uint bits w v =
+  if v < 0 || v lsr bits <> 0 then
+    invalid_arg (Printf.sprintf "Snapshot.w_u%d: %d out of range" bits v);
+  for byte = (bits / 8) - 1 downto 0 do
+    Buffer.add_char w (Char.unsafe_chr ((v lsr (byte * 8)) land 0xFF))
+  done
 
-let w_i64 w v =
+let w_u8 w v = w_uint 8 w v
+
+let w_u16 w v = w_uint 16 w v
+
+let w_u24 w v = w_uint 24 w v
+
+let w_u32 w v = w_uint 32 w v
+
+let w_u48 w v = w_uint 48 w v
+
+(* Inlined, so that [w_int] and [w_f64] keep the word unboxed. *)
+let[@inline] w_i64 w v =
   for byte = 7 downto 0 do
     Buffer.add_char w
       (Char.chr (Int64.to_int (Int64.shift_right_logical v (byte * 8)) land 0xFF))
@@ -53,16 +72,30 @@ type reader = { data : string; mutable pos : int }
 let reader data = { data; pos = 0 }
 
 let need r n =
-  if r.pos + n > String.length r.data then
-    corrupt "snapshot truncated at byte %d (need %d more)" r.pos n
+  if n < 0 || n > String.length r.data - r.pos then
+    corrupt "input truncated at byte %d (need %d more)" r.pos n
 
-let r_u8 r =
-  need r 1;
-  let v = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
+let r_uint bytes r =
+  need r bytes;
+  let v = ref 0 in
+  for i = r.pos to r.pos + bytes - 1 do
+    v := (!v lsl 8) lor Char.code r.data.[i]
+  done;
+  r.pos <- r.pos + bytes;
+  !v
 
-let r_i64 r =
+let r_u8 r = r_uint 1 r
+
+let r_u16 r = r_uint 2 r
+
+let r_u24 r = r_uint 3 r
+
+let r_u32 r = r_uint 4 r
+
+let r_u48 r = r_uint 6 r
+
+(* Inlined, so that [r_int] and [r_f64] keep the word unboxed. *)
+let[@inline] r_i64 r =
   need r 8;
   let v = ref 0L in
   for _ = 1 to 8 do
@@ -91,11 +124,13 @@ let r_len r what =
     corrupt "implausible %s length %d" what n;
   n
 
-let r_str r =
-  let n = r_len r "string" in
+let r_raw r n =
+  need r n;
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
+
+let r_str r = r_raw r (r_len r "string")
 
 let r_list r f = List.init (r_len r "list") (fun _ -> f r)
 

@@ -1,17 +1,21 @@
-(** Deterministic binary snapshot primitives.
+(** Deterministic big-endian byte codec.
 
-    A minimal big-endian writer/reader pair. Each checkpointable
-    component owns its codec on top of these primitives — a [write]
-    that emits its state in a canonical (sorted, hash-table-layout
-    independent) order and a [read] that fills a live value directly
-    and enforces the component's own invariants — so encoding the same
-    logical state always yields the same bytes, and
+    The one writer/reader pair for every byte format in the repo: the
+    checkpoint snapshots and the wire formats ([Pcb_codec],
+    [Scion_header]). Each checkpointable component owns its codec on
+    top of these primitives — a [write] that emits its state in a
+    canonical (sorted, hash-table-layout independent) order and a
+    [read] that fills a live value directly and enforces the
+    component's own invariants — so encoding the same logical state
+    always yields the same bytes, and
     [encode (decode bytes) = bytes]. Floats are serialized as their
     IEEE-754 bit patterns, making the round-trip exact (including
     infinities and [nan]).
 
-    Reads are total: malformed input raises {!Corrupt}, never an
-    out-of-bounds access or a silently wrong value. *)
+    Fixed-width writers are range-checked: [w_uN] raises
+    [Invalid_argument] unless [0 <= v < 2^N], so a value never
+    silently wraps. Reads are total: malformed input raises {!Corrupt},
+    never an out-of-bounds access or a silently wrong value. *)
 
 exception Corrupt of string
 
@@ -27,6 +31,17 @@ val writer : unit -> writer
 val contents : writer -> string
 
 val w_u8 : writer -> int -> unit
+(** One byte; [Invalid_argument] outside [0 .. 255]. *)
+
+val w_u16 : writer -> int -> unit
+
+val w_u24 : writer -> int -> unit
+
+val w_u32 : writer -> int -> unit
+
+val w_u48 : writer -> int -> unit
+(** [w_u16] … [w_u48]: 2, 3, 4 and 6 big-endian bytes, each with the
+    same range check as {!w_u8}. *)
 
 val w_int : writer -> int -> unit
 (** 8-byte big-endian (int63-safe). *)
@@ -61,6 +76,14 @@ val reader : string -> reader
 
 val r_u8 : reader -> int
 
+val r_u16 : reader -> int
+
+val r_u24 : reader -> int
+
+val r_u32 : reader -> int
+
+val r_u48 : reader -> int
+
 val r_int : reader -> int
 
 val r_i64 : reader -> int64
@@ -70,6 +93,10 @@ val r_f64 : reader -> float
 val r_bool : reader -> bool
 
 val r_str : reader -> string
+
+val r_raw : reader -> int -> string
+(** [r_raw r n] reads exactly [n] bytes with no length prefix, the
+    counterpart of {!w_raw}. *)
 
 val r_list : reader -> (reader -> 'a) -> 'a list
 

@@ -7,6 +7,22 @@ let sample_pcb () =
   let p = Pcb.extend p ~asn:7 ~ingress:0 ~egress:3 ~link:100 ~peers:[||] in
   Pcb.extend p ~asn:12 ~ingress:2 ~egress:9 ~link:200 ~peers:[| 55; 66 |]
 
+(* Two hops, each signed by its AS as it extends the beacon. *)
+let two_signature_pcb () =
+  let ks = Signature.create_keystore () in
+  let k7 = Signature.generate ks Signature.Ecdsa_p384 ~id:"as:7" in
+  let k12 = Signature.generate ks Signature.Ecdsa_p384 ~id:"as:12" in
+  let p = Pcb.origin_pcb ~origin:7 ~now:0.0 ~lifetime:600.0 in
+  let p = Pcb.extend p ~asn:7 ~ingress:0 ~egress:3 ~link:100 ~peers:[||] in
+  let p = Pcb.with_signature p (Signature.sign k7 (Pcb.signable_bytes p)) in
+  let p = Pcb.extend p ~asn:12 ~ingress:2 ~egress:9 ~link:200 ~peers:[||] in
+  (ks, Pcb.with_signature p (Signature.sign k12 (Pcb.signable_bytes p)))
+
+let hex s =
+  let b = Buffer.create (2 * String.length s) in
+  String.iter (fun c -> Printf.bprintf b "%02x" (Char.code c)) s;
+  Buffer.contents b
+
 let pcbs_equal (a : Pcb.t) (b : Pcb.t) =
   a.Pcb.origin = b.Pcb.origin
   && a.Pcb.timestamp = b.Pcb.timestamp
@@ -29,14 +45,7 @@ let test_roundtrip_empty () =
   | Error e -> Alcotest.fail e
 
 let test_signatures_survive () =
-  let ks = Signature.create_keystore () in
-  let k7 = Signature.generate ks Signature.Ecdsa_p384 ~id:"as:7" in
-  let k12 = Signature.generate ks Signature.Ecdsa_p384 ~id:"as:12" in
-  let p = Pcb.origin_pcb ~origin:7 ~now:0.0 ~lifetime:600.0 in
-  let p = Pcb.extend p ~asn:7 ~ingress:0 ~egress:3 ~link:100 ~peers:[||] in
-  let p = Pcb.with_signature p (Signature.sign k7 (Pcb.signable_bytes p)) in
-  let p = Pcb.extend p ~asn:12 ~ingress:2 ~egress:9 ~link:200 ~peers:[||] in
-  let p = Pcb.with_signature p (Signature.sign k12 (Pcb.signable_bytes p)) in
+  let ks, p = two_signature_pcb () in
   match Pcb_codec.decode (Pcb_codec.encode p) with
   | Error e -> Alcotest.fail e
   | Ok p' ->
@@ -45,6 +54,26 @@ let test_signatures_survive () =
       let newest = List.hd p'.Pcb.signatures in
       Alcotest.(check bool) "verifies after decode" true
         (Signature.verify ks ~id:"as:12" ~msg:(Pcb.signable_bytes p') ~signature:newest)
+
+(* Literal wire bytes, so a layout change that still round-trips fails:
+   version, origin u32, timestamp and lifetime f64, then per hop asn u32,
+   ingress/egress u16, link u24 and u24 peers behind a u8 count, then
+   u16-length signatures behind a u8 count. *)
+let test_golden_bytes () =
+  check Alcotest.string "sample PCB"
+    ("010000000740934a000000000040d51800000000000200000007000000030000"
+   ^ "64000000000c000200090000c80200003700004200")
+    (hex (Pcb_codec.encode (sample_pcb ())));
+  check Alcotest.string "two-signature PCB"
+    ("010000000700000000000000004082c000000000000200000007000000030000"
+   ^ "64000000000c000200090000c8000200601a3824b635dd11fce871c1760fd62e"
+   ^ "696efaaa9c6171d14be81ff77d8f91979f1c736cfd20f00ec8d66dd7002e5bbb"
+   ^ "562e49369d6b758f7be553e05361b0f6ea7c851c447e7aac80aa2a3efbfb8eb8"
+   ^ "ed4b438b8453be47179946db6373d721670060ec935cd00e069a7c6db4c27125"
+   ^ "454bba3315576cbfd6ca593bba3edeaf37e596c81072782306ea6682f361461f"
+   ^ "5f8b592892cbbe045f63e2696a645106de42eff4a048acbe5e4c14c6e5c6e97c"
+   ^ "85aa271cfdd767d474661ddaa88ab61b84cf96")
+    (hex (Pcb_codec.encode (snd (two_signature_pcb ()))))
 
 let test_key_recomputed () =
   let p = sample_pcb () in
@@ -109,6 +138,7 @@ let suite =
     ("roundtrip", `Quick, test_roundtrip);
     ("roundtrip empty", `Quick, test_roundtrip_empty);
     ("signatures survive", `Quick, test_signatures_survive);
+    ("golden bytes", `Quick, test_golden_bytes);
     ("key recomputed", `Quick, test_key_recomputed);
     ("truncation rejected", `Quick, test_truncation_rejected);
     ("trailing rejected", `Quick, test_trailing_rejected);

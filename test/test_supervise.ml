@@ -123,6 +123,42 @@ let test_snapshot_primitives () =
     (Snapshot.r_arr r Snapshot.r_f64);
   Alcotest.(check bool) "none" true (Snapshot.r_opt r Snapshot.r_str = None);
   Alcotest.(check bool) "some" true (Snapshot.r_opt r Snapshot.r_str = Some "x");
+  Snapshot.r_end r;
+  (* Fixed-width fields: both ends of the range round-trip big-endian in
+     exactly [bits / 8] bytes; one past either end is rejected. *)
+  List.iter
+    (fun (bits, w_u, r_u) ->
+      let top = (1 lsl bits) - 1 in
+      let w = Snapshot.writer () in
+      w_u w 0;
+      w_u w top;
+      let b = Snapshot.contents w in
+      check Alcotest.string
+        (Printf.sprintf "u%d bytes" bits)
+        (String.make (bits / 8) '\x00' ^ String.make (bits / 8) '\xff')
+        b;
+      let r = Snapshot.reader b in
+      check Alcotest.int (Printf.sprintf "u%d zero" bits) 0 (r_u r);
+      check Alcotest.int (Printf.sprintf "u%d max" bits) top (r_u r);
+      Snapshot.r_end r;
+      List.iter
+        (fun v ->
+          match w_u (Snapshot.writer ()) v with
+          | () -> Alcotest.failf "w_u%d %d accepted" bits v
+          | exception Invalid_argument _ -> ())
+        [ top + 1; -1 ])
+    Snapshot.
+      [
+        (8, w_u8, r_u8);
+        (16, w_u16, r_u16);
+        (24, w_u24, r_u24);
+        (32, w_u32, r_u32);
+        (48, w_u48, r_u48);
+      ];
+  let w = Snapshot.writer () in
+  Snapshot.w_raw w "ab\x00c";
+  let r = Snapshot.reader (Snapshot.contents w) in
+  check Alcotest.string "raw roundtrip" "ab\x00c" (Snapshot.r_raw r 4);
   Snapshot.r_end r
 
 let test_snapshot_i64_wire_format () =
@@ -170,6 +206,16 @@ let test_snapshot_corruption () =
   sorted [ 1; 2; 5 ];
   expect_corrupt "keys out of order" (fun () -> sorted [ 2; 1 ]);
   expect_corrupt "duplicate key" (fun () -> sorted [ 3; 3 ]);
+  List.iter
+    (fun (bytes, r_u) ->
+      for cut = 0 to bytes - 1 do
+        expect_corrupt
+          (Printf.sprintf "%d of %d bytes" cut bytes)
+          (fun () -> r_u (Snapshot.reader (String.make cut '\x01')))
+      done)
+    Snapshot.[ (1, r_u8); (2, r_u16); (3, r_u24); (4, r_u32); (6, r_u48) ];
+  expect_corrupt "raw past the end" (fun () ->
+      Snapshot.r_raw (Snapshot.reader "abc") 4);
   expect_corrupt "trailing bytes" (fun () ->
       let w = Snapshot.writer () in
       Snapshot.w_int w 1;

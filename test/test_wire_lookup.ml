@@ -81,6 +81,40 @@ let test_header_roundtrip_ipv6_mac () =
   | Ok h' -> Alcotest.(check bool) "mac roundtrip" true (headers_equal hm h')
   | Error e -> Alcotest.fail e
 
+(* Literal wire bytes of the three host-address kinds, so a layout change
+   that still round-trips fails. *)
+let test_header_golden_bytes () =
+  let bytes local =
+    Test_pcb_codec.hex (Scion_header.encode (sample_header ~local ()))
+  in
+  check Alcotest.string "ipv4"
+    ("010578000100000000002a010a000001000700000001869f01c0a80001080300"
+   ^ "00000300000004ffffff00000c0100000003000200050000070000090040d518"
+   ^ "2000000000444546474849000000080006000200000c00000d02000000080002"
+   ^ "00050000070000090040d5182000000000494a4b4c4d4e000000090002000500"
+   ^ "00070000090200002c00003740d51820000000004a4b4c4d4e4f000000010003"
+   ^ "000000000dffffff0100000001000200050000070000090040d5182000000000"
+   ^ "4243444546470200000c00000d")
+    (bytes (Id.Ipv4 0x0A000001l));
+  check Alcotest.string "ipv6"
+    ("010578000100000000002a024242424242424242424242424242424200070000"
+   ^ "0001869f01c0a8000108030000000300000004ffffff00000c01000000030002"
+   ^ "00050000070000090040d5182000000000444546474849000000080006000200"
+   ^ "000c00000d0200000008000200050000070000090040d5182000000000494a4b"
+   ^ "4c4d4e00000009000200050000070000090200002c00003740d5182000000000"
+   ^ "4a4b4c4d4e4f000000010003000000000dffffff010000000100020005000007"
+   ^ "0000090040d51820000000004243444546470200000c00000d")
+    (bytes (Id.Ipv6 (String.make 16 '\x42')));
+  check Alcotest.string "mac"
+    ("010578000100000000002a03010203040506000700000001869f01c0a8000108"
+   ^ "030000000300000004ffffff00000c0100000003000200050000070000090040"
+   ^ "d5182000000000444546474849000000080006000200000c00000d0200000008"
+   ^ "000200050000070000090040d5182000000000494a4b4c4d4e00000009000200"
+   ^ "050000070000090200002c00003740d51820000000004a4b4c4d4e4f00000001"
+   ^ "0003000000000dffffff0100000001000200050000070000090040d518200000"
+   ^ "00004243444546470200000c00000d")
+    (bytes (Id.Mac "\x01\x02\x03\x04\x05\x06"))
+
 let test_header_reencode_identical () =
   let h = sample_header () in
   let wire = Scion_header.encode h in
@@ -264,6 +298,7 @@ let suite =
   [
     ("header roundtrip", `Quick, test_header_roundtrip);
     ("header roundtrip ipv6/mac", `Quick, test_header_roundtrip_ipv6_mac);
+    ("header golden bytes", `Quick, test_header_golden_bytes);
     ("header re-encode identical", `Quick, test_header_reencode_identical);
     ("header size", `Quick, test_header_size);
     ("header rejects truncation", `Quick, test_header_rejects_truncation);
