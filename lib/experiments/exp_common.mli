@@ -3,7 +3,7 @@
     Paper scale (§5.1): 12 000-AS CAIDA-like topology, 2 000-AS core,
     an 11-core/7 000-AS ISD, 26 monitors, 6 h of beaconing at 10 min
     intervals. The smaller presets keep every structural knob but
-    shrink the AS counts so the full suite runs in CI / bench time. *)
+    shrink the AS counts so the full suite runs in CI time. *)
 
 type scale = Tiny | Small | Medium | Paper
 

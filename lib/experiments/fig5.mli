@@ -39,7 +39,7 @@ val config :
   Exp_common.scale ->
   config
 (** [beacon] overrides the §5.1 beaconing configuration (used by the
-    bench harness to run shorter horizons). *)
+    benchmark to run shorter horizons). *)
 
 val name : string
 

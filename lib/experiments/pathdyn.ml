@@ -247,7 +247,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
           tasks;
         let lifetime =
           Histogram.summarize
-            (Registry.histogram cell_reg ~labels "soak_path_lifetime_rounds")
+            (Registry.histogram cell_reg ~labels Soak.lifetime_metric)
         in
         if Obs.on obs then Registry.merge ~into:(Obs.registry obs) cell_reg;
         let per_ok v = if !ok = 0 then 0.0 else v /. float_of_int !ok in

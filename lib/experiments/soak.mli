@@ -56,6 +56,9 @@ val registry : t -> Registry.t
     serialized with the trial, mergeable into an observability context
     by the caller. *)
 
+val lifetime_metric : string
+(** Name of the path-lifetime histogram (rounds) in {!registry}. *)
+
 val invariant_ctx : t -> Invariants.ctx
 (** The trial's state packaged for {!Invariants.check_all}. *)
 

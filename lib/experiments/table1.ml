@@ -179,11 +179,11 @@ let measure ?(obs = Obs.disabled) ?(jobs = 1) scale =
     };
   ]
 
-type config = { scale : Exp_common.scale; measure : bool }
+type config = { scale : Exp_common.scale }
 
-let config ?(measure = true) scale = { scale; measure }
+let config scale = { scale }
 
-type result = { measured : measured list option }
+type result = { measured : measured list }
 
 let name = "table1"
 
@@ -191,8 +191,7 @@ let doc = "Table 1: control-plane overhead taxonomy"
 
 let config_of_cli (c : Scenario.cli) = config c.scale
 
-let run ?obs ?jobs { scale; measure = m } =
-  { measured = (if m then Some (measure ?obs ?jobs scale) else None) }
+let run ?obs ?jobs { scale } = { measured = measure ?obs ?jobs scale }
 
 let to_json (r : result) =
   let taxonomy =
@@ -218,40 +217,38 @@ let to_json (r : result) =
       components
   in
   let measured =
-    match r.measured with
-    | None -> Obs_json.Null
-    | Some rows ->
-        Obs_json.List
-          (List.map
-             (fun m ->
-               Obs_json.Obj
-                 [
-                   ("component", Obs_json.String m.component);
-                   ("messages", Obs_json.Float m.messages);
-                   ("bytes", Obs_json.Float m.bytes);
-                 ])
-             rows)
+    List.map
+      (fun m ->
+        Obs_json.Obj
+          [
+            ("component", Obs_json.String m.component);
+            ("messages", Obs_json.Float m.messages);
+            ("bytes", Obs_json.Float m.bytes);
+          ])
+      r.measured
   in
   Obs_json.Obj
     [
       ("experiment", Obs_json.String name);
       ("taxonomy", Obs_json.List taxonomy);
-      ("measured", measured);
+      ("measured", Obs_json.List measured);
     ]
 
 let print (r : result) =
   print_string (render ());
-  match r.measured with
-  | None -> ()
-  | Some rows ->
-      print_newline ();
-      print_endline "Measured per-component traffic (short end-to-end simulation):";
-      Table.print
-        ~header:[ "Component"; "Messages"; "Bytes" ]
-        ~rows:
-          (List.map
-             (fun m ->
-               [ m.component; Printf.sprintf "%.0f" m.messages; Printf.sprintf "%.3g" m.bytes ])
-             rows)
+  print_newline ();
+  print_endline
+    "Measured per-component traffic (short end-to-end simulation):";
+  Table.print
+    ~header:[ "Component"; "Messages"; "Bytes" ]
+    ~rows:
+      (List.map
+         (fun m ->
+           [
+             m.component;
+             Printf.sprintf "%.0f" m.messages;
+             Printf.sprintf "%.3g" m.bytes;
+           ])
+         r.measured)
 
 let exit_code _ = 0

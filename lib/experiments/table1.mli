@@ -42,16 +42,13 @@ val measure : ?obs:Obs.t -> ?jobs:int -> Exp_common.scale -> measured list
     Drive it through [scion_expt run table1] or via {!config} and
     {!run}. *)
 
-type config = {
-  scale : Exp_common.scale;
-  measure : bool;  (** also run the grounding simulation *)
-}
+type config = { scale : Exp_common.scale }
 
-val config : ?measure:bool -> Exp_common.scale -> config
-(** [measure] defaults to [true] (the generic driver always grounds
-    the taxonomy; the bare rendering needs no simulation). *)
+val config : Exp_common.scale -> config
+(** Every run grounds the taxonomy with {!measure}; {!render} alone
+    needs no simulation. *)
 
-type result = { measured : measured list option }
+type result = { measured : measured list }
 
 val name : string
 
@@ -62,11 +59,11 @@ val config_of_cli : Scenario.cli -> config
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
 
 val to_json : result -> Obs_json.t
-(** The taxonomy rows plus the measured traffic (or [null]). *)
+(** The taxonomy rows plus the measured traffic. *)
 
 val print : result -> unit
 (** The check-mark table, followed by the measured per-component
-    traffic when present. *)
+    traffic. *)
 
 val exit_code : result -> int
 (** Always [0]; this scenario has no tolerated-failure budget. *)

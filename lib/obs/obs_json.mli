@@ -2,9 +2,8 @@
 
     The simulator's dependency footprint is deliberately tiny (no
     [yojson] in the build environment), so the machine-readable exports
-    ({!Registry}, {!Trace}, {!Timer}, [bench.json]) share this
-    hand-rolled writer. It only builds and prints — there is no
-    parser. *)
+    ({!Registry}, {!Trace}, {!Timer}) share this hand-rolled writer. It
+    only builds and prints — there is no parser. *)
 
 type t =
   | Null

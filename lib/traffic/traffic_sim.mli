@@ -14,8 +14,8 @@
     over through the same {!Strategy} to the surviving offered paths
     and the event is booked in a {!Recovery} (failover vs blackout,
     exactly the resilience scenario's accounting). All simulation
-    state snapshots through {!Supervise.Snapshot} combinators, so runs
-    chunk, checkpoint and resume byte-identically like [pathdyn]. *)
+    state snapshots through {!Snapshot} combinators, so runs chunk,
+    checkpoint and resume byte-identically like [pathdyn]. *)
 
 type config = {
   graph : Graph.t;

@@ -445,6 +445,34 @@ let test_diversity_state_sent () =
   Alcotest.(check bool) "refreshed entry kept" true
     (Diversity_state.find_sent st ~egress:3 ~key:parent <> None)
 
+let test_diversity_score_worked_example () =
+  (* Hand-computed Eq. 1-2 (§4.2) on a five-link path plus the egress
+     link: counters 0,0,2,2,8,8 give (1 + c) = 1,1,3,3,9,9, whose
+     geometric mean is 729^(1/6) = 3 and arithmetic mean 26/6. With
+     gm_max = 4, ds = 1 - (3 - 1)/4 = 0.5, and a PCB aged 600 s of a
+     21 600 s lifetime scores 0.5^(40 * 600 / 21600) = 2^(-10/9). *)
+  let p = { params with Beacon_policy.alpha = 40.0; gm_max = 4.0 } in
+  let st = Diversity_state.create ~n_as:10 in
+  for _ = 1 to 2 do
+    Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:[| 3; 4; 5 |]
+      ~extra:6
+  done;
+  for _ = 1 to 6 do
+    Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:[| 5 |] ~extra:6
+  done;
+  let links = [| 1; 2; 3; 4; 5 |] in
+  let gm =
+    Diversity_state.counters_gm st ~origin:1 ~neighbor:2 ~links ~extra:6
+  in
+  Alcotest.(check (float 1e-12)) "geometric mean" 3.0 gm;
+  Alcotest.(check (float 1e-12)) "arithmetic mean" (26.0 /. 6.0)
+    (Diversity_state.counters_mean st ~kind:Beacon_policy.Arithmetic ~origin:1
+       ~neighbor:2 ~links ~extra:6);
+  let ds = Beacon_policy.diversity_of_gm p gm in
+  Alcotest.(check (float 1e-12)) "link diversity" 0.5 ds;
+  Alcotest.(check (float 1e-12)) "aged score" 0.4629373561436452
+    (Beacon_policy.score_fresh p ~ds ~age:600.0 ~lifetime:21600.0)
+
 let test_diversity_state_prune_decrements () =
   let st = Diversity_state.create ~n_as:10 in
   Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:[||] ~extra:3;
@@ -999,6 +1027,9 @@ let suite =
     ("crossing never for same instance", `Quick, test_crossing_never_when_same_instance);
     ("counters mean kinds (ablation)", `Quick, test_counters_mean_kinds);
     ("diversity state counters", `Quick, test_diversity_state_counters);
+    ( "diversity score worked example",
+      `Quick,
+      test_diversity_score_worked_example );
     ("diversity state sent list", `Quick, test_diversity_state_sent);
     ("diversity state prune decrements", `Quick, test_diversity_state_prune_decrements);
     ("diversity state gating", `Quick, test_diversity_state_gating);

@@ -43,6 +43,49 @@ let test_plan_compile_deterministic () =
   let other = Fault_plan.compile ~graph:g { plan with Fault_plan.seed = 12L } in
   Alcotest.(check bool) "different seed, different stochastic draws" true (a <> other)
 
+let test_stochastic_renewal_means () =
+  (* Oracle: the alternating renewal model the spec documents. Per
+     link the events alternate Down/Up, every failure falls in
+     [start, until), and over ~1000 cycles per link the sample means
+     of the up and repair times approach mtbf and mttr. *)
+  let g = ring () in
+  let mtbf = 900.0 and mttr = 100.0 and start = 50.0 and until = 1.0e6 in
+  let events =
+    Fault_plan.compile ~graph:g
+      (Fault_plan.plan ~seed:42L
+         [ Fault_plan.Stochastic { mtbf; mttr; start; until } ])
+  in
+  let ups = ref [] and repairs = ref [] in
+  for l = 0 to Graph.num_links g - 1 do
+    let mine =
+      List.filter
+        (fun (e : Fault_plan.event) -> e.Fault_plan.link = l)
+        (Array.to_list events)
+    in
+    let rec walk prev_up = function
+      | (d : Fault_plan.event) :: (u : Fault_plan.event) :: rest ->
+          Alcotest.(check bool) "down then up" true
+            (d.Fault_plan.action = Fault_plan.Down
+            && u.Fault_plan.action = Fault_plan.Up);
+          Alcotest.(check bool) "failure inside [start, until)" true
+            (d.Fault_plan.time >= start && d.Fault_plan.time < until);
+          ups := (d.Fault_plan.time -. prev_up) :: !ups;
+          repairs := (u.Fault_plan.time -. d.Fault_plan.time) :: !repairs;
+          walk u.Fault_plan.time rest
+      | [] -> ()
+      | [ _ ] -> Alcotest.fail "unpaired event"
+    in
+    walk start mine
+  done;
+  let mean xs =
+    List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+  in
+  Alcotest.(check bool) "thousands of cycles" true (List.length !ups > 4000);
+  Alcotest.(check (float (0.05 *. mtbf))) "mean up time ~ mtbf" mtbf
+    (mean !ups);
+  Alcotest.(check (float (0.05 *. mttr))) "mean repair ~ mttr" mttr
+    (mean !repairs)
+
 let test_plan_compile_validates () =
   let g = ring () in
   Alcotest.check_raises "unknown link"
@@ -402,6 +445,7 @@ let test_engine_deterministic () =
 let suite =
   [
     ("plan compile deterministic", `Quick, test_plan_compile_deterministic);
+    ("stochastic renewal means", `Quick, test_stochastic_renewal_means);
     ("plan compile validates", `Quick, test_plan_compile_validates);
     ("flap scheduling", `Quick, test_flap_scheduling);
     ("AS outage covers incident links", `Quick, test_as_outage_covers_incident_links);

@@ -108,6 +108,21 @@ let test_segment_mac_symmetric () =
   let m2 = Segment.hop_mac keys ~as_idx:3 ~if1:9 ~if2:5 ~expiry:100.0 in
   check Alcotest.string "direction independent" m1 m2
 
+let test_segment_mac_known_answer () =
+  (* Oracle: the first 6 bytes of HMAC-SHA256 as computed by an
+     independent implementation (Python's hmac/hashlib), keyed with
+     SHA-256("scion-fwd-key:0:7") over the payload "hf|7|2|5|21600"
+     (AS, lower interface, higher interface, expiry). *)
+  let keys = Fwd_keys.create () in
+  let hex =
+    String.fold_left (fun h c -> h ^ Printf.sprintf "%02x" (Char.code c)) ""
+  in
+  check Alcotest.string "external HMAC-SHA256, truncated" "4002c9c5a05e"
+    (hex (Segment.hop_mac keys ~as_idx:7 ~if1:2 ~if2:5 ~expiry:21600.0));
+  check Alcotest.string "first 6 bytes of the full tag"
+    (String.sub (Hmac.mac ~key:(Fwd_keys.key keys 7) "hf|7|2|5|21600") 0 6)
+    (Segment.hop_mac keys ~as_idx:7 ~if1:5 ~if2:2 ~expiry:21600.0)
+
 (* --- Traversals & combination --- *)
 
 let test_traversals () =
@@ -443,6 +458,7 @@ let suite =
     ("segment mac tamper", `Quick, test_segment_mac_tamper);
     ("segment key rotation", `Quick, test_segment_key_rotation);
     ("segment mac symmetric", `Quick, test_segment_mac_symmetric);
+    ("segment mac known answer", `Quick, test_segment_mac_known_answer);
     ("traversals", `Quick, test_traversals);
     ("resolve cross-ISD", `Quick, test_resolve_cross_isd);
     ("resolve same-ISD up+down", `Quick, test_resolve_same_isd_updown);

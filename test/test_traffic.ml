@@ -347,6 +347,51 @@ let test_sim_accounting () =
     (r.Traffic_sim.max_utilization >= r.Traffic_sim.mean_utilization
     && r.Traffic_sim.mean_utilization > 0.0)
 
+let test_sim_lone_flow_line_rate () =
+  (* Oracle: a flow alone in the network, split over the two parallel
+     core links, runs at the sum of their capacities, so it completes
+     size / (c0 + c1) seconds after it arrives and carries exactly its
+     size across the two one-link paths. *)
+  let g = network () in
+  let demand =
+    Demand.create g
+      {
+        Demand.default_params with
+        Demand.n_pairs = 1;
+        flows = 1;
+        horizon_s = 10.0;
+        seed = 3L;
+      }
+  in
+  let spec = Demand.flow demand 0 in
+  let load = Link_load.create ~capacity_scale:0.001 g in
+  let rate = Link_load.capacity_mbps load 0 +. Link_load.capacity_mbps load 1 in
+  let fct = spec.Demand.size_mbit /. rate in
+  let cfg =
+    {
+      Traffic_sim.graph = g;
+      paths = [| [| fpath [ 0 ]; fpath [ 1 ] |] |];
+      latency_ms = Array.make (Graph.num_links g) 5.0;
+      demand;
+      strategy = Strategy.Load_adaptive;
+      width = 2;
+      plan = Fault_plan.plan [];
+      capacity_scale = 0.001;
+      slot_s = 1.0;
+      slots = int_of_float (Float.ceil (spec.Demand.arrival_s +. fct)) + 1;
+      adapt_margin = 1.25;
+      metric_labels = [];
+    }
+  in
+  let r = Traffic_sim.report (run_to_end cfg) in
+  check Alcotest.int "completed" 1 r.Traffic_sim.flows_completed;
+  check Alcotest.int "no switches" 0 r.Traffic_sim.path_switches;
+  check (Alcotest.float (1e-9 *. fct)) "fct = size / (c0 + c1)" fct
+    r.Traffic_sim.mean_fct_s;
+  check
+    (Alcotest.float (1e-9 *. spec.Demand.size_mbit))
+    "delivered = size" spec.Demand.size_mbit r.Traffic_sim.delivered_mbit
+
 let registry_bytes t =
   let w = Snapshot.writer () in
   Registry.write w (Traffic_sim.registry t);
@@ -546,6 +591,7 @@ let suite =
     ("demand pure and sorted", `Quick, test_demand_pure_and_sorted);
     ("recovery dump round-trip", `Quick, test_recovery_dump_roundtrip);
     ("sim accounting", `Quick, test_sim_accounting);
+    ("sim lone flow at line rate", `Quick, test_sim_lone_flow_line_rate);
     ("sim chunked equals direct", `Quick, test_sim_chunked_equals_direct);
     ("sim restore rejects corrupt", `Quick, test_sim_restore_rejects_corrupt);
     ("sim fault composition", `Quick, test_sim_fault_composition);
