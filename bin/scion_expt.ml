@@ -180,7 +180,9 @@ let write_result out json =
 
 (* Shared observability flags: every subcommand accepts --metrics-out,
    --metrics-csv and --trace, and runs under an Obs context that is
-   Obs.disabled (zero-cost) unless at least one flag is given. *)
+   Obs.disabled (zero-cost) unless at least one flag is given. The
+   metrics files are deterministic; the trace and the phase table go to
+   stderr. *)
 
 let level_arg =
   let parse s = Result.map_error (fun e -> `Msg e) (Trace.level_of_string s) in
@@ -194,9 +196,9 @@ let obs_term =
       & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
-            "Write metrics (labeled counters, gauges, histograms), phase timers \
-             and the retained trace tail as JSON to $(docv) when the command \
-             finishes.")
+            "Write the metrics (labeled counters and histograms) as JSON to \
+             $(docv) when the command finishes. The file is byte-identical for \
+             every --jobs value; wall-clock phase times go to stderr instead.")
   in
   let metrics_csv =
     Arg.(
@@ -212,12 +214,24 @@ let obs_term =
       & info [ "trace" ] ~docv:"LEVEL"
           ~doc:
             "Enable structured tracing at $(docv) (error, warn, info or debug). \
-             Events stream to stderr; the most recent 4096 are also kept for \
-             --metrics-out.")
+             Events from every job stream to stderr, one line each; they are \
+             not kept.")
   in
   Term.(
     const (fun metrics_out metrics_csv trace -> (metrics_out, metrics_csv, trace))
     $ metrics_out $ metrics_csv $ trace)
+
+(* Wall-clock time per phase, after the run's footer. *)
+let print_phases obs =
+  match Timer.report (Obs.timers obs) with
+  | [] -> ()
+  | phases ->
+      Printf.eprintf "%-40s %10s %7s\n" "phase" "seconds" "count";
+      List.iter
+        (fun (name, seconds, count) ->
+          Printf.eprintf "%-40s %10.3f %7d\n" name seconds count)
+        phases;
+      flush stderr
 
 let with_obs (metrics_out, metrics_csv, trace) f =
   match (metrics_out, metrics_csv, trace) with
@@ -231,6 +245,7 @@ let with_obs (metrics_out, metrics_csv, trace) f =
       let obs = Obs.create ~trace:tr () in
       Fun.protect
         ~finally:(fun () ->
+          print_phases obs;
           Option.iter
             (fun file ->
               Obs.write_json_file obs file;

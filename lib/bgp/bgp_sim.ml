@@ -59,6 +59,7 @@ type t = {
   queue : event Heap.t;
   mutable clock : float;
   mutable next_seq : int;
+  mutable fired : int;  (* events fired by this simulator *)
   nodes : node array;
   st : stats_mut;
   (* Observability cells, hoisted at creation (one branch per update
@@ -144,6 +145,7 @@ let create ?(obs = Obs.disabled) g config =
     queue = Heap.create ~cmp:compare_event;
     clock = 0.0;
     next_seq = 0;
+    fired = 0;
     nodes;
     obs_on;
     tr = Obs.trace obs;
@@ -173,11 +175,12 @@ let at t time fire =
   Heap.push t.queue { time; seq; fire }
 
 (* Instrumentation of one fired event; the queue depth is sampled every
-   64 events. *)
+   64 events of this simulator, whoever else shares the counter. *)
 let observe_event t ev =
+  t.fired <- t.fired + 1;
   t.c_events := !(t.c_events) +. 1.0;
   let depth = Heap.length t.queue in
-  if int_of_float !(t.c_events) land 63 = 0 then
+  if t.fired land 63 = 0 then
     Histogram.observe t.h_depth (float_of_int depth);
   if Trace.enabled t.tr Trace.Debug then
     Trace.emit t.tr Trace.Debug ~time:ev.time ~category:"des"

@@ -44,7 +44,8 @@ val create : ?obs:Obs.t -> Graph.t -> config -> t
     events (per-message sends and best-route changes at [Debug],
     convergence epochs at [Info]). Its event queue counts fired events
     in [des_events_total], samples its depth into the
-    [des_queue_depth] histogram every 64 events and emits a
+    [des_queue_depth] histogram every 64 of its own events (other
+    simulators on the same [obs] do not shift the sampling) and emits a
     [des]-category [Debug] trace event per firing. *)
 
 val now : t -> float

@@ -168,15 +168,17 @@ let build_tasks cfg ~core ~pairs =
 let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   if cfg.rounds <= 0 then invalid_arg "Pathdyn.run: rounds <= 0";
   if cfg.chunk <= 0 then invalid_arg "Pathdyn.run: chunk <= 0";
-  (* No Obs.phase anywhere on this path: phase timers are wall-clock, and
-     the CI resume smoke compares --metrics-out byte-for-byte. *)
-  let prepared = Exp_common.prepare cfg.scale in
-  let core = prepared.Exp_common.core in
-  let d = Exp_common.dimensions cfg.scale in
-  let pairs =
-    Exp_common.sample_pairs core ~count:d.Exp_common.sample_pairs ~seed:0xFA12L
+  let pairs, cells_arr, tasks =
+    Obs.phase obs "pathdyn.prepare" (fun () ->
+        let core = (Exp_common.prepare cfg.scale).Exp_common.core in
+        let d = Exp_common.dimensions cfg.scale in
+        let pairs =
+          Exp_common.sample_pairs core ~count:d.Exp_common.sample_pairs
+            ~seed:0xFA12L
+        in
+        let cells_arr, tasks = build_tasks cfg ~core ~pairs in
+        (pairs, cells_arr, tasks))
   in
-  let cells_arr, tasks = build_tasks cfg ~core ~pairs in
   (* Every trial's full soak configuration plus the chunking: a
      checkpoint from a different scale / seed / horizon is rejected. *)
   let fingerprint =
@@ -185,18 +187,19 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
         (Array.to_list (Array.map (fun t -> Soak.config_key t.soak) tasks))
   in
   let states, report =
-    Supervise.run_cells ~cli:cfg.sup ~jobs ~seed:cfg.seed ~horizon:cfg.rounds
-      ~chunk:cfg.chunk
-      {
-        Supervise.name;
-        fingerprint;
-        labels = Array.map (fun t -> t.label) tasks;
-        create = (fun i -> Soak.create tasks.(i).soak);
-        restore = (fun i -> Soak.restore tasks.(i).soak);
-        advance = (fun ~watchdog t ~upto -> Soak.advance ~watchdog t ~upto);
-        encode = Soak.encode;
-        check = (fun t -> Invariants.check_exn (Soak.invariant_ctx t));
-      }
+    Obs.phase obs "pathdyn.cells" (fun () ->
+        Supervise.run_cells ~cli:cfg.sup ~jobs ~seed:cfg.seed
+          ~horizon:cfg.rounds ~chunk:cfg.chunk
+          {
+            Supervise.name;
+            fingerprint;
+            labels = Array.map (fun t -> t.label) tasks;
+            create = (fun i -> Soak.create tasks.(i).soak);
+            restore = (fun i -> Soak.restore tasks.(i).soak);
+            advance = (fun ~watchdog t ~upto -> Soak.advance ~watchdog t ~upto);
+            encode = Soak.encode;
+            check = (fun t -> Invariants.check_exn (Soak.invariant_ctx t));
+          })
   in
   (* Aggregate the surviving trials per cell; failed trials are excluded
      from the statistics and surface in the run report instead. *)

@@ -49,7 +49,8 @@ module type S = sig
   (** Execute. [obs] (default {!Obs.disabled}) collects metrics, phase
       timers and traces; [jobs] (default 1) bounds the number of
       domains used for the experiment's independent sub-computations.
-      The result must not depend on [jobs]. *)
+      Neither the result nor the metrics recorded into [obs] may depend
+      on [jobs]. *)
 
   val to_json : result -> Obs_json.t
   (** Machine-readable result document (the [--out] export). *)

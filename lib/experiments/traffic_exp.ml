@@ -194,31 +194,36 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   if cfg.flows < 0 then invalid_arg "Traffic_exp.run: flows < 0";
   if cfg.chunk <= 0 then invalid_arg "Traffic_exp.run: chunk <= 0";
   if cfg.strategies = [] then invalid_arg "Traffic_exp.run: no strategies";
-  (* No Obs.phase anywhere on this path: phase timers are wall-clock,
-     and the CI smokes compare --metrics-out byte-for-byte. *)
-  let prepared = Exp_common.prepare cfg.scale in
-  let graph = Exp_common.coreify prepared.Exp_common.isd in
-  let bcfg = Exp_common.beacon_config in
-  let bcfg = { bcfg with Beaconing.duration = bcfg.Beaconing.interval *. 8.0 } in
-  let core_out =
-    Beaconing.run graph { bcfg with Beaconing.scope = Beaconing.Core_beaconing }
+  let graph =
+    Obs.phase obs "traffic.prepare" (fun () ->
+        Exp_common.coreify (Exp_common.prepare cfg.scale).Exp_common.isd)
   in
-  let intra_out =
-    Beaconing.run graph { bcfg with Beaconing.scope = Beaconing.Intra_isd }
+  let cs =
+    Obs.phase obs "traffic.beaconing" (fun () ->
+        let bcfg = Exp_common.beacon_config in
+        let bcfg =
+          { bcfg with Beaconing.duration = bcfg.Beaconing.interval *. 8.0 }
+        in
+        let run scope = Beaconing.run graph { bcfg with Beaconing.scope } in
+        let core = run Beaconing.Core_beaconing in
+        let intra = run Beaconing.Intra_isd in
+        Control_service.build ~core ~intra ())
   in
-  let cs = Control_service.build ~core:core_out ~intra:intra_out () in
   let latency_ms = Geo.latency_table graph in
   let d = Exp_common.dimensions cfg.scale in
-  let demand =
-    Demand.create graph
-      {
-        Demand.default_params with
-        Demand.n_pairs = d.Exp_common.sample_pairs;
-        flows = cfg.flows;
-        seed = Runner.job_seed cfg.seed 1;
-      }
+  let demand, paths =
+    Obs.phase obs "traffic.demand" (fun () ->
+        let demand =
+          Demand.create graph
+            {
+              Demand.default_params with
+              Demand.n_pairs = d.Exp_common.sample_pairs;
+              flows = cfg.flows;
+              seed = Runner.job_seed cfg.seed 1;
+            }
+        in
+        (demand, resolve_paths cs (Demand.pairs demand)))
   in
-  let paths = resolve_paths cs (Demand.pairs demand) in
   let swarm_params =
     {
       Swarm.default_params with
@@ -255,21 +260,22 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
            (Array.map (fun t -> Traffic_sim.config_key t.sim) tasks))
   in
   let states, report =
-    Supervise.run_cells ~cli:cfg.sup ~jobs ~seed:cfg.seed ~horizon:max_slots
-      ~chunk:cfg.chunk
-      {
-        Supervise.name;
-        fingerprint;
-        labels = Array.map (fun t -> t.label) tasks;
-        create = (fun i -> Traffic_sim.create tasks.(i).sim);
-        restore = (fun i -> Traffic_sim.restore tasks.(i).sim);
-        advance =
-          (fun ~watchdog t ~upto -> Traffic_sim.advance ~watchdog t ~upto);
-        encode = Traffic_sim.encode;
-        (* Restoring every surviving snapshot against its config is the
-           whole gate. *)
-        check = ignore;
-      }
+    Obs.phase obs "traffic.cells" (fun () ->
+        Supervise.run_cells ~cli:cfg.sup ~jobs ~seed:cfg.seed
+          ~horizon:max_slots ~chunk:cfg.chunk
+          {
+            Supervise.name;
+            fingerprint;
+            labels = Array.map (fun t -> t.label) tasks;
+            create = (fun i -> Traffic_sim.create tasks.(i).sim);
+            restore = (fun i -> Traffic_sim.restore tasks.(i).sim);
+            advance =
+              (fun ~watchdog t ~upto -> Traffic_sim.advance ~watchdog t ~upto);
+            encode = Traffic_sim.encode;
+            (* Restoring every surviving snapshot against its config is
+               the whole gate. *)
+            check = ignore;
+          })
   in
   (* Terminal accounting per cell, in task order (deterministic obs
      merges). *)

@@ -26,7 +26,7 @@ let timers t = t.timers
 
 let phase t name f = if t.enabled then Timer.time t.timers name f else f ()
 
-let fork t = if t.enabled then create () else disabled
+let fork t = if t.enabled then create ~trace:t.trace () else disabled
 
 let merge ~into src =
   if into.enabled && src.enabled then begin
@@ -34,13 +34,7 @@ let merge ~into src =
     Timer.merge ~into:into.timers src.timers
   end
 
-let to_json t =
-  Obs_json.Obj
-    [
-      ("metrics", Registry.to_json t.registry);
-      ("timers", Timer.to_json t.timers);
-      ("trace", Trace.to_json t.trace);
-    ]
+let to_json t = Obs_json.Obj [ ("metrics", Registry.to_json t.registry) ]
 
 let write_json_file t path =
   let oc = open_out path in

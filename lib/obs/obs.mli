@@ -1,5 +1,9 @@
 (** Observability context: one value bundling the {!Registry} of
-    metrics, the {!Trace} ring and the phase {!Timer}s of a run.
+    metrics, the {!Trace} tracer and the phase {!Timer}s of a run.
+
+    One rule keeps runs comparable: the metrics are deterministic and
+    are the whole [--metrics-out] document; the CLI streams the trace
+    and prints the wall-clock phase timers on stderr.
 
     Instrumented code takes an optional [?obs] argument defaulting to
     {!disabled} and guards every metric update with {!on} (and every
@@ -34,12 +38,11 @@ val phase : t -> string -> (unit -> 'a) -> 'a
     enabled; otherwise just runs [f]. *)
 
 val fork : t -> t
-(** An isolated child context for one parallel job: enabled exactly
-    when [t] is, with a fresh registry and fresh timers. The child does
-    {e not} share the parent's trace ring (its trace is {!Trace.null}),
-    since the ring is not safe for concurrent writers; metrics and
-    phase timers recorded in the child are brought back with {!merge}.
-    Forking {!disabled} returns {!disabled}. *)
+(** An isolated child context for one job: enabled exactly when [t]
+    is, with a fresh registry and fresh timers, sharing [t]'s tracer
+    (which keeps no state). Metrics and phase timers recorded in the
+    child are brought back with {!merge}. Forking {!disabled} returns
+    {!disabled}. *)
 
 val merge : into:t -> t -> unit
 (** Fold a {!fork}ed child back into its parent after the child's job
@@ -48,7 +51,8 @@ val merge : into:t -> t -> unit
     domain at a time (the parallel engine merges after its barrier). *)
 
 val to_json : t -> Obs_json.t
-(** [{metrics; timers; trace}] — the [--metrics-out] document. *)
+(** [{metrics}] — the [--metrics-out] document. It holds only the
+    registry, so a fixed seed gives the same bytes at any [--jobs]. *)
 
 val write_json_file : t -> string -> unit
 (** Pretty-printed {!to_json} to a file (created or truncated). *)

@@ -2,7 +2,6 @@ type labels = (string * string) list
 
 type metric =
   | M_counter of float ref
-  | M_gauge of float ref
   | M_hist of Histogram.t
 
 type t = { tbl : (string * labels, metric) Hashtbl.t }
@@ -23,7 +22,6 @@ let find_or_create t name labels make describe =
 
 let kind_name = function
   | M_counter _ -> "counter"
-  | M_gauge _ -> "gauge"
   | M_hist _ -> "histogram"
 
 let wrong_kind name expected m =
@@ -34,11 +32,6 @@ let counter t ?(labels = []) name =
   match find_or_create t name labels (fun () -> M_counter (ref 0.0)) "counter" with
   | M_counter r -> r
   | m -> wrong_kind name "counter" m
-
-let gauge t ?(labels = []) name =
-  match find_or_create t name labels (fun () -> M_gauge (ref 0.0)) "gauge" with
-  | M_gauge r -> r
-  | m -> wrong_kind name "gauge" m
 
 let histogram ?growth t ?(labels = []) name =
   match
@@ -55,15 +48,10 @@ let add t ?labels name v =
 
 let incr t ?labels name = add t ?labels name 1.0
 
-let set t ?labels name v =
-  let r = gauge t ?labels name in
-  r := v
-
 let observe t ?labels name v = Histogram.observe (histogram t ?labels name) v
 
 type value =
   | Counter of float
-  | Gauge of float
   | Hist of Histogram.summary
 
 type sample = { name : string; labels : labels; value : value }
@@ -76,26 +64,11 @@ let snapshot t =
       let value =
         match m with
         | M_counter r -> Counter !r
-        | M_gauge r -> Gauge !r
         | M_hist h -> Hist (Histogram.summarize h)
       in
       { name; labels; value } :: acc)
     t.tbl []
   |> List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels))
-
-let diff ~before ~after =
-  let base = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace base (s.name, s.labels) s.value) before;
-  List.map
-    (fun s ->
-      match (Hashtbl.find_opt base (s.name, s.labels), s.value) with
-      | Some (Counter b), Counter a -> { s with value = Counter (a -. b) }
-      | Some (Hist b), Hist a ->
-          (* Quantiles are not subtractable; keep the after-side shape
-             but report the count/sum accumulated in between. *)
-          { s with value = Hist { a with count = a.count - b.count; sum = a.sum -. b.sum } }
-      | _ -> s)
-    after
 
 let labels_to_string labels =
   String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
@@ -119,7 +92,6 @@ let to_json t =
            in
            match m with
            | M_counter r -> Obs_json.Obj (base @ [ ("value", Obs_json.Float !r) ])
-           | M_gauge r -> Obs_json.Obj (base @ [ ("value", Obs_json.Float !r) ])
            | M_hist h ->
                Obs_json.Obj (base @ [ ("histogram", Histogram.to_json h) ]))
   in
@@ -141,7 +113,6 @@ let to_csv t =
         match s.value with
         | Counter v ->
             [ "counter"; num v; ""; ""; ""; ""; ""; ""; ""; "" ]
-        | Gauge v -> [ "gauge"; num v; ""; ""; ""; ""; ""; ""; ""; "" ]
         | Hist h ->
             [
               "histogram";
@@ -176,12 +147,11 @@ let write w t =
           Snapshot.w_str w k;
           Snapshot.w_str w v)
         labels;
+      (* Tag 1 is unused: renumbering would change the bytes of every
+         checkpoint that holds a histogram. *)
       match m with
       | M_counter r ->
           Snapshot.w_u8 w 0;
-          Snapshot.w_f64 w !r
-      | M_gauge r ->
-          Snapshot.w_u8 w 1;
           Snapshot.w_f64 w !r
       | M_hist h ->
           Snapshot.w_u8 w 2;
@@ -202,7 +172,6 @@ let read r =
       let m =
         match Snapshot.r_u8 r with
         | 0 -> M_counter (ref (Snapshot.r_f64 r))
-        | 1 -> M_gauge (ref (Snapshot.r_f64 r))
         | 2 -> M_hist (Histogram.read r)
         | v -> Snapshot.corrupt "bad metric tag %d" v
       in
@@ -217,9 +186,6 @@ let merge ~into src =
       | M_counter r ->
           let r' = counter into ~labels name in
           r' := !r' +. !r
-      | M_gauge r ->
-          let r' = gauge into ~labels name in
-          r' := !r
       | M_hist h ->
           let h' = histogram ~growth:(Histogram.growth h) into ~labels name in
           Histogram.merge ~into:h' h)

@@ -1,4 +1,4 @@
-(** Labeled metric registry: counters, gauges and histograms.
+(** Labeled metric registry: counters and histograms.
 
     A metric is identified by a name plus a set of [(key, value)]
     labels — e.g. [beacon_bytes_total{algo=diversity}] — following the
@@ -6,9 +6,9 @@
     tooling. Labels are order-insensitive (normalised by sorting).
 
     Hot paths should hoist the lookup: obtain the cell once with
-    {!counter}/{!gauge}/{!histogram} and update the returned reference
-    directly, rather than calling {!add}/{!set}/{!observe} (which
-    re-hash the key) per event. *)
+    {!counter}/{!histogram} and update the returned cell directly,
+    rather than calling {!add}/{!observe} (which re-hash the key) per
+    event. *)
 
 type t
 
@@ -21,9 +21,6 @@ val counter : t -> ?labels:labels -> string -> float ref
     accumulate. Raises [Invalid_argument] if the name+labels already
     exists with a different metric kind. *)
 
-val gauge : t -> ?labels:labels -> string -> float ref
-(** Find-or-create a gauge cell (last-write-wins semantics). *)
-
 val histogram : ?growth:float -> t -> ?labels:labels -> string -> Histogram.t
 (** Find-or-create a histogram ([growth] only applies on creation). *)
 
@@ -33,9 +30,6 @@ val add : t -> ?labels:labels -> string -> float -> unit
 val incr : t -> ?labels:labels -> string -> unit
 (** [add t name 1.]. *)
 
-val set : t -> ?labels:labels -> string -> float -> unit
-(** One-shot gauge write. *)
-
 val observe : t -> ?labels:labels -> string -> float -> unit
 (** One-shot histogram observation. *)
 
@@ -43,7 +37,6 @@ val observe : t -> ?labels:labels -> string -> float -> unit
 
 type value =
   | Counter of float
-  | Gauge of float
   | Hist of Histogram.summary
 
 type sample = { name : string; labels : labels; value : value }
@@ -53,11 +46,6 @@ type snapshot = sample list
     contents at one instant. *)
 
 val snapshot : t -> snapshot
-
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Per-series change between two snapshots: counters and histogram
-    count/sum are subtracted; gauges and histogram quantiles keep the
-    [after] value. Series absent from [before] are reported as-is. *)
 
 (** {1 Exports} *)
 
@@ -87,14 +75,13 @@ val read : Snapshot.reader -> t
 
 val merge : into:t -> t -> unit
 (** Accumulate every series of the source registry into [into],
-    creating missing series as needed: counters are summed, histograms
-    are bucket-merged (see {!Histogram.merge}) and gauges take the
-    source value (last merge wins). The source is left unchanged.
+    creating missing series as needed: counters are summed and
+    histograms are bucket-merged (see {!Histogram.merge}). The source
+    is left unchanged.
     Raises [Invalid_argument] if a series exists in both registries
     with different metric kinds.
 
     This is the reduction step of parallel experiment execution: each
     job records into a private registry and the per-job registries are
-    merged after the barrier, giving the same totals as a sequential
-    run. Merging counters and histograms is commutative, so the final
-    state does not depend on merge order (gauges excepted). *)
+    merged after the barrier in input order, so the result does not
+    depend on how jobs were scheduled. *)

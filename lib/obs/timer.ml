@@ -30,16 +30,6 @@ let report t =
   Hashtbl.fold (fun name e acc -> (name, e.total, e.count) :: acc) t.tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-let to_json t =
-  Obs_json.Obj
-    (List.map
-       (fun (name, total, count) ->
-         ( name,
-           Obs_json.Obj
-             [ ("seconds", Obs_json.Float total); ("count", Obs_json.Int count) ]
-         ))
-       (report t))
-
 let merge ~into src =
   Hashtbl.iter
     (fun name e ->

@@ -5,7 +5,10 @@
     (topology generation vs beaconing vs analysis). Backed by
     [Unix.gettimeofday]; at the multi-millisecond granularity of
     experiment phases the difference from a monotonic clock is
-    immaterial, and it keeps the dependency footprint to [unix]. *)
+    immaterial, and it keeps the dependency footprint to [unix].
+
+    Timings are not deterministic, so they never enter the
+    [--metrics-out] document: the CLI prints {!report} on stderr. *)
 
 type t
 
@@ -23,9 +26,6 @@ val total : t -> string -> float
 
 val report : t -> (string * float * int) list
 (** [(name, total_seconds, count)], sorted by name. *)
-
-val to_json : t -> Obs_json.t
-(** Object keyed by timer name with [{seconds; count}] values. *)
 
 val merge : into:t -> t -> unit
 (** Accumulate the source's totals and counts into [into] (per name);

@@ -1,6 +1,6 @@
 type level = Error | Warn | Info | Debug
 
-let level_rank = function Error -> 0 | Warn -> 1 | Info -> 2 | Debug -> 3
+let rank = function Error -> 0 | Warn -> 1 | Info -> 2 | Debug -> 3
 
 let level_to_string = function
   | Error -> "error"
@@ -25,48 +25,16 @@ type event = {
   fields : (string * string) list;
 }
 
-type sink =
-  | Null
-  | Stderr
-  | Custom of (event -> unit)
+type sink = Stderr | Custom of (event -> unit)
 
-type t = {
-  max_level : level option;  (* [None]: tracing entirely off *)
-  sink : sink;
-  capacity : int;
-  mutable ring : event array;  (* allocated on first emit *)
-  mutable next : int;
-  mutable stored : int;
-  mutable emitted : int;
-}
+(* [max_rank] -1 rejects every level: tracing entirely off. *)
+type t = { max_rank : int; sink : sink }
 
-let null =
-  {
-    max_level = None;
-    sink = Null;
-    capacity = 0;
-    ring = [||];
-    next = 0;
-    stored = 0;
-    emitted = 0;
-  }
+let null = { max_rank = -1; sink = Custom ignore }
 
-let create ?(capacity = 4096) ?(sink = Null) level =
-  if capacity < 0 then invalid_arg "Trace.create: negative capacity";
-  {
-    max_level = Some level;
-    sink;
-    capacity;
-    ring = [||];
-    next = 0;
-    stored = 0;
-    emitted = 0;
-  }
+let create ?(sink = Stderr) level = { max_rank = rank level; sink }
 
-let enabled t level =
-  match t.max_level with
-  | None -> false
-  | Some max -> level_rank level <= level_rank max
+let enabled t level = rank level <= t.max_rank
 
 let render ev =
   let fields =
@@ -79,60 +47,14 @@ let render ev =
     (level_to_string ev.level)
     ev.category ev.message fields
 
-let to_sink t ev =
-  match t.sink with
-  | Null -> ()
-  | Stderr ->
-      output_string stderr (render ev);
-      output_char stderr '\n';
-      flush stderr
-  | Custom f -> f ev
-
-let store t ev =
-  if t.capacity > 0 then begin
-    if Array.length t.ring = 0 then t.ring <- Array.make t.capacity ev;
-    t.ring.(t.next) <- ev;
-    t.next <- (t.next + 1) mod t.capacity;
-    if t.stored < t.capacity then t.stored <- t.stored + 1
-  end
-
 let emit t level ~time ~category ?(fields = []) message =
   if enabled t level then begin
     let ev = { time; level; category; message; fields } in
-    t.emitted <- t.emitted + 1;
-    store t ev;
-    to_sink t ev
+    match t.sink with
+    | Stderr ->
+        (* One write per line: the channel lock keeps lines from
+           concurrent domains whole. *)
+        output_string stderr (render ev ^ "\n");
+        flush stderr
+    | Custom f -> f ev
   end
-
-let emitted t = t.emitted
-
-let dropped t = t.emitted - t.stored
-
-let events t =
-  if t.stored = 0 then []
-  else begin
-    let start =
-      if t.stored < t.capacity then 0 else t.next (* oldest surviving event *)
-    in
-    List.init t.stored (fun i -> t.ring.((start + i) mod t.capacity))
-  end
-
-let event_to_json ev =
-  Obs_json.Obj
-    [
-      ("time", Obs_json.Float ev.time);
-      ("level", Obs_json.String (level_to_string ev.level));
-      ("category", Obs_json.String ev.category);
-      ("message", Obs_json.String ev.message);
-      ( "fields",
-        Obs_json.Obj (List.map (fun (k, v) -> (k, Obs_json.String v)) ev.fields)
-      );
-    ]
-
-let to_json t =
-  Obs_json.Obj
-    [
-      ("emitted", Obs_json.Int t.emitted);
-      ("dropped", Obs_json.Int (dropped t));
-      ("events", Obs_json.List (List.map event_to_json (events t)));
-    ]

@@ -1,10 +1,10 @@
-(** Bounded structured event tracing.
+(** Structured event tracing: an immutable level filter plus a sink.
 
     Every event carries a (virtual or wall-clock) timestamp, a severity
-    level, a category and optional string fields. Events are retained
-    in a fixed-capacity ring buffer — old events are overwritten, never
-    reallocated — and simultaneously forwarded to a pluggable sink
-    (null / stderr / an [out_channel] / a callback).
+    level, a category and optional string fields. An accepted event is
+    handed to the sink at once; the tracer keeps no state, so one
+    tracer is shared by every job of a parallel run and [--trace]
+    streams the same events at any [--jobs].
 
     Tracing is designed to be zero-cost when off: {!null} rejects every
     level, and hot paths must guard payload construction with
@@ -19,9 +19,6 @@ type level = Error | Warn | Info | Debug
 (** Severities, most to least urgent. Enabling a level enables every
     more-urgent one. *)
 
-val level_rank : level -> int
-(** [Error] = 0 … [Debug] = 3. *)
-
 val level_to_string : level -> string
 
 val level_of_string : string -> (level, string) result
@@ -35,9 +32,13 @@ type event = {
 }
 
 type sink =
-  | Null  (** ring buffer only *)
-  | Stderr  (** one rendered line per event, flushed *)
+  | Stderr
+      (** one {!render}ed line per event, written with its newline in
+          one call and flushed, so lines from concurrent domains never
+          interleave *)
   | Custom of (event -> unit)
+      (** called on the emitting domain; with [--jobs] above 1 it must
+          be safe to call from several domains at once *)
 
 type t
 
@@ -45,9 +46,9 @@ val null : t
 (** The shared disabled tracer: {!enabled} is always [false], {!emit}
     does nothing. Use as the default for optional [?trace] arguments. *)
 
-val create : ?capacity:int -> ?sink:sink -> level -> t
-(** Tracer accepting events up to [level]. [capacity] (default 4096)
-    bounds the ring buffer; 0 disables retention (sink only). *)
+val create : ?sink:sink -> level -> t
+(** Tracer accepting events up to [level]; [sink] defaults to
+    [Stderr]. *)
 
 val enabled : t -> level -> bool
 (** Check before building an event payload on a hot path. *)
@@ -55,21 +56,8 @@ val enabled : t -> level -> bool
 val emit :
   t -> level -> time:float -> category:string ->
   ?fields:(string * string) list -> string -> unit
-(** Record an event (no-op when the level is not {!enabled}). *)
-
-val events : t -> event list
-(** Retained events, oldest first. *)
-
-val emitted : t -> int
-(** Total events accepted since creation. *)
-
-val dropped : t -> int
-(** Events lost to ring-buffer wraparound. *)
+(** Hand an event to the sink (no-op when the level is not
+    {!enabled}). *)
 
 val render : event -> string
 (** One-line human rendering, as written by the [Stderr] sink. *)
-
-val event_to_json : event -> Obs_json.t
-
-val to_json : t -> Obs_json.t
-(** [{emitted; dropped; events}] with the retained events in order. *)

@@ -28,47 +28,36 @@ let fail index exn bt =
 
 let map_jobs_obs ?(obs = Obs.disabled) ~jobs f arr =
   let n = Array.length arr in
-  if jobs <= 1 || n <= 1 then
-    (* Sequential path: same code path as Array.map, but failures still
-       carry their job context. *)
-    Array.mapi
-      (fun i x ->
-        match f ~obs x with
-        | v -> v
-        | exception exn -> fail i exn (Printexc.get_raw_backtrace ()))
-      arr
-  else begin
-    let children = Array.map (fun _ -> Obs.fork obs) arr in
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    (* Every claimed job stores its outcome instead of raising, so the
-       barrier below is unconditional. *)
-    let rec claim () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <-
-          Some
-            (match f ~obs:children.(i) arr.(i) with
-            | v -> Ok v
-            | exception exn -> Error (exn, Printexc.get_raw_backtrace ()));
-        claim ()
-      end
-    in
-    (* Backtrace recording is per domain: workers follow the caller. *)
-    let record = Printexc.backtrace_status () in
-    let workers =
-      List.init (min max_workers (min (jobs - 1) (n - 1))) (fun _ ->
-          Domain.spawn (fun () ->
-              Printexc.record_backtrace record;
-              claim ()))
-    in
-    claim ();
-    List.iter Domain.join workers;
-    (* Merge in input order even if a job failed, so the metrics of the
-       completed jobs survive the error. *)
-    Array.iter (fun child -> Obs.merge ~into:obs child) children;
-    Array.mapi
-      (fun i r ->
-        match Option.get r with Ok v -> v | Error (exn, bt) -> fail i exn bt)
-      results
-  end
+  let children = Array.map (fun _ -> Obs.fork obs) arr in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  (* Every claimed job stores its outcome instead of raising, so the
+     barrier below is unconditional. *)
+  let rec claim () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <-
+        Some
+          (match f ~obs:children.(i) arr.(i) with
+          | v -> Ok v
+          | exception exn -> Error (exn, Printexc.get_raw_backtrace ()));
+      claim ()
+    end
+  in
+  (* Backtrace recording is per domain: workers follow the caller. *)
+  let record = Printexc.backtrace_status () in
+  let workers =
+    List.init (max 0 (min max_workers (min (jobs - 1) (n - 1)))) (fun _ ->
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace record;
+            claim ()))
+  in
+  claim ();
+  List.iter Domain.join workers;
+  (* Merge in input order even if a job failed, so the metrics of the
+     completed jobs survive the error. *)
+  Array.iter (fun child -> Obs.merge ~into:obs child) children;
+  Array.mapi
+    (fun i r ->
+      match Option.get r with Ok v -> v | Error (exn, bt) -> fail i exn bt)
+    results

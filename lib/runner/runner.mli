@@ -10,9 +10,12 @@
       order jobs finished. Spawned domains and the calling domain claim
       input indices from one atomic counter and write each result into
       its own slot.
-    - [jobs:1] (the default everywhere) spawns nothing and runs on the
-      calling domain, so sequential behaviour is not merely equivalent
-      but literally the same code path.
+    - There is one code path for every [jobs] value: [jobs:1] (the
+      default everywhere) runs the same claim loop on the calling
+      domain with no domain spawned.
+    - Every job records into its own {!Obs.fork}ed child, and the
+      children are merged in input order, so the merged metrics are
+      the same at any [jobs].
     - Failures carry their job context: every job runs to completion,
       then the failing job with the smallest input index (not the first
       to finish) is re-raised as {!Job_failed}, so which error surfaces
@@ -50,15 +53,12 @@ val map_jobs_obs :
     running up to [jobs] applications concurrently, and returns the
     results in input order.
 
-    With [jobs <= 1] or fewer than two elements the applications run
-    sequentially on the calling domain, every job receives the parent
-    [obs] unchanged, and the first failure is raised at once. Otherwise
-    [min (jobs - 1) (n - 1)] domains are spawned (capped below the
-    stdlib's domain limit) and the caller works as the [jobs]-th. Each
-    job then receives {!Obs.fork}[ obs], an isolated child context.
-    After every job finished, the children are merged back into the
-    parent with {!Obs.merge} in input order, also when a job failed, so
-    counters, histograms and phase timers aggregate exactly as in the
-    sequential run (gauges keep the last-indexed job's value). Only then
-    is the smallest-index failure re-raised as {!Job_failed}. On a
-    disabled [obs] (the default) instrumentation stays zero-cost. *)
+    [max 0 (min (jobs - 1) (n - 1))] domains are spawned (capped below
+    the stdlib's domain limit) and the caller works as the [jobs]-th,
+    so [jobs <= 1] runs every job on the calling domain. Each job
+    receives {!Obs.fork}[ obs], an isolated child context that shares
+    [obs]'s tracer. After every job finished, also when some failed,
+    the children are merged back into the parent with {!Obs.merge} in
+    input order. Only then is the smallest-index failure re-raised as
+    {!Job_failed}. On a disabled [obs] (the default) instrumentation
+    stays zero-cost. *)

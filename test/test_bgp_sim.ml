@@ -398,32 +398,55 @@ let test_bounded_quiescence_resumes () =
 
 (* The event queue's instrumentation: one [des_events_total] tick and
    one [des] trace event per fired event, and a [des_queue_depth]
-   sample every 64 events. *)
+   sample every 64 of the simulator's own events, also when a second
+   simulator records into the same context. *)
 let test_queue_instrumentation () =
-  let trace = Trace.create ~capacity:100_000 Trace.Debug in
-  let obs = Obs.create ~trace () in
-  let t = Bgp_sim.create ~obs (policy_graph ()) Bgp_sim.default_config in
-  Bgp_sim.announce_all t;
-  let tq = Bgp_sim.run_to_quiescence t in
-  check Alcotest.int "nothing dropped" 0 (Trace.dropped trace);
-  let fired =
-    List.filter
-      (fun (e : Trace.event) ->
-        e.Trace.category = "des" && e.Trace.message = "event fired")
-      (Trace.events trace)
+  let seen = ref [] in
+  let trace =
+    Trace.create ~sink:(Trace.Custom (fun e -> seen := e :: !seen)) Trace.Debug
   in
+  let obs = Obs.create ~trace () in
+  let fired_by_run config =
+    seen := [];
+    let t = Bgp_sim.create ~obs (policy_graph ()) config in
+    Bgp_sim.announce_all t;
+    let tq = Bgp_sim.run_to_quiescence t in
+    let fired =
+      List.rev !seen
+      |> List.filter (fun (e : Trace.event) ->
+             e.Trace.category = "des" && e.Trace.message = "event fired")
+    in
+    (tq, fired)
+  in
+  let c = Registry.counter (Obs.registry obs) "des_events_total" in
+  let h = Registry.histogram (Obs.registry obs) "des_queue_depth" in
+  let tq, fired = fired_by_run Bgp_sim.default_config in
   let n = List.length fired in
   Alcotest.(check bool) "events fired" true (n > 64);
-  let c = Registry.counter (Obs.registry obs) "des_events_total" in
   Alcotest.(check (float 0.0)) "one tick per event" (float_of_int n) !c;
-  let h = Registry.histogram (Obs.registry obs) "des_queue_depth" in
   check Alcotest.int "depth sampled every 64 events" (n / 64)
     (Histogram.count h);
   let times = List.map (fun (e : Trace.event) -> e.Trace.time) fired in
   Alcotest.(check bool) "fired in time order" true
     (times = List.sort Float.compare times);
   Alcotest.(check (float 0.0)) "last event at quiescence" tq
-    (List.nth times (n - 1))
+    (List.nth times (n - 1));
+  (* A second simulator on the same context: the shared counter now
+     starts at [n], and the two remainders mod 64 add up past 64, so
+     sampling on the shared count would take one sample too many. *)
+  let _, fired' =
+    fired_by_run { Bgp_sim.default_config with Bgp_sim.full_transit = true }
+  in
+  let n' = List.length fired' in
+  Alcotest.(check bool)
+    "remainders overflow" true
+    ((n mod 64) + (n' mod 64) >= 64);
+  Alcotest.(check (float 0.0))
+    "shared counter sums both"
+    (float_of_int (n + n'))
+    !c;
+  check Alcotest.int "second simulator samples its own n/64" (n' / 64)
+    (Histogram.count h - (n / 64))
 
 let suite =
   [

@@ -99,34 +99,38 @@ let test_registry_counters_and_labels () =
 let test_registry_kind_mismatch () =
   let r = Registry.create () in
   ignore (Registry.counter r "x");
-  Alcotest.(check bool) "gauge over counter raises" true
+  Alcotest.(check bool) "histogram over counter raises" true
     (try
-       ignore (Registry.gauge r "x");
+       ignore (Registry.histogram r "x");
        false
      with Invalid_argument _ -> true)
 
-let test_registry_snapshot_diff () =
+let test_registry_snapshot () =
   let r = Registry.create () in
   let c = Registry.counter r "events" in
-  let g = Registry.gauge r "depth" in
+  Registry.observe r ~labels:[ ("b", "2"); ("a", "1") ] "depth" 3.0;
   c := 10.0;
-  g := 3.0;
   let before = Registry.snapshot r in
   c := 25.0;
-  g := 7.0;
   let after = Registry.snapshot r in
-  let d = Registry.diff ~before ~after in
-  let find name =
-    match List.find_opt (fun s -> s.Registry.name = name) d with
-    | Some s -> s.Registry.value
-    | None -> Alcotest.failf "series %s missing from diff" name
+  check
+    (Alcotest.list Alcotest.string)
+    "sorted by name" [ "depth"; "events" ]
+    (List.map (fun s -> s.Registry.name) after);
+  (match after with
+  | [ d; _ ] ->
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+        "labels normalised" [ ("a", "1"); ("b", "2") ] d.Registry.labels
+  | _ -> Alcotest.fail "expected two series");
+  let events snap =
+    match List.find (fun s -> s.Registry.name = "events") snap with
+    | { Registry.value = Registry.Counter v; _ } -> v
+    | _ -> Alcotest.fail "events not a counter"
   in
-  (match find "events" with
-  | Registry.Counter v -> Alcotest.(check (float 1e-9)) "counter delta" 15.0 v
-  | _ -> Alcotest.fail "events not a counter");
-  match find "depth" with
-  | Registry.Gauge v -> Alcotest.(check (float 1e-9)) "gauge keeps after" 7.0 v
-  | _ -> Alcotest.fail "depth not a gauge"
+  Alcotest.(check (float 0.0)) "snapshot is a copy" 10.0 (events before);
+  Alcotest.(check (float 0.0)) "later snapshot sees the update" 25.0
+    (events after)
 
 let test_registry_csv () =
   let r = Registry.create () in
@@ -142,44 +146,44 @@ let test_registry_csv () =
 
 (* --- Trace --------------------------------------------------------- *)
 
+(* A tracer whose sink collects the accepted events, newest first. *)
+let collecting level =
+  let seen = ref [] in
+  (Trace.create ~sink:(Trace.Custom (fun e -> seen := e :: !seen)) level, seen)
+
 let test_trace_levels () =
-  let tr = Trace.create ~sink:Trace.Null Trace.Info in
+  let tr, seen = collecting Trace.Info in
   Alcotest.(check bool) "info enabled" true (Trace.enabled tr Trace.Info);
   Alcotest.(check bool) "warn enabled" true (Trace.enabled tr Trace.Warn);
   Alcotest.(check bool) "debug disabled" false (Trace.enabled tr Trace.Debug);
   Trace.emit tr Trace.Debug ~time:0.0 ~category:"x" "dropped";
   Trace.emit tr Trace.Info ~time:1.0 ~category:"x" "kept";
-  check Alcotest.int "only the enabled event" 1 (List.length (Trace.events tr))
-
-let test_trace_null_off () =
-  Alcotest.(check bool) "null rejects errors" false (Trace.enabled Trace.null Trace.Error);
-  Trace.emit Trace.null Trace.Error ~time:0.0 ~category:"x" "ignored";
-  check Alcotest.int "nothing stored" 0 (List.length (Trace.events Trace.null))
-
-let test_trace_ring_wraparound () =
-  let tr = Trace.create ~capacity:4 ~sink:Trace.Null Trace.Debug in
-  for i = 1 to 10 do
-    Trace.emit tr Trace.Info ~time:(float_of_int i) ~category:"c"
-      (Printf.sprintf "e%d" i)
-  done;
-  let evs = Trace.events tr in
-  check Alcotest.int "capacity bounds retention" 4 (List.length evs);
-  check Alcotest.int "emitted counts all" 10 (Trace.emitted tr);
-  check Alcotest.int "dropped the overflow" 6 (Trace.dropped tr);
   check
     (Alcotest.list Alcotest.string)
-    "oldest-first, newest kept" [ "e7"; "e8"; "e9"; "e10" ]
-    (List.map (fun e -> e.Trace.message) evs)
+    "only the enabled event" [ "kept" ]
+    (List.map (fun e -> e.Trace.message) !seen)
+
+let test_trace_null_off () =
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        ("null rejects " ^ Trace.level_to_string l)
+        false (Trace.enabled Trace.null l))
+    [ Trace.Error; Trace.Warn; Trace.Info; Trace.Debug ];
+  (* Emitting into the null tracer is a no-op, not an error. *)
+  Trace.emit Trace.null Trace.Error ~time:0.0 ~category:"x" "ignored"
 
 let test_trace_custom_sink () =
-  let seen = ref [] in
-  let tr =
-    Trace.create ~sink:(Trace.Custom (fun e -> seen := e.Trace.message :: !seen))
-      Trace.Warn
-  in
-  Trace.emit tr Trace.Error ~time:0.0 ~category:"c" "boom";
+  let tr, seen = collecting Trace.Warn in
+  Trace.emit tr Trace.Error ~time:2.5 ~category:"c"
+    ~fields:[ ("k", "v") ]
+    "boom";
   Trace.emit tr Trace.Debug ~time:0.0 ~category:"c" "quiet";
-  check (Alcotest.list Alcotest.string) "sink sees accepted events" [ "boom" ] !seen
+  match !seen with
+  | [ e ] ->
+      check Alcotest.string "sink sees the accepted event"
+        "[       2.500] error c: boom {k=v}" (Trace.render e)
+  | l -> Alcotest.failf "expected one event, got %d" (List.length l)
 
 let test_trace_level_of_string () =
   let lvl = Alcotest.testable (Fmt.of_to_string Trace.level_to_string) ( = ) in
@@ -243,7 +247,7 @@ let assert_balanced json =
   check Alcotest.int "balanced" 0 !depth
 
 let test_obs_to_json_shape () =
-  let obs = Obs.create ~trace:(Trace.create ~sink:Trace.Null Trace.Debug) () in
+  let obs = Obs.create ~trace:(fst (collecting Trace.Debug)) () in
   let c = Registry.counter (Obs.registry obs) ~labels:[ ("k", "v") ] "hits" in
   c := 3.0;
   Registry.observe (Obs.registry obs) "sizes" 128.0;
@@ -252,17 +256,21 @@ let test_obs_to_json_shape () =
   ignore (Obs.phase obs "stage" (fun () -> ()));
   let json = Obs_json.to_string_pretty (Obs.to_json obs) in
   assert_balanced json;
-  let has needle =
+  let has needle expect =
     let nl = String.length needle and jl = String.length json in
     let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in
-    Alcotest.(check bool) (Printf.sprintf "contains %s" needle) true (go 0)
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %s" (if expect then "contains" else "omits") needle)
+      expect (go 0)
   in
-  has "\"metrics\"";
-  has "\"timers\"";
-  has "\"trace\"";
-  has "\"hits\"";
-  has "\"p99\"";
-  has "hello \\\"quoted\\\""
+  has "\"metrics\"" true;
+  has "\"hits\"" true;
+  has "\"p99\"" true;
+  (* Wall-clock timers and the trace stream never enter the document. *)
+  has "\"timers\"" false;
+  has "\"stage\"" false;
+  has "\"trace\"" false;
+  has "quoted" false
 
 let suite =
   [
@@ -275,11 +283,10 @@ let suite =
     ("histogram merge and reset", `Quick, test_hist_merge_reset);
     ("registry counters and labels", `Quick, test_registry_counters_and_labels);
     ("registry kind mismatch", `Quick, test_registry_kind_mismatch);
-    ("registry snapshot diff", `Quick, test_registry_snapshot_diff);
+    ("registry snapshot", `Quick, test_registry_snapshot);
     ("registry csv export", `Quick, test_registry_csv);
     ("trace levels", `Quick, test_trace_levels);
     ("trace null is off", `Quick, test_trace_null_off);
-    ("trace ring wraparound", `Quick, test_trace_ring_wraparound);
     ("trace custom sink", `Quick, test_trace_custom_sink);
     ("trace level parsing", `Quick, test_trace_level_of_string);
     ("obs disabled", `Quick, test_obs_disabled_is_off);

@@ -104,8 +104,6 @@ let test_registry_merge () =
   Registry.add a "c" 2.0;
   Registry.add b "c" 3.0;
   Registry.add b "c" ~labels:[ ("k", "v") ] 7.0;
-  Registry.set a "g" 1.0;
-  Registry.set b "g" 5.0;
   Registry.observe a "h" 1.0;
   Registry.observe b "h" 2.0;
   Registry.observe b "h" 4.0;
@@ -113,13 +111,12 @@ let test_registry_merge () =
   Alcotest.(check (float 1e-12)) "counters sum" 5.0 !(Registry.counter a "c");
   Alcotest.(check (float 1e-12)) "missing series created" 7.0
     !(Registry.counter a ~labels:[ ("k", "v") ] "c");
-  Alcotest.(check (float 1e-12)) "gauge takes source" 5.0 !(Registry.gauge a "g");
   let s = Histogram.summarize (Registry.histogram a "h") in
   check Alcotest.int "histogram counts merge" 3 s.Histogram.count;
   Alcotest.(check (float 1e-12)) "histogram max merges" 4.0 s.Histogram.max;
   (* Kind clash across registries is a programming error. *)
   let c = Registry.create () in
-  Registry.set c "c" 9.0;
+  Registry.observe c "c" 9.0;
   match Registry.merge ~into:a c with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
@@ -174,6 +171,27 @@ let test_map_jobs_obs_totals () =
   Alcotest.(check (float 0.0)) "every job counted" 8.0 c4;
   check Alcotest.int "histogram count matches sequential" n1 n4
 
+let test_map_jobs_obs_trace () =
+  (* Forked children share the parent's tracer, so events emitted inside
+     jobs on other domains reach its (domain-safe) sink. *)
+  let lock = Mutex.create () and seen = ref [] in
+  let sink e =
+    Mutex.protect lock (fun () -> seen := e.Trace.message :: !seen)
+  in
+  let trace = Trace.create ~sink:(Trace.Custom sink) Trace.Info in
+  let obs = Obs.create ~trace () in
+  ignore
+    (Runner.map_jobs_obs ~obs ~jobs:2
+       (fun ~obs i ->
+         Trace.emit (Obs.trace obs) Trace.Info ~time:0.0 ~category:"job"
+           (string_of_int i))
+       (Array.init 6 Fun.id));
+  check
+    (Alcotest.list Alcotest.string)
+    "one event per job"
+    (List.init 6 string_of_int)
+    (List.sort compare !seen)
+
 (* --- whole experiments are jobs-independent ------------------------ *)
 
 let short_beacon =
@@ -194,31 +212,34 @@ let test_fig6_determinism () =
       check (Alcotest.array Alcotest.int) a.Fig6.name a.Fig6.flows b.Fig6.flows)
     r1.Fig6.algos r4.Fig6.algos
 
+(* The --metrics-out document of a run under [jobs] domains. *)
+let metrics_json ~jobs run =
+  let obs = Obs.create () in
+  run ~obs ~jobs;
+  Obs_json.to_string_pretty (Obs.to_json obs)
+
 let test_fig6_merged_registry () =
-  (* Counter totals after the fork/merge reduction match the sequential
-     run (same observations, only the summation grouping differs). *)
-  let counters jobs =
-    let obs = Obs.create () in
-    ignore (Fig6.run ~obs ~jobs (Lazy.force fig6_cfg));
-    List.filter_map
-      (fun (s : Registry.sample) ->
-        match s.Registry.value with
-        | Registry.Counter v -> Some (s.Registry.name, s.Registry.labels, v)
-        | Registry.Gauge _ | Registry.Hist _ -> None)
-      (Registry.snapshot (Obs.registry obs))
+  (* Every job records into its own fork, merged in input order at any
+     [jobs]: the whole document is identical, floats included. *)
+  let json jobs =
+    metrics_json ~jobs (fun ~obs ~jobs ->
+        ignore (Fig6.run ~obs ~jobs (Lazy.force fig6_cfg)))
   in
-  let c1 = counters 1 and c4 = counters 4 in
-  check Alcotest.int "same counter series" (List.length c1) (List.length c4);
-  Alcotest.(check bool) "some counters recorded" true (c1 <> []);
-  List.iter2
-    (fun (n1, l1, v1) (n2, l2, v2) ->
-      check Alcotest.string "series name" n1 n2;
-      Alcotest.(check bool) "series labels" true (l1 = l2);
-      Alcotest.(check bool)
-        (Printf.sprintf "total of %s" n1)
-        true
-        (Float.abs (v1 -. v2) <= 1e-9 *. Float.max 1.0 (Float.abs v1)))
-    c1 c4
+  let j1 = json 1 in
+  Alcotest.(check bool) "some metrics recorded" true
+    (j1 <> metrics_json ~jobs:1 (fun ~obs:_ ~jobs:_ -> ()));
+  check Alcotest.string "metrics document" j1 (json 4)
+
+let test_convergence_metrics () =
+  (* Two Bgp_sim runs per trial share the des_* series: each samples
+     its queue depth on its own event count. *)
+  let json jobs =
+    metrics_json ~jobs (fun ~obs ~jobs ->
+        ignore
+          (Convergence.run ~obs ~jobs
+             (Convergence.config ~n_failures:2 Exp_common.Tiny)))
+  in
+  check Alcotest.string "metrics document" (json 1) (json 3)
 
 let test_convergence_determinism () =
   let cfg = Convergence.config ~n_failures:2 Exp_common.Tiny in
@@ -239,7 +260,9 @@ let suite =
     ("timer merge", `Quick, test_timer_merge);
     ("obs fork/merge", `Quick, test_obs_fork_merge);
     ("map_jobs_obs totals", `Quick, test_map_jobs_obs_totals);
+    ("map_jobs_obs trace reaches sink", `Quick, test_map_jobs_obs_trace);
     ("fig6 jobs-independent", `Slow, test_fig6_determinism);
     ("fig6 merged registry", `Slow, test_fig6_merged_registry);
     ("convergence jobs-independent", `Slow, test_convergence_determinism);
+    ("convergence metrics jobs-independent", `Slow, test_convergence_metrics);
   ]

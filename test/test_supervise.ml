@@ -291,14 +291,25 @@ let test_snapshot_registry () =
   let reg = Registry.create () in
   Registry.add reg "c" 2.5;
   Registry.add reg ~labels:[ ("k", "v"); ("a", "b") ] "c" 7.0;
-  Registry.set reg "g" (-3.0);
   List.iter (Registry.observe reg "h") [ 0.1; 5.0; -2.0; 40.0 ];
   let b, b', reg' = roundtrip Registry.write Registry.read reg in
   Alcotest.(check bool) "registry bytes roundtrip" true (b = b');
   Alcotest.(check bool) "same series" true
     (Registry.snapshot reg = Registry.snapshot reg');
   let s = Histogram.summarize (Registry.histogram reg' "h") in
-  check Alcotest.int "histogram observations survive" 4 s.Histogram.count
+  check Alcotest.int "histogram observations survive" 4 s.Histogram.count;
+  (* Tag 1, once a gauge, is no metric kind any more. *)
+  let w = Snapshot.writer () in
+  Snapshot.w_list w
+    (fun w () ->
+      Snapshot.w_str w "g";
+      Snapshot.w_list w (fun _ () -> ()) [];
+      Snapshot.w_u8 w 1;
+      Snapshot.w_f64 w 1.0)
+    [ () ];
+  match Registry.read (Snapshot.reader (Snapshot.contents w)) with
+  | _ -> Alcotest.fail "tag 1 accepted"
+  | exception Snapshot.Corrupt _ -> ()
 
 (* One soak gives real instances of every remaining component: beacon
    stores filled by dissemination, live link state, a path server with
