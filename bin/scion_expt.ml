@@ -19,6 +19,32 @@ let scale_arg =
   let print fmt s = Format.pp_print_string fmt (Exp_common.scale_to_string s) in
   Arg.conv (parse, print)
 
+(* A flag value checked on parse: anything [of_string] rejects or [ok]
+   refuses is a usage error (exit 124), described as [expected]. *)
+let bounded ~expected of_string ok pp =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, pp)
+
+let non_negative =
+  bounded ~expected:"a non-negative integer" int_of_string_opt
+    (fun v -> v >= 0)
+    Format.pp_print_int
+
+let positive =
+  bounded ~expected:"a positive integer" int_of_string_opt
+    (fun v -> v > 0)
+    Format.pp_print_int
+
+let positive_float ~expected =
+  bounded ~expected float_of_string_opt
+    (fun v -> Float.is_finite v && v > 0.0)
+    Format.pp_print_float
+
 let scale_term =
   Arg.(
     value
@@ -38,7 +64,7 @@ let seed_term =
 let jobs_term =
   Arg.(
     value
-    & opt int 1
+    & opt non_negative 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Run the experiment's independent stages on $(docv) domains (0 = one \
@@ -61,7 +87,7 @@ let sup_term =
   let checkpoint_every =
     Arg.(
       value
-      & opt int 0
+      & opt non_negative 0
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
             "Write a resumable checkpoint every $(docv) work steps (0 = off; \
@@ -83,22 +109,23 @@ let sup_term =
       & info [ "resume" ]
           ~doc:
             "Continue from the newest compatible checkpoint in \
-             --checkpoint-dir instead of starting fresh. The completed run is \
-             byte-identical to an uninterrupted one.")
+             --checkpoint-dir (required) instead of starting fresh. The \
+             completed run is byte-identical to an uninterrupted one.")
   in
   let kill_after =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "kill-after" ] ~docv:"K"
           ~doc:
-            "Abort (exit 3) right after the $(docv)-th checkpoint write — a \
-             deterministic stand-in for SIGKILL, used by the resume tests.")
+            "Abort (exit 3) right after the $(docv)-th checkpoint write ($(docv) \
+             > 0; requires --checkpoint-dir) — a deterministic stand-in for \
+             SIGKILL, used by the resume tests.")
   in
   let max_failures =
     Arg.(
       value
-      & opt int 0
+      & opt non_negative 0
       & info [ "max-failures" ] ~docv:"N"
           ~doc:
             "Tolerate up to $(docv) failed jobs before exiting nonzero; failed \
@@ -107,28 +134,18 @@ let sup_term =
   let retries =
     Arg.(
       value
-      & opt int 1
+      & opt non_negative 1
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Retry a crashed or timed-out job up to $(docv) times with \
              deterministically re-derived seeds.")
   in
-  let seconds =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v when Float.is_finite v && v > 0.0 -> Ok v
-      | _ ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "invalid value '%s', expected a positive number of seconds" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
   let watchdog =
     Arg.(
       value
-      & opt (some seconds) None
+      & opt
+          (some (positive_float ~expected:"a positive number of seconds"))
+          None
       & info [ "watchdog" ] ~docv:"SECONDS"
           ~doc:
             "Per-attempt wall-clock budget; a job exceeding it is abandoned at \
@@ -143,22 +160,35 @@ let sup_term =
             "Force the job at index $(docv) to raise on every attempt \
              (graceful-degradation testing).")
   in
+  let make checkpoint_every checkpoint_dir resume kill_after max_failures
+      retries watchdog_s inject_fail =
+    (* Without a directory these flags would be silently ignored. *)
+    let needs_dir =
+      if checkpoint_every > 0 then Some "--checkpoint-every"
+      else if resume then Some "--resume"
+      else if kill_after <> None then Some "--kill-after"
+      else None
+    in
+    match (checkpoint_dir, needs_dir) with
+    | None, Some flag ->
+        `Error (true, Printf.sprintf "%s requires --checkpoint-dir" flag)
+    | _ ->
+        `Ok
+          {
+            Supervise.checkpoint_every;
+            checkpoint_dir;
+            resume;
+            kill_after;
+            max_failures;
+            retries;
+            watchdog_s;
+            inject_fail;
+          }
+  in
   Term.(
-    const
-      (fun checkpoint_every checkpoint_dir resume kill_after max_failures retries
-           watchdog_s inject_fail ->
-        {
-          Supervise.checkpoint_every;
-          checkpoint_dir;
-          resume;
-          kill_after;
-          max_failures;
-          retries;
-          watchdog_s;
-          inject_fail;
-        })
-    $ checkpoint_every $ checkpoint_dir $ resume $ kill_after $ max_failures
-    $ retries $ watchdog $ inject_fail)
+    ret
+      (const make $ checkpoint_every $ checkpoint_dir $ resume $ kill_after
+     $ max_failures $ retries $ watchdog $ inject_fail))
 
 (* The footer goes to stderr so stdout is byte-identical across runs
    (and across --jobs values); wall-clock time is not deterministic. *)
@@ -290,9 +320,9 @@ let traffic_term =
   let flows =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "flows" ] ~docv:"N"
-          ~doc:"Traffic scenario: demand flows per strategy cell.")
+          ~doc:"Traffic scenario: demand flows per strategy cell ($(docv) > 0).")
   in
   let strategy =
     Arg.(
@@ -306,9 +336,13 @@ let traffic_term =
   let capacity_scale =
     Arg.(
       value
-      & opt (some float) None
+      & opt
+          (some (positive_float ~expected:"a positive finite number"))
+          None
       & info [ "capacity-scale" ] ~docv:"X"
-          ~doc:"Traffic scenario: uniform link-capacity multiplier.")
+          ~doc:
+            "Traffic scenario: uniform link-capacity multiplier (positive, \
+             finite).")
   in
   Term.(
     const (fun flows strategy capacity_scale -> (flows, strategy, capacity_scale))
@@ -355,7 +389,10 @@ let run_cmd =
 
 let lookup_cmd =
   let requests =
-    Arg.(value & opt int 50000 & info [ "requests" ] ~docv:"N" ~doc:"Lookup requests.")
+    Arg.(
+      value
+      & opt positive 50000
+      & info [ "requests" ] ~docv:"N" ~doc:"Lookup requests ($(docv) > 0).")
   in
   let run requests obs_opts =
     with_obs obs_opts (fun obs ->

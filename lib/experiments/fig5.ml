@@ -16,13 +16,11 @@ type result = {
 type config = {
   scale : Exp_common.scale;
   seed : int64 option;
-  diversity : Beacon_policy.div_params;
   beacon : Beaconing.config;
 }
 
-let config ?seed ?(diversity = Beacon_policy.default_div_params)
-    ?(beacon = Exp_common.beacon_config) scale =
-  { scale; seed; diversity; beacon }
+let config ?seed ?(beacon = Exp_common.beacon_config) scale =
+  { scale; seed; beacon }
 
 let name = "fig5"
 
@@ -50,7 +48,7 @@ let make_series name ~bgp values =
    graphs. They fan out as one parallel job each. *)
 type stage = S_bgp of Bgp_overhead.result | S_beacon of Beaconing.outcome
 
-let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; seed; diversity; beacon } =
+let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; seed; beacon } =
   let prepared =
     Obs.phase obs "fig5.prepare" (fun () -> Exp_common.prepare ?seed scale)
   in
@@ -82,7 +80,11 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; seed; diversity; beacon } =
         S_beacon
           (Obs.phase obs "fig5.beaconing.diversity" (fun () ->
                Beaconing.run ~obs core
-                 { cfg with Beaconing.algorithm = Beacon_policy.Diversity diversity })));
+                 {
+                   cfg with
+                   Beaconing.algorithm =
+                     Beacon_policy.Diversity Beacon_policy.default_div_params;
+                 })));
       (* Intra-ISD beaconing (baseline, as in the paper). *)
       (fun ~obs ->
         S_beacon

@@ -28,18 +28,13 @@ type result = {
 type config = {
   scale : Exp_common.scale;
   seed : int64 option;  (** topology seed override (default §5.1 seed) *)
-  diversity : Beacon_policy.div_params;
   beacon : Beaconing.config;
 }
 
-val config :
-  ?seed:int64 ->
-  ?diversity:Beacon_policy.div_params ->
-  ?beacon:Beaconing.config ->
-  Exp_common.scale ->
-  config
+val config : ?seed:int64 -> ?beacon:Beaconing.config -> Exp_common.scale -> config
 (** [beacon] overrides the §5.1 beaconing configuration (used by the
-    benchmark to run shorter horizons). *)
+    benchmark to run shorter horizons). The diversity run always uses
+    {!Beacon_policy.default_div_params}. *)
 
 val name : string
 

@@ -15,17 +15,15 @@ type result = {
 type config = {
   scale : Exp_common.scale;
   seed : int64 option;
-  diversity : Beacon_policy.div_params;
   storage_limits : int option list;
   beacon : Beaconing.config;
 }
 
 let baseline_limit = 60
 
-let config ?seed ?(diversity = Beacon_policy.default_div_params)
-    ?(storage_limits = [ Some 15; Some 30; Some 60; None ])
+let config ?seed ?(storage_limits = [ Some 15; Some 30; Some 60; None ])
     ?(beacon = Exp_common.beacon_config) scale =
-  { scale; seed; diversity; storage_limits; beacon }
+  { scale; seed; storage_limits; beacon }
 
 let name = "fig6"
 
@@ -49,7 +47,7 @@ let beaconing_limit = function None -> max_int | Some limit -> limit
 type stage = S_optimum of int array | S_algo of algo
 
 let run ?(obs = Obs.disabled) ?(jobs = 1)
-    { scale; seed; diversity; storage_limits; beacon } =
+    { scale; seed; storage_limits; beacon } =
   let prepared =
     Obs.phase obs "fig6.prepare" (fun () -> Exp_common.prepare ?seed scale)
   in
@@ -95,7 +93,9 @@ let run ?(obs = Obs.disabled) ?(jobs = 1)
                       {
                         cfg with
                         Beaconing.storage_limit = beaconing_limit limit;
-                        Beaconing.algorithm = Beacon_policy.Diversity diversity;
+                        Beaconing.algorithm =
+                          Beacon_policy.Diversity
+                            Beacon_policy.default_div_params;
                       })))
            storage_limits)
   in

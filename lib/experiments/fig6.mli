@@ -37,7 +37,6 @@ type result = {
 type config = {
   scale : Exp_common.scale;
   seed : int64 option;  (** topology seed override (default §5.1 seed) *)
-  diversity : Beacon_policy.div_params;
   storage_limits : int option list;
   beacon : Beaconing.config;
 }
@@ -47,13 +46,13 @@ val baseline_limit : int
 
 val config :
   ?seed:int64 ->
-  ?diversity:Beacon_policy.div_params ->
   ?storage_limits:int option list ->
   ?beacon:Beaconing.config ->
   Exp_common.scale ->
   config
 (** [storage_limits] defaults to [\[Some 15; Some 30; Some 60; None\]]
-    (∞ printed for [None]), matching Fig. 6. *)
+    (∞ printed for [None]), matching Fig. 6. Every diversity run uses
+    {!Beacon_policy.default_div_params}. *)
 
 val name : string
 

@@ -34,15 +34,15 @@ type result = {
 type config = {
   scale : Exp_common.scale;
   seed : int64;
-  trials : int;
   rounds : int;  (** soak horizon in beaconing rounds *)
   chunk : int;  (** rounds per supervised work unit *)
   profiles : profile list;
   limits : int list;  (** PCB storage limits swept *)
-  register_top : int;
-  beacon : Beaconing.config;
   sup : Supervise.cli;
 }
+
+(* Segments re-registered per pair per round. *)
+let register_top = 3
 
 let default_profiles =
   [
@@ -50,21 +50,10 @@ let default_profiles =
     P_stochastic { mtbf_s = 43200.0; mttr_s = 1800.0 };
   ]
 
-let config ?(seed = 0xFA17L) ?(trials = 1) ?(rounds = 24) ?(chunk = 4)
-    ?(profiles = default_profiles) ?(limits = [ 5; 20 ]) ?(register_top = 3)
-    ?(beacon = Exp_common.beacon_config) ?(sup = Supervise.default_cli) scale =
-  {
-    scale;
-    seed;
-    trials;
-    rounds;
-    chunk;
-    profiles;
-    limits;
-    register_top;
-    beacon;
-    sup;
-  }
+let config ?(seed = 0xFA17L) ?(rounds = 24) ?(chunk = 4)
+    ?(profiles = default_profiles) ?(limits = [ 5; 20 ])
+    ?(sup = Supervise.default_cli) scale =
+  { scale; seed; rounds; chunk; profiles; limits; sup }
 
 let name = "pathdyn"
 
@@ -111,64 +100,114 @@ let plan_of_profile ~graph ~interval ~duration ~seed = function
                { link; at = interval; period = period_s; down_fraction; until = duration })
            links)
 
-type task = {
-  cell_idx : int;
-  trial_idx : int;
+type cell = {
+  profile : profile;
+  limit : int;
   label : string;
   soak : Soak.config;
 }
 
-let build_tasks cfg ~core ~pairs =
-  let cells =
-    List.concat_map (fun p -> List.map (fun l -> (p, l)) cfg.limits) cfg.profiles
-  in
-  let cells_arr = Array.of_list cells in
-  let interval = cfg.beacon.Beaconing.interval in
+(* One soak trial per (profile, limit) cell, profile-major; cell [i]'s
+   fault plan is seeded with [Runner.job_seed seed i]. *)
+let build_cells cfg ~core ~pairs =
+  let beacon = Exp_common.beacon_config in
+  let interval = beacon.Beaconing.interval in
   let duration = float_of_int cfg.rounds *. interval in
-  let tasks =
-    Array.init
-      (Array.length cells_arr * cfg.trials)
-      (fun i ->
-        let cell_idx = i / cfg.trials and trial_idx = i mod cfg.trials in
-        let profile, limit = cells_arr.(cell_idx) in
-        let plan =
-          plan_of_profile ~graph:core ~interval ~duration
-            ~seed:(Runner.job_seed cfg.seed i) profile
-        in
-        {
-          cell_idx;
-          trial_idx;
-          label =
-            Printf.sprintf "%s/L%d/t%d" (profile_kind profile) limit trial_idx;
-          soak =
-            {
-              Soak.graph = core;
-              beacon =
-                {
-                  cfg.beacon with
-                  Beaconing.algorithm = Beacon_policy.Baseline;
-                  Beaconing.storage_limit = limit;
-                  Beaconing.duration;
-                };
-              plan;
-              pairs;
-              register_top = cfg.register_top;
-              metric_labels =
-                [
-                  ("profile", profile_kind profile);
-                  ("limit", string_of_int limit);
-                ];
-            };
-        })
-  in
-  (cells_arr, tasks)
+  List.concat_map (fun p -> List.map (fun l -> (p, l)) cfg.limits) cfg.profiles
+  |> List.mapi (fun i (profile, limit) ->
+         let plan =
+           plan_of_profile ~graph:core ~interval ~duration
+             ~seed:(Runner.job_seed cfg.seed i) profile
+         in
+         {
+           profile;
+           limit;
+           label = Printf.sprintf "%s/L%d/t0" (profile_kind profile) limit;
+           soak =
+             {
+               Soak.graph = core;
+               beacon =
+                 {
+                   beacon with
+                   Beaconing.algorithm = Beacon_policy.Baseline;
+                   Beaconing.storage_limit = limit;
+                   Beaconing.duration;
+                 };
+               plan;
+               pairs;
+               register_top;
+               metric_labels =
+                 [
+                   ("profile", profile_kind profile);
+                   ("limit", string_of_int limit);
+                 ];
+             };
+         })
+  |> Array.of_list
 
 (* --- execution --------------------------------------------------------- *)
+
+(* A failed cell keeps zeros and [trials_failed = 1]; its empty lifetime
+   histogram is still merged into [obs], so the metric series exist for
+   every cell. *)
+let cell_result ~obs cell state =
+  let reg =
+    match state with Ok t -> Soak.registry t | Error _ -> Registry.create ()
+  in
+  let lifetime =
+    Histogram.summarize
+      (Registry.histogram reg ~labels:cell.soak.Soak.metric_labels
+         Soak.lifetime_metric)
+  in
+  if Obs.on obs then Registry.merge ~into:(Obs.registry obs) reg;
+  match state with
+  | Error _ ->
+      {
+        profile = cell.profile;
+        limit = cell.limit;
+        trials_ok = 0;
+        trials_failed = 1;
+        availability_mean = 0.0;
+        availability_min = 0.0;
+        jaccard_mean = 0.0;
+        lifetime;
+        survivors = 0;
+        link_failures = 0;
+        link_repairs = 0;
+        pcbs_dropped = 0;
+        segments_revoked = 0;
+        lookups = 0;
+        registrations = 0;
+        total_pcbs = 0;
+        total_bytes = 0.0;
+      }
+  | Ok t ->
+      let r = Soak.report t in
+      let ps = r.Soak.ps_stats in
+      {
+        profile = cell.profile;
+        limit = cell.limit;
+        trials_ok = 1;
+        trials_failed = 0;
+        availability_mean = r.Soak.availability_mean;
+        availability_min = r.Soak.availability_min;
+        jaccard_mean = r.Soak.jaccard_overall;
+        lifetime;
+        survivors = r.Soak.survivors;
+        link_failures = r.Soak.link_failures;
+        link_repairs = r.Soak.link_repairs;
+        pcbs_dropped = r.Soak.pcbs_dropped;
+        segments_revoked = r.Soak.segments_revoked;
+        lookups = ps.Path_server.lookups_core + ps.Path_server.lookups_down;
+        registrations = ps.Path_server.registrations;
+        total_pcbs = r.Soak.total_pcbs;
+        total_bytes = r.Soak.total_bytes;
+      }
 
 let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   if cfg.rounds <= 0 then invalid_arg "Pathdyn.run: rounds <= 0";
   if cfg.chunk <= 0 then invalid_arg "Pathdyn.run: chunk <= 0";
-  let pairs, cells_arr, tasks =
+  let pairs, cells =
     Obs.phase obs "pathdyn.prepare" (fun () ->
         let core = (Exp_common.prepare cfg.scale).Exp_common.core in
         let d = Exp_common.dimensions cfg.scale in
@@ -176,15 +215,14 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
           Exp_common.sample_pairs core ~count:d.Exp_common.sample_pairs
             ~seed:0xFA12L
         in
-        let cells_arr, tasks = build_tasks cfg ~core ~pairs in
-        (pairs, cells_arr, tasks))
+        (pairs, build_cells cfg ~core ~pairs))
   in
-  (* Every trial's full soak configuration plus the chunking: a
+  (* Every cell's full soak configuration plus the chunking: a
      checkpoint from a different scale / seed / horizon is rejected. *)
   let fingerprint =
     Printf.sprintf "pathdyn/%d/%d;" cfg.rounds cfg.chunk
     ^ String.concat ""
-        (Array.to_list (Array.map (fun t -> Soak.config_key t.soak) tasks))
+        (Array.to_list (Array.map (fun c -> Soak.config_key c.soak) cells))
   in
   let states, report =
     Obs.phase obs "pathdyn.cells" (fun () ->
@@ -193,87 +231,17 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
           {
             Supervise.name;
             fingerprint;
-            labels = Array.map (fun t -> t.label) tasks;
-            create = (fun i -> Soak.create tasks.(i).soak);
-            restore = (fun i -> Soak.restore tasks.(i).soak);
+            labels = Array.map (fun c -> c.label) cells;
+            create = (fun i -> Soak.create cells.(i).soak);
+            restore = (fun i -> Soak.restore cells.(i).soak);
             advance = (fun ~watchdog t ~upto -> Soak.advance ~watchdog t ~upto);
             encode = Soak.encode;
             check = (fun t -> Invariants.check_exn (Soak.invariant_ctx t));
           })
   in
-  (* Aggregate the surviving trials per cell; failed trials are excluded
-     from the statistics and surface in the run report instead. *)
+  (* In cell order, so the merges into [obs] are deterministic. *)
   let cell_results =
-    List.mapi
-      (fun cell_idx (profile, limit) ->
-        let labels =
-          [ ("profile", profile_kind profile); ("limit", string_of_int limit) ]
-        in
-        let cell_reg = Registry.create () in
-        let ok = ref 0 and failed = ref 0 in
-        let avail_sum = ref 0.0
-        and avail_min = ref 1.0
-        and jacc_sum = ref 0.0
-        and survivors = ref 0
-        and link_failures = ref 0
-        and link_repairs = ref 0
-        and pcbs_dropped = ref 0
-        and segments_revoked = ref 0
-        and lookups = ref 0
-        and registrations = ref 0
-        and total_pcbs = ref 0
-        and total_bytes = ref 0.0 in
-        Array.iteri
-          (fun i task ->
-            if task.cell_idx = cell_idx then
-              match states.(i) with
-              | Error _ -> incr failed
-              | Ok t ->
-                  incr ok;
-                  let r = Soak.report t in
-                  Registry.merge ~into:cell_reg (Soak.registry t);
-                  avail_sum := !avail_sum +. r.Soak.availability_mean;
-                  avail_min := Float.min !avail_min r.Soak.availability_min;
-                  jacc_sum := !jacc_sum +. r.Soak.jaccard_overall;
-                  survivors := !survivors + r.Soak.survivors;
-                  link_failures := !link_failures + r.Soak.link_failures;
-                  link_repairs := !link_repairs + r.Soak.link_repairs;
-                  pcbs_dropped := !pcbs_dropped + r.Soak.pcbs_dropped;
-                  segments_revoked := !segments_revoked + r.Soak.segments_revoked;
-                  lookups :=
-                    !lookups + r.Soak.ps_stats.Path_server.lookups_core
-                    + r.Soak.ps_stats.Path_server.lookups_down;
-                  registrations :=
-                    !registrations + r.Soak.ps_stats.Path_server.registrations;
-                  total_pcbs := !total_pcbs + r.Soak.total_pcbs;
-                  total_bytes := !total_bytes +. r.Soak.total_bytes)
-          tasks;
-        let lifetime =
-          Histogram.summarize
-            (Registry.histogram cell_reg ~labels Soak.lifetime_metric)
-        in
-        if Obs.on obs then Registry.merge ~into:(Obs.registry obs) cell_reg;
-        let per_ok v = if !ok = 0 then 0.0 else v /. float_of_int !ok in
-        {
-          profile;
-          limit;
-          trials_ok = !ok;
-          trials_failed = !failed;
-          availability_mean = per_ok !avail_sum;
-          availability_min = (if !ok = 0 then 0.0 else !avail_min);
-          jaccard_mean = per_ok !jacc_sum;
-          lifetime;
-          survivors = !survivors;
-          link_failures = !link_failures;
-          link_repairs = !link_repairs;
-          pcbs_dropped = !pcbs_dropped;
-          segments_revoked = !segments_revoked;
-          lookups = !lookups;
-          registrations = !registrations;
-          total_pcbs = !total_pcbs;
-          total_bytes = !total_bytes;
-        })
-      (Array.to_list cells_arr)
+    Array.to_list (Array.map2 (cell_result ~obs) cells states)
   in
   if Obs.on obs then Run_report.observe obs report;
   {
@@ -300,7 +268,7 @@ let to_json (r : result) =
       ( "cells",
         Obs_json.List
           (List.map
-             (fun c ->
+             (fun (c : cell_result) ->
                Obs_json.Obj
                  [
                    ("profile", Obs_json.String (profile_name c.profile));
@@ -353,7 +321,7 @@ let print (r : result) =
       ]
     ~rows:
       (List.map
-         (fun c ->
+         (fun (c : cell_result) ->
            [
              profile_name c.profile;
              string_of_int c.limit;

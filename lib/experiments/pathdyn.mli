@@ -2,19 +2,20 @@
     under full supervision.
 
     Sweeps fault profile × PCB storage limit over the core topology.
-    Each cell runs [trials] independent {!Soak} trials for [rounds]
-    beaconing intervals while the profile's {!Fault_plan} flaps links,
-    measuring the {e dynamics} of the path system rather than a single
-    outage's recovery (the {!Resilience} scenario's job): completed
+    Each cell runs one {!Soak} trial for [rounds] §5.1 beaconing
+    intervals (baseline algorithm, the 3 best segments per pair
+    re-registered every round) while the profile's {!Fault_plan} flaps
+    links, measuring the {e dynamics} of the path system rather than a
+    single outage's recovery (the {!Resilience} scenario's job): completed
     path-lifetime distributions, consecutive-round path-set Jaccard
     stability, and per-AS-pair availability.
 
-    This is also the proving ground for the supervision layer. Trials
+    This is also the proving ground for the supervision layer. Cells
     advance in [chunk]-round work units through {!Supervise.run_cells}
-    — a crashing or watchdog-expired trial is retried with deterministic
-    seeds and, past its retry budget, excluded from aggregation and
-    reported in the {!Run_report} while every other trial completes.
-    Between chunks the full state of every trial round-trips through
+    — a crashing or watchdog-expired cell is retried with deterministic
+    seeds and, past its retry budget, reported with zeroed statistics
+    and in the {!Run_report} while every other cell completes.
+    Between chunks the full state of every cell round-trips through
     {!Soak.encode}, so [--checkpoint-every N --checkpoint-dir D] writes
     resumable checkpoints (validated by {!Invariants} before hitting
     disk) and [--resume] continues from the newest one. Interrupting a
@@ -30,8 +31,9 @@ type profile =
 type cell_result = {
   profile : profile;
   limit : int;  (** PCB storage limit of the cell *)
-  trials_ok : int;
-  trials_failed : int;  (** excluded from the statistics below *)
+  trials_ok : int;  (** 1, or 0 when the cell failed *)
+  trials_failed : int;
+      (** 1 when the cell failed; every statistic below is then zero *)
   availability_mean : float;
   availability_min : float;
   jaccard_mean : float;
@@ -53,37 +55,34 @@ type result = {
   pairs : int;
   failures_allowed : int;  (** the [--max-failures] tolerance *)
   cells : cell_result list;
-  report : Run_report.t;  (** supervision outcome over all trials *)
+  report : Run_report.t;  (** supervision outcome over all cells *)
 }
 
 type config = {
   scale : Exp_common.scale;
   seed : int64;
-  trials : int;
   rounds : int;  (** soak horizon in beaconing rounds *)
   chunk : int;  (** rounds per supervised work unit *)
   profiles : profile list;
   limits : int list;  (** PCB storage limits swept *)
-  register_top : int;  (** segments re-registered per pair per round *)
-  beacon : Beaconing.config;
   sup : Supervise.cli;
 }
 
 val config :
   ?seed:int64 ->
-  ?trials:int ->
   ?rounds:int ->
   ?chunk:int ->
   ?profiles:profile list ->
   ?limits:int list ->
-  ?register_top:int ->
-  ?beacon:Beaconing.config ->
   ?sup:Supervise.cli ->
   Exp_common.scale ->
   config
-(** Defaults: seed [0xFA17L], 1 trial per cell, 24 rounds in chunks of
-    4, a 3-link flapping profile and a 12 h MTBF / 30 min MTTR
-    stochastic profile, storage limits 5 and 20, supervision off
-    ({!Supervise.default_cli}). *)
+(** Defaults: seed [0xFA17L], 24 rounds in chunks of 4, a 3-link
+    flapping profile and a 12 h MTBF / 30 min MTTR stochastic profile,
+    storage limits 5 and 20, supervision off ({!Supervise.default_cli}).
+    Fixed: one trial per cell (labelled [<profile>/L<limit>/t0], fault
+    plan seeded with [Runner.job_seed seed i] for cell [i]), the
+    {!Exp_common.beacon_config} beaconing parameters, 3 segments
+    re-registered per pair per round. *)
 
 include Scenario.Cli with type config := config and type result := result

@@ -18,33 +18,27 @@ type result = {
   cells : cell_result list;
 }
 
-type config = {
-  scale : Exp_common.scale;
-  seed : int64;
-  trials : int;
-  rates : rate list;
-  algos : algo_kind list;
-  outage_at : float;
-  outage_duration : float;
-  beacon : Beaconing.config;
-}
+type config = { scale : Exp_common.scale; seed : int64 }
 
-let default_rates =
+let trials = 2
+
+let rates =
   [
     { rate_name = "low"; mtbf_s = 21600.0; mttr_s = 1800.0 };
     { rate_name = "high"; mtbf_s = 7200.0; mttr_s = 900.0 };
   ]
 
-let default_algos = [ A_baseline 5; A_diversity 60 ]
+let algos = [ A_baseline 5; A_diversity 60 ]
+
+let outage_at = 3600.0
+
+let outage_duration = 1800.0
 
 (* Half the §5.1 horizon: 18 rounds are enough for warmup, outage and
    recovery, and keep the whole sweep CI-sized. *)
-let default_beacon = { Exp_common.beacon_config with Beaconing.duration = 10800.0 }
+let beacon = { Exp_common.beacon_config with Beaconing.duration = 10800.0 }
 
-let config ?(seed = 0xFA17L) ?(trials = 2) ?(rates = default_rates)
-    ?(algos = default_algos) ?(outage_at = 3600.0) ?(outage_duration = 1800.0)
-    ?(beacon = default_beacon) scale =
-  { scale; seed; trials; rates; algos; outage_at; outage_duration; beacon }
+let config ?(seed = 0xFA17L) scale = { scale; seed }
 
 let name = "resilience"
 
@@ -56,24 +50,20 @@ let algo_name = function
   | A_baseline limit -> Printf.sprintf "Baseline (%d)" limit
   | A_diversity limit -> Printf.sprintf "Diversity (%d)" limit
 
-let beacon_of cfg = function
+let beacon_of = function
   | A_baseline limit ->
       {
-        cfg.beacon with
+        beacon with
         Beaconing.algorithm = Beacon_policy.Baseline;
         Beaconing.storage_limit = limit;
       }
   | A_diversity limit ->
       {
-        cfg.beacon with
+        beacon with
         Beaconing.algorithm =
           Beacon_policy.Diversity Beacon_policy.default_div_params;
         Beaconing.storage_limit = limit;
       }
-
-(* One trial of one sweep cell; flattened so trials of every cell fan
-   out together. *)
-type task = { cell_idx : int; trial_idx : int; engine : Fault_engine.config }
 
 let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   let prepared =
@@ -89,14 +79,15 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
      path and sit in blackout until re-beaconing after the repair. *)
   let outage_as = snd pairs.(0) in
   let scmp_delay_s = Bgp_sim.default_config.Bgp_sim.propagation_delay in
-  let cells = List.concat_map (fun a -> List.map (fun r -> (a, r)) cfg.rates) cfg.algos in
+  let cells = List.concat_map (fun a -> List.map (fun r -> (a, r)) rates) algos in
   let cells_arr = Array.of_list cells in
-  let tasks =
+  (* One trial of one sweep cell per job, cell-major, so the trials of
+     every cell fan out together. *)
+  let trial_engines =
     Array.init
-      (Array.length cells_arr * cfg.trials)
+      (Array.length cells_arr * trials)
       (fun i ->
-        let cell_idx = i / cfg.trials and trial_idx = i mod cfg.trials in
-        let algo, rate = cells_arr.(cell_idx) in
+        let algo, rate = cells_arr.(i / trials) in
         let plan =
           Fault_plan.plan ~seed:(Runner.job_seed cfg.seed i)
             [
@@ -104,52 +95,45 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
                 {
                   mtbf = rate.mtbf_s;
                   mttr = rate.mttr_s;
-                  start = cfg.beacon.Beaconing.interval;
-                  until = cfg.beacon.Beaconing.duration;
+                  start = beacon.Beaconing.interval;
+                  until = beacon.Beaconing.duration;
                 };
               Fault_plan.As_outage
                 {
                   as_idx = outage_as;
-                  at = cfg.outage_at;
-                  duration = cfg.outage_duration;
+                  at = outage_at;
+                  duration = outage_duration;
                 };
             ]
         in
         {
-          cell_idx;
-          trial_idx;
-          engine =
-            {
-              Fault_engine.graph = core;
-              beacon = beacon_of cfg algo;
-              plan;
-              pairs;
-              scmp_delay_s;
-            };
+          Fault_engine.graph = core;
+          beacon = beacon_of algo;
+          plan;
+          pairs;
+          scmp_delay_s;
         })
   in
   let results =
     Runner.map_jobs_obs ~obs ~jobs
-      (fun ~obs task ->
-        Obs.phase obs "resilience.trial" (fun () -> Fault_engine.run ~obs task.engine))
-      tasks
+      (fun ~obs engine ->
+        Obs.phase obs "resilience.trial" (fun () -> Fault_engine.run ~obs engine))
+      trial_engines
   in
   let cell_results =
     List.mapi
       (fun cell_idx (algo, rate) ->
-        let trials =
-          List.filteri
-            (fun i _ -> tasks.(i).cell_idx = cell_idx)
-            (Array.to_list results)
+        let outcomes =
+          Array.to_list (Array.sub results (cell_idx * trials) trials)
         in
-        let total f = List.fold_left (fun acc r -> acc + f r) 0 trials in
+        let total f = List.fold_left (fun acc r -> acc + f r) 0 outcomes in
         {
           algo;
           rate;
-          trials = List.length trials;
+          trials;
           recovery =
             Recovery.sum
-              (List.map (fun (r : Fault_engine.result) -> r.recovery) trials);
+              (List.map (fun (r : Fault_engine.result) -> r.recovery) outcomes);
           validated_pairs = total (fun r -> r.Fault_engine.validated_pairs);
           validated_delivered =
             total (fun r -> r.Fault_engine.validated_delivered);

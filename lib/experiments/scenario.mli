@@ -1,9 +1,9 @@
 (** The unified experiment interface.
 
-    Every paper artefact (Table 1, Figs. 5/6, convergence, latency,
-    SCIONLab, tuning) implements this one module type instead of an
-    ad-hoc [run] signature: a [config] value fully describes a run, a
-    [result] value fully describes its outcome, and the three
+    Every experiment ({!Scenarios.all}) implements this one module type
+    instead of an ad-hoc [run] signature: a [config] value fully
+    describes a run, a [result] value fully describes its outcome, and
+    the three
     operations — execute, serialise, pretty-print — are uniform. This
     is what lets the CLI drive any experiment through one generic
     [run <scenario>] subcommand, lets the registry ({!Scenarios.all})
@@ -13,7 +13,12 @@
     Implementations must be {e deterministic in [config]}: two runs
     with equal configs (at any [jobs] value) must produce equal
     results. Parallelism, therefore, is an execution hint, not part of
-    the experiment's identity. *)
+    the experiment's identity.
+
+    A [config] holds only the knobs some caller sets (the CLI, a test
+    or the benchmark); the paper's fixed parameters (§5.1 storage
+    limits, horizons, diversity weights) are constants of the scenario
+    and documented on its [config] builder. *)
 
 type cli = {
   scale : Exp_common.scale;  (** the shared [--scale] flag *)
@@ -37,13 +42,23 @@ type cli = {
     config (ignoring what does not apply — e.g. the SCIONLab topology
     is fixed, so it ignores [scale]). *)
 
-(** An experiment: deterministic, parallelisable, serialisable. *)
-module type S = sig
+(** An experiment plus what the CLI needs to drive it generically:
+    deterministic, parallelisable, serialisable. *)
+module type Cli = sig
   type config
   (** Complete description of one run. *)
 
   type result
   (** Complete outcome of one run. *)
+
+  val name : string
+  (** Scenario name for [run <scenario>] ([fig5], [table1], …). *)
+
+  val doc : string
+  (** One-line description, listed under SCENARIOS in [run --help]. *)
+
+  val config_of_cli : cli -> config
+  (** Default config from the shared flags. *)
 
   val run : ?obs:Obs.t -> ?jobs:int -> config -> result
   (** Execute. [obs] (default {!Obs.disabled}) collects metrics, phase
@@ -57,20 +72,6 @@ module type S = sig
 
   val print : result -> unit
   (** The paper-style rendering on stdout. *)
-end
-
-(** An experiment plus what the CLI needs to drive it generically. *)
-module type Cli = sig
-  include S
-
-  val name : string
-  (** Scenario name for [run <scenario>] ([fig5], [table1], …). *)
-
-  val doc : string
-  (** One-line description, listed under SCENARIOS in [run --help]. *)
-
-  val config_of_cli : cli -> config
-  (** Default config from the shared flags. *)
 
   val exit_code : result -> int
   (** Process exit code the driver should end with: [0] for a fully

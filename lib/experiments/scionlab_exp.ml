@@ -7,9 +7,9 @@ type result = {
   iface_bps : float array;
 }
 
-type config = { diversity : Beacon_policy.div_params }
+type config = unit
 
-let config ?(diversity = Beacon_policy.default_div_params) () = { diversity }
+let config () = ()
 
 let name = "scionlab"
 
@@ -38,7 +38,7 @@ type stage =
 
 let div_limits = [ 5; 10; 15; 60 ]
 
-let run ?(obs = Obs.disabled) ?(jobs = 1) { diversity } =
+let run ?(obs = Obs.disabled) ?(jobs = 1) () =
   let g = Scionlab.generate Scionlab.default_params in
   let pairs = all_pairs g in
   let cfg = Exp_common.beacon_config in
@@ -61,7 +61,9 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { diversity } =
                         {
                           cfg with
                           Beaconing.storage_limit = limit;
-                          Beaconing.algorithm = Beacon_policy.Diversity diversity;
+                          Beaconing.algorithm =
+                            Beacon_policy.Diversity
+                              Beacon_policy.default_div_params;
                         }
                     in
                     {

@@ -21,9 +21,11 @@ type result = {
   iface_bps : float array;  (** Fig. 9: Bps per core interface, baseline(5) *)
 }
 
-type config = { diversity : Beacon_policy.div_params }
+type config = unit
+(** Nothing to configure: the topology is fixed and every diversity
+    run uses {!Beacon_policy.default_div_params}. *)
 
-val config : ?diversity:Beacon_policy.div_params -> unit -> config
+val config : unit -> config
 
 val name : string
 

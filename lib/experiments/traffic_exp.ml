@@ -24,13 +24,17 @@ type config = {
   flows : int;  (** demand flows per strategy cell *)
   strategies : Strategy.t list;
   capacity_scale : float;
-  width : int;  (** swarm multipath width *)
-  slot_s : float;
-  drain_s : float;
-  chunk : int;  (** slots per supervised work unit *)
   swarm_transfers : int;
   sup : Supervise.cli;
 }
+
+(* Slot length, simulated drain past the arrival horizon, and slots per
+   supervised work unit. *)
+let slot_s = 1.0
+
+let drain_s = 600.0
+
+let chunk = 1200
 
 (* Scale presets: the small preset clears 100k total simulated flows
    (3 strategy cells + 3 swarm modes). *)
@@ -47,7 +51,6 @@ let default_transfers = function
   | Exp_common.Paper -> 5_000
 
 let config ?(seed = 0x7AF1CL) ?flows ?strategy ?(capacity_scale = 0.2)
-    ?(width = 3) ?(slot_s = 1.0) ?(drain_s = 600.0) ?(chunk = 1200)
     ?swarm_transfers ?(sup = Supervise.default_cli) scale =
   {
     scale;
@@ -56,14 +59,10 @@ let config ?(seed = 0x7AF1CL) ?flows ?strategy ?(capacity_scale = 0.2)
     strategies =
       (match strategy with Some s -> [ s ] | None -> Strategy.all);
     capacity_scale;
-    width;
-    slot_s;
-    drain_s;
     swarm_transfers =
       (match swarm_transfers with
       | Some t -> t
       | None -> default_transfers scale);
-    chunk;
     sup;
   }
 
@@ -142,7 +141,7 @@ let build_tasks cfg ~graph ~latency_ms ~paths ~swarm_paths ~demand ~swarm_demand
     ~swarm_params ~plan =
   let horizon = (Demand.params demand).Demand.horizon_s in
   let slots =
-    int_of_float (Float.ceil ((horizon +. cfg.drain_s) /. cfg.slot_s)) + 1
+    int_of_float (Float.ceil ((horizon +. drain_s) /. slot_s)) + 1
   in
   let demand_tasks =
     List.map
@@ -161,7 +160,7 @@ let build_tasks cfg ~graph ~latency_ms ~paths ~swarm_paths ~demand ~swarm_demand
               width = 1;
               plan;
               capacity_scale = cfg.capacity_scale;
-              slot_s = cfg.slot_s;
+              slot_s;
               slots;
               adapt_margin = 1.25;
               metric_labels =
@@ -176,7 +175,7 @@ let build_tasks cfg ~graph ~latency_ms ~paths ~swarm_paths ~demand ~swarm_demand
         let sim =
           Swarm.cell_config ~graph ~paths:swarm_paths ~latency_ms
             ~demand:swarm_demand ~capacity_scale:cfg.capacity_scale
-            ~slot_s:cfg.slot_s swarm_params mode
+            ~slot_s swarm_params mode
         in
         {
           label = "swarm/" ^ Swarm.mode_name mode;
@@ -192,7 +191,6 @@ let build_tasks cfg ~graph ~latency_ms ~paths ~swarm_paths ~demand ~swarm_demand
 
 let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   if cfg.flows < 0 then invalid_arg "Traffic_exp.run: flows < 0";
-  if cfg.chunk <= 0 then invalid_arg "Traffic_exp.run: chunk <= 0";
   if cfg.strategies = [] then invalid_arg "Traffic_exp.run: no strategies";
   let graph =
     Obs.phase obs "traffic.prepare" (fun () ->
@@ -228,7 +226,6 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
     {
       Swarm.default_params with
       Swarm.transfers = cfg.swarm_transfers;
-      width = cfg.width;
       seed = Runner.job_seed cfg.seed 2;
     }
   in
@@ -254,7 +251,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
     Array.fold_left (fun acc t -> max acc t.sim.Traffic_sim.slots) 0 tasks
   in
   let fingerprint =
-    Printf.sprintf "traffic/%d;" cfg.chunk
+    Printf.sprintf "traffic/%d;" chunk
     ^ String.concat ""
         (Array.to_list
            (Array.map (fun t -> Traffic_sim.config_key t.sim) tasks))
@@ -262,7 +259,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   let states, report =
     Obs.phase obs "traffic.cells" (fun () ->
         Supervise.run_cells ~cli:cfg.sup ~jobs ~seed:cfg.seed
-          ~horizon:max_slots ~chunk:cfg.chunk
+          ~horizon:max_slots ~chunk
           {
             Supervise.name;
             fingerprint;
@@ -462,12 +459,7 @@ let print (r : result) =
          single-path;\n\
          multipath (load-adaptive) %.2fx faster. Mean FCT %.3fs / %.3fs / \
          %.3fs (single / diversity / adaptive).\n\n"
-        (match
-           List.find_opt (fun (c : cell_result) -> c.label = "swarm/multi-div") r.cells
-         with
-        | Some c -> c.width
-        | None -> 0)
-        s.Swarm.speedup_diversity s.Swarm.speedup_adaptive
+        Swarm.default_params.Swarm.width s.Swarm.speedup_diversity s.Swarm.speedup_adaptive
         s.Swarm.single.Traffic_sim.mean_fct_s
         s.Swarm.multi_diversity.Traffic_sim.mean_fct_s
         s.Swarm.multi_adaptive.Traffic_sim.mean_fct_s);

@@ -11,7 +11,7 @@
     bulk file-transfer demand in forced single-path and two multipath
     modes, demonstrating the multipath completion-time win.
 
-    Cells advance in [chunk]-slot work units through
+    Cells advance in 1200-slot work units through
     {!Supervise.run_cells}; between chunks each cell's full simulation
     state round-trips through {!Traffic_sim.encode}, so [--checkpoint-every N
     --checkpoint-dir D] writes resumable checkpoints and [--resume]
@@ -46,10 +46,6 @@ type config = {
   flows : int;  (** demand flows per strategy cell *)
   strategies : Strategy.t list;
   capacity_scale : float;
-  width : int;  (** swarm multipath width *)
-  slot_s : float;
-  drain_s : float;  (** simulated drain time past the arrival horizon *)
-  chunk : int;  (** slots per supervised work unit *)
   swarm_transfers : int;
   sup : Supervise.cli;
 }
@@ -59,17 +55,15 @@ val config :
   ?flows:int ->
   ?strategy:Strategy.t ->
   ?capacity_scale:float ->
-  ?width:int ->
-  ?slot_s:float ->
-  ?drain_s:float ->
-  ?chunk:int ->
   ?swarm_transfers:int ->
   ?sup:Supervise.cli ->
   Exp_common.scale ->
   config
 (** Defaults: seed [0x7AF1CL], all three strategies, capacity scale
-    0.2 (a moderately contended regime), 3-way swarm multipath, 1 s
-    slots with 10 min drain, 1200-slot chunks, and per-scale flow
-    counts that put the small preset above 100k total flows. *)
+    0.2 (a moderately contended regime), and per-scale flow and swarm
+    transfer counts that put the small preset above 100k total flows.
+    Fixed: {!Swarm.default_params}' 3-way swarm multipath, 1 s slots with a 10 min drain past
+    the arrival horizon, and 1200-slot supervised work units
+    (checkpoints fall on their boundaries). *)
 
 include Scenario.Cli with type config := config and type result := result

@@ -1,7 +1,3 @@
-type policy = { retries : int; watchdog_s : float option }
-
-let default_policy = { retries = 1; watchdog_s = None }
-
 exception Killed of { checkpoints : int }
 
 let () =
@@ -37,14 +33,11 @@ let default_cli =
     inject_fail = None;
   }
 
-let policy_of_cli c = { retries = c.retries; watchdog_s = c.watchdog_s }
-
 let attempt_seed ~base_seed ~index ~attempt =
   let s0 = Runner.job_seed base_seed index in
   if attempt = 0 then s0 else Runner.job_seed s0 attempt
 
-let map ?obs ?(policy = default_policy) ?label_of ~jobs ~base_seed f arr =
-  let retries = max 0 policy.retries in
+let map ?obs ?(retries = 1) ?watchdog_s ?label_of ~jobs ~base_seed f arr =
   let label i = match label_of with Some f -> f i | None -> string_of_int i in
   (* The wrapper returns a [result] instead of raising, so a crashing
      or timed-out job can never abort the batch: surviving jobs always
@@ -52,7 +45,7 @@ let map ?obs ?(policy = default_policy) ?label_of ~jobs ~base_seed f arr =
   let supervised ~obs (i, x) =
     let rec attempt k =
       let seed = attempt_seed ~base_seed ~index:i ~attempt:k in
-      let watchdog = Watchdog.start ~label:(label i) policy.watchdog_s in
+      let watchdog = Watchdog.start ~label:(label i) watchdog_s in
       match f ~obs ~seed ~watchdog x with
       | v -> Ok v
       | exception exn ->
@@ -183,7 +176,6 @@ let run_cells ~cli ~jobs ~seed ~horizon ~chunk c =
             (step, statuses))
     | _ -> fresh ()
   in
-  let policy = policy_of_cli cli in
   let written = ref 0 in
   let last_ckpt = ref start in
   let step = ref start in
@@ -202,7 +194,7 @@ let run_cells ~cli ~jobs ~seed ~horizon ~chunk c =
        Deliberately unobserved — per-chunk supervision counters would
        differ between an uninterrupted run and a resumed one. *)
     let results, _chunk_report =
-      map ~policy
+      map ~retries:cli.retries ?watchdog_s:cli.watchdog_s
         ~label_of:(fun j -> c.labels.(alive.(j)))
         ~jobs
         ~base_seed:(Runner.job_seed seed (horizon + !step))

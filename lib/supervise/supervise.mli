@@ -1,7 +1,7 @@
 (** Run supervision: crash isolation, retries, graceful degradation.
 
     {!map} is the supervised mode of {!Runner.map_jobs_obs}: each job runs
-    under a {!Watchdog} deadline and is retried up to [policy.retries]
+    under a {!Watchdog} deadline and is retried up to [retries]
     times on any exception (including {!Watchdog.Timeout}), with
     deterministic per-attempt seeds derived from the same SplitMix64
     partitioning as {!Runner.job_seed} — so a retried batch is exactly
@@ -15,13 +15,6 @@
     horizon in supervised chunks, writing {!Checkpoint} files between
     chunks and resuming from them. {!cli} carries the flags both halves
     share. *)
-
-type policy = {
-  retries : int;  (** additional attempts after the first (default 1) *)
-  watchdog_s : float option;  (** per-attempt wall-clock budget *)
-}
-
-val default_policy : policy
 
 exception Killed of { checkpoints : int }
 (** Raised by {!run_cells} when its [kill_after] budget is reached: a
@@ -37,8 +30,8 @@ type cli = {
   resume : bool;  (** continue from the latest checkpoint *)
   kill_after : int option;  (** abort after N checkpoint writes *)
   max_failures : int;  (** tolerated failed jobs before nonzero exit *)
-  retries : int;
-  watchdog_s : float option;
+  retries : int;  (** {!map}'s [retries] *)
+  watchdog_s : float option;  (** {!map}'s [watchdog_s] *)
   inject_fail : int option;  (** force the job at this index to raise *)
 }
 (** The supervision-related command-line surface, shared by every
@@ -46,8 +39,6 @@ type cli = {
 
 val default_cli : cli
 (** Checkpointing off, one retry, no watchdog, no injection. *)
-
-val policy_of_cli : cli -> policy
 
 val attempt_seed : base_seed:int64 -> index:int -> attempt:int -> int64
 (** Seed of attempt [attempt] of job [index]: attempt 0 uses
@@ -57,15 +48,18 @@ val attempt_seed : base_seed:int64 -> index:int -> attempt:int -> int64
 
 val map :
   ?obs:Obs.t ->
-  ?policy:policy ->
+  ?retries:int ->
+  ?watchdog_s:float ->
   ?label_of:(int -> string) ->
   jobs:int ->
   base_seed:int64 ->
   (obs:Obs.t -> seed:int64 -> watchdog:Watchdog.t -> 'a -> 'b) ->
   'a array ->
   ('b, Run_report.failure) result array * Run_report.t
-(** Supervised parallel map. Jobs receive their attempt seed and a
-    running watchdog (which they should {!Watchdog.check} at safe
+(** Supervised parallel map. Each job gets up to [retries] (default 1;
+    negative counts as 0) further attempts after the first, each under a
+    fresh [watchdog_s] budget (default: none). Jobs receive their
+    attempt seed and a running watchdog (which they should {!Watchdog.check} at safe
     points). Results come back in input order; a failed job yields
     [Error failure] in its slot instead of poisoning the batch. When
     [obs] is given, per-job contexts are forked and merged exactly as

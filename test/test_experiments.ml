@@ -166,9 +166,60 @@ let test_scenarios_registry () =
       Alcotest.(check bool) (S.name ^ " has doc") true (String.length S.doc > 0))
     Scenarios.all
 
+(* Pathdyn's one cell, rebuilt from its documented derivation: pairs
+   sampled with seed 0xFA12L, three distinct flapping links drawn from
+   the cell's plan seed [Runner.job_seed seed 0], §5.1 baseline
+   beaconing at storage limit [limit], three segments re-registered per
+   round. *)
+let pathdyn_soak_config ~rounds ~limit =
+  let core = (Exp_common.prepare Exp_common.Tiny).Exp_common.core in
+  let pairs =
+    Exp_common.sample_pairs core
+      ~count:(Exp_common.dimensions Exp_common.Tiny).Exp_common.sample_pairs
+      ~seed:0xFA12L
+  in
+  let beacon = Exp_common.beacon_config in
+  let interval = beacon.Beaconing.interval in
+  let duration = float_of_int rounds *. interval in
+  let seed = Runner.job_seed 0xFA17L 0 in
+  let rng = Rng.create seed in
+  let links = ref [] in
+  while List.length !links < 3 do
+    let l = Rng.int rng (Graph.num_links core) in
+    if not (List.mem l !links) then links := l :: !links
+  done;
+  {
+    Soak.graph = core;
+    beacon =
+      {
+        beacon with
+        Beaconing.algorithm = Beacon_policy.Baseline;
+        storage_limit = limit;
+        duration;
+      };
+    plan =
+      Fault_plan.plan ~seed
+        (List.map
+           (fun link ->
+             Fault_plan.Flapping
+               {
+                 link;
+                 at = interval;
+                 period = 3600.0;
+                 down_fraction = 0.25;
+                 until = duration;
+               })
+           (List.rev !links));
+    pairs;
+    register_top = 3;
+    metric_labels = [ ("profile", "flapping"); ("limit", string_of_int limit) ];
+  }
+
 (* Pathdyn at the size the benchmark replays it (one profile, one
    limit, 3 rounds in 1-round chunks): killed at its first checkpoint
-   and resumed, it reports exactly what an uninterrupted run does. *)
+   and resumed, it reports exactly what an uninterrupted run does, and
+   the uninterrupted cell equals the same soak trial advanced straight
+   to the horizon, without supervision, chunks or snapshots. *)
 let test_pathdyn_kill_and_resume () =
   let cfg sup =
     Pathdyn.config ~rounds:3 ~chunk:1
@@ -185,7 +236,37 @@ let test_pathdyn_kill_and_resume () =
   check Alcotest.string "killed + resumed equals uninterrupted" (json want)
     (json
        (Test_supervise.kill_and_resume ~every:1 (fun sup ->
-            Pathdyn.run ~jobs:2 (cfg sup))))
+            Pathdyn.run ~jobs:2 (cfg sup))));
+  let direct = Soak.create (pathdyn_soak_config ~rounds:3 ~limit:5) in
+  Soak.advance direct ~upto:3;
+  let r = Soak.report direct in
+  let c =
+    match want.Pathdyn.cells with
+    | [ c ] -> c
+    | _ -> Alcotest.fail "expected one cell"
+  in
+  let int name got want = check Alcotest.int name want got in
+  let float name got want = check (Alcotest.float 0.0) name want got in
+  int "trials ok" c.Pathdyn.trials_ok 1;
+  int "trials failed" c.Pathdyn.trials_failed 0;
+  float "availability mean" c.Pathdyn.availability_mean
+    r.Soak.availability_mean;
+  float "availability min" c.Pathdyn.availability_min r.Soak.availability_min;
+  float "jaccard" c.Pathdyn.jaccard_mean r.Soak.jaccard_overall;
+  (* [compare], not [=]: an empty summary holds NaNs. *)
+  int "lifetimes" (compare c.Pathdyn.lifetime r.Soak.lifetimes) 0;
+  int "survivors" c.Pathdyn.survivors r.Soak.survivors;
+  int "link failures" c.Pathdyn.link_failures r.Soak.link_failures;
+  int "link repairs" c.Pathdyn.link_repairs r.Soak.link_repairs;
+  int "pcbs dropped" c.Pathdyn.pcbs_dropped r.Soak.pcbs_dropped;
+  int "segments revoked" c.Pathdyn.segments_revoked r.Soak.segments_revoked;
+  int "lookups" c.Pathdyn.lookups
+    (r.Soak.ps_stats.Path_server.lookups_core
+    + r.Soak.ps_stats.Path_server.lookups_down);
+  int "registrations" c.Pathdyn.registrations
+    r.Soak.ps_stats.Path_server.registrations;
+  int "total pcbs" c.Pathdyn.total_pcbs r.Soak.total_pcbs;
+  float "total bytes" c.Pathdyn.total_bytes r.Soak.total_bytes
 
 let suite =
   [

@@ -501,7 +501,35 @@ let test_supervised_map_retries () =
       | Error _ -> Alcotest.fail "no failures expected")
     results;
   check Alcotest.int "flaky job ran twice" 2 attempts.(1);
-  check Alcotest.int "healthy jobs ran once" 1 attempts.(0)
+  check Alcotest.int "healthy jobs ran once" 1 attempts.(0);
+  (* An always-failing job runs 1 + retries times and reports that
+     count; its seeds are the distinct attempt seeds. *)
+  List.iter
+    (fun retries ->
+      let seeds = ref [] in
+      let results, report =
+        Supervise.map ~retries ~jobs:1 ~base_seed:5L
+          (fun ~obs:_ ~seed ~watchdog:_ () ->
+            seeds := seed :: !seeds;
+            failwith "always")
+          [| () |]
+      in
+      let name = Printf.sprintf "retries:%d" retries in
+      check Alcotest.int (name ^ " fails") 1 (Run_report.n_failed report);
+      check Alcotest.int (name ^ " attempts run") (retries + 1)
+        (List.length !seeds);
+      check
+        (Alcotest.list Alcotest.int64)
+        (name ^ " attempt seeds")
+        (List.init (retries + 1) (fun attempt ->
+             Supervise.attempt_seed ~base_seed:5L ~index:0 ~attempt))
+        (List.rev !seeds);
+      match results.(0) with
+      | Error (fl : Run_report.failure) ->
+          check Alcotest.int (name ^ " attempts reported") (retries + 1)
+            fl.Run_report.attempts
+      | Ok () -> Alcotest.fail "expected a failure")
+    [ 0; 2 ]
 
 let test_supervised_map_degrades () =
   let f ~obs:_ ~seed:_ ~watchdog:_ i =
@@ -523,7 +551,7 @@ let test_supervised_map_degrades () =
           check Alcotest.string "label" "w2" fl.Run_report.label;
           Alcotest.(check bool) "seed recorded" true
             (fl.Run_report.seed = Some (Runner.job_seed 7L 2));
-          check Alcotest.int "default policy = 1 retry" 2 fl.Run_report.attempts;
+          check Alcotest.int "default = 1 retry" 2 fl.Run_report.attempts;
           Alcotest.(check bool) "error text kept" true
             (contains fl.Run_report.error "boom2"))
     results;
