@@ -1,16 +1,15 @@
 (* Experiment driver.
 
-   Every experiment implements Scenario.Cli, so one generic subcommand
-   drives them all:
+   Every experiment implements Scenario.Cli and is one subcommand of
+   [run], which takes exactly the flags its config builder reads plus
+   the shared --jobs, --out, --metrics-out, --metrics-csv and --trace:
 
-     scion_expt run SCENARIO [--scale S] [--seed N] [--jobs N] [--out F]
+     scion_expt run SCENARIO [FLAGS]
 
-   with SCENARIO one of Scenarios.names. The remaining subcommands are
-   not scenarios:
+   The remaining subcommands are not scenarios:
 
    scion_expt lookup [--requests N]
-   scion_expt topo   [--scale S] [--save PREFIX]
-   scion_expt all    [--scale S] *)
+   scion_expt topo   [--scale S] [--save PREFIX] *)
 
 open Cmdliner
 
@@ -80,9 +79,8 @@ let out_term =
 
 let resolve_jobs jobs = if jobs = 0 then Runner.default_jobs () else jobs
 
-(* Supervision flags (checkpoint/resume, retries, failure injection).
-   Only the generic [run] subcommand exposes them; [all] runs
-   unsupervised with Supervise.default_cli. *)
+(* Supervision flags (checkpoint/resume, retries, failure injection) of
+   the checkpointing scenarios, pathdyn and traffic. *)
 let sup_term =
   let checkpoint_every =
     Arg.(
@@ -92,8 +90,7 @@ let sup_term =
           ~doc:
             "Write a resumable checkpoint every $(docv) work steps (0 = off; \
              requires --checkpoint-dir): beaconing rounds for pathdyn, slots \
-             for traffic. Supported by the checkpointing scenarios (pathdyn, \
-             traffic).")
+             for traffic.")
   in
   let checkpoint_dir =
     Arg.(
@@ -154,11 +151,12 @@ let sup_term =
   let inject_fail =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative) None
       & info [ "inject-fail" ] ~docv:"I"
           ~doc:
             "Force the job at index $(docv) to raise on every attempt \
-             (graceful-degradation testing).")
+             (graceful-degradation testing); an index past the last job is \
+             an error.")
   in
   let make checkpoint_every checkpoint_dir resume kill_after max_failures
       retries watchdog_s inject_fail =
@@ -288,41 +286,46 @@ let with_obs (metrics_out, metrics_csv, trace) f =
             metrics_csv)
         (fun () -> f obs)
 
-(* Run one scenario end to end: build, run, print, optionally export.
-   Exits nonzero when the scenario reports a failure budget overrun,
-   and with code 3 on a deliberate --kill-after abort (after the
-   with_obs finalizers have run). *)
-let exec (module S : Scenario.Cli) cli jobs out obs_opts =
-  match
-    with_obs obs_opts (fun obs ->
-        timed S.name (fun () ->
-            let result =
-              S.run ~obs ~jobs:(resolve_jobs jobs) (S.config_of_cli cli)
-            in
-            S.print result;
-            write_result out (S.to_json result);
-            S.exit_code result))
-  with
-  | 0 -> ()
-  | code -> exit code
-  | exception Supervise.Killed { checkpoints } ->
-      Printf.eprintf "aborted after %d checkpoint(s) (--kill-after)\n%!"
-        checkpoints;
-      exit 3
+(* One [run] subcommand: the scenario's config term plus the flags every
+   scenario shares. The run builds, runs, prints and optionally exports;
+   it exits with [exit_code result] when nonzero (the supervised
+   scenarios' failure budget), and with code 3 on a deliberate
+   --kill-after abort (after the with_obs finalizers have run). *)
+let scenario (type c r) ?(exit_code = fun _ -> 0)
+    (module S : Scenario.Cli with type config = c and type result = r)
+    (config : c Term.t) =
+  let run config jobs out obs_opts =
+    match
+      with_obs obs_opts (fun obs ->
+          timed S.name (fun () ->
+              let result = S.run ~obs ~jobs:(resolve_jobs jobs) config in
+              S.print result;
+              write_result out (S.to_json result);
+              exit_code result))
+    with
+    | 0 -> ()
+    | code -> exit code
+    | exception Supervise.Killed { checkpoints } ->
+        Printf.eprintf "aborted after %d checkpoint(s) (--kill-after)\n%!"
+          checkpoints;
+        exit 3
+  in
+  Cmd.v (Cmd.info S.name ~doc:S.doc)
+    Term.(const run $ config $ jobs_term $ out_term $ obs_term)
 
 let strategy_arg =
   let parse s = Result.map_error (fun e -> `Msg e) (Strategy.of_string s) in
   let print fmt s = Format.pp_print_string fmt (Strategy.name s) in
   Arg.conv (parse, print)
 
-(* The traffic scenario's own knobs; every other scenario ignores them. *)
+(* The traffic scenario's own knobs. *)
 let traffic_term =
   let flows =
     Arg.(
       value
       & opt (some positive) None
       & info [ "flows" ] ~docv:"N"
-          ~doc:"Traffic scenario: demand flows per strategy cell ($(docv) > 0).")
+          ~doc:"Demand flows per strategy cell ($(docv) > 0).")
   in
   let strategy =
     Arg.(
@@ -330,8 +333,8 @@ let traffic_term =
       & opt (some strategy_arg) None
       & info [ "strategy" ] ~docv:"NAME"
           ~doc:
-            "Traffic scenario: restrict the demand sweep to one path-selection \
-             strategy (latency-greedy, diversity-max or load-adaptive).")
+            "Restrict the demand sweep to one path-selection strategy \
+             (latency-greedy, diversity-max or load-adaptive).")
   in
   let capacity_scale =
     Arg.(
@@ -340,52 +343,40 @@ let traffic_term =
           (some (positive_float ~expected:"a positive finite number"))
           None
       & info [ "capacity-scale" ] ~docv:"X"
-          ~doc:
-            "Traffic scenario: uniform link-capacity multiplier (positive, \
-             finite).")
+          ~doc:"Uniform link-capacity multiplier (positive, finite).")
   in
   Term.(
-    const (fun flows strategy capacity_scale -> (flows, strategy, capacity_scale))
-    $ flows $ strategy $ capacity_scale)
+    const (fun flows strategy capacity_scale seed sup scale ->
+        Traffic_exp.config ?seed ?flows ?strategy ?capacity_scale ~sup scale)
+    $ flows $ strategy $ capacity_scale $ seed_term $ sup_term $ scale_term)
+
+(* The config of a scenario that reads only --seed and --scale. *)
+let seeded config = Term.(const config $ seed_term $ scale_term)
 
 let run_cmd =
-  let scenario =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SCENARIO"
-          ~doc:
-            (Printf.sprintf "The scenario to run: %s."
-               (String.concat ", " Scenarios.names)))
-  in
-  let run name scale seed sup (flows, strategy, capacity_scale) jobs out obs_opts
-      =
-    match Scenarios.find name with
-    | None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown scenario %S (available: %s)" name
-              (String.concat ", " Scenarios.names) )
-    | Some (module S : Scenario.Cli) ->
-        exec (module S)
-          { Scenario.scale; seed; sup; flows; strategy; capacity_scale }
-          jobs out obs_opts;
-        `Ok ()
-  in
-  let man =
-    `S "SCENARIOS"
-    :: List.map
-         (fun (module S : Scenario.Cli) ->
-           `I (Printf.sprintf "$(b,%s)" S.name, S.doc))
-         Scenarios.all
-  in
-  Cmd.v
-    (Cmd.info "run" ~man
-       ~doc:"Run any experiment through the generic scenario driver")
-    Term.(
-      ret
-        (const run $ scenario $ scale_term $ seed_term $ sup_term $ traffic_term
-       $ jobs_term $ out_term $ obs_term))
+  Cmd.group
+    (Cmd.info "run" ~doc:"Run one experiment scenario")
+    [
+      scenario (module Table1) Term.(const Table1.config $ scale_term);
+      scenario (module Fig5)
+        (seeded (fun seed scale -> Fig5.config ?seed scale));
+      scenario (module Fig6)
+        (seeded (fun seed scale -> Fig6.config ?seed scale));
+      scenario (module Scionlab_exp) (Term.const (Scionlab_exp.config ()));
+      scenario (module Convergence)
+        (seeded (fun seed scale -> Convergence.config ?seed scale));
+      scenario (module Resilience)
+        (seeded (fun seed scale -> Resilience.config ?seed scale));
+      scenario ~exit_code:Pathdyn.exit_code (module Pathdyn)
+        Term.(
+          const (fun seed sup scale -> Pathdyn.config ?seed ~sup scale)
+          $ seed_term $ sup_term $ scale_term);
+      scenario (module Latency_exp)
+        (seeded (fun seed scale -> Latency_exp.config ?seed scale));
+      scenario (module Tuning) (Term.const (Tuning.config ()));
+      scenario ~exit_code:Traffic_exp.exit_code (module Traffic_exp)
+        traffic_term;
+    ]
 
 let lookup_cmd =
   let requests =
@@ -450,33 +441,6 @@ let topo_cmd =
        ~doc:"Describe (and optionally export) the generated experiment topologies")
     Term.(const run $ scale_term $ save)
 
-let all_cmd =
-  let run scale seed jobs obs_opts =
-    with_obs obs_opts (fun obs ->
-        timed "all" (fun () ->
-            let cli =
-              {
-                Scenario.scale;
-                seed;
-                sup = Supervise.default_cli;
-                flows = None;
-                strategy = None;
-                capacity_scale = None;
-              }
-            in
-            let jobs = resolve_jobs jobs in
-            (* Every registered scenario except the grid search, which
-               is a tool rather than a paper artefact. *)
-            Scenarios.all
-            |> List.filter (fun (module S : Scenario.Cli) -> S.name <> Tuning.name)
-            |> List.iteri (fun i (module S : Scenario.Cli) ->
-                   if i > 0 then print_newline ();
-                   S.print (S.run ~obs ~jobs (S.config_of_cli cli)))))
-  in
-  Cmd.v
-    (Cmd.info "all" ~doc:"Run every experiment at the given scale")
-    Term.(const run $ scale_term $ seed_term $ jobs_term $ obs_term)
-
 let () =
   let info =
     Cmd.info "scion_expt" ~version:"1.0"
@@ -487,9 +451,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            run_cmd;
-            lookup_cmd;
-            topo_cmd;
-            all_cmd;
-          ]))
+          [ run_cmd; lookup_cmd; topo_cmd ]))

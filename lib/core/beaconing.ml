@@ -703,8 +703,8 @@ let engine_outcome e =
     stats = e.eng_stats;
   }
 
-let run ?(obs = Obs.disabled) ?link_up g cfg =
-  let e = engine ~obs ?link_up g cfg in
+let run ?(obs = Obs.disabled) g cfg =
+  let e = engine ~obs g cfg in
   for r = 0 to e.eng_stats.rounds - 1 do
     e.eng_step ~round:r
   done;

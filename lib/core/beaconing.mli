@@ -92,7 +92,12 @@ val engine :
     inject previously checkpointed state (they are adopted, not
     copied); by default fresh empty ones are created. Raises
     [Invalid_argument] on a config {!run} would reject or on an
-    injected array whose length does not match the graph. *)
+    injected array whose length does not match the graph.
+
+    [link_up l] (default: always [true]) gates dissemination on link
+    liveness: a PCB selected for propagation over a dead link is
+    silently discarded — no bytes are accounted and nothing is
+    delivered — modelling a border router whose interface is down. *)
 
 val engine_round : engine -> round:int -> unit
 (** Execute beaconing interval [round] (0-based): prune (every 6th
@@ -113,20 +118,10 @@ val engine_outcome : engine -> outcome
 (** Package the engine's current state as an {!outcome}. Does not
     {!observe}. *)
 
-val run :
-  ?obs:Obs.t ->
-  ?link_up:(int -> bool) ->
-  Graph.t ->
-  config ->
-  outcome
-(** Simulate [duration / interval] beaconing intervals.
-
-    [link_up l] (default: always [true]) gates dissemination on
-    link liveness: a PCB selected for propagation over a dead link is
-    silently discarded — no bytes are accounted and nothing is
-    delivered — modelling a border router whose interface is down.
-    To run work between rounds (fault injection, soaks), step an
-    engine with {!engine_round} instead.
+val run : ?obs:Obs.t -> Graph.t -> config -> outcome
+(** Simulate [duration / interval] beaconing intervals. To gate links
+    or run work between rounds (fault injection, soaks), step an
+    {!engine} with {!engine_round} instead.
 
     With an enabled [obs] context (default {!Obs.disabled}, which costs
     one branch per send) the run maintains

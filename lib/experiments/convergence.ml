@@ -26,8 +26,6 @@ let name = "convergence"
 
 let doc = "BGP reconvergence vs SCION failover after link failures"
 
-let config_of_cli (c : Scenario.cli) = config ?seed:c.seed c.scale
-
 (* An adjacency failure chosen by the selection pass: every parallel
    link between the two ASes goes down (a shared conduit failing), and
    the SCION side of the answer is already known from the beacon
@@ -215,5 +213,3 @@ let print (r : result) =
   print_endline
     "SCION needs no routing convergence: alternates were disseminated in advance;\n\
      the endpoint switches as soon as the SCMP notification arrives (§4.1, §5)."
-
-let exit_code _ = 0

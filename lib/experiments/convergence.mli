@@ -45,8 +45,6 @@ val name : string
 
 val doc : string
 
-val config_of_cli : Scenario.cli -> config
-
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
 (** Runs on the pruned core topology: BGP over the core graph (all-core
     links as peering), SCION beaconing with the diversity algorithm.
@@ -65,6 +63,3 @@ val run : ?obs:Obs.t -> ?jobs:int -> config -> result
 val to_json : result -> Obs_json.t
 
 val print : result -> unit
-
-val exit_code : result -> int
-(** Always [0]; this scenario has no tolerated-failure budget. *)

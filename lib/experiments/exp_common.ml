@@ -111,3 +111,25 @@ let coreify g =
     Graph.add_link b ~rel lk.Graph.a lk.Graph.b
   done;
   Graph.freeze b
+
+let control_plane ?(obs = Obs.disabled) ?(jobs = 1) g =
+  (* A shorter horizon than §5.1 suffices to populate the path servers. *)
+  let cfg =
+    {
+      beacon_config with
+      Beaconing.duration = beacon_config.Beaconing.interval *. 8.0;
+    }
+  in
+  (* The two beaconing hierarchies are independent simulations. *)
+  match
+    Runner.map_jobs_obs ~obs ~jobs
+      (fun ~obs (phase, scope) ->
+        Obs.phase obs phase (fun () ->
+            Beaconing.run ~obs g { cfg with Beaconing.scope }))
+      [|
+        ("beaconing.core", Beaconing.Core_beaconing);
+        ("beaconing.intra_isd", Beaconing.Intra_isd);
+      |]
+  with
+  | [| core; intra |] -> (core, intra, Control_service.build ~core ~intra ())
+  | _ -> assert false

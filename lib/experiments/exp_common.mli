@@ -57,3 +57,16 @@ val coreify : Graph.t -> Graph.t
     ISD graph supports both the core and the intra-ISD beaconing
     hierarchies (used by the Table-1 taxonomy and the traffic
     workloads). *)
+
+val control_plane :
+  ?obs:Obs.t ->
+  ?jobs:int ->
+  Graph.t ->
+  Beaconing.outcome * Beaconing.outcome * Control_service.t
+(** [control_plane g] runs core and intra-ISD beaconing over [g] (a
+    {!coreify}d ISD) for 8 §5.1 intervals and builds the control
+    service on the two outcomes, returned as [(core, intra, service)].
+    With [jobs > 1] the two beaconing runs execute on separate domains;
+    with an enabled [obs] (default {!Obs.disabled}) they are
+    instrumented and timed as the [beaconing.core] and
+    [beaconing.intra_isd] phases. *)

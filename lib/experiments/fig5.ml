@@ -26,8 +26,6 @@ let name = "fig5"
 
 let doc = "Figure 5: control-plane overhead relative to BGP"
 
-let config_of_cli (c : Scenario.cli) = config ?seed:c.seed c.scale
-
 (* Per-interface monthly bytes, the quantity comparable to a monitor's
    single BGP session (one full feed = one interface). *)
 let monthly_scion_bytes outcome monitors =
@@ -215,5 +213,3 @@ let print (r : result) =
   Printf.printf
     "  intra-ISD vs BGP:           %8.4fx   (paper: ~2 orders of magnitude below)\n"
     intra
-
-let exit_code _ = 0

@@ -40,8 +40,6 @@ val name : string
 
 val doc : string
 
-val config_of_cli : Scenario.cli -> config
-
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
 (** With [jobs > 1] the four independent stages — BGP/BGPsec
     accounting, baseline beaconing, diversity beaconing, intra-ISD
@@ -62,6 +60,3 @@ val print : result -> unit
 (** Paper-style rows: one series per protocol with the five-number
     summary of the per-monitor ratio distribution, plus the Q3
     headline checks (orders of magnitude). *)
-
-val exit_code : result -> int
-(** Always [0]; this scenario has no tolerated-failure budget. *)

@@ -29,8 +29,6 @@ let name = "fig6"
 
 let doc = "Figure 6: path quality (resilience and capacity)"
 
-let config_of_cli (c : Scenario.cli) = config ?seed:c.seed c.scale
-
 let storage_name = function None -> "\xe2\x88\x9e" (* ∞ *) | Some limit -> string_of_int limit
 
 let kind_name = function
@@ -258,5 +256,3 @@ let print (r : result) =
   Printf.printf
     "  baseline vs BGP resilience for pairs with optimum <=15 links: %.2fx (paper: >2x)\n"
     (base_mean /. bgp_mean)
-
-let exit_code _ = 0

@@ -58,8 +58,6 @@ val name : string
 
 val doc : string
 
-val config_of_cli : Scenario.cli -> config
-
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
 (** With [jobs > 1] the independent stages — the optimum min-cuts, the
     BGP flows, the baseline beaconing run and one diversity run per
@@ -82,6 +80,3 @@ val print : result -> unit
 (** Fig. 6a: mean achieved resilience grouped by optimal min-cut, plus
     the pair-count CDF. Fig. 6b: capacity CDFs and the fraction-of-
     optimum headline (Q2), plus the Q1 baseline-vs-BGP check. *)
-
-val exit_code : result -> int
-(** Always [0]; this scenario has no tolerated-failure budget. *)

@@ -24,8 +24,6 @@ let name = "latency"
 
 let doc = "Latency-aware path construction (§4.2 extension)"
 
-let config_of_cli (c : Scenario.cli) = config ?seed:c.seed c.scale
-
 let evaluate name core weights pairs (outcome : Beaconing.outcome) =
   let now = outcome.Beaconing.config.Beaconing.duration -. 1.0 in
   let stretch =
@@ -134,5 +132,3 @@ let print (r : result) =
     "Stretch = lowest-latency disseminated path / latency-optimal path (Dijkstra).\n\
      The latency-aware variant trades some link diversity for latency, using the\n\
      same Eq. 1-3 dissemination machinery — the extensibility §4.2 argues for."
-
-let exit_code _ = 0

@@ -38,8 +38,6 @@ val name : string
 
 val doc : string
 
-val config_of_cli : Scenario.cli -> config
-
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
 (** With [jobs > 1] the three algorithm stages (beaconing + stretch
     evaluation each) run on that many domains; the result is identical
@@ -52,6 +50,3 @@ val to_json : result -> Obs_json.t
 val print : result -> unit
 (** One row per algorithm: mean and p95 latency stretch plus absolute
     control-plane overhead. *)
-
-val exit_code : result -> int
-(** Always [0]; this scenario has no tolerated-failure budget. *)

@@ -60,8 +60,6 @@ let name = "pathdyn"
 let doc =
   "Long-horizon path-dynamics soak under link churn (checkpointable, supervised)"
 
-let config_of_cli (c : Scenario.cli) = config ?seed:c.seed ~sup:c.sup c.scale
-
 let profile_kind = function
   | P_flapping _ -> "flapping"
   | P_stochastic _ -> "stochastic"

@@ -86,3 +86,7 @@ val config :
     re-registered per pair per round. *)
 
 include Scenario.Cli with type config := config and type result := result
+
+val exit_code : result -> int
+(** [1] when more cells failed than [sup.max_failures] tolerates, else
+    [0]: the exit code of [scion_expt run pathdyn]. *)

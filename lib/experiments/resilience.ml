@@ -44,8 +44,6 @@ let name = "resilience"
 
 let doc = "Failure recovery under injected faults: failover vs blackout"
 
-let config_of_cli (c : Scenario.cli) = config ?seed:c.seed c.scale
-
 let algo_name = function
   | A_baseline limit -> Printf.sprintf "Baseline (%d)" limit
   | A_diversity limit -> Printf.sprintf "Diversity (%d)" limit
@@ -250,5 +248,3 @@ let print (r : result) =
     "Revocation overhead counts SCMP link-failure messages to affected endpoints\n\
      and path servers; 'delivered' is the post-run end-to-end validation pass over\n\
      the surviving topology."
-
-let exit_code _ = 0

@@ -15,9 +15,6 @@ let name = "scionlab"
 
 let doc = "Appendix B: SCIONLab testbed evaluation (Figures 7-9)"
 
-(* The SCIONLab topology is fixed; scale and seed do not apply. *)
-let config_of_cli (_ : Scenario.cli) = config ()
-
 let all_pairs g =
   let n = Graph.n g in
   let acc = ref [] in
@@ -175,5 +172,3 @@ let print (r : result) =
     s.Histogram.p99 s.Histogram.max;
   Printf.printf "  interfaces below 4 KB/s: %.0f%% (paper: ~80%%)\n"
     (100.0 *. Histogram.fraction_le h 4096.0)
-
-let exit_code _ = 0

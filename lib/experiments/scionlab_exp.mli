@@ -9,8 +9,8 @@
 
     Implements {!Scenario.Cli}: drive it through
     [scion_expt run scionlab] or directly via {!config} and {!run}.
-    The SCIONLab topology is fixed, so the CLI scale and seed are
-    ignored. *)
+    The SCIONLab topology is fixed, so the subcommand takes no scale or
+    seed. *)
 
 type algo = { name : string; flows : int array }
 
@@ -31,8 +31,6 @@ val name : string
 
 val doc : string
 
-val config_of_cli : Scenario.cli -> config
-
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
 (** With [jobs > 1] the independent stages — the all-pairs optimum
     cuts, the baseline(5) run and one diversity run per storage
@@ -50,6 +48,3 @@ val print : result -> unit
 (** Figures 7/8 CDFs, the diversity-vs-measurement fractions, and the
     Fig. 9 bandwidth distribution summarised through {!Histogram}
     (p50/p90/p99 and the fraction of interfaces below 4 KB/s). *)
-
-val exit_code : result -> int
-(** Always [0]; this scenario has no tolerated-failure budget. *)

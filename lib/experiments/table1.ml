@@ -78,31 +78,9 @@ let render () =
 
 type measured = { component : string; messages : float; bytes : float }
 
-let coreify = Exp_common.coreify
-
-let measure ?(obs = Obs.disabled) ?(jobs = 1) scale =
-  let prepared = Exp_common.prepare scale in
-  let cfg = Exp_common.beacon_config in
-  (* A shorter horizon suffices to ground the taxonomy. *)
-  let cfg = { cfg with Beaconing.duration = cfg.Beaconing.interval *. 8.0 } in
-  let g = coreify prepared.Exp_common.isd in
-  (* The two beaconing hierarchies are independent simulations; they
-     are the parallel rows of this experiment. *)
-  let core_out, intra_out =
-    match
-      Runner.map_jobs_obs ~obs ~jobs
-        (fun ~obs (phase, scope) ->
-          Obs.phase obs phase (fun () ->
-              Beaconing.run ~obs g { cfg with Beaconing.scope = scope }))
-        [|
-          ("table1.beaconing.core", Beaconing.Core_beaconing);
-          ("table1.beaconing.intra_isd", Beaconing.Intra_isd);
-        |]
-    with
-    | [| core_out; intra_out |] -> (core_out, intra_out)
-    | _ -> assert false
-  in
-  let cs = Control_service.build ~core:core_out ~intra:intra_out () in
+let measure ?obs ?jobs scale =
+  let g = Exp_common.coreify (Exp_common.prepare scale).Exp_common.isd in
+  let core_out, intra_out, cs = Exp_common.control_plane ?obs ?jobs g in
   let rng = Rng.create 0xAB1EL in
   (* Zipf-popular destinations (§4.1): endpoints in random ASes resolve
      paths towards popular leaf ASes. *)
@@ -189,8 +167,6 @@ let name = "table1"
 
 let doc = "Table 1: control-plane overhead taxonomy"
 
-let config_of_cli (c : Scenario.cli) = config c.scale
-
 let run ?obs ?jobs { scale } = { measured = measure ?obs ?jobs scale }
 
 let to_json (r : result) =
@@ -250,5 +226,3 @@ let print (r : result) =
              Printf.sprintf "%.3g" m.bytes;
            ])
          r.measured)
-
-let exit_code _ = 0

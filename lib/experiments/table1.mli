@@ -33,9 +33,8 @@ val measure : ?obs:Obs.t -> ?jobs:int -> Exp_common.scale -> measured list
 (** Run a small network end-to-end (core + intra-ISD beaconing, path
     registration, Zipf-weighted lookups with caching, one revocation)
     and report the per-component traffic that grounds the taxonomy.
-    With [jobs > 1] the two beaconing hierarchies run on separate
-    domains. With an enabled [obs] (default {!Obs.disabled}) the
-    beaconing runs are instrumented and timed as [table1.*] phases. *)
+    The control plane comes from {!Exp_common.control_plane}, which
+    takes [obs] and [jobs]. *)
 
 (** {1 The {!Scenario.Cli} face}
 
@@ -54,8 +53,6 @@ val name : string
 
 val doc : string
 
-val config_of_cli : Scenario.cli -> config
-
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
 
 val to_json : result -> Obs_json.t
@@ -64,6 +61,3 @@ val to_json : result -> Obs_json.t
 val print : result -> unit
 (** The check-mark table, followed by the measured per-component
     traffic. *)
-
-val exit_code : result -> int
-(** Always [0]; this scenario has no tolerated-failure budget. *)

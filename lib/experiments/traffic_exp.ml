@@ -72,10 +72,6 @@ let doc =
   "Flow-level traffic workloads over control-plane paths (strategy sweep + \
    swarm, checkpointable)"
 
-let config_of_cli (c : Scenario.cli) =
-  config ?seed:c.seed ?flows:c.flows ?strategy:c.strategy
-    ?capacity_scale:c.capacity_scale ~sup:c.sup c.scale
-
 (* --- setup ------------------------------------------------------------- *)
 
 (* Offered path sets straight from the control plane: core + intra-ISD
@@ -196,16 +192,9 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
     Obs.phase obs "traffic.prepare" (fun () ->
         Exp_common.coreify (Exp_common.prepare cfg.scale).Exp_common.isd)
   in
-  let cs =
+  let _, _, cs =
     Obs.phase obs "traffic.beaconing" (fun () ->
-        let bcfg = Exp_common.beacon_config in
-        let bcfg =
-          { bcfg with Beaconing.duration = bcfg.Beaconing.interval *. 8.0 }
-        in
-        let run scope = Beaconing.run graph { bcfg with Beaconing.scope } in
-        let core = run Beaconing.Core_beaconing in
-        let intra = run Beaconing.Intra_isd in
-        Control_service.build ~core ~intra ())
+        Exp_common.control_plane ~jobs graph)
   in
   let latency_ms = Geo.latency_table graph in
   let d = Exp_common.dimensions cfg.scale in

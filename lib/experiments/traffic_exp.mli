@@ -67,3 +67,7 @@ val config :
     (checkpoints fall on their boundaries). *)
 
 include Scenario.Cli with type config := config and type result := result
+
+val exit_code : result -> int
+(** [1] when more cells failed than [sup.max_failures] tolerates, else
+    [0]: the exit code of [scion_expt run traffic]. *)

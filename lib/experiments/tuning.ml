@@ -124,9 +124,6 @@ let name = "tune"
 
 let doc = "Grid search for diversity parameters (§4.2)"
 
-(* The tuning topology has a fixed size; the CLI scale does not apply. *)
-let config_of_cli (_ : Scenario.cli) = config ()
-
 (* Core ASes of the tuning topology. *)
 let cores = 30
 
@@ -168,5 +165,3 @@ let print (r : result) =
     p.Beacon_policy.threshold p.Beacon_policy.gm_max;
   Printf.printf "connectivity=%.3f capacity=%.3f overhead=%.3g bytes score=%.3f\n"
     r.best.connectivity r.best.capacity_fraction r.best.overhead_bytes r.best.score
-
-let exit_code _ = 0

@@ -42,8 +42,8 @@ val grid_search :
 
 (** {1 The {!Scenario.Cli} face}
 
-    The tuning topology is a fixed Caida-like core of 30 ASes; the CLI
-    scale and seed do not apply. *)
+    The tuning topology is a fixed Caida-like core of 30 ASes, so
+    [scion_expt run tune] takes no scale or seed. *)
 
 type config = unit
 
@@ -53,8 +53,6 @@ val name : string
 
 val doc : string
 
-val config_of_cli : Scenario.cli -> config
-
 type result = { cores : int; best : objective }
 
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
@@ -63,6 +61,3 @@ val to_json : result -> Obs_json.t
 
 val print : result -> unit
 (** The winning parameters and their objective, as two summary lines. *)
-
-val exit_code : result -> int
-(** Always [0]; this scenario has no tolerated-failure budget. *)

@@ -151,6 +151,12 @@ let decode_progress ~name ~n_cells ~horizon data =
 let run_cells ~cli ~jobs ~seed ~horizon ~chunk c =
   if chunk <= 0 then invalid_arg "Supervise.run_cells: chunk <= 0";
   let n_cells = Array.length c.labels in
+  (match cli.inject_fail with
+  | Some k when k < 0 || k >= n_cells ->
+      invalid_arg
+        (Printf.sprintf "Supervise.run_cells: inject_fail %d outside 0..%d" k
+           (n_cells - 1))
+  | _ -> ());
   (* The schema binds a checkpoint to everything a resumed run must
      agree on, so one from a different configuration is rejected on
      load. *)

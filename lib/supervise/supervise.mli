@@ -34,8 +34,8 @@ type cli = {
   watchdog_s : float option;  (** {!map}'s [watchdog_s] *)
   inject_fail : int option;  (** force the job at this index to raise *)
 }
-(** The supervision-related command-line surface, shared by every
-    scenario through {!Scenario.cli}. *)
+(** The supervision-related command-line surface of the checkpointing
+    scenarios ([pathdyn], [traffic]). *)
 
 val default_cli : cli
 (** Checkpointing off, one retry, no watchdog, no injection. *)
@@ -121,4 +121,5 @@ val run_cells :
     [jobs]. Raises {!Snapshot.Corrupt} when the resumed checkpoint is
     malformed, belongs to another configuration, records a different
     cell count, a step below 0 or past [horizon], or a failure whose index
-    differs from its position. *)
+    differs from its position. Raises [Invalid_argument], before any
+    cell runs, when [cli.inject_fail] is not a cell index. *)

@@ -136,36 +136,6 @@ let test_table1_measure () =
   Alcotest.(check bool) "lookups happened" true
     ((get "Endpoint Path Lookup").Table1.messages > 0.0)
 
-let test_scenarios_registry () =
-  check Alcotest.int "ten scenarios" 10 (List.length Scenarios.all);
-  check Alcotest.int "distinct names" 10
-    (List.length (List.sort_uniq compare Scenarios.names));
-  List.iter
-    (fun n ->
-      match Scenarios.find n with
-      | Some (module S : Scenario.Cli) -> check Alcotest.string "lookup name" n S.name
-      | None -> Alcotest.fail (Printf.sprintf "scenario %s not found" n))
-    Scenarios.names;
-  (match Scenarios.find "bogus" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "bogus should not resolve");
-  (* The generic driver's contract: every registered scenario accepts
-     the shared CLI record and documents itself. *)
-  List.iter
-    (fun (module S : Scenario.Cli) ->
-      ignore
-        (S.config_of_cli
-           {
-             Scenario.scale = Exp_common.Tiny;
-             seed = None;
-             sup = Supervise.default_cli;
-             flows = None;
-             strategy = None;
-             capacity_scale = None;
-           });
-      Alcotest.(check bool) (S.name ^ " has doc") true (String.length S.doc > 0))
-    Scenarios.all
-
 (* Pathdyn's one cell, rebuilt from its documented derivation: pairs
    sampled with seed 0xFA12L, three distinct flapping links drawn from
    the cell's plan seed [Runner.job_seed seed 0], §5.1 baseline
@@ -279,6 +249,5 @@ let suite =
     ("scionlab experiment", `Slow, test_scionlab_experiment);
     ("tuning evaluate", `Quick, test_tuning_evaluate);
     ("table1 measure", `Slow, test_table1_measure);
-    ("scenario registry", `Quick, test_scenarios_registry);
     ("pathdyn kill and resume", `Slow, test_pathdyn_kill_and_resume);
   ]

@@ -332,7 +332,11 @@ let test_beaconing_link_up_gate () =
   let g = ring () in
   let cfg = { Beaconing.default_config with Beaconing.duration = 1800.0 } in
   let gated =
-    Beaconing.run ~link_up:(fun _ -> false) g cfg
+    let e = Beaconing.engine ~link_up:(fun _ -> false) g cfg in
+    for round = 0 to (Beaconing.engine_stats e).Beaconing.rounds - 1 do
+      Beaconing.engine_round e ~round
+    done;
+    Beaconing.engine_outcome e
   in
   check Alcotest.int "all dissemination suppressed" 0
     gated.Beaconing.stats.Beaconing.total_pcbs;

@@ -993,6 +993,31 @@ let test_run_cells_inject_fail_survives_resume () =
     (states.(0) = Ok 28 && states.(2) = Ok 30);
   check Alcotest.int "one failure reported" 1 (List.length failures)
 
+(* An injection index that names no cell would silently inject nothing;
+   it is rejected before any cell is created. *)
+let test_run_cells_rejects_out_of_range_inject_fail () =
+  List.iter
+    (fun k ->
+      let created = ref 0 in
+      let cells =
+        {
+          (counter_cells 3) with
+          Supervise.create =
+            (fun i ->
+              incr created;
+              ref i);
+        }
+      in
+      let cli = { Supervise.default_cli with Supervise.inject_fail = Some k } in
+      (match
+         Supervise.run_cells ~cli ~jobs:1 ~seed:9L ~horizon:7 ~chunk:1 cells
+       with
+      | _ -> Alcotest.fail (Printf.sprintf "inject_fail %d accepted" k)
+      | exception Invalid_argument _ -> ());
+      check Alcotest.int (Printf.sprintf "no cell ran (inject_fail %d)" k) 0
+        !created)
+    [ 3; 99; -1 ]
+
 let test_run_cells_rejects_bad_progress () =
   let frame what payload =
     let dir = fresh_dir () in
@@ -1108,6 +1133,9 @@ let suite =
     ( "run_cells inject-fail survives resume",
       `Quick,
       test_run_cells_inject_fail_survives_resume );
+    ( "run_cells rejects out-of-range inject-fail",
+      `Quick,
+      test_run_cells_rejects_out_of_range_inject_fail );
     ( "run_cells rejects bad progress",
       `Quick,
       test_run_cells_rejects_bad_progress );
