@@ -289,8 +289,10 @@ let with_obs (metrics_out, metrics_csv, trace) f =
 (* One [run] subcommand: the scenario's config term plus the flags every
    scenario shares. The run builds, runs, prints and optionally exports;
    it exits with [exit_code result] when nonzero (the supervised
-   scenarios' failure budget), and with code 3 on a deliberate
-   --kill-after abort (after the with_obs finalizers have run). *)
+   scenarios' failure budget), with code 3 on a deliberate --kill-after
+   abort (after the with_obs finalizers have run), and with the usage
+   error code on an --inject-fail index that names no cell (known only
+   once the scenario has built its cells, before any of them runs). *)
 let scenario (type c r) ?(exit_code = fun _ -> 0)
     (module S : Scenario.Cli with type config = c and type result = r)
     (config : c Term.t) =
@@ -309,6 +311,9 @@ let scenario (type c r) ?(exit_code = fun _ -> 0)
         Printf.eprintf "aborted after %d checkpoint(s) (--kill-after)\n%!"
           checkpoints;
         exit 3
+    | exception (Supervise.Inject_fail_out_of_range _ as e) ->
+        Printf.eprintf "%s: %s\n%!" S.name (Printexc.to_string e);
+        exit Cmd.Exit.cli_error
   in
   Cmd.v (Cmd.info S.name ~doc:S.doc)
     Term.(const run $ config $ jobs_term $ out_term $ obs_term)

@@ -1,7 +1,15 @@
 type workload = { prefixes : int array; flaps_per_prefix : float array }
 
-let make_workload ?(prefix_alpha = 1.1) ?(prefix_mean_cap = 20000) ?(prefix_mean = 11.0)
-    ?(flap_alpha = 1.25) ?(flap_x_min = 1.6) g ~seed =
+(* Prefixes per AS: Pareto(1.1, 1), mean 11, capped at 20 000. *)
+let prefix_alpha = 1.1
+let prefix_mean_cap = 20000
+
+(* Flap events per prefix per month: Pareto(1.25, 1.6), mean
+   1.25 * 1.6 / 0.25 = 8. *)
+let flap_alpha = 1.25
+let flap_x_min = 1.6
+
+let make_workload ?(prefix_mean = 11.0) g ~seed =
   let rng = Rng.create seed in
   let n = Graph.n g in
   (* The Pareto(1.1, 1) draw has mean ~11; rescale to the requested
@@ -18,14 +26,9 @@ let make_workload ?(prefix_alpha = 1.1) ?(prefix_mean_cap = 20000) ?(prefix_mean
   in
   { prefixes; flaps_per_prefix }
 
-type params = {
-  churn_amplification : float;
-  bgpsec_refresh_days : int;
-  signature_bytes : int;
-}
+type params = { churn_amplification : float; bgpsec_refresh_days : int }
 
-let default_params =
-  { churn_amplification = 2.5; bgpsec_refresh_days = 30; signature_bytes = 96 }
+let default_params = { churn_amplification = 2.5; bgpsec_refresh_days = 30 }
 
 type result = {
   monitors : int array;
@@ -65,9 +68,7 @@ let monthly_overhead g workload ~monitors params =
              unaggregated, per-hop-signed update. *)
           let refreshes = float_of_int params.bgpsec_refresh_days in
           let per_update =
-            float_of_int
-              (Wire.bgpsec_update_bytes ~as_path_len:len
-                 ~signature_bytes:params.signature_bytes)
+            float_of_int (Wire.bgpsec_update_bytes ~as_path_len:len)
           in
           bgpsec_bytes.(mi) <-
             bgpsec_bytes.(mi) +. (refreshes *. float_of_int prefixes *. per_update);

@@ -26,28 +26,23 @@ type workload = {
   flaps_per_prefix : float array;  (** monthly flap events per prefix, per AS *)
 }
 
-val make_workload :
-  ?prefix_alpha:float ->
-  ?prefix_mean_cap:int ->
-  ?prefix_mean:float ->
-  ?flap_alpha:float ->
-  ?flap_x_min:float ->
-  Graph.t ->
-  seed:int64 ->
-  workload
-(** Deterministic synthetic workload. Defaults: prefix Pareto shape 1.1
-    capped at [prefix_mean_cap = 2000]; flap Pareto shape 1.25, scale
-    0.8 (mean ≈ 4 events/prefix/month). *)
+val make_workload : ?prefix_mean:float -> Graph.t -> seed:int64 -> workload
+(** Deterministic synthetic workload. Prefixes per AS: Pareto shape 1.1,
+    scale 1 (mean 11), rescaled to mean [prefix_mean] (default 11.0)
+    and capped at 20 000. Flap events per prefix per month: Pareto
+    shape 1.25, scale 1.6 (mean 8). *)
 
 type params = {
   churn_amplification : float;
       (** updates per flap event per exporting neighbor (path
-          exploration); 2.0 by default *)
-  bgpsec_refresh_days : int;  (** 30: one full-table refresh per day *)
-  signature_bytes : int;  (** 96 for ECDSA-P384 *)
+          exploration) *)
+  bgpsec_refresh_days : int;  (** one full-table refresh per day *)
 }
 
 val default_params : params
+(** Churn amplification 2.5 (with 8 flaps per prefix, about 20 updates
+    per prefix per month), 30 refresh days; BGPsec signatures are
+    {!Wire.signature_bytes} long. *)
 
 type result = {
   monitors : int array;

@@ -3,7 +3,6 @@ type config = {
   processing_delay : float;
   propagation_delay : float;
   bgpsec : bool;
-  signature_bytes : int;
   full_transit : bool;
 }
 
@@ -13,7 +12,6 @@ let default_config =
     processing_delay = 0.005;
     propagation_delay = 0.010;
     bgpsec = false;
-    signature_bytes = 96;
     full_transit = false;
   }
 
@@ -212,9 +210,7 @@ let exports t route (s : session) =
 
 let update_bytes t len =
   if t.config.bgpsec then
-    float_of_int
-      (Wire.bgpsec_update_bytes ~as_path_len:len
-         ~signature_bytes:t.config.signature_bytes)
+    float_of_int (Wire.bgpsec_update_bytes ~as_path_len:len)
   else float_of_int (Wire.bgp_update_bytes ~as_path_len:len ~prefixes:1)
 
 (* Compute the decision-process winner for [prefix] at [node]. *)

@@ -19,8 +19,9 @@ type config = {
   mrai : float;  (** seconds, 15.0 in §5.1 *)
   processing_delay : float;  (** per received update, 0.005 in §5.1 *)
   propagation_delay : float;  (** per inter-AS hop *)
-  bgpsec : bool;  (** account RFC 8205 update sizes instead of RFC 4271 *)
-  signature_bytes : int;
+  bgpsec : bool;
+      (** account RFC 8205 update sizes ({!Wire.bgpsec_update_bytes})
+          instead of RFC 4271 *)
   full_transit : bool;
       (** disable Gao–Rexford export filtering and class preference
           (shortest-AS-path routing) — used on all-core subgraphs where
@@ -54,8 +55,6 @@ val now : t -> float
 
 val announce_all : t -> unit
 (** Every AS originates its own prefix at the current virtual time. *)
-
-val announce : t -> origin:int -> unit
 
 val withdraw_origin : t -> origin:int -> unit
 (** The origin stops announcing its prefix (route withdrawal cascade). *)

@@ -14,7 +14,6 @@ let create ~limit =
   if limit < 1 then invalid_arg "Beacon_store.create: limit must be >= 1";
   { limit; origins = Hashtbl.create 64 }
 
-let limit t = t.limit
 
 let slot t origin =
   match Hashtbl.find_opt t.origins origin with

@@ -17,8 +17,6 @@ val create : limit:int -> t
 (** [limit] may be [max_int] for unlimited storage. Raises
     [Invalid_argument] if [limit < 1]. *)
 
-val limit : t -> int
-
 val insert : t -> now:float -> Pcb.t -> insert_outcome
 (** Expired PCBs are rejected outright.
 

@@ -1,13 +1,13 @@
 type scope = Core_beaconing | Intra_isd
 
+let dissemination_limit = 5
+
 type config = {
   scope : scope;
   algorithm : Beacon_policy.t;
   interval : float;
   lifetime : float;
-  dissemination_limit : int;
   storage_limit : int;
-  signature_bytes : int;
   duration : float;
   verify_crypto : bool;
   filters : (int * Beacon_filter.t) list;
@@ -19,9 +19,7 @@ let default_config =
     algorithm = Beacon_policy.Baseline;
     interval = 600.0;
     lifetime = 21600.0;
-    dissemination_limit = 5;
     storage_limit = 60;
-    signature_bytes = 96;
     duration = 21600.0;
     verify_crypto = false;
     filters = [];
@@ -87,9 +85,11 @@ let scope_label = function Core_beaconing -> "core" | Intra_isd -> "intra-isd"
 
 (* Export an outcome's byte-level accounting into [obs]: the directed
    per-interface byte distribution as a histogram (the Fig. 9 view) and
-   the [top] busiest interfaces as pcb_bytes{as,ifid} labeled counters
-   (bounded so paper-scale runs do not explode the export). *)
-let observe ?(top = 16) obs (outcome : outcome) =
+   the [observe_top] busiest interfaces as pcb_bytes{as,ifid} labeled
+   counters (bounded so paper-scale runs do not explode the export). *)
+let observe_top = 16
+
+let observe obs (outcome : outcome) =
   if Obs.on obs then begin
     let g = outcome.graph in
     let stats = outcome.stats in
@@ -107,7 +107,7 @@ let observe ?(top = 16) obs (outcome : outcome) =
     Array.sort
       (fun a b -> compare stats.bytes_on_iface.(b) stats.bytes_on_iface.(a))
       idx;
-    for i = 0 to min top m - 1 do
+    for i = 0 to min observe_top m - 1 do
       let d = idx.(i) in
       let lk = Graph.link g (d / 2) in
       let sender = if d land 1 = 0 then lk.Graph.a else lk.Graph.b in
@@ -174,8 +174,6 @@ type engine = {
 let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   if cfg.interval <= 0.0 then
     invalid_arg "Beaconing.engine: interval must be positive";
-  if cfg.dissemination_limit < 1 then
-    invalid_arg "Beaconing.engine: dissemination limit must be >= 1";
   let n = Graph.n g in
   let num_links = Graph.num_links g in
   let rounds = max 1 (int_of_float ((cfg.duration /. cfg.interval) +. 0.5)) in
@@ -361,7 +359,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
       | None -> ext
       | Some kp -> Pcb.with_signature ext (Signature.sign kp (Pcb.signable_bytes ext))
     in
-    let size = float_of_int (Pcb.wire_bytes ext ~signature_bytes:cfg.signature_bytes) in
+    let size = float_of_int (Pcb.wire_bytes ext) in
     let lk = Graph.link g h.Graph.via in
     let dir_index = (2 * h.Graph.via) + if lk.Graph.a = sender then 0 else 1 in
     stats.bytes_on_iface.(dir_index) <- stats.bytes_on_iface.(dir_index) +. size;
@@ -436,7 +434,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
               let sent = ref 0 in
               List.iter
                 (fun p ->
-                  if !sent < cfg.dissemination_limit && not (Pcb.contains_as p nbr)
+                  if !sent < dissemination_limit && not (Pcb.contains_as p nbr)
                   then begin
                     send ~now ~sender:x ~h p;
                     incr sent
@@ -549,7 +547,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                    Algorithm 1 at a fraction of the cost. *)
                 let sent_cnt = ref 0 in
                 let stop = ref false in
-                while !sent_cnt < cfg.dissemination_limit && not !stop do
+                while !sent_cnt < dissemination_limit && not !stop do
                   (* Strict [>]: the first maximum wins. *)
                   let best = ref (-1) in
                   let best_score = ref 0.0 in

@@ -16,17 +16,17 @@
 
 type scope = Core_beaconing | Intra_isd
 
+val dissemination_limit : int
+(** 5, the §5.1 limit of every paper experiment: max PCBs per origin
+    per interval, applied per interface for the baseline and per
+    neighbor AS for the diversity algorithm. *)
+
 type config = {
   scope : scope;
   algorithm : Beacon_policy.t;
   interval : float;  (** beaconing interval, 600 s in §5.1 *)
   lifetime : float;  (** PCB lifetime, 21 600 s in §5.1 *)
-  dissemination_limit : int;
-      (** max PCBs per origin per interval — applied per interface for
-          the baseline, per neighbor AS for the diversity algorithm
-          (§5.1); 5 in all paper experiments *)
   storage_limit : int;  (** PCB storage limit per origin; [max_int] = ∞ *)
-  signature_bytes : int;  (** 96 for ECDSA-P384 *)
   duration : float;  (** simulated time, 21 600 s in §5.1 *)
   verify_crypto : bool;
       (** sign every AS entry and verify whole chains on receipt
@@ -38,8 +38,8 @@ type config = {
 
 val default_config : config
 (** §5.1 settings: core beaconing, baseline algorithm, 10-minute
-    interval, 6-hour lifetime and duration, limits 5/60, ECDSA-P384
-    sizes, no crypto verification. *)
+    interval, 6-hour lifetime and duration, storage limit 60, no crypto
+    verification. PCB sizes use {!Wire.signature_bytes}. *)
 
 type stats = {
   bytes_on_iface : float array;
@@ -132,11 +132,11 @@ val run : ?obs:Obs.t -> Graph.t -> config -> outcome
     crypto rejections at [Warn]) and finally calls {!observe} on the
     outcome. *)
 
-val observe : ?top:int -> Obs.t -> outcome -> unit
+val observe : Obs.t -> outcome -> unit
 (** Export an outcome's byte accounting into an {!Obs.t}: the directed
     per-interface sent-byte distribution as the [beacon_iface_bytes]
-    histogram (the Fig. 9 quantity) and the [top] (default 16) busiest
-    interfaces as [pcb_bytes{as; ifid; algo; scope}] labeled counters.
+    histogram (the Fig. 9 quantity) and the 16 busiest interfaces as
+    [pcb_bytes{as; ifid; algo; scope}] labeled counters.
     No-op on a disabled context; {!run} already calls this when its
     [obs] is enabled. *)
 

@@ -76,8 +76,8 @@ let last_link t =
   let n = Array.length t.links in
   if n = 0 then None else Some t.links.(n - 1)
 
-let wire_bytes t ~signature_bytes =
-  let base = Wire.pcb_bytes ~hops:(Array.length t.hops) ~signature_bytes in
+let wire_bytes t =
+  let base = Wire.pcb_bytes ~hops:(Array.length t.hops) in
   let peering =
     Array.fold_left (fun acc h -> acc + (16 * Array.length h.peers)) 0 t.hops
   in
@@ -92,9 +92,3 @@ let signable_bytes t =
         (Printf.sprintf "%d:%d:%d:%d;" h.asn h.ingress h.egress h.link))
     t.hops;
   Buffer.contents buf
-
-let pp fmt t =
-  Format.fprintf fmt "PCB[origin=%d ts=%.0f hops=%d path=%s]" t.origin t.timestamp
-    (Array.length t.hops)
-    (String.concat "->"
-       (Array.to_list (Array.map (fun h -> string_of_int h.asn) t.hops)))

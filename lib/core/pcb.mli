@@ -70,11 +70,9 @@ val with_signature : t -> string -> t
 (** Attach the newest AS entry's signature (computed over
     {!signable_bytes} of the extended PCB). *)
 
-val wire_bytes : t -> signature_bytes:int -> int
+val wire_bytes : t -> int
 (** On-the-wire size of the (already extended) PCB. *)
 
 val signable_bytes : t -> string
 (** Deterministic serialisation of the PCB content covered by the next
     AS-entry signature. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,7 @@
     beacon server propagates it, and parsed on receipt. Signatures are
     carried verbatim, so a decoded PCB verifies exactly like the
     original. Big-endian, written and read through {!Snapshot}'s
-    fixed-width fields. *)
+    fixed-width fields, led by a version byte (1). *)
 
 val encode : Pcb.t -> string
 (** Raises [Invalid_argument] when a field exceeds its wire range
@@ -19,4 +19,3 @@ val decode : string -> (Pcb.t, string) result
 
 val encoded_size : Pcb.t -> int
 
-val version : int

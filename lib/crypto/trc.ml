@@ -6,9 +6,7 @@ let create ~isd ~version ~roots =
   if roots = [] then invalid_arg "Trc.create: a TRC needs at least one trust root";
   { isd; version; roots }
 
-let isd t = t.isd
 let version t = t.version
-let roots t = t.roots
 let is_root t id = List.mem id t.roots
 
 let cert_payload subject = "scion-cert:" ^ subject

@@ -19,11 +19,7 @@ val create : isd:int -> version:int -> roots:string list -> t
 (** [create ~isd ~version ~roots] builds a TRC whose trust roots are the
     given key ids. Raises [Invalid_argument] if [roots] is empty. *)
 
-val isd : t -> int
-
 val version : t -> int
-
-val roots : t -> string list
 
 val is_root : t -> string -> bool
 

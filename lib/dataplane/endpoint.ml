@@ -1,11 +1,3 @@
-type stats = {
-  sends : int;
-  delivered : int;
-  dropped : int;
-  failovers : int;
-  resolutions : int;
-}
-
 type t = {
   cs : Control_service.t;
   net : Forwarding.network;
@@ -14,15 +6,9 @@ type t = {
   mutable paths : Fwd_path.t list;
   mutable excluded_links : int list;
   mutable failover_count : int;
-  mutable send_count : int;
-  mutable delivered_count : int;
-  mutable dropped_count : int;
-  mutable resolution_count : int;
 }
 
-let resolve t =
-  t.paths <- Control_service.resolve t.cs ~src:t.src ~dst:t.dst;
-  t.resolution_count <- t.resolution_count + 1
+let resolve t = t.paths <- Control_service.resolve t.cs ~src:t.src ~dst:t.dst
 
 let create cs net ~src ~dst =
   let t =
@@ -34,10 +20,6 @@ let create cs net ~src ~dst =
       paths = [];
       excluded_links = [];
       failover_count = 0;
-      send_count = 0;
-      delivered_count = 0;
-      dropped_count = 0;
-      resolution_count = 0;
     }
   in
   resolve t;
@@ -55,45 +37,26 @@ let exclude_link t l =
 
 let failovers t = t.failover_count
 
-let stats t =
-  {
-    sends = t.send_count;
-    delivered = t.delivered_count;
-    dropped = t.dropped_count;
-    failovers = t.failover_count;
-    resolutions = t.resolution_count;
-  }
-
 let refresh t =
   resolve t;
   t.excluded_links <- []
 
 let send t ?(payload_bytes = 1000) ~now () =
-  t.send_count <- t.send_count + 1;
-  let record = function
-    | Forwarding.Delivered _ as r ->
-        t.delivered_count <- t.delivered_count + 1;
-        r
-    | Forwarding.Dropped _ as r ->
-        t.dropped_count <- t.dropped_count + 1;
-        r
-  in
   let rec attempt () =
     match active_path t with
     | None ->
-        record
-          (Forwarding.Dropped
-             {
-               at_as = t.src;
-               reason = Forwarding.Link_down (-1);
-               scmp =
-                 Some
-                   {
-                     Scmp.kind = Scmp.Destination_unreachable;
-                     origin_as = t.src;
-                     at = now;
-                   };
-             })
+        Forwarding.Dropped
+          {
+            at_as = t.src;
+            reason = Forwarding.Link_down (-1);
+            scmp =
+              Some
+                {
+                  Scmp.kind = Scmp.Destination_unreachable;
+                  origin_as = t.src;
+                  at = now;
+                };
+          }
     | Some path -> (
         let pkt = Forwarding.packet path ~payload_bytes () in
         match Forwarding.forward t.net ~now pkt with
@@ -104,6 +67,6 @@ let send t ?(payload_bytes = 1000) ~now () =
             exclude_link t link;
             t.failover_count <- t.failover_count + 1;
             attempt ()
-        | other -> record other)
+        | other -> other)
   in
   attempt ()

@@ -7,17 +7,6 @@
 
 type t
 
-type stats = {
-  sends : int;  (** {!send} calls *)
-  delivered : int;  (** sends that ended in [Forwarding.Delivered] *)
-  dropped : int;  (** sends that ended in [Forwarding.Dropped] *)
-  failovers : int;  (** path switches forced by link-failure SCMPs *)
-  resolutions : int;  (** path-set fetches (creation plus {!refresh}es) *)
-}
-(** Lifetime counters of one endpoint. A send that fails over and then
-    delivers counts once under [delivered] and once per switch under
-    [failovers], so [delivered + dropped = sends] always holds. *)
-
 val create : Control_service.t -> Forwarding.network -> src:int -> dst:int -> t
 (** Resolves the path set at creation time. *)
 
@@ -34,9 +23,8 @@ val send : t -> ?payload_bytes:int -> now:float -> unit -> Forwarding.result
     Failovers are counted in {!failovers}. *)
 
 val failovers : t -> int
-
-val stats : t -> stats
-(** Snapshot of the endpoint's lifetime counters. *)
+(** Path switches forced by link-failure SCMPs over the endpoint's
+    lifetime. *)
 
 val refresh : t -> unit
 (** Re-resolve the path set (e.g., after revocations or new beaconing). *)

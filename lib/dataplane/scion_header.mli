@@ -32,5 +32,3 @@ val decode : string -> (header, string) result
 val encoded_size : header -> int
 (** Exact wire size of {!encode}'s output. *)
 
-val version : int
-(** Wire-format version tag included in the common header. *)

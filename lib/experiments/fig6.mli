@@ -41,9 +41,6 @@ type config = {
   beacon : Beaconing.config;
 }
 
-val baseline_limit : int
-(** The baseline's storage limit (60, as in §5.1). *)
-
 val config :
   ?seed:int64 ->
   ?storage_limits:int option list ->
@@ -67,14 +64,10 @@ val run : ?obs:Obs.t -> ?jobs:int -> config -> result
     With an enabled [obs] (default {!Obs.disabled}) the stages are
     timed as [fig6.*] phases and the beaconing runs instrumented. *)
 
-val capacity_fraction : result -> algo_kind -> float
-(** Mean achieved/optimal capacity over the sampled pairs for the
-    algorithm with the given kind (the 82–99 % numbers of §5.3); [nan]
-    if the result holds no such algorithm. *)
-
 val to_json : result -> Obs_json.t
 (** Per-pair optimum cuts and, per algorithm, the flows array and
-    capacity fraction. *)
+    capacity fraction (mean achieved/optimal capacity over the sampled
+    pairs, the 82–99 % numbers of §5.3). *)
 
 val print : result -> unit
 (** Fig. 6a: mean achieved resilience grouped by optimal min-cut, plus

@@ -2,25 +2,24 @@ type params = {
   n_destinations : int;
   zipf_s : float;
   requests : int;
-  client_ases : int;
   cache : bool;
   segment_lifetime : float;
-  request_rate : float;
-  segments_per_reply : int;
-  seed : int64;
 }
+
+(* 20 client ASes, each running its own cache, share 10 requests/s;
+   a reply carries 5 four-hop segments. Every run draws from one seed. *)
+let client_ases = 20
+let request_rate = 10.0
+let segments_per_reply = 5
+let seed = 0x100C07L
 
 let default_params =
   {
     n_destinations = 1000;
     zipf_s = 1.1;
     requests = 50_000;
-    client_ases = 20;
     cache = true;
     segment_lifetime = 21_600.0;
-    request_rate = 10.0;
-    segments_per_reply = 5;
-    seed = 0x100C07L;
   }
 
 type result = {
@@ -34,7 +33,7 @@ type result = {
 }
 
 let run ?(obs = Obs.disabled) p =
-  if p.n_destinations < 1 || p.requests < 0 || p.client_ases < 1 then
+  if p.n_destinations < 1 || p.requests < 0 then
     invalid_arg "Lookup_sim.run: invalid parameters";
   let obs_on = Obs.on obs in
   let tr = Obs.trace obs in
@@ -53,20 +52,19 @@ let run ?(obs = Obs.disabled) p =
     end
     else (ref 0.0, ref 0.0, ref 0.0)
   in
-  let rng = Rng.create p.seed in
+  let rng = Rng.create seed in
   let zipf = Zipf.create ~n:p.n_destinations ~s:p.zipf_s in
   (* Per client AS: destination -> cached-until. *)
-  let caches = Array.init p.client_ases (fun _ -> Hashtbl.create 256) in
+  let caches = Array.init client_ases (fun _ -> Hashtbl.create 256) in
   let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
   let upstream_bytes = ref 0.0 in
   let reply_bytes =
-    float_of_int
-      (16 + (p.segments_per_reply * Wire.pcb_bytes ~hops:4 ~signature_bytes:96))
+    float_of_int (16 + (segments_per_reply * Wire.pcb_bytes ~hops:4))
   in
   let query_bytes = 64.0 in
   for i = 0 to p.requests - 1 do
-    let now = float_of_int i /. p.request_rate in
-    let client = Rng.int rng p.client_ases in
+    let now = float_of_int i /. request_rate in
+    let client = Rng.int rng client_ases in
     let dst = Zipf.sample zipf rng in
     let cached =
       p.cache
@@ -101,7 +99,7 @@ let run ?(obs = Obs.disabled) p =
   done;
   if obs_on && Trace.enabled tr Trace.Info then
     Trace.emit tr Trace.Info
-      ~time:(float_of_int p.requests /. p.request_rate)
+      ~time:(float_of_int p.requests /. request_rate)
       ~category:"lookup"
       ~fields:
         [

@@ -14,17 +14,15 @@ type params = {
   n_destinations : int;
   zipf_s : float;  (** popularity skew; ~1 for web-like traffic *)
   requests : int;
-  client_ases : int;  (** each runs its own cache *)
   cache : bool;
   segment_lifetime : float;  (** seconds a cached segment stays valid *)
-  request_rate : float;  (** requests per second across all clients *)
-  segments_per_reply : int;
-  seed : int64;
 }
 
 val default_params : params
-(** 1 000 destinations, s = 1.1, 50 000 requests, 20 client ASes,
-    caching on, 6 h lifetimes, 10 req/s. *)
+(** 1 000 destinations, s = 1.1, 50 000 requests, caching on, 6 h
+    lifetimes. Fixed for every run: 20 client ASes, each with its own
+    cache, issue 10 requests/s in total, a reply carries 5 four-hop
+    segments, and the request stream comes from one fixed seed. *)
 
 type result = {
   params : params;

@@ -314,12 +314,11 @@ let config_key cfg =
     add "%d-%d;" lk.Graph.a lk.Graph.b
   done;
   let bc = cfg.beacon in
-  add "beacon:%s/%g/%g/%d/%d/%d/%g/%b;"
+  add "beacon:%s/%g/%g/%d/%g/%b;"
     (match bc.Beaconing.scope with
     | Beaconing.Core_beaconing -> "core"
     | Beaconing.Intra_isd -> "intra")
-    bc.Beaconing.interval bc.Beaconing.lifetime bc.Beaconing.dissemination_limit
-    bc.Beaconing.storage_limit bc.Beaconing.signature_bytes
+    bc.Beaconing.interval bc.Beaconing.lifetime bc.Beaconing.storage_limit
     bc.Beaconing.duration bc.Beaconing.verify_crypto;
   add "plan:%Ld;" cfg.plan.Fault_plan.seed;
   Array.iter

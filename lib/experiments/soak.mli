@@ -44,12 +44,10 @@ val create : config -> t
 val round : t -> int
 (** Next round to execute (= rounds completed). *)
 
-val rounds_total : t -> int
-
 val advance : ?watchdog:Watchdog.t -> t -> upto:int -> unit
-(** Execute rounds [round t .. upto - 1] (clamped to
-    {!rounds_total}). The [watchdog] is checked at every round
-    boundary, where state is consistent. *)
+(** Execute rounds [round t .. upto - 1] (clamped to the planned round
+    count). The [watchdog] is checked at every round boundary, where
+    state is consistent. *)
 
 val registry : t -> Registry.t
 (** The trial-private metrics registry (path-lifetime histogram);

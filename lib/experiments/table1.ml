@@ -117,7 +117,7 @@ let measure ?obs ?jobs scale =
       (Graph.core_ases g)
   in
   let regs, reg_bytes, lk_down, rep_down, lk_core, rep_core = agg in
-  let seg_bytes = float_of_int (Wire.pcb_bytes ~hops:4 ~signature_bytes:96) in
+  let seg_bytes = float_of_int (Wire.pcb_bytes ~hops:4) in
   let fi = float_of_int in
   [
     {

@@ -83,15 +83,14 @@ let refine (p : Beacon_policy.div_params) =
         [ p.Beacon_policy.beta *. 0.75; p.Beacon_policy.beta; p.Beacon_policy.beta *. 1.25 ])
     [ p.Beacon_policy.alpha *. 0.5; p.Beacon_policy.alpha; p.Beacon_policy.alpha *. 1.5 ]
 
-let best_of ?(obs = Obs.disabled) ?(jobs = 1) ?duration_rounds ?lifetime_rounds g
-    cands =
+let best_of ?(obs = Obs.disabled) ?(jobs = 1) g cands =
   (* Candidate evaluations are independent; fan them out, then pick the
      winner after the barrier so the choice is identical at any [jobs]
      value. The earliest candidate wins ties, as in the sequential
      fold. *)
   let objectives =
     Runner.map_jobs_obs ~obs ~jobs
-      (fun ~obs p -> evaluate ~obs ?duration_rounds ?lifetime_rounds g p)
+      (fun ~obs p -> evaluate ~obs g p)
       (Array.of_list cands)
   in
   Array.fold_left
@@ -101,18 +100,14 @@ let best_of ?(obs = Obs.disabled) ?(jobs = 1) ?duration_rounds ?lifetime_rounds 
       | _ -> Some o)
     None objectives
 
-let grid_search ?obs ?jobs ?duration_rounds ?lifetime_rounds g =
+(* Exponential stage, then a linear refinement around its winner. *)
+let grid_search ?obs ?jobs g =
   let stage1 =
-    match
-      best_of ?obs ?jobs ?duration_rounds ?lifetime_rounds g candidates_stage1
-    with
+    match best_of ?obs ?jobs g candidates_stage1 with
     | Some o -> o
     | None -> invalid_arg "Tuning.grid_search: empty candidate set"
   in
-  match
-    best_of ?obs ?jobs ?duration_rounds ?lifetime_rounds g
-      (refine stage1.params)
-  with
+  match best_of ?obs ?jobs g (refine stage1.params) with
   | Some o when o.score > stage1.score -> o
   | _ -> stage1
 

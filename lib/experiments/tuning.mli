@@ -27,19 +27,6 @@ val evaluate :
 (** Run diversity beaconing with a deliberately short PCB lifetime so
     refresh behaviour is exercised, then score the outcome. *)
 
-val grid_search :
-  ?obs:Obs.t ->
-  ?jobs:int ->
-  ?duration_rounds:int ->
-  ?lifetime_rounds:int ->
-  Graph.t ->
-  objective
-(** Exponential stage over (α, β, γ, threshold), then a linear
-    refinement around the winner. With [jobs > 1] each stage evaluates
-    its candidates on that many domains; the winner and the tie-breaking
-    (earliest candidate) are identical at any [jobs] value.
-    Deterministic. *)
-
 (** {1 The {!Scenario.Cli} face}
 
     The tuning topology is a fixed Caida-like core of 30 ASes, so
@@ -56,6 +43,11 @@ val doc : string
 type result = { cores : int; best : objective }
 
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
+(** {!evaluate} an exponential grid over (α, β, γ, threshold), then a
+    linear refinement around the winner. With [jobs > 1] each stage
+    evaluates its candidates on that many domains; the winner and the
+    tie-breaking (earliest candidate) are identical at any [jobs]
+    value. Deterministic. *)
 
 val to_json : result -> Obs_json.t
 

@@ -12,7 +12,6 @@ type spec =
       down_fraction : float;
       until : float;
     }
-  | Regional_burst of { links : int list; at : float; duration : float; stagger : float }
   | Stochastic of { mtbf : float; mttr : float; start : float; until : float }
 
 type t = { seed : int64; specs : spec list }
@@ -74,15 +73,6 @@ let compile ~graph:g t =
             down_up link ~at:!t ~duration:(down_fraction *. period);
             t := !t +. period
           done
-      | Regional_burst { links; at; duration; stagger } ->
-          check_time "at" at;
-          check_pos "duration" duration;
-          check_time "stagger" stagger;
-          List.iteri
-            (fun i l ->
-              check_link g l;
-              down_up l ~at:(at +. (float_of_int i *. stagger)) ~duration)
-            links
       | Stochastic { mtbf; mttr; start; until } ->
           check_pos "mtbf" mtbf;
           check_pos "mttr" mttr;
@@ -108,7 +98,9 @@ let compile ~graph:g t =
     arr;
   Array.map (fun (_, _, e) -> e) arr
 
-let sample_adjacencies ~rng ?(max_attempts = 500) ~count ~accept g =
+let max_attempts = 500
+
+let sample_adjacencies ~rng ~count ~accept g =
   let selected = ref [] in
   let n_selected = ref 0 in
   let used = Hashtbl.create 8 in

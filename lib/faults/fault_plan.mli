@@ -31,11 +31,6 @@ type spec =
       (** Periodic instability: from [at] until [until], the link goes
           down at the start of each [period] and comes back after
           [down_fraction * period] seconds. *)
-  | Regional_burst of { links : int list; at : float; duration : float; stagger : float }
-      (** Correlated regional failure: the listed links go down in
-          order, [stagger] seconds apart, each recovering [duration]
-          seconds after its own failure (a fibre cut or power event
-          taking down co-located links). *)
   | Stochastic of { mtbf : float; mttr : float; start : float; until : float }
       (** Memoryless background failures on {e every} link: up-times
           are Exp(1/mtbf), repair times Exp(1/mttr), independently per
@@ -57,19 +52,18 @@ val compile : graph:Graph.t -> t -> event array
 
 val sample_adjacencies :
   rng:Rng.t ->
-  ?max_attempts:int ->
   count:int ->
   accept:(link:Graph.link -> siblings:int list -> 'a option) ->
   Graph.t ->
   'a list
 (** Shared failure-site sampler: draw links uniformly at random
     (consuming exactly one [Rng.int] per attempt) until [count]
-    distinct {e adjacencies} are accepted or [max_attempts] (default
-    500) draws are spent. For each fresh draw, [siblings] is the full
-    parallel-link group between the two endpoint ASes; [accept]
-    returning [Some v] selects the adjacency (all siblings become
-    ineligible for later draws), [None] rejects it without marking
-    anything used. Results are in acceptance order.
+    distinct {e adjacencies} are accepted or 500 draws are spent. For
+    each fresh draw, [siblings] is the full parallel-link group between
+    the two endpoint ASes; [accept] returning [Some v] selects the
+    adjacency (all siblings become ineligible for later draws), [None]
+    rejects it without marking anything used. Results are in acceptance
+    order.
 
     This is the sampler behind both the convergence experiment's
     failure selection and the resilience scenario's fault sites, so

@@ -1,11 +1,11 @@
 (** Reference-counted link liveness.
 
     Several overlapping fault specs may fail the same link (a flap
-    inside an AS outage, a stochastic failure during a regional burst);
-    a link is up only when {e no} cause holds it down. {!apply} folds a
-    raw plan event into the counter and reports whether the link
-    actually changed state, so reactions (revocation, repair) fire once
-    per real transition, not once per overlapping cause. *)
+    inside an AS outage, a stochastic failure during a link's one-shot
+    outage); a link is up only when {e no} cause holds it down.
+    {!apply} folds a raw plan event into the counter and reports whether
+    the link actually changed state, so reactions (revocation, repair)
+    fire once per real transition, not once per overlapping cause. *)
 
 type t
 

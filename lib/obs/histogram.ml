@@ -1,6 +1,8 @@
+(* Bucket-boundary ratio: ~19 % bucket width. *)
+let growth = 2.0 ** 0.25
+let log_growth = log growth
+
 type t = {
-  growth : float;
-  log_growth : float;
   mutable count : int;
   mutable sum : float;
   mutable vmin : float;
@@ -9,14 +11,8 @@ type t = {
   buckets : (int, int ref) Hashtbl.t;
 }
 
-let default_growth = 2.0 ** 0.25
-
-let create ?(growth = default_growth) () =
-  if not (Float.is_finite growth) || growth <= 1.0 then
-    invalid_arg "Histogram.create: growth must be a finite float > 1";
+let create () =
   {
-    growth;
-    log_growth = log growth;
     count = 0;
     sum = 0.0;
     vmin = infinity;
@@ -25,11 +21,9 @@ let create ?(growth = default_growth) () =
     buckets = Hashtbl.create 32;
   }
 
-let growth t = t.growth
+let bucket_of v = int_of_float (Float.floor (log v /. log_growth))
 
-let bucket_of t v = int_of_float (Float.floor (log v /. t.log_growth))
-
-let lower_bound t i = t.growth ** float_of_int i
+let lower_bound i = growth ** float_of_int i
 
 let observe t v =
   if Float.is_nan v then invalid_arg "Histogram.observe: nan";
@@ -39,7 +33,7 @@ let observe t v =
   if v > t.vmax then t.vmax <- v;
   if v <= 0.0 then t.nonpos <- t.nonpos + 1
   else begin
-    let i = bucket_of t v in
+    let i = bucket_of v in
     match Hashtbl.find_opt t.buckets i with
     | Some r -> incr r
     | None -> Hashtbl.replace t.buckets i (ref 1)
@@ -76,7 +70,7 @@ let quantile t q =
             if acc + c >= rest then
               (* Geometric midpoint of the matched bucket, clamped to
                  the observed range so tail quantiles stay honest. *)
-              lower_bound t i *. sqrt t.growth |> Float.max t.vmin |> Float.min t.vmax
+              lower_bound i *. sqrt growth |> Float.max t.vmin |> Float.min t.vmax
             else walk (acc + c) tl
       in
       walk 0 (sorted_buckets t)
@@ -90,7 +84,7 @@ let fraction_le t x =
     let covered = ref 0.0 in
     List.iter
       (fun (i, c) ->
-        let lo = lower_bound t i and hi = lower_bound t (i + 1) in
+        let lo = lower_bound i and hi = lower_bound (i + 1) in
         if x >= hi then inside := !inside + c
         else if x > lo then
           (* Interpolate inside the straddled bucket, linearly in log
@@ -103,7 +97,6 @@ let fraction_le t x =
   end
 
 let merge ~into src =
-  if into.growth <> src.growth then invalid_arg "Histogram.merge: growth mismatch";
   into.count <- into.count + src.count;
   into.sum <- into.sum +. src.sum;
   if src.vmin < into.vmin then into.vmin <- src.vmin;
@@ -125,7 +118,7 @@ let reset t =
   Hashtbl.reset t.buckets
 
 let write w t =
-  Snapshot.w_f64 w t.growth;
+  Snapshot.w_f64 w growth;
   Snapshot.w_int w t.count;
   Snapshot.w_f64 w t.sum;
   Snapshot.w_f64 w t.vmin;
@@ -138,10 +131,9 @@ let write w t =
     (sorted_buckets t)
 
 let read r =
-  let growth = Snapshot.r_f64 r in
-  if not (Float.is_finite growth && growth > 1.0) then
-    Snapshot.corrupt "bad histogram growth %h" growth;
-  let t = create ~growth () in
+  let g = Snapshot.r_f64 r in
+  if g <> growth then Snapshot.corrupt "bad histogram growth %h" g;
+  let t = create () in
   t.count <- Snapshot.r_int r;
   t.sum <- Snapshot.r_f64 r;
   t.vmin <- Snapshot.r_f64 r;
@@ -183,7 +175,7 @@ let to_json t =
       (fun (i, c) ->
         Obs_json.Obj
           [
-            ("le", Obs_json.Float (lower_bound t (i + 1)));
+            ("le", Obs_json.Float (lower_bound (i + 1)));
             ("count", Obs_json.Int c);
           ])
       (sorted_buckets t)

@@ -1,11 +1,11 @@
 (** Log-bucketed histograms with quantile readout.
 
     Observations land in exponentially-spaced buckets
-    [\[growth^i, growth^(i+1))], so a histogram covers many orders of
-    magnitude (bytes on an interface, nanoseconds of latency) in O(1)
-    memory per occupied bucket with a bounded relative error of
-    [growth - 1] per quantile. The default growth factor [2^0.25]
-    (~19 % bucket width) keeps p50/p90/p99 within a few percent.
+    [\[growth^i, growth^(i+1))] with [growth = 2{^0.25}], so a histogram
+    covers many orders of magnitude (bytes on an interface, nanoseconds
+    of latency) in O(1) memory per occupied bucket with a bounded
+    relative error of [growth - 1] (~19 % bucket width) per quantile,
+    which keeps p50/p90/p99 within a few percent.
 
     Non-positive observations are counted in a dedicated underflow
     bucket; exact [min]/[max] are tracked alongside so tail quantiles
@@ -13,15 +13,8 @@
 
 type t
 
-val default_growth : float
-(** [2{^0.25}]. *)
-
-val create : ?growth:float -> unit -> t
-(** Empty histogram. [growth] is the bucket-boundary ratio; it must be
-    a finite float > 1 or [Invalid_argument] is raised. *)
-
-val growth : t -> float
-(** The bucket-boundary ratio the histogram was created with. *)
+val create : unit -> t
+(** Empty histogram. *)
 
 val observe : t -> float -> unit
 (** Record one observation. Raises [Invalid_argument] on [nan]. *)
@@ -52,24 +45,23 @@ val fraction_le : t -> float -> float
     the bucket that straddles [x]. [nan] when empty. *)
 
 val merge : into:t -> t -> unit
-(** Accumulate a second histogram ([Invalid_argument] if the growth
-    factors differ). The source is left unchanged. *)
+(** Accumulate a second histogram. The source is left unchanged. *)
 
 val reset : t -> unit
-(** Drop every observation; bucket configuration is kept. *)
+(** Drop every observation. *)
 
 (** {1 Checkpointing} *)
 
 val write : Snapshot.writer -> t -> unit
-(** The complete state, occupied buckets sorted by index: two
-    histograms with the same observations write equal bytes regardless
-    of internal hash-table layout. *)
+(** The complete state, led by the growth factor as an [f64], occupied
+    buckets sorted by index: two histograms with the same observations
+    write equal bytes regardless of internal hash-table layout. *)
 
 val read : Snapshot.reader -> t
 (** Inverse of {!write}: the rebuilt histogram answers every query
     identically and writes the same bytes. Raises {!Snapshot.Corrupt}
-    on a growth that is not a finite float > 1 or buckets out of
-    strictly increasing index order. *)
+    on a growth other than [2{^0.25}] or buckets out of strictly
+    increasing index order. *)
 
 type summary = {
   count : int;

@@ -1,6 +1,5 @@
 type t =
   | Null
-  | Bool of bool
   | Int of int
   | Float of float
   | String of string
@@ -30,7 +29,6 @@ let float_repr v =
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float v ->
       if Float.is_nan v || v = Float.infinity || v = Float.neg_infinity then
@@ -65,7 +63,10 @@ let to_string j =
   write buf j;
   Buffer.contents buf
 
-let rec write_indented buf ~indent ~level = function
+(* Spaces per nesting level of the pretty rendering. *)
+let indent = 2
+
+let rec write_indented buf ~level = function
   | List ([] : t list) -> Buffer.add_string buf "[]"
   | Obj [] -> Buffer.add_string buf "{}"
   | List items ->
@@ -75,7 +76,7 @@ let rec write_indented buf ~indent ~level = function
         (fun i item ->
           if i > 0 then Buffer.add_string buf ",\n";
           Buffer.add_string buf pad;
-          write_indented buf ~indent ~level:(level + 1) item)
+          write_indented buf ~level:(level + 1) item)
         items;
       Buffer.add_char buf '\n';
       Buffer.add_string buf (String.make (level * indent) ' ');
@@ -90,15 +91,15 @@ let rec write_indented buf ~indent ~level = function
           Buffer.add_char buf '"';
           Buffer.add_string buf (escape k);
           Buffer.add_string buf "\": ";
-          write_indented buf ~indent ~level:(level + 1) v)
+          write_indented buf ~level:(level + 1) v)
         fields;
       Buffer.add_char buf '\n';
       Buffer.add_string buf (String.make (level * indent) ' ');
       Buffer.add_char buf '}'
   | leaf -> write buf leaf
 
-let to_string_pretty ?(indent = 2) j =
+let to_string_pretty j =
   let buf = Buffer.create 4096 in
-  write_indented buf ~indent ~level:0 j;
+  write_indented buf ~level:0 j;
   Buffer.add_char buf '\n';
   Buffer.contents buf

@@ -7,7 +7,6 @@
 
 type t =
   | Null
-  | Bool of bool
   | Int of int
   | Float of float
       (** [nan] and infinities are printed as [null] (JSON has no
@@ -19,6 +18,6 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering. *)
 
-val to_string_pretty : ?indent:int -> t -> string
-(** Human-diffable rendering, one field per line ([indent] defaults to
-    2 spaces), with a trailing newline. *)
+val to_string_pretty : t -> string
+(** Human-diffable rendering, one field per line indented by 2 spaces
+    per level, with a trailing newline. *)

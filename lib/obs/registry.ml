@@ -33,10 +33,10 @@ let counter t ?(labels = []) name =
   | M_counter r -> r
   | m -> wrong_kind name "counter" m
 
-let histogram ?growth t ?(labels = []) name =
+let histogram t ?(labels = []) name =
   match
     find_or_create t name labels
-      (fun () -> M_hist (Histogram.create ?growth ()))
+      (fun () -> M_hist (Histogram.create ()))
       "histogram"
   with
   | M_hist h -> h
@@ -187,6 +187,6 @@ let merge ~into src =
           let r' = counter into ~labels name in
           r' := !r' +. !r
       | M_hist h ->
-          let h' = histogram ~growth:(Histogram.growth h) into ~labels name in
+          let h' = histogram into ~labels name in
           Histogram.merge ~into:h' h)
     src.tbl

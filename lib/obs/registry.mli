@@ -21,8 +21,8 @@ val counter : t -> ?labels:labels -> string -> float ref
     accumulate. Raises [Invalid_argument] if the name+labels already
     exists with a different metric kind. *)
 
-val histogram : ?growth:float -> t -> ?labels:labels -> string -> Histogram.t
-(** Find-or-create a histogram ([growth] only applies on creation). *)
+val histogram : t -> ?labels:labels -> string -> Histogram.t
+(** Find-or-create a histogram. *)
 
 val add : t -> ?labels:labels -> string -> float -> unit
 (** One-shot counter accumulation (lookup per call). *)
@@ -57,9 +57,6 @@ val to_csv : t -> string
 (** One row per series with a fixed
     [name,labels,kind,value,count,sum,min,max,mean,p50,p90,p99]
     header; empty cells where a column does not apply to the kind. *)
-
-val labels_to_string : labels -> string
-(** [k1=v1;k2=v2] rendering used in CSV and trace output. *)
 
 (** {1 Checkpointing} *)
 

@@ -8,7 +8,6 @@ type t = {
   revoked : (int, unit) Hashtbl.t;
 }
 
-let graph t = t.graph
 let keys t = t.keys
 let now t = t.now
 

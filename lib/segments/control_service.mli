@@ -22,13 +22,8 @@ val build :
     [now] defaults to the end of the beaconing runs. Raises
     [Invalid_argument] if the graphs differ. *)
 
-val graph : t -> Graph.t
-
 val keys : t -> Fwd_keys.t
 (** The forwarding-key registry routers validate hop fields against. *)
-
-val up_segments : t -> src:int -> Segment.t list
-(** The AS's own up-path segments (local control-service query). *)
 
 val resolve : t -> src:int -> dst:int -> Fwd_path.t list
 (** Full path resolution for an endpoint in [src] towards [dst]:

@@ -76,7 +76,10 @@ let index_of_as crossings x =
   in
   go 0
 
-let combine ?(max_paths = 64) g ~up ~core ~down ~src ~dst =
+(* Cap on the paths one combination returns. *)
+let max_paths = 64
+
+let combine g ~up ~core ~down ~src ~dst =
   let results = ref [] in
   let add p = match p with Some p -> results := p :: !results | None -> () in
   let ups = List.filter (fun (s : Segment.t) -> s.Segment.leaf = src) up in

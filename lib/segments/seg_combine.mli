@@ -11,7 +11,6 @@
     real SCION; the combiner simply never builds them). *)
 
 val combine :
-  ?max_paths:int ->
   Graph.t ->
   up:Segment.t list ->
   core:Segment.t list ->
@@ -20,7 +19,7 @@ val combine :
   dst:int ->
   Fwd_path.t list
 (** All valid, deduplicated forwarding paths from [src] to [dst],
-    sorted by AS-hop count. [max_paths] (default 64) caps the result.
+    sorted by AS-hop count; at most the 64 shortest.
 
     Expected segment orientations (as produced by {!Segment.terminate}):
     up segments have [leaf = src]; core segments are held by the local

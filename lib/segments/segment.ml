@@ -98,13 +98,6 @@ let is_valid t ~now = now < t.expiry
 let registration_bytes t =
   Wire.path_segment_registration_bytes ~hops:(Array.length t.hops)
 
-let pp fmt t =
-  let kind_s =
-    match t.kind with Up -> "up" | Down -> "down" | Core_seg -> "core"
-  in
-  Format.fprintf fmt "Seg[%s %d->%d via %s]" kind_s t.origin t.leaf
-    (String.concat "," (List.map string_of_int (ases t)))
-
 let write_hop w h =
   Snapshot.w_int w h.as_idx;
   Snapshot.w_int w h.ingress;

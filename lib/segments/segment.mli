@@ -59,8 +59,6 @@ val is_valid : t -> now:float -> bool
 val registration_bytes : t -> int
 (** Wire size of registering this segment at a path server (§4.1). *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Checkpointing} *)
 
 val write : Snapshot.writer -> t -> unit

@@ -1,4 +1,5 @@
 exception Killed of { checkpoints : int }
+exception Inject_fail_out_of_range of { index : int; cells : int }
 
 let () =
   Printexc.register_printer (function
@@ -8,6 +9,12 @@ let () =
              "Supervise.Killed(after %d checkpoint%s, as requested by --kill-after)"
              checkpoints
              (if checkpoints = 1 then "" else "s"))
+    | Inject_fail_out_of_range { index; cells } ->
+        Some
+          (Printf.sprintf
+             "--inject-fail %d is not a cell index (this run has %d cells: \
+              0..%d)"
+             index cells (cells - 1))
     | _ -> None)
 
 type cli = {
@@ -153,9 +160,7 @@ let run_cells ~cli ~jobs ~seed ~horizon ~chunk c =
   let n_cells = Array.length c.labels in
   (match cli.inject_fail with
   | Some k when k < 0 || k >= n_cells ->
-      invalid_arg
-        (Printf.sprintf "Supervise.run_cells: inject_fail %d outside 0..%d" k
-           (n_cells - 1))
+      raise (Inject_fail_out_of_range { index = k; cells = n_cells })
   | _ -> ());
   (* The schema binds a checkpoint to everything a resumed run must
      agree on, so one from a different configuration is rejected on

@@ -22,6 +22,13 @@ exception Killed of { checkpoints : int }
     the resume tests and CI. The CLI maps it to exit code 3 without
     printing results. *)
 
+exception Inject_fail_out_of_range of { index : int; cells : int }
+(** Raised by {!run_cells}, before any cell runs, when [cli.inject_fail]
+    is [index], which is not one of the [cells] cell indices. The flag
+    is parsed before the cell count is known, so the CLI maps this to
+    a usage error (exit 124). Its registered printer names the valid
+    range. *)
+
 type cli = {
   checkpoint_every : int;
       (** work steps between checkpoints (beaconing rounds for [pathdyn],
@@ -121,5 +128,5 @@ val run_cells :
     [jobs]. Raises {!Snapshot.Corrupt} when the resumed checkpoint is
     malformed, belongs to another configuration, records a different
     cell count, a step below 0 or past [horizon], or a failure whose index
-    differs from its position. Raises [Invalid_argument], before any
-    cell runs, when [cli.inject_fail] is not a cell index. *)
+    differs from its position. Raises {!Inject_fail_out_of_range},
+    before any cell runs, when [cli.inject_fail] is not a cell index. *)

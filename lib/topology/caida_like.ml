@@ -1,23 +1,23 @@
 type params = {
   n : int;
   n_tier1 : int;
-  transit_fraction : float;
-  mean_providers : float;
-  peering_prob : float;
   cities : int;
-  max_parallel : int;
   seed : int64;
 }
+
+(* 18 % of non-tier-1 ASes are transit; a customer has 1.9 providers on
+   average; a transit AS adds a peering link with probability 0.35; an
+   AS pair has at most 8 parallel links. *)
+let transit_fraction = 0.18
+let mean_providers = 1.9
+let peering_prob = 0.35
+let max_parallel = 8
 
 let default_params =
   {
     n = 12000;
     n_tier1 = 15;
-    transit_fraction = 0.18;
-    mean_providers = 1.9;
-    peering_prob = 0.35;
     cities = 150;
-    max_parallel = 8;
     seed = 0x5C10AL;
   }
 
@@ -49,8 +49,8 @@ let shared_cities a b =
   in
   go 0 0 0
 
-let parallel_count p a_cities b_cities =
-  max 1 (min p.max_parallel (shared_cities a_cities b_cities))
+let parallel_count a_cities b_cities =
+  max 1 (min max_parallel (shared_cities a_cities b_cities))
 
 let generate p =
   if p.n < p.n_tier1 then invalid_arg "Caida_like.generate: n < n_tier1";
@@ -81,7 +81,7 @@ let generate p =
   done;
   for i = 0 to p.n_tier1 - 1 do
     for j = i + 1 to p.n_tier1 - 1 do
-      let count = parallel_count p cities_of.(i) cities_of.(j) in
+      let count = parallel_count cities_of.(i) cities_of.(j) in
       Graph.add_link b ~count ~rel:Graph.Peering i j;
       for _ = 1 to count do
         urn_add i;
@@ -90,9 +90,9 @@ let generate p =
     done
   done;
   (* Everyone else attaches to transit providers preferentially. *)
-  let extra_provider_prob = max 0.0 (min 1.0 (p.mean_providers -. 1.0)) in
+  let extra_provider_prob = max 0.0 (min 1.0 (mean_providers -. 1.0)) in
   for i = p.n_tier1 to p.n - 1 do
-    let transit = Rng.float rng 1.0 < p.transit_fraction in
+    let transit = Rng.float rng 1.0 < transit_fraction in
     let tier = if transit then 2 else 3 in
     let city_count =
       if transit then 4 + Rng.int rng 12 else 1 + Rng.int rng 2
@@ -116,7 +116,7 @@ let generate p =
       Hashtbl.replace chosen (Rng.int rng p.n_tier1) ();
     Hashtbl.iter
       (fun prov () ->
-        let count = parallel_count p cities_of.(prov) cities_of.(i) in
+        let count = parallel_count cities_of.(prov) cities_of.(i) in
         Graph.add_link b ~count ~rel:Graph.Provider_customer prov i;
         for _ = 1 to count do
           urn_add prov;
@@ -124,7 +124,7 @@ let generate p =
         done)
       chosen;
     (* Transit ASes sometimes add a peering link to another transit AS. *)
-    if transit && Rng.float rng 1.0 < p.peering_prob then begin
+    if transit && Rng.float rng 1.0 < peering_prob then begin
       let attempts = ref 0 in
       let found = ref (-1) in
       while !found < 0 && !attempts < 50 do
@@ -133,7 +133,7 @@ let generate p =
         if cand <> i && tier_of.(cand) = 2 then found := cand
       done;
       if !found >= 0 then begin
-        let count = parallel_count p cities_of.(!found) cities_of.(i) in
+        let count = parallel_count cities_of.(!found) cities_of.(i) in
         Graph.add_link b ~count ~rel:Graph.Peering !found i;
         for _ = 1 to count do
           urn_add !found;

@@ -17,16 +17,16 @@
 type params = {
   n : int;  (** total number of ASes *)
   n_tier1 : int;  (** size of the fully meshed tier-1 clique *)
-  transit_fraction : float;  (** fraction of non-tier-1 ASes that are transit *)
-  mean_providers : float;  (** mean provider count per customer AS *)
-  peering_prob : float;  (** probability a transit AS adds a peering link *)
   cities : int;  (** number of interconnection locations *)
-  max_parallel : int;  (** cap on parallel links per AS pair *)
   seed : int64;
 }
 
 val default_params : params
-(** 12 000 ASes, 15 tier-1s, matching the dataset scale of §5.1. *)
+(** 12 000 ASes, 15 tier-1s, 150 cities, matching the dataset scale of
+    §5.1. Fixed for every topology: 18 % of non-tier-1 ASes are
+    transit, a customer AS has 1.9 providers on average, a transit AS
+    adds a peering link with probability 0.35, and an AS pair has at
+    most 8 parallel links. *)
 
 val small_params : params
 (** 1 200 ASes for CI-scale runs. *)

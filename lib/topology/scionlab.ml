@@ -1,17 +1,19 @@
 type params = {
   n_core : int;
   chords : int;
-  parallel_edges : int;
   attachments_per_core : int;
-  seed : int64;
 }
 
-let default_params =
-  { n_core = 21; chords = 2; parallel_edges = 2; attachments_per_core = 0; seed = 0x5C10AB2L }
+let default_params = { n_core = 21; chords = 2; attachments_per_core = 0 }
+
+(* Ring edges doubled: the testbed's parallel links. Every topology is
+   drawn from one seed. *)
+let parallel_edges = 2
+let seed = 0x5C10AB2L
 
 let generate p =
   if p.n_core < 3 then invalid_arg "Scionlab.generate: need at least 3 core ASes";
-  let rng = Rng.create p.seed in
+  let rng = Rng.create seed in
   let b = Graph.builder () in
   for i = 0 to p.n_core - 1 do
     ignore (Graph.add_as b ~tier:1 ~core:true (Id.ia ((i / 3) + 1) (i + 1)))
@@ -38,7 +40,7 @@ let generate p =
   let doubled = Hashtbl.create 4 in
   let added_parallel = ref 0 in
   let attempts = ref 0 in
-  while !added_parallel < p.parallel_edges && !attempts < 1000 do
+  while !added_parallel < parallel_edges && !attempts < 1000 do
     incr attempts;
     let i = Rng.int rng p.n_core in
     if not (Hashtbl.mem doubled i) then begin

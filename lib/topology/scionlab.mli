@@ -9,17 +9,15 @@
 type params = {
   n_core : int;  (** 21 in SCIONLab *)
   chords : int;  (** extra core links beyond the ring *)
-  parallel_edges : int;  (** ring edges doubled (parallel links exist in
-                             the testbed and drive the 3+ region of
-                             Figs. 7–8) *)
   attachments_per_core : int;  (** user ASes attached below each core AS *)
-  seed : int64;
 }
 
 val default_params : params
-(** 21 core ASes, 2 chords, 2 doubled edges, no attachment ASes. *)
+(** 21 core ASes, 2 chords, no attachment ASes. Every topology is drawn
+    from one fixed seed, so equal params give equal graphs. *)
 
 val generate : params -> Graph.t
-(** Core links form a ring plus [chords] random chords, with
-    [parallel_edges] randomly chosen ring edges doubled; attachment
-    ASes hang off core ASes with provider–customer links. *)
+(** Core links form a ring plus [chords] random chords, with 2 randomly
+    chosen ring edges doubled (parallel links exist in the testbed and
+    drive the 3+ region of Figs. 7–8); attachment ASes hang off core
+    ASes with provider–customer links. *)

@@ -1,8 +1,6 @@
 type params = {
   n_pairs : int;
   flows : int;
-  pair_zipf_s : float;
-  pop_zipf_s : float;
   mean_size_mbit : float;
   pareto_alpha : float;
   horizon_s : float;
@@ -13,13 +11,16 @@ let default_params =
   {
     n_pairs = 200;
     flows = 10_000;
-    pair_zipf_s = 1.1;
-    pop_zipf_s = 1.0;
     mean_size_mbit = 40.0;
     pareto_alpha = 1.5;
     horizon_s = 3600.0;
     seed = 0x7AF1CL;
   }
+
+(* Zipf exponents: popularity across pairs, population across degree
+   ranks. *)
+let pair_zipf_s = 1.1
+let pop_zipf_s = 1.0
 
 type flow_spec = { arrival_s : float; size_mbit : float; pair : int }
 
@@ -27,8 +28,6 @@ type t = {
   params : params;
   pairs : (int * int) array;
   pair_zipf : Zipf.t;
-  rank_of_as : int array;  (** degree rank (0 = best connected) per AS *)
-  pop_zipf : Zipf.t;
   sorted : flow_spec array;  (** every flow, in admission order *)
 }
 
@@ -50,9 +49,7 @@ let degree_ranking g =
       let c = compare (Graph.as_degree g b) (Graph.as_degree g a) in
       if c <> 0 then c else compare a b)
     order;
-  let rank_of_as = Array.make n 0 in
-  Array.iteri (fun rank v -> rank_of_as.(v) <- rank) order;
-  (order, rank_of_as)
+  order
 
 (* Flow [i]'s attributes, a pure function of [(seed, i)]. Pareto sizes
    with the requested mean: x_min = mean * (alpha-1) / alpha. *)
@@ -78,9 +75,9 @@ let arrival_order p pair_zipf =
 let create g p =
   validate g p;
   let n = Graph.n g in
-  let as_of_rank, rank_of_as = degree_ranking g in
-  let pop_zipf = Zipf.create ~n ~s:p.pop_zipf_s in
-  let dst_zipf = Zipf.create ~n ~s:(p.pop_zipf_s +. 0.2) in
+  let as_of_rank = degree_ranking g in
+  let pop_zipf = Zipf.create ~n ~s:pop_zipf_s in
+  let dst_zipf = Zipf.create ~n ~s:(pop_zipf_s +. 0.2) in
   (* Endpoint pairs: sources drawn from the population law, popular
      destinations from a slightly heavier one. Rejects self-pairs and
      duplicates; the attempt budget keeps pathological tiny graphs
@@ -103,21 +100,12 @@ let create g p =
   done;
   let pairs = Array.of_list (List.rev !acc) in
   if Array.length pairs = 0 then invalid_arg "Demand.create: no usable pair";
-  let pair_zipf = Zipf.create ~n:(Array.length pairs) ~s:p.pair_zipf_s in
-  {
-    params = p;
-    pairs;
-    pair_zipf;
-    rank_of_as;
-    pop_zipf;
-    sorted = arrival_order p pair_zipf;
-  }
+  let pair_zipf = Zipf.create ~n:(Array.length pairs) ~s:pair_zipf_s in
+  { params = p; pairs; pair_zipf; sorted = arrival_order p pair_zipf }
 
 let params t = t.params
 
 let pairs t = t.pairs
-
-let population t v = Zipf.weight t.pop_zipf t.rank_of_as.(v)
 
 let flow t i =
   if i < 0 || i >= t.params.flows then
@@ -130,7 +118,7 @@ let config_key t =
   let p = t.params in
   let b = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "demand:%d/%d/%h/%h/%h/%h/%h/%Ld;" p.n_pairs p.flows p.pair_zipf_s
-    p.pop_zipf_s p.mean_size_mbit p.pareto_alpha p.horizon_s p.seed;
+  add "demand:%d/%d/%h/%h/%h/%Ld;" p.n_pairs p.flows p.mean_size_mbit
+    p.pareto_alpha p.horizon_s p.seed;
   Array.iter (fun (s, d) -> add "%d-%d;" s d) t.pairs;
   Buffer.contents b

@@ -19,8 +19,6 @@
 type params = {
   n_pairs : int;  (** distinct endpoint pairs demand concentrates on *)
   flows : int;  (** flows generated over the horizon *)
-  pair_zipf_s : float;  (** popularity exponent across pairs *)
-  pop_zipf_s : float;  (** population exponent across degree ranks *)
   mean_size_mbit : float;  (** mean flow size (Pareto-distributed) *)
   pareto_alpha : float;  (** Pareto shape; must be > 1 *)
   horizon_s : float;  (** arrivals fall uniformly in [0, horizon) *)
@@ -28,8 +26,9 @@ type params = {
 }
 
 val default_params : params
-(** 200 pairs, 10 000 flows, pair/population exponents 1.1/1.0, 40
-    Mbit mean size with shape 1.5, one-hour horizon. *)
+(** 200 pairs, 10 000 flows, 40 Mbit mean size with shape 1.5,
+    one-hour horizon. The Zipf exponents are fixed: 1.1 for popularity
+    across pairs, 1.0 for population across degree ranks. *)
 
 type t
 
@@ -48,7 +47,7 @@ val params : t -> params
 
 val pairs : t -> (int * int) array
 (** The distinct (src, dst) AS pairs, most popular first. Pair [k]
-    receives a Zipf([pair_zipf_s]) share of the flows. *)
+    receives a Zipf(1.1) share of the flows. *)
 
 val flow : t -> int -> flow_spec
 (** Attributes of flow [i] (any [0 <= i < flows]), a pure function of
@@ -58,9 +57,6 @@ val sorted_flows : t -> flow_spec array
 (** All flows sorted by arrival time (ties by flow index) — the
     admission order the simulator consumes. Computed once by {!create};
     the array is shared, so callers must not mutate it. *)
-
-val population : t -> int -> float
-(** Normalised population weight of an AS (endpoint density). *)
 
 val config_key : t -> string
 (** Canonical description of the demand (params + pair set) for

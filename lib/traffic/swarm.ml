@@ -31,7 +31,6 @@ let demand g p =
   validate p;
   Demand.create g
     {
-      Demand.default_params with
       Demand.n_pairs = p.n_pairs;
       flows = p.transfers;
       mean_size_mbit = p.file_mbit;

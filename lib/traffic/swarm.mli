@@ -60,9 +60,6 @@ type comparison = {
   speedup_adaptive : float;
 }
 
-val speedup : single:Traffic_sim.report -> multi:Traffic_sim.report -> float
-(** Mean-FCT ratio; [nan] when either side completed nothing. *)
-
 val compare :
   single:Traffic_sim.report ->
   multi_diversity:Traffic_sim.report ->

@@ -19,10 +19,8 @@ type iface = int
 
 val ia : isd -> asn -> ia
 
-val pp_ia : Format.formatter -> ia -> unit
-(** Prints as ["<isd>-<asn>"], e.g. ["1-42"]. *)
-
 val ia_to_string : ia -> string
+(** Prints as ["<isd>-<asn>"], e.g. ["1-42"]. *)
 
 val ia_of_string : string -> ia option
 (** Parses ["<isd>-<asn>"]. *)

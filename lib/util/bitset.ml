@@ -6,7 +6,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { words = Bytes.make ((n + 7) / 8) '\000'; capacity = n }
 
-let capacity t = t.capacity
 
 let check t i =
   if i < 0 || i >= t.capacity then invalid_arg "Bitset: index out of range"

@@ -6,12 +6,9 @@ type t
 val create : int -> t
 (** [create n] is an empty set over universe [\[0, n)]. *)
 
-val capacity : t -> int
-(** The universe size [n] the set was created with. *)
-
 val add : t -> int -> unit
 (** Add an element (no-op if present). Raises [Invalid_argument] when
-    the element is outside [\[0, capacity)]. *)
+    the element is outside [\[0, n)]. *)
 
 val mem : t -> int -> bool
 
@@ -21,9 +18,6 @@ val union_into : dst:t -> t -> unit
 
 val cardinal : t -> int
 (** Number of elements in the set (population count). *)
-
-val iter : (int -> unit) -> t -> unit
-(** Apply to every member in increasing order. *)
 
 val to_list : t -> int list
 (** Members in increasing order. *)

@@ -15,7 +15,6 @@ let create ~n ~s =
   done;
   { cumulative }
 
-let n t = Array.length t.cumulative
 
 let sample t rng =
   let u = Rng.float rng 1.0 in

@@ -17,6 +17,3 @@ val sample : t -> Rng.t -> int
 
 val weight : t -> int -> float
 (** [weight t k] is the normalised probability of rank [k] (0-based). *)
-
-val n : t -> int
-(** Number of ranks the distribution was created with. *)

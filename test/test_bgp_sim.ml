@@ -254,7 +254,7 @@ let test_line_size_oracle () =
     check Alcotest.int
       (Printf.sprintf "RFC 8205 update, path %d" n)
       (bgpsec_update_bytes n)
-      (Wire.bgpsec_update_bytes ~as_path_len:n ~signature_bytes:96)
+      (Wire.bgpsec_update_bytes ~as_path_len:n)
   done;
   check Alcotest.int "RFC 4271 withdrawal" withdraw_bytes
     (Wire.bgp_withdraw_bytes ~prefixes:1);

@@ -50,12 +50,11 @@ let test_pcb_extend () =
 let test_pcb_wire_bytes () =
   let p = Pcb.origin_pcb ~origin:0 ~now:0.0 ~lifetime:600.0 in
   let p1 = Pcb.extend p ~asn:0 ~ingress:0 ~egress:1 ~link:0 ~peers:[||] in
-  check Alcotest.int "one hop size" (Wire.pcb_bytes ~hops:1 ~signature_bytes:96)
-    (Pcb.wire_bytes p1 ~signature_bytes:96);
+  check Alcotest.int "one hop size" (Wire.pcb_bytes ~hops:1) (Pcb.wire_bytes p1);
   let p2 = Pcb.extend p1 ~asn:1 ~ingress:1 ~egress:2 ~link:1 ~peers:[| 5; 6 |] in
   check Alcotest.int "peering entries add 16 bytes each"
-    (Wire.pcb_bytes ~hops:2 ~signature_bytes:96 + 32)
-    (Pcb.wire_bytes p2 ~signature_bytes:96)
+    (Wire.pcb_bytes ~hops:2 + 32)
+    (Pcb.wire_bytes p2)
 
 let test_pcb_age_remaining () =
   let p = Pcb.origin_pcb ~origin:0 ~now:100.0 ~lifetime:50.0 in
@@ -742,7 +741,7 @@ let test_dissemination_limit_per_iface () =
   Array.iter
     (fun count ->
       Alcotest.(check bool) "per-interface cap" true
-        (count <= rounds * origins * cfg_short.Beaconing.dissemination_limit))
+        (count <= rounds * origins * Beaconing.dissemination_limit))
     out.Beaconing.stats.Beaconing.pcbs_on_iface
 
 let test_crypto_verification () =
@@ -752,7 +751,27 @@ let test_crypto_verification () =
   check Alcotest.int "no crypto failures" 0 out.Beaconing.stats.Beaconing.crypto_failures;
   (* Stores still fill. *)
   Alcotest.(check bool) "paths stored" true
-    (Beacon_store.total out.Beaconing.stores.(2) > 0)
+    (Beacon_store.total out.Beaconing.stores.(2) > 0);
+  (* The size the byte accounting charges per signature is the size the
+     engine actually signs with: one signature per AS entry, each
+     Wire.signature_bytes long. *)
+  let signed = ref 0 in
+  Array.iter
+    (fun s ->
+      List.iter
+        (fun (p : Pcb.t) ->
+          check Alcotest.int "one signature per AS entry"
+            (Array.length p.Pcb.hops)
+            (List.length p.Pcb.signatures);
+          List.iter
+            (fun sg ->
+              check Alcotest.int "signature size" Wire.signature_bytes
+                (String.length sg);
+              incr signed)
+            p.Pcb.signatures)
+        (Beacon_store.all_paths s ~now:cfg.Beaconing.duration))
+    out.Beaconing.stores;
+  Alcotest.(check bool) "signatures checked" true (!signed > 0)
 
 let test_storage_limit_respected () =
   let g = triangle () in

@@ -744,7 +744,7 @@ let test_snapshot_rejects_histogram_growth () =
           Snapshot.w_f64 w neg_infinity;
           Snapshot.w_int w 0;
           Snapshot.w_int w 0))
-    [ 1.0; 0.5; nan; infinity ]
+    [ 1.0; 0.5; nan; infinity; 2.0 ]
 
 (* A mutation of a valid snapshot: flip one bit, overwrite one byte, or
    truncate. Positions wrap modulo the snapshot length. *)
@@ -1013,7 +1013,9 @@ let test_run_cells_rejects_out_of_range_inject_fail () =
          Supervise.run_cells ~cli ~jobs:1 ~seed:9L ~horizon:7 ~chunk:1 cells
        with
       | _ -> Alcotest.fail (Printf.sprintf "inject_fail %d accepted" k)
-      | exception Invalid_argument _ -> ());
+      | exception Supervise.Inject_fail_out_of_range { index; cells } ->
+          check Alcotest.(pair int int) "reported index and cell count" (k, 3)
+            (index, cells));
       check Alcotest.int (Printf.sprintf "no cell ran (inject_fail %d)" k) 0
         !created)
     [ 3; 99; -1 ]

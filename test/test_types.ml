@@ -38,12 +38,12 @@ let test_asn_namespace () =
 
 let test_pcb_bytes () =
   (* One hop: header + hop field + metadata + signature. *)
-  check Alcotest.int "one hop" (32 + 16 + 48 + 96) (Wire.pcb_bytes ~hops:1 ~signature_bytes:96);
-  check Alcotest.int "zero hops" 32 (Wire.pcb_bytes ~hops:0 ~signature_bytes:96)
+  check Alcotest.int "one hop" (32 + 16 + 48 + 96) (Wire.pcb_bytes ~hops:1);
+  check Alcotest.int "zero hops" 32 (Wire.pcb_bytes ~hops:0)
 
 let test_pcb_bytes_linear () =
-  let d1 = Wire.pcb_bytes ~hops:2 ~signature_bytes:96 - Wire.pcb_bytes ~hops:1 ~signature_bytes:96 in
-  let d2 = Wire.pcb_bytes ~hops:7 ~signature_bytes:96 - Wire.pcb_bytes ~hops:6 ~signature_bytes:96 in
+  let d1 = Wire.pcb_bytes ~hops:2 - Wire.pcb_bytes ~hops:1 in
+  let d2 = Wire.pcb_bytes ~hops:7 - Wire.pcb_bytes ~hops:6 in
   check Alcotest.int "linear in hops" d1 d2
 
 let test_bgp_update_bytes () =
@@ -58,14 +58,13 @@ let test_bgpsec_vs_bgp () =
   (* BGPsec updates carry per-hop signatures: much larger at any length. *)
   for len = 1 to 8 do
     Alcotest.(check bool) "bgpsec larger" true
-      (Wire.bgpsec_update_bytes ~as_path_len:len ~signature_bytes:96
+      (Wire.bgpsec_update_bytes ~as_path_len:len
       > 3 * Wire.bgp_update_bytes ~as_path_len:len ~prefixes:1)
   done
 
 let test_bgpsec_per_hop_cost () =
   let d =
-    Wire.bgpsec_update_bytes ~as_path_len:4 ~signature_bytes:96
-    - Wire.bgpsec_update_bytes ~as_path_len:3 ~signature_bytes:96
+    Wire.bgpsec_update_bytes ~as_path_len:4 - Wire.bgpsec_update_bytes ~as_path_len:3
   in
   (* Secure_Path segment (6) + SKI (20) + sig length (2) + signature (96). *)
   check Alcotest.int "per-hop increment" (6 + 20 + 2 + 96) d
@@ -76,7 +75,7 @@ let test_withdraw_bytes () =
 
 let test_registration_bytes () =
   Alcotest.(check bool) "registration carries the segment" true
-    (Wire.path_segment_registration_bytes ~hops:3 > Wire.pcb_bytes ~hops:3 ~signature_bytes:96)
+    (Wire.path_segment_registration_bytes ~hops:3 > Wire.pcb_bytes ~hops:3)
 
 let test_endpoint_pp () =
   let e = { Id.host_ia = Id.ia 1 2; local = Id.Ipv4 0x0A000001l } in
