@@ -70,7 +70,9 @@ let quantile t q =
             if acc + c >= rest then
               (* Geometric midpoint of the matched bucket, clamped to
                  the observed range so tail quantiles stay honest. *)
-              lower_bound i *. sqrt growth |> Float.max t.vmin |> Float.min t.vmax
+              lower_bound i *. sqrt growth
+              |> Float.max t.vmin
+              |> Float.min t.vmax
             else walk (acc + c) tl
       in
       walk 0 (sorted_buckets t)

@@ -28,8 +28,9 @@ val path_segment_registration_bytes : hops:int -> int
 val bgp_update_bytes : as_path_len:int -> prefixes:int -> int
 (** An UPDATE carrying [prefixes] NLRI entries that share one attribute
     set with a 4-byte-ASN AS_PATH of [as_path_len] hops: header (19:
-    marker 16 + length 2 + type 1) + withdrawn-len (2) + attrs-len (2) + ORIGIN (4) + AS_PATH
-    (3 + 2 + 4·len) + NEXT_HOP (7) + NLRI (5 each, /24-ish). *)
+    marker 16 + length 2 + type 1) + withdrawn-len (2) + attrs-len (2)
+    + ORIGIN (4) + AS_PATH (3 + 2 + 4·len) + NEXT_HOP (7) + NLRI (5
+    each, /24-ish). *)
 
 val bgp_withdraw_bytes : prefixes:int -> int
 (** An UPDATE that only withdraws [prefixes] routes. *)

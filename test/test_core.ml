@@ -50,7 +50,8 @@ let test_pcb_extend () =
 let test_pcb_wire_bytes () =
   let p = Pcb.origin_pcb ~origin:0 ~now:0.0 ~lifetime:600.0 in
   let p1 = Pcb.extend p ~asn:0 ~ingress:0 ~egress:1 ~link:0 ~peers:[||] in
-  check Alcotest.int "one hop size" (Wire.pcb_bytes ~hops:1) (Pcb.wire_bytes p1);
+  check Alcotest.int "one hop size" (Wire.pcb_bytes ~hops:1)
+    (Pcb.wire_bytes p1);
   let p2 = Pcb.extend p1 ~asn:1 ~ingress:1 ~egress:2 ~link:1 ~peers:[| 5; 6 |] in
   check Alcotest.int "peering entries add 16 bytes each"
     (Wire.pcb_bytes ~hops:2 + 32)

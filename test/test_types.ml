@@ -64,7 +64,8 @@ let test_bgpsec_vs_bgp () =
 
 let test_bgpsec_per_hop_cost () =
   let d =
-    Wire.bgpsec_update_bytes ~as_path_len:4 - Wire.bgpsec_update_bytes ~as_path_len:3
+    Wire.bgpsec_update_bytes ~as_path_len:4
+    - Wire.bgpsec_update_bytes ~as_path_len:3
   in
   (* Secure_Path segment (6) + SKI (20) + sig length (2) + signature (96). *)
   check Alcotest.int "per-hop increment" (6 + 20 + 2 + 96) d
