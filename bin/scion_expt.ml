@@ -105,9 +105,10 @@ let sup_term =
       & flag
       & info [ "resume" ]
           ~doc:
-            "Continue from the newest compatible checkpoint in \
-             --checkpoint-dir (required) instead of starting fresh. The \
-             completed run is byte-identical to an uninterrupted one.")
+            "Continue from the newest checkpoint in --checkpoint-dir \
+             (required) instead of starting fresh. The completed run is \
+             byte-identical to an uninterrupted one. A newest checkpoint \
+             that is malformed or of another configuration exits 4.")
   in
   let kill_after =
     Arg.(
@@ -290,9 +291,11 @@ let with_obs (metrics_out, metrics_csv, trace) f =
    scenario shares. The run builds, runs, prints and optionally exports;
    it exits with [exit_code result] when nonzero (the supervised
    scenarios' failure budget), with code 3 on a deliberate --kill-after
-   abort (after the with_obs finalizers have run), and with the usage
-   error code on an --inject-fail index that names no cell (known only
-   once the scenario has built its cells, before any of them runs). *)
+   abort (after the with_obs finalizers have run), with the usage error
+   code on an --inject-fail index that names no cell (known only once
+   the scenario has built its cells, before any of them runs), and with
+   code 4 when --resume finds a checkpoint it cannot use (a data error:
+   the directory is user input). *)
 let scenario (type c r) ?(exit_code = fun _ -> 0)
     (module S : Scenario.Cli with type config = c and type result = r)
     (config : c Term.t) =
@@ -314,6 +317,9 @@ let scenario (type c r) ?(exit_code = fun _ -> 0)
     | exception (Supervise.Inject_fail_out_of_range _ as e) ->
         Printf.eprintf "%s: %s\n%!" S.name (Printexc.to_string e);
         exit Cmd.Exit.cli_error
+    | exception (Supervise.Bad_checkpoint _ as e) ->
+        Printf.eprintf "%s: %s\n%!" S.name (Printexc.to_string e);
+        exit 4
   in
   Cmd.v (Cmd.info S.name ~doc:S.doc)
     Term.(const run $ config $ jobs_term $ out_term $ obs_term)

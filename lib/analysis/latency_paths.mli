@@ -2,13 +2,11 @@
     extension): Dijkstra over the multigraph with per-link latency
     weights. *)
 
-val dijkstra : Graph.t -> weights:float array -> src:int -> float array
-(** Minimum total latency from [src] to every AS ([infinity] when
-    unreachable). [weights] is indexed by link id and must be
-    non-negative. *)
-
 val best_latency : Graph.t -> weights:float array -> src:int -> dst:int -> float
-(** Convenience single-pair query. *)
+(** Minimum total latency from [src] to [dst] ([infinity] when
+    unreachable). [weights] is indexed by link id and must be
+    non-negative; a negative weight met on the way raises
+    [Invalid_argument]. *)
 
 val stored_best_latency :
   weights:float array -> Pcb.t list -> float

@@ -37,17 +37,10 @@ let push_edge t src dst cap =
   t.head.(src) <- e;
   t.m <- e + 1
 
-let add_edge t ~src ~dst ~cap =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
-    invalid_arg "Maxflow.add_edge: node out of range";
-  if cap < 0 then invalid_arg "Maxflow.add_edge: negative capacity";
-  (* Paired with its reverse edge at index xor 1. *)
-  push_edge t src dst cap;
-  push_edge t dst src 0
-
 let add_undirected t x y ~cap =
   if x < 0 || x >= t.n || y < 0 || y >= t.n then
     invalid_arg "Maxflow.add_undirected: node out of range";
+  (* Each edge is paired with its reverse at index xor 1. *)
   push_edge t x y cap;
   push_edge t y x cap
 

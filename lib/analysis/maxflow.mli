@@ -11,10 +11,6 @@ type t
 val create : n:int -> t
 (** Flow network over nodes [0 .. n-1]. *)
 
-val add_edge : t -> src:int -> dst:int -> cap:int -> unit
-(** Add a directed edge. For an undirected unit link, call once in each
-    direction (each direction with its own capacity). *)
-
 val add_undirected : t -> int -> int -> cap:int -> unit
 (** Symmetric capacity in both directions (an inter-AS link can carry
     traffic either way). *)

@@ -22,6 +22,3 @@ val of_as_paths : Graph.t -> int list list -> src:int -> dst:int -> int
 (** Flow restricted to the union of AS-level paths, each AS adjacency
     expanded to {e all} parallel links between the two ASes — the
     paper's best case for BGP multipath (§5.3). *)
-
-val links_of_pcbs : Pcb.t list -> int list
-(** Distinct link ids appearing in a PCB set. *)

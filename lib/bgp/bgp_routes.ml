@@ -104,38 +104,6 @@ let path_to t ~src =
     walk src [] 0
   end
 
-let exports_to g t ~exporter ~importer =
-  exporter <> importer && importer <> t.dst
-  && t.cls.(exporter) <> No_route
-  && begin
-       let importer_is_customer =
-         List.exists (fun c -> c = importer) (Graph.customers g exporter)
-       in
-       importer_is_customer
-       || t.cls.(exporter) = Self
-       || t.cls.(exporter) = Via_customer
-     end
-
-let exporting_neighbors g t ~importer =
-  List.filter
-    (fun u -> exports_to g t ~exporter:u ~importer)
-    (Graph.neighbors g importer)
-
-let multipath_set g t ~src =
-  if src = t.dst then []
-  else begin
-    let paths = ref [] in
-    let add p = if not (List.mem p !paths) then paths := p :: !paths in
-    (match path_to t ~src with Some p -> add p | None -> ());
-    List.iter
-      (fun u ->
-        match path_to t ~src:u with
-        | Some p when not (List.mem src p) -> add (src :: p)
-        | _ -> ())
-      (exporting_neighbors g t ~importer:src);
-    !paths
-  end
-
 let shortest_multipath g ~src ~dst =
   if src = dst then []
   else begin

@@ -24,22 +24,6 @@ val compute : Graph.t -> dst:int -> table
 val path_to : table -> src:int -> int list option
 (** Best AS path [src; ...; dst], if any. *)
 
-val exports_to : Graph.t -> table -> exporter:int -> importer:int -> bool
-(** Would [exporter] announce its best [dst]-route to [importer]?
-    True iff the exporter has a route, the importer is not the
-    destination, and either the importer is the exporter's customer or
-    the route is a customer/own route. *)
-
-val exporting_neighbors : Graph.t -> table -> importer:int -> int list
-(** Neighbors whose announcement reaches [importer] — the routes in the
-    importer's Adj-RIBs-In for this destination. *)
-
-val multipath_set : Graph.t -> table -> src:int -> int list list
-(** The paper's best-case BGP multipath (§5.3): the distinct loop-free
-    AS paths [src] can assemble from its Adj-RIBs-In — one path per
-    exporting neighbor (the neighbor's best path), plus its own best
-    path. *)
-
 val shortest_multipath : Graph.t -> src:int -> dst:int -> int list list
 (** Policy-free variant used on all-core subgraphs, where every link is
     mutual transit: BGP-multipath (ECMP) semantics — each neighbor on a

@@ -418,15 +418,6 @@ let session_down t v neighbor =
   List.iter (fun p -> Hashtbl.remove node.rib_in (neighbor, p)) prefixes;
   List.iter (fun p -> reconsider t node p) prefixes
 
-let session_up t v neighbor =
-  (* Session (re-)establishment: advertise the full table. *)
-  let node = t.nodes.(v) in
-  match Hashtbl.find_opt node.sessions neighbor with
-  | None -> ()
-  | Some s ->
-      Hashtbl.iter (fun prefix _ -> Hashtbl.replace s.pending prefix ()) node.best;
-      flush_session t node s
-
 let fail_link t l =
   let lk = Graph.link t.graph l in
   let drop v nbr =
@@ -440,18 +431,6 @@ let fail_link t l =
   in
   drop lk.Graph.a lk.Graph.b;
   drop lk.Graph.b lk.Graph.a
-
-let restore_link t l =
-  let lk = Graph.link t.graph l in
-  let raise_ v nbr =
-    match Hashtbl.find_opt t.nodes.(v).sessions nbr with
-    | None -> ()
-    | Some s ->
-        s.live_links <- s.live_links + 1;
-        if s.live_links = 1 then session_up t v nbr
-  in
-  raise_ lk.Graph.a lk.Graph.b;
-  raise_ lk.Graph.b lk.Graph.a
 
 let run_to_quiescence ?(max_time = 3600.0) t =
   let t_start = t.clock in

@@ -64,8 +64,6 @@ val fail_link : t -> int -> unit
     last parallel link, both ends drop the routes learned over it and
     re-run their decision processes. *)
 
-val restore_link : t -> int -> unit
-
 val run_to_quiescence : ?max_time:float -> t -> float
 (** Drain all events (bounded by [max_time], default 3600 s of virtual
     time); returns the virtual time of quiescence. *)

@@ -21,10 +21,3 @@ let rule_allows g (p : Pcb.t) = function
   | Deny_origin o -> p.Pcb.origin <> o
 
 let allows g t p = List.for_all (rule_allows g p) t
-
-let pp_rule fmt = function
-  | Deny_as a -> Format.fprintf fmt "deny-as %d" a
-  | Deny_isd i -> Format.fprintf fmt "deny-isd %d" i
-  | Deny_link l -> Format.fprintf fmt "deny-link %d" l
-  | Max_hops n -> Format.fprintf fmt "max-hops %d" n
-  | Deny_origin o -> Format.fprintf fmt "deny-origin %d" o

@@ -20,5 +20,3 @@ type t = rule list
 val allows : Graph.t -> t -> Pcb.t -> bool
 (** [true] when no rule rejects the PCB. The empty policy allows
     everything. *)
-
-val pp_rule : Format.formatter -> rule -> unit

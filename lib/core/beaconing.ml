@@ -282,7 +282,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     Hashtbl.iter
       (fun isd cores ->
         Hashtbl.replace trcs isd
-          (Trc.create ~isd ~version:1 ~roots:(List.map key_id (List.rev cores))))
+          (Trc.create ~roots:(List.map key_id (List.rev cores))))
       cores_by_isd;
     for v = 0 to n - 1 do
       let isd = (Graph.as_info g v).Graph.ia.Id.isd in

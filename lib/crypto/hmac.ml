@@ -11,12 +11,6 @@ let mac ~key msg =
   let inner = Sha256.digest (xor_with k0 0x36 ^ msg) in
   Sha256.digest (xor_with k0 0x5c ^ inner)
 
-let mac_hex ~key msg =
-  let d = mac ~key msg in
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
-
 let truncated ~key ~length msg =
   if length < 1 || length > Sha256.digest_size then
     invalid_arg "Hmac.truncated: length outside [1, 32]";

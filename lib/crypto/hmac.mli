@@ -3,9 +3,6 @@
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte HMAC-SHA256 tag. *)
 
-val mac_hex : key:string -> string -> string
-(** Hex-encoded tag. *)
-
 val truncated : key:string -> length:int -> string -> string
 (** Tag truncated to [length] bytes (SCION hop fields use 6-byte MACs).
     Raises [Invalid_argument] if [length] is not in [\[1, 32\]]. *)

@@ -2,17 +2,6 @@
     arithmetic. Used for PCB signing, hop-field MACs (via {!Hmac}) and
     content-addressed identifiers in the simulator. *)
 
-type ctx
-(** Incremental hashing context. *)
-
-val init : unit -> ctx
-
-val update : ctx -> string -> unit
-(** Absorb bytes. May be called repeatedly. *)
-
-val finalize : ctx -> string
-(** Produce the 32-byte digest. The context must not be reused. *)
-
 val digest : string -> string
 (** One-shot hash: 32 raw bytes. *)
 

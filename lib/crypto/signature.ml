@@ -1,7 +1,6 @@
 type scheme = Ecdsa_p384 | Ecdsa_p256 | Ed25519
 
 let signature_size = function Ecdsa_p384 -> 96 | Ecdsa_p256 -> 64 | Ed25519 -> 64
-let public_key_size = function Ecdsa_p384 -> 97 | Ecdsa_p256 -> 65 | Ed25519 -> 32
 
 type keypair = { id : string; secret : string; scheme : scheme }
 

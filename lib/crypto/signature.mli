@@ -10,12 +10,6 @@
 
 type scheme = Ecdsa_p384 | Ecdsa_p256 | Ed25519
 
-val signature_size : scheme -> int
-(** Raw signature wire size in bytes: 96 / 64 / 64. *)
-
-val public_key_size : scheme -> int
-(** Uncompressed public key size in bytes: 97 / 65 / 32. *)
-
 type keypair
 (** Private signing key bound to a scheme and a key identifier. *)
 
@@ -32,8 +26,9 @@ val generate : keystore -> scheme -> id:string -> keypair
 val key_id : keypair -> string
 
 val sign : keypair -> string -> string
-(** [sign kp msg] is a signature of exactly [signature_size scheme]
-    bytes, for the [scheme] [kp] was generated with. *)
+(** [sign kp msg] is a raw signature of the wire size of the [scheme]
+    [kp] was generated with: 96 bytes for ECDSA-P384, 64 for ECDSA-P256
+    and Ed25519. *)
 
 val verify : keystore -> id:string -> msg:string -> signature:string -> bool
 (** Checks the signature against the registered key for [id]. Unknown

@@ -1,12 +1,11 @@
-type t = { isd : int; version : int; roots : string list }
+type t = { roots : string list }
 
 type cert = { subject : string; issuer : string; signature : string }
 
-let create ~isd ~version ~roots =
+let create ~roots =
   if roots = [] then invalid_arg "Trc.create: a TRC needs at least one trust root";
-  { isd; version; roots }
+  { roots }
 
-let version t = t.version
 let is_root t id = List.mem id t.roots
 
 let cert_payload subject = "scion-cert:" ^ subject
@@ -22,7 +21,3 @@ let verify_cert ks t cert =
   is_root t cert.issuer
   && Signature.verify ks ~id:cert.issuer ~msg:(cert_payload cert.subject)
        ~signature:cert.signature
-
-let update t ~roots =
-  if roots = [] then invalid_arg "Trc.update: a TRC needs at least one trust root";
-  { t with version = t.version + 1; roots }

@@ -7,7 +7,7 @@
     membership, certificate issuance, and chain verification. *)
 
 type t
-(** A TRC: versioned set of trust-root key ids for one ISD. *)
+(** A TRC: the set of trust-root key ids of one ISD. *)
 
 type cert = {
   subject : string;  (** key id of the certified AS *)
@@ -15,13 +15,9 @@ type cert = {
   signature : string;  (** issuer's signature over the subject id *)
 }
 
-val create : isd:int -> version:int -> roots:string list -> t
-(** [create ~isd ~version ~roots] builds a TRC whose trust roots are the
-    given key ids. Raises [Invalid_argument] if [roots] is empty. *)
-
-val version : t -> int
-
-val is_root : t -> string -> bool
+val create : roots:string list -> t
+(** [create ~roots] builds a TRC whose trust roots are the given key
+    ids. Raises [Invalid_argument] if [roots] is empty. *)
 
 val issue : Signature.keypair -> subject:string -> cert
 (** [issue issuer_key ~subject] signs a certificate for [subject]. *)
@@ -29,6 +25,3 @@ val issue : Signature.keypair -> subject:string -> cert
 val verify_cert : Signature.keystore -> t -> cert -> bool
 (** A certificate is valid iff its issuer is a trust root of the TRC and
     the signature verifies against the issuer's registered key. *)
-
-val update : t -> roots:string list -> t
-(** Next TRC version with a new root set (trust-root rollover). *)

@@ -37,10 +37,6 @@ let exclude_link t l =
 
 let failovers t = t.failover_count
 
-let refresh t =
-  resolve t;
-  t.excluded_links <- []
-
 let send t ?(payload_bytes = 1000) ~now () =
   let rec attempt () =
     match active_path t with

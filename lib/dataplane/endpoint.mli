@@ -26,8 +26,3 @@ val failovers : t -> int
 (** Path switches forced by link-failure SCMPs over the endpoint's
     lifetime. *)
 
-val refresh : t -> unit
-(** Re-resolve the path set (e.g., after revocations or new beaconing). *)
-
-val exclude_link : t -> int -> unit
-(** Manually mark a link as unusable (as if an SCMP arrived). *)

@@ -28,9 +28,6 @@ let network graph keys = { graph; keys; failed_links = [] }
 let fail_link net l =
   if not (List.mem l net.failed_links) then net.failed_links <- l :: net.failed_links
 
-let restore_link net l =
-  net.failed_links <- List.filter (fun x -> x <> l) net.failed_links
-
 (* The in/out interfaces of a crossing must be authorised by its proofs:
    interface 0 (local origination/delivery) is always allowed; a
    peering egress is allowed when the link is advertised in a proof. *)
@@ -44,17 +41,8 @@ let interface_authorised (c : Fwd_path.crossing) ~iface ~link =
 
 let validate_crossing net ~now (c : Fwd_path.crossing) =
   let v = c.Fwd_path.as_idx in
-  let macs_ok =
-    List.for_all
-      (fun (p : Segment.hop_field) ->
-        Hmac.verify
-          ~key:(Fwd_keys.key net.keys p.Segment.as_idx)
-          ~tag:p.Segment.mac
-          (Segment.mac_payload ~as_idx:p.Segment.as_idx ~if1:p.Segment.ingress
-             ~if2:p.Segment.egress ~expiry:p.Segment.expiry))
-      c.Fwd_path.proofs
-  in
-  if not macs_ok then Error (Bad_mac v)
+  if not (List.for_all (Segment.mac_valid net.keys) c.Fwd_path.proofs) then
+    Error (Bad_mac v)
   else if
     List.exists (fun (p : Segment.hop_field) -> now >= p.Segment.expiry) c.Fwd_path.proofs
   then Error (Expired_hop v)

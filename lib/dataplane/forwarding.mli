@@ -37,7 +37,5 @@ val fail_link : network -> int -> unit
 (** Mark a link as failed; routers adjacent to it emit SCMP messages
     when packets try to cross it. *)
 
-val restore_link : network -> int -> unit
-
 val forward : network -> now:float -> packet -> result
 (** Walk the packet across the network, validating each crossing. *)

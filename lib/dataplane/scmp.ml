@@ -21,13 +21,3 @@ let payload_bytes = function
   | Destination_unreachable -> 0
 
 let wire_bytes m = header_bytes + quote_bytes + payload_bytes m.kind
-
-let pp fmt m =
-  let kind_s =
-    match m.kind with
-    | Link_failure { link; if_a; if_b; expiry } ->
-        Printf.sprintf "link-failure(%d if %d<->%d until %.0f)" link if_a if_b expiry
-    | Path_expired -> "path-expired"
-    | Destination_unreachable -> "destination-unreachable"
-  in
-  Format.fprintf fmt "SCMP[%s from AS %d at %.0f]" kind_s m.origin_as m.at

@@ -27,19 +27,11 @@ val default_revocation_ttl : float
 (** How long a link-failure revocation stays active before the link may
     be retried: 600 s (one beaconing interval). *)
 
-val header_bytes : int
-(** Fixed SCMP header (type/code/checksum plus the SCION address
-    header), 16 bytes. *)
-
-val quote_bytes : int
-(** The offending-packet quote every SCMP message carries, 64 bytes. *)
-
 val wire_bytes : message -> int
-(** On-the-wire size of the message: the fixed {!header_bytes} and
-    {!quote_bytes} plus a kind-dependent payload — a link-failure
-    notification additionally carries the link id, its interface pair
-    and the revocation expiry; a path-expired notification carries the
-    expired hop's timestamp; destination-unreachable carries nothing
-    beyond the quote. *)
-
-val pp : Format.formatter -> message -> unit
+(** On-the-wire size of the message: the fixed 16-byte header
+    (type/code/checksum plus the SCION address header) and the 64-byte
+    quote of the offending packet, plus a kind-dependent payload — a
+    link-failure notification additionally carries the link id, its
+    interface pair and the revocation expiry; a path-expired
+    notification carries the expired hop's timestamp;
+    destination-unreachable carries nothing beyond the quote. *)

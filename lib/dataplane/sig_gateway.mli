@@ -15,9 +15,6 @@ val add_mapping : t -> prefix:int32 -> prefix_len:int -> as_idx:int -> unit
 (** Insert an ASMap entry (IPv4 prefix → SCION AS). Raises
     [Invalid_argument] for prefix lengths outside [\[0, 32\]]. *)
 
-val lookup : t -> int32 -> int option
-(** Longest-prefix-match against the ASMap. *)
-
 type send_error =
   | No_mapping  (** destination IP not in the ASMap *)
   | No_path  (** control service returned no path *)
@@ -25,8 +22,10 @@ type send_error =
 
 val send_ip :
   t -> now:float -> dst_ip:int32 -> payload_bytes:int -> (Forwarding.result, send_error) result
-(** Encapsulate one IP packet and forward it. The SCION encapsulation
-    overhead is accounted in {!stats}. *)
+(** Encapsulate one IP packet, routed to the AS of the longest ASMap
+    prefix matching [dst_ip], and forward it. The SCION encapsulation
+    overhead — common and address headers plus the packed path (info
+    and hop fields) — is accounted in {!stats}. *)
 
 type stats = {
   packets_encapsulated : int;
@@ -35,7 +34,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val scion_header_bytes : path_hops:int -> int
-(** Size of the SCION header added by encapsulation: common + address
-    headers plus the packed path (info + hop fields). *)

@@ -38,11 +38,6 @@ let capabilities = function
         premises_equipment = "none (provider-operated CGSIG)";
       }
 
-let recommended ~hosts_scion_capable ~wants_own_as =
-  if hosts_scion_capable then Native_scion_as
-  else if wants_own_as then Cpe_sig
-  else Carrier_grade_sig
-
 let pp_model fmt = function
   | Native_scion_as -> Format.pp_print_string fmt "native SCION AS (case a)"
   | Cpe_sig -> Format.pp_print_string fmt "CPE-deployed SIG (case b)"

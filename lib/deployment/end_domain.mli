@@ -22,8 +22,4 @@ type capabilities = {
 
 val capabilities : model -> capabilities
 
-val recommended : hosts_scion_capable:bool -> wants_own_as:bool -> model
-(** The §3.4 decision: native when hosts are SCION-capable, CPE when
-    the customer wants its own AS with legacy hosts, CGSIG otherwise. *)
-
 val pp_model : Format.formatter -> model -> unit

@@ -23,28 +23,19 @@ type link_deployment = {
       (** reserved minimum bandwidth for SCION on shared links (§3.2) *)
 }
 
-val bgp_free : link_deployment -> bool
-(** Does the link stay up when BGP routing fails? Native links and
-    host-routed Router-on-a-stick links do; tunnels do not. *)
-
-val congestion_safe : link_deployment -> bool
-(** Can IP traffic crowd out SCION on this link? Native links are safe
-    by construction; shared links need the queueing discipline. *)
-
 type plan = link_deployment list
 
 val uniform_plan : Graph.t -> underlay -> plan
 (** Deploy every link with the same underlay (queueing enabled on
     shared underlays). *)
 
-val surviving_links : plan -> bgp_failed:bool -> ip_flood:bool -> int list
-(** Link ids still providing SCION service under the given failure /
-    attack conditions. *)
-
 val scion_connected : Graph.t -> plan -> bgp_failed:bool -> ip_flood:bool -> bool
 (** Is the SCION network still connected (single component over the
-    surviving links)? The paper's BGP-free deployment keeps this true
-    under [bgp_failed]. *)
+    links still providing SCION service)? A link survives a BGP failure
+    when it is native or host-routed Router-on-a-stick (tunnels do not),
+    and an IP flood when it is native or shares its underlay under the
+    queueing discipline. The paper's BGP-free deployment keeps this
+    true under [bgp_failed]. *)
 
 val connectivity_under_bgp_failure : Graph.t -> plan -> float
 (** Fraction of AS pairs that remain connected over surviving links

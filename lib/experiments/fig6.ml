@@ -204,21 +204,15 @@ let print (r : result) =
   (* --- Fig. 6b: capacity CDF. --- *)
   print_endline "Fig. 6b — capacity CDF (fraction of pairs with capacity <= c):";
   let caps = [ 1; 2; 4; 8; 16; 32; 64 ] in
-  let cdf_at flows c =
-    let n = Array.length flows in
-    if n = 0 then 0.0
-    else begin
-      let le = Array.fold_left (fun acc f -> if f <= c then acc + 1 else acc) 0 flows in
-      float_of_int le /. float_of_int n
-    end
-  in
   let header = "capacity <=" :: List.map (fun a -> a.name) r.algos @ [ "All Paths (optimum)" ] in
   let rows =
     List.map
       (fun c ->
         string_of_int c
-        :: (List.map (fun a -> Printf.sprintf "%.2f" (cdf_at a.flows c)) r.algos
-           @ [ Printf.sprintf "%.2f" (cdf_at r.optimum c) ]))
+        :: (List.map
+             (fun a -> Printf.sprintf "%.2f" (Stats.fraction_le a.flows c))
+             r.algos
+           @ [ Printf.sprintf "%.2f" (Stats.fraction_le r.optimum c) ]))
       caps
   in
   Table.print ~header ~rows;

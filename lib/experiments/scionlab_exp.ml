@@ -116,17 +116,6 @@ let to_json (r : result) =
           (List.map (fun v -> Obs_json.Float v) (Array.to_list r.iface_bps)) );
     ]
 
-let cdf_rows values_list caps to_cell =
-  List.map
-    (fun c ->
-      List.map
-        (fun vs ->
-          let n = Array.length vs in
-          let le = Array.fold_left (fun acc v -> if v <= c then acc + 1 else acc) 0 vs in
-          to_cell (float_of_int le /. float_of_int (max 1 n)))
-        values_list)
-    caps
-
 let print (r : result) =
   Printf.printf "SCIONLab evaluation (Appendix B) — %d core AS pairs\n\n"
     (Array.length r.pairs);
@@ -137,8 +126,15 @@ let print (r : result) =
   let header =
     "flow <=" :: List.map (fun a -> a.name) r.algos @ [ "All Paths (optimum)" ]
   in
-  let body = cdf_rows series caps (Printf.sprintf "%.2f") in
-  let rows = List.map2 (fun c cells -> string_of_int c :: cells) caps body in
+  let rows =
+    List.map
+      (fun c ->
+        string_of_int c
+        :: List.map
+             (fun vs -> Printf.sprintf "%.2f" (Stats.fraction_le vs c))
+             series)
+      caps
+  in
   Table.print ~header ~rows;
   print_newline ();
   (* Fraction of pairs where each diversity variant beats Measurement. *)

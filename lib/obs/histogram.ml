@@ -111,14 +111,6 @@ let merge ~into src =
       | None -> Hashtbl.replace into.buckets i (ref !r))
     src.buckets
 
-let reset t =
-  t.count <- 0;
-  t.sum <- 0.0;
-  t.vmin <- infinity;
-  t.vmax <- neg_infinity;
-  t.nonpos <- 0;
-  Hashtbl.reset t.buckets
-
 let write w t =
   Snapshot.w_f64 w growth;
   Snapshot.w_int w t.count;

@@ -28,27 +28,12 @@ val sum : t -> float
 val mean : t -> float
 (** [nan] when empty. *)
 
-val min_value : t -> float
-(** Exact minimum observation; [nan] when empty. *)
-
-val max_value : t -> float
-(** Exact maximum observation; [nan] when empty. *)
-
-val quantile : t -> float -> float
-(** [quantile t q] for [q] in [\[0,1\]]: the geometric midpoint of the
-    bucket holding the order statistic of rank [ceil (q * count)],
-    clamped to [\[min, max\]]. [nan] when empty; [Invalid_argument]
-    when [q] is outside [\[0,1\]]. *)
-
 val fraction_le : t -> float -> float
 (** Fraction of observations [<= x], interpolating log-linearly inside
     the bucket that straddles [x]. [nan] when empty. *)
 
 val merge : into:t -> t -> unit
 (** Accumulate a second histogram. The source is left unchanged. *)
-
-val reset : t -> unit
-(** Drop every observation. *)
 
 (** {1 Checkpointing} *)
 
@@ -73,7 +58,11 @@ type summary = {
   p90 : float;
   p99 : float;
 }
-(** One-shot readout of the headline statistics. *)
+(** One-shot readout of the headline statistics. [min] and [max] are
+    exact; a quantile [pN] is the geometric midpoint of the bucket
+    holding the order statistic of rank [ceil (N/100 * count)], clamped
+    to [\[min, max\]]. Every field but [count] and [sum] is [nan] when
+    the histogram is empty. *)
 
 val summarize : t -> summary
 

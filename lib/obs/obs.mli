@@ -50,12 +50,10 @@ val merge : into:t -> t -> unit
     phase timers. No-op when either side is disabled. Call from one
     domain at a time (the parallel engine merges after its barrier). *)
 
-val to_json : t -> Obs_json.t
-(** [{metrics}] — the [--metrics-out] document. It holds only the
-    registry, so a fixed seed gives the same bytes at any [--jobs]. *)
-
 val write_json_file : t -> string -> unit
-(** Pretty-printed {!to_json} to a file (created or truncated). *)
+(** The [--metrics-out] document, pretty-printed [{metrics}], to a file
+    (created or truncated). It holds only the registry, so a fixed seed
+    gives the same bytes at any [--jobs]. *)
 
 val write_csv_file : t -> string -> unit
 (** {!Registry.to_csv} of the metrics to a file. *)

@@ -46,10 +46,6 @@ let add t ?labels name v =
   let r = counter t ?labels name in
   r := !r +. v
 
-let incr t ?labels name = add t ?labels name 1.0
-
-let observe t ?labels name v = Histogram.observe (histogram t ?labels name) v
-
 type value =
   | Counter of float
   | Hist of Histogram.summary

@@ -7,8 +7,7 @@
 
     Hot paths should hoist the lookup: obtain the cell once with
     {!counter}/{!histogram} and update the returned cell directly,
-    rather than calling {!add}/{!observe} (which re-hash the key) per
-    event. *)
+    rather than calling {!add} (which re-hashes the key) per event. *)
 
 type t
 
@@ -26,12 +25,6 @@ val histogram : t -> ?labels:labels -> string -> Histogram.t
 
 val add : t -> ?labels:labels -> string -> float -> unit
 (** One-shot counter accumulation (lookup per call). *)
-
-val incr : t -> ?labels:labels -> string -> unit
-(** [add t name 1.]. *)
-
-val observe : t -> ?labels:labels -> string -> float -> unit
-(** One-shot histogram observation. *)
 
 (** {1 Snapshots} *)
 

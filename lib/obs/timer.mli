@@ -18,9 +18,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t name f] runs [f ()], accumulating its wall-clock duration
     under [name] (also on exception). *)
 
-val record : t -> string -> float -> unit
-(** Accumulate an externally measured duration in seconds. *)
-
 val total : t -> string -> float
 (** Accumulated seconds; 0. for unknown names. *)
 

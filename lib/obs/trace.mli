@@ -33,9 +33,9 @@ type event = {
 
 type sink =
   | Stderr
-      (** one {!render}ed line per event, written with its newline in
-          one call and flushed, so lines from concurrent domains never
-          interleave *)
+      (** one line per event, [\[time\] level category: message
+          {k=v ...}], written with its newline in one call and flushed,
+          so lines from concurrent domains never interleave *)
   | Custom of (event -> unit)
       (** called on the emitting domain; with [--jobs] above 1 it must
           be safe to call from several domains at once *)
@@ -58,6 +58,3 @@ val emit :
   ?fields:(string * string) list -> string -> unit
 (** Hand an event to the sink (no-op when the level is not
     {!enabled}). *)
-
-val render : event -> string
-(** One-line human rendering, as written by the [Stderr] sink. *)

@@ -1,18 +1,12 @@
-type t = { keys : (int, string) Hashtbl.t; mutable generation : int }
+type t = (int, string) Hashtbl.t
 
-let create () = { keys = Hashtbl.create 64; generation = 0 }
-
-let derive generation v =
-  Sha256.digest (Printf.sprintf "scion-fwd-key:%d:%d" generation v)
+let create () = Hashtbl.create 64
 
 let key t v =
-  match Hashtbl.find_opt t.keys v with
+  match Hashtbl.find_opt t v with
   | Some k -> k
   | None ->
-      let k = derive 0 v in
-      Hashtbl.replace t.keys v k;
+      (* The 0 is the key generation: keys are never rotated. *)
+      let k = Sha256.digest (Printf.sprintf "scion-fwd-key:0:%d" v) in
+      Hashtbl.replace t v k;
       k
-
-let rotate t v =
-  t.generation <- t.generation + 1;
-  Hashtbl.replace t.keys v (derive t.generation v)

@@ -11,6 +11,3 @@ val create : unit -> t
 
 val key : t -> int -> string
 (** The forwarding secret of an AS (32 bytes, derived and cached). *)
-
-val rotate : t -> int -> unit
-(** Replace an AS's key (old MACs stop verifying — used by tests). *)

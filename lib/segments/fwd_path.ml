@@ -38,18 +38,3 @@ let key t =
   String.concat ";"
     (List.map string_of_int (ases t)
     @ ("|" :: List.map string_of_int (Array.to_list t.links)))
-
-let combination_name = function
-  | Up_only -> "up"
-  | Down_only -> "down"
-  | Core_only -> "core"
-  | Up_core -> "up+core"
-  | Core_down -> "core+down"
-  | Up_down -> "up+down"
-  | Up_core_down -> "up+core+down"
-  | Shortcut -> "shortcut"
-  | Peering_shortcut -> "peering-shortcut"
-
-let pp fmt t =
-  Format.fprintf fmt "Path[%s %s]" (combination_name t.combination)
-    (String.concat "->" (List.map string_of_int (ases t)))

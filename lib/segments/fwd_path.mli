@@ -46,5 +46,3 @@ val ases : t -> int list
 
 val key : t -> string
 (** Canonical identity (AS sequence + link sequence) for dedup. *)
-
-val pp : Format.formatter -> t -> unit

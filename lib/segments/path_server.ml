@@ -150,14 +150,6 @@ let lookup_core t ~now ~remote =
       ~c_hits:t.c_core_hits ~c_misses:t.c_core_misses ~n_segs:n;
   segs
 
-let deregister_leaf t ~leaf =
-  match Hashtbl.find_opt t.down leaf with
-  | None -> 0
-  | Some b ->
-      let n = Hashtbl.length b in
-      Hashtbl.remove t.down leaf;
-      n
-
 let revoke_link t ~link =
   t.revocations <- t.revocations + 1;
   let purge table =

@@ -52,10 +52,6 @@ val lookup_core : t -> now:float -> remote:int -> Segment.t list
 (** Valid core-path segments to the remote core AS [remote], sorted
     like {!lookup_down}. *)
 
-val deregister_leaf : t -> leaf:int -> int
-(** Remove every segment registered for [leaf] (path de-registration,
-    §4.1). Returns the number removed. *)
-
 val revoke_link : t -> link:int -> int
 (** Path revocation (§4.1): drop all segments containing the failed
     link. Returns the number of segments revoked. *)

@@ -25,9 +25,3 @@ val combine :
     up segments have [leaf = src]; core segments are held by the local
     core AS (leaf) with [origin] the remote core AS; down segments have
     [origin] a core AS and [leaf = dst]. *)
-
-val traverse_down : Segment.t -> Fwd_path.crossing array
-(** Origin → leaf traversal of one segment (exposed for tests). *)
-
-val traverse_up : Segment.t -> Fwd_path.crossing array
-(** Leaf → origin traversal. *)

@@ -79,17 +79,12 @@ let terminate g keys ~kind ~holder (pcb : Pcb.t) =
     links = Array.copy pcb.Pcb.links;
   }
 
-let verify_hop keys (hf : hop_field) ~now =
-  now < hf.expiry
-  && Hmac.verify
-       ~key:(Fwd_keys.key keys hf.as_idx)
-       ~tag:hf.mac
-       (mac_payload ~as_idx:hf.as_idx ~if1:hf.ingress ~if2:hf.egress
-          ~expiry:hf.expiry)
-
-let verify keys t ~now = Array.for_all (fun hf -> verify_hop keys hf ~now) t.hops
-
-let ases t = Array.to_list (Array.map (fun hf -> hf.as_idx) t.hops)
+let mac_valid keys (hf : hop_field) =
+  Hmac.verify
+    ~key:(Fwd_keys.key keys hf.as_idx)
+    ~tag:hf.mac
+    (mac_payload ~as_idx:hf.as_idx ~if1:hf.ingress ~if2:hf.egress
+       ~expiry:hf.expiry)
 
 let contains_link t l = Array.exists (fun x -> x = l) t.links
 

@@ -30,27 +30,17 @@ type t = {
   links : int array;  (** traversed link ids, origin → leaf order *)
 }
 
-val mac_payload : as_idx:int -> if1:Id.iface -> if2:Id.iface -> expiry:float -> string
-(** Canonical MAC input; symmetric in the interface pair so a hop field
-    verifies in both traversal directions (up/down interchangeability,
-    §2.2). *)
-
-val hop_mac : Fwd_keys.t -> as_idx:int -> if1:Id.iface -> if2:Id.iface -> expiry:float -> string
-
 val terminate : Graph.t -> Fwd_keys.t -> kind:kind -> holder:int -> Pcb.t -> t
 (** [terminate g keys ~kind ~holder pcb] turns a stored PCB into a
     segment at [holder] (the AS whose beacon store held it), appending
     the holder's terminal hop field. Raises [Invalid_argument] if the
     PCB has no hops. *)
 
-val verify_hop : Fwd_keys.t -> hop_field -> now:float -> bool
-(** MAC and expiry check with the AS's current forwarding key. *)
-
-val verify : Fwd_keys.t -> t -> now:float -> bool
-(** All hop fields verify. *)
-
-val ases : t -> int list
-(** AS sequence origin → leaf. *)
+val mac_valid : Fwd_keys.t -> hop_field -> bool
+(** The hop field's MAC verifies under its AS's forwarding key. The MAC
+    covers the AS, the interface pair and the expiry; it is symmetric in
+    the interface pair, so a hop field verifies in both traversal
+    directions (up/down interchangeability, §2.2). *)
 
 val contains_link : t -> int -> bool
 

@@ -21,8 +21,6 @@ type t = { jobs : int; failures : failure list }
 val make : jobs:int -> failure list -> t
 (** Sorts the failures by index. *)
 
-val ok : t -> bool
-
 val n_failed : t -> int
 
 val to_json : t -> Obs_json.t

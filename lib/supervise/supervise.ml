@@ -1,5 +1,6 @@
 exception Killed of { checkpoints : int }
 exception Inject_fail_out_of_range of { index : int; cells : int }
+exception Bad_checkpoint of { file : string; reason : string }
 
 let () =
   Printexc.register_printer (function
@@ -15,6 +16,8 @@ let () =
              "--inject-fail %d is not a cell index (this run has %d cells: \
               0..%d)"
              index cells (cells - 1))
+    | Bad_checkpoint { file; reason } ->
+        Some (Printf.sprintf "cannot resume from checkpoint %s: %s" file reason)
     | _ -> None)
 
 type cli = {
@@ -177,11 +180,14 @@ let run_cells ~cli ~jobs ~seed ~horizon ~chunk c =
         match Checkpoint.latest ~dir ~prefix:c.name with
         | None -> fresh ()
         | Some (_, file) ->
-            let payload =
-              Checkpoint.load ~dir ~name:file ~schema ~version:ckpt_version
-            in
             let step, statuses =
-              decode_progress ~name:c.name ~n_cells ~horizon payload
+              try
+                decode_progress ~name:c.name ~n_cells ~horizon
+                  (Checkpoint.load ~dir ~name:file ~schema
+                     ~version:ckpt_version)
+              with Snapshot.Corrupt reason ->
+                raise
+                  (Bad_checkpoint { file = Filename.concat dir file; reason })
             in
             Printf.eprintf "%s: resumed from %s (step %d)\n%!" c.name file step;
             (step, statuses))

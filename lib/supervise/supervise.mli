@@ -29,6 +29,14 @@ exception Inject_fail_out_of_range of { index : int; cells : int }
     a usage error (exit 124). Its registered printer names the valid
     range. *)
 
+exception Bad_checkpoint of { file : string; reason : string }
+(** Raised by {!run_cells}, before any cell runs, when [cli.resume]
+    finds a newest checkpoint [file] (its path) that it cannot use: a
+    malformed or truncated frame or progress record, or one written by
+    another configuration or build. [reason] is the decoder's
+    {!Snapshot.Corrupt} message. The checkpoint directory is user
+    input, so the CLI reports this as a data error (exit 4). *)
+
 type cli = {
   checkpoint_every : int;
       (** work steps between checkpoints (beaconing rounds for [pathdyn],
@@ -47,12 +55,6 @@ type cli = {
 val default_cli : cli
 (** Checkpointing off, one retry, no watchdog, no injection. *)
 
-val attempt_seed : base_seed:int64 -> index:int -> attempt:int -> int64
-(** Seed of attempt [attempt] of job [index]: attempt 0 uses
-    [Runner.job_seed base_seed index]; attempt [k > 0] re-derives with
-    [Runner.job_seed (job_seed base_seed index) k]. Deterministic and
-    collision-free across (index, attempt) pairs. *)
-
 val map :
   ?obs:Obs.t ->
   ?retries:int ->
@@ -66,9 +68,13 @@ val map :
 (** Supervised parallel map. Each job gets up to [retries] (default 1;
     negative counts as 0) further attempts after the first, each under a
     fresh [watchdog_s] budget (default: none). Jobs receive their
-    attempt seed and a running watchdog (which they should {!Watchdog.check} at safe
-    points). Results come back in input order; a failed job yields
-    [Error failure] in its slot instead of poisoning the batch. When
+    attempt seed and a running watchdog (which they should
+    {!Watchdog.check} at safe points). Attempt 0 of job [i] is seeded
+    with [Runner.job_seed base_seed i]; attempt [k > 0] re-derives with
+    [Runner.job_seed (Runner.job_seed base_seed i) k], so seeds are
+    distinct across (index, attempt) pairs. Results come back in input
+    order; a failed job yields [Error failure] in its slot instead of
+    poisoning the batch. When
     [obs] is given, per-job contexts are forked and merged exactly as
     {!Runner.map_jobs_obs} and the report is {!Run_report.observe}d.
 
@@ -125,7 +131,7 @@ val run_cells :
     Returns the surviving cells restored and the {!Run_report} over all
     cells (failures carry the cell's own index). Resuming at any
     checkpoint gives the same result as an uninterrupted run, at any
-    [jobs]. Raises {!Snapshot.Corrupt} when the resumed checkpoint is
+    [jobs]. Raises {!Bad_checkpoint} when the resumed checkpoint is
     malformed, belongs to another configuration, records a different
     cell count, a step below 0 or past [horizon], or a failure whose index
     differs from its position. Raises {!Inject_fail_out_of_range},

@@ -26,6 +26,4 @@ val check : t -> unit
     always a no-op without a budget). *)
 
 val expired : t -> bool
-
-val elapsed : t -> float
-(** Seconds since {!start}. *)
+(** More than the budget has elapsed since {!start}. *)

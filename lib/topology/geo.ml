@@ -40,6 +40,3 @@ let link_latency_ms g l =
   end
 
 let latency_table g = Array.init (Graph.num_links g) (link_latency_ms g)
-
-let path_latency_ms table links =
-  Array.fold_left (fun acc l -> acc +. table.(l)) 0.0 links

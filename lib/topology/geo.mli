@@ -8,18 +8,11 @@
     ASes sharing a city are metro-length, others pay the great-circle
     cost between representative cities. *)
 
-val city_position : int -> float * float
-(** Deterministic pseudo-position of a city id on a 10 000 × 10 000 km
-    plane (hash-based; no dataset required). *)
-
-val link_latency_ms : Graph.t -> int -> float
-(** One-way propagation latency of a link in milliseconds: 1 ms base
-    (metro hop) when the endpoints share a city, otherwise base plus
-    distance at 200 km/ms (fibre), plus a small deterministic per-link
-    spread so parallel links differ. Always positive. *)
-
 val latency_table : Graph.t -> float array
-(** [link_latency_ms] for every link, indexed by link id. *)
-
-val path_latency_ms : float array -> int array -> float
-(** Total latency of a link sequence against a latency table. *)
+(** One-way propagation latency of every link in milliseconds, indexed
+    by link id: 1 ms base (metro hop) when the endpoints share a city,
+    otherwise base plus the distance at 200 km/ms (fibre) between the
+    endpoints' first cities, placed deterministically on a
+    10 000 × 10 000 km plane (hash-based; no dataset required); plus a
+    deterministic 0–2 ms per-link spread so parallel links differ.
+    Always positive. *)

@@ -25,7 +25,6 @@ type t = {
   ases : as_info array;
   links : link array;
   adjacency : half_link array array;
-  by_ia : (Id.ia, int) Hashtbl.t;
 }
 
 (* --- Builder --- *)
@@ -106,16 +105,13 @@ let freeze b =
       put l.a ~is_a:true;
       put l.b ~is_a:false)
     links;
-  let by_ia = Hashtbl.create n in
-  Array.iteri (fun i info -> Hashtbl.replace by_ia info.ia i) ases;
-  { ases; links; adjacency; by_ia }
+  { ases; links; adjacency }
 
 (* --- Accessors --- *)
 
 let n t = Array.length t.ases
 let num_links t = Array.length t.links
 let as_info t v = t.ases.(v)
-let find_by_ia t ia = Hashtbl.find_opt t.by_ia ia
 let link t id = t.links.(id)
 let adj t v = t.adjacency.(v)
 
@@ -154,8 +150,6 @@ let by_dir t v want =
   |> List.rev
 
 let customers t v = by_dir t v To_customer
-let providers t v = by_dir t v To_provider
-let peers t v = by_dir t v To_peer
 
 let core_ases t =
   let acc = ref [] in
@@ -166,28 +160,12 @@ let core_ases t =
 
 let is_core t v = t.ases.(v).core
 
-let other_end l v =
-  if l.a = v then l.b
-  else if l.b = v then l.a
-  else invalid_arg "Graph.other_end: AS is not an endpoint"
-
 let iface_of l v =
   if l.a = v then l.a_if
   else if l.b = v then l.b_if
   else invalid_arg "Graph.iface_of: AS is not an endpoint"
 
 (* --- Derived structure --- *)
-
-let customer_cone t root =
-  let visited = Hashtbl.create 64 in
-  let rec visit v acc =
-    if Hashtbl.mem visited v then acc
-    else begin
-      Hashtbl.replace visited v ();
-      List.fold_left (fun acc c -> visit c acc) (v :: acc) (customers t v)
-    end
-  in
-  List.rev (visit root [])
 
 let connected_components t =
   let nn = n t in
@@ -240,7 +218,7 @@ let induced_subgraph ?(relabel_rel = fun r -> r) t keep =
     t.links;
   (freeze b, old_of_new)
 
-let map_core_internal t f =
+let map_core t f =
   { t with ases = Array.mapi (fun i info -> { info with core = f i }) t.ases }
 
 let prune_to_top_degree t k =
@@ -289,20 +267,13 @@ let prune_to_top_degree t k =
     | largest :: _ ->
         if List.length largest = n sub then
           ((* Already connected: mark everyone core. *)
-           map_core_internal sub (fun _ -> true), map1)
+           map_core sub (fun _ -> true), map1)
         else begin
           let sub2, map2 = induced_subgraph sub largest in
           let composed = Array.map (fun ni -> map1.(ni)) map2 in
-          (map_core_internal sub2 (fun _ -> true), composed)
+          (map_core sub2 (fun _ -> true), composed)
         end
   end
-
-let set_core t v flag =
-  let ases = Array.copy t.ases in
-  ases.(v) <- { ases.(v) with core = flag };
-  { t with ases }
-
-let map_core = map_core_internal
 
 (* --- Serialisation --- *)
 

@@ -73,8 +73,6 @@ val num_links : t -> int
 
 val as_info : t -> int -> as_info
 
-val find_by_ia : t -> Id.ia -> int option
-
 val link : t -> int -> link
 
 val adj : t -> int -> half_link array
@@ -92,30 +90,16 @@ val as_degree : t -> int -> int
 val links_between : t -> int -> int -> link list
 
 val customers : t -> int -> int list
-val providers : t -> int -> int list
-val peers : t -> int -> int list
-(** Distinct neighbors by relationship direction ({!To_core} neighbors
-    are reported by none of these three). *)
+(** Distinct neighbors that are customers of the AS. *)
 
 val core_ases : t -> int list
 
 val is_core : t -> int -> bool
 
-val other_end : link -> int -> int
-(** [other_end l v] is the opposite endpoint of [v]. Raises
-    [Invalid_argument] if [v] is not an endpoint of [l]. *)
-
 val iface_of : link -> int -> Id.iface
 (** The interface id that AS [v] uses on link [l]. *)
 
 (** {1 Derived structure} *)
-
-val customer_cone : t -> int -> int list
-(** The AS itself plus all direct and indirect customers (CAIDA AS-rank
-    cone, used to select the intra-ISD experiment's core ASes). *)
-
-val connected_components : t -> int list list
-(** Components as lists of AS indices, largest first. *)
 
 val induced_subgraph : ?relabel_rel:(relationship -> relationship) -> t -> int list -> t * int array
 (** [induced_subgraph g keep] builds the subgraph on [keep] (old
@@ -130,9 +114,6 @@ val prune_to_top_degree : t -> int -> t * int array
     extracting the 2000-AS core), then takes the largest connected
     component of the result and relabels every surviving link as
     {!Core}. Returns the new graph and new-to-old index mapping. *)
-
-val set_core : t -> int -> bool -> t
-(** Functional update of one AS's core flag. *)
 
 val map_core : t -> (int -> bool) -> t
 (** Recompute every AS's core flag. *)

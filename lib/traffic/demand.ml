@@ -107,11 +107,6 @@ let params t = t.params
 
 let pairs t = t.pairs
 
-let flow t i =
-  if i < 0 || i >= t.params.flows then
-    invalid_arg "Demand.flow: index out of range";
-  spec t.params t.pair_zipf i
-
 let sorted_flows t = t.sorted
 
 let config_key t =

@@ -49,13 +49,10 @@ val pairs : t -> (int * int) array
 (** The distinct (src, dst) AS pairs, most popular first. Pair [k]
     receives a Zipf(1.1) share of the flows. *)
 
-val flow : t -> int -> flow_spec
-(** Attributes of flow [i] (any [0 <= i < flows]), a pure function of
-    [(seed, i)]. *)
-
 val sorted_flows : t -> flow_spec array
-(** All flows sorted by arrival time (ties by flow index) — the
-    admission order the simulator consumes. Computed once by {!create};
+(** All flows, each a pure function of [(seed, i)] for its index [i],
+    sorted by arrival time (ties by flow index) — the admission order
+    the simulator consumes. Computed once by {!create};
     the array is shared, so callers must not mutate it. *)
 
 val config_key : t -> string

@@ -33,8 +33,6 @@ let capacity_mbps t l = t.capacity.(l)
 
 let count t l = t.counts.(l)
 
-let n_links t = Array.length t.capacity
-
 let add_path t links =
   Array.iter (fun l -> t.counts.(l) <- t.counts.(l) + 1) links
 
@@ -58,25 +56,3 @@ let admission_estimate t links =
     (fun acc l ->
       Float.min acc (t.capacity.(l) /. float_of_int (t.counts.(l) + 1)))
     infinity links
-
-let bottleneck t links =
-  let best = ref (-1) and best_rate = ref infinity in
-  Array.iter
-    (fun l ->
-      let c = t.counts.(l) in
-      if c > 0 then begin
-        let r = t.capacity.(l) /. float_of_int c in
-        if r < !best_rate then begin
-          best_rate := r;
-          best := l
-        end
-      end)
-    links;
-  (* On an all-idle path report the thinnest link instead of nothing:
-     callers use this for labelling, not accounting. *)
-  if !best < 0 && Array.length links > 0 then begin
-    let thin = ref links.(0) in
-    Array.iter (fun l -> if t.capacity.(l) < t.capacity.(!thin) then thin := l) links;
-    best := !thin
-  end;
-  !best

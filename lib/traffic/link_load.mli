@@ -38,9 +38,3 @@ val admission_estimate : t -> int array -> float
 (** Rate a new subflow would get on the path, i.e. the minimum of
     [capacity / (count + 1)] over its links — used by the
     load-adaptive strategy to avoid saturated links. *)
-
-val bottleneck : t -> int array -> int
-(** The first link on the path realising {!fair_share}; the thinnest
-    link when the whole path is idle; [-1] on an empty path. *)
-
-val n_links : t -> int

@@ -120,8 +120,6 @@ let create cfg =
 
 let slot t = t.state.slot
 
-let slots_total t = t.config.slots
-
 let registry t = t.state.metrics
 
 let recovery t = t.state.recov

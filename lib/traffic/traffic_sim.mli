@@ -49,8 +49,6 @@ val create : config -> t
 val slot : t -> int
 (** Slots fully processed so far. *)
 
-val slots_total : t -> int
-
 val registry : t -> Registry.t
 (** The run's metrics: [traffic_fct_s], [traffic_link_utilization]
     (populated by {!finish}), [traffic_path_switches] histograms and
@@ -62,7 +60,7 @@ val recovery : t -> Recovery.t
     scenario); export with {!Recovery.observe}. *)
 
 val advance : ?watchdog:Watchdog.t -> t -> upto:int -> unit
-(** Process slots up to [min upto (slots_total t)]. The watchdog
+(** Process slots up to [min upto slots] of the config. The watchdog
     deadline is checked at slot boundaries only, so an abandoned job
     leaves consistent state. *)
 

@@ -18,27 +18,3 @@ let ia_of_string s =
       match (int_of_string_opt isd_s, int_of_string_opt asn_s) with
       | Some isd, Some asn when isd >= 0 && asn >= 0 -> Some { isd; asn }
       | _ -> None)
-
-let compare_ia a b =
-  match compare a.isd b.isd with 0 -> compare a.asn b.asn | c -> c
-
-let equal_ia a b = compare_ia a b = 0
-
-let max_bgp_asn = (1 lsl 32) - 1
-let max_scion_asn = (1 lsl 48) - 1
-
-let valid_asn asn = asn >= 0 && asn <= max_scion_asn
-
-type host_addr = Ipv4 of int32 | Ipv6 of string | Mac of string
-
-type endpoint = { host_ia : ia; local : host_addr }
-
-let pp_host_addr fmt = function
-  | Ipv4 v ->
-      let b i = Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * i)) 0xFFl) in
-      Format.fprintf fmt "%d.%d.%d.%d" (b 3) (b 2) (b 1) (b 0)
-  | Ipv6 raw -> Format.fprintf fmt "ipv6:%d-bytes" (String.length raw)
-  | Mac raw -> Format.fprintf fmt "mac:%d-bytes" (String.length raw)
-
-let pp_endpoint fmt { host_ia; local } =
-  Format.fprintf fmt "%a,%a" pp_ia host_ia pp_host_addr local

@@ -15,10 +15,6 @@ let add t i =
   let byte = Char.code (Bytes.get t.words (i / 8)) in
   Bytes.set t.words (i / 8) (Char.chr (byte lor (1 lsl (i mod 8))))
 
-let mem t i =
-  check t i;
-  Char.code (Bytes.get t.words (i / 8)) land (1 lsl (i mod 8)) <> 0
-
 let union_into ~dst src =
   if dst.capacity <> src.capacity then
     invalid_arg "Bitset.union_into: capacity mismatch";

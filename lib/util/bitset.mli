@@ -10,8 +10,6 @@ val add : t -> int -> unit
 (** Add an element (no-op if present). Raises [Invalid_argument] when
     the element is outside [\[0, n)]. *)
 
-val mem : t -> int -> bool
-
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] sets [dst := dst ∪ src]. Capacities must
     match. *)

@@ -64,20 +64,3 @@ let pop_exn t =
   match pop t with
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
-let clear t =
-  t.size <- 0;
-  t.data <- [||]
-
-let of_list ~cmp l =
-  let t = create ~cmp in
-  List.iter (push t) l;
-  t
-
-let to_sorted_list t =
-  let rec drain acc =
-    match pop t with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []

@@ -21,15 +21,3 @@ val pop : 'a t -> 'a option
 
 val pop_exn : 'a t -> 'a
 (** Like {!pop} but raises [Invalid_argument] on an empty heap. *)
-
-val peek : 'a t -> 'a option
-(** The minimum element without removing it, or [None] if empty. *)
-
-val clear : 'a t -> unit
-(** Remove every element, keeping the allocated storage. *)
-
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
-(** Heap containing the elements of the list (O(n log n)). *)
-
-val to_sorted_list : 'a t -> 'a list
-(** Drains the heap, returning elements in ascending order. *)

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 let state t = t.state
 
 let of_state s = { state = s }
@@ -20,10 +18,6 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free modulo is fine here: bound is always far below 2^63 so
@@ -36,8 +30,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let exponential t lambda =
   let u = 1.0 -. float t 1.0 in
   -.log u /. lambda
@@ -45,15 +37,3 @@ let exponential t lambda =
 let pareto t ~alpha ~x_min =
   let u = 1.0 -. float t 1.0 in
   x_min /. (u ** (1.0 /. alpha))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

@@ -1,7 +1,7 @@
 (** Deterministic pseudo-random number generation.
 
-    All stochastic parts of the simulator draw from this splittable
-    SplitMix64 generator so that every experiment is exactly reproducible
+    All stochastic parts of the simulator draw from this SplitMix64
+    generator so that every experiment is exactly reproducible
     from its seed, independent of the OCaml stdlib [Random] state. *)
 
 type t
@@ -11,9 +11,6 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Distinct seeds yield
     independent streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state; the copy evolves independently. *)
-
 val state : t -> int64
 (** [state t] is the current internal state word. Together with
     {!of_state} it makes a generator checkpointable: restoring the
@@ -21,12 +18,7 @@ val state : t -> int64
 
 val of_state : int64 -> t
 (** [of_state s] rebuilds a generator whose next outputs equal those of
-    the generator [state] was read from. [of_state (state t)] is
-    equivalent to [copy t]. *)
-
-val split : t -> t
-(** [split t] derives a statistically independent child generator and
-    advances [t]. Used to give each simulated node its own stream. *)
+    the generator [state] was read from. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
@@ -38,18 +30,8 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val exponential : t -> float -> float
 (** [exponential t lambda] draws from Exp(lambda) (mean [1. /. lambda]). *)
 
 val pareto : t -> alpha:float -> x_min:float -> float
 (** Heavy-tailed Pareto draw with shape [alpha] and scale [x_min]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Raises [Invalid_argument] on
-    an empty array. *)

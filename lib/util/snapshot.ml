@@ -28,8 +28,6 @@ let w_u24 w v = w_uint 24 w v
 
 let w_u32 w v = w_uint 32 w v
 
-let w_u48 w v = w_uint 48 w v
-
 (* Inlined, so that [w_int] and [w_f64] keep the word unboxed. *)
 let[@inline] w_i64 w v =
   for byte = 7 downto 0 do
@@ -91,8 +89,6 @@ let r_u16 r = r_uint 2 r
 let r_u24 r = r_uint 3 r
 
 let r_u32 r = r_uint 4 r
-
-let r_u48 r = r_uint 6 r
 
 (* Inlined, so that [r_int] and [r_f64] keep the word unboxed. *)
 let[@inline] r_i64 r =

@@ -1,13 +1,12 @@
 (** Deterministic big-endian byte codec.
 
     The one writer/reader pair for every byte format in the repo: the
-    checkpoint snapshots and the wire formats ([Pcb_codec],
-    [Scion_header]). Each checkpointable component owns its codec on
-    top of these primitives — a [write] that emits its state in a
-    canonical (sorted, hash-table-layout independent) order and a
-    [read] that fills a live value directly and enforces the
-    component's own invariants — so encoding the same logical state
-    always yields the same bytes, and
+    checkpoint snapshots and the [Pcb_codec] wire format. Each
+    checkpointable component owns its codec on top of these primitives
+    — a [write] that emits its state in a canonical (sorted,
+    hash-table-layout independent) order and a [read] that fills a live
+    value directly and enforces the component's own invariants — so
+    encoding the same logical state always yields the same bytes, and
     [encode (decode bytes) = bytes]. Floats are serialized as their
     IEEE-754 bit patterns, making the round-trip exact (including
     infinities and [nan]).
@@ -38,10 +37,8 @@ val w_u16 : writer -> int -> unit
 val w_u24 : writer -> int -> unit
 
 val w_u32 : writer -> int -> unit
-
-val w_u48 : writer -> int -> unit
-(** [w_u16] … [w_u48]: 2, 3, 4 and 6 big-endian bytes, each with the
-    same range check as {!w_u8}. *)
+(** [w_u16] … [w_u32]: 2, 3 and 4 big-endian bytes, each with the same
+    range check as {!w_u8}. *)
 
 val w_int : writer -> int -> unit
 (** 8-byte big-endian (int63-safe). *)
@@ -81,8 +78,6 @@ val r_u16 : reader -> int
 val r_u24 : reader -> int
 
 val r_u32 : reader -> int
-
-val r_u48 : reader -> int
 
 val r_int : reader -> int
 

@@ -2,15 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let geometric_mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else if Array.exists (fun x -> x <= 0.0) xs then 0.0
-  else begin
-    let log_sum = Array.fold_left (fun acc x -> acc +. log x) 0.0 xs in
-    exp (log_sum /. float_of_int n)
-  end
-
 let sorted_copy xs =
   let c = Array.copy xs in
   Array.sort compare c;
@@ -31,43 +22,15 @@ let quantile xs q =
 
 let median xs = quantile xs 0.5
 
-let stddev xs =
+let fraction_le xs c =
   let n = Array.length xs in
-  if n < 2 then 0.0
+  if n = 0 then 0.0
   else begin
-    let m = mean xs in
-    let var =
-      Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-      /. float_of_int n
+    let le =
+      Array.fold_left (fun acc x -> if x <= c then acc + 1 else acc) 0 xs
     in
-    sqrt var
+    float_of_int le /. float_of_int n
   end
-
-type cdf = (float * float) list
-
-let cdf xs =
-  let n = Array.length xs in
-  if n = 0 then []
-  else begin
-    let s = sorted_copy xs in
-    let total = float_of_int n in
-    let rec build i acc =
-      if i >= n then List.rev acc
-      else begin
-        (* Advance to the last occurrence of this value. *)
-        let v = s.(i) in
-        let j = ref i in
-        while !j + 1 < n && s.(!j + 1) = v do
-          incr j
-        done;
-        build (!j + 1) ((v, float_of_int (!j + 1) /. total) :: acc)
-      end
-    in
-    build 0 []
-  end
-
-let cdf_at c x =
-  List.fold_left (fun acc (v, frac) -> if v <= x then frac else acc) 0.0 c
 
 type five_number = {
   min : float;

@@ -3,10 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0. on an empty array. *)
 
-val geometric_mean : float array -> float
-(** Geometric mean of non-negative values. A single zero forces the
-    result to 0. Returns 0. on an empty array. *)
-
 val quantile : float array -> float -> float
 (** [quantile xs q] with [q] in [\[0,1\]]: linear-interpolation quantile
     of the (unsorted) sample. Raises [Invalid_argument] on an empty
@@ -15,17 +11,9 @@ val quantile : float array -> float -> float
 val median : float array -> float
 (** [quantile xs 0.5]. *)
 
-val stddev : float array -> float
-(** Population standard deviation; 0. on arrays shorter than 2. *)
-
-type cdf = (float * float) list
-(** Sorted [(value, cumulative fraction)] points. *)
-
-val cdf : float array -> cdf
-(** Empirical CDF of a sample: one point per distinct value. *)
-
-val cdf_at : cdf -> float -> float
-(** [cdf_at c x] is the fraction of the sample [<= x]. *)
+val fraction_le : int array -> int -> float
+(** [fraction_le xs c] is the fraction of the sample [<= c] (the
+    empirical CDF at [c]); 0. on an empty array. *)
 
 val summary : float array -> string
 (** One-line [min/p25/median/p75/max mean] summary used in reports. *)

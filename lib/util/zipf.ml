@@ -15,7 +15,6 @@ let create ~n ~s =
   done;
   { cumulative }
 
-
 let sample t rng =
   let u = Rng.float rng 1.0 in
   (* Smallest index whose cumulative weight exceeds u. *)
@@ -25,7 +24,3 @@ let sample t rng =
     if t.cumulative.(mid) < u then lo := mid + 1 else hi := mid
   done;
   !lo
-
-let weight t k =
-  if k = 0 then t.cumulative.(0)
-  else t.cumulative.(k) -. t.cumulative.(k - 1)

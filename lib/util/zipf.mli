@@ -14,6 +14,3 @@ val create : n:int -> s:float -> t
 val sample : t -> Rng.t -> int
 (** Draw a rank in [\[0, n)] (0 = most popular), by inverse-CDF binary
     search over the precomputed cumulative weights. *)
-
-val weight : t -> int -> float
-(** [weight t k] is the normalised probability of rank [k] (0-based). *)

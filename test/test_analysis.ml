@@ -5,12 +5,12 @@ let check = Alcotest.check
 
 let test_maxflow_single_edge () =
   let f = Maxflow.create ~n:2 in
-  Maxflow.add_edge f ~src:0 ~dst:1 ~cap:3;
+  Maxflow.add_undirected f 0 1 ~cap:3;
   check Alcotest.int "flow 3" 3 (Maxflow.max_flow f ~src:0 ~dst:1)
 
 let test_maxflow_disconnected () =
   let f = Maxflow.create ~n:3 in
-  Maxflow.add_edge f ~src:0 ~dst:1 ~cap:1;
+  Maxflow.add_undirected f 0 1 ~cap:1;
   check Alcotest.int "no path" 0 (Maxflow.max_flow f ~src:0 ~dst:2)
 
 let test_maxflow_same_node () =
@@ -18,19 +18,19 @@ let test_maxflow_same_node () =
   check Alcotest.int "src=dst" 0 (Maxflow.max_flow f ~src:0 ~dst:0)
 
 let test_maxflow_diamond () =
-  (* 0 -> {1,2} -> 3, unit capacities: flow 2. *)
+  (* 0 - {1,2} - 3, unit capacities: flow 2. *)
   let f = Maxflow.create ~n:4 in
-  Maxflow.add_edge f ~src:0 ~dst:1 ~cap:1;
-  Maxflow.add_edge f ~src:0 ~dst:2 ~cap:1;
-  Maxflow.add_edge f ~src:1 ~dst:3 ~cap:1;
-  Maxflow.add_edge f ~src:2 ~dst:3 ~cap:1;
+  Maxflow.add_undirected f 0 1 ~cap:1;
+  Maxflow.add_undirected f 0 2 ~cap:1;
+  Maxflow.add_undirected f 1 3 ~cap:1;
+  Maxflow.add_undirected f 2 3 ~cap:1;
   check Alcotest.int "diamond" 2 (Maxflow.max_flow f ~src:0 ~dst:3)
 
 let test_maxflow_bottleneck () =
-  (* 0 -> 1 (cap 5) -> 2 (cap 2): flow 2. *)
+  (* 0 - 1 (cap 5) - 2 (cap 2): flow 2. *)
   let f = Maxflow.create ~n:3 in
-  Maxflow.add_edge f ~src:0 ~dst:1 ~cap:5;
-  Maxflow.add_edge f ~src:1 ~dst:2 ~cap:2;
+  Maxflow.add_undirected f 0 1 ~cap:5;
+  Maxflow.add_undirected f 1 2 ~cap:2;
   check Alcotest.int "bottleneck" 2 (Maxflow.max_flow f ~src:0 ~dst:2)
 
 let test_maxflow_undirected_parallel () =
@@ -50,8 +50,9 @@ let test_maxflow_undirected_backflow () =
 
 let test_maxflow_invalid () =
   let f = Maxflow.create ~n:2 in
-  Alcotest.check_raises "bad node" (Invalid_argument "Maxflow.add_edge: node out of range")
-    (fun () -> Maxflow.add_edge f ~src:0 ~dst:5 ~cap:1)
+  Alcotest.check_raises "bad node"
+    (Invalid_argument "Maxflow.add_undirected: node out of range")
+    (fun () -> Maxflow.add_undirected f 0 5 ~cap:1)
 
 let prop_flow_bounded_by_degree =
   (* On random undirected unit-capacity graphs, flow(s,t) <= min(deg s, deg t). *)
@@ -122,7 +123,10 @@ let test_links_of_pcbs_dedup () =
       (Pcb.origin_pcb ~origin:1 ~now:0.0 ~lifetime:600.0)
       ~asn:1 ~ingress:0 ~egress:direct.Graph.b_if ~link:direct.Graph.link_id ~peers:[||]
   in
-  check Alcotest.int "dedup" 1 (List.length (Path_quality.links_of_pcbs [ mk (); mk () ]))
+  (* The same link twice still carries one unit: a duplicated link
+     would double its capacity. *)
+  check Alcotest.int "dedup" 1
+    (Path_quality.of_pcbs g [ mk (); mk () ] ~src:1 ~dst:0)
 
 let test_disseminated_never_beats_optimum () =
   (* End-to-end: run beaconing on a small core and check every stored

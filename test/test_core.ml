@@ -726,12 +726,11 @@ let test_diversity_finds_parallel_links () =
     Beacon_store.paths out.Beaconing.stores.(1)
       ~now:(cfg.Beaconing.duration -. 1.0) ~origin:0
   in
-  let links = Path_quality.links_of_pcbs paths in
   let direct = List.map (fun (l : Graph.link) -> l.Graph.link_id) (Graph.links_between g 0 1) in
   List.iter
     (fun l ->
       Alcotest.(check bool) (Printf.sprintf "parallel link %d used" l) true
-        (List.mem l links))
+        (List.exists (fun (p : Pcb.t) -> Array.mem l p.Pcb.links) paths))
     direct
 
 let test_dissemination_limit_per_iface () =

@@ -16,26 +16,38 @@ let small_graph () =
 
 (* --- ISP link models --- *)
 
+(* Two ASes joined by one link deployed over [underlay]: the pair stays
+   connected exactly when that link survives the conditions. *)
+let one_link_survives ?(queueing_discipline = true) underlay ~bgp_failed
+    ~ip_flood =
+  let b = Graph.builder () in
+  let x = Graph.add_as b ~core:true (Id.ia 1 1) in
+  let y = Graph.add_as b ~core:true (Id.ia 1 2) in
+  Graph.add_link b ~rel:Graph.Core x y;
+  Isp_deployment.scion_connected (Graph.freeze b)
+    [ { Isp_deployment.link = 0; underlay; queueing_discipline } ]
+    ~bgp_failed ~ip_flood
+
 let test_bgp_free () =
-  let mk u = { Isp_deployment.link = 0; underlay = u; queueing_discipline = true } in
+  let bgp_free u = one_link_survives u ~bgp_failed:true ~ip_flood:false in
   Alcotest.(check bool) "native" true
-    (Isp_deployment.bgp_free (mk Isp_deployment.Native_cross_connect));
+    (bgp_free Isp_deployment.Native_cross_connect);
   Alcotest.(check bool) "router-on-a-stick with host routes" true
-    (Isp_deployment.bgp_free (mk (Isp_deployment.Router_on_a_stick { host_routes = true })));
+    (bgp_free (Isp_deployment.Router_on_a_stick { host_routes = true }));
   Alcotest.(check bool) "router-on-a-stick without host routes" false
-    (Isp_deployment.bgp_free (mk (Isp_deployment.Router_on_a_stick { host_routes = false })));
-  Alcotest.(check bool) "tunnel" false (Isp_deployment.bgp_free (mk Isp_deployment.Ip_tunnel))
+    (bgp_free (Isp_deployment.Router_on_a_stick { host_routes = false }));
+  Alcotest.(check bool) "tunnel" false (bgp_free Isp_deployment.Ip_tunnel)
 
 let test_congestion_safety () =
-  let mk u q = { Isp_deployment.link = 0; underlay = u; queueing_discipline = q } in
+  let safe u queueing_discipline =
+    one_link_survives ~queueing_discipline u ~bgp_failed:false ~ip_flood:true
+  in
   Alcotest.(check bool) "native safe without qdisc" true
-    (Isp_deployment.congestion_safe (mk Isp_deployment.Native_cross_connect false));
+    (safe Isp_deployment.Native_cross_connect false);
   Alcotest.(check bool) "shared link unsafe without qdisc" false
-    (Isp_deployment.congestion_safe
-       (mk (Isp_deployment.Router_on_a_stick { host_routes = true }) false));
+    (safe (Isp_deployment.Router_on_a_stick { host_routes = true }) false);
   Alcotest.(check bool) "shared link safe with qdisc" true
-    (Isp_deployment.congestion_safe
-       (mk (Isp_deployment.Router_on_a_stick { host_routes = true }) true))
+    (safe (Isp_deployment.Router_on_a_stick { host_routes = true }) true)
 
 let test_native_plan_survives_bgp_failure () =
   let g = small_graph () in
@@ -59,16 +71,21 @@ let test_mixed_plan_partial () =
   let g = small_graph () in
   (* Three native links, one tunnel: the ring loses one edge under BGP
      failure but stays connected. *)
-  let plan =
+  let plan tunnels =
     List.mapi
       (fun i (d : Isp_deployment.link_deployment) ->
-        if i = 0 then { d with Isp_deployment.underlay = Isp_deployment.Ip_tunnel } else d)
+        if List.mem i tunnels then
+          { d with Isp_deployment.underlay = Isp_deployment.Ip_tunnel }
+        else d)
       (Isp_deployment.uniform_plan g Isp_deployment.Native_cross_connect)
   in
   Alcotest.(check bool) "ring minus one edge still connected" true
-    (Isp_deployment.scion_connected g plan ~bgp_failed:true ~ip_flood:false);
-  check (Alcotest.list Alcotest.int) "surviving links" [ 1; 2; 3 ]
-    (Isp_deployment.surviving_links plan ~bgp_failed:true ~ip_flood:false)
+    (Isp_deployment.scion_connected g (plan [ 0 ]) ~bgp_failed:true
+       ~ip_flood:false);
+  (* Tunnels on the opposite links 0 and 2 leave exactly links 1 and 3:
+     two 2-AS islands, so 4 of the 12 ordered pairs stay connected. *)
+  Alcotest.(check (float 1e-9)) "surviving links" (4.0 /. 12.0)
+    (Isp_deployment.connectivity_under_bgp_failure g (plan [ 0; 2 ]))
 
 let test_redundant_connection () =
   (* Fig. 2c: a native and an encapsulated link in parallel — failing
@@ -92,8 +109,9 @@ let test_redundant_connection () =
       };
     ]
   in
-  check (Alcotest.list Alcotest.int) "native leg survives" [ 0 ]
-    (Isp_deployment.surviving_links plan ~bgp_failed:true ~ip_flood:false);
+  Alcotest.(check bool) "the encapsulated leg alone does not survive" false
+    (Isp_deployment.scion_connected g (List.tl plan) ~bgp_failed:true
+       ~ip_flood:false);
   Alcotest.(check bool) "still connected" true
     (Isp_deployment.scion_connected g plan ~bgp_failed:true ~ip_flood:false)
 
@@ -113,17 +131,6 @@ let test_end_domain_capabilities () =
   Alcotest.(check bool) "cgsig: no own AS" false cg.End_domain.own_as;
   Alcotest.(check bool) "cgsig: fast failover still provided" true
     cg.End_domain.fast_failover
-
-let test_end_domain_recommendation () =
-  Alcotest.(check bool) "scion-capable hosts -> native" true
-    (End_domain.recommended ~hosts_scion_capable:true ~wants_own_as:false
-    = End_domain.Native_scion_as);
-  Alcotest.(check bool) "legacy + own AS -> CPE" true
-    (End_domain.recommended ~hosts_scion_capable:false ~wants_own_as:true
-    = End_domain.Cpe_sig);
-  Alcotest.(check bool) "legacy, no AS -> CGSIG" true
-    (End_domain.recommended ~hosts_scion_capable:false ~wants_own_as:false
-    = End_domain.Carrier_grade_sig)
 
 (* --- IXP models --- *)
 
@@ -240,7 +247,6 @@ let suite =
     ("mixed plan partial", `Quick, test_mixed_plan_partial);
     ("redundant connection", `Quick, test_redundant_connection);
     ("end-domain capabilities", `Quick, test_end_domain_capabilities);
-    ("end-domain recommendation", `Quick, test_end_domain_recommendation);
     ("ixp big switch", `Quick, test_ixp_big_switch);
     ("ixp big switch same-site only", `Quick, test_ixp_big_switch_same_site_only);
     ("ixp exposed topology", `Quick, test_ixp_exposed_topology);

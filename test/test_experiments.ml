@@ -49,36 +49,49 @@ let test_prepare_consistency () =
   check Alcotest.int "isd cores" d.Exp_common.isd_cores
     (List.length (Graph.core_ases p.Exp_common.isd))
 
-let contains_substring haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
+(* Table 1's taxonomy as the scenario exports it, in paper order:
+   (component, scope, frequency). *)
+let table1_taxonomy () =
+  let field k row =
+    match List.assoc_opt k row with
+    | Some (Obs_json.String s) -> s
+    | _ -> Alcotest.failf "taxonomy row without %s" k
+  in
+  match Table1.to_json { Table1.measured = [] } with
+  | Obs_json.Obj fields -> (
+      match List.assoc_opt "taxonomy" fields with
+      | Some (Obs_json.List rows) ->
+          List.map
+            (function
+              | Obs_json.Obj row ->
+                  ( field "component" row,
+                    field "scope" row,
+                    field "frequency" row )
+              | _ -> Alcotest.fail "taxonomy row is not an object")
+            rows
+      | _ -> Alcotest.fail "no taxonomy list")
+  | _ -> Alcotest.fail "table1 JSON is not an object"
 
 let test_table1_shape () =
-  check Alcotest.int "seven components" 7 (List.length Table1.components);
-  let rendered = Table1.render () in
-  List.iter
-    (fun c ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s in table" c.Table1.name)
-        true
-        (contains_substring rendered c.Table1.name))
-    Table1.components
+  let names = List.map (fun (n, _, _) -> n) (table1_taxonomy ()) in
+  check Alcotest.int "seven components" 7 (List.length names);
+  check Alcotest.int "distinct names" 7
+    (List.length (List.sort_uniq compare names))
 
 let test_table1_against_paper () =
   let find name =
-    List.find (fun c -> c.Table1.name = name) Table1.components
+    match List.find_opt (fun (n, _, _) -> n = name) (table1_taxonomy ()) with
+    | Some (_, scope, frequency) -> (scope, frequency)
+    | None -> Alcotest.failf "no %s row" name
   in
   (* Spot-check the classification against Table 1. *)
-  let cb = find "Core Beaconing" in
-  Alcotest.(check bool) "core beaconing global+minutes" true
-    (cb.Table1.scope = Table1.Global_scope && cb.Table1.frequency = Table1.Minutes);
-  let el = find "Endpoint Path Lookup" in
-  Alcotest.(check bool) "endpoint lookup AS+seconds" true
-    (el.Table1.scope = Table1.As_scope && el.Table1.frequency = Table1.Seconds);
-  let dl = find "Down-Path Segment Lookup" in
-  Alcotest.(check bool) "down lookup global+hours" true
-    (dl.Table1.scope = Table1.Global_scope && dl.Table1.frequency = Table1.Hours)
+  let row = Alcotest.(pair string string) in
+  check row "core beaconing global+minutes" ("global", "minutes")
+    (find "Core Beaconing");
+  check row "endpoint lookup AS+seconds" ("as", "seconds")
+    (find "Endpoint Path Lookup");
+  check row "down lookup global+hours" ("global", "hours")
+    (find "Down-Path Segment Lookup")
 
 let test_scionlab_experiment () =
   let r = Scionlab_exp.run (Scionlab_exp.config ()) in
@@ -124,7 +137,7 @@ let test_tuning_evaluate () =
     (o.Tuning.capacity_fraction >= 0.0 && o.Tuning.capacity_fraction <= 1.0)
 
 let test_table1_measure () =
-  let measured = Table1.measure Exp_common.Tiny in
+  let { Table1.measured } = Table1.run (Table1.config Exp_common.Tiny) in
   check Alcotest.int "seven measured components" 7 (List.length measured);
   let get name = List.find (fun m -> m.Table1.component = name) measured in
   Alcotest.(check bool) "core beaconing has traffic" true

@@ -107,15 +107,10 @@ let test_unknown_as_rejected () =
     (Invalid_argument "Beaconing.run: filter for unknown AS") (fun () ->
       ignore (Beaconing.run g cfg))
 
-let test_pp_rule () =
-  check Alcotest.string "pp" "deny-isd 7"
-    (Format.asprintf "%a" Beacon_filter.pp_rule (Beacon_filter.Deny_isd 7))
-
 let suite =
   [
     ("filter rules", `Quick, test_rules);
     ("deny-isd during beaconing", `Quick, test_deny_isd_in_beaconing);
     ("deny-origin blackholes locally", `Quick, test_deny_origin_blackholes);
     ("unknown AS rejected", `Quick, test_unknown_as_rejected);
-    ("pp rule", `Quick, test_pp_rule);
   ]

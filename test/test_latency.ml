@@ -16,19 +16,30 @@ let small_graph () =
 
 (* --- Geo --- *)
 
+(* Two ASes on the distinct cities 7 and 42, joined by one link. *)
+let two_city_graph () =
+  let b = Graph.builder () in
+  let a0 = Graph.add_as b ~core:true ~cities:[| 7 |] (Id.ia 1 1) in
+  let a1 = Graph.add_as b ~core:true ~cities:[| 42 |] (Id.ia 1 2) in
+  Graph.add_link b ~rel:Graph.Core a0 a1;
+  Graph.freeze b
+
 let test_city_position_deterministic () =
-  check (Alcotest.pair (Alcotest.float 1e-9) (Alcotest.float 1e-9)) "stable"
-    (Geo.city_position 42) (Geo.city_position 42);
-  let x, y = Geo.city_position 7 in
+  let lat = (Geo.latency_table (two_city_graph ())).(0) in
+  Alcotest.(check (float 1e-12)) "stable" lat
+    (Geo.latency_table (two_city_graph ())).(0);
+  (* Cities lie on a 10 000 km square: at most its diagonal at 200 km/ms,
+     plus the 1 ms base and the 0-2 ms spread. *)
   Alcotest.(check bool) "within the plane" true
-    (x >= 0.0 && x <= 10_000.0 && y >= 0.0 && y <= 10_000.0)
+    (lat <= 3.0 +. (10_000.0 *. sqrt 2.0 /. 200.0))
 
 let test_link_latency_positive_deterministic () =
   let g = small_graph () in
+  let t = Geo.latency_table g in
   for l = 0 to Graph.num_links g - 1 do
-    let lat = Geo.link_latency_ms g l in
-    Alcotest.(check bool) "positive" true (lat > 0.0);
-    Alcotest.(check (float 1e-12)) "deterministic" lat (Geo.link_latency_ms g l)
+    Alcotest.(check bool) "positive" true (t.(l) > 0.0);
+    Alcotest.(check (float 1e-12)) "deterministic" t.(l)
+      (Geo.latency_table g).(l)
   done
 
 let test_shared_city_is_metro () =
@@ -41,41 +52,40 @@ let test_shared_city_is_metro () =
   Graph.add_link b ~rel:Graph.Core a0 a1;
   Graph.add_link b ~rel:Graph.Core a0 a2;
   let g = Graph.freeze b in
-  let metro = Geo.link_latency_ms g 0 in
+  let metro = (Geo.latency_table g).(0) in
   Alcotest.(check bool) "metro link under 3 ms" true (metro <= 3.0)
 
 let test_latency_table_and_path () =
   let g = small_graph () in
   let t = Geo.latency_table g in
-  check Alcotest.int "one entry per link" (Graph.num_links g) (Array.length t);
-  Alcotest.(check (float 1e-9)) "path sums" (t.(0) +. t.(1))
-    (Geo.path_latency_ms t [| 0; 1 |]);
-  Alcotest.(check (float 1e-9)) "empty path" 0.0 (Geo.path_latency_ms t [||])
+  check Alcotest.int "one entry per link" (Graph.num_links g) (Array.length t)
 
 (* --- Dijkstra --- *)
 
 let test_dijkstra_simple () =
   let g = small_graph () in
   let weights = [| 1.0; 1.0; 1.0; 10.0 |] in
-  let dist = Latency_paths.dijkstra g ~weights ~src:0 in
-  Alcotest.(check (float 1e-9)) "self" 0.0 dist.(0);
-  Alcotest.(check (float 1e-9)) "one hop" 1.0 dist.(1);
+  let dist dst = Latency_paths.best_latency g ~weights ~src:0 ~dst in
+  Alcotest.(check (float 1e-9)) "self" 0.0 (dist 0);
+  Alcotest.(check (float 1e-9)) "one hop" 1.0 (dist 1);
   (* 0->3: direct costs 10, around the ring costs 3. *)
-  Alcotest.(check (float 1e-9)) "takes the cheap way" 3.0 dist.(3)
+  Alcotest.(check (float 1e-9)) "takes the cheap way" 3.0 (dist 3)
 
 let test_dijkstra_unreachable () =
   let b = Graph.builder () in
   ignore (Graph.add_as b ~core:true (Id.ia 1 1));
   ignore (Graph.add_as b ~core:true (Id.ia 1 2));
   let g = Graph.freeze b in
-  let dist = Latency_paths.dijkstra g ~weights:[||] ~src:0 in
-  Alcotest.(check bool) "unreachable is infinite" true (dist.(1) = infinity)
+  Alcotest.(check bool) "unreachable is infinite" true
+    (Latency_paths.best_latency g ~weights:[||] ~src:0 ~dst:1 = infinity)
 
 let test_dijkstra_negative_rejected () =
   let g = small_graph () in
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Latency_paths.dijkstra: negative weight") (fun () ->
-      ignore (Latency_paths.dijkstra g ~weights:[| -1.0; 1.0; 1.0; 1.0 |] ~src:0))
+      ignore
+        (Latency_paths.best_latency g ~weights:[| -1.0; 1.0; 1.0; 1.0 |] ~src:0
+           ~dst:3))
 
 let test_stored_best_latency () =
   let weights = [| 2.0; 3.0; 4.0 |] in

@@ -8,16 +8,18 @@ let check = Alcotest.check
 let test_hist_empty () =
   let h = Histogram.create () in
   check Alcotest.int "count" 0 (Histogram.count h);
-  Alcotest.(check bool) "quantile nan" true (Float.is_nan (Histogram.quantile h 0.5));
+  Alcotest.(check bool) "quantile nan" true
+    (Float.is_nan (Histogram.summarize h).Histogram.p50);
   Alcotest.(check bool) "mean nan" true (Float.is_nan (Histogram.mean h))
 
 let test_hist_single_value () =
   let h = Histogram.create () in
   Histogram.observe h 42.0;
-  Alcotest.(check (float 1e-9)) "p50 is the value" 42.0 (Histogram.quantile h 0.5);
-  Alcotest.(check (float 1e-9)) "p99 is the value" 42.0 (Histogram.quantile h 0.99);
-  Alcotest.(check (float 1e-9)) "min" 42.0 (Histogram.min_value h);
-  Alcotest.(check (float 1e-9)) "max" 42.0 (Histogram.max_value h)
+  let s = Histogram.summarize h in
+  Alcotest.(check (float 1e-9)) "p50 is the value" 42.0 s.Histogram.p50;
+  Alcotest.(check (float 1e-9)) "p99 is the value" 42.0 s.Histogram.p99;
+  Alcotest.(check (float 1e-9)) "min" 42.0 s.Histogram.min;
+  Alcotest.(check (float 1e-9)) "max" 42.0 s.Histogram.max
 
 (* Log-bucketed quantiles are approximate: with the default growth of
    2^0.25 a bucket spans ~19%, so the estimate must be within that
@@ -27,15 +29,15 @@ let test_hist_quantile_accuracy () =
   for i = 1 to 10_000 do
     Histogram.observe h (float_of_int i)
   done;
-  let check_q q exact =
-    let got = Histogram.quantile h q in
+  let s = Histogram.summarize h in
+  let check_q q got exact =
     let rel = Float.abs (got -. exact) /. exact in
     if rel > 0.2 then
       Alcotest.failf "q=%.2f: estimate %.1f vs exact %.1f (rel %.3f)" q got exact rel
   in
-  check_q 0.5 5000.0;
-  check_q 0.9 9000.0;
-  check_q 0.99 9900.0;
+  check_q 0.5 s.Histogram.p50 5000.0;
+  check_q 0.9 s.Histogram.p90 9000.0;
+  check_q 0.99 s.Histogram.p99 9900.0;
   Alcotest.(check (float 1e-6)) "sum" 5.0005e7 (Histogram.sum h);
   check Alcotest.int "count" 10_000 (Histogram.count h)
 
@@ -57,7 +59,8 @@ let test_hist_nonpos () =
   Histogram.observe h (-5.0);
   Histogram.observe h 10.0;
   check Alcotest.int "count includes nonpos" 3 (Histogram.count h);
-  Alcotest.(check (float 1e-9)) "min tracks negatives" (-5.0) (Histogram.min_value h);
+  Alcotest.(check (float 1e-9)) "min tracks negatives" (-5.0)
+    (Histogram.summarize h).Histogram.min;
   (* Both non-positive observations sit below any positive threshold. *)
   Alcotest.(check (float 1e-9)) "fraction_le 1.0" (2.0 /. 3.0)
     (Histogram.fraction_le h 1.0)
@@ -76,10 +79,9 @@ let test_hist_merge_reset () =
   done;
   Histogram.merge ~into:a b;
   check Alcotest.int "merged count" 100 (Histogram.count a);
-  Alcotest.(check (float 1e-9)) "merged max" 100.0 (Histogram.max_value a);
-  Alcotest.(check (float 1e-9)) "merged min" 1.0 (Histogram.min_value a);
-  Histogram.reset a;
-  check Alcotest.int "reset count" 0 (Histogram.count a)
+  let s = Histogram.summarize a in
+  Alcotest.(check (float 1e-9)) "merged max" 100.0 s.Histogram.max;
+  Alcotest.(check (float 1e-9)) "merged min" 1.0 s.Histogram.min
 
 (* --- Registry ------------------------------------------------------ *)
 
@@ -92,8 +94,8 @@ let test_registry_counters_and_labels () =
   (* Labels are order-insensitive: the same cell comes back. *)
   let c1' = Registry.counter r ~labels:[ ("algo", "baseline") ] "pcbs_total" in
   Alcotest.(check (float 1e-9)) "same cell" 5.0 !c1';
-  Registry.incr r ~labels:[ ("algo", "baseline") ] "pcbs_total";
-  Alcotest.(check (float 1e-9)) "one-shot incr hits the cell" 6.0 !c1;
+  Registry.add r ~labels:[ ("algo", "baseline") ] "pcbs_total" 1.0;
+  Alcotest.(check (float 1e-9)) "one-shot add hits the cell" 6.0 !c1;
   check Alcotest.int "two series" 2 (List.length (Registry.snapshot r))
 
 let test_registry_kind_mismatch () =
@@ -108,7 +110,9 @@ let test_registry_kind_mismatch () =
 let test_registry_snapshot () =
   let r = Registry.create () in
   let c = Registry.counter r "events" in
-  Registry.observe r ~labels:[ ("b", "2"); ("a", "1") ] "depth" 3.0;
+  Histogram.observe
+    (Registry.histogram r ~labels:[ ("b", "2"); ("a", "1") ] "depth")
+    3.0;
   c := 10.0;
   let before = Registry.snapshot r in
   c := 25.0;
@@ -135,7 +139,7 @@ let test_registry_snapshot () =
 let test_registry_csv () =
   let r = Registry.create () in
   Registry.add r ~labels:[ ("as", "3") ] "bytes" 12.5;
-  Registry.observe r "latency" 1.0;
+  Histogram.observe (Registry.histogram r "latency") 1.0;
   let csv = Registry.to_csv r in
   let lines = String.split_on_char '\n' (String.trim csv) in
   check Alcotest.int "header + 2 rows" 3 (List.length lines);
@@ -181,8 +185,15 @@ let test_trace_custom_sink () =
   Trace.emit tr Trace.Debug ~time:0.0 ~category:"c" "quiet";
   match !seen with
   | [ e ] ->
-      check Alcotest.string "sink sees the accepted event"
-        "[       2.500] error c: boom {k=v}" (Trace.render e)
+      Alcotest.(check bool) "sink sees the accepted event" true
+        (e
+        = {
+            Trace.time = 2.5;
+            level = Trace.Error;
+            category = "c";
+            message = "boom";
+            fields = [ ("k", "v") ];
+          })
   | l -> Alcotest.failf "expected one event, got %d" (List.length l)
 
 let test_trace_level_of_string () =
@@ -246,15 +257,22 @@ let assert_balanced json =
   Alcotest.(check bool) "string closed" false !in_str;
   check Alcotest.int "balanced" 0 !depth
 
+(* The --metrics-out document: what [Obs.write_json_file] writes. *)
+let metrics_document obs =
+  let file = Filename.temp_file "scion_metrics" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Obs.write_json_file obs file;
+  In_channel.with_open_bin file In_channel.input_all
+
 let test_obs_to_json_shape () =
   let obs = Obs.create ~trace:(fst (collecting Trace.Debug)) () in
   let c = Registry.counter (Obs.registry obs) ~labels:[ ("k", "v") ] "hits" in
   c := 3.0;
-  Registry.observe (Obs.registry obs) "sizes" 128.0;
+  Histogram.observe (Registry.histogram (Obs.registry obs) "sizes") 128.0;
   Trace.emit (Obs.trace obs) Trace.Info ~time:1.5 ~category:"t"
     ~fields:[ ("a", "b") ] "hello \"quoted\"";
   ignore (Obs.phase obs "stage" (fun () -> ()));
-  let json = Obs_json.to_string_pretty (Obs.to_json obs) in
+  let json = metrics_document obs in
   assert_balanced json;
   let has needle expect =
     let nl = String.length needle and jl = String.length json in

@@ -104,9 +104,9 @@ let test_registry_merge () =
   Registry.add a "c" 2.0;
   Registry.add b "c" 3.0;
   Registry.add b "c" ~labels:[ ("k", "v") ] 7.0;
-  Registry.observe a "h" 1.0;
-  Registry.observe b "h" 2.0;
-  Registry.observe b "h" 4.0;
+  Histogram.observe (Registry.histogram a "h") 1.0;
+  Histogram.observe (Registry.histogram b "h") 2.0;
+  Histogram.observe (Registry.histogram b "h") 4.0;
   Registry.merge ~into:a b;
   Alcotest.(check (float 1e-12)) "counters sum" 5.0 !(Registry.counter a "c");
   Alcotest.(check (float 1e-12)) "missing series created" 7.0
@@ -116,19 +116,21 @@ let test_registry_merge () =
   Alcotest.(check (float 1e-12)) "histogram max merges" 4.0 s.Histogram.max;
   (* Kind clash across registries is a programming error. *)
   let c = Registry.create () in
-  Registry.observe c "c" 9.0;
+  Histogram.observe (Registry.histogram c "c") 9.0;
   match Registry.merge ~into:a c with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
 let test_timer_merge () =
   let a = Timer.create () and b = Timer.create () in
-  Timer.record a "x" 1.0;
-  Timer.record b "x" 2.0;
-  Timer.record b "y" 0.5;
+  Timer.time a "x" ignore;
+  Timer.time b "x" ignore;
+  Timer.time b "y" ignore;
+  let ax = Timer.total a "x" and bx = Timer.total b "x" in
+  let by = Timer.total b "y" in
   Timer.merge ~into:a b;
-  Alcotest.(check (float 1e-12)) "totals sum" 3.0 (Timer.total a "x");
-  Alcotest.(check (float 1e-12)) "missing name created" 0.5 (Timer.total a "y");
+  Alcotest.(check (float 1e-12)) "totals sum" (ax +. bx) (Timer.total a "x");
+  Alcotest.(check (float 1e-12)) "missing name created" by (Timer.total a "y");
   match List.assoc_opt "x" (List.map (fun (n, _, c) -> (n, c)) (Timer.report a)) with
   | Some count -> check Alcotest.int "counts sum" 2 count
   | None -> Alcotest.fail "x missing from report"
@@ -156,7 +158,9 @@ let test_map_jobs_obs_totals () =
         (fun ~obs i ->
           if Obs.on obs then begin
             Registry.add (Obs.registry obs) "runner_test_total" 1.0;
-            Registry.observe (Obs.registry obs) "runner_test_value" (float_of_int i)
+            Histogram.observe
+              (Registry.histogram (Obs.registry obs) "runner_test_value")
+              (float_of_int i)
           end;
           i)
         (Array.init 8 (fun i -> i))
@@ -216,7 +220,7 @@ let test_fig6_determinism () =
 let metrics_json ~jobs run =
   let obs = Obs.create () in
   run ~obs ~jobs;
-  Obs_json.to_string_pretty (Obs.to_json obs)
+  Test_obs.metrics_document obs
 
 let test_fig6_merged_registry () =
   (* Every job records into its own fork, merged in input order at any

@@ -63,7 +63,8 @@ let sample_segment () =
 
 let test_terminate () =
   let _, _, seg = sample_segment () in
-  check (Alcotest.list Alcotest.int) "AS sequence" [ 0; 2; 4 ] (Segment.ases seg);
+  check (Alcotest.array Alcotest.int) "AS sequence" [| 0; 2; 4 |]
+    (Array.map (fun hf -> hf.Segment.as_idx) seg.Segment.hops);
   check Alcotest.int "origin" 0 seg.Segment.origin;
   check Alcotest.int "leaf" 4 seg.Segment.leaf;
   check Alcotest.int "terminal egress is 0" 0
@@ -79,34 +80,23 @@ let test_terminate_empty_pcb () =
         (Segment.terminate g keys ~kind:Segment.Up ~holder:0
            (Pcb.origin_pcb ~origin:0 ~now:0.0 ~lifetime:1.0)))
 
-let test_segment_verify () =
-  let _, keys, seg = sample_segment () in
-  Alcotest.(check bool) "verifies" true (Segment.verify keys seg ~now:10.0);
-  Alcotest.(check bool) "expired fails" false (Segment.verify keys seg ~now:4000.0)
-
 let test_segment_mac_tamper () =
   let _, keys, seg = sample_segment () in
   let hf = seg.Segment.hops.(1) in
   let tampered = { hf with Segment.egress = hf.Segment.egress + 1 } in
+  Alcotest.(check bool) "genuine hop accepted" true (Segment.mac_valid keys hf);
   Alcotest.(check bool) "tampered hop rejected" false
-    (Segment.verify_hop keys tampered ~now:10.0)
-
-let test_segment_key_rotation () =
-  let g, cs = Lazy.force built in
-  ignore g;
-  let keys = Control_service.keys cs in
-  let _, _, seg = sample_segment () in
-  Alcotest.(check bool) "before rotation" true (Segment.verify keys seg ~now:10.0);
-  Fwd_keys.rotate keys 2;
-  Alcotest.(check bool) "after rotating AS 2's key" false
-    (Segment.verify keys seg ~now:10.0)
+    (Segment.mac_valid keys tampered)
 
 let test_segment_mac_symmetric () =
   (* The same hop field must validate for up and down traversal. *)
-  let keys = Fwd_keys.create () in
-  let m1 = Segment.hop_mac keys ~as_idx:3 ~if1:5 ~if2:9 ~expiry:100.0 in
-  let m2 = Segment.hop_mac keys ~as_idx:3 ~if1:9 ~if2:5 ~expiry:100.0 in
-  check Alcotest.string "direction independent" m1 m2
+  let _, keys, seg = sample_segment () in
+  let hf = seg.Segment.hops.(1) in
+  let reversed =
+    { hf with Segment.ingress = hf.Segment.egress; egress = hf.Segment.ingress }
+  in
+  Alcotest.(check bool) "direction independent" true
+    (Segment.mac_valid keys reversed)
 
 let test_segment_mac_known_answer () =
   (* Oracle: the first 6 bytes of HMAC-SHA256 as computed by an
@@ -114,21 +104,44 @@ let test_segment_mac_known_answer () =
      SHA-256("scion-fwd-key:0:7") over the payload "hf|7|2|5|21600"
      (AS, lower interface, higher interface, expiry). *)
   let keys = Fwd_keys.create () in
-  let hex =
-    String.fold_left (fun h c -> h ^ Printf.sprintf "%02x" (Char.code c)) ""
+  let hf mac ~ingress ~egress =
+    {
+      Segment.as_idx = 7;
+      ingress;
+      egress;
+      link_in = -1;
+      link_out = -1;
+      peers = [||];
+      expiry = 21600.0;
+      mac;
+    }
   in
-  check Alcotest.string "external HMAC-SHA256, truncated" "4002c9c5a05e"
-    (hex (Segment.hop_mac keys ~as_idx:7 ~if1:2 ~if2:5 ~expiry:21600.0));
-  check Alcotest.string "first 6 bytes of the full tag"
-    (String.sub (Hmac.mac ~key:(Fwd_keys.key keys 7) "hf|7|2|5|21600") 0 6)
-    (Segment.hop_mac keys ~as_idx:7 ~if1:5 ~if2:2 ~expiry:21600.0)
+  let known = "\x40\x02\xc9\xc5\xa0\x5e" in
+  Alcotest.(check bool) "external HMAC-SHA256, truncated" true
+    (Segment.mac_valid keys (hf known ~ingress:2 ~egress:5));
+  Alcotest.(check bool) "either interface order" true
+    (Segment.mac_valid keys (hf known ~ingress:5 ~egress:2));
+  Alcotest.(check bool) "first 6 bytes of the full tag" true
+    (Segment.mac_valid keys
+       (hf
+          (String.sub (Hmac.mac ~key:(Fwd_keys.key keys 7) "hf|7|2|5|21600") 0 6)
+          ~ingress:2 ~egress:5));
+  Alcotest.(check bool) "one flipped bit rejected" false
+    (Segment.mac_valid keys (hf "\x40\x02\xc9\xc5\xa0\x5f" ~ingress:2 ~egress:5))
 
 (* --- Traversals & combination --- *)
 
 let test_traversals () =
-  let _, _, seg = sample_segment () in
-  let down = Seg_combine.traverse_down seg in
-  let up = Seg_combine.traverse_up seg in
+  let g, _, seg = sample_segment () in
+  (* The segment alone, used as an up segment (leaf 4 to origin 0) and
+     as a down segment (origin 0 to leaf 4). *)
+  let only ~up ~down ~src ~dst =
+    match Seg_combine.combine g ~up ~core:[] ~down ~src ~dst with
+    | [ p ] -> p.Fwd_path.crossings
+    | ps -> Alcotest.failf "expected one path, got %d" (List.length ps)
+  in
+  let down = only ~up:[] ~down:[ seg ] ~src:0 ~dst:4 in
+  let up = only ~up:[ seg ] ~down:[] ~src:4 ~dst:0 in
   check Alcotest.int "down starts at origin" 0 down.(0).Fwd_path.as_idx;
   check Alcotest.int "up starts at leaf" 4 up.(0).Fwd_path.as_idx;
   check Alcotest.int "up source in_if is 0" 0 up.(0).Fwd_path.in_if;
@@ -243,8 +256,6 @@ let test_fwd_path_accessors () =
         (match paths with
         | a :: b :: _ -> Fwd_path.key a <> Fwd_path.key b
         | _ -> true);
-      Alcotest.(check bool) "pp renders" true
-        (String.length (Format.asprintf "%a" Fwd_path.pp p) > 0);
       (* links accessor consistent with crossings *)
       Array.iter
         (fun l -> Alcotest.(check bool) "contains_link" true (Fwd_path.contains_link p l))
@@ -351,13 +362,6 @@ let test_path_server_cap () =
   Alcotest.(check bool) "same leaf second rejected... different leaf ok" true
     (Path_server.register_down ps ~now:1.0 (seg_via l_c0_a3 3))
 
-let test_deregister () =
-  let _, _, seg = sample_segment () in
-  let ps = Path_server.create () in
-  ignore (Path_server.register_down ps ~now:1.0 seg);
-  check Alcotest.int "deregistered" 1 (Path_server.deregister_leaf ps ~leaf:4);
-  check Alcotest.int "empty" 0 (Path_server.total_segments ps)
-
 (* --- Control service revocation --- *)
 
 let test_control_service_revocation () =
@@ -411,9 +415,11 @@ let prop_resolve_forwardable =
       in
       let l1 = attach 1 c0 leaves1 in
       let l2 = attach 2 c1 leaves2 in
-      (* Random peering between leaves of the same ISD. *)
+      (* Random peering between leaves of the same ISD, on a fair coin
+         (the low bit of the next draw). *)
       (match l1 with
-      | a :: bb :: _ when Rng.bool rng -> Graph.add_link b ~rel:Graph.Peering a bb
+      | a :: bb :: _ when Int64.logand (Rng.int64 rng) 1L = 1L ->
+          Graph.add_link b ~rel:Graph.Peering a bb
       | _ -> ());
       let g = Graph.freeze b in
       let cfg scope = { Beaconing.default_config with Beaconing.scope; Beaconing.duration = 600.0 *. 6.0 } in
@@ -454,9 +460,7 @@ let suite =
   [
     ("terminate", `Quick, test_terminate);
     ("terminate empty pcb", `Quick, test_terminate_empty_pcb);
-    ("segment verify", `Quick, test_segment_verify);
     ("segment mac tamper", `Quick, test_segment_mac_tamper);
-    ("segment key rotation", `Quick, test_segment_key_rotation);
     ("segment mac symmetric", `Quick, test_segment_mac_symmetric);
     ("segment mac known answer", `Quick, test_segment_mac_known_answer);
     ("traversals", `Quick, test_traversals);
@@ -479,7 +483,6 @@ let suite =
       `Quick,
       test_path_server_reregister_after_recovery );
     ("path server cap", `Quick, test_path_server_cap);
-    ("path server deregister", `Quick, test_deregister);
     ("control service revocation", `Quick, test_control_service_revocation);
     QCheck_alcotest.to_alcotest prop_resolve_forwardable;
     ("build rejects mismatched graphs", `Quick, test_build_rejects_mismatched_graphs);

@@ -22,20 +22,6 @@ let prop_ia_roundtrip =
       let ia = Id.ia isd asn in
       Id.ia_of_string (Id.ia_to_string ia) = Some ia)
 
-let test_ia_compare () =
-  Alcotest.(check bool) "isd dominates" true
-    (Id.compare_ia (Id.ia 1 99) (Id.ia 2 1) < 0);
-  Alcotest.(check bool) "asn breaks ties" true
-    (Id.compare_ia (Id.ia 1 5) (Id.ia 1 9) < 0);
-  Alcotest.(check bool) "equal" true (Id.equal_ia (Id.ia 1 5) (Id.ia 1 5))
-
-let test_asn_namespace () =
-  Alcotest.(check bool) "bgp asn valid" true (Id.valid_asn Id.max_bgp_asn);
-  Alcotest.(check bool) "scion asn valid" true (Id.valid_asn Id.max_scion_asn);
-  Alcotest.(check bool) "beyond 48-bit invalid" false (Id.valid_asn (Id.max_scion_asn + 1));
-  Alcotest.(check bool) "negative invalid" false (Id.valid_asn (-1));
-  Alcotest.(check bool) "scion space larger" true (Id.max_scion_asn > Id.max_bgp_asn)
-
 let test_pcb_bytes () =
   (* One hop: header + hop field + metadata + signature. *)
   check Alcotest.int "one hop" (32 + 16 + 48 + 96) (Wire.pcb_bytes ~hops:1);
@@ -78,17 +64,11 @@ let test_registration_bytes () =
   Alcotest.(check bool) "registration carries the segment" true
     (Wire.path_segment_registration_bytes ~hops:3 > Wire.pcb_bytes ~hops:3)
 
-let test_endpoint_pp () =
-  let e = { Id.host_ia = Id.ia 1 2; local = Id.Ipv4 0x0A000001l } in
-  check Alcotest.string "pp endpoint" "1-2,10.0.0.1" (Format.asprintf "%a" Id.pp_endpoint e)
-
 let suite =
   [
     ("ia pp", `Quick, test_ia_pp);
     ("ia parse", `Quick, test_ia_parse);
     QCheck_alcotest.to_alcotest prop_ia_roundtrip;
-    ("ia compare", `Quick, test_ia_compare);
-    ("asn namespace", `Quick, test_asn_namespace);
     ("pcb bytes", `Quick, test_pcb_bytes);
     ("pcb bytes linear", `Quick, test_pcb_bytes_linear);
     ("bgp update bytes", `Quick, test_bgp_update_bytes);
@@ -96,5 +76,4 @@ let suite =
     ("bgpsec per-hop cost", `Quick, test_bgpsec_per_hop_cost);
     ("withdraw bytes", `Quick, test_withdraw_bytes);
     ("registration bytes", `Quick, test_registration_bytes);
-    ("endpoint pp", `Quick, test_endpoint_pp);
   ]
