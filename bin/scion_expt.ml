@@ -44,6 +44,21 @@ let positive_float ~expected =
     (fun v -> Float.is_finite v && v > 0.0)
     Format.pp_print_float
 
+(* An output path, checked when the flag is parsed so that a run that
+   could not write its output fails before doing any work. *)
+let out_path =
+  let parse s =
+    let dir = Filename.dirname s in
+    let is_dir p = Sys.file_exists p && Sys.is_directory p in
+    match Unix.access dir [ Unix.W_OK; Unix.X_OK ] with
+    | () when is_dir dir && not (is_dir s) -> Ok s
+    | () | (exception Unix.Unix_error _) ->
+        Printf.ksprintf
+          (fun m -> Error (`Msg m))
+          "cannot write '%s': not a file in a writable directory" s
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let scale_term =
   Arg.(
     value
@@ -73,7 +88,7 @@ let jobs_term =
 let out_term =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_path) None
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Also write the experiment result as JSON to $(docv).")
 
@@ -222,7 +237,7 @@ let obs_term =
   let metrics_out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
             "Write the metrics (labeled counters and histograms) as JSON to \
@@ -232,7 +247,7 @@ let obs_term =
   let metrics_csv =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path) None
       & info [ "metrics-csv" ] ~docv:"FILE"
           ~doc:"Write the final metric snapshot as CSV to $(docv).")
   in
@@ -399,18 +414,7 @@ let lookup_cmd =
   let run requests obs_opts =
     with_obs obs_opts (fun obs ->
         timed "lookup" (fun () ->
-            let base = { Lookup_sim.default_params with Lookup_sim.requests } in
-            let configs =
-              List.concat_map
-                (fun s ->
-                  List.map
-                    (fun cache -> { base with Lookup_sim.zipf_s = s; Lookup_sim.cache })
-                    [ true; false ])
-                [ 0.8; 1.1; 1.4 ]
-            in
-            print_endline
-              "Down-path segment lookup with caching under Zipf popularity (section 4.1):";
-            Lookup_sim.print_sweep (List.map (Lookup_sim.run ~obs) configs)))
+            Lookup_sim.print_sweep (Lookup_sim.sweep ~obs ~requests ())))
   in
   Cmd.v
     (Cmd.info "lookup" ~doc:"Path-lookup caching simulation (section 4.1)")
@@ -420,7 +424,7 @@ let topo_cmd =
   let save =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path) None
       & info [ "save" ] ~docv:"PREFIX"
           ~doc:"Also write the topologies to PREFIX.{full,core,isd}.topo.")
   in

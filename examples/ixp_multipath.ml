@@ -60,17 +60,10 @@ let () =
   (* Beacon over the IXP fabric: sites are core ASes; member links are
      peering, so treat members as core too for this demo by relabeling
      everything core. *)
-  let g = Graph.map_core g (fun _ -> true) in
-  let b = Graph.builder () in
-  for v = 0 to Graph.n g - 1 do
-    let info = Graph.as_info g v in
-    ignore (Graph.add_as b ~tier:info.Graph.tier ~core:true info.Graph.ia)
-  done;
-  for l = 0 to Graph.num_links g - 1 do
-    let lk = Graph.link g l in
-    Graph.add_link b ~rel:Graph.Core lk.Graph.a lk.Graph.b
-  done;
-  let g = Graph.freeze b in
+  let g =
+    Graph.map_as_info g (fun _ info -> { info with Graph.core = true })
+  in
+  let g = Graph.freeze (Graph.to_builder g ~rel:(fun _ -> Graph.Core)) in
   let cfg = { Beaconing.default_config with Beaconing.duration = 3600.0 } in
   let core_out = Beaconing.run g cfg in
   let intra_out = Beaconing.run g { cfg with Beaconing.scope = Beaconing.Intra_isd } in

@@ -83,10 +83,11 @@ let algo_label = function
 
 let scope_label = function Core_beaconing -> "core" | Intra_isd -> "intra-isd"
 
-(* Export an outcome's byte-level accounting into [obs]: the directed
-   per-interface byte distribution as a histogram (the Fig. 9 view) and
-   the [observe_top] busiest interfaces as pcb_bytes{as,ifid} labeled
-   counters (bounded so paper-scale runs do not explode the export). *)
+(* Export an outcome's accounting into [obs]: the send totals, the
+   directed per-interface byte distribution as a histogram (the Fig. 9
+   view) and the [observe_top] busiest interfaces as pcb_bytes{as,ifid}
+   labeled counters (bounded so paper-scale runs do not explode the
+   export). *)
 let observe_top = 16
 
 let observe obs (outcome : outcome) =
@@ -100,6 +101,11 @@ let observe obs (outcome : outcome) =
       ]
     in
     let reg = Obs.registry obs in
+    Registry.add reg ~labels "beacon_pcbs_sent_total"
+      (float_of_int stats.total_pcbs);
+    Registry.add reg ~labels "beacon_bytes_sent_total" stats.total_bytes;
+    Registry.add reg ~labels "beacon_crypto_failures_total"
+      (float_of_int stats.crypto_failures);
     let h = Registry.histogram reg ~labels "beacon_iface_bytes" in
     Array.iter (Histogram.observe h) stats.bytes_on_iface;
     let m = Array.length stats.bytes_on_iface in
@@ -209,16 +215,13 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   let obs_labels =
     [ ("algo", algo_label cfg.algorithm); ("scope", scope_label cfg.scope) ]
   in
-  let c_sent, c_bytes, c_originated, c_filtered, c_crypto_fail =
+  let c_originated, c_filtered =
     if obs_on then begin
       let reg = Obs.registry obs in
-      ( Registry.counter reg ~labels:obs_labels "beacon_pcbs_sent_total",
-        Registry.counter reg ~labels:obs_labels "beacon_bytes_sent_total",
-        Registry.counter reg ~labels:obs_labels "beacon_pcbs_originated_total",
-        Registry.counter reg ~labels:obs_labels "beacon_pcbs_filtered_total",
-        Registry.counter reg ~labels:obs_labels "beacon_crypto_failures_total" )
+      ( Registry.counter reg ~labels:obs_labels "beacon_pcbs_originated_total",
+        Registry.counter reg ~labels:obs_labels "beacon_pcbs_filtered_total" )
     end
-    else (ref 0.0, ref 0.0, ref 0.0, ref 0.0, ref 0.0)
+    else (ref 0.0, ref 0.0)
   in
   (* Outgoing eligible interfaces, grouped by neighbor AS. *)
   let out_links =
@@ -368,20 +371,16 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     stats.total_pcbs <- stats.total_pcbs + 1;
     outbox := { pcb = ext; via = h.Graph.via; receiver = h.Graph.peer } :: !outbox;
     incr outbox_len;
-    if obs_on then begin
-      c_sent := !c_sent +. 1.0;
-      c_bytes := !c_bytes +. size;
-      if Trace.enabled tr Trace.Debug then
-        Trace.emit tr Trace.Debug ~time:now ~category:"beacon"
-          ~fields:
-            [
-              ("as", string_of_int sender);
-              ("ifid", string_of_int h.Graph.local_if);
-              ("receiver", string_of_int h.Graph.peer);
-              ("bytes", Printf.sprintf "%.0f" size);
-            ]
-          "pcb propagated"
-    end
+    if obs_on && Trace.enabled tr Trace.Debug then
+      Trace.emit tr Trace.Debug ~time:now ~category:"beacon"
+        ~fields:
+          [
+            ("as", string_of_int sender);
+            ("ifid", string_of_int h.Graph.local_if);
+            ("receiver", string_of_int h.Graph.peer);
+            ("bytes", Printf.sprintf "%.0f" size);
+          ]
+        "pcb propagated"
     end
   in
 
@@ -637,13 +636,10 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
         if accept then ignore (Beacon_store.insert stores.(m.receiver) ~now m.pcb)
         else begin
           stats.crypto_failures <- stats.crypto_failures + 1;
-          if obs_on then begin
-            c_crypto_fail := !c_crypto_fail +. 1.0;
-            if Trace.enabled tr Trace.Warn then
-              Trace.emit tr Trace.Warn ~time:now ~category:"beacon"
-                ~fields:[ ("receiver", string_of_int m.receiver) ]
-                "pcb rejected: signature verification failed"
-          end
+          if obs_on && Trace.enabled tr Trace.Warn then
+            Trace.emit tr Trace.Warn ~time:now ~category:"beacon"
+              ~fields:[ ("receiver", string_of_int m.receiver) ]
+              "pcb rejected: signature verification failed"
         end)
       (List.rev !outbox);
     outbox := [];

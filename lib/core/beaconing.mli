@@ -125,17 +125,19 @@ val run : ?obs:Obs.t -> Graph.t -> config -> outcome
 
     With an enabled [obs] context (default {!Obs.disabled}, which costs
     one branch per send) the run maintains
-    [beacon_{pcbs_sent,bytes_sent,pcbs_originated,pcbs_filtered,crypto_failures}_total]
-    counters labeled [{algo; scope}], times each selection round under
-    the [beacon.selection_round] timer, emits [beacon]-category trace
+    [beacon_{pcbs_originated,pcbs_filtered}_total] counters labeled
+    [{algo; scope}], times each selection round under the
+    [beacon.selection_round] timer, emits [beacon]-category trace
     events (per-PCB at [Debug], per-round and end-of-run at [Info],
     crypto rejections at [Warn]) and finally calls {!observe} on the
     outcome. *)
 
 val observe : Obs.t -> outcome -> unit
-(** Export an outcome's byte accounting into an {!Obs.t}: the directed
-    per-interface sent-byte distribution as the [beacon_iface_bytes]
-    histogram (the Fig. 9 quantity) and the 16 busiest interfaces as
+(** Export an outcome's accounting into an {!Obs.t}: its [stats]
+    totals as the [beacon_{pcbs_sent,bytes_sent,crypto_failures}_total]
+    counters labeled [{algo; scope}], the directed per-interface
+    sent-byte distribution as the [beacon_iface_bytes] histogram (the
+    Fig. 9 quantity) and the 16 busiest interfaces as
     [pcb_bytes{as; ifid; algo; scope}] labeled counters.
     No-op on a disabled context; {!run} already calls this when its
     [obs] is enabled. *)

@@ -84,20 +84,7 @@ let forward net ~now pkt =
                 {
                   at_as = v;
                   reason = Link_down l;
-                  scmp =
-                    Some
-                      {
-                        Scmp.kind =
-                          Scmp.Link_failure
-                            {
-                              link = l;
-                              if_a = lk.Graph.a_if;
-                              if_b = lk.Graph.b_if;
-                              expiry = now +. Scmp.default_revocation_ttl;
-                            };
-                        origin_as = v;
-                        at = now;
-                      };
+                  scmp = Some (Scmp.link_failure lk ~origin_as:v ~now);
                 }
             else step (i + 1) (v :: trace)
           end

@@ -7,6 +7,20 @@ and kind =
 
 let default_revocation_ttl = 600.0
 
+let link_failure (lk : Graph.link) ~origin_as ~now =
+  {
+    kind =
+      Link_failure
+        {
+          link = lk.Graph.link_id;
+          if_a = lk.Graph.a_if;
+          if_b = lk.Graph.b_if;
+          expiry = now +. default_revocation_ttl;
+        };
+    origin_as;
+    at = now;
+  }
+
 let header_bytes = 16
 
 let quote_bytes = 64

@@ -27,6 +27,11 @@ val default_revocation_ttl : float
 (** How long a link-failure revocation stays active before the link may
     be retried: 600 s (one beaconing interval). *)
 
+val link_failure : Graph.link -> origin_as:int -> now:float -> message
+(** The notification a border router in [origin_as] sends when it
+    finds the link down at [now]: the link's interface pair and a
+    revocation expiring {!default_revocation_ttl} later. *)
+
 val wire_bytes : message -> int
 (** On-the-wire size of the message: the fixed 16-byte header
     (type/code/checksum plus the SCION address header) and the 64-byte

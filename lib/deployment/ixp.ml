@@ -1,21 +1,7 @@
 type member = { as_idx : int; site : int }
 
-let copy_into_builder g =
-  let b = Graph.builder () in
-  for v = 0 to Graph.n g - 1 do
-    let info = Graph.as_info g v in
-    ignore
-      (Graph.add_as b ~tier:info.Graph.tier ~cities:info.Graph.cities
-         ~core:info.Graph.core info.Graph.ia)
-  done;
-  for l = 0 to Graph.num_links g - 1 do
-    let lk = Graph.link g l in
-    Graph.add_link b ~rel:lk.Graph.rel lk.Graph.a lk.Graph.b
-  done;
-  b
-
 let big_switch g ~members ~full_mesh =
-  let b = copy_into_builder g in
+  let b = Graph.to_builder g in
   let pairs = ref [] in
   List.iter
     (fun m1 ->
@@ -42,7 +28,7 @@ let exposed_topology g ~members ~sites ~inter_site_links ~isd =
       if m.site < 0 || m.site >= sites then
         invalid_arg "Ixp.exposed_topology: member at unknown site")
     members;
-  let b = copy_into_builder g in
+  let b = Graph.to_builder g in
   let base_asn = 9000 in
   let site_as =
     Array.init sites (fun s ->

@@ -34,7 +34,7 @@ type selected = {
   sel_link : int;
   sel_siblings : int list;
   sel_alternatives : int;
-  sel_dist : int;
+  sel_failover_s : float;
 }
 
 (* Sample distinct adjacencies with enough redundancy that both
@@ -61,22 +61,20 @@ let select_failures ~rng ~core ~scion ~now ~n_failures =
                 let alternatives =
                   List.length (List.filter (fun p -> not (on_any p)) paths)
                 in
-                (* The SCMP round trip: same model as the fault engine. *)
-                let dist = Fault_engine.failure_distance failed paths in
-                Some (d, alternatives, dist)
+                Some (d, alternatives, Fault_engine.failover_delay_s failed paths)
               end
             end)
           (Beacon_store.origins scion.Beaconing.stores.(s))
       in
       match victims with
       | [] -> None
-      | (_, alternatives, dist) :: _ ->
+      | (_, alternatives, failover_s) :: _ ->
           Some
             {
               sel_link = lk.Graph.link_id;
               sel_siblings = siblings;
               sel_alternatives = alternatives;
-              sel_dist = dist;
+              sel_failover_s = failover_s;
             })
 
 (* Each trial owns a private BGP simulator brought to quiescence from
@@ -101,7 +99,6 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; n_failures; seed } =
           })
   in
   let now = Exp_common.beacon_config.Beaconing.duration -. 1.0 in
-  let prop = Bgp_sim.default_config.Bgp_sim.propagation_delay in
   let selected = select_failures ~rng ~core ~scion ~now ~n_failures in
   (* BGP over the core mesh: full transit, length-only decision (the
      §5.3 best-case model). *)
@@ -137,10 +134,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; n_failures; seed } =
                     bgp_convergence_s = tq -. t0;
                     bgp_updates = st.Bgp_sim.updates_sent + st.Bgp_sim.withdrawals_sent;
                     bgp_bytes = st.Bgp_sim.bytes_sent;
-                    (* SCMP travels back from the failure point; the
-                       endpoint switches to an already-known path
-                       immediately. *)
-                    scion_failover_s = float_of_int s.sel_dist *. prop;
+                    scion_failover_s = s.sel_failover_s;
                     scion_control_messages = 0;
                     scion_alternatives_ready = s.sel_alternatives;
                   }))

@@ -95,22 +95,11 @@ let sample_pairs g ~count ~seed =
 (* Links between two core ASes become core links, so an ISD graph
    carries both levels of the beaconing hierarchy. *)
 let coreify g =
-  let b = Graph.builder () in
-  for v = 0 to Graph.n g - 1 do
-    let info = Graph.as_info g v in
-    ignore
-      (Graph.add_as b ~tier:info.Graph.tier ~cities:info.Graph.cities
-         ~core:info.Graph.core info.Graph.ia)
-  done;
-  for l = 0 to Graph.num_links g - 1 do
-    let lk = Graph.link g l in
-    let rel =
-      if Graph.is_core g lk.Graph.a && Graph.is_core g lk.Graph.b then Graph.Core
-      else lk.Graph.rel
-    in
-    Graph.add_link b ~rel lk.Graph.a lk.Graph.b
-  done;
-  Graph.freeze b
+  Graph.freeze
+    (Graph.to_builder g ~rel:(fun lk ->
+         if Graph.is_core g lk.Graph.a && Graph.is_core g lk.Graph.b then
+           Graph.Core
+         else lk.Graph.rel))
 
 let control_plane ?(obs = Obs.disabled) ?(jobs = 1) g =
   (* A shorter horizon than §5.1 suffices to populate the path servers. *)

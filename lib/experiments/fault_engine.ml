@@ -3,7 +3,6 @@ type config = {
   beacon : Beaconing.config;
   plan : Fault_plan.t;
   pairs : (int * int) array;
-  scmp_delay_s : float;
 }
 
 type result = {
@@ -17,6 +16,9 @@ type result = {
 
 let on_path link (p : Pcb.t) = Array.exists (fun x -> x = link) p.Pcb.links
 
+(* The hops an SCMP notification travels back to the source: the
+   1-based position of the last failed link on the first affected path
+   (1 when none is affected). *)
 let failure_distance failed paths =
   let affected (p : Pcb.t) = Array.exists failed p.Pcb.links in
   match List.find_opt affected paths with
@@ -25,6 +27,16 @@ let failure_distance failed paths =
       let pos = ref 0 in
       Array.iteri (fun i x -> if failed x then pos := i) p.Pcb.links;
       !pos + 1
+
+let failover_delay_s failed paths =
+  float_of_int (failure_distance failed paths)
+  *. Bgp_sim.default_config.Bgp_sim.propagation_delay
+
+let invalidate_link stores ps ~link =
+  let dropped =
+    Array.fold_left (fun acc st -> acc + Beacon_store.drop_link st ~link) 0 stores
+  in
+  (dropped, Path_server.revoke_link ps ~link)
 
 let run ?(obs = Obs.disabled) cfg =
   let g = cfg.graph in
@@ -41,20 +53,7 @@ let run ?(obs = Obs.disabled) cfg =
   let on_down ~now ~link =
     Recovery.record_event recov ~action:Fault_plan.Down;
     let lk = Graph.link g link in
-    let msg =
-      {
-        Scmp.kind =
-          Scmp.Link_failure
-            {
-              link;
-              if_a = lk.Graph.a_if;
-              if_b = lk.Graph.b_if;
-              expiry = now +. Scmp.default_revocation_ttl;
-            };
-        origin_as = lk.Graph.a;
-        at = now;
-      }
-    in
+    let msg = Scmp.link_failure lk ~origin_as:lk.Graph.a ~now in
     (* Which monitored pairs were riding the link? Decide failover vs
        blackout from the pre-drop path sets. *)
     let notified = ref 0 in
@@ -69,16 +68,11 @@ let run ?(obs = Obs.disabled) cfg =
             Recovery.open_blackout recov ~now ~pair:(s, d)
           else
             Recovery.record_failover recov
-              ~recovery_s:
-                (float_of_int (failure_distance (Int.equal link) paths)
-                *. cfg.scmp_delay_s)
+              ~recovery_s:(failover_delay_s (Int.equal link) paths)
         end)
       cfg.pairs;
-    let dropped =
-      Array.fold_left (fun acc st -> acc + Beacon_store.drop_link st ~link) 0 stores
-    in
+    let dropped, revoked = invalidate_link stores ps ~link in
     Recovery.record_dropped_pcbs recov dropped;
-    let revoked = Path_server.revoke_link ps ~link in
     (* One SCMP revocation per notified endpoint plus the one that
        reaches the path server (§4.1). *)
     let msgs = !notified + 1 in

@@ -32,8 +32,6 @@ type config = {
   beacon : Beaconing.config;
   plan : Fault_plan.t;
   pairs : (int * int) array;  (** monitored (src, dst) pairs *)
-  scmp_delay_s : float;
-      (** per-hop propagation delay of the SCMP notification path *)
 }
 
 type result = {
@@ -57,9 +55,21 @@ val run : ?obs:Obs.t -> config -> result
     [Info] up) and {!Recovery.observe} exports the trial's counters
     and histograms on completion. *)
 
-val failure_distance : (int -> bool) -> Pcb.t list -> int
-(** [failure_distance failed paths] is the failure-distance model shared
-    with the convergence experiment: the 1-based position of the last
-    link satisfying [failed] on the first path in [paths] that has one —
-    the hops an SCMP notification travels back to the source. [1] when
-    no path is affected. *)
+val failover_delay_s : (int -> bool) -> Pcb.t list -> float
+(** [failover_delay_s failed paths] is how long a source using [paths]
+    takes to fail over once the links satisfying [failed] go down (§4.1):
+    the SCMP notification travels back from the failure at 10 ms per
+    hop, the propagation delay BGP is timed with
+    ([Bgp_sim.default_config]), and the source switches to an
+    already-disseminated path at once. The hop count is the 1-based
+    position of the last failed link on the first path in [paths] that
+    has one, and 1 when no path is affected. Used by the fault engine
+    and by the convergence experiment. *)
+
+val invalidate_link :
+  Beacon_store.t array -> Path_server.t -> link:int -> int * int
+(** [invalidate_link stores ps ~link] is what a link failure takes out
+    of the control plane: every PCB over [link] in [stores]
+    ({!Beacon_store.drop_link}), then every segment over it at [ps]
+    ({!Path_server.revoke_link}). Returns [(dropped_pcbs,
+    revoked_segments)]. *)

@@ -37,21 +37,6 @@ let run ?(obs = Obs.disabled) p =
     invalid_arg "Lookup_sim.run: invalid parameters";
   let obs_on = Obs.on obs in
   let tr = Obs.trace obs in
-  let labels =
-    [
-      ("cache", if p.cache then "on" else "off");
-      ("zipf", Printf.sprintf "%.2f" p.zipf_s);
-    ]
-  in
-  let c_hits, c_misses, c_bytes =
-    if obs_on then begin
-      let reg = Obs.registry obs in
-      ( Registry.counter reg ~labels "lookup_cache_hits_total",
-        Registry.counter reg ~labels "lookup_cache_misses_total",
-        Registry.counter reg ~labels "lookup_upstream_bytes_total" )
-    end
-    else (ref 0.0, ref 0.0, ref 0.0)
-  in
   let rng = Rng.create seed in
   let zipf = Zipf.create ~n:p.n_destinations ~s:p.zipf_s in
   (* Per client AS: destination -> cached-until. *)
@@ -77,22 +62,15 @@ let run ?(obs = Obs.disabled) p =
           false
       | None -> false
     in
-    if cached then begin
-      incr hits;
-      if obs_on then c_hits := !c_hits +. 1.0
-    end
+    if cached then incr hits
     else begin
       incr misses;
       upstream_bytes := !upstream_bytes +. query_bytes +. reply_bytes;
-      if obs_on then begin
-        c_misses := !c_misses +. 1.0;
-        c_bytes := !c_bytes +. query_bytes +. reply_bytes;
-        if Trace.enabled tr Trace.Debug then
-          Trace.emit tr Trace.Debug ~time:now ~category:"lookup"
-            ~fields:
-              [ ("client", string_of_int client); ("dst", string_of_int dst) ]
-            "cache miss, upstream fetch"
-      end;
+      if obs_on && Trace.enabled tr Trace.Debug then
+        Trace.emit tr Trace.Debug ~time:now ~category:"lookup"
+          ~fields:
+            [ ("client", string_of_int client); ("dst", string_of_int dst) ]
+          "cache miss, upstream fetch";
       if p.cache then
         Hashtbl.replace caches.(client) dst (now +. p.segment_lifetime)
     end
@@ -109,17 +87,44 @@ let run ?(obs = Obs.disabled) p =
           ("evictions", string_of_int !evictions);
         ]
       "lookup simulation complete";
-  {
-    params = p;
-    cache_hits = !hits;
-    cache_misses = !misses;
-    hit_rate = (if p.requests = 0 then 0.0 else float_of_int !hits /. float_of_int p.requests);
-    upstream_messages = 2 * !misses;
-    upstream_bytes = !upstream_bytes;
-    expired_evictions = !evictions;
-  }
+  let r =
+    {
+      params = p;
+      cache_hits = !hits;
+      cache_misses = !misses;
+      hit_rate = float_of_int !hits /. float_of_int (max 1 p.requests);
+      upstream_messages = 2 * !misses;
+      upstream_bytes = !upstream_bytes;
+      expired_evictions = !evictions;
+    }
+  in
+  if obs_on then begin
+    let reg = Obs.registry obs in
+    let labels =
+      [
+        ("cache", if p.cache then "on" else "off");
+        ("zipf", Printf.sprintf "%.2f" p.zipf_s);
+      ]
+    in
+    Registry.add reg ~labels "lookup_cache_hits_total" (float_of_int r.cache_hits);
+    Registry.add reg ~labels "lookup_cache_misses_total"
+      (float_of_int r.cache_misses);
+    Registry.add reg ~labels "lookup_upstream_bytes_total" r.upstream_bytes
+  end;
+  r
+
+let sweep ?obs ~requests () =
+  List.concat_map
+    (fun zipf_s ->
+      List.map
+        (fun cache -> run ?obs { default_params with zipf_s; cache; requests })
+        [ true; false ])
+    [ 0.8; 1.1; 1.4 ]
 
 let print_sweep results =
+  print_endline
+    "Down-path segment lookup with caching under Zipf popularity (section \
+     4.1):";
   Table.print
     ~header:
       [ "zipf s"; "cache"; "requests"; "hit rate"; "upstream msgs"; "upstream bytes"; "msgs/request" ]

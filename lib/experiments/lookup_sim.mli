@@ -36,10 +36,16 @@ type result = {
 
 val run : ?obs:Obs.t -> params -> result
 (** With an enabled [obs] context (default {!Obs.disabled}) the run
-    maintains [lookup_cache_{hits,misses}_total] and
-    [lookup_upstream_bytes_total] counters labeled [{cache; zipf}] and
-    emits [lookup]-category trace events (per-miss at [Debug], run
-    summary at [Info]). *)
+    adds the result's hits, misses and upstream bytes to the
+    [lookup_cache_{hits,misses}_total] and [lookup_upstream_bytes_total]
+    counters labeled [{cache; zipf}] and emits [lookup]-category trace
+    events (per-miss at [Debug], run summary at [Info]). *)
+
+val sweep : ?obs:Obs.t -> requests:int -> unit -> result list
+(** The §4.1 sweep: {!run} with [requests] requests for Zipf skews
+    0.8, 1.1 and 1.4, each with the cache on and then off; the other
+    parameters are {!default_params}. *)
 
 val print_sweep : result list -> unit
-(** One row per configuration: the Zipf-sweep table. *)
+(** A title line, then one row per configuration: the Zipf-sweep
+    table. *)

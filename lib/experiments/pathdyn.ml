@@ -5,8 +5,6 @@ type profile =
 type cell_result = {
   profile : profile;
   limit : int;
-  trials_ok : int;
-  trials_failed : int;
   availability_mean : float;
   availability_min : float;
   jaccard_mean : float;
@@ -145,9 +143,9 @@ let build_cells cfg ~core ~pairs =
 
 (* --- execution --------------------------------------------------------- *)
 
-(* A failed cell keeps zeros and [trials_failed = 1]; its empty lifetime
-   histogram is still merged into [obs], so the metric series exist for
-   every cell. *)
+(* A failed cell (listed in the run report) keeps zeros; its empty
+   lifetime histogram is still merged into [obs], so the metric series
+   exist for every cell. *)
 let cell_result ~obs cell state =
   let reg =
     match state with Ok t -> Soak.registry t | Error _ -> Registry.create ()
@@ -163,8 +161,6 @@ let cell_result ~obs cell state =
       {
         profile = cell.profile;
         limit = cell.limit;
-        trials_ok = 0;
-        trials_failed = 1;
         availability_mean = 0.0;
         availability_min = 0.0;
         jaccard_mean = 0.0;
@@ -185,8 +181,6 @@ let cell_result ~obs cell state =
       {
         profile = cell.profile;
         limit = cell.limit;
-        trials_ok = 1;
-        trials_failed = 0;
         availability_mean = r.Soak.availability_mean;
         availability_min = r.Soak.availability_min;
         jaccard_mean = r.Soak.jaccard_overall;
@@ -271,8 +265,6 @@ let to_json (r : result) =
                  [
                    ("profile", Obs_json.String (profile_name c.profile));
                    ("storage_limit", Obs_json.Int c.limit);
-                   ("trials_ok", Obs_json.Int c.trials_ok);
-                   ("trials_failed", Obs_json.Int c.trials_failed);
                    ("availability_mean", Obs_json.Float c.availability_mean);
                    ("availability_min", Obs_json.Float c.availability_min);
                    ("jaccard_mean", Obs_json.Float c.jaccard_mean);
@@ -305,7 +297,6 @@ let print (r : result) =
       [
         "fault profile";
         "limit";
-        "trials";
         "avail mean";
         "avail min";
         "jaccard";
@@ -323,8 +314,6 @@ let print (r : result) =
            [
              profile_name c.profile;
              string_of_int c.limit;
-             (if c.trials_failed = 0 then string_of_int c.trials_ok
-              else Printf.sprintf "%d (%d failed)" c.trials_ok c.trials_failed);
              Printf.sprintf "%.3f" c.availability_mean;
              Printf.sprintf "%.3f" c.availability_min;
              Printf.sprintf "%.3f" c.jaccard_mean;

@@ -30,10 +30,9 @@ type profile =
 
 type cell_result = {
   profile : profile;
-  limit : int;  (** PCB storage limit of the cell *)
-  trials_ok : int;  (** 1, or 0 when the cell failed *)
-  trials_failed : int;
-      (** 1 when the cell failed; every statistic below is then zero *)
+  limit : int;
+      (** PCB storage limit of the cell; when the cell failed (it is
+          then in [result.report]) every statistic below is zero *)
   availability_mean : float;
   availability_min : float;
   jaccard_mean : float;

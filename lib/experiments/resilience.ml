@@ -76,7 +76,6 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
      monitored pair, so at least one pair is guaranteed to lose every
      path and sit in blackout until re-beaconing after the repair. *)
   let outage_as = snd pairs.(0) in
-  let scmp_delay_s = Bgp_sim.default_config.Bgp_sim.propagation_delay in
   let cells = List.concat_map (fun a -> List.map (fun r -> (a, r)) rates) algos in
   let cells_arr = Array.of_list cells in
   (* One trial of one sweep cell per job, cell-major, so the trials of
@@ -109,7 +108,6 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
           beacon = beacon_of algo;
           plan;
           pairs;
-          scmp_delay_s;
         })
   in
   let results =

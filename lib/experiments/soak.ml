@@ -175,13 +175,9 @@ let advance ?watchdog t ~upto =
     in
     let on_down ~now:_ ~link =
       st.link_failures <- st.link_failures + 1;
-      st.pcbs_dropped <-
-        st.pcbs_dropped
-        + Array.fold_left
-            (fun acc s -> acc + Beacon_store.drop_link s ~link)
-            0 st.stores;
-      st.segments_revoked <-
-        st.segments_revoked + Path_server.revoke_link st.ps ~link
+      let dropped, revoked = Fault_engine.invalidate_link st.stores st.ps ~link in
+      st.pcbs_dropped <- st.pcbs_dropped + dropped;
+      st.segments_revoked <- st.segments_revoked + revoked
     in
     let on_up ~now:_ ~link:_ = st.link_repairs <- st.link_repairs + 1 in
     for r = st.round to upto - 1 do
@@ -328,7 +324,7 @@ let config_key cfg =
     (Fault_plan.compile ~graph:cfg.graph cfg.plan);
   Array.iter (fun (s, d) -> add "p%d-%d;" s d) cfg.pairs;
   add "top:%d" cfg.register_top;
-  Sha256.hex (Sha256.digest (Buffer.contents b))
+  Buffer.contents b
 
 (* --- report ----------------------------------------------------------- *)
 

@@ -72,10 +72,10 @@ val restore : config -> string -> t
     (wrong store / link / pair counts). *)
 
 val config_key : config -> string
-(** Hex digest fingerprinting everything that determines a trial's
-    evolution (graph links, beaconing parameters, compiled fault
-    events, tracked pairs). Embedded in checkpoint schemas so a resume
-    against a different configuration is rejected up front. *)
+(** Canonical text of everything that determines a trial's evolution
+    (graph links, beaconing parameters, compiled fault events, tracked
+    pairs), for checkpoint schema fingerprints: a resume against a
+    different configuration is rejected up front. *)
 
 (** {1 Reports} *)
 

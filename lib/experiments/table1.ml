@@ -95,28 +95,16 @@ let measure ?obs ?jobs scale =
       resolved_paths := !resolved_paths + List.length (Control_service.resolve cs ~src ~dst)
     end
   done;
-  (* One link failure: revoke affected segments. *)
-  let failed_link = Graph.num_links g / 2 in
-  let revoked = Control_service.revoke_link cs ~link:failed_link in
-  (* Aggregate path-server stats over all core path servers. *)
-  let agg =
-    List.fold_left
-      (fun acc c ->
-        match Control_service.core_path_server cs c with
-        | None -> acc
-        | Some p ->
-            let s = Path_server.stats p in
-            ( (let a, b, c', d, e, f = acc in
-               ( a + s.Path_server.registrations,
-                 b + s.Path_server.registration_bytes,
-                 c' + s.Path_server.lookups_down,
-                 d + s.Path_server.reply_segments_down,
-                 e + s.Path_server.lookups_core,
-                 f + s.Path_server.reply_segments_core )) ))
-      (0, 0, 0, 0, 0, 0)
-      (Graph.core_ases g)
+  (* One link failure: revoke affected segments, each priced as one SCMP
+     link-failure notification (§4.1). *)
+  let failed = Graph.link g (Graph.num_links g / 2) in
+  let revoked = Control_service.revoke_link cs ~link:failed.Graph.link_id in
+  let revocation_bytes =
+    Scmp.wire_bytes
+      (Scmp.link_failure failed ~origin_as:failed.Graph.a
+         ~now:(Control_service.now cs))
   in
-  let regs, reg_bytes, lk_down, rep_down, lk_core, rep_core = agg in
+  let ps = Control_service.stats cs in
   let seg_bytes = float_of_int (Wire.pcb_bytes ~hops:4) in
   let fi = float_of_int in
   [
@@ -132,13 +120,13 @@ let measure ?obs ?jobs scale =
     };
     {
       component = "Down-Path Segment Lookup";
-      messages = fi lk_down;
-      bytes = fi rep_down *. seg_bytes;
+      messages = fi ps.Path_server.lookups_down;
+      bytes = fi ps.Path_server.reply_segments_down *. seg_bytes;
     };
     {
       component = "Core-Path Segment Lookup";
-      messages = fi lk_core;
-      bytes = fi rep_core *. seg_bytes;
+      messages = fi ps.Path_server.lookups_core;
+      bytes = fi ps.Path_server.reply_segments_core *. seg_bytes;
     };
     {
       component = "Endpoint Path Lookup";
@@ -147,13 +135,13 @@ let measure ?obs ?jobs scale =
     };
     {
       component = "Path (De-)Registration";
-      messages = fi regs;
-      bytes = fi reg_bytes;
+      messages = fi ps.Path_server.registrations;
+      bytes = fi ps.Path_server.registration_bytes;
     };
     {
       component = "Path Revocation";
       messages = fi revoked;
-      bytes = fi revoked *. 80.0;
+      bytes = fi (revoked * revocation_bytes);
     };
   ]
 

@@ -65,7 +65,6 @@ val sample_adjacencies :
     rejects it without marking anything used. Results are in acceptance
     order.
 
-    This is the sampler behind both the convergence experiment's
-    failure selection and the resilience scenario's fault sites, so
-    the two agree on what "a random adjacency failure" means — and on
-    the RNG stream they consume. *)
+    This is the convergence experiment's failure selection: an
+    adjacency fails as a whole (a shared conduit), and a selection
+    consumes a fixed RNG stream. *)

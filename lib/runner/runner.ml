@@ -14,12 +14,12 @@ let default_jobs () = Domain.recommended_domain_count ()
    so a generous --jobs cannot abort the program. *)
 let max_workers = 126
 
-(* Golden-ratio stepping plus the SplitMix64 finalizer (via Rng): jobs
-   get well-separated, statistically independent streams for any base. *)
-let golden_gamma = 0x9E3779B97F4A7C15L
-
+(* Output [i] of the SplitMix64 stream seeded with [base]: jobs get
+   well-separated, statistically independent streams for any base. *)
 let job_seed base i =
-  Rng.int64 (Rng.create (Int64.add base (Int64.mul golden_gamma (Int64.of_int i))))
+  let rng = Rng.create base in
+  Rng.skip rng i;
+  Rng.int64 rng
 
 let fail index exn bt =
   raise

@@ -141,5 +141,20 @@ let revoke_link t ~link =
     (fun _ p acc -> acc + Path_server.revoke_link p ~link)
     t.core_ps 0
 
-let core_path_server t c =
-  if Graph.is_core t.graph c then Some (ps t c) else None
+let stats t =
+  Hashtbl.fold
+    (fun _ p (acc : Path_server.stats) ->
+      let s = Path_server.stats p in
+      {
+        Path_server.registrations = acc.registrations + s.registrations;
+        registration_bytes = acc.registration_bytes + s.registration_bytes;
+        lookups_down = acc.lookups_down + s.lookups_down;
+        lookups_core = acc.lookups_core + s.lookups_core;
+        reply_segments_down = acc.reply_segments_down + s.reply_segments_down;
+        reply_segments_core = acc.reply_segments_core + s.reply_segments_core;
+        revocations = acc.revocations + s.revocations;
+        revoked_segments = acc.revoked_segments + s.revoked_segments;
+      })
+    t.core_ps
+    (* A fresh server's stats are all zero. *)
+    (Path_server.stats (Path_server.create ()))

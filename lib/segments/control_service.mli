@@ -36,7 +36,7 @@ val revoke_link : t -> link:int -> int
 (** Propagate a link failure: revoke affected segments at every path
     server (§4.1). Returns total segments revoked. *)
 
-val core_path_server : t -> int -> Path_server.t option
-(** The path server of a core AS, if that AS is core. *)
+val stats : t -> Path_server.stats
+(** The stats of every core path server, summed. *)
 
 val now : t -> float

@@ -168,7 +168,7 @@ let run_cells ~cli ~jobs ~seed ~horizon ~chunk c =
   (* The schema binds a checkpoint to everything a resumed run must
      agree on, so one from a different configuration is rejected on
      load. *)
-  let schema = c.name ^ ":" ^ Sha256.hex (Sha256.digest c.fingerprint) in
+  let schema = c.name ^ ":" ^ Sha256.hex c.fingerprint in
   (* Start fresh at step 0 — or, with --resume, from the newest
      compatible checkpoint in the checkpoint directory. *)
   let start, statuses =

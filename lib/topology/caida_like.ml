@@ -148,17 +148,8 @@ let core_subset g ~k = Graph.prune_to_top_degree g k
 
 let assign_isds g ~per_isd =
   if per_isd < 1 then invalid_arg "Caida_like.assign_isds: per_isd must be >= 1";
-  let b = Graph.builder () in
-  for v = 0 to Graph.n g - 1 do
-    let info = Graph.as_info g v in
-    let ia = Id.ia ((v / per_isd) + 1) (v + 1) in
-    ignore (Graph.add_as b ~tier:info.Graph.tier ~cities:info.Graph.cities ~core:info.Graph.core ia)
-  done;
-  for l = 0 to Graph.num_links g - 1 do
-    let lk = Graph.link g l in
-    Graph.add_link b ~rel:lk.Graph.rel lk.Graph.a lk.Graph.b
-  done;
-  Graph.freeze b
+  Graph.map_as_info g (fun v info ->
+      { info with Graph.ia = Id.ia ((v / per_isd) + 1) (v + 1) })
 
 let cone_sizes g =
   let n = Graph.n g in
@@ -202,5 +193,8 @@ let build_isd g ~n_core =
   let sub, old_of_new = Graph.induced_subgraph g keep in
   let core_set = Hashtbl.create n_core in
   Array.iter (fun c -> Hashtbl.replace core_set c ()) core_old;
-  let sub = Graph.map_core sub (fun ni -> Hashtbl.mem core_set old_of_new.(ni)) in
+  let sub =
+    Graph.map_as_info sub (fun ni info ->
+        { info with Graph.core = Hashtbl.mem core_set old_of_new.(ni) })
+  in
   (sub, old_of_new)

@@ -1,17 +1,9 @@
-(* SplitMix-style integer hash for deterministic pseudo-geography. *)
-let hash64 x =
-  let open Int64 in
-  let z = add (of_int x) 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let unit_float h =
-  Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
+(* A deterministic pseudo-random value in [0, 1) per integer key: the
+   first draw of the generator seeded with the key. *)
+let unit_float x = Rng.float (Rng.create (Int64.of_int x)) 1.0
 
 let city_position c =
-  let h1 = hash64 (2 * c) and h2 = hash64 ((2 * c) + 1) in
-  (10_000.0 *. unit_float h1, 10_000.0 *. unit_float h2)
+  (10_000.0 *. unit_float (2 * c), 10_000.0 *. unit_float ((2 * c) + 1))
 
 let shares_city a b =
   Array.exists (fun c -> Array.exists (fun c' -> c = c') b) a
@@ -27,7 +19,7 @@ let link_latency_ms g l =
   let spread =
     (* Parallel links land in different cities: a deterministic 0-2 ms
        per-link spread keeps them distinguishable. *)
-    2.0 *. unit_float (hash64 (0x11 + l))
+    2.0 *. unit_float (0x11 + l)
   in
   if Array.length ia > 0 && Array.length ib > 0 && shares_city ia ib then
     base +. spread

@@ -218,8 +218,18 @@ let induced_subgraph ?(relabel_rel = fun r -> r) t keep =
     t.links;
   (freeze b, old_of_new)
 
-let map_core t f =
-  { t with ases = Array.mapi (fun i info -> { info with core = f i }) t.ases }
+let to_builder ?(rel = fun l -> l.rel) t =
+  let b = builder () in
+  Array.iter
+    (fun info ->
+      ignore (add_as b ~tier:info.tier ~cities:info.cities ~core:info.core info.ia))
+    t.ases;
+  Array.iter (fun l -> add_link b ~rel:(rel l) l.a l.b) t.links;
+  b
+
+let map_as_info t f = { t with ases = Array.mapi f t.ases }
+
+let all_core t = map_as_info t (fun _ info -> { info with core = true })
 
 let prune_to_top_degree t k =
   let nn = n t in
@@ -267,11 +277,11 @@ let prune_to_top_degree t k =
     | largest :: _ ->
         if List.length largest = n sub then
           ((* Already connected: mark everyone core. *)
-           map_core sub (fun _ -> true), map1)
+           all_core sub, map1)
         else begin
           let sub2, map2 = induced_subgraph sub largest in
           let composed = Array.map (fun ni -> map1.(ni)) map2 in
-          (map_core sub2 (fun _ -> true), composed)
+          (all_core sub2, composed)
         end
   end
 

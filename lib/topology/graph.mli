@@ -115,8 +115,16 @@ val prune_to_top_degree : t -> int -> t * int array
     component of the result and relabels every surviving link as
     {!Core}. Returns the new graph and new-to-old index mapping. *)
 
-val map_core : t -> (int -> bool) -> t
-(** Recompute every AS's core flag. *)
+val to_builder : ?rel:(link -> relationship) -> t -> builder
+(** A builder holding every AS and link of the graph in index order, so
+    further {!add_as}/{!add_link} calls extend it; [rel] (default: the
+    link's own) relabels each copied link. Freezing it unchanged gives
+    back the same graph. *)
+
+val map_as_info : t -> (int -> as_info -> as_info) -> t
+(** [map_as_info g f] replaces AS [v]'s info with [f v info]. Links,
+    interface ids and adjacency are [g]'s own; [f] must keep IAs
+    distinct. *)
 
 (** {1 Serialisation} *)
 

@@ -535,7 +535,7 @@ let config_key cfg =
         | Fault_plan.Up -> "u"))
     (Fault_plan.compile ~graph:cfg.graph cfg.plan);
   List.iter (fun (k, v) -> add "label:%s=%s;" k v) cfg.metric_labels;
-  Sha256.hex (Sha256.digest (Buffer.contents b))
+  Buffer.contents b
 
 (* --- report ----------------------------------------------------------- *)
 

@@ -80,9 +80,9 @@ val restore : config -> string -> t
     malformed or config-inconsistent data. *)
 
 val config_key : config -> string
-(** SHA-256 fingerprint of everything that shapes the run — graph,
-    offered paths, demand, strategy, fault plan, knobs — for
-    checkpoint schema compatibility. *)
+(** Canonical text of everything that shapes the run — graph, offered
+    paths, demand, strategy, fault plan, knobs — for checkpoint schema
+    fingerprints. *)
 
 (** {1 Results} *)
 

@@ -18,6 +18,9 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+let skip t n =
+  t.state <- Int64.add t.state (Int64.mul golden_gamma (Int64.of_int n))
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free modulo is fine here: bound is always far below 2^63 so

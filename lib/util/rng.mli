@@ -23,6 +23,9 @@ val of_state : int64 -> t
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val skip : t -> int -> unit
+(** [skip t n] advances [t] past its next [n] outputs in O(1). *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises
     [Invalid_argument] if [bound <= 0]. *)

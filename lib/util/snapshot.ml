@@ -116,8 +116,11 @@ let r_bool r =
 
 let r_len r what =
   let n = r_int r in
-  if n < 0 || n > String.length r.data - r.pos then
-    corrupt "implausible %s length %d" what n;
+  if n < 0 then corrupt "implausible %s length %d" what n;
+  if n > String.length r.data - r.pos then
+    corrupt "input truncated: a %s of length %d is declared at byte %d, but \
+             the input ends at byte %d"
+      what n r.pos (String.length r.data);
   n
 
 let r_raw r n =

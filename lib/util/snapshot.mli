@@ -88,6 +88,9 @@ val r_f64 : reader -> float
 val r_bool : reader -> bool
 
 val r_str : reader -> string
+(** A length-prefixed string. A negative length is reported as
+    implausible, one that runs past the end of the input as
+    truncation; so are the lengths of {!r_list} and {!r_arr}. *)
 
 val r_raw : reader -> int -> string
 (** [r_raw r n] reads exactly [n] bytes with no length prefix, the

@@ -32,6 +32,40 @@ let test_sample_pairs () =
   let again = Exp_common.sample_pairs g ~count:50 ~seed:1L in
   check Alcotest.bool "deterministic" true (pairs = again)
 
+(* Two core ASes joined by a p2c and a peering link, each the provider
+   of a leaf: coreify relabels exactly the two core-core links, and
+   interface ids follow link order per AS as before. *)
+let test_coreify () =
+  let b = Graph.builder () in
+  let c0 = Graph.add_as b ~core:true (Id.ia 1 1) in
+  let c1 = Graph.add_as b ~core:true (Id.ia 1 2) in
+  let leaf = Graph.add_as b (Id.ia 1 3) in
+  Graph.add_link b ~rel:Graph.Provider_customer c0 c1;
+  Graph.add_link b ~rel:Graph.Provider_customer c0 leaf;
+  Graph.add_link b ~rel:Graph.Provider_customer c1 leaf;
+  Graph.add_link b ~rel:Graph.Peering c0 c1;
+  let g = Exp_common.coreify (Graph.freeze b) in
+  let link l =
+    let lk = Graph.link g l in
+    (lk.Graph.a, lk.Graph.a_if, lk.Graph.b, lk.Graph.b_if, lk.Graph.rel)
+  in
+  let want =
+    [
+      (0, 1, 1, 1, Graph.Core);
+      (0, 2, 2, 1, Graph.Provider_customer);
+      (1, 2, 2, 2, Graph.Provider_customer);
+      (0, 3, 1, 3, Graph.Core);
+    ]
+  in
+  Alcotest.(check bool) "links" true (List.init 4 link = want);
+  check (Alcotest.list Alcotest.int) "core flags kept" [ 0; 1 ]
+    (Graph.core_ases g);
+  Alcotest.(check bool) "c0 sees c1 as core" true
+    (Array.for_all
+       (fun (h : Graph.half_link) ->
+         (h.Graph.peer = c1) = (h.Graph.dir = Graph.To_core))
+       (Graph.adj g c0))
+
 let prepared = lazy (Exp_common.prepare Exp_common.Tiny)
 
 let test_prepare_consistency () =
@@ -230,8 +264,7 @@ let test_pathdyn_kill_and_resume () =
   in
   let int name got want = check Alcotest.int name want got in
   let float name got want = check (Alcotest.float 0.0) name want got in
-  int "trials ok" c.Pathdyn.trials_ok 1;
-  int "trials failed" c.Pathdyn.trials_failed 0;
+  int "no failed cell" (Run_report.n_failed want.Pathdyn.report) 0;
   float "availability mean" c.Pathdyn.availability_mean
     r.Soak.availability_mean;
   float "availability min" c.Pathdyn.availability_min r.Soak.availability_min;
@@ -256,6 +289,7 @@ let suite =
     ("scales", `Quick, test_scales);
     ("months factor", `Quick, test_months_factor);
     ("sample pairs", `Quick, test_sample_pairs);
+    ("coreify", `Quick, test_coreify);
     ("prepare consistency", `Quick, test_prepare_consistency);
     ("table1 shape", `Quick, test_table1_shape);
     ("table1 against paper", `Quick, test_table1_against_paper);

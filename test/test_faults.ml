@@ -348,13 +348,28 @@ let test_beaconing_link_up_gate () =
 
 (* --- Fault_engine --- *)
 
+(* The SCMP notification crosses every hop between the failure and the
+   source at 10 ms each (§4.1); the source then fails over at once. *)
+let test_failover_delay () =
+  let hop p asn link = Pcb.extend p ~asn ~ingress:1 ~egress:2 ~link ~peers:[||] in
+  let origin = Pcb.origin_pcb ~origin:7 ~now:0.0 ~lifetime:3600.0 in
+  let three = hop (hop (hop origin 7 10) 8 11) 9 12 in
+  let spare = hop origin 7 20 in
+  let delay failed =
+    Fault_engine.failover_delay_s (fun l -> List.mem l failed) [ spare; three ]
+  in
+  let ms = Alcotest.float 1e-12 in
+  check ms "three hops" 0.030 (delay [ 12 ]);
+  check ms "the last failed link counts" 0.030 (delay [ 10; 12 ]);
+  check ms "adjacent failure" 0.010 (delay [ 10 ]);
+  check ms "no affected path: one hop" 0.010 (delay [ 99 ])
+
 let engine_cfg g plan =
   {
     Fault_engine.graph = g;
     beacon = { Beaconing.default_config with Beaconing.duration = 4800.0 };
     plan;
     pairs = [| (0, 2) |];
-    scmp_delay_s = 0.05;
   }
 
 let test_engine_failover_and_revocation () =
@@ -370,8 +385,8 @@ let test_engine_failover_and_revocation () =
   check Alcotest.int "pair affected" 1 s.Recovery.affected_pairs;
   check Alcotest.int "failover, not blackout" 1 s.Recovery.failovers;
   check Alcotest.int "no blackout" 0 s.Recovery.blackouts;
-  (* SCMP came back from the adjacent AS: one hop of delay. *)
-  check (Alcotest.float 1e-9) "recovery = one scmp hop" 0.05
+  (* SCMP came back from the adjacent AS: one 10 ms hop of delay. *)
+  check (Alcotest.float 1e-9) "recovery = one scmp hop" 0.010
     s.Recovery.recovery_samples.(0);
   Alcotest.(check bool) "stores dropped PCBs over the link" true
     (s.Recovery.dropped_pcbs > 0);
@@ -459,6 +474,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_replay_chunked;
     ("store drop link", `Quick, test_store_drop_link);
     ("beaconing link_up gate", `Quick, test_beaconing_link_up_gate);
+    ("failover delay", `Quick, test_failover_delay);
     ("engine failover + revocation", `Quick, test_engine_failover_and_revocation);
     ("engine blackout + recovery", `Quick, test_engine_blackout_and_recovery);
     ("engine permanent outage", `Quick, test_engine_permanent_outage);

@@ -906,8 +906,7 @@ let counter_cells n =
     check = ignore;
   }
 
-let counter_schema n =
-  "counter:" ^ Sha256.hex (Sha256.digest (Printf.sprintf "counter/%d;" n))
+let counter_schema n = "counter:" ^ Sha256.hex (Printf.sprintf "counter/%d;" n)
 
 (* Horizon 7 in 1-step chunks, checkpoints at steps 2, 4, 6 and 7. *)
 let run_counters ?(n = 3) ?dir ?(resume = false) ?kill_after ?inject_fail ~jobs
@@ -980,6 +979,44 @@ let test_run_cells_checkpoint_format () =
   check Alcotest.string "payload bytes" (Snapshot.contents w)
     (Checkpoint.load ~dir ~name:"counter.000002.ckpt" ~schema:(counter_schema 3)
        ~version:1)
+
+(* The schema is the cells' name and the SHA-256 of their fingerprint
+   text, hashed once: a checkpoint written by run_cells loads with it. *)
+let test_run_cells_schema () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  kill_counters ~dir ~jobs:1 ();
+  let c = counter_cells 3 in
+  let schema = c.Supervise.name ^ ":" ^ Sha256.hex c.Supervise.fingerprint in
+  match
+    Checkpoint.load ~dir ~name:"counter.000002.ckpt" ~schema ~version:1
+  with
+  | (_ : string) -> ()
+  | exception Snapshot.Corrupt reason -> Alcotest.fail reason
+
+(* A checkpoint cut to 100 bytes (the CI probe) ends right after the
+   payload's length field: the reason names the truncation, not an
+   implausible length. *)
+let test_run_cells_reports_truncated_checkpoint () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  kill_counters ~dir ~jobs:1 ();
+  let path = Filename.concat dir "counter.000002.ckpt" in
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let oc = open_out_bin path in
+  output_string oc (String.sub data 0 100);
+  close_out oc;
+  match run_counters ~dir ~resume:true ~jobs:1 () with
+  | _ -> Alcotest.fail "a truncated checkpoint resumed"
+  | exception Supervise.Bad_checkpoint { reason; _ } ->
+      check Alcotest.string "reason"
+        (Printf.sprintf
+           "input truncated: a string of length %d is declared at byte 100, \
+            but the input ends at byte 100"
+           (* The payload is all but the 100-byte head and the
+              length-prefixed 32-byte digest. *)
+           (String.length data - 100 - 8 - 32))
+        reason
 
 let test_run_cells_inject_fail_survives_resume () =
   let want = strip_run (run_counters ~inject_fail:1 ~jobs:1 ()) in
@@ -1190,6 +1227,10 @@ let suite =
     ("soak config key", `Quick, test_soak_config_key);
     ("run_cells kill and resume", `Quick, test_run_cells_kill_and_resume);
     ("run_cells checkpoint format", `Quick, test_run_cells_checkpoint_format);
+    ("run_cells schema", `Quick, test_run_cells_schema);
+    ( "run_cells reports a truncated checkpoint",
+      `Quick,
+      test_run_cells_reports_truncated_checkpoint );
     ( "run_cells inject-fail survives resume",
       `Quick,
       test_run_cells_inject_fail_survives_resume );

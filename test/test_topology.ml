@@ -245,7 +245,9 @@ let test_build_isd () =
 
 let test_set_map_core () =
   let g = hand_graph () in
-  let g3 = Graph.map_core g (fun v -> v mod 2 = 0) in
+  let g3 =
+    Graph.map_as_info g (fun v info -> { info with Graph.core = v mod 2 = 0 })
+  in
   check (Alcotest.list Alcotest.int) "mapped cores" [ 0; 2; 4 ] (Graph.core_ases g3);
   Alcotest.(check bool) "original untouched" false (Graph.is_core g 4)
 
