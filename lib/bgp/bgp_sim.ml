@@ -1,27 +1,13 @@
-type config = {
-  mrai : float;
-  processing_delay : float;
-  propagation_delay : float;
-  bgpsec : bool;
-  full_transit : bool;
-}
+(* The SimBGP settings of §5.1, plus a 10 ms per-hop propagation delay. *)
+let mrai = 15.0
+let processing_delay = 0.005
+let propagation_delay = 0.010
 
-let default_config =
-  {
-    mrai = 15.0;
-    processing_delay = 0.005;
-    propagation_delay = 0.010;
-    bgpsec = false;
-    full_transit = false;
-  }
-
-(* A route as installed at an AS: the path starts with the AS itself
-   and ends at the prefix origin. *)
-type route = { path : int list; cls : Bgp_routes.route_class }
+(* Virtual-time bound on one [run_to_quiescence]. *)
+let quiescence_guard = 3600.0
 
 type session = {
   neighbor : int;
-  dir : Graph.rel_from_self;
   mutable live_links : int;
   mutable ready_at : float;  (* MRAI: earliest next advertisement *)
   mutable fire_scheduled : bool;
@@ -33,7 +19,8 @@ type node = {
   idx : int;
   sessions : (int, session) Hashtbl.t;  (* by neighbor *)
   rib_in : (int * int, int list) Hashtbl.t;  (* (neighbor, prefix) -> neighbor-rooted path *)
-  best : (int, route) Hashtbl.t;  (* prefix -> installed route *)
+  best : (int, int list) Hashtbl.t;
+      (* prefix -> installed path, from the AS itself to the origin *)
   mutable originating : bool;
   mutable busy_until : float;  (* serialises the 5 ms processing delay *)
 }
@@ -53,7 +40,6 @@ type event = { time : float; seq : int; fire : unit -> unit }
 
 type t = {
   graph : Graph.t;
-  config : config;
   queue : event Heap.t;
   mutable clock : float;
   mutable next_seq : int;
@@ -85,14 +71,7 @@ let compare_event a b =
   | 0 -> Int.compare a.seq b.seq
   | c -> c
 
-let create ?(obs = Obs.disabled) g config =
-  let check name d =
-    if not (Float.is_finite d && d >= 0.0) then
-      invalid_arg ("Bgp_sim.create: " ^ name ^ " must be finite and >= 0")
-  in
-  check "mrai" config.mrai;
-  check "processing_delay" config.processing_delay;
-  check "propagation_delay" config.propagation_delay;
+let create ?(obs = Obs.disabled) g =
   let n = Graph.n g in
   let nodes =
     Array.init n (fun idx ->
@@ -105,7 +84,6 @@ let create ?(obs = Obs.disabled) g config =
                 Hashtbl.replace sessions h.Graph.peer
                   {
                     neighbor = h.Graph.peer;
-                    dir = h.Graph.dir;
                     live_links = 1;
                     ready_at = 0.0;
                     fire_scheduled = false;
@@ -123,9 +101,7 @@ let create ?(obs = Obs.disabled) g config =
         })
   in
   let obs_on = Obs.on obs in
-  let proto_labels =
-    [ ("proto", if config.bgpsec then "bgpsec" else "bgp") ]
-  in
+  let proto_labels = [ ("proto", "bgp") ] in
   let c_updates, c_withdrawals, c_bytes, c_events, h_depth =
     if obs_on then begin
       let reg = Obs.registry obs in
@@ -139,7 +115,6 @@ let create ?(obs = Obs.disabled) g config =
   in
   {
     graph = g;
-    config;
     queue = Heap.create ~cmp:compare_event;
     clock = 0.0;
     next_seq = 0;
@@ -165,8 +140,7 @@ let create ?(obs = Obs.disabled) g config =
 
 let now t = t.clock
 
-(* Schedule [fire] at absolute [time]; [create]'s delay check keeps
-   every [time] at or after [now]. *)
+(* Schedule [fire] at absolute [time], never before [now]. *)
 let at t time fire =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -185,40 +159,15 @@ let observe_event t ev =
       ~fields:[ ("queue", string_of_int depth) ]
       "event fired"
 
-let class_of_dir = function
-  | Graph.To_customer -> Bgp_routes.Via_customer
-  | Graph.To_peer | Graph.To_core -> Bgp_routes.Via_peer
-  | Graph.To_provider -> Bgp_routes.Via_provider
-
-let class_rank = function
-  | Bgp_routes.Self -> 4
-  | Bgp_routes.Via_customer -> 3
-  | Bgp_routes.Via_peer -> 2
-  | Bgp_routes.Via_provider -> 1
-  | Bgp_routes.No_route -> 0
-
-(* Export filter: customer routes go everywhere; peer/provider routes
-   only to customers. With [full_transit], everything is exported. *)
-let exports t route (s : session) =
-  if t.config.full_transit then route.cls <> Bgp_routes.No_route
-  else begin
-    match route.cls with
-    | Bgp_routes.Self | Bgp_routes.Via_customer -> true
-    | Bgp_routes.Via_peer | Bgp_routes.Via_provider -> s.dir = Graph.To_customer
-    | Bgp_routes.No_route -> false
-  end
-
-let update_bytes t len =
-  if t.config.bgpsec then
-    float_of_int (Wire.bgpsec_update_bytes ~as_path_len:len)
-  else float_of_int (Wire.bgp_update_bytes ~as_path_len:len ~prefixes:1)
-
-(* Compute the decision-process winner for [prefix] at [node]. *)
-let decide t node prefix =
+(* The decision process: the shortest AS path, ties to the lowest next
+   hop. The own prefix's path [[v]] is the only one of length 1, so it
+   always wins. *)
+let decide node prefix =
   let self =
-    if node.originating && prefix = node.idx then
-      Some { path = [ node.idx ]; cls = Bgp_routes.Self }
-    else None
+    if node.originating && prefix = node.idx then Some [ node.idx ] else None
+  in
+  let key path =
+    (-List.length path, -(match path with _ :: nh :: _ -> nh | _ -> 0))
   in
   Hashtbl.fold
     (fun u (s : session) acc ->
@@ -227,27 +176,13 @@ let decide t node prefix =
         match Hashtbl.find_opt node.rib_in (u, prefix) with
         | None -> acc
         | Some p when List.mem node.idx p -> acc (* loop *)
-        | Some p ->
-            let cand = { path = node.idx :: p; cls = class_of_dir s.dir } in
-            let better =
-              match acc with
-              | None -> true
-              | Some best ->
-                  let key r =
-                    ( (if t.config.full_transit then
-                         (* length-only decision under full transit
-                            (except preferring the own prefix) *)
-                         if r.cls = Bgp_routes.Self then 1 else 0
-                       else class_rank r.cls),
-                      -List.length r.path,
-                      -(match r.path with _ :: nh :: _ -> nh | _ -> 0) )
-                  in
-                  compare (key cand) (key best) > 0
-            in
-            if better then Some cand else acc
+        | Some p -> (
+            let cand = node.idx :: p in
+            match acc with
+            | Some best when compare (key cand) (key best) <= 0 -> acc
+            | _ -> Some cand)
       end)
     node.sessions self
-  |> fun best -> best
 
 let rec flush_session t node (s : session) =
   let now = t.clock in
@@ -258,11 +193,7 @@ let rec flush_session t node (s : session) =
       let sent_something = ref false in
       List.iter
         (fun prefix ->
-          let announce =
-            match Hashtbl.find_opt node.best prefix with
-            | Some r when exports t r s -> Some r.path
-            | _ -> None
-          in
+          let announce = Hashtbl.find_opt node.best prefix in
           let previously = Hashtbl.find_opt s.out prefix in
           (* Adj-RIB-Out suppression: only state changes go on the wire,
              and a withdrawal is only sent for a previously announced
@@ -280,7 +211,10 @@ let rec flush_session t node (s : session) =
             | None -> Hashtbl.remove s.out prefix);
             let size =
               match announce with
-              | Some p -> update_bytes t (List.length p)
+              | Some p ->
+                  float_of_int
+                    (Wire.bgp_update_bytes ~as_path_len:(List.length p)
+                       ~prefixes:1)
               | None -> float_of_int (Wire.bgp_withdraw_bytes ~prefixes:1)
             in
             (match announce with
@@ -310,11 +244,11 @@ let rec flush_session t node (s : session) =
             end;
             let receiver = s.neighbor in
             let sender = node.idx in
-            at t (now +. t.config.propagation_delay) (fun () ->
+            at t (now +. propagation_delay) (fun () ->
                 receive t ~receiver ~sender ~prefix ~path:announce ~size)
           end)
         prefixes;
-      if !sent_something then s.ready_at <- now +. t.config.mrai
+      if !sent_something then s.ready_at <- now +. mrai
     end
   end
   else if not s.fire_scheduled then begin
@@ -333,17 +267,10 @@ and schedule_exports t node prefix =
     node.sessions
 
 and reconsider t node prefix =
-  let winner = decide t node prefix in
-  let current = Hashtbl.find_opt node.best prefix in
-  let changed =
-    match (current, winner) with
-    | None, None -> false
-    | Some a, Some b -> a.path <> b.path || a.cls <> b.cls
-    | _ -> true
-  in
-  if changed then begin
+  let winner = decide node prefix in
+  if Hashtbl.find_opt node.best prefix <> winner then begin
     (match winner with
-    | Some r -> Hashtbl.replace node.best prefix r
+    | Some p -> Hashtbl.replace node.best prefix p
     | None -> Hashtbl.remove node.best prefix);
     t.st.last_route_change <- t.clock;
     if t.obs_on && Trace.enabled t.tr Trace.Debug then
@@ -354,7 +281,7 @@ and reconsider t node prefix =
             ("prefix", string_of_int prefix);
             ( "path_len",
               match winner with
-              | Some r -> string_of_int (List.length r.path)
+              | Some p -> string_of_int (List.length p)
               | None -> "0" );
           ]
         "best route changed";
@@ -364,9 +291,9 @@ and reconsider t node prefix =
 and receive t ~receiver ~sender ~prefix ~path ~size =
   let node = t.nodes.(receiver) in
   (* Serialise processing: each update occupies the speaker for the
-     configured processing delay. *)
+     processing delay. *)
   let start = max t.clock node.busy_until in
-  let done_at = start +. t.config.processing_delay in
+  let done_at = start +. processing_delay in
   node.busy_until <- done_at;
   t.st.updates_received_per_as.(receiver) <-
     t.st.updates_received_per_as.(receiver) + 1;
@@ -432,12 +359,10 @@ let fail_link t l =
   drop lk.Graph.a lk.Graph.b;
   drop lk.Graph.b lk.Graph.a
 
-let run_to_quiescence ?(max_time = 3600.0) t =
+let run_to_quiescence t =
   let t_start = t.clock in
   let updates_before = t.st.updates_sent + t.st.withdrawals_sent in
-  let deadline = t_start +. max_time in
-  (* The deadline is checked before popping, so a bounded run leaves
-     later events queued for the next call. *)
+  let deadline = t_start +. quiescence_guard in
   while (not (Heap.is_empty t.queue)) && t.clock <= deadline do
     let ev = Heap.pop_exn t.queue in
     t.clock <- ev.time;
@@ -458,10 +383,7 @@ let run_to_quiescence ?(max_time = 3600.0) t =
       "convergence epoch complete";
   t_end
 
-let best_path t ~src ~prefix =
-  match Hashtbl.find_opt t.nodes.(src).best prefix with
-  | Some r -> Some r.path
-  | None -> None
+let best_path t ~src ~prefix = Hashtbl.find_opt t.nodes.(src).best prefix
 
 let adj_rib_in_paths t ~src ~prefix =
   let node = t.nodes.(src) in

@@ -1,47 +1,36 @@
-(** Event-driven BGP / BGPsec simulator — the SimBGP stand-in (§5.1).
+(** Event-driven BGP simulator — the SimBGP stand-in (§5.1).
 
     A path-vector protocol over the AS graph with the paper's SimBGP
     configuration: a per-neighbor Minimum Route Advertisement Interval
-    (15 s) and a per-update processing delay (5 ms). Each AS originates
-    one prefix (identified with the AS index); the decision process is
-    Gao–Rexford (customer > peer > provider, then shortest AS path,
-    then lowest neighbor id) with standard export filtering. BGP
-    sessions are per neighbor AS: parallel links only affect session
-    liveness.
+    of 15 s and a per-update processing delay of 5 ms, plus a 10 ms
+    per-hop {!propagation_delay}. Updates are plain BGP (RFC 4271,
+    {!Wire.bgp_update_bytes}). Each AS originates one prefix
+    (identified with the AS index). Every AS provides transit to every
+    neighbor: each best route is exported on every session, and the
+    decision process picks the shortest AS path, the own prefix first,
+    ties to the lowest next-hop AS. This is the all-core regime of
+    {!Bgp_routes.shortest_multipath}; Gao–Rexford routing lives in the
+    closed-form {!Bgp_routes}. BGP sessions are per neighbor AS:
+    parallel links only affect session liveness.
 
-    The simulator measures what the closed-form {!Bgp_routes} model
-    assumes: update counts and bytes during initial convergence and
-    after link failures (path-exploration churn), and convergence
-    times — the quantity SCION does not have, since path segments are
-    stable upon dissemination (§5). *)
+    The simulator measures what the closed-form model assumes: update
+    counts and bytes during initial convergence and after link
+    failures (path-exploration churn), and convergence times — the
+    quantity SCION does not have, since path segments are stable upon
+    dissemination (§5). *)
 
-type config = {
-  mrai : float;  (** seconds, 15.0 in §5.1 *)
-  processing_delay : float;  (** per received update, 0.005 in §5.1 *)
-  propagation_delay : float;  (** per inter-AS hop *)
-  bgpsec : bool;
-      (** account RFC 8205 update sizes ({!Wire.bgpsec_update_bytes})
-          instead of RFC 4271 *)
-  full_transit : bool;
-      (** disable Gao–Rexford export filtering and class preference
-          (shortest-AS-path routing) — used on all-core subgraphs where
-          every AS provides transit, mirroring {!Bgp_routes.shortest_multipath} *)
-}
-
-val default_config : config
-(** MRAI 15 s, processing 5 ms, propagation 10 ms, plain BGP. *)
+val propagation_delay : float
+(** 0.010 s per inter-AS hop. *)
 
 type t
 
-val create : ?obs:Obs.t -> Graph.t -> config -> t
+val create : ?obs:Obs.t -> Graph.t -> t
 (** Build per-AS RIBs and BGP sessions; nothing is announced yet.
-    Raises [Invalid_argument] unless [mrai], [processing_delay] and
-    [propagation_delay] are finite and [>= 0].
 
     With an enabled [obs] context (default {!Obs.disabled}) the
     simulator maintains
     [bgp_{updates,withdrawals,bytes}_sent_total] counters labeled
-    [{proto}] ([bgp] or [bgpsec]) and emits [bgp]-category trace
+    [{proto="bgp"}] and emits [bgp]-category trace
     events (per-message sends and best-route changes at [Debug],
     convergence epochs at [Info]). Its event queue counts fired events
     in [des_events_total], samples its depth into the
@@ -64,9 +53,9 @@ val fail_link : t -> int -> unit
     last parallel link, both ends drop the routes learned over it and
     re-run their decision processes. *)
 
-val run_to_quiescence : ?max_time:float -> t -> float
-(** Drain all events (bounded by [max_time], default 3600 s of virtual
-    time); returns the virtual time of quiescence. *)
+val run_to_quiescence : t -> float
+(** Drain all events, for at most 3600 s of virtual time; returns the
+    virtual time of quiescence. *)
 
 val best_path : t -> src:int -> prefix:int -> int list option
 (** Current best AS path [src; ...; prefix origin]. *)

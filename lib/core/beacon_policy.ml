@@ -1,11 +1,8 @@
-type mean_kind = Geometric | Arithmetic
-
 type div_params = {
   alpha : float;
   beta : float;
   gamma : float;
   threshold : float;
-  mean_kind : mean_kind;
   gm_max : float;
 }
 
@@ -15,7 +12,6 @@ let default_div_params =
     beta = 6.0;
     gamma = 7.0;
     threshold = 0.30;
-    mean_kind = Geometric;
     gm_max = 4.0;
   }
 

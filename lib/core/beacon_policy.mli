@@ -7,16 +7,11 @@
     (Equations 1–3) and sends only combinations scoring above a
     threshold. *)
 
-type mean_kind =
-  | Geometric  (** the paper's choice (§4.2) *)
-  | Arithmetic  (** ablation: AM ≥ GM, so overlap is penalised harder *)
-
 type div_params = {
   alpha : float;  (** Eq. 2 exponent weight for never-sent PCBs *)
   beta : float;  (** Eq. 3 ratio weight for previously-sent PCBs *)
   gamma : float;  (** Eq. 3 outer exponent *)
   threshold : float;  (** minimum score to disseminate *)
-  mean_kind : mean_kind;  (** link-counter aggregation (ablation knob) *)
   gm_max : float;
       (** maximum acceptable geometric mean of link counters: the
           diversity score is [1 - (gm - 1) / gm_max], clamped to
@@ -30,7 +25,7 @@ val default_div_params : div_params
 type latency_params = {
   base : div_params;
       (** the Eq. 1–3 age/lifetime machinery is metric-independent and
-          reused verbatim; [gm_max] and [mean_kind] are unused here *)
+          reused verbatim; [gm_max] is unused here *)
   link_latency_ms : float array;
       (** per-link one-way latency, the information annotated PCBs (or
           a measurement side-channel) would carry (§4.2) *)

@@ -10,7 +10,6 @@ type config = {
   storage_limit : int;
   duration : float;
   verify_crypto : bool;
-  filters : (int * Beacon_filter.t) list;
 }
 
 let default_config =
@@ -22,7 +21,6 @@ let default_config =
     storage_limit = 60;
     duration = 21600.0;
     verify_crypto = false;
-    filters = [];
   }
 
 type stats = {
@@ -215,13 +213,11 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   let obs_labels =
     [ ("algo", algo_label cfg.algorithm); ("scope", scope_label cfg.scope) ]
   in
-  let c_originated, c_filtered =
-    if obs_on then begin
-      let reg = Obs.registry obs in
-      ( Registry.counter reg ~labels:obs_labels "beacon_pcbs_originated_total",
-        Registry.counter reg ~labels:obs_labels "beacon_pcbs_filtered_total" )
-    end
-    else (ref 0.0, ref 0.0)
+  let c_originated =
+    if obs_on then
+      Registry.counter (Obs.registry obs) ~labels:obs_labels
+        "beacon_pcbs_originated_total"
+    else ref 0.0
   in
   (* Outgoing eligible interfaces, grouped by neighbor AS. *)
   let out_links =
@@ -254,13 +250,6 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                  (Array.to_list (Graph.adj g v))))
   in
   let originator = Array.init n (fun v -> Graph.is_core g v) in
-  let policies = Array.make n [] in
-  List.iter
-    (fun (v, rules) ->
-      if v < 0 || v >= n then invalid_arg "Beaconing.run: filter for unknown AS";
-      policies.(v) <- rules)
-    cfg.filters;
-  let policy_allows x p = Beacon_filter.allows g policies.(x) p in
   let keystore = Signature.create_keystore () in
   let keys =
     if cfg.verify_crypto then
@@ -387,9 +376,8 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   (* --- Candidate gathering, shared by both selection algorithms:
      the origins AS [x] disseminates for (itself first when it is an
      originator) and, per origin, the candidate PCBs — a fresh origin
-     PCB for [x] itself, otherwise the stored paths [x]'s filters
-     allow. Candidates are computed on first use and memoised for the
-     round. --- *)
+     PCB for [x] itself, otherwise its stored paths. Candidates are
+     computed on first use and memoised for the round. --- *)
   let gather ~now x =
     let store = stores.(x) in
     let cand_cache : (int, Pcb.t list) Hashtbl.t = Hashtbl.create 16 in
@@ -402,15 +390,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
               if obs_on then c_originated := !c_originated +. 1.0;
               [ Pcb.origin_pcb ~origin:x ~now ~lifetime:cfg.lifetime ]
             end
-            else begin
-              let all = Beacon_store.paths store ~now ~origin:o in
-              let kept = List.filter (policy_allows x) all in
-              if obs_on then
-                c_filtered :=
-                  !c_filtered
-                  +. float_of_int (List.length all - List.length kept);
-              kept
-            end
+            else Beacon_store.paths store ~now ~origin:o
           in
           Hashtbl.replace cand_cache o c;
           c
@@ -460,9 +440,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
       match metric with
       | Link_diversity ->
           Beacon_policy.diversity_of_gm params
-            (Diversity_state.view_mean view
-               ~kind:params.Beacon_policy.mean_kind ~links:p.Pcb.links
-               ~extra:egress)
+            (Diversity_state.view_mean view ~links:p.Pcb.links ~extra:egress)
       | Path_latency lp ->
           let table = lp.Beacon_policy.link_latency_ms in
           let links = p.Pcb.links in

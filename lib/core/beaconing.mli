@@ -31,9 +31,6 @@ type config = {
   verify_crypto : bool;
       (** sign every AS entry and verify whole chains on receipt
           (intended for small topologies and tests) *)
-  filters : (int * Beacon_filter.t) list;
-      (** AS-local propagation policies (§2.2): candidate PCBs an AS's
-          policy rejects are never disseminated by that AS *)
 }
 
 val default_config : config
@@ -124,9 +121,9 @@ val run : ?obs:Obs.t -> Graph.t -> config -> outcome
     {!engine} with {!engine_round} instead.
 
     With an enabled [obs] context (default {!Obs.disabled}, which costs
-    one branch per send) the run maintains
-    [beacon_{pcbs_originated,pcbs_filtered}_total] counters labeled
-    [{algo; scope}], times each selection round under the
+    one branch per send) the run maintains the
+    [beacon_pcbs_originated_total] counter labeled [{algo; scope}],
+    times each selection round under the
     [beacon.selection_round] timer, emits [beacon]-category trace
     events (per-PCB at [Debug], per-round and end-of-run at [Info],
     crypto rejections at [Warn]) and finally calls {!observe} on the

@@ -69,20 +69,6 @@ let counters_gm t ~origin ~neighbor ~links ~extra =
       let log_sum = !log_sum +. log (float_of_int (1 + counter table extra)) in
       exp (log_sum /. float_of_int (Array.length links + 1))
 
-let counters_mean t ~kind ~origin ~neighbor ~links ~extra =
-  match kind with
-  | Beacon_policy.Geometric -> counters_gm t ~origin ~neighbor ~links ~extra
-  | Beacon_policy.Arithmetic -> (
-      match find_history t ~origin ~neighbor with
-      | None -> 1.0
-      | Some table ->
-          let sum = ref 0.0 in
-          for i = 0 to Array.length links - 1 do
-            sum := !sum +. float_of_int (1 + counter table links.(i))
-          done;
-          let sum = !sum +. float_of_int (1 + counter table extra) in
-          sum /. float_of_int (Array.length links + 1))
-
 let bump table link delta =
   match Hashtbl.find_opt table link with
   | Some r ->
@@ -135,27 +121,18 @@ let[@inline] log_count c =
   if c < log_table_size then log_one_plus.(c)
   else log (float_of_int (1 + c))
 
-(* Same additions in the same order as [counters_mean], so the result
+(* Same additions in the same order as [counters_gm], so the result
    is bit-identical; an all-zero view gives exactly the 1.0 that
-   [counters_mean] returns for an empty table. *)
-let view_mean v ~kind ~links ~extra =
+   [counters_gm] returns for an empty table. *)
+let view_mean v ~links ~extra =
   let counts = v.counts in
   let n = Array.length links in
-  match kind with
-  | Beacon_policy.Geometric ->
-      let log_sum = ref 0.0 in
-      for i = 0 to n - 1 do
-        log_sum := !log_sum +. log_count counts.(links.(i))
-      done;
-      let log_sum = !log_sum +. log_count counts.(extra) in
-      exp (log_sum /. float_of_int (n + 1))
-  | Beacon_policy.Arithmetic ->
-      let sum = ref 0.0 in
-      for i = 0 to n - 1 do
-        sum := !sum +. float_of_int (1 + counts.(links.(i)))
-      done;
-      let sum = !sum +. float_of_int (1 + counts.(extra)) in
-      sum /. float_of_int (n + 1)
+  let log_sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    log_sum := !log_sum +. log_count counts.(links.(i))
+  done;
+  let log_sum = !log_sum +. log_count counts.(extra) in
+  exp (log_sum /. float_of_int (n + 1))
 
 let sent_table t egress =
   match Hashtbl.find_opt t.sent egress with

@@ -36,17 +36,6 @@ val counters_gm : t -> origin:int -> neighbor:int -> links:int array -> extra:in
 (** Geometric mean of [(1 + counter)] over [links] plus the [extra]
     egress link, against the pair's Link History Table. *)
 
-val counters_mean :
-  t ->
-  kind:Beacon_policy.mean_kind ->
-  origin:int ->
-  neighbor:int ->
-  links:int array ->
-  extra:int ->
-  float
-(** Like {!counters_gm} but with a selectable aggregation (the
-    DESIGN.md ablation). *)
-
 val increment : t -> origin:int -> neighbor:int -> links:int array -> extra:int -> unit
 (** Count a newly disseminated path on every traversed link. *)
 
@@ -62,8 +51,8 @@ val increment : t -> origin:int -> neighbor:int -> links:int array -> extra:int 
       pair's counter for link [l], provided every change to the pair's
       counters goes through {!view_increment} ({!prune} runs only
       between evaluations);
-    - {!view_mean} equals {!counters_mean} on the loaded pair bit for
-      bit, under both mean kinds;
+    - {!view_mean} equals {!counters_gm} on the loaded pair bit for
+      bit;
     - {!unload_view} zeroes every entry again.
 
     The Link History Table stays the source of truth. *)
@@ -79,9 +68,8 @@ val view_increment :
   view -> t -> origin:int -> neighbor:int -> links:int array -> extra:int -> unit
 (** {!increment} the loaded pair and its view entries alike. *)
 
-val view_mean :
-  view -> kind:Beacon_policy.mean_kind -> links:int array -> extra:int -> float
-(** {!counters_mean} of the loaded pair, read from the view. *)
+val view_mean : view -> links:int array -> extra:int -> float
+(** {!counters_gm} of the loaded pair, read from the view. *)
 
 val unload_view : view -> t -> origin:int -> neighbor:int -> unit
 

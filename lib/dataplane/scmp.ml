@@ -5,6 +5,8 @@ and kind =
   | Path_expired
   | Destination_unreachable
 
+(* How long a link-failure revocation stays active: one beaconing
+   interval. *)
 let default_revocation_ttl = 600.0
 
 let link_failure (lk : Graph.link) ~origin_as ~now =

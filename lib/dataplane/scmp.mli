@@ -23,14 +23,11 @@ and kind =
   | Path_expired
   | Destination_unreachable
 
-val default_revocation_ttl : float
-(** How long a link-failure revocation stays active before the link may
-    be retried: 600 s (one beaconing interval). *)
-
 val link_failure : Graph.link -> origin_as:int -> now:float -> message
 (** The notification a border router in [origin_as] sends when it
     finds the link down at [now]: the link's interface pair and a
-    revocation expiring {!default_revocation_ttl} later. *)
+    revocation expiring 600 s (one beaconing interval) later, after
+    which the link may be retried. *)
 
 val wire_bytes : message -> int
 (** On-the-wire size of the message: the fixed 16-byte header

@@ -88,7 +88,6 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; n_failures; seed } =
   let prepared = Exp_common.prepare scale in
   let core = prepared.Exp_common.core in
   let rng = Rng.create seed in
-  let bgp_config = { Bgp_sim.default_config with Bgp_sim.full_transit = true } in
   (* SCION: one diversity beaconing run; paths are then stable. *)
   let scion =
     Obs.phase obs "convergence.beaconing" (fun () ->
@@ -103,7 +102,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; n_failures; seed } =
   (* BGP over the core mesh: full transit, length-only decision (the
      §5.3 best-case model). *)
   let converged ~obs () =
-    let bgp = Bgp_sim.create ~obs core bgp_config in
+    let bgp = Bgp_sim.create ~obs core in
     Bgp_sim.announce_all bgp;
     let t = Bgp_sim.run_to_quiescence bgp in
     (bgp, t)

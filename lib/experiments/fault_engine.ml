@@ -29,8 +29,7 @@ let failure_distance failed paths =
       !pos + 1
 
 let failover_delay_s failed paths =
-  float_of_int (failure_distance failed paths)
-  *. Bgp_sim.default_config.Bgp_sim.propagation_delay
+  float_of_int (failure_distance failed paths) *. Bgp_sim.propagation_delay
 
 let invalidate_link stores ps ~link =
   let dropped =

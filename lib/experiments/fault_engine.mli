@@ -60,7 +60,7 @@ val failover_delay_s : (int -> bool) -> Pcb.t list -> float
     takes to fail over once the links satisfying [failed] go down (§4.1):
     the SCMP notification travels back from the failure at 10 ms per
     hop, the propagation delay BGP is timed with
-    ([Bgp_sim.default_config]), and the source switches to an
+    ({!Bgp_sim.propagation_delay}), and the source switches to an
     already-disseminated path at once. The hop count is the 1-based
     position of the last failed link on the first path in [paths] that
     has one, and 1 when no path is affected. Used by the fault engine

@@ -18,8 +18,9 @@
     results. Parallelism, therefore, is an execution hint, not part of
     the experiment's identity.
 
-    A [config] holds only the knobs some caller sets (the CLI, a test
-    or the benchmark); the paper's fixed parameters (§5.1 storage
+    A [config] holds only the knobs the CLI or the benchmark sets, plus
+    sizing knobs with which tests keep a run affordable; a test never
+    justifies a mode. The paper's fixed parameters (§5.1 storage
     limits, horizons, diversity weights) are constants of the scenario
     and documented on its [config] builder. *)
 

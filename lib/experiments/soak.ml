@@ -316,12 +316,7 @@ let config_key cfg =
     | Beaconing.Intra_isd -> "intra")
     bc.Beaconing.interval bc.Beaconing.lifetime bc.Beaconing.storage_limit
     bc.Beaconing.duration bc.Beaconing.verify_crypto;
-  add "plan:%Ld;" cfg.plan.Fault_plan.seed;
-  Array.iter
-    (fun (e : Fault_plan.event) ->
-      add "%h/%d/%s;" e.Fault_plan.time e.Fault_plan.link
-        (match e.Fault_plan.action with Fault_plan.Down -> "d" | Fault_plan.Up -> "u"))
-    (Fault_plan.compile ~graph:cfg.graph cfg.plan);
+  Buffer.add_string b (Fault_plan.fingerprint ~graph:cfg.graph cfg.plan);
   Array.iter (fun (s, d) -> add "p%d-%d;" s d) cfg.pairs;
   add "top:%d" cfg.register_top;
   Buffer.contents b

@@ -98,6 +98,17 @@ let compile ~graph:g t =
     arr;
   Array.map (fun (_, _, e) -> e) arr
 
+let fingerprint ~graph t =
+  let b = Buffer.create 256 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  add "plan:%Ld;" t.seed;
+  Array.iter
+    (fun e ->
+      add "%h/%d/%s;" e.time e.link
+        (match e.action with Down -> "d" | Up -> "u"))
+    (compile ~graph t);
+  Buffer.contents b
+
 let max_attempts = 500
 
 let sample_adjacencies ~rng ~count ~accept g =

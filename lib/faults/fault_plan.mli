@@ -50,6 +50,11 @@ val compile : graph:Graph.t -> t -> event array
     spec names a link or AS outside the graph, or has a non-positive
     period/mtbf/mttr. *)
 
+val fingerprint : graph:Graph.t -> t -> string
+(** The plan's part of a checkpoint fingerprint: its seed, then every
+    {!compile}d event's time (hex float), link and action. Two plans
+    with the same text replay the same events on [graph]. *)
+
 val sample_adjacencies :
   rng:Rng.t ->
   count:int ->

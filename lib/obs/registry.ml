@@ -10,14 +10,13 @@ let create () = { tbl = Hashtbl.create 64 }
 
 let norm labels = List.sort (fun (a, _) (b, _) -> compare a b) labels
 
-let find_or_create t name labels make describe =
+let find_or_create t name labels make =
   let key = (name, norm labels) in
   match Hashtbl.find_opt t.tbl key with
   | Some m -> m
   | None ->
       let m = make () in
       Hashtbl.replace t.tbl key m;
-      ignore describe;
       m
 
 let kind_name = function
@@ -29,15 +28,13 @@ let wrong_kind name expected m =
     (Printf.sprintf "Registry: %s is a %s, not a %s" name (kind_name m) expected)
 
 let counter t ?(labels = []) name =
-  match find_or_create t name labels (fun () -> M_counter (ref 0.0)) "counter" with
+  match find_or_create t name labels (fun () -> M_counter (ref 0.0)) with
   | M_counter r -> r
   | m -> wrong_kind name "counter" m
 
 let histogram t ?(labels = []) name =
   match
-    find_or_create t name labels
-      (fun () -> M_hist (Histogram.create ()))
-      "histogram"
+    find_or_create t name labels (fun () -> M_hist (Histogram.create ()))
   with
   | M_hist h -> h
   | m -> wrong_kind name "histogram" m

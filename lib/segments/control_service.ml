@@ -17,13 +17,9 @@ let same_graph a b =
 let core_ases_of_isd g isd =
   List.filter (fun c -> (Graph.as_info g c).Graph.ia.Id.isd = isd) (Graph.core_ases g)
 
-let ps t c =
-  match Hashtbl.find_opt t.core_ps c with
-  | Some p -> p
-  | None ->
-      let p = Path_server.create () in
-      Hashtbl.replace t.core_ps c p;
-      p
+(* [build] creates one path server per core AS; segments originate at
+   core ASes, so every lookup finds one. *)
+let ps t c = Hashtbl.find t.core_ps c
 
 let ingest_intra t (intra : Beaconing.outcome) =
   let g = t.graph in
@@ -69,11 +65,15 @@ let ingest_core t (core : Beaconing.outcome) =
     (Graph.core_ases g)
 
 let make graph now =
+  let core_ps = Hashtbl.create 16 in
+  List.iter
+    (fun c -> Hashtbl.replace core_ps c (Path_server.create ()))
+    (Graph.core_ases graph);
   {
     graph;
     keys = Fwd_keys.create ();
     now;
-    core_ps = Hashtbl.create 16;
+    core_ps;
     up_store = Hashtbl.create 64;
     core_store = Hashtbl.create 16;
     revoked = Hashtbl.create 8;

@@ -50,9 +50,3 @@ let fair_share t links =
       let c = t.counts.(l) in
       if c = 0 then acc else Float.min acc (t.capacity.(l) /. float_of_int c))
     infinity links
-
-let admission_estimate t links =
-  Array.fold_left
-    (fun acc l ->
-      Float.min acc (t.capacity.(l) /. float_of_int (t.counts.(l) + 1)))
-    infinity links

@@ -33,8 +33,3 @@ val fair_share : t -> int array -> float
 (** Rate of one subflow {e already counted} on the path: the minimum
     over its links of [capacity / count]. [infinity] on an empty
     path. *)
-
-val admission_estimate : t -> int array -> float
-(** Rate a new subflow would get on the path, i.e. the minimum of
-    [capacity / (count + 1)] over its links — used by the
-    load-adaptive strategy to avoid saturated links. *)

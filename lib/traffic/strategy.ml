@@ -82,10 +82,10 @@ let select_diversity ctx ~width offered =
     Array.of_list (List.rev !chosen)
   end
 
-(* Maximise the rate a new subflow would actually get, accounting for
-   the load the already-chosen subflows of this same selection will
-   add ([extra]). Congestion feedback enters through
-   [Link_load.admission_estimate]'s counts. *)
+(* Maximise the rate a new subflow would actually get, the minimum of
+   [capacity / (count + 1)] over its links, accounting for the load the
+   already-chosen subflows of this same selection will add ([extra]).
+   Congestion feedback enters through [Link_load]'s counts. *)
 let select_adaptive ctx ~width offered =
   let n = Array.length offered in
   if n = 0 then [||]

@@ -526,14 +526,7 @@ let config_key cfg =
   add "strategy:%s/%d/%h;" (Strategy.name cfg.strategy) cfg.width
     cfg.adapt_margin;
   add "knobs:%h/%h/%d;" cfg.capacity_scale cfg.slot_s cfg.slots;
-  add "plan:%Ld;" cfg.plan.Fault_plan.seed;
-  Array.iter
-    (fun (e : Fault_plan.event) ->
-      add "%h/%d/%s;" e.Fault_plan.time e.Fault_plan.link
-        (match e.Fault_plan.action with
-        | Fault_plan.Down -> "d"
-        | Fault_plan.Up -> "u"))
-    (Fault_plan.compile ~graph:cfg.graph cfg.plan);
+  Buffer.add_string b (Fault_plan.fingerprint ~graph:cfg.graph cfg.plan);
   List.iter (fun (k, v) -> add "label:%s=%s;" k v) cfg.metric_labels;
   Buffer.contents b
 

@@ -1,6 +1,6 @@
 (* Tests for the event-driven BGP simulator: convergence to the
-   closed-form Gao-Rexford solution, withdrawals, link failures, MRAI
-   behaviour and churn accounting. *)
+   closed-form shortest-path (full-transit) solution, withdrawals, link
+   failures, MRAI pacing and churn accounting. *)
 
 let check = Alcotest.check
 
@@ -19,34 +19,47 @@ let policy_graph () =
   Graph.add_link b ~rel:Graph.Provider_customer 4 6;
   Graph.freeze b
 
-let converged_sim ?(config = Bgp_sim.default_config) g =
-  let t = Bgp_sim.create g config in
+let converged_sim g =
+  let t = Bgp_sim.create g in
   Bgp_sim.announce_all t;
   ignore (Bgp_sim.run_to_quiescence t);
   t
 
-let test_converges_to_closed_form () =
-  let g = policy_graph () in
+(* Every AS provides transit, so the converged best path is a shortest
+   path: [Bgp_routes.shortest_multipath] gives one per shortest next
+   hop, and the simulator breaks ties to the lowest next hop. *)
+let check_closed_form g =
   let t = converged_sim g in
-  for dst = 0 to 6 do
-    let table = Bgp_routes.compute g ~dst in
-    for src = 0 to 6 do
+  for dst = 0 to Graph.n g - 1 do
+    for src = 0 to Graph.n g - 1 do
       if src <> dst then begin
-        match (Bgp_sim.best_path t ~src ~prefix:dst, Bgp_routes.path_to table ~src) with
-        | Some p_sim, Some p_cf ->
-            (* Tie-breaks may differ; class preference and length must
-               agree. *)
+        match
+          ( Bgp_sim.best_path t ~src ~prefix:dst,
+            Bgp_routes.shortest_multipath g ~src ~dst )
+        with
+        | Some p_sim, (p_cf :: _ as paths) ->
             check Alcotest.int
               (Printf.sprintf "path length %d->%d" src dst)
               (List.length p_cf) (List.length p_sim);
-            check Alcotest.int "ends at origin" dst
-              (List.nth p_sim (List.length p_sim - 1))
-        | None, None -> ()
-        | Some _, None -> Alcotest.failf "sim found a route %d->%d, model did not" src dst
-        | None, Some _ -> Alcotest.failf "sim missing route %d->%d" src dst
+            let next_hop p = List.nth p 1 in
+            check Alcotest.int
+              (Printf.sprintf "lowest next hop %d->%d" src dst)
+              (List.fold_left (fun m p -> min m (next_hop p)) max_int paths)
+              (next_hop p_sim);
+            Alcotest.(check bool)
+              (Printf.sprintf "one of the shortest paths %d->%d" src dst)
+              true (List.mem p_sim paths)
+        | None, [] -> ()
+        | Some _, [] ->
+            Alcotest.failf "sim found a route %d->%d, model did not" src dst
+        | None, _ :: _ -> Alcotest.failf "sim missing route %d->%d" src dst
       end
     done
   done
+
+let test_converges_to_closed_form () =
+  check_closed_form (policy_graph ());
+  check_closed_form (Exp_common.prepare Exp_common.Tiny).Exp_common.core
 
 let test_loop_free () =
   let g = policy_graph () in
@@ -120,7 +133,7 @@ let test_parallel_link_sessions () =
 let test_adj_rib_in_multipath () =
   let g = policy_graph () in
   let t = converged_sim g in
-  (* T1a hears about S2 (6) from M2 (customer route). *)
+  (* T1a (0) hears about S2 (6) from M2 (3), which is adjacent to it. *)
   let pool = Bgp_sim.adj_rib_in_paths t ~src:0 ~prefix:6 in
   Alcotest.(check bool) "at least one offer" true (pool <> []);
   List.iter
@@ -130,29 +143,45 @@ let test_adj_rib_in_multipath () =
     pool
 
 let test_mrai_paces_updates () =
-  (* With a long MRAI, convergence takes at least one MRAI round when
-     paths must be re-advertised after a better route arrives. *)
-  let g = policy_graph () in
-  let fast = converged_sim ~config:{ Bgp_sim.default_config with Bgp_sim.mrai = 0.01 } g in
-  let slow = converged_sim ~config:{ Bgp_sim.default_config with Bgp_sim.mrai = 30.0 } g in
-  let st_fast = Bgp_sim.stats fast and st_slow = Bgp_sim.stats slow in
-  (* MRAI batching: the slow speaker never sends more messages. *)
-  Alcotest.(check bool) "mrai batches" true
-    (st_slow.Bgp_sim.updates_sent <= st_fast.Bgp_sim.updates_sent);
-  Alcotest.(check bool) "slow converges later or equal" true
-    (st_slow.Bgp_sim.last_route_change >= st_fast.Bgp_sim.last_route_change -. 1e-9)
-
-let test_bgpsec_bytes_larger () =
-  let g = policy_graph () in
-  let plain = converged_sim g in
-  let sec = converged_sim ~config:{ Bgp_sim.default_config with Bgp_sim.bgpsec = true } g in
-  let b_plain = (Bgp_sim.stats plain).Bgp_sim.bytes_sent in
-  let b_sec = (Bgp_sim.stats sec).Bgp_sim.bytes_sent in
-  Alcotest.(check bool) "bgpsec costs more bytes" true (b_sec > 3.0 *. b_plain)
+  (* The §5.1 MRAI of 15 s: a session sends its messages of one instant
+     as a batch, and its next batch no earlier than 15 s later. Every AS
+     announces its own prefix at 0 s and learns the others within
+     milliseconds, so those wait for the MRAI. *)
+  let sends = Hashtbl.create 16 in
+  let sink (e : Trace.event) =
+    if e.Trace.category = "bgp" && e.Trace.message = "update sent" then begin
+      let field k = List.assoc k e.Trace.fields in
+      let session = (field "from", field "to") in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt sends session) in
+      Hashtbl.replace sends session (e.Trace.time :: prev)
+    end
+  in
+  let trace = Trace.create ~sink:(Trace.Custom sink) Trace.Debug in
+  let obs = Obs.create ~trace () in
+  let t = Bgp_sim.create ~obs (policy_graph ()) in
+  Bgp_sim.announce_all t;
+  ignore (Bgp_sim.run_to_quiescence t);
+  let paced = ref 0 in
+  Hashtbl.iter
+    (fun (a, b) times ->
+      let instants = List.sort_uniq Float.compare times in
+      if List.length instants > 1 then incr paced;
+      ignore
+        (List.fold_left
+           (fun prev at ->
+             if at -. prev < 15.0 -. 1e-9 then
+               Alcotest.failf "session %s->%s sent at %g s and %g s" a b prev
+                 at;
+             at)
+           (List.hd instants) (List.tl instants)))
+    sends;
+  Alcotest.(check bool) "some session waited for the mrai" true (!paced > 0);
+  Alcotest.(check bool) "converged after one mrai" true
+    ((Bgp_sim.stats t).Bgp_sim.last_route_change >= 15.0)
 
 let test_quiescence_time_positive () =
   let g = policy_graph () in
-  let t = Bgp_sim.create g Bgp_sim.default_config in
+  let t = Bgp_sim.create g in
   Bgp_sim.announce_all t;
   let tq = Bgp_sim.run_to_quiescence t in
   Alcotest.(check bool) "time advanced" true (tq > 0.0);
@@ -224,19 +253,19 @@ let bgpsec_update_bytes = function
 
 (* Initial convergence on the chain. Every AS has exactly one loop-free
    route per prefix, so each best route is installed once and every
-   (AS, neighbor, prefix) export is sent exactly once. Customer and
-   own routes go to every neighbor (including the one they came from);
-   provider routes go to customers only. Sender: prefix -> receivers
-   (AS_PATH length).
+   (AS, neighbor, prefix) export is sent exactly once. Every AS
+   provides transit, so each route goes to every neighbor (including
+   the one it came from). Sender: prefix -> receivers (AS_PATH
+   length).
      AS 0: p0 -> 1 (1); p1 -> 1 (2); p2 -> 1 (3); p3 -> 1 (4)
-     AS 1: p0 -> 2 (2); p1 -> 0,2 (1); p2 -> 0,2 (2); p3 -> 0,2 (3)
-     AS 2: p0 -> 3 (3); p1 -> 3 (2); p2 -> 1,3 (1); p3 -> 1,3 (2)
-     AS 3: p3 -> 2 (1); p0..p2 are provider routes, no customers
-   18 updates: 6 of length 1, 7 of length 2, 4 of length 3, 1 of
+     AS 1: p0 -> 0,2 (2); p1 -> 0,2 (1); p2 -> 0,2 (2); p3 -> 0,2 (3)
+     AS 2: p0 -> 1,3 (3); p1 -> 1,3 (2); p2 -> 1,3 (1); p3 -> 1,3 (2)
+     AS 3: p0 -> 2 (4); p1 -> 2 (3); p2 -> 2 (2); p3 -> 2 (1)
+   24 updates: 6 of length 1, 10 of length 2, 6 of length 3, 2 of
    length 4. Then AS 3 withdraws its prefix: 3 -> 2, 2 -> 1,3,
    1 -> 0,2, 0 -> 1 (every AS had announced p3 to every neighbor):
    6 withdrawals, no updates. *)
-let initial_lengths = [ (1, 6); (2, 7); (3, 4); (4, 1) ]
+let initial_lengths = [ (1, 6); (2, 10); (3, 6); (4, 2) ]
 
 let test_line_size_oracle () =
   (* Literal sums against the wire-size model. *)
@@ -253,47 +282,36 @@ let test_line_size_oracle () =
   check Alcotest.int "RFC 4271 withdrawal" withdraw_bytes
     (Wire.bgp_withdraw_bytes ~prefixes:1);
   (* The simulator's counters against the enumerated messages. *)
-  let g = line_graph () in
-  List.iter
-    (fun (mode, bgpsec, size) ->
-      let t =
-        converged_sim ~config:{ Bgp_sim.default_config with Bgp_sim.bgpsec } g
-      in
-      let st = Bgp_sim.stats t in
-      check Alcotest.int (mode ^ " updates") 18 st.Bgp_sim.updates_sent;
-      check Alcotest.int (mode ^ " withdrawals") 0 st.Bgp_sim.withdrawals_sent;
-      let bytes =
-        List.fold_left (fun acc (n, k) -> acc + (k * size n)) 0 initial_lengths
-      in
-      Alcotest.(check (float 0.0))
-        (mode ^ " bytes") (float_of_int bytes) st.Bgp_sim.bytes_sent;
-      Bgp_sim.reset_stats t;
-      Bgp_sim.withdraw_origin t ~origin:3;
-      ignore (Bgp_sim.run_to_quiescence t);
-      let st = Bgp_sim.stats t in
-      check Alcotest.int (mode ^ " withdraw: updates") 0
-        st.Bgp_sim.updates_sent;
-      check Alcotest.int (mode ^ " withdraw: withdrawals") 6
-        st.Bgp_sim.withdrawals_sent;
-      Alcotest.(check (float 0.0))
-        (mode ^ " withdraw: bytes")
-        (float_of_int (6 * withdraw_bytes))
-        st.Bgp_sim.bytes_sent)
-    [
-      ("bgp", false, plain_update_bytes);
-      ("bgpsec", true, bgpsec_update_bytes);
-    ]
+  let t = converged_sim (line_graph ()) in
+  let st = Bgp_sim.stats t in
+  check Alcotest.int "updates" 24 st.Bgp_sim.updates_sent;
+  check Alcotest.int "withdrawals" 0 st.Bgp_sim.withdrawals_sent;
+  let bytes =
+    List.fold_left
+      (fun acc (n, k) -> acc + (k * plain_update_bytes n))
+      0 initial_lengths
+  in
+  Alcotest.(check (float 0.0))
+    "bytes" (float_of_int bytes) st.Bgp_sim.bytes_sent;
+  Bgp_sim.reset_stats t;
+  Bgp_sim.withdraw_origin t ~origin:3;
+  ignore (Bgp_sim.run_to_quiescence t);
+  let st = Bgp_sim.stats t in
+  check Alcotest.int "withdraw: updates" 0 st.Bgp_sim.updates_sent;
+  check Alcotest.int "withdraw: withdrawals" 6 st.Bgp_sim.withdrawals_sent;
+  Alcotest.(check (float 0.0))
+    "withdraw: bytes"
+    (float_of_int (6 * withdraw_bytes))
+    st.Bgp_sim.bytes_sent
 
-(* Golden event order: the convergence scenario's configuration on the
+(* Golden event order: the convergence scenario's simulator on the
    tiny core, where many events share an instant. Any change to the
    order in which same-instant events fire moves these numbers. The
    values were recorded from the discrete-event engine this simulator
    used to run on. *)
 let test_golden_event_order () =
   let g = (Exp_common.prepare Exp_common.Tiny).Exp_common.core in
-  let t =
-    Bgp_sim.create g { Bgp_sim.default_config with Bgp_sim.full_transit = true }
-  in
+  let t = Bgp_sim.create g in
   Bgp_sim.announce_all t;
   let t1 = Bgp_sim.run_to_quiescence t in
   let st1 = Bgp_sim.stats t in
@@ -337,59 +355,6 @@ let test_golden_event_order () =
      a33106d9c92f31daa7325a52dfd81a897ee1b4ea0982d233abe2054e032e5831"
     (summary st2)
 
-let test_create_rejects_bad_delays () =
-  let g = policy_graph () in
-  let c = Bgp_sim.default_config in
-  List.iter
-    (fun (name, config) ->
-      match Bgp_sim.create g config with
-      | _ -> Alcotest.failf "%s accepted" name
-      | exception Invalid_argument _ -> ())
-    [
-      ("nan mrai", { c with Bgp_sim.mrai = nan });
-      ("negative mrai", { c with Bgp_sim.mrai = -1.0 });
-      ("infinite processing", { c with Bgp_sim.processing_delay = infinity });
-      ("negative processing", { c with Bgp_sim.processing_delay = -0.001 });
-      ("nan propagation", { c with Bgp_sim.propagation_delay = nan });
-      ("infinite propagation", { c with Bgp_sim.propagation_delay = infinity });
-    ];
-  (* Zero delays are allowed. *)
-  ignore
-    (Bgp_sim.create g
-       {
-         c with
-         Bgp_sim.mrai = 0.0;
-         processing_delay = 0.0;
-         propagation_delay = 0.0;
-       })
-
-(* A bounded run stops before popping past its deadline; the next call
-   picks up every event it left queued, so the end state equals one
-   unbounded run. *)
-let test_bounded_quiescence_resumes () =
-  let g = policy_graph () in
-  let whole = converged_sim g in
-  let t = Bgp_sim.create g Bgp_sim.default_config in
-  Bgp_sim.announce_all t;
-  let t_bounded = Bgp_sim.run_to_quiescence ~max_time:0.02 t in
-  Alcotest.(check bool) "stopped early" true (t_bounded < Bgp_sim.now whole);
-  let tq = Bgp_sim.run_to_quiescence t in
-  Alcotest.(check (float 0.0)) "same quiescence" (Bgp_sim.now whole) tq;
-  let a = Bgp_sim.stats whole and b = Bgp_sim.stats t in
-  check Alcotest.int "updates" a.Bgp_sim.updates_sent b.Bgp_sim.updates_sent;
-  Alcotest.(check (float 0.0))
-    "bytes" a.Bgp_sim.bytes_sent b.Bgp_sim.bytes_sent;
-  Alcotest.(check (float 0.0))
-    "last change" a.Bgp_sim.last_route_change b.Bgp_sim.last_route_change;
-  for src = 0 to 6 do
-    for dst = 0 to 6 do
-      Alcotest.(check (option (list int)))
-        "same best path"
-        (Bgp_sim.best_path whole ~src ~prefix:dst)
-        (Bgp_sim.best_path t ~src ~prefix:dst)
-    done
-  done
-
 (* The event queue's instrumentation: one [des_events_total] tick and
    one [des] trace event per fired event, and a [des_queue_depth]
    sample every 64 of the simulator's own events, also when a second
@@ -400,9 +365,9 @@ let test_queue_instrumentation () =
     Trace.create ~sink:(Trace.Custom (fun e -> seen := e :: !seen)) Trace.Debug
   in
   let obs = Obs.create ~trace () in
-  let fired_by_run config =
+  let fired_by_run () =
     seen := [];
-    let t = Bgp_sim.create ~obs (policy_graph ()) config in
+    let t = Bgp_sim.create ~obs (policy_graph ()) in
     Bgp_sim.announce_all t;
     let tq = Bgp_sim.run_to_quiescence t in
     let fired =
@@ -414,7 +379,7 @@ let test_queue_instrumentation () =
   in
   let c = Registry.counter (Obs.registry obs) "des_events_total" in
   let h = Registry.histogram (Obs.registry obs) "des_queue_depth" in
-  let tq, fired = fired_by_run Bgp_sim.default_config in
+  let tq, fired = fired_by_run () in
   let n = List.length fired in
   Alcotest.(check bool) "events fired" true (n > 64);
   Alcotest.(check (float 0.0)) "one tick per event" (float_of_int n) !c;
@@ -428,9 +393,7 @@ let test_queue_instrumentation () =
   (* A second simulator on the same context: the shared counter now
      starts at [n], and the two remainders mod 64 add up past 64, so
      sampling on the shared count would take one sample too many. *)
-  let _, fired' =
-    fired_by_run { Bgp_sim.default_config with Bgp_sim.full_transit = true }
-  in
+  let _, fired' = fired_by_run () in
   let n' = List.length fired' in
   Alcotest.(check bool)
     "remainders overflow" true
@@ -451,12 +414,9 @@ let suite =
     ("parallel link sessions", `Quick, test_parallel_link_sessions);
     ("adj-rib-in multipath", `Quick, test_adj_rib_in_multipath);
     ("mrai paces updates", `Quick, test_mrai_paces_updates);
-    ("bgpsec bytes larger", `Quick, test_bgpsec_bytes_larger);
     ("quiescence time positive", `Quick, test_quiescence_time_positive);
     ("generated topology reachability", `Slow, test_generated_topology_full_reachability);
     ("line size oracle", `Quick, test_line_size_oracle);
     ("golden event order", `Quick, test_golden_event_order);
-    ("create rejects bad delays", `Quick, test_create_rejects_bad_delays);
-    ("bounded quiescence resumes", `Quick, test_bounded_quiescence_resumes);
     ("queue instrumentation", `Quick, test_queue_instrumentation);
   ]

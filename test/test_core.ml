@@ -378,25 +378,17 @@ let test_crossing_never_when_same_instance () =
 
 (* --- Diversity_state --- *)
 
-let test_counters_mean_kinds () =
+let test_counters_gm_reused_link () =
   let st = Diversity_state.create ~n_as:10 in
-  (* One heavily-reused link next to fresh ones: AM >= GM strictly. *)
+  (* Link 5 is both a path link and the egress of each increment, so it
+     counts twice per path: 14 after seven. The mean over links 5, 6 and
+     7 is (15 * 1 * 1)^(1/3). *)
   for _ = 1 to 7 do
     Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:[| 5 |] ~extra:5
   done;
-  let gm =
-    Diversity_state.counters_mean st ~kind:Beacon_policy.Geometric ~origin:1
-      ~neighbor:2 ~links:[| 5; 6 |] ~extra:7
-  in
-  let am =
-    Diversity_state.counters_mean st ~kind:Beacon_policy.Arithmetic ~origin:1
-      ~neighbor:2 ~links:[| 5; 6 |] ~extra:7
-  in
-  Alcotest.(check bool) "AM > GM on skewed counters" true (am > gm);
-  (* Both agree on an empty table. *)
-  Alcotest.(check (float 1e-9)) "empty table AM" 1.0
-    (Diversity_state.counters_mean st ~kind:Beacon_policy.Arithmetic ~origin:3
-       ~neighbor:4 ~links:[| 1 |] ~extra:2)
+  Alcotest.(check (float 1e-12)) "gm over a reused link" (15.0 ** (1.0 /. 3.0))
+    (Diversity_state.counters_gm st ~origin:1 ~neighbor:2 ~links:[| 5; 6 |]
+       ~extra:7)
 
 let test_diversity_state_counters () =
   let st = Diversity_state.create ~n_as:10 in
@@ -448,7 +440,7 @@ let test_diversity_state_sent () =
 let test_diversity_score_worked_example () =
   (* Hand-computed Eq. 1-2 (§4.2) on a five-link path plus the egress
      link: counters 0,0,2,2,8,8 give (1 + c) = 1,1,3,3,9,9, whose
-     geometric mean is 729^(1/6) = 3 and arithmetic mean 26/6. With
+     geometric mean is 729^(1/6) = 3. With
      gm_max = 4, ds = 1 - (3 - 1)/4 = 0.5, and a PCB aged 600 s of a
      21 600 s lifetime scores 0.5^(40 * 600 / 21600) = 2^(-10/9). *)
   let p = { params with Beacon_policy.alpha = 40.0; gm_max = 4.0 } in
@@ -465,9 +457,6 @@ let test_diversity_score_worked_example () =
     Diversity_state.counters_gm st ~origin:1 ~neighbor:2 ~links ~extra:6
   in
   Alcotest.(check (float 1e-12)) "geometric mean" 3.0 gm;
-  Alcotest.(check (float 1e-12)) "arithmetic mean" (26.0 /. 6.0)
-    (Diversity_state.counters_mean st ~kind:Beacon_policy.Arithmetic ~origin:1
-       ~neighbor:2 ~links ~extra:6);
   let ds = Beacon_policy.diversity_of_gm p gm in
   Alcotest.(check (float 1e-12)) "link diversity" 0.5 ds;
   Alcotest.(check (float 1e-12)) "aged score" 0.4629373561436452
@@ -483,18 +472,13 @@ let test_diversity_state_prune_decrements () =
   Alcotest.(check (float 1e-9)) "counter decremented back to gm 1" 1.0
     (Diversity_state.counters_gm st ~origin:1 ~neighbor:2 ~links:[||] ~extra:3)
 
-(* --- Dense counter view: oracle is counters_mean on the hash table --- *)
-
-let mean_kinds = [ Beacon_policy.Geometric; Beacon_policy.Arithmetic ]
+(* --- Dense counter view: oracle is counters_gm on the hash table --- *)
 
 let view_agrees view st ~origin ~neighbor ~links ~extra =
-  List.for_all
-    (fun kind ->
-      Int64.equal
-        (Int64.bits_of_float (Diversity_state.view_mean view ~kind ~links ~extra))
-        (Int64.bits_of_float
-           (Diversity_state.counters_mean st ~kind ~origin ~neighbor ~links ~extra)))
-    mean_kinds
+  Int64.equal
+    (Int64.bits_of_float (Diversity_state.view_mean view ~links ~extra))
+    (Int64.bits_of_float
+       (Diversity_state.counters_gm st ~origin ~neighbor ~links ~extra))
 
 type eval_step = Query of int array * int | Bump of int array * int
 
@@ -970,11 +954,6 @@ let golden_outcomes =
       "0x1.0b84cp+25",
       "04d056f6c2e7dea02adf28b34852762666f7e5c8d42d4b02163ec1c38b0d8063",
       "2eccf3dd0c3b6bbf504d9725e9fe8d68d406580c2db96e18b19c0595e4e50c62" );
-    ( "diversity-arithmetic",
-      82877,
-      "0x1.15ddep+25",
-      "166301001177111c6b5e326b4cc37330d91b8f9fcd74c88749e87d92f2c1a843",
-      "9ce362fae954061e8dab64d5939b551a731c1e6b96de856a960916656538072b" );
   ]
 
 let test_golden_beaconing () =
@@ -998,12 +977,6 @@ let test_golden_beaconing () =
             Beacon_policy.base = Beacon_policy.default_div_params;
             link_latency_ms = weights;
             latency_scale_ms = 4.0 *. Stats.mean weights *. 8.0;
-          } );
-      ( "diversity-arithmetic",
-        Beacon_policy.Diversity
-          {
-            Beacon_policy.default_div_params with
-            Beacon_policy.mean_kind = Beacon_policy.Arithmetic;
           } );
     ]
   in
@@ -1044,7 +1017,7 @@ let suite =
     ("diversity of gm", `Quick, test_diversity_of_gm);
     ("crossing time", `Quick, test_crossing_time);
     ("crossing never for same instance", `Quick, test_crossing_never_when_same_instance);
-    ("counters mean kinds (ablation)", `Quick, test_counters_mean_kinds);
+    ("counters gm of a reused link", `Quick, test_counters_gm_reused_link);
     ("diversity state counters", `Quick, test_diversity_state_counters);
     ( "diversity score worked example",
       `Quick,

@@ -12,7 +12,6 @@ let () =
       ("bgp-sim", Test_bgp_sim.suite);
       ("latency", Test_latency.suite);
       ("wire-lookup", Test_wire_lookup.suite);
-      ("filter", Test_filter.suite);
       ("pcb-codec", Test_pcb_codec.suite);
       ("analysis", Test_analysis.suite);
       ("segments", Test_segments.suite);

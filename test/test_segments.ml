@@ -10,8 +10,9 @@ let check = Alcotest.check
    ISD 2: core C1; C1 -> A5
    core link C0 === C1 (2 parallel)
 
-   indexes: C0=0 C1=1 A2=2 A3=3 A4=4 A5=5 *)
-let network () =
+   indexes: C0=0 C1=1 A2=2 A3=3 A4=4 A5=5; with [~lone_core], C6=6 is a
+   second core AS of ISD 2 without links, so no segment registers at it. *)
+let network ?(lone_core = false) () =
   let b = Graph.builder () in
   let c0 = Graph.add_as b ~core:true (Id.ia 1 1) in
   let c1 = Graph.add_as b ~core:true (Id.ia 2 1) in
@@ -25,6 +26,7 @@ let network () =
   Graph.add_link b ~rel:Graph.Provider_customer a2 a4;
   Graph.add_link b ~rel:Graph.Peering a2 a3;
   Graph.add_link b ~rel:Graph.Provider_customer c1 a5;
+  if lone_core then ignore (Graph.add_as b ~core:true (Id.ia 2 3));
   Graph.freeze b
 
 let beacon_cfg scope =
@@ -447,6 +449,22 @@ let prop_resolve_forwardable =
         l1;
       !ok)
 
+(* A read creates no path server: every core AS has one from [build],
+   so a revocation reaches the same servers whether or not lookups ran
+   first. The lookup towards A5 asks both cores of ISD 2, C6 included. *)
+let test_control_service_revocation_ignores_reads () =
+  let g = network ~lone_core:true () in
+  let core = Beaconing.run g (beacon_cfg Beaconing.Core_beaconing) in
+  let intra = Beaconing.run g (beacon_cfg Beaconing.Intra_isd) in
+  let revocations ~reads =
+    let cs = Control_service.build ~core ~intra () in
+    if reads then ignore (Control_service.resolve cs ~src:4 ~dst:5);
+    ignore (Control_service.revoke_link cs ~link:0);
+    (Control_service.stats cs).Path_server.revocations
+  in
+  check Alcotest.int "one revocation per core AS" 3 (revocations ~reads:false);
+  check Alcotest.int "lookups first" 3 (revocations ~reads:true)
+
 let test_build_rejects_mismatched_graphs () =
   let g1 = network () in
   let g2 = Scionlab.generate Scionlab.default_params in
@@ -484,6 +502,9 @@ let suite =
       test_path_server_reregister_after_recovery );
     ("path server cap", `Quick, test_path_server_cap);
     ("control service revocation", `Quick, test_control_service_revocation);
+    ( "control service revocations ignore reads",
+      `Quick,
+      test_control_service_revocation_ignores_reads );
     QCheck_alcotest.to_alcotest prop_resolve_forwardable;
     ("build rejects mismatched graphs", `Quick, test_build_rejects_mismatched_graphs);
   ]

@@ -89,17 +89,20 @@ let test_link_load_fair_share () =
   let g = network () in
   let ll = Link_load.create g in
   let path = [| 0; 2 |] in
-  check (Alcotest.float 1e-9) "idle admission is thinnest capacity"
-    (Float.min (Link_load.capacity_mbps ll 0) (Link_load.capacity_mbps ll 2))
-    (Link_load.admission_estimate ll path);
+  let thin =
+    Float.min (Link_load.capacity_mbps ll 0) (Link_load.capacity_mbps ll 2)
+  in
   Link_load.add_path ll path;
+  check (Alcotest.float 1e-9) "one subflow gets the thinnest capacity" thin
+    (Link_load.fair_share ll path);
   Link_load.add_path ll path;
   check Alcotest.int "both subflows counted" 2 (Link_load.count ll 0);
-  let thin = Float.min (Link_load.capacity_mbps ll 0) (Link_load.capacity_mbps ll 2) in
   check (Alcotest.float 1e-9) "fair share splits the bottleneck" (thin /. 2.0)
     (Link_load.fair_share ll path);
-  check (Alcotest.float 1e-9) "admission sees one more" (thin /. 3.0)
-    (Link_load.admission_estimate ll path);
+  Link_load.add_path ll path;
+  check (Alcotest.float 1e-9) "a third subflow gets a third" (thin /. 3.0)
+    (Link_load.fair_share ll path);
+  Link_load.remove_path ll path;
   Link_load.remove_path ll path;
   Link_load.remove_path ll path;
   check Alcotest.int "released" 0 (Link_load.count ll 0);
