@@ -112,7 +112,9 @@ let sup_term =
       value
       & opt (some string) None
       & info [ "checkpoint-dir" ] ~docv:"DIR"
-          ~doc:"Directory for checkpoint files (created if missing).")
+          ~doc:
+            "Directory for checkpoint files (created if missing; requires \
+             --checkpoint-every > 0 or --resume).")
   in
   let resume =
     Arg.(
@@ -132,8 +134,8 @@ let sup_term =
       & info [ "kill-after" ] ~docv:"K"
           ~doc:
             "Abort (exit 3) right after the $(docv)-th checkpoint write ($(docv) \
-             > 0; requires --checkpoint-dir) — a deterministic stand-in for \
-             SIGKILL, used by the resume tests.")
+             > 0; requires --checkpoint-dir and --checkpoint-every > 0) — a \
+             deterministic stand-in for SIGKILL, used by the resume tests.")
   in
   let max_failures =
     Arg.(
@@ -176,16 +178,22 @@ let sup_term =
   in
   let make checkpoint_every checkpoint_dir resume kill_after max_failures
       retries watchdog_s inject_fail =
-    (* Without a directory these flags would be silently ignored. *)
+    (* Each of these combinations would be silently ignored. *)
     let needs_dir =
       if checkpoint_every > 0 then Some "--checkpoint-every"
       else if resume then Some "--resume"
       else if kill_after <> None then Some "--kill-after"
       else None
     in
+    let writes = checkpoint_every > 0 in
     match (checkpoint_dir, needs_dir) with
     | None, Some flag ->
         `Error (true, Printf.sprintf "%s requires --checkpoint-dir" flag)
+    | _ when kill_after <> None && not writes ->
+        `Error (true, "--kill-after requires --checkpoint-every > 0")
+    | Some _, _ when not (writes || resume) ->
+        `Error
+          (true, "--checkpoint-dir requires --checkpoint-every > 0 or --resume")
     | _ ->
         `Ok
           {

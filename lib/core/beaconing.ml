@@ -32,30 +32,6 @@ type stats = {
   rounds : int;
 }
 
-let write_stats w s =
-  Snapshot.w_arr w Snapshot.w_f64 s.bytes_on_iface;
-  Snapshot.w_arr w Snapshot.w_int s.pcbs_on_iface;
-  Snapshot.w_f64 w s.total_bytes;
-  Snapshot.w_int w s.total_pcbs;
-  Snapshot.w_int w s.crypto_failures;
-  Snapshot.w_int w s.rounds
-
-let read_stats r =
-  let bytes_on_iface = Snapshot.r_arr r Snapshot.r_f64 in
-  let pcbs_on_iface = Snapshot.r_arr r Snapshot.r_int in
-  let total_bytes = Snapshot.r_f64 r in
-  let total_pcbs = Snapshot.r_int r in
-  let crypto_failures = Snapshot.r_int r in
-  let rounds = Snapshot.r_int r in
-  {
-    bytes_on_iface;
-    pcbs_on_iface;
-    total_bytes;
-    total_pcbs;
-    crypto_failures;
-    rounds;
-  }
-
 type outcome = {
   graph : Graph.t;
   config : config;
@@ -172,40 +148,16 @@ type engine = {
   eng_config : config;
   eng_stores : Beacon_store.t array;
   eng_stats : stats;
-  eng_step : round:int -> unit;
+  eng_step : up:(int -> bool) -> round:int -> unit;
 }
 
-let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
+(* Build an engine over [stores]/[stats], fresh ones or ones {!read}
+   restored; the caller has checked their lengths against [g]. *)
+let make ~obs ~stores ~stats g cfg =
   if cfg.interval <= 0.0 then
     invalid_arg "Beaconing.engine: interval must be positive";
   let n = Graph.n g in
   let num_links = Graph.num_links g in
-  let rounds = max 1 (int_of_float ((cfg.duration /. cfg.interval) +. 0.5)) in
-  let stores =
-    match stores with
-    | Some s ->
-        if Array.length s <> n then
-          invalid_arg "Beaconing.engine: stores array length mismatch";
-        s
-    | None ->
-        Array.init n (fun _ -> Beacon_store.create ~limit:cfg.storage_limit)
-  in
-  let stats =
-    match stats with
-    | Some s ->
-        if Array.length s.bytes_on_iface <> 2 * num_links then
-          invalid_arg "Beaconing.engine: stats array length mismatch";
-        s
-    | None ->
-        {
-          bytes_on_iface = Array.make (2 * num_links) 0.0;
-          pcbs_on_iface = Array.make (2 * num_links) 0;
-          total_bytes = 0.0;
-          total_pcbs = 0;
-          crypto_failures = 0;
-          rounds;
-        }
-  in
   (* Observability cells, hoisted so the send path pays one branch when
      disabled (the [Obs.disabled] default). *)
   let obs_on = Obs.on obs in
@@ -331,11 +283,8 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   in
   let outbox = ref [] in
   let outbox_len = ref 0 in
-  let link_alive =
-    match link_up with None -> fun _ -> true | Some f -> f
-  in
-  let send ~now ~sender ~(h : Graph.half_link) pcb =
-    if not (link_alive h.Graph.via) then ()
+  let send ~up ~now ~sender ~(h : Graph.half_link) pcb =
+    if not (up h.Graph.via) then ()
     else begin
     let ingress =
       match Pcb.last_link pcb with
@@ -402,7 +351,8 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   in
 
   (* --- Baseline selection: P shortest per origin per interface. --- *)
-  let run_baseline_as ~now x =
+  let run_baseline_as ~up ~now x =
+    let send = send ~up ~now ~sender:x in
     let candidates, origins = gather ~now x in
     Array.iter
       (fun (h : Graph.half_link) ->
@@ -415,7 +365,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                 (fun p ->
                   if !sent < dissemination_limit && not (Pcb.contains_as p nbr)
                   then begin
-                    send ~now ~sender:x ~h p;
+                    send ~h p;
                     incr sent
                   end)
                 (candidates o)
@@ -429,7 +379,8 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
      against the Link History Table (read from the dense view), or
      latency for the §4.2 extension. Only the diversity metric
      maintains link history. --- *)
-  let run_quality_as ~now ~(params : Beacon_policy.div_params) ~metric x =
+  let run_quality_as ~up ~now ~(params : Beacon_policy.div_params) ~metric x =
+    let send = send ~up ~now ~sender:x in
     let store = stores.(x) in
     let st = div_states.(x) in
     let track_history =
@@ -541,7 +492,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
                     let i = !best in
                     let p = combos.path.(i) in
                     let h = combos.egress.(i) in
-                    send ~now ~sender:x ~h p;
+                    send ~h p;
                     let expires_at = Pcb.expires_at p in
                     (match combos.sent.(i) with
                     | Some info when combos.resend.(i) ->
@@ -624,7 +575,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     outbox_len := 0
   in
 
-  let step ~round:r =
+  let step ~up ~round:r =
     let now = float_of_int r *. cfg.interval in
     if r > 0 && r mod 6 = 0 then begin
       Array.iter (fun s -> Beacon_store.prune_expired s ~now) stores;
@@ -633,11 +584,11 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     let select () =
       for x = 0 to n - 1 do
         match cfg.algorithm with
-        | Beacon_policy.Baseline -> run_baseline_as ~now x
+        | Beacon_policy.Baseline -> run_baseline_as ~up ~now x
         | Beacon_policy.Diversity params ->
-            run_quality_as ~now ~params ~metric:Link_diversity x
+            run_quality_as ~up ~now ~params ~metric:Link_diversity x
         | Beacon_policy.Latency_aware lp ->
-            run_quality_as ~now ~params:lp.Beacon_policy.base
+            run_quality_as ~up ~now ~params:lp.Beacon_policy.base
               ~metric:(Path_latency lp) x
       done
     in
@@ -661,11 +612,65 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     eng_step = step;
   }
 
+let engine ?(obs = Obs.disabled) g cfg =
+  let dirs = 2 * Graph.num_links g in
+  let stats =
+    {
+      bytes_on_iface = Array.make dirs 0.0;
+      pcbs_on_iface = Array.make dirs 0;
+      total_bytes = 0.0;
+      total_pcbs = 0;
+      crypto_failures = 0;
+      rounds = max 1 (int_of_float ((cfg.duration /. cfg.interval) +. 0.5));
+    }
+  in
+  let stores =
+    Array.init (Graph.n g) (fun _ -> Beacon_store.create ~limit:cfg.storage_limit)
+  in
+  make ~obs ~stores ~stats g cfg
+
+let write w e =
+  let s = e.eng_stats in
+  Snapshot.w_arr w Beacon_store.write e.eng_stores;
+  Snapshot.w_arr w Snapshot.w_f64 s.bytes_on_iface;
+  Snapshot.w_arr w Snapshot.w_int s.pcbs_on_iface;
+  Snapshot.w_f64 w s.total_bytes;
+  Snapshot.w_int w s.total_pcbs;
+  Snapshot.w_int w s.crypto_failures;
+  Snapshot.w_int w s.rounds
+
+let read r g cfg =
+  let stores = Snapshot.r_arr r Beacon_store.read in
+  if Array.length stores <> Graph.n g then
+    Snapshot.corrupt "beaconing snapshot: %d stores for %d ASes"
+      (Array.length stores) (Graph.n g);
+  let bytes_on_iface = Snapshot.r_arr r Snapshot.r_f64 in
+  let pcbs_on_iface = Snapshot.r_arr r Snapshot.r_int in
+  let dirs = 2 * Graph.num_links g in
+  if Array.length bytes_on_iface <> dirs || Array.length pcbs_on_iface <> dirs
+  then Snapshot.corrupt "beaconing snapshot: interface arrays not %d long" dirs;
+  let total_bytes = Snapshot.r_f64 r in
+  let total_pcbs = Snapshot.r_int r in
+  let crypto_failures = Snapshot.r_int r in
+  let rounds = Snapshot.r_int r in
+  let stats =
+    {
+      bytes_on_iface;
+      pcbs_on_iface;
+      total_bytes;
+      total_pcbs;
+      crypto_failures;
+      rounds;
+    }
+  in
+  make ~obs:Obs.disabled ~stores ~stats g cfg
+
 let engine_stores e = e.eng_stores
 
 let engine_stats e = e.eng_stats
 
-let engine_round e ~round = e.eng_step ~round
+let engine_round ?(link_up = fun _ -> true) e ~round =
+  e.eng_step ~up:link_up ~round
 
 let engine_outcome e =
   {
@@ -678,7 +683,7 @@ let engine_outcome e =
 let run ?(obs = Obs.disabled) g cfg =
   let e = engine ~obs g cfg in
   for r = 0 to e.eng_stats.rounds - 1 do
-    e.eng_step ~round:r
+    engine_round e ~round:r
   done;
   let outcome = engine_outcome e in
   if Obs.on obs then observe obs outcome;

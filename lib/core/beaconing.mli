@@ -49,13 +49,6 @@ type stats = {
   rounds : int;
 }
 
-val write_stats : Snapshot.writer -> stats -> unit
-(** Every field, arrays in interface order; checkpoints the engine's
-    byte accounting. *)
-
-val read_stats : Snapshot.reader -> stats
-(** Inverse of {!write_stats}; raises only {!Snapshot.Corrupt}. *)
-
 type outcome = {
   graph : Graph.t;
   config : config;
@@ -66,50 +59,55 @@ type outcome = {
 (** {1 Stepwise engine}
 
     {!run} executes all rounds in one call. The engine below exposes
-    the same simulation round by round, so a supervisor can checkpoint
-    between rounds and resume later: build an engine over restored
-    [stores]/[stats] and call {!engine_round} for the remaining rounds
-    only. A resumed engine is behaviour-identical to one that executed
-    the earlier rounds itself {e provided} the algorithm keeps no state
-    outside stores and stats (true for [Baseline]; the diversity and
-    latency algorithms keep history in an internal state that is not
-    restorable, so checkpointing those is unsupported). *)
+    the same simulation round by round, so callers can interleave work
+    with beaconing (fault injection, soaks) and checkpoint between
+    rounds: {!write} an engine, {!read} it back later and call
+    {!engine_round} for the remaining rounds only. *)
 
 type engine
 
-val engine :
-  ?obs:Obs.t ->
-  ?link_up:(int -> bool) ->
-  ?stores:Beacon_store.t array ->
-  ?stats:stats ->
-  Graph.t ->
-  config ->
-  engine
-(** Set up a simulation without running any rounds. [stores]/[stats]
-    inject previously checkpointed state (they are adopted, not
-    copied); by default fresh empty ones are created. Raises
-    [Invalid_argument] on a config {!run} would reject or on an
-    injected array whose length does not match the graph.
+val engine : ?obs:Obs.t -> Graph.t -> config -> engine
+(** Set up a simulation with empty stores and zero accounting, without
+    running any rounds. Raises [Invalid_argument] on a config {!run}
+    would reject. *)
 
-    [link_up l] (default: always [true]) gates dissemination on link
-    liveness: a PCB selected for propagation over a dead link is
-    silently discarded — no bytes are accounted and nothing is
-    delivered — modelling a border router whose interface is down. *)
-
-val engine_round : engine -> round:int -> unit
+val engine_round : ?link_up:(int -> bool) -> engine -> round:int -> unit
 (** Execute beaconing interval [round] (0-based): prune (every 6th
     round), select, disseminate, deliver. Rounds must be driven in
     increasing order starting at the first non-executed round. Callers
-    that interleave work with beaconing (fault injection, soaks) run it
-    before or after each [engine_round]; {!run} steps every round with
-    nothing in between. *)
+    that interleave work with beaconing run it before or after each
+    [engine_round]; {!run} steps every round with nothing in between.
+
+    [link_up l] (default: always [true]) gates this round's
+    dissemination on link liveness: a PCB selected for propagation over
+    a dead link is silently discarded — no bytes are accounted and
+    nothing is delivered — modelling a border router whose interface is
+    down. *)
 
 val engine_stores : engine -> Beacon_store.t array
-(** The live store array (the one passed in, if any). *)
+(** The live store array, one store per AS. *)
 
 val engine_stats : engine -> stats
 (** The live accounting record. [stats.rounds] is the planned round
     count [duration / interval]. *)
+
+val write : Snapshot.writer -> engine -> unit
+(** The engine's resumable state: every store ({!Beacon_store.write}),
+    then every [stats] field, arrays in interface order.
+
+    Only the [Baseline] algorithm keeps no state outside stores and
+    stats. The diversity and latency algorithms also keep per-AS
+    history (evaluation times, the Link History Table, the Sent PCBs
+    List) that is not written, so their engines cannot be resumed. *)
+
+val read : Snapshot.reader -> Graph.t -> config -> engine
+(** [read r g config] is the inverse of {!write}: an engine (with
+    observability off) that continues where the written one stopped,
+    behaviour-identical for [Baseline] (see {!write}). Raises
+    {!Snapshot.Corrupt} on malformed bytes, a store count other than
+    [Graph.n g] or interface arrays whose length is not twice
+    [Graph.num_links g]; a config {!engine} rejects raises
+    [Invalid_argument] as there. *)
 
 val engine_outcome : engine -> outcome
 (** Package the engine's current state as an {!outcome}. Does not

@@ -6,9 +6,7 @@ type config = {
 }
 
 type result = {
-  outcome : Beaconing.outcome;
   recovery : Recovery.summary;
-  path_server : Path_server.stats;
   validated_pairs : int;
   validated_delivered : int;
   validated_failovers : int;
@@ -37,6 +35,13 @@ let invalidate_link stores ps ~link =
   in
   (dropped, Path_server.revoke_link ps ~link)
 
+(* One SCMP notification per notified endpoint plus the one that
+   reaches the path server (§4.1). *)
+let revocation lk ~now ~notified =
+  let msg = Scmp.link_failure lk ~origin_as:lk.Graph.a ~now in
+  let msgs = notified + 1 in
+  (msgs, msgs * Scmp.wire_bytes msg)
+
 let run ?(obs = Obs.disabled) cfg =
   let g = cfg.graph in
   let obs_on = Obs.on obs in
@@ -45,14 +50,10 @@ let run ?(obs = Obs.disabled) cfg =
   let recov = Recovery.create () in
   let ps = Path_server.create ~obs () in
   let reg_keys = Fwd_keys.create () in
-  let eng =
-    Beaconing.engine ~obs ~link_up:(Link_state.up state) g cfg.beacon
-  in
+  let eng = Beaconing.engine ~obs g cfg.beacon in
   let stores = Beaconing.engine_stores eng in
   let on_down ~now ~link =
     Recovery.record_event recov ~action:Fault_plan.Down;
-    let lk = Graph.link g link in
-    let msg = Scmp.link_failure lk ~origin_as:lk.Graph.a ~now in
     (* Which monitored pairs were riding the link? Decide failover vs
        blackout from the pre-drop path sets. *)
     let notified = ref 0 in
@@ -72,11 +73,8 @@ let run ?(obs = Obs.disabled) cfg =
       cfg.pairs;
     let dropped, revoked = invalidate_link stores ps ~link in
     Recovery.record_dropped_pcbs recov dropped;
-    (* One SCMP revocation per notified endpoint plus the one that
-       reaches the path server (§4.1). *)
-    let msgs = !notified + 1 in
-    Recovery.record_revocation recov ~segments:revoked ~msgs
-      ~bytes:(msgs * Scmp.wire_bytes msg);
+    let msgs, bytes = revocation (Graph.link g link) ~now ~notified:!notified in
+    Recovery.record_revocation recov ~segments:revoked ~msgs ~bytes;
     if obs_on && Trace.enabled tr Trace.Warn then
       Trace.emit tr Trace.Warn ~time:now ~category:"fault"
         ~fields:
@@ -104,7 +102,7 @@ let run ?(obs = Obs.disabled) cfg =
   for r = 0 to (Beaconing.engine_stats eng).Beaconing.rounds - 1 do
     let now = float_of_int r *. cfg.beacon.Beaconing.interval in
     replay ~until:now;
-    Beaconing.engine_round eng ~round:r;
+    Beaconing.engine_round ~link_up:(Link_state.up state) eng ~round:r;
     Array.iter
       (fun (s, d) ->
         let paths = Beacon_store.paths stores.(s) ~now ~origin:d in
@@ -144,9 +142,7 @@ let run ?(obs = Obs.disabled) cfg =
   in
   Recovery.observe obs recov;
   {
-    outcome;
     recovery = Recovery.summary recov;
-    path_server = Path_server.stats ps;
     validated_pairs;
     validated_delivered;
     validated_failovers;

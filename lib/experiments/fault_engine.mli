@@ -15,9 +15,9 @@
       have one (recovery = the SCMP notification delay) or enter a
       blackout until re-beaconing finds a new path (recovery = the
       blackout duration, only re-beaconing can end it);
-    - dissemination over dead links is suppressed via the beaconing
-      [link_up] hook, so the control plane routes around failures
-      instead of advertising them.
+    - dissemination over dead links is suppressed by the [link_up]
+      gate of every {!Beaconing.engine_round}, so the control plane
+      routes around failures instead of advertising them.
 
     After the run, a validation pass builds a {!Control_service} from
     the final stores and drives an {!Endpoint} per monitored pair over
@@ -35,10 +35,7 @@ type config = {
 }
 
 type result = {
-  outcome : Beaconing.outcome;  (** the underlying beaconing run *)
   recovery : Recovery.summary;
-  path_server : Path_server.stats;
-      (** registration/revocation accounting of the trial's server *)
   validated_pairs : int;
   validated_delivered : int;
       (** pairs whose endpoint delivered a packet end-to-end in the
@@ -73,3 +70,11 @@ val invalidate_link :
     ({!Beacon_store.drop_link}), then every segment over it at [ps]
     ({!Path_server.revoke_link}). Returns [(dropped_pcbs,
     revoked_segments)]. *)
+
+val revocation : Graph.link -> now:float -> notified:int -> int * int
+(** [revocation lk ~now ~notified] is the [(messages, bytes)] the
+    failure of [lk] at [now] costs the control plane (§4.1): one SCMP
+    link-failure notification ({!Scmp.link_failure}, reported by the
+    link's [a] end) to each of the [notified] endpoints whose paths
+    crossed the link, plus the one that reaches the path server. Used
+    by the fault engine and by Table 1. *)

@@ -18,8 +18,7 @@ type pair_track = {
 type state = {
   mutable round : int;
   rng : Rng.t;
-  stores : Beacon_store.t array;
-  stats : Beaconing.stats;
+  eng : Beaconing.engine;
   links : Link_state.t;
   mutable cursor : int;
   mutable link_failures : int;
@@ -63,7 +62,6 @@ let fresh_track () =
 
 let create cfg =
   validate cfg;
-  let eng = Beaconing.engine cfg.graph cfg.beacon in
   let metrics = Registry.create () in
   (* Eagerly create the lifetime histogram so reading a report never
      changes the registry (and thus never perturbs a re-saved
@@ -73,8 +71,7 @@ let create cfg =
     {
       round = 0;
       rng = Rng.create cfg.plan.Fault_plan.seed;
-      stores = Beaconing.engine_stores eng;
-      stats = Beaconing.engine_stats eng;
+      eng = Beaconing.engine cfg.graph cfg.beacon;
       links = Link_state.create ~n_links:(Graph.num_links cfg.graph);
       cursor = 0;
       link_failures = 0;
@@ -95,7 +92,9 @@ let create cfg =
 
 let round t = t.state.round
 
-let rounds_total t = t.state.stats.Beaconing.rounds
+let stores t = Beaconing.engine_stores t.state.eng
+
+let stats t = Beaconing.engine_stats t.state.eng
 
 let registry t = t.state.metrics
 
@@ -128,7 +127,7 @@ let barrier t ~round:r ~now =
   Array.iteri
     (fun i (s, o) ->
       let tr = st.tracks.(i) in
-      let paths = Beacon_store.paths st.stores.(s) ~now ~origin:o in
+      let paths = Beacon_store.paths (stores t).(s) ~now ~origin:o in
       Path_server.register_best_core st.ps cfg.graph t.fwd_keys ~now ~holder:s
         ~k:cfg.register_top paths;
       let keys =
@@ -167,33 +166,29 @@ let advance ?watchdog t ~upto =
   let st = t.state in
   let cfg = t.config in
   let interval = cfg.beacon.Beaconing.interval in
-  let upto = min upto (rounds_total t) in
-  if st.round < upto then begin
-    let eng =
-      Beaconing.engine ~link_up:(Link_state.up st.links) ~stores:st.stores
-        ~stats:st.stats cfg.graph cfg.beacon
+  let upto = min upto (stats t).Beaconing.rounds in
+  let on_down ~now:_ ~link =
+    st.link_failures <- st.link_failures + 1;
+    let dropped, revoked =
+      Fault_engine.invalidate_link (stores t) st.ps ~link
     in
-    let on_down ~now:_ ~link =
-      st.link_failures <- st.link_failures + 1;
-      let dropped, revoked = Fault_engine.invalidate_link st.stores st.ps ~link in
-      st.pcbs_dropped <- st.pcbs_dropped + dropped;
-      st.segments_revoked <- st.segments_revoked + revoked
-    in
-    let on_up ~now:_ ~link:_ = st.link_repairs <- st.link_repairs + 1 in
-    for r = st.round to upto - 1 do
-      let now = float_of_int r *. interval in
-      st.cursor <-
-        Link_state.replay st.links t.events ~from:st.cursor ~until:now ~on_down
-          ~on_up;
-      Beaconing.engine_round eng ~round:r;
-      barrier t ~round:r ~now;
-      st.round <- r + 1;
-      (* Check the deadline only at round boundaries: a timed-out job
-         is abandoned with consistent state (and retries replay from
-         the last snapshot, so partial progress cannot leak). *)
-      match watchdog with Some w -> Watchdog.check w | None -> ()
-    done
-  end
+    st.pcbs_dropped <- st.pcbs_dropped + dropped;
+    st.segments_revoked <- st.segments_revoked + revoked
+  in
+  let on_up ~now:_ ~link:_ = st.link_repairs <- st.link_repairs + 1 in
+  for r = st.round to upto - 1 do
+    let now = float_of_int r *. interval in
+    st.cursor <-
+      Link_state.replay st.links t.events ~from:st.cursor ~until:now ~on_down
+        ~on_up;
+    Beaconing.engine_round ~link_up:(Link_state.up st.links) st.eng ~round:r;
+    barrier t ~round:r ~now;
+    st.round <- r + 1;
+    (* Check the deadline only at round boundaries: a timed-out job
+       is abandoned with consistent state (and retries replay from
+       the last snapshot, so partial progress cannot leak). *)
+    match watchdog with Some w -> Watchdog.check w | None -> ()
+  done
 
 let invariant_ctx t =
   let st = t.state in
@@ -203,7 +198,7 @@ let invariant_ctx t =
       (if st.round = 0 then 0.0
        else float_of_int (st.round - 1) *. t.config.beacon.Beaconing.interval);
     links = st.links;
-    stores = st.stores;
+    stores = stores t;
     path_server = Some st.ps;
     events = t.events;
     cursor = st.cursor;
@@ -221,8 +216,7 @@ let encode t =
   Snapshot.w_int w st.link_repairs;
   Snapshot.w_int w st.pcbs_dropped;
   Snapshot.w_int w st.segments_revoked;
-  Snapshot.w_arr w Beacon_store.write st.stores;
-  Beaconing.write_stats w st.stats;
+  Beaconing.write w st.eng;
   Link_state.write w st.links;
   Path_server.write w st.ps;
   Snapshot.w_arr w
@@ -250,8 +244,7 @@ let restore cfg data =
   let link_repairs = Snapshot.r_int r in
   let pcbs_dropped = Snapshot.r_int r in
   let segments_revoked = Snapshot.r_int r in
-  let stores = Snapshot.r_arr r Beacon_store.read in
-  let stats = Beaconing.read_stats r in
+  let eng = Beaconing.read r cfg.graph cfg.beacon in
   let links = Link_state.read r in
   let ps = Path_server.read r in
   let tracks =
@@ -271,8 +264,6 @@ let restore cfg data =
   let metrics = Registry.read r in
   Snapshot.r_end r;
   let events = Fault_plan.compile ~graph:cfg.graph cfg.plan in
-  if Array.length stores <> Graph.n cfg.graph then
-    raise (Snapshot.Corrupt "soak snapshot: store count / graph mismatch");
   if Link_state.n_links links <> Graph.num_links cfg.graph then
     raise (Snapshot.Corrupt "soak snapshot: link count / graph mismatch");
   if Array.length tracks <> Array.length cfg.pairs then
@@ -287,8 +278,7 @@ let restore cfg data =
       {
         round;
         rng;
-        stores;
-        stats;
+        eng;
         links;
         cursor;
         link_failures;
@@ -396,6 +386,6 @@ let report t =
     pcbs_dropped = st.pcbs_dropped;
     segments_revoked = st.segments_revoked;
     ps_stats = Path_server.stats st.ps;
-    total_pcbs = st.stats.Beaconing.total_pcbs;
-    total_bytes = st.stats.Beaconing.total_bytes;
+    total_pcbs = (stats t).Beaconing.total_pcbs;
+    total_bytes = (stats t).Beaconing.total_bytes;
   }

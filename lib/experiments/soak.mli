@@ -12,14 +12,16 @@
     - {e availability}: fraction of rounds with at least one valid
       path.
 
-    The whole trial state — round counter, RNG, beacon stores, byte
-    accounting, link refcounts, fault cursor, path server, per-pair
-    tracks and the private metrics registry — round-trips through
-    {!encode}/{!restore}, and a restored trial continues {e
-    byte-identically}: advancing a trial to round [r] in one go or in
-    any sequence of [advance]/[encode]/[restore] chunks yields the same
-    {!encode} bytes and the same {!report}. Only the [Baseline]
-    beaconing algorithm is supported (see {!Beaconing.engine}). *)
+    A trial keeps one live {!Beaconing.engine}, gated each round by the
+    plan's link state. The whole trial state — round counter, RNG, the
+    engine (beacon stores and byte accounting), link refcounts, fault
+    cursor, path server, per-pair tracks and the private metrics
+    registry — round-trips through {!encode}/{!restore}, and a restored
+    trial continues {e byte-identically}: advancing a trial to round [r]
+    in one go or in any sequence of [advance]/[encode]/[restore] chunks
+    yields the same {!encode} bytes and the same {!report}. Only the
+    [Baseline] beaconing algorithm is supported (see
+    {!Beaconing.write}). *)
 
 type config = {
   graph : Graph.t;

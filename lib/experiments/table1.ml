@@ -85,24 +85,29 @@ let measure ?obs ?jobs scale =
   (* Zipf-popular destinations (§4.1): endpoints in random ASes resolve
      paths towards popular leaf ASes. *)
   let zipf = Zipf.create ~n:(Graph.n g) ~s:1.1 in
+  (* One link fails after the lookups: the path server revokes its
+     segments, and SCMP notifies the endpoints whose paths cross it. *)
+  let failed = Graph.link g (Graph.num_links g / 2) in
   let endpoint_lookups = ref 0 in
   let resolved_paths = ref 0 in
+  let notified = ref 0 in
   for _ = 1 to 200 do
     let src = Rng.int rng (Graph.n g) in
     let dst = Zipf.sample zipf rng in
     if src <> dst then begin
       incr endpoint_lookups;
-      resolved_paths := !resolved_paths + List.length (Control_service.resolve cs ~src ~dst)
+      let paths = Control_service.resolve cs ~src ~dst in
+      resolved_paths := !resolved_paths + List.length paths;
+      if
+        List.exists (fun p -> Fwd_path.contains_link p failed.Graph.link_id)
+          paths
+      then incr notified
     end
   done;
-  (* One link failure: revoke affected segments, each priced as one SCMP
-     link-failure notification (§4.1). *)
-  let failed = Graph.link g (Graph.num_links g / 2) in
-  let revoked = Control_service.revoke_link cs ~link:failed.Graph.link_id in
-  let revocation_bytes =
-    Scmp.wire_bytes
-      (Scmp.link_failure failed ~origin_as:failed.Graph.a
-         ~now:(Control_service.now cs))
+  ignore (Control_service.revoke_link cs ~link:failed.Graph.link_id);
+  let revocation_msgs, revocation_bytes =
+    Fault_engine.revocation failed ~now:(Control_service.now cs)
+      ~notified:!notified
   in
   let ps = Control_service.stats cs in
   let seg_bytes = float_of_int (Wire.pcb_bytes ~hops:4) in
@@ -140,8 +145,8 @@ let measure ?obs ?jobs scale =
     };
     {
       component = "Path Revocation";
-      messages = fi revoked;
-      bytes = fi (revoked * revocation_bytes);
+      messages = fi revocation_msgs;
+      bytes = fi revocation_bytes;
     };
   ]
 

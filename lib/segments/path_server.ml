@@ -245,12 +245,12 @@ let write w t =
       t.revoked_segments;
     ]
 
-let read ?obs r =
+let read r =
   let limit = Snapshot.r_int r in
   if limit < 1 then Snapshot.corrupt "bad path server per-leaf limit %d" limit;
-  let t = create ?obs ~per_leaf_limit:limit () in
+  let t = create ~per_leaf_limit:limit () in
   (* Fill the buckets directly: going through [register] would bump
-     registration stats and obs counters a second time. A bucket is
+     registration stats a second time. A bucket is
      never empty, holds at most [limit] segments and is keyed by
      [idx_of] of each of them (leaf for down, origin for core). *)
   let r_table table idx_of =

@@ -83,10 +83,10 @@ val write : Snapshot.writer -> t -> unit
 (** The whole server, registry plus counters, in {!iter} order: equal
     servers write equal bytes regardless of registration order. *)
 
-val read : ?obs:Obs.t -> Snapshot.reader -> t
+val read : Snapshot.reader -> t
 (** Inverse of {!write}. Restoring does {e not} re-count registrations
-    — stats come back exactly as written, and obs counters (of the
-    fresh [obs] context) start at zero. Raises {!Snapshot.Corrupt} on a
+    — stats come back exactly as written — and the restored server
+    exports no obs counters. Raises {!Snapshot.Corrupt} on a
     per-leaf limit below 1, buckets or segment keys out of strictly
     increasing order, or a bucket that is empty, over the limit or
     holds a segment of another leaf (down) or origin (core). *)

@@ -181,7 +181,14 @@ let test_table1_measure () =
   Alcotest.(check bool) "registrations happened" true
     ((get "Path (De-)Registration").Table1.messages > 0.0);
   Alcotest.(check bool) "lookups happened" true
-    ((get "Endpoint Path Lookup").Table1.messages > 0.0)
+    ((get "Endpoint Path Lookup").Table1.messages > 0.0);
+  (* The path server's notification plus one per affected endpoint, each
+     a 96 B SCMP link-failure message. *)
+  let rev = get "Path Revocation" in
+  Alcotest.(check bool) "revocation reaches the path server" true
+    (rev.Table1.messages >= 1.0);
+  check (Alcotest.float 0.0) "96 B per revocation message"
+    (96.0 *. rev.Table1.messages) rev.Table1.bytes
 
 (* Pathdyn's one cell, rebuilt from its documented derivation: pairs
    sampled with seed 0xFA12L, three distinct flapping links drawn from

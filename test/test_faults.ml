@@ -331,20 +331,26 @@ let test_store_drop_link () =
 let test_beaconing_link_up_gate () =
   let g = ring () in
   let cfg = { Beaconing.default_config with Beaconing.duration = 1800.0 } in
-  let gated =
-    let e = Beaconing.engine ~link_up:(fun _ -> false) g cfg in
+  let gated link_up =
+    let e = Beaconing.engine g cfg in
     for round = 0 to (Beaconing.engine_stats e).Beaconing.rounds - 1 do
-      Beaconing.engine_round e ~round
+      Beaconing.engine_round ~link_up e ~round
     done;
-    Beaconing.engine_outcome e
+    Beaconing.engine_stats e
   in
+  let closed = gated (fun _ -> false) in
   check Alcotest.int "all dissemination suppressed" 0
-    gated.Beaconing.stats.Beaconing.total_pcbs;
-  check (Alcotest.float 0.0) "no bytes either" 0.0
-    gated.Beaconing.stats.Beaconing.total_bytes;
+    closed.Beaconing.total_pcbs;
+  check (Alcotest.float 0.0) "no bytes either" 0.0 closed.Beaconing.total_bytes;
+  (* Link 0 down: neither of its directions carries a PCB, the rest do. *)
+  let one = gated (fun l -> l <> 0) in
+  check Alcotest.int "nothing over the dead link" 0
+    (one.Beaconing.pcbs_on_iface.(0) + one.Beaconing.pcbs_on_iface.(1));
+  Alcotest.(check bool) "the live links still disseminate" true
+    (one.Beaconing.total_pcbs > 0);
   let open_ = Beaconing.run g cfg in
-  Alcotest.(check bool) "ungated run disseminates" true
-    (open_.Beaconing.stats.Beaconing.total_pcbs > 0)
+  Alcotest.(check bool) "ungated run disseminates more" true
+    (open_.Beaconing.stats.Beaconing.total_pcbs > one.Beaconing.total_pcbs)
 
 (* --- Fault_engine --- *)
 
@@ -363,6 +369,13 @@ let test_failover_delay () =
   check ms "the last failed link counts" 0.030 (delay [ 10; 12 ]);
   check ms "adjacent failure" 0.010 (delay [ 10 ]);
   check ms "no affected path: one hop" 0.010 (delay [ 99 ])
+
+(* 16 B header + 64 B quote + 16 B link payload = 96 B per message. *)
+let test_revocation_cost () =
+  let lk = Graph.link (ring ()) 0 in
+  let cost notified = Fault_engine.revocation lk ~now:0.0 ~notified in
+  check Alcotest.(pair int int) "path server only" (1, 96) (cost 0);
+  check Alcotest.(pair int int) "three endpoints too" (4, 384) (cost 3)
 
 let engine_cfg g plan =
   {
@@ -475,6 +488,7 @@ let suite =
     ("store drop link", `Quick, test_store_drop_link);
     ("beaconing link_up gate", `Quick, test_beaconing_link_up_gate);
     ("failover delay", `Quick, test_failover_delay);
+    ("revocation cost", `Quick, test_revocation_cost);
     ("engine failover + revocation", `Quick, test_engine_failover_and_revocation);
     ("engine blackout + recovery", `Quick, test_engine_blackout_and_recovery);
     ("engine permanent outage", `Quick, test_engine_permanent_outage);

@@ -344,25 +344,80 @@ let test_snapshot_components_from_soak () =
       Alcotest.(check bool) "path server saw registrations" true
         ((Path_server.stats ps).Path_server.registrations > 0);
       let b, b', ps' =
-        roundtrip Path_server.write (fun r -> Path_server.read r) ps
+        roundtrip Path_server.write Path_server.read ps
       in
       Alcotest.(check bool) "path server bytes roundtrip" true (b = b');
       Alcotest.(check bool) "stats restored" true
         (Path_server.stats ps' = Path_server.stats ps)
 
+let beacon_cfg =
+  {
+    Beaconing.default_config with
+    Beaconing.algorithm = Beacon_policy.Baseline;
+    duration = 600.0 *. 4.0;
+  }
+
+let engine_bytes e =
+  let w = Snapshot.writer () in
+  Beaconing.write w e;
+  Snapshot.contents w
+
+(* Every stored path, per AS and origin, as [Beacon_store.paths] lists
+   them: a view of the stores that does not go through their codec. *)
+let stored_paths e ~now =
+  Array.map
+    (fun st ->
+      List.map
+        (fun o -> (o, Beacon_store.paths st ~now ~origin:o))
+        (Beacon_store.origins st))
+    (Beaconing.engine_stores e)
+
 let test_snapshot_beacon_stats () =
-  let outcome =
-    Beaconing.run (ring ())
-      {
-        Beaconing.default_config with
-        Beaconing.algorithm = Beacon_policy.Baseline;
-        duration = 600.0 *. 4.0;
-      }
-  in
-  let s = outcome.Beaconing.stats in
+  let g = ring () in
+  let e = Beaconing.engine g beacon_cfg in
+  for round = 0 to 2 do
+    Beaconing.engine_round e ~round
+  done;
+  let s = Beaconing.engine_stats e in
   Alcotest.(check bool) "stats have traffic" true (s.Beaconing.total_pcbs > 0);
-  let _, _, s' = roundtrip Beaconing.write_stats Beaconing.read_stats s in
-  Alcotest.(check bool) "beacon stats roundtrip" true (s = s')
+  let b, b', e' =
+    roundtrip Beaconing.write (fun r -> Beaconing.read r g beacon_cfg) e
+  in
+  Alcotest.(check bool) "engine bytes roundtrip" true (b = b');
+  Alcotest.(check bool) "beacon stats roundtrip" true
+    (Beaconing.engine_stats e' = s);
+  Alcotest.(check bool) "stores roundtrip" true
+    (stored_paths e' ~now:1200.0 = stored_paths e ~now:1200.0);
+  (* The restored engine continues exactly as the written one. *)
+  Beaconing.engine_round e ~round:3;
+  Beaconing.engine_round e' ~round:3;
+  Alcotest.(check bool) "next round identical" true
+    (engine_bytes e' = engine_bytes e)
+
+let core_graph ~ases links =
+  let b = Graph.builder () in
+  let c =
+    Array.init ases (fun i -> Graph.add_as b ~core:true (Id.ia 1 (i + 1)))
+  in
+  List.iter (fun (x, y) -> Graph.add_link b ~rel:Graph.Core c.(x) c.(y)) links;
+  Graph.freeze b
+
+let test_beaconing_read_rejects_graph_mismatch () =
+  let e = Beaconing.engine (ring ()) beacon_cfg in
+  Beaconing.engine_round e ~round:0;
+  let bytes = engine_bytes e in
+  let expect_corrupt what g =
+    match Beaconing.read (Snapshot.reader bytes) g beacon_cfg with
+    | (_ : Beaconing.engine) ->
+        Alcotest.fail (what ^ ": expected Snapshot.Corrupt")
+    | exception Snapshot.Corrupt _ -> ()
+  in
+  (* The ring's five links over five ASes: one store too few. *)
+  expect_corrupt "store count"
+    (core_graph ~ases:5 [ (0, 1); (1, 2); (2, 3); (3, 0); (0, 2) ]);
+  (* Four ASes without the chord: interface arrays two too long. *)
+  expect_corrupt "interface arrays"
+    (core_graph ~ases:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ])
 
 (* --- Checkpoint files ------------------------------------------------ *)
 
@@ -701,6 +756,19 @@ let test_soak_chunked_byte_identical () =
   Alcotest.(check bool) "encode/restore is a fixpoint" true
     (Soak.encode (Soak.restore cfg want) = want)
 
+(* One live engine across [advance] calls: stepping in uneven chunks
+   without encode/restore gives the bytes of one call. *)
+let test_soak_stepwise_advance () =
+  let cfg = soak_config () in
+  let direct = Soak.create cfg in
+  Soak.advance direct ~upto:12;
+  let t = Soak.create cfg in
+  List.iter (fun upto -> Soak.advance t ~upto) [ 1; 2; 2; 7; 8; 12 ];
+  Alcotest.(check bool) "links failed on the way" true
+    ((Soak.report t).Soak.link_failures > 0);
+  Alcotest.(check bool) "stepwise run encodes byte-identically" true
+    (Soak.encode direct = Soak.encode t)
+
 let test_soak_restore_rejects_mismatch () =
   let cfg = soak_config ~rounds:4 () in
   let t = Soak.create cfg in
@@ -734,9 +802,8 @@ let test_snapshot_rejects_store_limit () =
 
 let test_snapshot_rejects_path_server_limit () =
   (* Limit 0, no down or core buckets, eight zeroed stats: eleven zeros. *)
-  expect_decode_corrupt
-    (fun r -> Path_server.read r)
-    (fun w -> List.iter (Snapshot.w_int w) (List.init 11 (fun _ -> 0)))
+  expect_decode_corrupt Path_server.read (fun w ->
+      List.iter (Snapshot.w_int w) (List.init 11 (fun _ -> 0)))
 
 let test_snapshot_rejects_link_state_lengths () =
   expect_decode_corrupt Link_state.read (fun w ->
@@ -1202,6 +1269,9 @@ let suite =
     ("snapshot registry", `Quick, test_snapshot_registry);
     ("snapshot soak components", `Quick, test_snapshot_components_from_soak);
     ("snapshot beacon stats", `Quick, test_snapshot_beacon_stats);
+    ( "beaconing read rejects graph mismatch",
+      `Quick,
+      test_beaconing_read_rejects_graph_mismatch );
     ("checkpoint roundtrip/corruption", `Quick, test_checkpoint_roundtrip_and_corruption);
     ("checkpoint series", `Quick, test_checkpoint_series);
     ("watchdog", `Quick, test_watchdog);
@@ -1213,6 +1283,7 @@ let suite =
     ("invariants: negative holds", `Quick, test_invariants_detect_negative_holds);
     ("invariants: stale stores", `Quick, test_invariants_detect_stale_stores);
     ("soak chunked determinism", `Slow, test_soak_chunked_byte_identical);
+    ("soak stepwise advance", `Quick, test_soak_stepwise_advance);
     ("soak restore rejects mismatch", `Quick, test_soak_restore_rejects_mismatch);
     ("snapshot rejects store limit", `Quick, test_snapshot_rejects_store_limit);
     ( "snapshot rejects path-server limit",
