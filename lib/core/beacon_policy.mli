@@ -73,3 +73,59 @@ val resend_crossing_time :
     is already above the threshold. Used by the beacon server to skip
     (origin, neighbor) pairs whose selection provably cannot change
     yet — a pure scheduling optimisation. *)
+
+(** {2 Row kernel}
+
+    One (origin, neighbor) evaluation of Algorithm 1 scores a table of
+    combinations: one {e row} per candidate path that avoids the
+    neighbor, one {e column} per parallel egress link to it, and
+    combination [k = row * cols + j], so [k] runs through the candidates
+    and then the egress links. What a row's columns share is kept once
+    per row: the path, the sum of [log (1 + counter)] over its links
+    (written by [Diversity_state.view_sum_into]) and Eq. 2's age
+    exponent. Per column the table holds the egress link, its
+    [log (1 + counter)] ([Diversity_state.view_logs_into]), the Sent
+    PCBs List entry ([Diversity_state.no_sent] when there is none) and
+    the result: the score and whether the resend branch gave it.
+
+    {!score} writes exactly what the Eq. 1–3 functions above give for
+    the combination — {!score_resend} against a live entry, otherwise
+    {!score_fresh} of {!diversity_of_gm} of the pair's
+    [Diversity_state.counters_gm] (or of {!latency_quality} of the
+    latency over the egress link and then the path's links) — bit for
+    bit, without boxing a float. *)
+
+type table = {
+  mutable rows : int;  (** rows in use *)
+  mutable cols : int;  (** parallel egress links *)
+  mutable path : Pcb.t array;  (** per row *)
+  mutable log_sum : float array;  (** per row; link diversity only *)
+  mutable exponent : float array;  (** per row, set by {!score_row} *)
+  mutable egress : int array;  (** per column: the egress link id *)
+  mutable egress_log : float array;  (** per column; link diversity only *)
+  mutable score : float array;  (** per combination *)
+  mutable sent : Diversity_state.sent_info array;  (** per combination *)
+  mutable resend : bool array;  (** per combination *)
+  mutable next_eval : float;
+      (** the earliest {!resend_crossing_time} of a resend-branch score at
+          or below the threshold since {!reset_table} *)
+}
+
+val create_table : unit -> table
+(** An empty table; one per engine, reused by every evaluation. *)
+
+val reset_table : table -> rows:int -> cols:int -> unit
+(** Make room for [rows] rows of [cols] columns, with no row in use and
+    [next_eval = infinity]. Arrays only grow. *)
+
+val score_row : t -> table -> now:float -> int -> unit
+(** Set the row's age exponent and {!score} each of its columns. The
+    row's path, log sum and entries must be in place. Raises
+    [Invalid_argument] on [Baseline]. *)
+
+val score : t -> table -> now:float -> int -> unit
+(** Re-score one combination from its current inputs. *)
+
+val base : t -> table -> int -> float
+(** The base quality of combination [k]: link diversity against the
+    counters its row and column hold, or latency quality. *)

@@ -113,36 +113,6 @@ let observe obs (outcome : outcome) =
         "beaconing complete"
   end
 
-(* Does the combination ([p], [egress]) use a link stamped [cur]? *)
-let uses_stamped stamps cur (p : Pcb.t) egress =
-  stamps.(egress) = cur
-  ||
-  let links = p.Pcb.links in
-  let n = Array.length links in
-  let i = ref 0 in
-  while !i < n && stamps.(links.(!i)) <> cur do
-    incr i
-  done;
-  !i < n
-
-(* The base score of a quality-aware algorithm (§4.2): link diversity
-   against the Link History Table, or path latency. *)
-type metric = Link_diversity | Path_latency of Beacon_policy.latency_params
-
-(* One evaluation's (path, egress) combinations as parallel arrays, in
-   candidate order and then egress order; the first [n] slots are in
-   use. The arrays are reused across evaluations and only grow. *)
-type combos = {
-  mutable n : int;
-  mutable path : Pcb.t array;
-  mutable egress : Graph.half_link array;
-  mutable score : float array;
-  mutable sent : Diversity_state.sent_info option array;
-      (* the Sent PCBs List entry: looked up once when the combination
-         is built, refreshed when the combination itself is sent *)
-  mutable resend : bool array;  (* scored by the resend branch *)
-}
-
 type engine = {
   eng_graph : Graph.t;
   eng_config : config;
@@ -259,28 +229,7 @@ let make ~obs ~stores ~stats g cfg =
   let link_stamp = Array.make num_links 0 in
   let stamp = ref 0 in
   let view = Diversity_state.create_view ~num_links in
-  let combos =
-    {
-      n = 0;
-      path = [||];
-      egress = [||];
-      score = [||];
-      sent = [||];
-      resend = [||];
-    }
-  in
-  (* Make room for [cap] combinations; [p] and [h] fill new slots. *)
-  let reserve_combos cap p h =
-    let len = Array.length combos.score in
-    if cap > len then begin
-      let cap = max cap (2 * len) in
-      combos.path <- Array.make cap p;
-      combos.egress <- Array.make cap h;
-      combos.score <- Array.make cap 0.0;
-      combos.sent <- Array.make cap None;
-      combos.resend <- Array.make cap false
-    end
-  in
+  let table = Beacon_policy.create_table () in
   let outbox = ref [] in
   let outbox_len = ref 0 in
   let send ~up ~now ~sender ~(h : Graph.half_link) pcb =
@@ -374,36 +323,39 @@ let make ~obs ~stores ~stats g cfg =
       out_links.(x)
   in
 
-  (* --- Quality-aware selection: Algorithm 1 per (origin, neighbor).
-     [metric] picks the base score of a candidate path: link diversity
-     against the Link History Table (read from the dense view), or
-     latency for the §4.2 extension. Only the diversity metric
-     maintains link history. --- *)
-  let run_quality_as ~up ~now ~(params : Beacon_policy.div_params) ~metric x =
+  (* --- Quality-aware selection: Algorithm 1 per (origin, neighbor),
+     on the path-major table of [Beacon_policy]: one row per candidate
+     path that avoids the neighbor, one column per parallel egress link
+     to it, combination [k = row * nh + j] (candidate order, then egress
+     order). Each row looks up its Sent PCBs List entries once, by
+     parent key. Link diversity is read from the dense view, which only
+     that metric maintains: a row keeps the log sum over its path's
+     links and its age exponent, shared by its columns.
+
+     Every combination is scored once. After a dissemination only what
+     changed is re-scored: the sent combination (its entry changed) and,
+     when the dissemination counted a new path in the Link History
+     Table, the fresh-branch columns that use a link it counted. One
+     stamp scan per row says whether its path does; if so its log sum is
+     recomputed and all its fresh columns are re-scored, otherwise only
+     those on the stamped egress link. A resend changes no counter, so
+     it re-scores only itself. Selections equal a full rescan of
+     Algorithm 1. --- *)
+  let track_history =
+    match cfg.algorithm with
+    | Beacon_policy.Diversity _ -> true
+    | Beacon_policy.Baseline | Beacon_policy.Latency_aware _ -> false
+  in
+  let run_quality_as ~up ~now ~(params : Beacon_policy.div_params) x =
+    let policy = cfg.algorithm in
     let send = send ~up ~now ~sender:x in
     let store = stores.(x) in
     let st = div_states.(x) in
-    let track_history =
-      match metric with Link_diversity -> true | Path_latency _ -> false
-    in
     let threshold = params.Beacon_policy.threshold in
-    let quality (p : Pcb.t) egress =
-      match metric with
-      | Link_diversity ->
-          Beacon_policy.diversity_of_gm params
-            (Diversity_state.view_mean view ~links:p.Pcb.links ~extra:egress)
-      | Path_latency lp ->
-          let table = lp.Beacon_policy.link_latency_ms in
-          let links = p.Pcb.links in
-          let total = ref table.(egress) in
-          for i = 0 to Array.length links - 1 do
-            total := !total +. table.(links.(i))
-          done;
-          Beacon_policy.latency_quality lp ~total_ms:!total
-    in
     let candidates, origins = gather ~now x in
     List.iter
-      (fun (nbr, hs) ->
+      (fun (nbr, (hs : Graph.half_link array)) ->
+        let nh = Array.length hs in
         List.iter
           (fun o ->
             if o <> nbr then begin
@@ -417,70 +369,41 @@ let make ~obs ~stores ~stats g cfg =
                 Diversity_state.begin_evaluation st ~origin:o ~neighbor:nbr ~now;
                 if track_history then
                   Diversity_state.load_view view st ~origin:o ~neighbor:nbr;
-                (* Score combination [k] into [combos.score.(k)] from its
-                   cached Sent PCBs List entry. *)
-                let score k =
-                  let p = combos.path.(k) in
-                  match combos.sent.(k) with
-                  | Some info when info.Diversity_state.sent_expires_at > now ->
-                      let s =
-                        Beacon_policy.score_resend params
-                          ~ds:info.Diversity_state.ds
-                          ~sent_remaining:
-                            (info.Diversity_state.sent_expires_at -. now)
-                          ~current_remaining:(Pcb.remaining p ~now)
-                      in
-                      if s <= threshold then
-                        Diversity_state.propose_next_eval st ~origin:o ~neighbor:nbr
-                          (Beacon_policy.resend_crossing_time params
-                             ~ds:info.Diversity_state.ds ~now
-                             ~sent_expires_at:info.Diversity_state.sent_expires_at
-                             ~current_expires_at:(Pcb.expires_at p));
-                      combos.score.(k) <- s;
-                      combos.resend.(k) <- true
-                  | _ ->
-                      let ds = quality p combos.egress.(k).Graph.via in
-                      combos.score.(k) <-
-                        Beacon_policy.score_fresh params ~ds ~age:(Pcb.age p ~now)
-                          ~lifetime:p.Pcb.lifetime;
-                      combos.resend.(k) <- false
-                in
                 let cands = candidates o in
-                let nh = Array.length hs in
-                (match cands with
-                | [] -> ()
-                | p0 :: _ -> reserve_combos (List.length cands * nh) p0 hs.(0));
-                combos.n <- 0;
+                Beacon_policy.reset_table table ~rows:(List.length cands) ~cols:nh;
+                let egress = table.Beacon_policy.egress in
+                for j = 0 to nh - 1 do
+                  egress.(j) <- hs.(j).Graph.via
+                done;
+                if track_history then
+                  Diversity_state.view_logs_into view ~links:egress ~len:nh
+                    table.Beacon_policy.egress_log;
                 List.iter
                   (fun (p : Pcb.t) ->
-                    if not (Pcb.contains_as p nbr) then
+                    if not (Pcb.contains_as p nbr) then begin
+                      let r = table.Beacon_policy.rows in
+                      table.Beacon_policy.path.(r) <- p;
+                      if track_history then
+                        Diversity_state.view_sum_into view ~links:p.Pcb.links
+                          table.Beacon_policy.log_sum r;
+                      let row = Diversity_state.sent_row st ~key:p.Pcb.key in
                       for j = 0 to nh - 1 do
-                        let k = combos.n in
-                        let h = hs.(j) in
-                        combos.path.(k) <- p;
-                        combos.egress.(k) <- h;
-                        combos.sent.(k) <-
-                          Diversity_state.find_sent st ~egress:h.Graph.via
-                            ~key:p.Pcb.key;
-                        score k;
-                        combos.n <- k + 1
-                      done)
+                        table.Beacon_policy.sent.((r * nh) + j) <-
+                          Diversity_state.sent_on row ~egress:egress.(j)
+                      done;
+                      table.Beacon_policy.rows <- r + 1;
+                      Beacon_policy.score_row policy table ~now r
+                    end)
                   cands;
-                (* Score every combination once; after a dissemination
-                   only combinations whose inputs changed are re-scored:
-                   the sent one (its Sent PCBs List entry changed) and,
-                   when link history is tracked, fresh-branch
-                   combinations sharing a link with the sent path.
-                   Selections are identical to a full rescan of
-                   Algorithm 1 at a fraction of the cost. *)
+                let rows = table.Beacon_policy.rows in
                 let sent_cnt = ref 0 in
                 let stop = ref false in
                 while !sent_cnt < dissemination_limit && not !stop do
                   (* Strict [>]: the first maximum wins. *)
                   let best = ref (-1) in
                   let best_score = ref 0.0 in
-                  let scores = combos.score in
-                  for k = 0 to combos.n - 1 do
+                  let scores = table.Beacon_policy.score in
+                  for k = 0 to (rows * nh) - 1 do
                     let s = scores.(k) in
                     if s > threshold && s > !best_score then begin
                       best_score := s;
@@ -490,52 +413,72 @@ let make ~obs ~stores ~stats g cfg =
                   if !best < 0 then stop := true
                   else begin
                     let i = !best in
-                    let p = combos.path.(i) in
-                    let h = combos.egress.(i) in
+                    let ri = i / nh in
+                    let p = table.Beacon_policy.path.(ri) in
+                    let h = hs.(i - (ri * nh)) in
                     send ~h p;
                     let expires_at = Pcb.expires_at p in
-                    (match combos.sent.(i) with
-                    | Some info when combos.resend.(i) ->
-                        Diversity_state.refresh_sent info ~expires_at
-                    | _ ->
-                        if track_history then
-                          Diversity_state.view_increment view st ~origin:o
-                            ~neighbor:nbr ~links:p.Pcb.links ~extra:h.Graph.via;
-                        (* The recorded base score reflects the state
-                           after this dissemination. *)
-                        let ds_post = quality p h.Graph.via in
-                        let links_full = Array.append p.Pcb.links [| h.Graph.via |] in
+                    let resent = table.Beacon_policy.resend.(i) in
+                    if resent then
+                      Diversity_state.refresh_sent table.Beacon_policy.sent.(i)
+                        ~expires_at
+                    else begin
+                      if track_history then begin
+                        Diversity_state.view_increment view st ~origin:o
+                          ~neighbor:nbr ~links:p.Pcb.links ~extra:h.Graph.via;
+                        (* The sent row's inputs now; the pass below
+                           refreshes the other rows. *)
+                        Diversity_state.view_logs_into view ~links:egress ~len:nh
+                          table.Beacon_policy.egress_log;
+                        Diversity_state.view_sum_into view ~links:p.Pcb.links
+                          table.Beacon_policy.log_sum ri
+                      end;
+                      (* The recorded base score reflects the state
+                         after this dissemination. *)
+                      table.Beacon_policy.sent.(i) <-
                         Diversity_state.record_sent st ~origin:o ~neighbor:nbr
-                          ~egress:h.Graph.via ~key:p.Pcb.key ~links:links_full
-                          ~ds:ds_post ~expires_at;
-                        combos.sent.(i) <-
-                          Diversity_state.find_sent st ~egress:h.Graph.via
-                            ~key:p.Pcb.key);
+                          ~egress:h.Graph.via ~key:p.Pcb.key
+                          ~links:(Array.append p.Pcb.links [| h.Graph.via |])
+                          ~ds:(Beacon_policy.base policy table i)
+                          ~expires_at
+                    end;
                     incr sent_cnt;
-                    (* Re-score what this dissemination affected: stamp
-                       the counters it touched (the sent path's links
-                       plus its egress link), then test each fresh-branch
-                       combination's links against the stamp. *)
-                    if track_history then begin
+                    if resent || not track_history then
+                      Beacon_policy.score policy table ~now i
+                    else begin
                       incr stamp;
+                      let cur = !stamp in
                       let links = p.Pcb.links in
                       for j = 0 to Array.length links - 1 do
-                        link_stamp.(links.(j)) <- !stamp
+                        link_stamp.(links.(j)) <- cur
                       done;
-                      link_stamp.(h.Graph.via) <- !stamp
-                    end;
-                    let cur = !stamp in
-                    for k = 0 to combos.n - 1 do
-                      if
-                        k = i
-                        || track_history
-                           && (not combos.resend.(k))
-                           && uses_stamped link_stamp cur combos.path.(k)
-                                combos.egress.(k).Graph.via
-                      then score k
-                    done
+                      link_stamp.(h.Graph.via) <- cur;
+                      for r = 0 to rows - 1 do
+                        let links = table.Beacon_policy.path.(r).Pcb.links in
+                        let n = Array.length links in
+                        let l = ref 0 in
+                        while !l < n && link_stamp.(links.(!l)) <> cur do
+                          incr l
+                        done;
+                        let hit = !l < n in
+                        if hit then
+                          Diversity_state.view_sum_into view ~links
+                            table.Beacon_policy.log_sum r;
+                        for j = 0 to nh - 1 do
+                          let k = (r * nh) + j in
+                          if
+                            k = i
+                            || (not table.Beacon_policy.resend.(k))
+                               && (hit || link_stamp.(egress.(j)) = cur)
+                          then Beacon_policy.score policy table ~now k
+                        done
+                      done
+                    end
                   end
                 done;
+                if table.Beacon_policy.next_eval < infinity then
+                  Diversity_state.propose_next_eval st ~origin:o ~neighbor:nbr
+                    table.Beacon_policy.next_eval;
                 if track_history then
                   Diversity_state.unload_view view st ~origin:o ~neighbor:nbr
               end
@@ -585,11 +528,9 @@ let make ~obs ~stores ~stats g cfg =
       for x = 0 to n - 1 do
         match cfg.algorithm with
         | Beacon_policy.Baseline -> run_baseline_as ~up ~now x
-        | Beacon_policy.Diversity params ->
-            run_quality_as ~up ~now ~params ~metric:Link_diversity x
+        | Beacon_policy.Diversity params -> run_quality_as ~up ~now ~params x
         | Beacon_policy.Latency_aware lp ->
-            run_quality_as ~up ~now ~params:lp.Beacon_policy.base
-              ~metric:(Path_latency lp) x
+            run_quality_as ~up ~now ~params:lp.Beacon_policy.base x
       done
     in
     Obs.phase obs "beacon.selection_round" select;

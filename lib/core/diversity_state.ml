@@ -3,8 +3,21 @@ type sent_info = {
   mutable sent_expires_at : float;
   origin : int;
   neighbor : int;
+  egress : int;
   links : int array;
 }
+
+(* Shared by every combination with no Sent PCBs List entry; it expired
+   before any evaluation, so it is never scored as a resend. *)
+let no_sent =
+  {
+    ds = 0.0;
+    sent_expires_at = neg_infinity;
+    origin = -1;
+    neighbor = -1;
+    egress = -1;
+    links = [||];
+  }
 
 type pair_state = {
   mutable last_eval : float;
@@ -14,8 +27,8 @@ type pair_state = {
 type t = {
   n_as : int;
   history : (int, (int, int ref) Hashtbl.t) Hashtbl.t; (* pair key -> link -> count *)
-  sent : (int, (string, sent_info) Hashtbl.t) Hashtbl.t;
-      (* egress link -> parent path key -> info *)
+  sent : (string, sent_info list) Hashtbl.t;
+      (* parent path key -> one entry per egress link *)
   pairs : (int, pair_state) Hashtbl.t;
 }
 
@@ -23,7 +36,7 @@ let create ~n_as =
   {
     n_as;
     history = Hashtbl.create 256;
-    sent = Hashtbl.create 64;
+    sent = Hashtbl.create 256;
     pairs = Hashtbl.create 256;
   }
 
@@ -121,35 +134,43 @@ let[@inline] log_count c =
   if c < log_table_size then log_one_plus.(c)
   else log (float_of_int (1 + c))
 
-(* Same additions in the same order as [counters_gm], so the result
-   is bit-identical; an all-zero view gives exactly the 1.0 that
-   [counters_gm] returns for an empty table. *)
-let view_mean v ~links ~extra =
+(* The additions of [counters_gm] over [links], in its order, so
+   adding the egress term to the result is bit-identical to it; an
+   all-zero view gives the 0.0 whose [exp] is the 1.0 [counters_gm]
+   returns for an empty table. *)
+let view_sum_into v ~links dst i =
   let counts = v.counts in
-  let n = Array.length links in
   let log_sum = ref 0.0 in
-  for i = 0 to n - 1 do
-    log_sum := !log_sum +. log_count counts.(links.(i))
+  for l = 0 to Array.length links - 1 do
+    log_sum := !log_sum +. log_count counts.(links.(l))
   done;
-  let log_sum = !log_sum +. log_count counts.(extra) in
-  exp (log_sum /. float_of_int (n + 1))
+  dst.(i) <- !log_sum
 
-let sent_table t egress =
-  match Hashtbl.find_opt t.sent egress with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 8 in
-      Hashtbl.replace t.sent egress s;
-      s
+let view_logs_into v ~links ~len dst =
+  let counts = v.counts in
+  for j = 0 to len - 1 do
+    dst.(j) <- log_count counts.(links.(j))
+  done
 
-let find_sent t ~egress ~key =
-  match Hashtbl.find_opt t.sent egress with
-  | None -> None
-  | Some table -> Hashtbl.find_opt table key
+type sent_row = sent_info list
+
+let sent_row t ~key =
+  match Hashtbl.find t.sent key with row -> row | exception Not_found -> []
+
+let rec sent_on row ~egress =
+  match row with
+  | [] -> no_sent
+  | info :: rest -> if info.egress = egress then info else sent_on rest ~egress
 
 let record_sent t ~origin ~neighbor ~egress ~key ~links ~ds ~expires_at =
-  let info = { ds; sent_expires_at = expires_at; origin; neighbor; links } in
-  Hashtbl.replace (sent_table t egress) key info
+  let info =
+    { ds; sent_expires_at = expires_at; origin; neighbor; egress; links }
+  in
+  (* A previous entry on this egress is replaced, not pruned: its path's
+     counters are not decremented. *)
+  let others = List.filter (fun e -> e.egress <> egress) (sent_row t ~key) in
+  Hashtbl.replace t.sent key (info :: others);
+  info
 
 let refresh_sent info ~expires_at = info.sent_expires_at <- expires_at
 
@@ -169,22 +190,16 @@ let propose_next_eval t ~origin ~neighbor time =
   if time < s.next_eval then s.next_eval <- time
 
 let prune t ~now =
-  Hashtbl.iter
-    (fun _ table ->
-      let dead =
-        Hashtbl.fold
-          (fun key info acc ->
-            if info.sent_expires_at <= now then (key, info) :: acc else acc)
-          table []
-      in
+  Hashtbl.filter_map_inplace
+    (fun _ row ->
+      let dead, live = List.partition (fun e -> e.sent_expires_at <= now) row in
       List.iter
-        (fun (key, info) ->
-          Hashtbl.remove table key;
-          match find_history t ~origin:info.origin ~neighbor:info.neighbor with
-          | Some h -> Array.iter (fun l -> bump h l (-1)) info.links
+        (fun e ->
+          match find_history t ~origin:e.origin ~neighbor:e.neighbor with
+          | Some h -> Array.iter (fun l -> bump h l (-1)) e.links
           | None -> ())
-        dead)
+        dead;
+      match live with [] -> None | _ -> Some live)
     t.sent
 
-let sent_count t =
-  Hashtbl.fold (fun _ table acc -> acc + Hashtbl.length table) t.sent 0
+let sent_count t = Hashtbl.fold (fun _ row acc -> acc + List.length row) t.sent 0

@@ -5,13 +5,14 @@
     - the {e Link History Table} per [(origin AS, neighbor AS)] pair,
       mapping link ids to the number of currently valid paths from the
       origin to the neighbor that traverse the link;
-    - the {e Sent PCBs List} per egress interface, remembering for each
-      disseminated path its diversity score at send time and the expiry
-      of the instance last sent. Within one egress's list a path is
-      keyed by its {e parent} path key: the [Pcb.key] of the stored PCB
-      before the egress link is appended. The egress fixes the appended
-      link, so parent keys and disseminated paths correspond one to
-      one.
+    - the {e Sent PCBs List}, remembering for each disseminated path
+      its diversity score at send time and the expiry of the instance
+      last sent. It is keyed by the {e parent} path key first: the
+      [Pcb.key] of the stored PCB before the egress link is appended.
+      Under one parent key sits one entry per egress link the path was
+      sent on, so (parent key, egress) and disseminated paths
+      correspond one to one. One lookup per stored path ({!sent_row})
+      serves all the parallel egress links of an evaluation.
 
     Plus one engineering addition: per-pair evaluation gating, so the
     beacon server skips (origin, neighbor) pairs whose inputs cannot
@@ -24,8 +25,13 @@ type sent_info = {
   mutable sent_expires_at : float;  (** expiry of the last sent instance *)
   origin : int;
   neighbor : int;
+  egress : int;  (** the egress link the path was sent on *)
   links : int array;  (** full path including the egress link *)
 }
+
+val no_sent : sent_info
+(** The shared "no entry" sentinel: it has expired at every time, so a
+    combination holding it is scored as never sent. Compare with [==]. *)
 
 type t
 
@@ -51,8 +57,12 @@ val increment : t -> origin:int -> neighbor:int -> links:int array -> extra:int 
       pair's counter for link [l], provided every change to the pair's
       counters goes through {!view_increment} ({!prune} runs only
       between evaluations);
-    - {!view_mean} equals {!counters_gm} on the loaded pair bit for
-      bit;
+    - {!view_sum_into} and {!view_logs_into} read the loaded pair: the
+      pair's {!counters_gm} over [links] plus [extra] is
+      [exp ((sum +. log_extra) /. float (Array.length links + 1))]
+      bit for bit, where [sum] is what {!view_sum_into} writes for
+      [links] and [log_extra] what {!view_logs_into} writes for
+      [[| extra |]];
     - {!unload_view} zeroes every entry again.
 
     The Link History Table stays the source of truth. *)
@@ -68,8 +78,13 @@ val view_increment :
   view -> t -> origin:int -> neighbor:int -> links:int array -> extra:int -> unit
 (** {!increment} the loaded pair and its view entries alike. *)
 
-val view_mean : view -> links:int array -> extra:int -> float
-(** {!counters_gm} of the loaded pair, read from the view. *)
+val view_sum_into : view -> links:int array -> float array -> int -> unit
+(** [view_sum_into v ~links dst i] sets [dst.(i)] to the sum of
+    [log (1 + counter)] over [links], added in {!counters_gm}'s order. *)
+
+val view_logs_into : view -> links:int array -> len:int -> float array -> unit
+(** [view_logs_into v ~links ~len dst] sets [dst.(j)] to
+    [log (1 + counter)] of link [links.(j)], for [j < len]. *)
 
 val unload_view : view -> t -> origin:int -> neighbor:int -> unit
 
@@ -78,9 +93,15 @@ val view_is_clear : view -> bool
 
 (** {2 Sent PCBs List} *)
 
-val find_sent : t -> egress:int -> key:string -> sent_info option
-(** The entry of the path [key ^ egress], where [key] is the parent path
-    key (the stored PCB's [Pcb.key]). *)
+type sent_row
+(** The entries under one parent path key, one per egress link. *)
+
+val sent_row : t -> key:string -> sent_row
+(** The entries of the parent path [key] (the stored PCB's [Pcb.key]);
+    empty when none was sent. *)
+
+val sent_on : sent_row -> egress:int -> sent_info
+(** The entry of the path sent on [egress], or {!no_sent}. *)
 
 val record_sent :
   t ->
@@ -91,10 +112,11 @@ val record_sent :
   links:int array ->
   ds:float ->
   expires_at:float ->
-  unit
-(** Insert a fresh Sent-PCBs-List entry (first dissemination of this
-    path on this interface), under the parent path [key] as in
-    {!find_sent}. [links] is the full path including the egress link. *)
+  sent_info
+(** Insert a fresh entry (first dissemination of this path on this
+    interface) under the parent path [key] and return it. An entry
+    already on [egress] is replaced without decrementing its counters.
+    [links] is the full path including the egress link. *)
 
 val refresh_sent : sent_info -> expires_at:float -> unit
 (** A path was re-sent: only its timers are updated (§4.2). *)

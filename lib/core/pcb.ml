@@ -16,7 +16,9 @@ type t = {
   signatures : string list;
 }
 
-(* Link ids are encoded as 3 bytes each; sufficient for 2^24 links. *)
+(* Link ids are encoded as 3 bytes each; sufficient for 2^24 links.
+   Nothing writes [b] after it is filled, so it becomes the key without
+   a copy. *)
 let path_key links =
   let b = Bytes.create (3 * Array.length links) in
   Array.iteri
@@ -25,7 +27,7 @@ let path_key links =
       Bytes.set b ((3 * i) + 1) (Char.chr ((l lsr 8) land 0xFF));
       Bytes.set b ((3 * i) + 2) (Char.chr ((l lsr 16) land 0xFF)))
     links;
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 let with_signature t s = { t with signatures = s :: t.signatures }
 

@@ -85,12 +85,9 @@ let measure ?obs ?jobs scale =
   (* Zipf-popular destinations (§4.1): endpoints in random ASes resolve
      paths towards popular leaf ASes. *)
   let zipf = Zipf.create ~n:(Graph.n g) ~s:1.1 in
-  (* One link fails after the lookups: the path server revokes its
-     segments, and SCMP notifies the endpoints whose paths cross it. *)
-  let failed = Graph.link g (Graph.num_links g / 2) in
   let endpoint_lookups = ref 0 in
   let resolved_paths = ref 0 in
-  let notified = ref 0 in
+  let lookups = ref [] in
   for _ = 1 to 200 do
     let src = Rng.int rng (Graph.n g) in
     let dst = Zipf.sample zipf rng in
@@ -98,16 +95,31 @@ let measure ?obs ?jobs scale =
       incr endpoint_lookups;
       let paths = Control_service.resolve cs ~src ~dst in
       resolved_paths := !resolved_paths + List.length paths;
-      if
-        List.exists (fun p -> Fwd_path.contains_link p failed.Graph.link_id)
-          paths
-      then incr notified
+      lookups := paths :: !lookups
     end
   done;
-  ignore (Control_service.revoke_link cs ~link:failed.Graph.link_id);
+  (* One link fails after the lookups: the one the most resolved paths
+     cross (the lowest id among equals), so the revocation reaches
+     endpoints. The path server revokes its segments, and SCMP notifies
+     each endpoint whose looked-up paths cross it. *)
+  let crossing = Array.make (Graph.num_links g) 0 in
+  List.iter
+    (List.iter (fun p ->
+         for l = 0 to Graph.num_links g - 1 do
+           if Fwd_path.contains_link p l then crossing.(l) <- crossing.(l) + 1
+         done))
+    !lookups;
+  let failed_id = ref 0 in
+  Array.iteri (fun l c -> if c > crossing.(!failed_id) then failed_id := l) crossing;
+  let failed = Graph.link g !failed_id in
+  let notified =
+    List.length
+      (List.filter (List.exists (fun p -> Fwd_path.contains_link p !failed_id))
+         !lookups)
+  in
+  ignore (Control_service.revoke_link cs ~link:!failed_id);
   let revocation_msgs, revocation_bytes =
-    Fault_engine.revocation failed ~now:(Control_service.now cs)
-      ~notified:!notified
+    Fault_engine.revocation failed ~now:(Control_service.now cs) ~notified
   in
   let ps = Control_service.stats cs in
   let seg_bytes = float_of_int (Wire.pcb_bytes ~hops:4) in

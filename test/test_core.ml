@@ -401,31 +401,38 @@ let test_diversity_state_counters () =
   Alcotest.(check (float 1e-9)) "pair isolation" 1.0
     (Diversity_state.counters_gm st ~origin:1 ~neighbor:3 ~links:[| 5 |] ~extra:6)
 
+let find_sent st ~egress ~key =
+  let info = Diversity_state.(sent_on (sent_row st ~key) ~egress) in
+  if info == Diversity_state.no_sent then None else Some info
+
 let test_diversity_state_sent () =
-  (* Entries are keyed by (egress, parent path key): the stored PCB's
-     key before the egress link is appended. *)
+  (* Entries are keyed by (parent path key, egress): the parent is the
+     stored PCB's key before the egress link is appended. *)
   let st = Diversity_state.create ~n_as:10 in
   let parent = Pcb.path_key [| 4 |] in
-  Alcotest.(check bool) "absent" true
-    (Diversity_state.find_sent st ~egress:3 ~key:parent = None);
-  Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:3 ~key:parent
-    ~links:[| 4; 3 |] ~ds:0.8 ~expires_at:600.0;
-  Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:5 ~key:parent
-    ~links:[| 4; 5 |] ~ds:0.6 ~expires_at:300.0;
+  Alcotest.(check bool) "absent" true (find_sent st ~egress:3 ~key:parent = None);
+  let on3 =
+    Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:3 ~key:parent
+      ~links:[| 4; 3 |] ~ds:0.8 ~expires_at:600.0
+  in
+  ignore
+    (Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:5 ~key:parent
+       ~links:[| 4; 5 |] ~ds:0.6 ~expires_at:300.0);
   check Alcotest.int "one entry per egress" 2 (Diversity_state.sent_count st);
   Alcotest.(check bool) "not under the extended path's key" true
-    (Diversity_state.find_sent st ~egress:3 ~key:(Pcb.path_key [| 4; 3 |]) = None);
-  (match Diversity_state.find_sent st ~egress:3 ~key:parent with
+    (find_sent st ~egress:3 ~key:(Pcb.path_key [| 4; 3 |]) = None);
+  (match find_sent st ~egress:3 ~key:parent with
   | None -> Alcotest.fail "should be present"
   | Some info ->
+      Alcotest.(check bool) "record_sent returns the entry" true (info == on3);
       Alcotest.(check (float 1e-9)) "ds" 0.8 info.Diversity_state.ds;
       Diversity_state.refresh_sent info ~expires_at:900.0);
-  (match Diversity_state.find_sent st ~egress:3 ~key:parent with
+  (match find_sent st ~egress:3 ~key:parent with
   | None -> Alcotest.fail "still present after refresh"
   | Some info ->
       Alcotest.(check (float 1e-9)) "timer updated" 900.0
         info.Diversity_state.sent_expires_at);
-  (match Diversity_state.find_sent st ~egress:5 ~key:parent with
+  (match find_sent st ~egress:5 ~key:parent with
   | None -> Alcotest.fail "other egress present"
   | Some info ->
       Alcotest.(check (float 1e-9)) "other egress untouched" 300.0
@@ -433,9 +440,43 @@ let test_diversity_state_sent () =
   Diversity_state.prune st ~now:600.0;
   check Alcotest.int "expired entry pruned" 1 (Diversity_state.sent_count st);
   Alcotest.(check bool) "pruned on its egress" true
-    (Diversity_state.find_sent st ~egress:5 ~key:parent = None);
+    (find_sent st ~egress:5 ~key:parent = None);
   Alcotest.(check bool) "refreshed entry kept" true
-    (Diversity_state.find_sent st ~egress:3 ~key:parent <> None)
+    (find_sent st ~egress:3 ~key:parent <> None)
+
+let test_diversity_state_sent_siblings () =
+  (* Two egresses under one parent key, each counted in the Link History
+     Table as the engine counts a dissemination. Refreshing one and
+     pruning the other must decrement only the pruned path's counters,
+     once, and leave the survivor findable. *)
+  let st = Diversity_state.create ~n_as:10 in
+  let parent = Pcb.path_key [| 4 |] in
+  let send egress ~expires_at =
+    Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:[| 4 |] ~extra:egress;
+    Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress ~key:parent
+      ~links:[| 4; egress |] ~ds:0.5 ~expires_at
+  in
+  let on3 = send 3 ~expires_at:600.0 in
+  ignore (send 5 ~expires_at:600.0);
+  Diversity_state.refresh_sent on3 ~expires_at:1200.0;
+  Diversity_state.prune st ~now:600.0;
+  let gm links extra =
+    Diversity_state.counters_gm st ~origin:1 ~neighbor:2 ~links ~extra
+  in
+  (* Link 4 drops from 2 to 1, link 5 from 1 to 0, link 3 stays at 1. *)
+  Alcotest.(check (float 1e-12)) "shared link decremented once" 2.0 (gm [||] 4);
+  Alcotest.(check (float 1e-12)) "pruned egress cleared" 1.0 (gm [||] 5);
+  Alcotest.(check (float 1e-12)) "survivor's egress kept" 2.0 (gm [||] 3);
+  check Alcotest.int "one entry left" 1 (Diversity_state.sent_count st);
+  Alcotest.(check bool) "survivor findable" true
+    (match find_sent st ~egress:3 ~key:parent with
+    | Some info -> info == on3
+    | None -> false);
+  Alcotest.(check bool) "pruned sibling gone" true
+    (find_sent st ~egress:5 ~key:parent = None);
+  Diversity_state.prune st ~now:600.0;
+  Alcotest.(check (float 1e-12)) "a second prune decrements nothing" 2.0
+    (gm [||] 4)
 
 let test_diversity_score_worked_example () =
   (* Hand-computed Eq. 1-2 (§4.2) on a five-link path plus the egress
@@ -465,8 +506,9 @@ let test_diversity_score_worked_example () =
 let test_diversity_state_prune_decrements () =
   let st = Diversity_state.create ~n_as:10 in
   Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:[||] ~extra:3;
-  Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:3 ~key:"k" ~links:[| 3 |]
-    ~ds:0.8 ~expires_at:100.0;
+  ignore
+    (Diversity_state.record_sent st ~origin:1 ~neighbor:2 ~egress:3 ~key:"k"
+       ~links:[| 3 |] ~ds:0.8 ~expires_at:100.0);
   Diversity_state.prune st ~now:200.0;
   check Alcotest.int "entry dropped" 0 (Diversity_state.sent_count st);
   Alcotest.(check (float 1e-9)) "counter decremented back to gm 1" 1.0
@@ -474,9 +516,17 @@ let test_diversity_state_prune_decrements () =
 
 (* --- Dense counter view: oracle is counters_gm on the hash table --- *)
 
+(* The view's geometric mean as the row kernel forms it: the path's log
+   sum plus the egress link's log, over the link count. *)
+let view_gm view ~links ~extra =
+  let sum = [| nan |] and log_extra = [| nan |] in
+  Diversity_state.view_sum_into view ~links sum 0;
+  Diversity_state.view_logs_into view ~links:[| extra |] ~len:1 log_extra;
+  exp ((sum.(0) +. log_extra.(0)) /. float_of_int (Array.length links + 1))
+
 let view_agrees view st ~origin ~neighbor ~links ~extra =
   Int64.equal
-    (Int64.bits_of_float (Diversity_state.view_mean view ~links ~extra))
+    (Int64.bits_of_float (view_gm view ~links ~extra))
     (Int64.bits_of_float
        (Diversity_state.counters_gm st ~origin ~neighbor ~links ~extra))
 
@@ -556,10 +606,11 @@ let prop_view_matches_counters =
               let origin, neighbor = view_pairs.(p) in
               Diversity_state.increment st ~origin ~neighbor ~links ~extra:egress;
               incr sent_id;
-              Diversity_state.record_sent st ~origin ~neighbor ~egress
-                ~key:(string_of_int !sent_id)
-                ~links:(Array.append links [| egress |])
-                ~ds:0.5 ~expires_at;
+              ignore
+                (Diversity_state.record_sent st ~origin ~neighbor ~egress
+                   ~key:(string_of_int !sent_id)
+                   ~links:(Array.append links [| egress |])
+                   ~ds:0.5 ~expires_at);
               true
           | Prune_at now ->
               Diversity_state.prune st ~now;
@@ -595,6 +646,261 @@ let test_view_beyond_log_table () =
     (view_agrees view st ~origin:1 ~neighbor:2 ~links:[| 0; 2 |] ~extra:1);
   Diversity_state.unload_view view st ~origin:1 ~neighbor:2;
   Alcotest.(check bool) "cleared" true (Diversity_state.view_is_clear view)
+
+(* --- Row kernel: oracle is the Eq. 1-3 functions on counters_gm --- *)
+
+type kernel_case = {
+  latency : bool;  (* Latency_aware instead of Diversity *)
+  gm_max : float;
+  latency_scale_ms : float;
+  history : (int * int) list;  (* link, counter *)
+  paths : (int array * float * float) list;  (* links, timestamp, lifetime *)
+  egress : int array;
+  entries : (float * float) option list;  (* ds, sent expiry; cycled *)
+  bumps : (int array * int) list;  (* view_increments between re-scores *)
+}
+
+let kernel_links = 8
+
+let kernel_now = 1000.0
+
+let show_kernel_case c =
+  let opt = function
+    | None -> "-"
+    | Some (ds, e) -> Printf.sprintf "(%g,%g)" ds e
+  in
+  Printf.sprintf
+    "latency=%b gm_max=%g scale=%g\nhistory=%s\npaths=%s\negress=[%s]\nentries=%s\nbumps=%s"
+    c.latency c.gm_max c.latency_scale_ms
+    (String.concat " "
+       (List.map (fun (l, n) -> Printf.sprintf "%d:%d" l n) c.history))
+    (String.concat " "
+       (List.map
+          (fun (ls, ts, lt) -> Printf.sprintf "[%s]@%g/%g" (show_links ls) ts lt)
+          c.paths))
+    (show_links c.egress)
+    (String.concat " " (List.map opt c.entries))
+    (String.concat " "
+       (List.map
+          (fun (ls, e) -> Printf.sprintf "[%s]+%d" (show_links ls) e)
+          c.bumps))
+
+let gen_kernel_case =
+  QCheck.Gen.(
+    let link = int_bound (kernel_links - 1) in
+    let links = array_size (int_range 0 4) link in
+    let count =
+      (* Past the 4096-entry log table too. *)
+      frequency [ (4, int_bound 6); (1, int_range 4090 5000) ]
+    in
+    let time = map float_of_int (int_bound 2000) in
+    let lifetime =
+      oneof
+        [
+          oneofl [ -100.0; 0.0; 600.0; 21600.0 ];
+          map float_of_int (int_range 1 3000);
+        ]
+    in
+    let entry =
+      opt (pair (map (fun n -> float_of_int n /. 16.0) (int_bound 16)) time)
+    in
+    bool >>= fun latency ->
+    oneofl [ -1.0; 0.25; 4.0 ] >>= fun gm_max ->
+    oneofl [ 0.0; 40.0 ] >>= fun latency_scale_ms ->
+    list_size (int_bound 6) (pair link count) >>= fun history ->
+    list_size (int_range 1 5) (triple links time lifetime) >>= fun paths ->
+    array_size (int_range 1 4) link >>= fun egress ->
+    list_size (int_range 1 12) entry >>= fun entries ->
+    list_size (int_bound 4) (pair links link) >>= fun bumps ->
+    return
+      {
+        latency;
+        gm_max;
+        latency_scale_ms;
+        history;
+        paths;
+        egress;
+        entries;
+        bumps;
+      })
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make
+    ~name:"row kernel scores equal score_fresh/score_resend bit for bit"
+    ~count:500
+    (QCheck.make ~print:show_kernel_case gen_kernel_case)
+    (fun c ->
+      let origin = 1 and neighbor = 2 and now = kernel_now in
+      let p = { Beacon_policy.default_div_params with Beacon_policy.gm_max = c.gm_max } in
+      (* Not exact in binary, so the order of the additions shows. *)
+      let latency_ms =
+        Array.init kernel_links (fun l -> (0.1 *. float_of_int (l + 1)) +. (1.0 /. 3.0))
+      in
+      let lp =
+        {
+          Beacon_policy.base = p;
+          link_latency_ms = latency_ms;
+          latency_scale_ms = c.latency_scale_ms;
+        }
+      in
+      let policy =
+        if c.latency then Beacon_policy.Latency_aware lp else Beacon_policy.Diversity p
+      in
+      let st = Diversity_state.create ~n_as:4 in
+      List.iter
+        (fun (l, n) ->
+          Diversity_state.increment st ~origin ~neighbor ~links:(Array.make n l)
+            ~extra:l)
+        c.history;
+      let paths =
+        List.map
+          (fun (links, ts, lifetime) ->
+            Array.fold_left
+              (fun pcb l -> Pcb.extend pcb ~asn:0 ~ingress:0 ~egress:0 ~link:l ~peers:[||])
+              (Pcb.origin_pcb ~origin:0 ~now:ts ~lifetime)
+              links)
+          c.paths
+        |> Array.of_list
+      in
+      let rows = Array.length paths and cols = Array.length c.egress in
+      (* Entries live in a state of their own, so they leave the Link
+         History Table alone. *)
+      let sent_st = Diversity_state.create ~n_as:4 in
+      let entries = Array.of_list c.entries in
+      let entry k =
+        match entries.(k mod Array.length entries) with
+        | None -> Diversity_state.no_sent
+        | Some (ds, expires_at) ->
+            Diversity_state.record_sent sent_st ~origin ~neighbor
+              ~egress:c.egress.(k mod cols) ~key:(string_of_int k) ~links:[||] ~ds
+              ~expires_at
+      in
+      let reference k =
+        let path = paths.(k / cols) and egress = c.egress.(k mod cols) in
+        let e = entry k in
+        if e.Diversity_state.sent_expires_at > now then
+          Beacon_policy.score_resend p ~ds:e.Diversity_state.ds
+            ~sent_remaining:(e.Diversity_state.sent_expires_at -. now)
+            ~current_remaining:(Pcb.remaining path ~now)
+        else
+          let ds =
+            if c.latency then
+              Beacon_policy.latency_quality lp
+                ~total_ms:
+                  (Array.fold_left
+                     (fun acc l -> acc +. latency_ms.(l))
+                     latency_ms.(egress) path.Pcb.links)
+            else
+              Beacon_policy.diversity_of_gm p
+                (Diversity_state.counters_gm st ~origin ~neighbor
+                   ~links:path.Pcb.links ~extra:egress)
+          in
+          Beacon_policy.score_fresh p ~ds ~age:(Pcb.age path ~now)
+            ~lifetime:path.Pcb.lifetime
+      in
+      (* The earliest crossing time of a resend score at or below the
+         threshold. *)
+      let next_eval = ref infinity in
+      for k = 0 to (rows * cols) - 1 do
+        let e = entry k in
+        let path = paths.(k / cols) in
+        if
+          e.Diversity_state.sent_expires_at > now
+          && reference k <= p.Beacon_policy.threshold
+        then begin
+          let at =
+            Beacon_policy.resend_crossing_time p ~ds:e.Diversity_state.ds ~now
+              ~sent_expires_at:e.Diversity_state.sent_expires_at
+              ~current_expires_at:(Pcb.expires_at path)
+          in
+          if at < !next_eval then next_eval := at
+        end
+      done;
+      let bits = Int64.bits_of_float in
+      let t = Beacon_policy.create_table () in
+      let agrees () =
+        let ok = ref (Int64.equal (bits t.Beacon_policy.next_eval) (bits !next_eval)) in
+        for k = 0 to (rows * cols) - 1 do
+          if not (Int64.equal (bits t.Beacon_policy.score.(k)) (bits (reference k)))
+          then ok := false
+        done;
+        !ok
+      in
+      (* As the engine drives it: load the pair, fill and score each row,
+         then after each counted path refresh the log sums and re-score. *)
+      let view = Diversity_state.create_view ~num_links:kernel_links in
+      Diversity_state.load_view view st ~origin ~neighbor;
+      Beacon_policy.reset_table t ~rows ~cols;
+      Array.blit c.egress 0 t.Beacon_policy.egress 0 cols;
+      let refresh_logs () =
+        Diversity_state.view_logs_into view ~links:c.egress ~len:cols
+          t.Beacon_policy.egress_log;
+        for r = 0 to rows - 1 do
+          Diversity_state.view_sum_into view ~links:paths.(r).Pcb.links
+            t.Beacon_policy.log_sum r
+        done
+      in
+      refresh_logs ();
+      Array.iteri
+        (fun r path ->
+          t.Beacon_policy.path.(r) <- path;
+          for j = 0 to cols - 1 do
+            t.Beacon_policy.sent.((r * cols) + j) <- entry ((r * cols) + j)
+          done;
+          t.Beacon_policy.rows <- r + 1;
+          Beacon_policy.score_row policy t ~now r)
+        paths;
+      let first = agrees () in
+      let later =
+        List.for_all
+          (fun (links, extra) ->
+            Diversity_state.view_increment view st ~origin ~neighbor ~links ~extra;
+            refresh_logs ();
+            for k = 0 to (rows * cols) - 1 do
+              Beacon_policy.score policy t ~now k
+            done;
+            agrees ())
+          c.bumps
+      in
+      Diversity_state.unload_view view st ~origin ~neighbor;
+      first && later)
+
+let test_kernel_edges () =
+  (* The clamps and the lifetime guard, by hand: an empty table gives
+     gm 1; with gm_max < 0 the diversity clamps to 1, with a tiny gm_max
+     and a busy link to 0; a non-positive lifetime scores 0 before any
+     power is taken. *)
+  let st = Diversity_state.create ~n_as:4 in
+  Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:(Array.make 5000 0)
+    ~extra:0;
+  let view = Diversity_state.create_view ~num_links:2 in
+  Diversity_state.load_view view st ~origin:1 ~neighbor:2;
+  let score ~gm_max ~lifetime ~link =
+    let p = { params with Beacon_policy.gm_max } in
+    let t = Beacon_policy.create_table () in
+    Beacon_policy.reset_table t ~rows:1 ~cols:1;
+    t.Beacon_policy.egress.(0) <- link;
+    Diversity_state.view_logs_into view ~links:[| link |] ~len:1
+      t.Beacon_policy.egress_log;
+    let path = Pcb.origin_pcb ~origin:0 ~now:400.0 ~lifetime in
+    t.Beacon_policy.path.(0) <- path;
+    Diversity_state.view_sum_into view ~links:[||] t.Beacon_policy.log_sum 0;
+    t.Beacon_policy.sent.(0) <- Diversity_state.no_sent;
+    t.Beacon_policy.rows <- 1;
+    Beacon_policy.score_row (Beacon_policy.Diversity p) t ~now:1000.0 0;
+    t.Beacon_policy.score.(0)
+  in
+  Alcotest.(check (float 0.0)) "idle link, ds 1" 1.0
+    (score ~gm_max:4.0 ~lifetime:21600.0 ~link:1);
+  Alcotest.(check (float 0.0)) "gm_max < 0 clamps ds to 1" 1.0
+    (score ~gm_max:(-1.0) ~lifetime:21600.0 ~link:0);
+  Alcotest.(check (float 0.0)) "busy link clamps ds to 0" 0.0
+    (score ~gm_max:0.25 ~lifetime:21600.0 ~link:0);
+  Alcotest.(check (float 0.0)) "zero lifetime" 0.0
+    (score ~gm_max:4.0 ~lifetime:0.0 ~link:1);
+  Alcotest.(check (float 0.0)) "negative lifetime" 0.0
+    (score ~gm_max:(-1.0) ~lifetime:(-5.0) ~link:1);
+  Diversity_state.unload_view view st ~origin:1 ~neighbor:2
 
 let test_diversity_state_gating () =
   let st = Diversity_state.create ~n_as:10 in
@@ -1023,10 +1329,15 @@ let suite =
       `Quick,
       test_diversity_score_worked_example );
     ("diversity state sent list", `Quick, test_diversity_state_sent);
+    ( "diversity state sent list sibling egresses",
+      `Quick,
+      test_diversity_state_sent_siblings );
     ("diversity state prune decrements", `Quick, test_diversity_state_prune_decrements);
     ("diversity state gating", `Quick, test_diversity_state_gating);
     QCheck_alcotest.to_alcotest prop_view_matches_counters;
     ("dense view beyond the log table", `Quick, test_view_beyond_log_table);
+    QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+    ("row kernel edges", `Quick, test_kernel_edges);
     ("baseline propagates", `Quick, test_baseline_propagates);
     ("baseline shortest on chain", `Quick, test_baseline_shortest_on_chain);
     ("diversity propagates", `Quick, test_diversity_propagates);

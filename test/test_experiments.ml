@@ -183,10 +183,11 @@ let test_table1_measure () =
   Alcotest.(check bool) "lookups happened" true
     ((get "Endpoint Path Lookup").Table1.messages > 0.0);
   (* The path server's notification plus one per affected endpoint, each
-     a 96 B SCMP link-failure message. *)
+     a 96 B SCMP link-failure message. The failed link is the one the
+     most looked-up paths cross, so at least one endpoint is notified. *)
   let rev = get "Path Revocation" in
-  Alcotest.(check bool) "revocation reaches the path server" true
-    (rev.Table1.messages >= 1.0);
+  Alcotest.(check bool) "revocation reaches an endpoint" true
+    (rev.Table1.messages >= 2.0);
   check (Alcotest.float 0.0) "96 B per revocation message"
     (96.0 *. rev.Table1.messages) rev.Table1.bytes
 
