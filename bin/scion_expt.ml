@@ -2,7 +2,7 @@
 
    Every experiment implements Scenario.Cli and is one subcommand of
    [run], which takes exactly the flags its config builder reads plus
-   the shared --jobs, --out, --metrics-out, --metrics-csv and --trace:
+   the shared --jobs, --out, --metrics-out and --trace:
 
      scion_expt run SCENARIO [FLAGS]
 
@@ -230,11 +230,10 @@ let write_result out json =
       Printf.eprintf "result written to %s\n%!" file)
     out
 
-(* Shared observability flags: every subcommand accepts --metrics-out,
-   --metrics-csv and --trace, and runs under an Obs context that is
-   Obs.disabled (zero-cost) unless at least one flag is given. The
-   metrics files are deterministic; the trace and the phase table go to
-   stderr. *)
+(* Shared observability flags: every subcommand accepts --metrics-out
+   and --trace, and runs under an Obs context that is Obs.disabled
+   (zero-cost) unless at least one flag is given. The metrics file is
+   deterministic; the trace and the phase table go to stderr. *)
 
 let level_arg =
   let parse s = Result.map_error (fun e -> `Msg e) (Trace.level_of_string s) in
@@ -252,13 +251,6 @@ let obs_term =
              $(docv) when the command finishes. The file is byte-identical for \
              every --jobs value; wall-clock phase times go to stderr instead.")
   in
-  let metrics_csv =
-    Arg.(
-      value
-      & opt (some out_path) None
-      & info [ "metrics-csv" ] ~docv:"FILE"
-          ~doc:"Write the final metric snapshot as CSV to $(docv).")
-  in
   let trace =
     Arg.(
       value
@@ -270,8 +262,7 @@ let obs_term =
              not kept.")
   in
   Term.(
-    const (fun metrics_out metrics_csv trace -> (metrics_out, metrics_csv, trace))
-    $ metrics_out $ metrics_csv $ trace)
+    const (fun metrics_out trace -> (metrics_out, trace)) $ metrics_out $ trace)
 
 (* Wall-clock time per phase, after the run's footer. *)
 let print_phases obs =
@@ -285,9 +276,9 @@ let print_phases obs =
         phases;
       flush stderr
 
-let with_obs (metrics_out, metrics_csv, trace) f =
-  match (metrics_out, metrics_csv, trace) with
-  | None, None, None -> f Obs.disabled
+let with_obs (metrics_out, trace) f =
+  match (metrics_out, trace) with
+  | None, None -> f Obs.disabled
   | _ ->
       let tr =
         match trace with
@@ -302,12 +293,7 @@ let with_obs (metrics_out, metrics_csv, trace) f =
             (fun file ->
               Obs.write_json_file obs file;
               Printf.eprintf "metrics written to %s\n%!" file)
-            metrics_out;
-          Option.iter
-            (fun file ->
-              Obs.write_csv_file obs file;
-              Printf.eprintf "metrics CSV written to %s\n%!" file)
-            metrics_csv)
+            metrics_out)
         (fun () -> f obs)
 
 (* One [run] subcommand: the scenario's config term plus the flags every

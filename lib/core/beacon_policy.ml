@@ -86,23 +86,44 @@ let resend_crossing_time p ~ds ~now ~sent_expires_at ~current_expires_at =
     end
   end
 
-type table = {
-  mutable rows : int;
-  mutable cols : int;
-  mutable path : Pcb.t array;
-  mutable log_sum : float array;
-  mutable exponent : float array;
-  mutable egress : int array;
-  mutable egress_log : float array;
-  mutable score : float array;
-  mutable sent : Diversity_state.sent_info array;
-  mutable resend : bool array;
+
+let dissemination_limit = 5
+
+(* --- Algorithm 1 per (origin, neighbor), on a path-major table: one
+   row per candidate path that avoids the neighbor, one column per
+   parallel egress link to it, combination [k = row * cols + j]
+   (candidate order, then egress order, so the strict-[>] argmax picks
+   the first maximum in that order). Each row
+   looks up its Sent PCBs List entries once, by parent key. Link
+   diversity is read from the dense view, which only that metric
+   maintains: a row keeps the log sum over its path's links and its
+   age exponent, shared by its columns. The score is written straight
+   into the table, so no float is boxed per combination. --- *)
+
+type scratch = {
+  mutable rows : int;  (* rows in use *)
+  mutable cols : int;  (* parallel egress links *)
+  mutable path : Pcb.t array;  (* per row *)
+  mutable log_sum : float array;  (* per row; link diversity only *)
+  mutable exponent : float array;  (* per row: Eq. 2's age exponent *)
+  mutable egress : int array;  (* per column: the egress link id *)
+  mutable egress_log : float array;  (* per column; link diversity only *)
+  mutable score : float array;  (* per combination *)
+  mutable sent : Diversity_state.sent_info array;  (* per combination *)
+  mutable resend : bool array;  (* per combination *)
   mutable next_eval : float;
+      (* the earliest [resend_crossing_time] of a resend-branch score at
+         or below the threshold in this evaluation *)
+  view : Diversity_state.view;
+  link_stamp : int array;
+      (* a link carries the current [stamp] iff the last dissemination
+         touched its counter *)
+  mutable stamp : int;
 }
 
 let no_path = Pcb.origin_pcb ~origin:(-1) ~now:0.0 ~lifetime:0.0
 
-let create_table () =
+let create_scratch ~num_links =
   {
     rows = 0;
     cols = 0;
@@ -115,9 +136,15 @@ let create_table () =
     sent = [||];
     resend = [||];
     next_eval = infinity;
+    view = Diversity_state.create_view ~num_links;
+    link_stamp = Array.make num_links 0;
+    stamp = 0;
   }
 
-let reset_table t ~rows ~cols =
+(* Make room for [rows] rows over the columns [egress], with no row in
+   use. Arrays only grow. *)
+let reset t ~rows ~egress =
+  let cols = Array.length egress in
   let grown need len = max need (2 * len) in
   if rows > Array.length t.path then begin
     let cap = grown rows (Array.length t.path) in
@@ -125,11 +152,8 @@ let reset_table t ~rows ~cols =
     t.log_sum <- Array.make cap 0.0;
     t.exponent <- Array.make cap 0.0
   end;
-  if cols > Array.length t.egress then begin
-    let cap = grown cols (Array.length t.egress) in
-    t.egress <- Array.make cap 0;
-    t.egress_log <- Array.make cap 0.0
-  end;
+  if cols > Array.length t.egress_log then
+    t.egress_log <- Array.make (grown cols (Array.length t.egress_log)) 0.0;
   if rows * cols > Array.length t.score then begin
     let cap = grown (rows * cols) (Array.length t.score) in
     t.score <- Array.make cap 0.0;
@@ -138,6 +162,7 @@ let reset_table t ~rows ~cols =
   end;
   t.rows <- 0;
   t.cols <- cols;
+  t.egress <- egress;
   t.next_eval <- infinity
 
 let params_of = function
@@ -145,6 +170,9 @@ let params_of = function
   | Latency_aware lp -> lp.base
   | Baseline -> invalid_arg "Beacon_policy: Baseline scores no combination"
 
+(* The base quality of combination (row [r], column [j]): link
+   diversity against the counters the table holds, or latency
+   quality. *)
 let[@inline] base_at policy t r j =
   let links = t.path.(r).Pcb.links in
   match policy with
@@ -157,10 +185,10 @@ let[@inline] base_at policy t r j =
       latency_quality lp ~total_ms:(latency_total lp ~links ~egress:t.egress.(j))
   | Baseline -> invalid_arg "Beacon_policy: Baseline scores no combination"
 
-let base policy t k = base_at policy t (k / t.cols) (k mod t.cols)
-
-let score policy t ~now k =
-  let p = params_of policy in
+(* Score combination [k] from its current inputs: [score_resend]
+   against a live entry, otherwise [score_fresh] of the base quality,
+   bit for bit. *)
+let score policy p t ~now k =
   let r = k / t.cols in
   let path = t.path.(r) in
   let info = t.sent.(k) in
@@ -188,11 +216,136 @@ let score policy t ~now k =
     t.resend.(k) <- false
   end
 
-let score_row policy t ~now r =
-  let p = params_of policy in
-  let path = t.path.(r) in
+(* Fill row [t.rows] with [path] and score its columns. *)
+let add_row policy p t st ~track_history ~now path =
+  let r = t.rows in
+  t.path.(r) <- path;
+  if track_history then
+    Diversity_state.view_sum_into t.view ~links:path.Pcb.links t.log_sum r;
+  let row = Diversity_state.sent_row st ~key:path.Pcb.key in
+  for j = 0 to t.cols - 1 do
+    t.sent.((r * t.cols) + j) <- Diversity_state.sent_on row ~egress:t.egress.(j)
+  done;
+  t.rows <- r + 1;
   t.exponent.(r) <-
     age_exponent p ~age:(now -. path.Pcb.timestamp) ~lifetime:path.Pcb.lifetime;
   for k = r * t.cols to ((r + 1) * t.cols) - 1 do
-    score policy t ~now k
+    score policy p t ~now k
   done
+
+(* The first combination with the highest score above the threshold,
+   or -1. *)
+let best p t =
+  let threshold = p.threshold in
+  let best = ref (-1) in
+  let best_score = ref 0.0 in
+  let scores = t.score in
+  for k = 0 to (t.rows * t.cols) - 1 do
+    let s = scores.(k) in
+    if s > threshold && s > !best_score then begin
+      best_score := s;
+      best := k
+    end
+  done;
+  !best
+
+(* After a fresh dissemination of combination [i] was counted in the
+   Link History Table, re-score what it changed: [i] itself (its entry
+   changed) and the fresh-branch columns that use a link it counted.
+   One stamp scan per row says whether the row's path does; if so its
+   log sum is recomputed and all its fresh columns are re-scored,
+   otherwise only those on the stamped egress link. *)
+let rescore_counted policy p t ~now i =
+  let nh = t.cols in
+  let link_stamp = t.link_stamp in
+  t.stamp <- t.stamp + 1;
+  let cur = t.stamp in
+  let sent_links = t.path.(i / nh).Pcb.links in
+  for l = 0 to Array.length sent_links - 1 do
+    link_stamp.(sent_links.(l)) <- cur
+  done;
+  link_stamp.(t.egress.(i mod nh)) <- cur;
+  for r = 0 to t.rows - 1 do
+    let links = t.path.(r).Pcb.links in
+    let n = Array.length links in
+    let l = ref 0 in
+    while !l < n && link_stamp.(links.(!l)) <> cur do
+      incr l
+    done;
+    let hit = !l < n in
+    if hit then Diversity_state.view_sum_into t.view ~links t.log_sum r;
+    for j = 0 to nh - 1 do
+      let k = (r * nh) + j in
+      if
+        k = i
+        || (not t.resend.(k)) && (hit || link_stamp.(t.egress.(j)) = cur)
+      then score policy p t ~now k
+    done
+  done
+
+(* Send combination [i] and update the Sent PCBs List, the Link
+   History Table and the table after it. A resend changes no counter,
+   so it re-scores only itself. *)
+let disseminate policy p t st ~track_history ~origin ~neighbor ~now ~send i =
+  let nh = t.cols in
+  let r = i / nh and j = i mod nh in
+  let path = t.path.(r) and egress = t.egress.(j) in
+  send path j;
+  let expires_at = Pcb.expires_at path in
+  if t.resend.(i) then begin
+    Diversity_state.refresh_sent t.sent.(i) ~expires_at;
+    score policy p t ~now i
+  end
+  else begin
+    if track_history then begin
+      Diversity_state.view_increment t.view st ~origin ~neighbor
+        ~links:path.Pcb.links ~extra:egress;
+      (* The sent row's inputs now; [rescore_counted] refreshes the
+         other rows. *)
+      Diversity_state.view_logs_into t.view ~links:t.egress ~len:nh t.egress_log;
+      Diversity_state.view_sum_into t.view ~links:path.Pcb.links t.log_sum r
+    end;
+    (* The recorded base score reflects the state after this
+       dissemination. *)
+    t.sent.(i) <-
+      Diversity_state.record_sent st ~origin ~neighbor ~egress ~key:path.Pcb.key
+        ~links:(Array.append path.Pcb.links [| egress |])
+        ~ds:(base_at policy t r j) ~expires_at;
+    if track_history then rescore_counted policy p t ~now i
+    else score policy p t ~now i
+  end
+
+let evaluate policy t st ~origin ~neighbor ~now ~store_last_mod ~candidates
+    ~egress ~send =
+  let p = params_of policy in
+  if Diversity_state.should_evaluate st ~origin ~neighbor ~store_last_mod ~now
+  then begin
+    let track_history =
+      match policy with
+      | Diversity _ -> true
+      | Baseline | Latency_aware _ -> false
+    in
+    Diversity_state.begin_evaluation st ~origin ~neighbor ~now;
+    if track_history then Diversity_state.load_view t.view st ~origin ~neighbor;
+    let cands = candidates origin in
+    reset t ~rows:(List.length cands) ~egress;
+    if track_history then
+      Diversity_state.view_logs_into t.view ~links:egress ~len:t.cols
+        t.egress_log;
+    List.iter
+      (fun (path : Pcb.t) ->
+        if not (Pcb.contains_as path neighbor) then
+          add_row policy p t st ~track_history ~now path)
+      cands;
+    let sent = ref 0 in
+    let i = ref (best p t) in
+    while !i >= 0 do
+      disseminate policy p t st ~track_history ~origin ~neighbor ~now ~send !i;
+      incr sent;
+      i := if !sent < dissemination_limit then best p t else -1
+    done;
+    if t.next_eval < infinity then
+      Diversity_state.propose_next_eval st ~origin ~neighbor t.next_eval;
+    if track_history then
+      Diversity_state.unload_view t.view st ~origin ~neighbor
+  end

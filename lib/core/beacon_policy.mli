@@ -1,11 +1,13 @@
-(** Path-construction policies and the §4.2 scoring functions.
+(** Path-construction policies, the §4.2 scoring functions and
+    Algorithm 1.
 
     The baseline algorithm disseminates the [P] shortest stored paths
     per origin on every eligible interface, each interval, irrespective
-    of what was previously sent. The path-diversity-based algorithm
-    scores candidate paths by link disjointness, age and lifetime
-    (Equations 1–3) and sends only combinations scoring above a
-    threshold. *)
+    of what was previously sent ([Beaconing] runs it). The
+    path-diversity-based algorithm scores candidate paths by link
+    disjointness, age and lifetime (Equations 1–3) and sends only
+    combinations scoring above a threshold: {!evaluate} runs it for one
+    (origin, neighbor) pair, with {!Diversity_state} as its memory. *)
 
 type div_params = {
   alpha : float;  (** Eq. 2 exponent weight for never-sent PCBs *)
@@ -74,58 +76,73 @@ val resend_crossing_time :
     (origin, neighbor) pairs whose selection provably cannot change
     yet — a pure scheduling optimisation. *)
 
-(** {2 Row kernel}
+val dissemination_limit : int
+(** 5, the §5.1 limit of every paper experiment: max PCBs per origin
+    per interval, applied per interface by the baseline selection and
+    per neighbor AS by {!evaluate}. *)
 
-    One (origin, neighbor) evaluation of Algorithm 1 scores a table of
-    combinations: one {e row} per candidate path that avoids the
-    neighbor, one {e column} per parallel egress link to it, and
-    combination [k = row * cols + j], so [k] runs through the candidates
-    and then the egress links. What a row's columns share is kept once
-    per row: the path, the sum of [log (1 + counter)] over its links
-    (written by [Diversity_state.view_sum_into]) and Eq. 2's age
-    exponent. Per column the table holds the egress link, its
-    [log (1 + counter)] ([Diversity_state.view_logs_into]), the Sent
-    PCBs List entry ([Diversity_state.no_sent] when there is none) and
-    the result: the score and whether the resend branch gave it.
+(** {2 Algorithm 1}
 
-    {!score} writes exactly what the Eq. 1–3 functions above give for
-    the combination — {!score_resend} against a live entry, otherwise
-    {!score_fresh} of {!diversity_of_gm} of the pair's
-    [Diversity_state.counters_gm] (or of {!latency_quality} of the
-    latency over the egress link and then the path's links) — bit for
-    bit, without boxing a float. *)
+    One (origin, neighbor) evaluation scores a table of combinations:
+    one {e row} per candidate path that avoids the neighbor, one
+    {e column} per parallel egress link to it, combination
+    [k = row * cols + j], so [k] runs through the candidates and then
+    the egress links. A row keeps once, for all its columns, its Sent
+    PCBs List entries (one lookup by parent key), Eq. 2's age exponent
+    and, for link diversity, the sum of [log (1 + counter)] over its
+    path's links from the dense counter view of {!Diversity_state}.
 
-type table = {
-  mutable rows : int;  (** rows in use *)
-  mutable cols : int;  (** parallel egress links *)
-  mutable path : Pcb.t array;  (** per row *)
-  mutable log_sum : float array;  (** per row; link diversity only *)
-  mutable exponent : float array;  (** per row, set by {!score_row} *)
-  mutable egress : int array;  (** per column: the egress link id *)
-  mutable egress_log : float array;  (** per column; link diversity only *)
-  mutable score : float array;  (** per combination *)
-  mutable sent : Diversity_state.sent_info array;  (** per combination *)
-  mutable resend : bool array;  (** per combination *)
-  mutable next_eval : float;
-      (** the earliest {!resend_crossing_time} of a resend-branch score at
-          or below the threshold since {!reset_table} *)
-}
+    Every combination is scored once. After a dissemination only what
+    it changed is re-scored: the sent combination (its entry changed)
+    and, when the dissemination counted a new path in the Link History
+    Table, the fresh-branch columns that use a link it counted. A
+    combination's score is always what the functions above give for
+    it — {!score_resend} against a live entry, otherwise {!score_fresh}
+    of {!diversity_of_gm} of the pair's [Diversity_state.counters_gm]
+    (or of {!latency_quality} of the latency over the egress link and
+    then the path's links) — bit for bit, without boxing a float. So
+    every send equals that of a full rescan after each dissemination. *)
 
-val create_table : unit -> table
-(** An empty table; one per engine, reused by every evaluation. *)
+type scratch
+(** The working memory of {!evaluate}: the table, the dense counter
+    view and the per-link stamps of the re-scoring pass. One per
+    engine, reused by every evaluation. *)
 
-val reset_table : table -> rows:int -> cols:int -> unit
-(** Make room for [rows] rows of [cols] columns, with no row in use and
-    [next_eval = infinity]. Arrays only grow. *)
+val create_scratch : num_links:int -> scratch
+(** Scratch for link ids [0 .. num_links - 1]. *)
 
-val score_row : t -> table -> now:float -> int -> unit
-(** Set the row's age exponent and {!score} each of its columns. The
-    row's path, log sum and entries must be in place. Raises
-    [Invalid_argument] on [Baseline]. *)
+val evaluate :
+  t ->
+  scratch ->
+  Diversity_state.t ->
+  origin:int ->
+  neighbor:int ->
+  now:float ->
+  store_last_mod:float ->
+  candidates:(int -> Pcb.t list) ->
+  egress:int array ->
+  send:(Pcb.t -> int -> unit) ->
+  unit
+(** [evaluate policy s st ~origin ~neighbor ~now ~store_last_mod
+    ~candidates ~egress ~send] runs Algorithm 1 (§4.2) for one
+    (origin, neighbor) pair of the AS whose state is [st]:
 
-val score : t -> table -> now:float -> int -> unit
-(** Re-score one combination from its current inputs. *)
+    - unless [Diversity_state.should_evaluate] says the pair is due
+      ([store_last_mod] is when the origin's stored paths last changed),
+      it does nothing;
+    - otherwise it scores every combination of the [candidates origin] that
+      avoid [neighbor] with the parallel egress links [egress] (link
+      ids, in interface order) and sends the best one above the
+      threshold, [send path j] for [egress.(j)], until none is left or
+      {!dissemination_limit} were sent. Ties go to the first candidate,
+      then the first egress link. The candidates must have distinct
+      keys, as a beacon store's paths do, and [egress] distinct links;
+    - each send updates the Sent PCBs List ([Diversity_state.record_sent]
+      with the base quality after the send, or
+      [Diversity_state.refresh_sent] for a resend) and, for link
+      diversity, the Link History Table;
+    - the pair's next evaluation is proposed at the earliest
+      {!resend_crossing_time} of a resend score at or below the
+      threshold.
 
-val base : t -> table -> int -> float
-(** The base quality of combination [k]: link diversity against the
-    counters its row and column hold, or latency quality. *)
+    Raises [Invalid_argument] on [Baseline]. *)

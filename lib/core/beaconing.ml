@@ -1,7 +1,5 @@
 type scope = Core_beaconing | Intra_isd
 
-let dissemination_limit = 5
-
 type config = {
   scope : scope;
   algorithm : Beacon_policy.t;
@@ -156,9 +154,12 @@ let make ~obs ~stores ~stats g cfg =
             Hashtbl.replace groups h.Graph.peer (h :: prev))
           out_links.(v);
         Hashtbl.fold
-          (fun peer hs acc -> (peer, Array.of_list (List.rev hs)) :: acc)
+          (fun peer hs acc ->
+            let hs = Array.of_list (List.rev hs) in
+            (peer, hs, Array.map (fun (h : Graph.half_link) -> h.Graph.via) hs)
+            :: acc)
           groups []
-        |> List.sort (fun (a, _) (b, _) -> compare a b))
+        |> List.sort (fun (a, _, _) (b, _, _) -> compare a b))
   in
   let peer_links =
     Array.init n (fun v ->
@@ -223,13 +224,7 @@ let make ~obs ~stores ~stats g cfg =
     | Beacon_policy.Diversity _ | Beacon_policy.Latency_aware _ ->
         Array.init n (fun _ -> Diversity_state.create ~n_as:n)
   in
-  (* Per-link stamps for the diversity re-scoring pass: a link carries
-     the current [stamp] iff the last dissemination touched its
-     counter. *)
-  let link_stamp = Array.make num_links 0 in
-  let stamp = ref 0 in
-  let view = Diversity_state.create_view ~num_links in
-  let table = Beacon_policy.create_table () in
+  let scratch = Beacon_policy.create_scratch ~num_links in
   let outbox = ref [] in
   let outbox_len = ref 0 in
   let send ~up ~now ~sender ~(h : Graph.half_link) pcb =
@@ -312,7 +307,9 @@ let make ~obs ~stores ~stats g cfg =
               let sent = ref 0 in
               List.iter
                 (fun p ->
-                  if !sent < dissemination_limit && not (Pcb.contains_as p nbr)
+                  if
+                    !sent < Beacon_policy.dissemination_limit
+                    && not (Pcb.contains_as p nbr)
                   then begin
                     send ~h p;
                     incr sent
@@ -324,165 +321,23 @@ let make ~obs ~stores ~stats g cfg =
   in
 
   (* --- Quality-aware selection: Algorithm 1 per (origin, neighbor),
-     on the path-major table of [Beacon_policy]: one row per candidate
-     path that avoids the neighbor, one column per parallel egress link
-     to it, combination [k = row * nh + j] (candidate order, then egress
-     order). Each row looks up its Sent PCBs List entries once, by
-     parent key. Link diversity is read from the dense view, which only
-     that metric maintains: a row keeps the log sum over its path's
-     links and its age exponent, shared by its columns.
-
-     Every combination is scored once. After a dissemination only what
-     changed is re-scored: the sent combination (its entry changed) and,
-     when the dissemination counted a new path in the Link History
-     Table, the fresh-branch columns that use a link it counted. One
-     stamp scan per row says whether its path does; if so its log sum is
-     recomputed and all its fresh columns are re-scored, otherwise only
-     those on the stamped egress link. A resend changes no counter, so
-     it re-scores only itself. Selections equal a full rescan of
-     Algorithm 1. --- *)
-  let track_history =
-    match cfg.algorithm with
-    | Beacon_policy.Diversity _ -> true
-    | Beacon_policy.Baseline | Beacon_policy.Latency_aware _ -> false
-  in
-  let run_quality_as ~up ~now ~(params : Beacon_policy.div_params) x =
-    let policy = cfg.algorithm in
+     run by [Beacon_policy.evaluate]. --- *)
+  let run_quality_as ~up ~now x =
     let send = send ~up ~now ~sender:x in
     let store = stores.(x) in
-    let st = div_states.(x) in
-    let threshold = params.Beacon_policy.threshold in
     let candidates, origins = gather ~now x in
     List.iter
-      (fun (nbr, (hs : Graph.half_link array)) ->
-        let nh = Array.length hs in
+      (fun (nbr, (hs : Graph.half_link array), egress) ->
+        let send p j = send ~h:hs.(j) p in
         List.iter
           (fun o ->
-            if o <> nbr then begin
-              let store_last_mod =
-                if o = x then infinity else Beacon_store.last_modified store ~origin:o
-              in
-              if
-                Diversity_state.should_evaluate st ~origin:o ~neighbor:nbr
-                  ~store_last_mod ~now
-              then begin
-                Diversity_state.begin_evaluation st ~origin:o ~neighbor:nbr ~now;
-                if track_history then
-                  Diversity_state.load_view view st ~origin:o ~neighbor:nbr;
-                let cands = candidates o in
-                Beacon_policy.reset_table table ~rows:(List.length cands) ~cols:nh;
-                let egress = table.Beacon_policy.egress in
-                for j = 0 to nh - 1 do
-                  egress.(j) <- hs.(j).Graph.via
-                done;
-                if track_history then
-                  Diversity_state.view_logs_into view ~links:egress ~len:nh
-                    table.Beacon_policy.egress_log;
-                List.iter
-                  (fun (p : Pcb.t) ->
-                    if not (Pcb.contains_as p nbr) then begin
-                      let r = table.Beacon_policy.rows in
-                      table.Beacon_policy.path.(r) <- p;
-                      if track_history then
-                        Diversity_state.view_sum_into view ~links:p.Pcb.links
-                          table.Beacon_policy.log_sum r;
-                      let row = Diversity_state.sent_row st ~key:p.Pcb.key in
-                      for j = 0 to nh - 1 do
-                        table.Beacon_policy.sent.((r * nh) + j) <-
-                          Diversity_state.sent_on row ~egress:egress.(j)
-                      done;
-                      table.Beacon_policy.rows <- r + 1;
-                      Beacon_policy.score_row policy table ~now r
-                    end)
-                  cands;
-                let rows = table.Beacon_policy.rows in
-                let sent_cnt = ref 0 in
-                let stop = ref false in
-                while !sent_cnt < dissemination_limit && not !stop do
-                  (* Strict [>]: the first maximum wins. *)
-                  let best = ref (-1) in
-                  let best_score = ref 0.0 in
-                  let scores = table.Beacon_policy.score in
-                  for k = 0 to (rows * nh) - 1 do
-                    let s = scores.(k) in
-                    if s > threshold && s > !best_score then begin
-                      best_score := s;
-                      best := k
-                    end
-                  done;
-                  if !best < 0 then stop := true
-                  else begin
-                    let i = !best in
-                    let ri = i / nh in
-                    let p = table.Beacon_policy.path.(ri) in
-                    let h = hs.(i - (ri * nh)) in
-                    send ~h p;
-                    let expires_at = Pcb.expires_at p in
-                    let resent = table.Beacon_policy.resend.(i) in
-                    if resent then
-                      Diversity_state.refresh_sent table.Beacon_policy.sent.(i)
-                        ~expires_at
-                    else begin
-                      if track_history then begin
-                        Diversity_state.view_increment view st ~origin:o
-                          ~neighbor:nbr ~links:p.Pcb.links ~extra:h.Graph.via;
-                        (* The sent row's inputs now; the pass below
-                           refreshes the other rows. *)
-                        Diversity_state.view_logs_into view ~links:egress ~len:nh
-                          table.Beacon_policy.egress_log;
-                        Diversity_state.view_sum_into view ~links:p.Pcb.links
-                          table.Beacon_policy.log_sum ri
-                      end;
-                      (* The recorded base score reflects the state
-                         after this dissemination. *)
-                      table.Beacon_policy.sent.(i) <-
-                        Diversity_state.record_sent st ~origin:o ~neighbor:nbr
-                          ~egress:h.Graph.via ~key:p.Pcb.key
-                          ~links:(Array.append p.Pcb.links [| h.Graph.via |])
-                          ~ds:(Beacon_policy.base policy table i)
-                          ~expires_at
-                    end;
-                    incr sent_cnt;
-                    if resent || not track_history then
-                      Beacon_policy.score policy table ~now i
-                    else begin
-                      incr stamp;
-                      let cur = !stamp in
-                      let links = p.Pcb.links in
-                      for j = 0 to Array.length links - 1 do
-                        link_stamp.(links.(j)) <- cur
-                      done;
-                      link_stamp.(h.Graph.via) <- cur;
-                      for r = 0 to rows - 1 do
-                        let links = table.Beacon_policy.path.(r).Pcb.links in
-                        let n = Array.length links in
-                        let l = ref 0 in
-                        while !l < n && link_stamp.(links.(!l)) <> cur do
-                          incr l
-                        done;
-                        let hit = !l < n in
-                        if hit then
-                          Diversity_state.view_sum_into view ~links
-                            table.Beacon_policy.log_sum r;
-                        for j = 0 to nh - 1 do
-                          let k = (r * nh) + j in
-                          if
-                            k = i
-                            || (not table.Beacon_policy.resend.(k))
-                               && (hit || link_stamp.(egress.(j)) = cur)
-                          then Beacon_policy.score policy table ~now k
-                        done
-                      done
-                    end
-                  end
-                done;
-                if table.Beacon_policy.next_eval < infinity then
-                  Diversity_state.propose_next_eval st ~origin:o ~neighbor:nbr
-                    table.Beacon_policy.next_eval;
-                if track_history then
-                  Diversity_state.unload_view view st ~origin:o ~neighbor:nbr
-              end
-            end)
+            if o <> nbr then
+              Beacon_policy.evaluate cfg.algorithm scratch div_states.(x)
+                ~origin:o ~neighbor:nbr ~now
+                ~store_last_mod:
+                  (if o = x then infinity
+                   else Beacon_store.last_modified store ~origin:o)
+                ~candidates ~egress ~send)
           origins)
       neighbor_groups.(x)
   in
@@ -528,9 +383,8 @@ let make ~obs ~stores ~stats g cfg =
       for x = 0 to n - 1 do
         match cfg.algorithm with
         | Beacon_policy.Baseline -> run_baseline_as ~up ~now x
-        | Beacon_policy.Diversity params -> run_quality_as ~up ~now ~params x
-        | Beacon_policy.Latency_aware lp ->
-            run_quality_as ~up ~now ~params:lp.Beacon_policy.base x
+        | Beacon_policy.Diversity _ | Beacon_policy.Latency_aware _ ->
+            run_quality_as ~up ~now x
       done
     in
     Obs.phase obs "beacon.selection_round" select;

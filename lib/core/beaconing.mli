@@ -12,14 +12,16 @@
       ASes originate.
     - {e Intra-ISD beaconing}: uni-directional dissemination from the
       ISD core down provider–customer links; only core ASes originate,
-      and each AS entry advertises the AS's peering links. *)
+      and each AS entry advertises the AS's peering links.
+
+    The engine runs the baseline selection itself, at most
+    [Beacon_policy.dissemination_limit] paths per origin per interface.
+    The quality-aware algorithms run [Beacon_policy.evaluate] once per
+    (origin, neighbor) pair; the engine owns rounds, origination,
+    sending (signing, the link gate, accounting, tracing), delivery and
+    pruning. *)
 
 type scope = Core_beaconing | Intra_isd
-
-val dissemination_limit : int
-(** 5, the §5.1 limit of every paper experiment: max PCBs per origin
-    per interval, applied per interface for the baseline and per
-    neighbor AS for the diversity algorithm. *)
 
 type config = {
   scope : scope;

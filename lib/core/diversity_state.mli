@@ -18,7 +18,10 @@
     beacon server skips (origin, neighbor) pairs whose inputs cannot
     have changed since the last evaluation (no new stored paths, no
     sent instance near expiry). This does not alter selections, only
-    when they are recomputed. *)
+    when they are recomputed.
+
+    [Beacon_policy.evaluate] drives all of this per evaluation; the
+    beaconing engine only creates one state per AS and {!prune}s it. *)
 
 type sent_info = {
   ds : float;  (** diversity score recorded at first dissemination *)
@@ -47,8 +50,9 @@ val increment : t -> origin:int -> neighbor:int -> links:int array -> extra:int 
 
 (** {2 Dense counter view}
 
-    One (origin, neighbor) evaluation reads the pair's counters for
-    every combination it scores. The view serves those reads from an
+    One (origin, neighbor) evaluation ([Beacon_policy.evaluate], the
+    view's one consumer) reads the pair's counters for every
+    combination it scores. The view serves those reads from an
     [int array] indexed by link id instead of the hash table. Contract:
 
     - between evaluations every entry is 0;

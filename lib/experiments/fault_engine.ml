@@ -109,7 +109,7 @@ let run ?(obs = Obs.disabled) cfg =
         (* Re-beaconing found a path again: the blackout (if any) ends. *)
         if paths <> [] then Recovery.close_blackout recov ~now ~pair:(s, d);
         Path_server.register_best_core ps g reg_keys ~now ~holder:s
-          ~k:Beaconing.dissemination_limit paths)
+          ~k:Beacon_policy.dissemination_limit paths)
       cfg.pairs
   done;
   let outcome = Beaconing.engine_outcome eng in

@@ -104,8 +104,15 @@ type cell = {
 }
 
 (* One soak trial per (profile, limit) cell, profile-major; cell [i]'s
-   fault plan is seeded with [Runner.job_seed seed i]. *)
-let build_cells cfg ~core ~pairs =
+   fault plan is seeded with [Runner.job_seed seed i]. Also returns the
+   tracked pairs. *)
+let build_cells cfg =
+  let core = (Exp_common.prepare cfg.scale).Exp_common.core in
+  let pairs =
+    Exp_common.sample_pairs core
+      ~count:(Exp_common.dimensions cfg.scale).Exp_common.sample_pairs
+      ~seed:0xFA12L
+  in
   let beacon = Exp_common.beacon_config in
   let interval = beacon.Beaconing.interval in
   let duration = float_of_int cfg.rounds *. interval in
@@ -139,7 +146,9 @@ let build_cells cfg ~core ~pairs =
                  ];
              };
          })
-  |> Array.of_list
+  |> fun cells -> (pairs, Array.of_list cells)
+
+let soak_configs cfg = Array.map (fun c -> c.soak) (snd (build_cells cfg))
 
 (* --- execution --------------------------------------------------------- *)
 
@@ -200,14 +209,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   if cfg.rounds <= 0 then invalid_arg "Pathdyn.run: rounds <= 0";
   if cfg.chunk <= 0 then invalid_arg "Pathdyn.run: chunk <= 0";
   let pairs, cells =
-    Obs.phase obs "pathdyn.prepare" (fun () ->
-        let core = (Exp_common.prepare cfg.scale).Exp_common.core in
-        let d = Exp_common.dimensions cfg.scale in
-        let pairs =
-          Exp_common.sample_pairs core ~count:d.Exp_common.sample_pairs
-            ~seed:0xFA12L
-        in
-        (pairs, build_cells cfg ~core ~pairs))
+    Obs.phase obs "pathdyn.prepare" (fun () -> build_cells cfg)
   in
   (* Every cell's full soak configuration plus the chunking: a
      checkpoint from a different scale / seed / horizon is rejected. *)

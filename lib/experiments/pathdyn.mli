@@ -84,6 +84,12 @@ val config :
     {!Exp_common.beacon_config} beaconing parameters, 3 segments
     re-registered per pair per round. *)
 
+val soak_configs : config -> Soak.config array
+(** The {!Soak} configuration of every cell, in cell order (profile-major,
+    then storage limit), exactly as {!run} builds them: the core of
+    [scale], its sampled pairs (seed [0xFA12L]), the profile's fault
+    plan, the fixed beaconing parameters and [register_top = 3]. *)
+
 include Scenario.Cli with type config := config and type result := result
 
 val exit_code : result -> int

@@ -42,8 +42,3 @@ let write_json_file t path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (Obs_json.to_string_pretty (to_json t)))
 
-let write_csv_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Registry.to_csv t.registry))

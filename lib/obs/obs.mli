@@ -55,5 +55,3 @@ val write_json_file : t -> string -> unit
     (created or truncated). It holds only the registry, so a fixed seed
     gives the same bytes at any [--jobs]. *)
 
-val write_csv_file : t -> string -> unit
-(** {!Registry.to_csv} of the metrics to a file. *)

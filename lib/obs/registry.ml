@@ -63,9 +63,6 @@ let snapshot t =
     t.tbl []
   |> List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels))
 
-let labels_to_string labels =
-  String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-
 let to_json t =
   (* Full export: histograms carry their buckets, not just the summary. *)
   let metrics =
@@ -89,43 +86,6 @@ let to_json t =
                Obs_json.Obj (base @ [ ("histogram", Histogram.to_json h) ]))
   in
   Obs_json.List metrics
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "name,labels,kind,value,count,sum,min,max,mean,p50,p90,p99\n";
-  let num v = if Float.is_nan v then "" else Printf.sprintf "%.12g" v in
-  List.iter
-    (fun s ->
-      let cells =
-        match s.value with
-        | Counter v ->
-            [ "counter"; num v; ""; ""; ""; ""; ""; ""; ""; "" ]
-        | Hist h ->
-            [
-              "histogram";
-              "";
-              string_of_int h.Histogram.count;
-              num h.Histogram.sum;
-              num h.Histogram.min;
-              num h.Histogram.max;
-              num h.Histogram.mean;
-              num h.Histogram.p50;
-              num h.Histogram.p90;
-              num h.Histogram.p99;
-            ]
-      in
-      Buffer.add_string buf
-        (String.concat ","
-           (csv_escape s.name :: csv_escape (labels_to_string s.labels) :: cells));
-      Buffer.add_char buf '\n')
-    (snapshot t);
-  Buffer.contents buf
 
 let write w t =
   let series =

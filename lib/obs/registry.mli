@@ -46,11 +46,6 @@ val to_json : t -> Obs_json.t
 (** Full machine-readable export: every series with kind, labels and —
     for histograms — the occupied buckets (see {!Histogram.to_json}). *)
 
-val to_csv : t -> string
-(** One row per series with a fixed
-    [name,labels,kind,value,count,sum,min,max,mean,p50,p90,p99]
-    header; empty cells where a column does not apply to the kind. *)
-
 (** {1 Checkpointing} *)
 
 val write : Snapshot.writer -> t -> unit

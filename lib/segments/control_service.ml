@@ -4,7 +4,6 @@ type t = {
   now : float;
   core_ps : (int, Path_server.t) Hashtbl.t;
   up_store : (int, Segment.t list) Hashtbl.t;
-  core_store : (int, Segment.t list) Hashtbl.t;
   revoked : (int, unit) Hashtbl.t;
 }
 
@@ -58,7 +57,6 @@ let ingest_core t (core : Beaconing.outcome) =
             else Some (Segment.terminate g t.keys ~kind:Segment.Core_seg ~holder:c pcb))
           pcbs
       in
-      Hashtbl.replace t.core_store c segs;
       List.iter
         (fun seg -> ignore (Path_server.register_core (ps t c) ~now:t.now seg))
         segs)
@@ -75,20 +73,16 @@ let make graph now =
     now;
     core_ps;
     up_store = Hashtbl.create 64;
-    core_store = Hashtbl.create 16;
     revoked = Hashtbl.create 8;
   }
 
-let build ?now ~(core : Beaconing.outcome) ~(intra : Beaconing.outcome) () =
+let build ~(core : Beaconing.outcome) ~(intra : Beaconing.outcome) () =
   if not (same_graph core.Beaconing.graph intra.Beaconing.graph) then
     invalid_arg "Control_service.build: outcomes are over different graphs";
   let now =
-    match now with
-    | Some n -> n
-    | None ->
-        max core.Beaconing.config.Beaconing.duration
-          intra.Beaconing.config.Beaconing.duration
-        -. 1.0
+    max core.Beaconing.config.Beaconing.duration
+      intra.Beaconing.config.Beaconing.duration
+    -. 1.0
   in
   let t = make core.Beaconing.graph now in
   ingest_intra t intra;

@@ -12,14 +12,13 @@
 type t
 
 val build :
-  ?now:float ->
   core:Beaconing.outcome ->
   intra:Beaconing.outcome ->
   unit ->
   t
 (** Both outcomes must be runs over the {e same} graph (core beaconing
     over core links, intra-ISD beaconing over provider–customer links).
-    [now] defaults to the end of the beaconing runs. Raises
+    Segments are registered as of the end of the beaconing runs. Raises
     [Invalid_argument] if the graphs differ. *)
 
 val keys : t -> Fwd_keys.t

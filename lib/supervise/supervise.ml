@@ -47,16 +47,16 @@ let attempt_seed ~base_seed ~index ~attempt =
   let s0 = Runner.job_seed base_seed index in
   if attempt = 0 then s0 else Runner.job_seed s0 attempt
 
-let map ?obs ?(retries = 1) ?watchdog_s ?label_of ~jobs ~base_seed f arr =
+let map ?(retries = 1) ?watchdog_s ?label_of ~jobs ~base_seed f arr =
   let label i = match label_of with Some f -> f i | None -> string_of_int i in
   (* The wrapper returns a [result] instead of raising, so a crashing
      or timed-out job can never abort the batch: surviving jobs always
      complete and the failures come back as data. *)
-  let supervised ~obs (i, x) =
+  let supervised ~obs:_ (i, x) =
     let rec attempt k =
       let seed = attempt_seed ~base_seed ~index:i ~attempt:k in
       let watchdog = Watchdog.start ~label:(label i) watchdog_s in
-      match f ~obs ~seed ~watchdog x with
+      match f ~obs:Obs.disabled ~seed ~watchdog x with
       | v -> Ok v
       | exception exn ->
           if k < retries then attempt (k + 1)
@@ -74,16 +74,14 @@ let map ?obs ?(retries = 1) ?watchdog_s ?label_of ~jobs ~base_seed f arr =
     attempt 0
   in
   let results =
-    Runner.map_jobs_obs ?obs ~jobs supervised
+    Runner.map_jobs_obs ~jobs supervised
       (Array.mapi (fun i x -> (i, x)) arr)
   in
   let failures =
     Array.to_list results
     |> List.filter_map (function Ok _ -> None | Error f -> Some f)
   in
-  let report = Run_report.make ~jobs:(Array.length arr) failures in
-  (match obs with Some obs -> Run_report.observe obs report | None -> ());
-  (results, report)
+  (results, Run_report.make ~jobs:(Array.length arr) failures)
 
 (* --- chunked cell driver ---------------------------------------------- *)
 

@@ -56,7 +56,6 @@ val default_cli : cli
 (** Checkpointing off, one retry, no watchdog, no injection. *)
 
 val map :
-  ?obs:Obs.t ->
   ?retries:int ->
   ?watchdog_s:float ->
   ?label_of:(int -> string) ->
@@ -74,9 +73,8 @@ val map :
     [Runner.job_seed (Runner.job_seed base_seed i) k], so seeds are
     distinct across (index, attempt) pairs. Results come back in input
     order; a failed job yields [Error failure] in its slot instead of
-    poisoning the batch. When
-    [obs] is given, per-job contexts are forked and merged exactly as
-    {!Runner.map_jobs_obs} and the report is {!Run_report.observe}d.
+    poisoning the batch. Jobs receive {!Obs.disabled}: a caller that
+    wants the report in its metrics {!Run_report.observe}s it.
 
     Determinism: results are independent of [jobs] (given a
     deterministic [f]); watchdog timeouts are the only wall-clock

@@ -233,57 +233,51 @@ let all_core t = map_as_info t (fun _ info -> { info with core = true })
 
 let prune_to_top_degree t k =
   let nn = n t in
-  if k >= nn then begin
-    let all = List.init nn (fun i -> i) in
-    induced_subgraph ~relabel_rel:(fun _ -> Core) t all
-  end
-  else begin
-    (* Incremental min-degree pruning with a lazy-deletion heap. *)
-    let removed = Array.make nn false in
-    let degree = Array.make nn 0 in
-    for v = 0 to nn - 1 do
-      degree.(v) <- as_degree t v
-    done;
-    let heap = Heap.create ~cmp:(fun (x : int * int) y -> compare x y) in
-    for v = 0 to nn - 1 do
-      Heap.push heap (degree.(v), v)
-    done;
-    let remaining = ref nn in
-    while !remaining > k do
-      match Heap.pop heap with
-      | None -> remaining := k
-      | Some (d, v) ->
-          if (not removed.(v)) && d = degree.(v) then begin
-            removed.(v) <- true;
-            decr remaining;
-            let touched = Hashtbl.create 8 in
-            Array.iter
-              (fun h ->
-                if (not removed.(h.peer)) && not (Hashtbl.mem touched h.peer) then begin
-                  Hashtbl.replace touched h.peer ();
-                  degree.(h.peer) <- degree.(h.peer) - 1;
-                  Heap.push heap (degree.(h.peer), h.peer)
-                end)
-              t.adjacency.(v)
-          end
-    done;
-    let keep = ref [] in
-    for v = nn - 1 downto 0 do
-      if not removed.(v) then keep := v :: !keep
-    done;
-    let sub, map1 = induced_subgraph ~relabel_rel:(fun _ -> Core) t !keep in
-    match connected_components sub with
-    | [] -> (sub, map1)
-    | largest :: _ ->
-        if List.length largest = n sub then
-          ((* Already connected: mark everyone core. *)
-           all_core sub, map1)
-        else begin
-          let sub2, map2 = induced_subgraph sub largest in
-          let composed = Array.map (fun ni -> map1.(ni)) map2 in
-          (all_core sub2, composed)
+  (* Incremental min-degree pruning with a lazy-deletion heap. *)
+  let removed = Array.make nn false in
+  let degree = Array.make nn 0 in
+  for v = 0 to nn - 1 do
+    degree.(v) <- as_degree t v
+  done;
+  let heap = Heap.create ~cmp:(fun (x : int * int) y -> compare x y) in
+  for v = 0 to nn - 1 do
+    Heap.push heap (degree.(v), v)
+  done;
+  let remaining = ref nn in
+  while !remaining > k do
+    match Heap.pop heap with
+    | None -> remaining := k
+    | Some (d, v) ->
+        if (not removed.(v)) && d = degree.(v) then begin
+          removed.(v) <- true;
+          decr remaining;
+          let touched = Hashtbl.create 8 in
+          Array.iter
+            (fun h ->
+              if (not removed.(h.peer)) && not (Hashtbl.mem touched h.peer) then begin
+                Hashtbl.replace touched h.peer ();
+                degree.(h.peer) <- degree.(h.peer) - 1;
+                Heap.push heap (degree.(h.peer), h.peer)
+              end)
+            t.adjacency.(v)
         end
-  end
+  done;
+  let keep = ref [] in
+  for v = nn - 1 downto 0 do
+    if not removed.(v) then keep := v :: !keep
+  done;
+  let sub, map1 = induced_subgraph ~relabel_rel:(fun _ -> Core) t !keep in
+  match connected_components sub with
+  | [] -> (sub, map1)
+  | largest :: _ ->
+      if List.length largest = n sub then
+        ((* Already connected: mark everyone core. *)
+         all_core sub, map1)
+      else begin
+        let sub2, map2 = induced_subgraph sub largest in
+        let composed = Array.map (fun ni -> map1.(ni)) map2 in
+        (all_core sub2, composed)
+      end
 
 (* --- Serialisation --- *)
 

@@ -647,48 +647,142 @@ let test_view_beyond_log_table () =
   Diversity_state.unload_view view st ~origin:1 ~neighbor:2;
   Alcotest.(check bool) "cleared" true (Diversity_state.view_is_clear view)
 
-(* --- Row kernel: oracle is the Eq. 1-3 functions on counters_gm --- *)
+(* --- Algorithm 1: Beacon_policy.evaluate against a full rescan --- *)
 
-type kernel_case = {
+(* Algorithm 1 (§4.2) for one (origin, neighbor) evaluation, written
+   from the Eq. 1-3 functions and the hash-table state alone: after
+   every send every combination is scored again, through counters_gm
+   (or the latency, egress link first), score_fresh and score_resend.
+   Returns the sends as (parent path key, egress link), in order, and
+   the earliest crossing time of a resend score at or below the
+   threshold over every scan. *)
+let reference_evaluate policy st ~origin ~neighbor ~now ~candidates ~egress =
+  let p, latency =
+    match policy with
+    | Beacon_policy.Diversity p -> (p, None)
+    | Beacon_policy.Latency_aware lp -> (lp.Beacon_policy.base, Some lp)
+    | Beacon_policy.Baseline -> invalid_arg "reference_evaluate"
+  in
+  let threshold = p.Beacon_policy.threshold in
+  let rows =
+    Array.of_list
+      (List.filter (fun path -> not (Pcb.contains_as path neighbor)) candidates)
+  in
+  let entry r j =
+    Diversity_state.(sent_on (sent_row st ~key:rows.(r).Pcb.key) ~egress:egress.(j))
+  in
+  let quality r j =
+    let links = rows.(r).Pcb.links in
+    match latency with
+    | Some lp ->
+        let ms = lp.Beacon_policy.link_latency_ms in
+        Beacon_policy.latency_quality lp
+          ~total_ms:(Array.fold_left (fun acc l -> acc +. ms.(l)) ms.(egress.(j)) links)
+    | None ->
+        Beacon_policy.diversity_of_gm p
+          (Diversity_state.counters_gm st ~origin ~neighbor ~links ~extra:egress.(j))
+  in
+  let next_eval = ref infinity in
+  let score r j =
+    let path = rows.(r) and e = entry r j in
+    let sent_expires_at = e.Diversity_state.sent_expires_at in
+    if sent_expires_at > now then begin
+      let ds = e.Diversity_state.ds in
+      let s =
+        Beacon_policy.score_resend p ~ds ~sent_remaining:(sent_expires_at -. now)
+          ~current_remaining:(Pcb.remaining path ~now)
+      in
+      if s <= threshold then begin
+        let at =
+          Beacon_policy.resend_crossing_time p ~ds ~now ~sent_expires_at
+            ~current_expires_at:(Pcb.expires_at path)
+        in
+        if at < !next_eval then next_eval := at
+      end;
+      s
+    end
+    else
+      Beacon_policy.score_fresh p ~ds:(quality r j) ~age:(Pcb.age path ~now)
+        ~lifetime:path.Pcb.lifetime
+  in
+  (* The first maximum above the threshold, by strict [>]. *)
+  let scan () =
+    let best = ref None and best_score = ref 0.0 in
+    for r = 0 to Array.length rows - 1 do
+      for j = 0 to Array.length egress - 1 do
+        let s = score r j in
+        if s > threshold && s > !best_score then begin
+          best := Some (r, j);
+          best_score := s
+        end
+      done
+    done;
+    !best
+  in
+  let rec loop sends n =
+    match scan () with
+    | Some (r, j) when n < Beacon_policy.dissemination_limit ->
+        let path = rows.(r) and e = entry r j in
+        let expires_at = Pcb.expires_at path in
+        if e.Diversity_state.sent_expires_at > now then
+          Diversity_state.refresh_sent e ~expires_at
+        else begin
+          if latency = None then
+            Diversity_state.increment st ~origin ~neighbor ~links:path.Pcb.links
+              ~extra:egress.(j);
+          ignore
+            (Diversity_state.record_sent st ~origin ~neighbor ~egress:egress.(j)
+               ~key:path.Pcb.key
+               ~links:(Array.append path.Pcb.links [| egress.(j) |])
+               ~ds:(quality r j) ~expires_at)
+        end;
+        loop ((path.Pcb.key, egress.(j)) :: sends) (n + 1)
+    | _ -> List.rev sends
+  in
+  let sends = loop [] 0 in
+  (sends, !next_eval)
+
+type eval_case = {
   latency : bool;  (* Latency_aware instead of Diversity *)
   gm_max : float;
   latency_scale_ms : float;
-  history : (int * int) list;  (* link, counter *)
-  paths : (int array * float * float) list;  (* links, timestamp, lifetime *)
-  egress : int array;
-  entries : (float * float) option list;  (* ds, sent expiry; cycled *)
-  bumps : (int array * int) list;  (* view_increments between re-scores *)
+  history : (int * int * int) list;  (* neighbor, link, counter *)
+  paths : (int array * int * float * float) list;
+      (* links, an on-path AS other than the origin (0 for none),
+         timestamp, lifetime *)
+  egress : int array;  (* neighbor 2's links; neighbor 3's are +8 *)
+  entries : (int * int * int * float * float) list;
+      (* neighbor, path, egress column, ds, sent expiry *)
+  evals : (int * float) list;  (* neighbor, now *)
 }
 
-let kernel_links = 8
+let eval_links = 16
 
-let kernel_now = 1000.0
+let eval_neighbors = [| 2; 3 |]
 
-let show_kernel_case c =
-  let opt = function
-    | None -> "-"
-    | Some (ds, e) -> Printf.sprintf "(%g,%g)" ds e
-  in
+let show_eval_case c =
   Printf.sprintf
-    "latency=%b gm_max=%g scale=%g\nhistory=%s\npaths=%s\negress=[%s]\nentries=%s\nbumps=%s"
+    "latency=%b gm_max=%g scale=%g\nhistory=%s\npaths=%s\negress=[%s]\nentries=%s\nevals=%s"
     c.latency c.gm_max c.latency_scale_ms
     (String.concat " "
-       (List.map (fun (l, n) -> Printf.sprintf "%d:%d" l n) c.history))
+       (List.map (fun (nb, l, n) -> Printf.sprintf "n%d:%d:%d" nb l n) c.history))
     (String.concat " "
        (List.map
-          (fun (ls, ts, lt) -> Printf.sprintf "[%s]@%g/%g" (show_links ls) ts lt)
+          (fun (ls, via, ts, lt) ->
+            Printf.sprintf "[%s]via%d@%g/%g" (show_links ls) via ts lt)
           c.paths))
     (show_links c.egress)
-    (String.concat " " (List.map opt c.entries))
     (String.concat " "
        (List.map
-          (fun (ls, e) -> Printf.sprintf "[%s]+%d" (show_links ls) e)
-          c.bumps))
+          (fun (nb, r, j, ds, e) -> Printf.sprintf "n%d:%d.%d(%g,%g)" nb r j ds e)
+          c.entries))
+    (String.concat " "
+       (List.map (fun (nb, now) -> Printf.sprintf "n%d@%g" nb now) c.evals))
 
-let gen_kernel_case =
+let gen_eval_case =
   QCheck.Gen.(
-    let link = int_bound (kernel_links - 1) in
-    let links = array_size (int_range 0 4) link in
+    let links = array_size (int_range 0 4) (int_bound 11) in
+    let nb = int_bound 1 in
     let count =
       (* Past the 4096-entry log table too. *)
       frequency [ (4, int_bound 6); (1, int_range 4090 5000) ]
@@ -701,206 +795,188 @@ let gen_kernel_case =
           map float_of_int (int_range 1 3000);
         ]
     in
-    let entry =
-      opt (pair (map (fun n -> float_of_int n /. 16.0) (int_bound 16)) time)
+    let ds = map (fun n -> float_of_int n /. 16.0) (int_bound 16) in
+    let path tie =
+      let ts, lt = if tie then (return 400.0, return 21600.0) else (time, lifetime) in
+      quad links (frequency [ (4, return 0); (1, int_range 2 3) ]) ts lt
     in
+    let distinct_egress =
+      map
+        (fun ls -> Array.of_list (List.sort_uniq compare ls))
+        (list_size (int_range 1 4) (int_bound 7))
+    in
+    let eval_time = map (fun n -> 1000.0 +. (300.0 *. float_of_int n)) (int_bound 8) in
     bool >>= fun latency ->
     oneofl [ -1.0; 0.25; 4.0 ] >>= fun gm_max ->
     oneofl [ 0.0; 40.0 ] >>= fun latency_scale_ms ->
-    list_size (int_bound 6) (pair link count) >>= fun history ->
-    list_size (int_range 1 5) (triple links time lifetime) >>= fun paths ->
-    array_size (int_range 1 4) link >>= fun egress ->
-    list_size (int_range 1 12) entry >>= fun entries ->
-    list_size (int_bound 4) (pair links link) >>= fun bumps ->
+    (* Ties: one timestamp and lifetime for every path, so paths with
+       equal counters score equal. *)
+    bool >>= fun tie ->
+    list_size (int_bound 6) (triple nb (int_bound (eval_links - 1)) count)
+    >>= fun history ->
+    list_size (int_range 1 6) (path tie) >>= fun paths ->
+    distinct_egress >>= fun egress ->
+    list_size (int_bound 8)
+      (map
+         (fun ((nb, r, j), (ds, e)) -> (nb, r, j, ds, e))
+         (pair (triple nb (int_bound 5) (int_bound 3)) (pair ds time)))
+    >>= fun entries ->
+    list_size (int_range 1 3) (pair nb eval_time) >>= fun evals ->
+    let evals = List.sort (fun (_, a) (_, b) -> compare a b) evals in
     return
-      {
-        latency;
-        gm_max;
-        latency_scale_ms;
-        history;
-        paths;
-        egress;
-        entries;
-        bumps;
-      })
+      { latency; gm_max; latency_scale_ms; history; paths; egress; entries; evals })
 
-let prop_kernel_matches_reference =
-  QCheck.Test.make
-    ~name:"row kernel scores equal score_fresh/score_resend bit for bit"
-    ~count:500
-    (QCheck.make ~print:show_kernel_case gen_kernel_case)
+let prop_evaluate_matches_reference =
+  QCheck.Test.make ~name:"evaluate equals a full-rescan Algorithm 1" ~count:1000
+    (QCheck.make ~print:show_eval_case gen_eval_case)
     (fun c ->
-      let origin = 1 and neighbor = 2 and now = kernel_now in
+      let origin = 1 in
       let p = { Beacon_policy.default_div_params with Beacon_policy.gm_max = c.gm_max } in
       (* Not exact in binary, so the order of the additions shows. *)
       let latency_ms =
-        Array.init kernel_links (fun l -> (0.1 *. float_of_int (l + 1)) +. (1.0 /. 3.0))
-      in
-      let lp =
-        {
-          Beacon_policy.base = p;
-          link_latency_ms = latency_ms;
-          latency_scale_ms = c.latency_scale_ms;
-        }
+        Array.init eval_links (fun l -> (0.1 *. float_of_int (l + 1)) +. (1.0 /. 3.0))
       in
       let policy =
-        if c.latency then Beacon_policy.Latency_aware lp else Beacon_policy.Diversity p
+        if c.latency then
+          Beacon_policy.Latency_aware
+            {
+              Beacon_policy.base = p;
+              link_latency_ms = latency_ms;
+              latency_scale_ms = c.latency_scale_ms;
+            }
+        else Beacon_policy.Diversity p
       in
-      let st = Diversity_state.create ~n_as:4 in
-      List.iter
-        (fun (l, n) ->
-          Diversity_state.increment st ~origin ~neighbor ~links:(Array.make n l)
-            ~extra:l)
-        c.history;
+      let egress_of nb = Array.map (fun l -> l + (8 * nb)) c.egress in
+      (* Distinct parent keys, as a beacon store holds them. *)
       let paths =
-        List.map
-          (fun (links, ts, lifetime) ->
-            Array.fold_left
-              (fun pcb l -> Pcb.extend pcb ~asn:0 ~ingress:0 ~egress:0 ~link:l ~peers:[||])
-              (Pcb.origin_pcb ~origin:0 ~now:ts ~lifetime)
-              links)
-          c.paths
-        |> Array.of_list
+        List.fold_left
+          (fun acc (links, via, ts, lifetime) ->
+            let pcb =
+              Array.fold_left
+                (fun (pcb, i) l ->
+                  let asn = if i = 0 then via else 0 in
+                  (Pcb.extend pcb ~asn ~ingress:0 ~egress:0 ~link:l ~peers:[||], i + 1))
+                (Pcb.origin_pcb ~origin:0 ~now:ts ~lifetime, 0)
+                links
+              |> fst
+            in
+            if List.exists (fun (q : Pcb.t) -> q.Pcb.key = pcb.Pcb.key) acc then acc
+            else acc @ [ pcb ])
+          [] c.paths
       in
-      let rows = Array.length paths and cols = Array.length c.egress in
-      (* Entries live in a state of their own, so they leave the Link
+      let npaths = List.length paths in
+      (* Both sides start from equal states. Entries leave the Link
          History Table alone. *)
-      let sent_st = Diversity_state.create ~n_as:4 in
-      let entries = Array.of_list c.entries in
-      let entry k =
-        match entries.(k mod Array.length entries) with
-        | None -> Diversity_state.no_sent
-        | Some (ds, expires_at) ->
-            Diversity_state.record_sent sent_st ~origin ~neighbor
-              ~egress:c.egress.(k mod cols) ~key:(string_of_int k) ~links:[||] ~ds
-              ~expires_at
+      let state () =
+        let st = Diversity_state.create ~n_as:4 in
+        List.iter
+          (fun (nb, l, n) ->
+            Diversity_state.increment st ~origin ~neighbor:eval_neighbors.(nb)
+              ~links:(Array.make n l) ~extra:l)
+          c.history;
+        List.iter
+          (fun (nb, r, j, ds, expires_at) ->
+            let path = List.nth paths (r mod npaths) in
+            let egress = egress_of nb in
+            let egress = egress.(j mod Array.length egress) in
+            ignore
+              (Diversity_state.record_sent st ~origin ~neighbor:eval_neighbors.(nb)
+                 ~egress ~key:path.Pcb.key ~links:[||] ~ds ~expires_at))
+          c.entries;
+        st
       in
-      let reference k =
-        let path = paths.(k / cols) and egress = c.egress.(k mod cols) in
-        let e = entry k in
-        if e.Diversity_state.sent_expires_at > now then
-          Beacon_policy.score_resend p ~ds:e.Diversity_state.ds
-            ~sent_remaining:(e.Diversity_state.sent_expires_at -. now)
-            ~current_remaining:(Pcb.remaining path ~now)
-        else
-          let ds =
-            if c.latency then
-              Beacon_policy.latency_quality lp
-                ~total_ms:
-                  (Array.fold_left
-                     (fun acc l -> acc +. latency_ms.(l))
-                     latency_ms.(egress) path.Pcb.links)
-            else
-              Beacon_policy.diversity_of_gm p
-                (Diversity_state.counters_gm st ~origin ~neighbor
-                   ~links:path.Pcb.links ~extra:egress)
-          in
-          Beacon_policy.score_fresh p ~ds ~age:(Pcb.age path ~now)
-            ~lifetime:path.Pcb.lifetime
-      in
-      (* The earliest crossing time of a resend score at or below the
-         threshold. *)
-      let next_eval = ref infinity in
-      for k = 0 to (rows * cols) - 1 do
-        let e = entry k in
-        let path = paths.(k / cols) in
-        if
-          e.Diversity_state.sent_expires_at > now
-          && reference k <= p.Beacon_policy.threshold
-        then begin
-          let at =
-            Beacon_policy.resend_crossing_time p ~ds:e.Diversity_state.ds ~now
-              ~sent_expires_at:e.Diversity_state.sent_expires_at
-              ~current_expires_at:(Pcb.expires_at path)
-          in
-          if at < !next_eval then next_eval := at
-        end
-      done;
+      let st = state () and ref_st = state () in
+      let scratch = Beacon_policy.create_scratch ~num_links:eval_links in
       let bits = Int64.bits_of_float in
-      let t = Beacon_policy.create_table () in
-      let agrees () =
-        let ok = ref (Int64.equal (bits t.Beacon_policy.next_eval) (bits !next_eval)) in
-        for k = 0 to (rows * cols) - 1 do
-          if not (Int64.equal (bits t.Beacon_policy.score.(k)) (bits (reference k)))
-          then ok := false
-        done;
-        !ok
-      in
-      (* As the engine drives it: load the pair, fill and score each row,
-         then after each counted path refresh the log sums and re-score. *)
-      let view = Diversity_state.create_view ~num_links:kernel_links in
-      Diversity_state.load_view view st ~origin ~neighbor;
-      Beacon_policy.reset_table t ~rows ~cols;
-      Array.blit c.egress 0 t.Beacon_policy.egress 0 cols;
-      let refresh_logs () =
-        Diversity_state.view_logs_into view ~links:c.egress ~len:cols
-          t.Beacon_policy.egress_log;
-        for r = 0 to rows - 1 do
-          Diversity_state.view_sum_into view ~links:paths.(r).Pcb.links
-            t.Beacon_policy.log_sum r
-        done
-      in
-      refresh_logs ();
-      Array.iteri
-        (fun r path ->
-          t.Beacon_policy.path.(r) <- path;
-          for j = 0 to cols - 1 do
-            t.Beacon_policy.sent.((r * cols) + j) <- entry ((r * cols) + j)
-          done;
-          t.Beacon_policy.rows <- r + 1;
-          Beacon_policy.score_row policy t ~now r)
-        paths;
-      let first = agrees () in
-      let later =
+      let same a b = Int64.equal (bits a) (bits b) in
+      let entries_agree () =
         List.for_all
-          (fun (links, extra) ->
-            Diversity_state.view_increment view st ~origin ~neighbor ~links ~extra;
-            refresh_logs ();
-            for k = 0 to (rows * cols) - 1 do
-              Beacon_policy.score policy t ~now k
-            done;
-            agrees ())
-          c.bumps
+          (fun (path : Pcb.t) ->
+            Array.for_all
+              (fun l ->
+                let a = Diversity_state.(sent_on (sent_row st ~key:path.Pcb.key) ~egress:l)
+                and b =
+                  Diversity_state.(sent_on (sent_row ref_st ~key:path.Pcb.key) ~egress:l)
+                in
+                same a.Diversity_state.ds b.Diversity_state.ds
+                && same a.Diversity_state.sent_expires_at b.Diversity_state.sent_expires_at)
+              (Array.init eval_links Fun.id))
+          paths
+        && Diversity_state.sent_count st = Diversity_state.sent_count ref_st
       in
-      Diversity_state.unload_view view st ~origin ~neighbor;
-      first && later)
+      let history_agrees () =
+        Array.for_all
+          (fun neighbor ->
+            Array.for_all
+              (fun l ->
+                let gm st = Diversity_state.counters_gm st ~origin ~neighbor ~links:[||] ~extra:l in
+                same (gm st) (gm ref_st))
+              (Array.init eval_links Fun.id))
+          eval_neighbors
+      in
+      List.for_all
+        (fun (nb, now) ->
+          let neighbor = eval_neighbors.(nb) and egress = egress_of nb in
+          let sent = ref [] in
+          Beacon_policy.evaluate policy scratch st ~origin ~neighbor ~now
+            ~store_last_mod:now
+            ~candidates:(fun _ -> paths)
+            ~egress
+            ~send:(fun (path : Pcb.t) j -> sent := (path.Pcb.key, egress.(j)) :: !sent);
+          let ref_sent, ref_next =
+            reference_evaluate policy ref_st ~origin ~neighbor ~now ~candidates:paths
+              ~egress
+          in
+          (* The pair's next evaluation is exactly [ref_next]: due then
+             and not one float earlier. *)
+          let due at =
+            Diversity_state.should_evaluate st ~origin ~neighbor
+              ~store_last_mod:neg_infinity ~now:at
+          in
+          let next_agrees =
+            if ref_next = infinity then not (due max_float)
+            else due ref_next && not (due (Float.pred ref_next))
+          in
+          List.rev !sent = ref_sent && next_agrees && entries_agree ()
+          && history_agrees ())
+        c.evals)
 
-let test_kernel_edges () =
-  (* The clamps and the lifetime guard, by hand: an empty table gives
-     gm 1; with gm_max < 0 the diversity clamps to 1, with a tiny gm_max
-     and a busy link to 0; a non-positive lifetime scores 0 before any
-     power is taken. *)
-  let st = Diversity_state.create ~n_as:4 in
-  Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:(Array.make 5000 0)
-    ~extra:0;
-  let view = Diversity_state.create_view ~num_links:2 in
-  Diversity_state.load_view view st ~origin:1 ~neighbor:2;
-  let score ~gm_max ~lifetime ~link =
+let test_evaluate_edges () =
+  (* The clamps and the lifetime guard, by hand, through the one-path,
+     one-link evaluation: an idle link gives gm 1; with gm_max < 0 the
+     diversity clamps to 1, with a tiny gm_max and a busy link to 0; a
+     non-positive lifetime scores 0 before any power is taken. A path is
+     sent iff it scores above the threshold, and its entry records the
+     diversity after the send. *)
+  let sent_ds ~gm_max ~lifetime ~link =
+    let st = Diversity_state.create ~n_as:4 in
+    Diversity_state.increment st ~origin:1 ~neighbor:2 ~links:(Array.make 5000 0)
+      ~extra:0;
     let p = { params with Beacon_policy.gm_max } in
-    let t = Beacon_policy.create_table () in
-    Beacon_policy.reset_table t ~rows:1 ~cols:1;
-    t.Beacon_policy.egress.(0) <- link;
-    Diversity_state.view_logs_into view ~links:[| link |] ~len:1
-      t.Beacon_policy.egress_log;
     let path = Pcb.origin_pcb ~origin:0 ~now:400.0 ~lifetime in
-    t.Beacon_policy.path.(0) <- path;
-    Diversity_state.view_sum_into view ~links:[||] t.Beacon_policy.log_sum 0;
-    t.Beacon_policy.sent.(0) <- Diversity_state.no_sent;
-    t.Beacon_policy.rows <- 1;
-    Beacon_policy.score_row (Beacon_policy.Diversity p) t ~now:1000.0 0;
-    t.Beacon_policy.score.(0)
+    let sent = ref 0 in
+    Beacon_policy.evaluate (Beacon_policy.Diversity p)
+      (Beacon_policy.create_scratch ~num_links:2)
+      st ~origin:1 ~neighbor:2 ~now:1000.0 ~store_last_mod:1000.0
+      ~candidates:(fun _ -> [ path ])
+      ~egress:[| link |]
+      ~send:(fun _ _ -> incr sent);
+    let e = Diversity_state.(sent_on (sent_row st ~key:path.Pcb.key) ~egress:link) in
+    (!sent, if e == Diversity_state.no_sent then None else Some e.Diversity_state.ds)
   in
-  Alcotest.(check (float 0.0)) "idle link, ds 1" 1.0
-    (score ~gm_max:4.0 ~lifetime:21600.0 ~link:1);
-  Alcotest.(check (float 0.0)) "gm_max < 0 clamps ds to 1" 1.0
-    (score ~gm_max:(-1.0) ~lifetime:21600.0 ~link:0);
-  Alcotest.(check (float 0.0)) "busy link clamps ds to 0" 0.0
-    (score ~gm_max:0.25 ~lifetime:21600.0 ~link:0);
-  Alcotest.(check (float 0.0)) "zero lifetime" 0.0
-    (score ~gm_max:4.0 ~lifetime:0.0 ~link:1);
-  Alcotest.(check (float 0.0)) "negative lifetime" 0.0
-    (score ~gm_max:(-1.0) ~lifetime:(-5.0) ~link:1);
-  Diversity_state.unload_view view st ~origin:1 ~neighbor:2
+  let sent = Alcotest.(pair int (option (float 0.0))) in
+  (* Counted once on the idle link: gm 2, so ds 1 - 1/4, and the
+     resend then scores below the threshold. *)
+  check sent "idle link, ds 1" (1, Some 0.75)
+    (sent_ds ~gm_max:4.0 ~lifetime:21600.0 ~link:1);
+  (* With ds 1 the resend scores 1 too: re-sent up to the limit. *)
+  check sent "gm_max < 0 clamps ds to 1" (Beacon_policy.dissemination_limit, Some 1.0)
+    (sent_ds ~gm_max:(-1.0) ~lifetime:21600.0 ~link:0);
+  check sent "busy link clamps ds to 0" (0, None)
+    (sent_ds ~gm_max:0.25 ~lifetime:21600.0 ~link:0);
+  check sent "zero lifetime" (0, None) (sent_ds ~gm_max:4.0 ~lifetime:0.0 ~link:1);
+  check sent "negative lifetime" (0, None)
+    (sent_ds ~gm_max:(-1.0) ~lifetime:(-5.0) ~link:1)
 
 let test_diversity_state_gating () =
   let st = Diversity_state.create ~n_as:10 in
@@ -1031,7 +1107,7 @@ let test_dissemination_limit_per_iface () =
   Array.iter
     (fun count ->
       Alcotest.(check bool) "per-interface cap" true
-        (count <= rounds * origins * Beaconing.dissemination_limit))
+        (count <= rounds * origins * Beacon_policy.dissemination_limit))
     out.Beaconing.stats.Beaconing.pcbs_on_iface
 
 let test_crypto_verification () =
@@ -1336,8 +1412,8 @@ let suite =
     ("diversity state gating", `Quick, test_diversity_state_gating);
     QCheck_alcotest.to_alcotest prop_view_matches_counters;
     ("dense view beyond the log table", `Quick, test_view_beyond_log_table);
-    QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
-    ("row kernel edges", `Quick, test_kernel_edges);
+    QCheck_alcotest.to_alcotest prop_evaluate_matches_reference;
+    ("evaluate edges", `Quick, test_evaluate_edges);
     ("baseline propagates", `Quick, test_baseline_propagates);
     ("baseline shortest on chain", `Quick, test_baseline_shortest_on_chain);
     ("diversity propagates", `Quick, test_diversity_propagates);

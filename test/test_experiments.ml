@@ -191,54 +191,17 @@ let test_table1_measure () =
   check (Alcotest.float 0.0) "96 B per revocation message"
     (96.0 *. rev.Table1.messages) rev.Table1.bytes
 
-(* Pathdyn's one cell, rebuilt from its documented derivation: pairs
-   sampled with seed 0xFA12L, three distinct flapping links drawn from
-   the cell's plan seed [Runner.job_seed seed 0], §5.1 baseline
-   beaconing at storage limit [limit], three segments re-registered per
-   round. *)
+(* The soak configuration of Pathdyn's one cell (one flapping profile,
+   storage limit [limit]), as [Pathdyn.run] builds it. *)
 let pathdyn_soak_config ~rounds ~limit =
-  let core = (Exp_common.prepare Exp_common.Tiny).Exp_common.core in
-  let pairs =
-    Exp_common.sample_pairs core
-      ~count:(Exp_common.dimensions Exp_common.Tiny).Exp_common.sample_pairs
-      ~seed:0xFA12L
-  in
-  let beacon = Exp_common.beacon_config in
-  let interval = beacon.Beaconing.interval in
-  let duration = float_of_int rounds *. interval in
-  let seed = Runner.job_seed 0xFA17L 0 in
-  let rng = Rng.create seed in
-  let links = ref [] in
-  while List.length !links < 3 do
-    let l = Rng.int rng (Graph.num_links core) in
-    if not (List.mem l !links) then links := l :: !links
-  done;
-  {
-    Soak.graph = core;
-    beacon =
-      {
-        beacon with
-        Beaconing.algorithm = Beacon_policy.Baseline;
-        storage_limit = limit;
-        duration;
-      };
-    plan =
-      Fault_plan.plan ~seed
-        (List.map
-           (fun link ->
-             Fault_plan.Flapping
-               {
-                 link;
-                 at = interval;
-                 period = 3600.0;
-                 down_fraction = 0.25;
-                 until = duration;
-               })
-           (List.rev !links));
-    pairs;
-    register_top = 3;
-    metric_labels = [ ("profile", "flapping"); ("limit", string_of_int limit) ];
-  }
+  (Pathdyn.soak_configs
+     (Pathdyn.config ~rounds
+        ~profiles:
+          [
+            Pathdyn.P_flapping
+              { period_s = 3600.0; down_fraction = 0.25; n_links = 3 };
+          ]
+        ~limits:[ limit ] Exp_common.Tiny)).(0)
 
 (* Pathdyn at the size the benchmark replays it (one profile, one
    limit, 3 rounds in 1-round chunks): killed at its first checkpoint

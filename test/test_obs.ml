@@ -136,18 +136,6 @@ let test_registry_snapshot () =
   Alcotest.(check (float 0.0)) "later snapshot sees the update" 25.0
     (events after)
 
-let test_registry_csv () =
-  let r = Registry.create () in
-  Registry.add r ~labels:[ ("as", "3") ] "bytes" 12.5;
-  Histogram.observe (Registry.histogram r "latency") 1.0;
-  let csv = Registry.to_csv r in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  check Alcotest.int "header + 2 rows" 3 (List.length lines);
-  Alcotest.(check bool) "header first" true
-    (String.length (List.hd lines) >= 4 && String.sub (List.hd lines) 0 4 = "name");
-  Alcotest.(check bool) "labeled row present" true
-    (List.exists (fun l -> String.length l > 6 && String.sub l 0 6 = "bytes,") lines)
-
 (* --- Trace --------------------------------------------------------- *)
 
 (* A tracer whose sink collects the accepted events, newest first. *)
@@ -302,7 +290,6 @@ let suite =
     ("registry counters and labels", `Quick, test_registry_counters_and_labels);
     ("registry kind mismatch", `Quick, test_registry_kind_mismatch);
     ("registry snapshot", `Quick, test_registry_snapshot);
-    ("registry csv export", `Quick, test_registry_csv);
     ("trace levels", `Quick, test_trace_levels);
     ("trace null is off", `Quick, test_trace_null_off);
     ("trace custom sink", `Quick, test_trace_custom_sink);

@@ -213,6 +213,29 @@ let test_prune_to_top_degree () =
   Alcotest.(check bool) "kept ASes are high degree" true (med_kept > Stats.median all);
   check Alcotest.int "connected" (Graph.n core) (reachable_from_0 core)
 
+let test_prune_keeping_every_as () =
+  (* k = n removes no AS, but the contract still holds: the largest
+     component only, every AS core, every link a core link. *)
+  let b = Graph.builder () in
+  let a0 = Graph.add_as b ~tier:1 ~core:true (Id.ia 1 1) in
+  let a1 = Graph.add_as b ~tier:2 (Id.ia 1 2) in
+  let a2 = Graph.add_as b ~tier:1 ~core:true (Id.ia 1 3) in
+  let a3 = Graph.add_as b ~tier:1 ~core:true (Id.ia 1 4) in
+  let a4 = Graph.add_as b ~tier:3 (Id.ia 1 5) in
+  Graph.add_link b ~rel:Graph.Provider_customer a0 a1;
+  Graph.add_link b ~rel:Graph.Provider_customer a1 a4;
+  Graph.add_link b ~rel:Graph.Core a2 a3;
+  let g = Graph.freeze b in
+  let core, map = Caida_like.core_subset g ~k:(Graph.n g) in
+  Alcotest.(check (list int)) "largest component" [ a0; a1; a4 ]
+    (List.sort compare (Array.to_list map));
+  for v = 0 to Graph.n core - 1 do
+    Alcotest.(check bool) "core flag" true (Graph.is_core core v)
+  done;
+  for l = 0 to Graph.num_links core - 1 do
+    Alcotest.(check bool) "core rel" true ((Graph.link core l).Graph.rel = Graph.Core)
+  done
+
 let test_assign_isds () =
   let g = Lazy.force generated in
   let core, _ = Caida_like.core_subset g ~k:30 in
@@ -317,6 +340,7 @@ let suite =
     ("generator p2c acyclic", `Quick, test_generator_p2c_acyclic);
     ("generator deterministic", `Quick, test_generator_deterministic);
     ("prune to top degree", `Quick, test_prune_to_top_degree);
+    ("prune keeping every AS", `Quick, test_prune_keeping_every_as);
     ("assign isds", `Quick, test_assign_isds);
     ("build isd", `Quick, test_build_isd);
     ("set/map core", `Quick, test_set_map_core);
