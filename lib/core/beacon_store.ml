@@ -32,19 +32,21 @@ let slot t origin =
 
 let invalidate s = s.worst <- None
 
-(* Lexicographic badness: expired, then longer, then older. The path
-   key breaks the remaining ties so the ordering is total — which entry
-   wins never depends on hash-table iteration order. Positive when [a]
-   is worse than [b]. *)
-let compare_badness ~now (a : Pcb.t) (b : Pcb.t) =
+(* The one ranking, lexicographic badness: expired, then longer, then
+   older. The path key breaks the remaining ties so the ordering is
+   total — which entry wins never depends on hash-table iteration
+   order. The candidate is [a]'s validity and timestamp with [hops] AS
+   entries and key [key], so an unbuilt extension ranks like the PCB
+   it would become. Positive when the candidate is worse than [b]. *)
+let compare_badness ~now (a : Pcb.t) ~hops ~key (b : Pcb.t) =
   let ea = not (Pcb.is_valid a ~now) and eb = not (Pcb.is_valid b ~now) in
   if ea <> eb then if ea then 1 else -1
   else
-    let ha = Pcb.num_hops a and hb = Pcb.num_hops b in
-    if ha <> hb then Int.compare ha hb
+    let hb = Pcb.num_hops b in
+    if hops <> hb then Int.compare hops hb
     else if a.Pcb.timestamp <> b.Pcb.timestamp then
       Float.compare b.Pcb.timestamp a.Pcb.timestamp
-    else String.compare a.Pcb.key b.Pcb.key
+    else String.compare key b.Pcb.key
 
 (* The worst entry of a non-empty slot at [now]: one scan, then cached
    until the slot changes or [now] moves. *)
@@ -54,9 +56,13 @@ let worst_entry s ~now =
   | _ ->
       let w =
         Hashtbl.fold
-          (fun _ p acc ->
+          (fun _ (p : Pcb.t) acc ->
             match acc with
-            | Some wp when compare_badness ~now p wp <= 0 -> acc
+            | Some wp
+              when compare_badness ~now p ~hops:(Pcb.num_hops p) ~key:p.Pcb.key
+                     wp
+                   <= 0 ->
+                acc
             | _ -> Some p)
           s.by_key None
         |> Option.get
@@ -70,34 +76,47 @@ let store s ~now (pcb : Pcb.t) =
   s.last_modified <- now;
   invalidate s
 
-let insert t ~now (pcb : Pcb.t) =
-  if not (Pcb.is_valid pcb ~now) then Rejected
+(* The store's one decision, on a candidate with [p]'s origin,
+   timestamp and lifetime, [hops] AS entries and path key [key]. The
+   PCB to keep is [build x], made only when the outcome is not
+   [Rejected]. *)
+let decide t ~now (p : Pcb.t) ~hops ~key ~build x =
+  if not (Pcb.is_valid p ~now) then Rejected
   else begin
-    let s = slot t pcb.Pcb.origin in
-    match Hashtbl.find_opt s.by_key pcb.Pcb.key with
+    let s = slot t p.Pcb.origin in
+    match Hashtbl.find_opt s.by_key key with
     | Some existing ->
-        if pcb.Pcb.timestamp > existing.Pcb.timestamp then begin
-          store s ~now pcb;
+        if p.Pcb.timestamp > existing.Pcb.timestamp then begin
+          store s ~now (build x);
           Refreshed
         end
         else Rejected
     | None ->
         if Hashtbl.length s.by_key < t.limit then begin
-          store s ~now pcb;
+          store s ~now (build x);
           Added
         end
         else begin
           (* Full: replace the worst entry if the newcomer is strictly
              better. *)
           let w = worst_entry s ~now in
-          if compare_badness ~now pcb w < 0 then begin
+          if compare_badness ~now p ~hops ~key w < 0 then begin
             Hashtbl.remove s.by_key w.Pcb.key;
-            store s ~now pcb;
+            store s ~now (build x);
             Evicted_other
           end
           else Rejected
         end
   end
+
+let insert t ~now (pcb : Pcb.t) =
+  decide t ~now pcb ~hops:(Pcb.num_hops pcb) ~key:pcb.Pcb.key ~build:Fun.id pcb
+
+let offer t ~now parent ~link ~build x =
+  decide t ~now parent
+    ~hops:(Pcb.num_hops parent + 1)
+    ~key:(Pcb.extension_key parent ~link)
+    ~build x
 
 let paths t ~now ~origin =
   match Hashtbl.find_opt t.origins origin with

@@ -7,7 +7,13 @@
     new path is admitted only by evicting a worse entry. "Worse" is
     lexicographic: expired first, then more hops, then older, then the
     greater path key (a total order, so the evicted entry never depends
-    on hash-table layout). *)
+    on hash-table layout).
+
+    One decision serves built PCBs ({!insert}) and unbuilt extensions
+    ({!offer}): it reads only the candidate's origin, timestamp,
+    lifetime, hop count and key, and builds the PCB it keeps only once
+    the outcome is not [Rejected]. A beaconing round offers every sent
+    PCB this way, so the many a full store rejects are never built. *)
 
 type t
 
@@ -25,6 +31,22 @@ val insert : t -> now:float -> Pcb.t -> insert_outcome
     allocation per entry); the result is cached with its [now] until the
     slot next changes, so further rejections at the same [now] — most
     newcomers in a flooding round — cost O(1) after the first scan. *)
+
+val offer :
+  t ->
+  now:float ->
+  Pcb.t ->
+  link:int ->
+  build:('a -> Pcb.t) ->
+  'a ->
+  insert_outcome
+(** [offer t ~now parent ~link ~build x] is [insert t ~now ext] for the
+    extension [ext] of [parent] over [link], decided without building
+    it: the candidate has [parent]'s origin, timestamp and lifetime, one
+    more hop and key [Pcb.extension_key parent ~link]. [build x] must
+    return that extension; it is called once when the outcome is not
+    [Rejected], and never otherwise. Passing [x] rather than a closure
+    lets a caller offer without allocating. *)
 
 val paths : t -> now:float -> origin:int -> Pcb.t list
 (** Valid stored PCBs from [origin], sorted by (hop count, newer

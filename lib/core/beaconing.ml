@@ -37,9 +37,35 @@ type outcome = {
   stats : stats;
 }
 
-(* A buffered message: the extended PCB, the link it travels on and the
-   receiving AS. *)
-type message = { pcb : Pcb.t; via : int; receiver : int }
+(* The round's messages in send order, as two growable arrays reused
+   across rounds: 2 words per message. [pcbs.(i)] is the parent PCB the
+   receiver extends if it keeps the message, or, when crypto is on, the
+   signed extension itself; [dirs.(i)] is the directed interface
+   [2 * link + side] it travels on. *)
+type outbox = {
+  mutable pcbs : Pcb.t array;
+  mutable dirs : int array;
+  mutable len : int;
+}
+
+(* Fills the free cells of [outbox.pcbs], so a delivered parent is not
+   kept alive by the outbox. *)
+let no_pcb = Pcb.origin_pcb ~origin:(-1) ~now:0.0 ~lifetime:0.0
+
+let push ob pcb d =
+  if ob.len = Array.length ob.dirs then begin
+    let cap = max 1024 (2 * ob.len) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 ob.len;
+      b
+    in
+    ob.pcbs <- grow ob.pcbs no_pcb;
+    ob.dirs <- grow ob.dirs 0
+  end;
+  ob.pcbs.(ob.len) <- pcb;
+  ob.dirs.(ob.len) <- d;
+  ob.len <- ob.len + 1
 
 let eligible_dir scope (h : Graph.half_link) =
   match scope with
@@ -225,44 +251,51 @@ let make ~obs ~stores ~stats g cfg =
         Array.init n (fun _ -> Diversity_state.create ~n_as:n)
   in
   let scratch = Beacon_policy.create_scratch ~num_links in
-  let outbox = ref [] in
-  let outbox_len = ref 0 in
-  let send ~up ~now ~sender ~(h : Graph.half_link) pcb =
-    if not (up h.Graph.via) then ()
-    else begin
+  let outbox = { pcbs = [||]; dirs = [||]; len = 0 } in
+  (* [pcb] extended by the sending end of directed interface [d]. *)
+  let extension pcb d =
+    let link = d / 2 in
+    let lk = Graph.link g link in
+    let sender = if d land 1 = 0 then lk.Graph.a else lk.Graph.b in
     let ingress =
       match Pcb.last_link pcb with
       | None -> 0
       | Some l -> Graph.iface_of (Graph.link g l) sender
     in
-    let ext =
-      Pcb.extend pcb ~asn:sender ~ingress ~egress:h.Graph.local_if ~link:h.Graph.via
-        ~peers:peer_links.(sender)
-    in
-    let ext =
-      match keys.(sender) with
-      | None -> ext
-      | Some kp -> Pcb.with_signature ext (Signature.sign kp (Pcb.signable_bytes ext))
-    in
-    let size = float_of_int (Pcb.wire_bytes ext) in
-    let lk = Graph.link g h.Graph.via in
-    let dir_index = (2 * h.Graph.via) + if lk.Graph.a = sender then 0 else 1 in
-    stats.bytes_on_iface.(dir_index) <- stats.bytes_on_iface.(dir_index) +. size;
-    stats.pcbs_on_iface.(dir_index) <- stats.pcbs_on_iface.(dir_index) + 1;
-    stats.total_bytes <- stats.total_bytes +. size;
-    stats.total_pcbs <- stats.total_pcbs + 1;
-    outbox := { pcb = ext; via = h.Graph.via; receiver = h.Graph.peer } :: !outbox;
-    incr outbox_len;
-    if obs_on && Trace.enabled tr Trace.Debug then
-      Trace.emit tr Trace.Debug ~time:now ~category:"beacon"
-        ~fields:
-          [
-            ("as", string_of_int sender);
-            ("ifid", string_of_int h.Graph.local_if);
-            ("receiver", string_of_int h.Graph.peer);
-            ("bytes", Printf.sprintf "%.0f" size);
-          ]
-        "pcb propagated"
+    Pcb.extend pcb ~asn:sender ~ingress ~egress:(Graph.iface_of lk sender)
+      ~link ~peers:peer_links.(sender)
+  in
+  (* Gate, account and queue one PCB; the extension is built here only
+     when the sender signs it. *)
+  let send ~up ~now ~sender ~(h : Graph.half_link) pcb =
+    if up h.Graph.via then begin
+      let lk = Graph.link g h.Graph.via in
+      let d = (2 * h.Graph.via) + if lk.Graph.a = sender then 0 else 1 in
+      let size =
+        float_of_int
+          (Pcb.extension_wire_bytes pcb
+             ~peers:(Array.length peer_links.(sender)))
+      in
+      stats.bytes_on_iface.(d) <- stats.bytes_on_iface.(d) +. size;
+      stats.pcbs_on_iface.(d) <- stats.pcbs_on_iface.(d) + 1;
+      stats.total_bytes <- stats.total_bytes +. size;
+      stats.total_pcbs <- stats.total_pcbs + 1;
+      (match keys.(sender) with
+      | None -> push outbox pcb d
+      | Some kp ->
+          let ext = extension pcb d in
+          let signature = Signature.sign kp (Pcb.signable_bytes ext) in
+          push outbox (Pcb.with_signature ext signature) d);
+      if obs_on && Trace.enabled tr Trace.Debug then
+        Trace.emit tr Trace.Debug ~time:now ~category:"beacon"
+          ~fields:
+            [
+              ("as", string_of_int sender);
+              ("ifid", string_of_int h.Graph.local_if);
+              ("receiver", string_of_int h.Graph.peer);
+              ("bytes", Printf.sprintf "%.0f" size);
+            ]
+          "pcb propagated"
     end
   in
 
@@ -342,35 +375,41 @@ let make ~obs ~stores ~stats g cfg =
       neighbor_groups.(x)
   in
 
+  (* Verify the newest AS entry's signature; inner entries were
+     verified by the upstream on-path verifiers. *)
+  let verified (pcb : Pcb.t) =
+    match pcb.Pcb.signatures with
+    | [] -> false
+    | newest :: _ ->
+        let nh = Array.length pcb.Pcb.hops in
+        let signer = pcb.Pcb.hops.(nh - 1).Pcb.asn in
+        signer_chain_valid signer
+        && Signature.verify keystore ~id:(key_id signer)
+             ~msg:(Pcb.signable_bytes pcb) ~signature:newest
+  in
+  let build i = extension outbox.pcbs.(i) outbox.dirs.(i) in
+  (* In send order, each receiving store decides on the message; an
+     unsigned one is built only if the store keeps it. *)
   let deliver ~now =
-    List.iter
-      (fun m ->
-        let accept =
-          if not cfg.verify_crypto then true
-          else begin
-            (* Verify the newest AS entry's signature; inner entries
-               were verified by the upstream on-path verifiers. *)
-            match m.pcb.Pcb.signatures with
-            | [] -> false
-            | newest :: _ ->
-                let nh = Array.length m.pcb.Pcb.hops in
-                let signer = m.pcb.Pcb.hops.(nh - 1).Pcb.asn in
-                signer_chain_valid signer
-                && Signature.verify keystore ~id:(key_id signer)
-                     ~msg:(Pcb.signable_bytes m.pcb) ~signature:newest
-          end
-        in
-        if accept then ignore (Beacon_store.insert stores.(m.receiver) ~now m.pcb)
-        else begin
-          stats.crypto_failures <- stats.crypto_failures + 1;
-          if obs_on && Trace.enabled tr Trace.Warn then
-            Trace.emit tr Trace.Warn ~time:now ~category:"beacon"
-              ~fields:[ ("receiver", string_of_int m.receiver) ]
-              "pcb rejected: signature verification failed"
-        end)
-      (List.rev !outbox);
-    outbox := [];
-    outbox_len := 0
+    for i = 0 to outbox.len - 1 do
+      let pcb = outbox.pcbs.(i) and d = outbox.dirs.(i) in
+      let link = d / 2 in
+      let lk = Graph.link g link in
+      let receiver = if d land 1 = 0 then lk.Graph.b else lk.Graph.a in
+      if not cfg.verify_crypto then
+        ignore (Beacon_store.offer stores.(receiver) ~now pcb ~link ~build i)
+      else if verified pcb then
+        ignore (Beacon_store.insert stores.(receiver) ~now pcb)
+      else begin
+        stats.crypto_failures <- stats.crypto_failures + 1;
+        if obs_on && Trace.enabled tr Trace.Warn then
+          Trace.emit tr Trace.Warn ~time:now ~category:"beacon"
+            ~fields:[ ("receiver", string_of_int receiver) ]
+            "pcb rejected: signature verification failed"
+      end
+    done;
+    Array.fill outbox.pcbs 0 outbox.len no_pcb;
+    outbox.len <- 0
   in
 
   let step ~up ~round:r =
@@ -393,7 +432,7 @@ let make ~obs ~stores ~stats g cfg =
         ~fields:
           [
             ("round", string_of_int r);
-            ("outbox", string_of_int !outbox_len);
+            ("outbox", string_of_int outbox.len);
             ("total_pcbs", string_of_int stats.total_pcbs);
           ]
         "selection round complete";

@@ -19,7 +19,21 @@
     The quality-aware algorithms run [Beacon_policy.evaluate] once per
     (origin, neighbor) pair; the engine owns rounds, origination,
     sending (signing, the link gate, accounting, tracing), delivery and
-    pruning. *)
+    pruning.
+
+    Sending does not build the extended PCB. It charges the extension's
+    size ({!Pcb.extension_wire_bytes}) and queues the parent PCB with
+    the directed interface [2*link + side] in an outbox of two growable
+    arrays (2 words per message), reused across rounds and emptied by
+    delivery. Delivery, in send order, offers each message to the
+    receiving store ({!Beacon_store.offer}), which decides on the
+    extension's key, hop count, timestamp and lifetime and builds it
+    (ingress, egress, advertised peers) only if it keeps it: most PCBs
+    of a flooding round are rejected and never built. With
+    [verify_crypto], signing is the sender's act: the sender builds and
+    signs the extension and the outbox carries it; delivery verifies it
+    and inserts it through the same store decision. The outbox is empty
+    between rounds, so it is not part of a checkpoint. *)
 
 type scope = Core_beaconing | Intra_isd
 

@@ -16,17 +16,24 @@ type t = {
   signatures : string list;
 }
 
-(* Link ids are encoded as 3 bytes each; sufficient for 2^24 links.
-   Nothing writes [b] after it is filled, so it becomes the key without
+(* Link ids are encoded as 3 bytes each; sufficient for 2^24 links. *)
+let put_link b i l =
+  Bytes.set b i (Char.chr (l land 0xFF));
+  Bytes.set b (i + 1) (Char.chr ((l lsr 8) land 0xFF));
+  Bytes.set b (i + 2) (Char.chr ((l lsr 16) land 0xFF))
+
+(* Nothing writes [b] after it is filled, so it becomes the key without
    a copy. *)
 let path_key links =
   let b = Bytes.create (3 * Array.length links) in
-  Array.iteri
-    (fun i l ->
-      Bytes.set b (3 * i) (Char.chr (l land 0xFF));
-      Bytes.set b ((3 * i) + 1) (Char.chr ((l lsr 8) land 0xFF));
-      Bytes.set b ((3 * i) + 2) (Char.chr ((l lsr 16) land 0xFF)))
-    links;
+  Array.iteri (fun i l -> put_link b (3 * i) l) links;
+  Bytes.unsafe_to_string b
+
+let extension_key t ~link =
+  let n = String.length t.key in
+  let b = Bytes.create (n + 3) in
+  Bytes.blit_string t.key 0 b 0 n;
+  put_link b n link;
   Bytes.unsafe_to_string b
 
 let with_signature t s = { t with signatures = s :: t.signatures }
@@ -42,24 +49,21 @@ let origin_pcb ~origin ~now ~lifetime =
     signatures = [];
   }
 
-let extend ?signature t ~asn ~ingress ~egress ~link ~peers =
+let make ~origin ~timestamp ~lifetime hops ~signatures =
+  let links = Array.map (fun h -> h.link) hops in
+  { origin; timestamp; lifetime; hops; links; key = path_key links; signatures }
+
+let extend t ~asn ~ingress ~egress ~link ~peers =
   let nh = Array.length t.hops in
   let hops = Array.make (nh + 1) { asn; ingress; egress; link; peers } in
   Array.blit t.hops 0 hops 0 nh;
   let links = Array.make (nh + 1) link in
   Array.blit t.links 0 links 0 nh;
-  let signatures =
-    match signature with None -> t.signatures | Some s -> s :: t.signatures
-  in
-  { t with hops; links; key = path_key links; signatures }
+  { t with hops; links; key = path_key links }
 
 let expires_at t = t.timestamp +. t.lifetime
 
 let is_valid t ~now = now >= t.timestamp && now < expires_at t
-
-let age t ~now = now -. t.timestamp
-
-let remaining t ~now = max 0.0 (expires_at t -. now)
 
 let num_hops t = Array.length t.hops
 
@@ -78,12 +82,17 @@ let last_link t =
   let n = Array.length t.links in
   if n = 0 then None else Some t.links.(n - 1)
 
-let wire_bytes t =
-  let base = Wire.pcb_bytes ~hops:(Array.length t.hops) in
-  let peering =
-    Array.fold_left (fun acc h -> acc + (16 * Array.length h.peers)) 0 t.hops
-  in
-  base + peering
+(* The one size formula: [hops] AS entries advertising [peers] peering
+   links in total, 16 bytes per peering entry. *)
+let size ~hops ~peers = Wire.pcb_bytes ~hops + (16 * peers)
+
+let advertised_peers t =
+  Array.fold_left (fun acc h -> acc + Array.length h.peers) 0 t.hops
+
+let wire_bytes t = size ~hops:(num_hops t) ~peers:(advertised_peers t)
+
+let extension_wire_bytes t ~peers =
+  size ~hops:(num_hops t + 1) ~peers:(advertised_peers t + peers)
 
 let signable_bytes t =
   let buf = Buffer.create 128 in

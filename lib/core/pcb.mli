@@ -4,7 +4,13 @@
     propagating, each beacon server appends its AS entry carrying the
     ingress/egress interface pair of the traversed inter-domain link, a
     hop field for the data plane, and a signature. A PCB therefore
-    encodes one path segment at inter-domain-interface granularity. *)
+    encodes one path segment at inter-domain-interface granularity.
+
+    A beaconing engine does not build the extension it sends: its
+    outbox holds the parent and the interface, and the receiving store
+    decides on the {!extension_key} and the parent's hop count, origin,
+    timestamp and lifetime. Only a PCB the store keeps is built with
+    {!extend}; the sender's accounting uses {!extension_wire_bytes}. *)
 
 type hop = {
   asn : int;  (** AS index in the topology *)
@@ -32,8 +38,18 @@ val origin_pcb : origin:int -> now:float -> lifetime:float -> t
 (** A PCB as it exists inside its origin AS before the origin's own AS
     entry is appended: zero hops. *)
 
+val make :
+  origin:int ->
+  timestamp:float ->
+  lifetime:float ->
+  hop array ->
+  signatures:string list ->
+  t
+(** A PCB from all its fields at once (the codec's decoder): the links
+    and the key are derived from the hops in one pass. [signatures] are
+    newest first. The array is kept, not copied. *)
+
 val extend :
-  ?signature:string ->
   t ->
   asn:int ->
   ingress:Id.iface ->
@@ -48,11 +64,6 @@ val expires_at : t -> float
 
 val is_valid : t -> now:float -> bool
 
-val age : t -> now:float -> float
-
-val remaining : t -> now:float -> float
-(** Remaining lifetime, clamped at 0. *)
-
 val num_hops : t -> int
 (** Number of AS entries (= AS-path length of the encoded segment). *)
 
@@ -66,12 +77,23 @@ val path_key : int array -> string
 (** Canonical key for a link sequence (also used for candidate paths
     that have not been materialised as PCBs yet). *)
 
+val extension_key : t -> link:int -> string
+(** The key of [t] extended over [link], without building the
+    extension: [t]'s key followed by the link's 3 bytes, equal to the
+    [key] {!extend} computes. *)
+
 val with_signature : t -> string -> t
 (** Attach the newest AS entry's signature (computed over
     {!signable_bytes} of the extended PCB). *)
 
 val wire_bytes : t -> int
-(** On-the-wire size of the (already extended) PCB. *)
+(** On-the-wire size of the (already extended) PCB: {!Wire.pcb_bytes}
+    of its hop count plus 16 bytes per advertised peering link. *)
+
+val extension_wire_bytes : t -> peers:int -> int
+(** The {!wire_bytes} of [t] extended by one AS entry that advertises
+    [peers] peering links, without building the extension (the same
+    formula). *)
 
 val signable_bytes : t -> string
 (** Deterministic serialisation of the PCB content covered by the next

@@ -33,7 +33,7 @@ let decode s =
     let timestamp = Snapshot.r_f64 r in
     let lifetime = Snapshot.r_f64 r in
     let hops =
-      List.init (Snapshot.r_u8 r) (fun _ ->
+      Array.init (Snapshot.r_u8 r) (fun _ ->
           let asn = Snapshot.r_u32 r in
           let ingress = Snapshot.r_u16 r in
           let egress = Snapshot.r_u16 r in
@@ -41,23 +41,13 @@ let decode s =
           let peers =
             Array.init (Snapshot.r_u8 r) (fun _ -> Snapshot.r_u24 r)
           in
-          (asn, ingress, egress, link, peers))
+          { Pcb.asn; ingress; egress; link; peers })
     in
     let signatures =
       List.init (Snapshot.r_u8 r) (fun _ -> Snapshot.r_raw r (Snapshot.r_u16 r))
     in
     Snapshot.r_end r;
-    (* Rebuild through the smart constructors so the key is correct.
-       Signatures are attached newest-first, matching the original. *)
-    let pcb = ref (Pcb.origin_pcb ~origin ~now:timestamp ~lifetime) in
-    List.iter
-      (fun (asn, ingress, egress, link, peers) ->
-        pcb := Pcb.extend !pcb ~asn ~ingress ~egress ~link ~peers)
-      hops;
-    List.iter
-      (fun sg -> pcb := Pcb.with_signature !pcb sg)
-      (List.rev signatures);
-    Ok !pcb
+    Ok (Pcb.make ~origin ~timestamp ~lifetime hops ~signatures)
   with Snapshot.Corrupt msg -> Error msg
 
 let encoded_size p = String.length (encode p)

@@ -14,8 +14,8 @@ val encode : Pcb.t -> string
 val decode : string -> (Pcb.t, string) result
 (** Inverse of {!encode}. Total: truncated input, an unknown version
     and trailing bytes yield [Error] with the reason, never an
-    exception. The path key is recomputed so decoded PCBs interoperate
-    with beacon stores. *)
+    exception. The PCB is built once with {!Pcb.make}, which recomputes
+    the path key, so decoded PCBs interoperate with beacon stores. *)
 
 val encoded_size : Pcb.t -> int
 

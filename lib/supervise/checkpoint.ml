@@ -49,7 +49,10 @@ let save ~dir ~name ~schema ~version payload =
   path
 
 let load ~dir ~name ~schema ~version =
-  unframe ~schema ~version (read_file (Filename.concat dir name))
+  let path = Filename.concat dir name in
+  if Sys.is_directory path then
+    raise (Snapshot.Corrupt "a directory, not a checkpoint file");
+  unframe ~schema ~version (read_file path)
 
 let numbered_name ~prefix ~n = Printf.sprintf "%s.%06d.ckpt" prefix n
 

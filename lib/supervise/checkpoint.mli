@@ -21,7 +21,8 @@ val save :
 
 val load : dir:string -> name:string -> schema:string -> version:int -> string
 (** Read back a payload. Raises {!Snapshot.Corrupt} on a malformed or
-    mismatching frame, [Sys_error] if the file does not exist. *)
+    mismatching frame or when [dir/name] is a directory, [Sys_error] if
+    it does not exist or cannot be read. *)
 
 val numbered_name : prefix:string -> n:int -> string
 (** [prefix.%06d.ckpt] — the naming convention for checkpoint series. *)

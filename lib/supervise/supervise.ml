@@ -183,7 +183,7 @@ let run_cells ~cli ~jobs ~seed ~horizon ~chunk c =
                 decode_progress ~name:c.name ~n_cells ~horizon
                   (Checkpoint.load ~dir ~name:file ~schema
                      ~version:ckpt_version)
-              with Snapshot.Corrupt reason ->
+              with Snapshot.Corrupt reason | Sys_error reason ->
                 raise
                   (Bad_checkpoint { file = Filename.concat dir file; reason })
             in

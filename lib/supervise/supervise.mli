@@ -32,9 +32,10 @@ exception Inject_fail_out_of_range of { index : int; cells : int }
 exception Bad_checkpoint of { file : string; reason : string }
 (** Raised by {!run_cells}, before any cell runs, when [cli.resume]
     finds a newest checkpoint [file] (its path) that it cannot use: a
-    malformed or truncated frame or progress record, or one written by
-    another configuration or build. [reason] is the decoder's
-    {!Snapshot.Corrupt} message. The checkpoint directory is user
+    malformed or truncated frame or progress record, one written by
+    another configuration or build, a directory or an unreadable file.
+    [reason] is the decoder's {!Snapshot.Corrupt} message or the
+    system's. The checkpoint directory is user
     input, so the CLI reports this as a data error (exit 4). *)
 
 type cli = {

@@ -57,12 +57,6 @@ let test_pcb_wire_bytes () =
     (Wire.pcb_bytes ~hops:2 + 32)
     (Pcb.wire_bytes p2)
 
-let test_pcb_age_remaining () =
-  let p = Pcb.origin_pcb ~origin:0 ~now:100.0 ~lifetime:50.0 in
-  Alcotest.(check (float 1e-9)) "age" 20.0 (Pcb.age p ~now:120.0);
-  Alcotest.(check (float 1e-9)) "remaining" 30.0 (Pcb.remaining p ~now:120.0);
-  Alcotest.(check (float 1e-9)) "remaining clamps" 0.0 (Pcb.remaining p ~now:500.0)
-
 (* --- Beacon_store --- *)
 
 let mk_pcb ?(origin = 0) ?(now = 0.0) ?(lifetime = 600.0) links =
@@ -296,6 +290,96 @@ let prop_store_matches_reference =
               true)
         ops
       && store_bytes !s = Ref_store.bytes r)
+
+(* The lazy decision ([Beacon_store.offer] on the parent, building the
+   extension only if it is kept) against building it first
+   ([Pcb.extend], then [Beacon_store.insert]). Offers cover expired and
+   not-yet-valid candidates, repeated keys with older, equal and newer
+   timestamps, full slots, hop and timestamp ties broken by the key,
+   and parents and senders advertising peering links (intra-ISD). Both
+   stores must give the same outcomes and bytes, [build] must run
+   exactly once per kept offer, and the key and size derived from the
+   parent must be the built extension's. *)
+type offer_op =
+  | Offer of int * int list * int * float * float * int
+      (** origin, parent links, link, age, lifetime, sender's peers *)
+  | Later of float
+
+let show_offer_op = function
+  | Offer (o, links, link, age, lifetime, peers) ->
+      Printf.sprintf "offer o=%d [%s] +%d age=%g life=%g peers=%d" o
+        (String.concat ";" (List.map string_of_int links))
+        link age lifetime peers
+  | Later dt -> Printf.sprintf "later %g" dt
+
+let gen_offer_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 12,
+          map
+            (fun ((o, links, link), (age, lifetime, peers)) ->
+              Offer (o, links, link, age, lifetime, peers))
+            (pair
+               (triple (int_bound 1)
+                  (list_size (int_range 0 3) (int_bound 4))
+                  (int_bound 4))
+               (triple
+                  (oneofl [ -50.0; 0.0; 0.0; 50.0; 200.0; 400.0; 700.0 ])
+                  (oneofl [ 300.0; 600.0 ])
+                  (int_bound 2))) );
+        (1, map (fun dt -> Later dt) (oneofl [ 0.0; 50.0; 250.0 ]));
+      ])
+
+let prop_offer_equals_extend_insert =
+  QCheck.Test.make ~name:"store offer equals extend then insert" ~count:500
+    QCheck.(
+      pair
+        (make ~print:string_of_int Gen.(oneofl [ 1; 2; 5; 60 ]))
+        (make
+           ~print:(fun ops -> String.concat "\n" (List.map show_offer_op ops))
+           Gen.(list_size (int_range 0 150) gen_offer_op)))
+    (fun (limit, ops) ->
+      let lazy_store = Beacon_store.create ~limit in
+      let eager_store = Beacon_store.create ~limit in
+      let now = ref 1000.0 in
+      let builds = ref 0 in
+      List.for_all
+        (function
+          | Later dt ->
+              now := !now +. dt;
+              true
+          | Offer (origin, links, link, age, lifetime, peers) ->
+              (* Hop i of the parent advertises i peering links. *)
+              let born = !now -. age in
+              let parent = ref (Pcb.origin_pcb ~origin ~now:born ~lifetime) in
+              List.iteri
+                (fun i l ->
+                  parent :=
+                    Pcb.extend !parent ~asn:(10 + l) ~ingress:i ~egress:(i + 1)
+                      ~link:l ~peers:(Array.init i (fun k -> 30 + k)))
+                links;
+              let parent = !parent in
+              let extend p =
+                Pcb.extend p ~asn:(20 + link) ~ingress:3 ~egress:4 ~link
+                  ~peers:(Array.init peers (fun k -> 40 + k))
+              in
+              let ext = extend parent in
+              let before = !builds in
+              let got =
+                Beacon_store.offer lazy_store ~now:!now parent ~link
+                  ~build:(fun p ->
+                    incr builds;
+                    extend p)
+                  parent
+              in
+              got = Beacon_store.insert eager_store ~now:!now ext
+              && !builds - before
+                 = (if got = Beacon_store.Rejected then 0 else 1)
+              && Pcb.extension_key parent ~link = ext.Pcb.key
+              && Pcb.extension_wire_bytes parent ~peers = Pcb.wire_bytes ext)
+        ops
+      && store_bytes lazy_store = store_bytes eager_store)
 
 (* --- Scoring (§4.2) --- *)
 
@@ -690,7 +774,7 @@ let reference_evaluate policy st ~origin ~neighbor ~now ~candidates ~egress =
       let ds = e.Diversity_state.ds in
       let s =
         Beacon_policy.score_resend p ~ds ~sent_remaining:(sent_expires_at -. now)
-          ~current_remaining:(Pcb.remaining path ~now)
+          ~current_remaining:(max 0.0 (Pcb.expires_at path -. now))
       in
       if s <= threshold then begin
         let at =
@@ -702,7 +786,8 @@ let reference_evaluate policy st ~origin ~neighbor ~now ~candidates ~egress =
       s
     end
     else
-      Beacon_policy.score_fresh p ~ds:(quality r j) ~age:(Pcb.age path ~now)
+      Beacon_policy.score_fresh p ~ds:(quality r j)
+        ~age:(now -. path.Pcb.timestamp)
         ~lifetime:path.Pcb.lifetime
   in
   (* The first maximum above the threshold, by strict [>]. *)
@@ -995,6 +1080,23 @@ let test_diversity_state_gating () =
 
 (* --- Beaconing engine --- *)
 
+(* A connected core multigraph of [n] ASes in three ISDs: a random
+   spanning tree plus the [extra] edges (self-links skipped), so some
+   links are parallel. *)
+let random_core ~n ~extra ~seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let b = Graph.builder () in
+  for i = 0 to n - 1 do
+    ignore (Graph.add_as b ~core:true (Id.ia ((i mod 3) + 1) (i + 1)))
+  done;
+  for i = 1 to n - 1 do
+    Graph.add_link b ~rel:Graph.Core (Rng.int rng i) i
+  done;
+  List.iter
+    (fun (x, y) -> if x <> y then Graph.add_link b ~rel:Graph.Core x y)
+    extra;
+  Graph.freeze b
+
 let cfg_short =
   {
     Beaconing.default_config with
@@ -1139,6 +1241,54 @@ let test_crypto_verification () =
     out.Beaconing.stores;
   Alcotest.(check bool) "signatures checked" true (!signed > 0)
 
+(* With crypto on, the sender builds and signs every extension and the
+   receiver verifies it before inserting it; with crypto off, only the
+   extensions a store keeps are built. Both must choose the same
+   paths: the same accounting and the same (origin, key, timestamp)
+   entries in every store, under a link that is down for rounds 2-4,
+   with storage limit 2 so full slots evict. *)
+let test_crypto_same_paths () =
+  let agree name g ~down =
+    let run verify_crypto =
+      let cfg =
+        {
+          cfg_short with
+          Beaconing.storage_limit = 2;
+          Beaconing.verify_crypto;
+        }
+      in
+      let e = Beaconing.engine g cfg in
+      for round = 0 to (Beaconing.engine_stats e).Beaconing.rounds - 1 do
+        Beaconing.engine_round e ~round ~link_up:(fun l ->
+            l <> down || round < 2 || round > 4)
+      done;
+      let now = cfg.Beaconing.duration -. cfg.Beaconing.interval in
+      ( Beaconing.engine_stats e,
+        Array.map
+          (fun s ->
+            List.map
+              (fun (p : Pcb.t) -> (p.Pcb.origin, p.Pcb.key, p.Pcb.timestamp))
+              (Beacon_store.all_paths s ~now))
+          (Beaconing.engine_stores e) )
+    in
+    let signed, signed_paths = run true and plain, plain_paths = run false in
+    check Alcotest.int (name ^ ": no crypto failures") 0
+      signed.Beaconing.crypto_failures;
+    check Alcotest.(array int) (name ^ ": pcbs_on_iface")
+      plain.Beaconing.pcbs_on_iface signed.Beaconing.pcbs_on_iface;
+    check Alcotest.(array (float 0.0)) (name ^ ": bytes_on_iface")
+      plain.Beaconing.bytes_on_iface signed.Beaconing.bytes_on_iface;
+    Alcotest.(check bool) (name ^ ": stores hold paths") true
+      (Array.exists (fun ps -> ps <> []) plain_paths);
+    check
+      Alcotest.(array (list (triple int string (float 0.0))))
+      (name ^ ": stored paths") plain_paths signed_paths
+  in
+  agree "triangle" (triangle ()) ~down:0;
+  agree "random multigraph"
+    (random_core ~n:6 ~extra:[ (0, 1); (0, 1); (2, 5); (3, 4); (1, 5) ] ~seed:7)
+    ~down:1
+
 let test_storage_limit_respected () =
   let g = triangle () in
   let cfg = { cfg_short with Beaconing.storage_limit = 2 } in
@@ -1219,16 +1369,7 @@ let prop_beaconing_invariants =
   QCheck.Test.make ~name:"beaconing invariants on random core graphs" ~count:15
     (QCheck.make gen)
     (fun (n, extra, seed) ->
-      let rng = Rng.create (Int64.of_int seed) in
-      let b = Graph.builder () in
-      for i = 0 to n - 1 do
-        ignore (Graph.add_as b ~core:true (Id.ia ((i mod 3) + 1) (i + 1)))
-      done;
-      for i = 1 to n - 1 do
-        Graph.add_link b ~rel:Graph.Core (Rng.int rng i) i
-      done;
-      List.iter (fun (x, y) -> if x <> y then Graph.add_link b ~rel:Graph.Core x y) extra;
-      let g = Graph.freeze b in
+      let g = random_core ~n ~extra ~seed in
       let check_outcome (out : Beaconing.outcome) =
         let now = out.Beaconing.config.Beaconing.duration -. 1.0 in
         let ok = ref true in
@@ -1380,7 +1521,6 @@ let suite =
     ("pcb origin", `Quick, test_pcb_origin);
     ("pcb extend", `Quick, test_pcb_extend);
     ("pcb wire bytes", `Quick, test_pcb_wire_bytes);
-    ("pcb age/remaining", `Quick, test_pcb_age_remaining);
     ("store insert", `Quick, test_store_insert);
     ("store refresh", `Quick, test_store_refresh);
     ("store limit & eviction", `Quick, test_store_limit_and_eviction);
@@ -1390,6 +1530,7 @@ let suite =
     ("store last modified", `Quick, test_store_last_modified);
     QCheck_alcotest.to_alcotest prop_store_limit;
     QCheck_alcotest.to_alcotest prop_store_matches_reference;
+    QCheck_alcotest.to_alcotest prop_offer_equals_extend_insert;
     ("score fresh age zero", `Quick, test_score_fresh_age_zero);
     ("score fresh decreasing in age", `Quick, test_score_fresh_decreasing_in_age);
     ("score fresh increasing in ds", `Quick, test_score_fresh_increasing_in_ds);
@@ -1421,6 +1562,7 @@ let suite =
     ("diversity finds parallel links", `Quick, test_diversity_finds_parallel_links);
     ("dissemination limit per iface", `Quick, test_dissemination_limit_per_iface);
     ("crypto verification", `Quick, test_crypto_verification);
+    ("crypto on and off choose the same paths", `Quick, test_crypto_same_paths);
     ("storage limit respected", `Quick, test_storage_limit_respected);
     ("intra-ISD direction", `Quick, test_intra_isd_direction);
     ("intra-ISD peering advertisement", `Quick, test_intra_isd_carries_peering);

@@ -460,7 +460,13 @@ let test_checkpoint_roundtrip_and_corruption () =
   output_string oc (String.sub raw 0 6);
   close_out oc;
   expect_corrupt "truncated" (fun () ->
-      Checkpoint.load ~dir ~name:"c.ckpt" ~schema:"s1" ~version:2)
+      Checkpoint.load ~dir ~name:"c.ckpt" ~schema:"s1" ~version:2);
+  (* A directory where the file should be is malformed input too. *)
+  let sub = Filename.concat dir "d.ckpt" in
+  Sys.mkdir sub 0o755;
+  Fun.protect ~finally:(fun () -> Sys.rmdir sub) @@ fun () ->
+  expect_corrupt "a directory" (fun () ->
+      Checkpoint.load ~dir ~name:"d.ckpt" ~schema:"s1" ~version:2)
 
 let test_checkpoint_series () =
   check Alcotest.string "numbered name" "soak.000008.ckpt"
