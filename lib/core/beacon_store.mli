@@ -5,13 +5,17 @@
     beacon server keeps). A new instance of an already-stored path
     replaces the older instance; when the per-origin budget is full, a
     new path is admitted only by evicting a worse entry. "Worse" is
-    lexicographic: expired first, then more hops, then older, then the
-    greater path key (a total order, so the evicted entry never depends
-    on hash-table layout).
+    lexicographic: expired (or not yet valid) first, then more hops,
+    then older, then the greater path key (a total order, so the
+    evicted entry never depends on insertion order).
+
+    Each origin's entries are kept in rank order (fewer hops, newer,
+    smaller key) with two conservative validity bounds, so the worst
+    entry is the last one while the bounds prove every entry valid.
 
     One decision serves built PCBs ({!insert}) and unbuilt extensions
     ({!offer}): it reads only the candidate's origin, timestamp,
-    lifetime, hop count and key, and builds the PCB it keeps only once
+    lifetime, hop count and links, and builds the PCB it keeps only once
     the outcome is not [Rejected]. A beaconing round offers every sent
     PCB this way, so the many a full store rejects are never built. *)
 
@@ -24,13 +28,18 @@ val create : limit:int -> t
     [Invalid_argument] if [limit < 1]. *)
 
 val insert : t -> now:float -> Pcb.t -> insert_outcome
-(** Expired PCBs are rejected outright.
+(** Expired and not yet valid PCBs are rejected outright.
 
-    Cost: O(1) expected unless the origin's slot is full. Into a full
-    slot, finding the worst entry scans the slot once (O(limit), no
-    allocation per entry); the result is cached with its [now] until the
-    slot next changes, so further rejections at the same [now] — most
-    newcomers in a flooding round — cost O(1) after the first scan. *)
+    Cost: into a full slot, the candidate is first compared with the
+    worst entry, which is O(1) while the slot's validity bounds hold (a
+    stored entry expiring or [now] moving back makes one O(limit) scan,
+    which tightens them). A candidate that is not strictly better is
+    rejected with no lookup, which is exact: an older instance of its
+    own path would rank below it. Otherwise the lookup is a binary
+    search for the candidate's hop-count group and a scan of that group
+    comparing links, last link first. A kept PCB costs O(log limit)
+    comparisons plus an O(limit) blit; no allocation but the PCB itself
+    and, while a slot below its limit grows, its array. *)
 
 val offer :
   t ->
@@ -43,15 +52,16 @@ val offer :
 (** [offer t ~now parent ~link ~build x] is [insert t ~now ext] for the
     extension [ext] of [parent] over [link], decided without building
     it: the candidate has [parent]'s origin, timestamp and lifetime, one
-    more hop and key [Pcb.extension_key parent ~link]. [build x] must
+    more hop and [parent]'s links followed by [link]. No key is built:
+    key tie-breaks use {!Pcb.compare_extension_key}. [build x] must
     return that extension; it is called once when the outcome is not
     [Rejected], and never otherwise. Passing [x] rather than a closure
     lets a caller offer without allocating. *)
 
 val paths : t -> now:float -> origin:int -> Pcb.t list
-(** Valid stored PCBs from [origin], sorted by (hop count, newer
-    first, then path key) — a total order, so the result never depends
-    on internal hash-table layout. *)
+(** Valid stored PCBs from [origin] in rank order: (hop count, newer
+    first, then path key), a total order the store maintains, so this
+    filters without sorting. *)
 
 val origins : t -> int list
 (** Origins with at least one stored PCB (validity not re-checked). *)

@@ -29,12 +29,22 @@ let path_key links =
   Array.iteri (fun i l -> put_link b (3 * i) l) links;
   Bytes.unsafe_to_string b
 
-let extension_key t ~link =
-  let n = String.length t.key in
-  let b = Bytes.create (n + 3) in
-  Bytes.blit_string t.key 0 b 0 n;
-  put_link b n link;
-  Bytes.unsafe_to_string b
+(* Byte by byte against the key [extend] would build: [t]'s key, then
+   the link's 3 bytes as [put_link] writes them. A loop, not a local
+   recursive function, so a comparison allocates no closure. *)
+let compare_extension_key t ~link key =
+  let n = String.length t.key and m = String.length key in
+  let len = n + 3 in
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < len && !i < m do
+    let a =
+      if !i < n then Char.code (String.unsafe_get t.key !i)
+      else (link lsr (8 * (!i - n))) land 0xFF
+    in
+    c := Int.compare a (Char.code (String.unsafe_get key !i));
+    incr i
+  done;
+  if !c <> 0 then !c else Int.compare len m
 
 let with_signature t s = { t with signatures = s :: t.signatures }
 

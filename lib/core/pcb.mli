@@ -8,9 +8,10 @@
 
     A beaconing engine does not build the extension it sends: its
     outbox holds the parent and the interface, and the receiving store
-    decides on the {!extension_key} and the parent's hop count, origin,
-    timestamp and lifetime. Only a PCB the store keeps is built with
-    {!extend}; the sender's accounting uses {!extension_wire_bytes}. *)
+    decides on the parent's hop count, origin, timestamp, lifetime and
+    links, breaking ties with {!compare_extension_key}. Only a PCB the
+    store keeps is built with {!extend}; the sender's accounting uses
+    {!extension_wire_bytes}. *)
 
 type hop = {
   asn : int;  (** AS index in the topology *)
@@ -77,10 +78,11 @@ val path_key : int array -> string
 (** Canonical key for a link sequence (also used for candidate paths
     that have not been materialised as PCBs yet). *)
 
-val extension_key : t -> link:int -> string
-(** The key of [t] extended over [link], without building the
-    extension: [t]'s key followed by the link's 3 bytes, equal to the
-    [key] {!extend} computes. *)
+val compare_extension_key : t -> link:int -> string -> int
+(** [compare_extension_key t ~link key] has the sign of
+    [String.compare k key], where [k] is the key of [t] extended over
+    [link] ([t]'s key followed by the link's 3 bytes, the [key]
+    {!extend} computes), without building [k]. *)
 
 val with_signature : t -> string -> t
 (** Attach the newest AS entry's signature (computed over

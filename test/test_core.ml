@@ -141,11 +141,16 @@ let prop_store_limit =
 
 (* Model-based check of Beacon_store against a naive list-based
    reference: full-scan eviction in the order documented in
-   beacon_store.mli (expired, then more hops, then older, then greater
-   path key). Random interleavings of inserts (with repeated and
-   advancing clocks, several origins, expired and valid PCBs), prunes,
-   link drops and write/read round trips must agree on every outcome
-   and on the final bytes; this guards the store's worst-entry cache. *)
+   beacon_store.mli (expired or not yet valid, then more hops, then
+   older, then greater path key). Random interleavings of inserts and
+   offers (a parent plus a link) with mixed lifetimes and ages, clocks
+   that repeat, advance and go back (so stored entries turn expired or
+   not yet valid and the store's validity bounds go stale), several
+   origins, prunes, link drops and write/read round trips must agree on
+   every outcome; after every operation [paths] (in its rank order),
+   [origins], [count], [total] and [last_modified] must agree, and at
+   the end the bytes. Limits run from 1 to unlimited, so slots are
+   full, grow, or never fill. *)
 module Ref_store = struct
   type slot = { mutable lm : float; mutable pcbs : Pcb.t list }
 
@@ -153,8 +158,9 @@ module Ref_store = struct
 
   let create ~limit = { limit; slots = [] }
 
-  let badness ~now (p : Pcb.t) =
-    ((if Pcb.is_valid p ~now then 0 else 1), Pcb.num_hops p, -.p.Pcb.timestamp, p.Pcb.key)
+  let rank (p : Pcb.t) = (Pcb.num_hops p, -.p.Pcb.timestamp, p.Pcb.key)
+
+  let badness ~now (p : Pcb.t) = ((if Pcb.is_valid p ~now then 0 else 1), rank p)
 
   let insert t ~now (p : Pcb.t) =
     if not (Pcb.is_valid p ~now) then Beacon_store.Rejected
@@ -202,6 +208,24 @@ module Ref_store = struct
         acc + List.length gone)
       0 t.slots
 
+  let slot_pcbs t origin =
+    match List.assoc_opt origin t.slots with Some s -> s.pcbs | None -> []
+
+  let paths t ~now ~origin =
+    List.filter (fun p -> Pcb.is_valid p ~now) (slot_pcbs t origin)
+    |> List.sort (fun a b -> compare (rank a) (rank b))
+
+  let origins t =
+    List.sort compare
+      (List.filter_map (fun (o, s) -> if s.pcbs = [] then None else Some o) t.slots)
+
+  let count t ~origin = List.length (slot_pcbs t origin)
+
+  let total t = List.fold_left (fun acc (_, s) -> acc + List.length s.pcbs) 0 t.slots
+
+  let last_modified t ~origin =
+    match List.assoc_opt origin t.slots with Some s -> s.lm | None -> neg_infinity
+
   (* The layout beacon_store.mli documents: limit, then per origin
      (ascending) its last-modified time and its PCBs in key order. *)
   let bytes t =
@@ -227,6 +251,8 @@ let store_bytes s =
 
 type store_op =
   | Insert of int * int list * float * float  (** origin, links, age, lifetime *)
+  | Offer of int * int list * int * float * float
+      (** origin, parent links, link, age, lifetime *)
   | Advance of float
   | Prune
   | Drop of int
@@ -237,44 +263,79 @@ let show_store_op = function
       Printf.sprintf "insert o=%d [%s] age=%g life=%g" o
         (String.concat ";" (List.map string_of_int links))
         age lifetime
+  | Offer (o, links, link, age, lifetime) ->
+      Printf.sprintf "offer o=%d [%s] +%d age=%g life=%g" o
+        (String.concat ";" (List.map string_of_int links))
+        link age lifetime
   | Advance dt -> Printf.sprintf "advance %g" dt
   | Prune -> "prune"
   | Drop l -> Printf.sprintf "drop %d" l
   | Roundtrip -> "read (write s)"
 
 let gen_store_op =
+  let age = QCheck.Gen.oneofl [ -50.0; 0.0; 0.0; 50.0; 200.0; 400.0; 700.0 ] in
+  let lifetime = QCheck.Gen.oneofl [ 100.0; 300.0; 600.0 ] in
   QCheck.Gen.(
     frequency
       [
-        ( 12,
+        ( 6,
           map
             (fun (o, links, age, lifetime) -> Insert (o, links, age, lifetime))
-            (quad (int_bound 2)
-               (list_size (int_range 1 4) (int_bound 6))
-               (oneofl [ 0.0; 0.0; 50.0; 200.0; 400.0; 700.0 ])
-               (oneofl [ 300.0; 600.0 ])) );
-        (3, map (fun dt -> Advance dt) (oneofl [ 0.0; 50.0; 250.0; 600.0 ]));
+            (quad (int_bound 2) (list_size (int_range 1 4) (int_bound 6)) age lifetime) );
+        ( 6,
+          map
+            (fun ((o, links, link), (age, lifetime)) -> Offer (o, links, link, age, lifetime))
+            (pair
+               (triple (int_bound 2) (list_size (int_range 0 3) (int_bound 6)) (int_bound 6))
+               (pair age lifetime)) );
+        (3, map (fun dt -> Advance dt) (oneofl [ -100.0; 0.0; 50.0; 250.0; 600.0 ]));
         (1, return Prune);
         (1, map (fun l -> Drop l) (int_bound 6));
         (1, return Roundtrip);
       ])
 
+(* What a store shows of itself at [now], besides its bytes. *)
+let store_view ~paths ~origins ~count ~total ~last_modified ~now =
+  let entry (p : Pcb.t) = (p.Pcb.key, p.Pcb.timestamp, p.Pcb.lifetime) in
+  ( List.init 4 (fun o ->
+        (List.map entry (paths ~now ~origin:o), count ~origin:o, last_modified ~origin:o)),
+    origins,
+    total )
+
 let prop_store_matches_reference =
   QCheck.Test.make ~name:"store agrees with a naive full-scan reference" ~count:300
     QCheck.(
-      pair (int_range 1 4)
+      pair
+        (make ~print:string_of_int Gen.(oneofl [ 1; 2; 5; 60; max_int ]))
         (make
            ~print:(fun ops -> String.concat "\n" (List.map show_store_op ops))
-           Gen.(list_size (int_range 0 80) gen_store_op)))
+           Gen.(list_size (int_range 0 100) gen_store_op)))
     (fun (limit, ops) ->
       let s = ref (Beacon_store.create ~limit) in
       let r = Ref_store.create ~limit in
       let now = ref 1000.0 in
+      let agree () =
+        store_view ~now:!now ~paths:(Beacon_store.paths !s)
+          ~origins:(Beacon_store.origins !s) ~count:(Beacon_store.count !s)
+          ~total:(Beacon_store.total !s) ~last_modified:(Beacon_store.last_modified !s)
+        = store_view ~now:!now ~paths:(Ref_store.paths r) ~origins:(Ref_store.origins r)
+            ~count:(Ref_store.count r) ~total:(Ref_store.total r)
+            ~last_modified:(Ref_store.last_modified r)
+      in
       List.for_all
-        (function
+        (fun op ->
+          (match op with
           | Insert (origin, links, age, lifetime) ->
               let p = mk_pcb ~origin ~now:(!now -. age) ~lifetime links in
               Beacon_store.insert !s ~now:!now p = Ref_store.insert r ~now:!now p
+          | Offer (origin, links, link, age, lifetime) ->
+              let parent = mk_pcb ~origin ~now:(!now -. age) ~lifetime links in
+              let extend p =
+                Pcb.extend p ~asn:(100 + List.length links) ~ingress:0 ~egress:1 ~link
+                  ~peers:[||]
+              in
+              Beacon_store.offer !s ~now:!now parent ~link ~build:extend parent
+              = Ref_store.insert r ~now:!now (extend parent)
           | Advance dt ->
               now := !now +. dt;
               true
@@ -288,6 +349,7 @@ let prop_store_matches_reference =
               s := Beacon_store.read rd;
               Snapshot.r_end rd;
               true)
+          && agree ())
         ops
       && store_bytes !s = Ref_store.bytes r)
 
@@ -376,10 +438,49 @@ let prop_offer_equals_extend_insert =
               got = Beacon_store.insert eager_store ~now:!now ext
               && !builds - before
                  = (if got = Beacon_store.Rejected then 0 else 1)
-              && Pcb.extension_key parent ~link = ext.Pcb.key
+              && Pcb.compare_extension_key parent ~link ext.Pcb.key = 0
               && Pcb.extension_wire_bytes parent ~peers = Pcb.wire_bytes ext)
         ops
       && store_bytes lazy_store = store_bytes eager_store)
+
+(* [Pcb.compare_extension_key] against [String.compare] of the built
+   extension's key, on keys of equal, shorter and longer length that
+   share a prefix with it and differ by one link moved by 1, 256 or
+   65536: each of a link's three key bytes decides somewhere. *)
+let prop_compare_extension_key =
+  let link = QCheck.Gen.(oneof [ int_bound 3; int_range 255 258; int_range 65535 65538;
+                                 return 0xFFFFFF ]) in
+  QCheck.Test.make ~name:"pcb compare_extension_key is String.compare" ~count:1000
+    QCheck.(
+      make
+        ~print:(fun ((parent, link, cut), (extra, pos, delta)) ->
+          Printf.sprintf "parent [%s] +%d cut %d extra [%s] at %d by %d"
+            (String.concat ";" (List.map string_of_int parent))
+            link cut
+            (String.concat ";" (List.map string_of_int extra))
+            pos delta)
+        Gen.(
+          pair
+            (triple (list_size (int_range 0 3) link) link (int_bound 2))
+            (triple (list_size (int_range 0 2) link) (int_bound 5)
+               (oneofl [ 0; 1; -1; 256; -256; 65536; -65536 ]))))
+    (fun ((parent_links, link, cut), (extra, pos, delta)) ->
+      let parent = mk_pcb parent_links in
+      let ext = Pcb.extend parent ~asn:9 ~ingress:0 ~egress:1 ~link ~peers:[||] in
+      let base = Array.to_list ext.Pcb.links in
+      let kept = List.filteri (fun i _ -> i < List.length base - cut) base @ extra in
+      let other =
+        Array.of_list
+          (List.mapi
+             (fun i l ->
+               if i = pos mod max 1 (List.length kept) then
+                 max 0 (min 0xFFFFFF (l + delta))
+               else l)
+             kept)
+      in
+      let key = Pcb.path_key other in
+      compare (Pcb.compare_extension_key parent ~link key) 0
+      = compare (String.compare ext.Pcb.key key) 0)
 
 (* --- Scoring (§4.2) --- *)
 
@@ -1531,6 +1632,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_limit;
     QCheck_alcotest.to_alcotest prop_store_matches_reference;
     QCheck_alcotest.to_alcotest prop_offer_equals_extend_insert;
+    QCheck_alcotest.to_alcotest prop_compare_extension_key;
     ("score fresh age zero", `Quick, test_score_fresh_age_zero);
     ("score fresh decreasing in age", `Quick, test_score_fresh_decreasing_in_age);
     ("score fresh increasing in ds", `Quick, test_score_fresh_increasing_in_ds);
