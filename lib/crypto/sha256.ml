@@ -1,159 +1,102 @@
 let digest_size = 32
 let block_size = 64
 
+(* Words are native ints holding 32-bit values: every sum is masked
+   back to 32 bits, and nothing is boxed. *)
+let mask = 0xffff_ffff
+
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-    0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-    0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-    0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-    0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-    0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-    0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-    0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-    0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-    0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-    0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+    0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+    0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+    0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+    0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+    0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+    0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+    0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+    0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+    0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+    0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
-type ctx = {
-  h : int32 array; (* 8 words of chaining state *)
-  buf : Bytes.t; (* partial block, [block_size] bytes *)
-  mutable buf_len : int;
-  mutable total : int64; (* total message bytes absorbed *)
-  w : int32 array; (* message schedule scratch, 64 words *)
-}
+let h0 =
+  [|
+    0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+    0x1f83d9ab; 0x5be0cd19;
+  |]
 
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-        0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
-      |];
-    buf = Bytes.create block_size;
-    buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0l;
-  }
+let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( ^^ ) = Int32.logxor
-let ( &&& ) = Int32.logand
-let ( ||| ) = Int32.logor
-let ( +% ) = Int32.add
-let lnot32 = Int32.lognot
-
-(* Compress one 64-byte block located at [off] in [data]. *)
-let compress ctx data off =
-  let w = ctx.w in
+(* Fold the 64-byte block at [off] of [data] into the chaining state
+   [h], with [w] as the message-schedule scratch. *)
+let compress h w data off =
   for t = 0 to 15 do
-    let base = off + (t * 4) in
-    let b i = Int32.of_int (Char.code (Bytes.get data (base + i))) in
-    w.(t) <-
-      Int32.shift_left (b 0) 24
-      ||| Int32.shift_left (b 1) 16
-      ||| Int32.shift_left (b 2) 8
-      ||| b 3
+    w.(t) <- Int32.to_int (String.get_int32_be data (off + (t * 4))) land mask
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 ^^ rotr w.(t - 15) 18 ^^ Int32.shift_right_logical w.(t - 15) 3 in
-    let s1 = rotr w.(t - 2) 17 ^^ rotr w.(t - 2) 19 ^^ Int32.shift_right_logical w.(t - 2) 10 in
-    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) in
-  let d = ref ctx.h.(3) and e = ref ctx.h.(4) and f = ref ctx.h.(5) in
-  let g = ref ctx.h.(6) and h = ref ctx.h.(7) in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 ^^ rotr !e 11 ^^ rotr !e 25 in
-    let ch = (!e &&& !f) ^^ (lnot32 !e &&& !g) in
-    let t1 = !h +% s1 +% ch +% k.(t) +% w.(t) in
-    let s0 = rotr !a 2 ^^ rotr !a 13 ^^ rotr !a 22 in
-    let maj = (!a &&& !b) ^^ (!a &&& !c) ^^ (!b &&& !c) in
-    let t2 = s0 +% maj in
-    h := !g;
+    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ch = !e land !f lxor (lnot !e land !g) in
+    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
+    hh := !g;
     g := !f;
     f := !e;
-    e := !d +% t1;
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
     b := !a;
-    a := t1 +% t2
+    a := (t1 + s0 + maj) land mask
   done;
-  ctx.h.(0) <- ctx.h.(0) +% !a;
-  ctx.h.(1) <- ctx.h.(1) +% !b;
-  ctx.h.(2) <- ctx.h.(2) +% !c;
-  ctx.h.(3) <- ctx.h.(3) +% !d;
-  ctx.h.(4) <- ctx.h.(4) +% !e;
-  ctx.h.(5) <- ctx.h.(5) +% !f;
-  ctx.h.(6) <- ctx.h.(6) +% !g;
-  ctx.h.(7) <- ctx.h.(7) +% !h
-
-let update ctx s =
-  let len = String.length s in
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
-  let pos = ref 0 in
-  (* Fill a partial buffered block first. *)
-  if ctx.buf_len > 0 then begin
-    let need = block_size - ctx.buf_len in
-    let take = min need len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
-    if ctx.buf_len = block_size then begin
-      compress ctx ctx.buf 0;
-      ctx.buf_len <- 0
-    end
-  end;
-  (* Whole blocks straight from the input. *)
-  let scratch = ctx.buf in
-  while len - !pos >= block_size do
-    Bytes.blit_string s !pos scratch 0 block_size;
-    compress ctx scratch 0;
-    pos := !pos + block_size
-  done;
-  if ctx.buf_len = 0 && len - !pos > 0 then begin
-    Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
-  end
-
-let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  let pad_len =
-    let rem = (ctx.buf_len + 1 + 8) mod block_size in
-    if rem = 0 then 1 else 1 + (block_size - rem)
-  in
-  let padding = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set padding 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set padding
-      (pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len ((7 - i) * 8)) 0xFFL)))
-  done;
-  (* update without touching [total] semantics: total is only read above. *)
-  update ctx (Bytes.to_string padding);
-  assert (ctx.buf_len = 0);
-  let out = Bytes.create digest_size in
-  for i = 0 to 7 do
-    let word = ctx.h.(i) in
-    for j = 0 to 3 do
-      Bytes.set out
-        ((i * 4) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical word ((3 - j) * 8)) 0xFFl)))
-    done
-  done;
-  Bytes.to_string out
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let digest s =
-  let ctx = init () in
-  update ctx s;
-  finalize ctx
+  let h = Array.copy h0 and w = Array.make 64 0 in
+  let len = String.length s in
+  let whole = len - (len mod block_size) in
+  let off = ref 0 in
+  while !off < whole do
+    compress h w s !off;
+    off := !off + block_size
+  done;
+  (* The last one or two blocks: the remaining bytes, 0x80, zeros and
+     the message length in bits as a 64-bit big-endian integer. *)
+  let rest = len - whole in
+  let tail_len =
+    if rest + 9 <= block_size then block_size else 2 * block_size
+  in
+  let tail = Bytes.make tail_len '\000' in
+  Bytes.blit_string s whole tail 0 rest;
+  Bytes.set tail rest '\x80';
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.mul (Int64.of_int len) 8L);
+  let tail = Bytes.unsafe_to_string tail in
+  compress h w tail 0;
+  if tail_len > block_size then compress h w tail block_size;
+  let out = Bytes.create digest_size in
+  Array.iteri (fun i x -> Bytes.set_int32_be out (i * 4) (Int32.of_int x)) h;
+  Bytes.unsafe_to_string out
 
 let hex s =
   let d = digest s in
-  let buf = Buffer.create (2 * digest_size) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+  let digits = "0123456789abcdef" in
+  String.init (2 * digest_size) (fun i ->
+      let b = Char.code d.[i / 2] in
+      digits.[if i land 1 = 0 then b lsr 4 else b land 15])

@@ -1,6 +1,6 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch on top of [int32]
-    arithmetic. Used for PCB signing, hop-field MACs (via {!Hmac}) and
-    content-addressed identifiers in the simulator. *)
+(** SHA-256 (FIPS 180-4), implemented from scratch on native ints
+    masked to 32 bits. Used for PCB signing, hop-field MACs (via
+    {!Hmac}) and content-addressed identifiers in the simulator. *)
 
 val digest : string -> string
 (** One-shot hash: 32 raw bytes. *)

@@ -95,37 +95,47 @@ let up_segments t ~src =
 let not_revoked t (p : Fwd_path.t) =
   not (Array.exists (fun l -> Hashtbl.mem t.revoked l) p.Fwd_path.links)
 
+type segments = {
+  up : Segment.t list;
+  core : Segment.t list;
+  down : Segment.t list;
+}
+
+let lookup t ~src ~dst =
+  let g = t.graph in
+  let src_core = Graph.is_core g src and dst_core = Graph.is_core g dst in
+  let ups = if src_core then [] else up_segments t ~src in
+  let src_cores =
+    if src_core then [ src ]
+    else
+      List.sort_uniq compare (List.map (fun (s : Segment.t) -> s.Segment.origin) ups)
+  in
+  let dst_isd = (Graph.as_info g dst).Graph.ia.Id.isd in
+  let dst_cores = if dst_core then [ dst ] else core_ases_of_isd g dst_isd in
+  let downs =
+    if dst_core then []
+    else
+      List.concat_map
+        (fun c -> Path_server.lookup_down (ps t c) ~now:t.now ~leaf:dst)
+        dst_cores
+  in
+  let cores =
+    List.concat_map
+      (fun c1 ->
+        List.concat_map
+          (fun c2 ->
+            if c1 = c2 then []
+            else Path_server.lookup_core (ps t c1) ~now:t.now ~remote:c2)
+          dst_cores)
+      src_cores
+  in
+  { up = ups; core = cores; down = downs }
+
 let resolve t ~src ~dst =
   if src = dst then []
   else begin
-    let g = t.graph in
-    let src_core = Graph.is_core g src and dst_core = Graph.is_core g dst in
-    let ups = if src_core then [] else up_segments t ~src in
-    let src_cores =
-      if src_core then [ src ]
-      else
-        List.sort_uniq compare (List.map (fun (s : Segment.t) -> s.Segment.origin) ups)
-    in
-    let dst_isd = (Graph.as_info g dst).Graph.ia.Id.isd in
-    let dst_cores = if dst_core then [ dst ] else core_ases_of_isd g dst_isd in
-    let downs =
-      if dst_core then []
-      else
-        List.concat_map
-          (fun c -> Path_server.lookup_down (ps t c) ~now:t.now ~leaf:dst)
-          dst_cores
-    in
-    let cores =
-      List.concat_map
-        (fun c1 ->
-          List.concat_map
-            (fun c2 ->
-              if c1 = c2 then []
-              else Path_server.lookup_core (ps t c1) ~now:t.now ~remote:c2)
-            dst_cores)
-        src_cores
-    in
-    Seg_combine.combine g ~up:ups ~core:cores ~down:downs ~src ~dst
+    let s = lookup t ~src ~dst in
+    Seg_combine.combine t.graph ~up:s.up ~core:s.core ~down:s.down ~src ~dst
     |> List.filter (not_revoked t)
   end
 

@@ -24,6 +24,19 @@ val build :
 val keys : t -> Fwd_keys.t
 (** The forwarding-key registry routers validate hop fields against. *)
 
+type segments = {
+  up : Segment.t list;
+  core : Segment.t list;
+  down : Segment.t list;
+}
+
+val lookup : t -> src:int -> dst:int -> segments
+(** The segments {!resolve} combines for an endpoint in [src] towards
+    [dst]: [src]'s up segments (none if [src] is core), the core
+    segments from [src]'s core ASes to [dst]'s ISD cores, and [dst]'s
+    down segments (none if [dst] is core), fetched from the path
+    servers. *)
+
 val resolve : t -> src:int -> dst:int -> Fwd_path.t list
 (** Full path resolution for an endpoint in [src] towards [dst]:
     fetches core segments (from the local ISD core) and down segments

@@ -19,7 +19,8 @@ val combine :
   dst:int ->
   Fwd_path.t list
 (** All valid, deduplicated forwarding paths from [src] to [dst],
-    sorted by AS-hop count; at most the 64 shortest.
+    sorted by AS-hop count; at most the 64 shortest. Every combination
+    is enumerated, but only those that can make the cut are built.
 
     Expected segment orientations (as produced by {!Segment.terminate}):
     up segments have [leaf = src]; core segments are held by the local

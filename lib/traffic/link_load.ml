@@ -34,19 +34,25 @@ let capacity_mbps t l = t.capacity.(l)
 let count t l = t.counts.(l)
 
 let add_path t links =
-  Array.iter (fun l -> t.counts.(l) <- t.counts.(l) + 1) links
+  for x = 0 to Array.length links - 1 do
+    let l = links.(x) in
+    t.counts.(l) <- t.counts.(l) + 1
+  done
 
 let remove_path t links =
-  Array.iter
-    (fun l ->
-      if t.counts.(l) = 0 then
-        invalid_arg "Link_load.remove_path: count underflow";
-      t.counts.(l) <- t.counts.(l) - 1)
-    links
+  for x = 0 to Array.length links - 1 do
+    let l = links.(x) in
+    if t.counts.(l) = 0 then
+      invalid_arg "Link_load.remove_path: count underflow";
+    t.counts.(l) <- t.counts.(l) - 1
+  done
 
 let fair_share t links =
-  Array.fold_left
-    (fun acc l ->
-      let c = t.counts.(l) in
-      if c = 0 then acc else Float.min acc (t.capacity.(l) /. float_of_int c))
-    infinity links
+  let share = ref infinity in
+  for x = 0 to Array.length links - 1 do
+    let l = links.(x) in
+    let c = t.counts.(l) in
+    if c <> 0 then
+      share := Float.min !share (t.capacity.(l) /. float_of_int c)
+  done;
+  !share

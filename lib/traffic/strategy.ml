@@ -15,133 +15,200 @@ let of_string s =
         (Printf.sprintf "unknown strategy %S (expected %s)" s
            (String.concat ", " (List.map name all)))
 
-type ctx = { latency_ms : float array; load : Link_load.t }
+(* Besides the inputs, a context holds the scratch every selection
+   reuses, so selecting allocates only its result. Each simulation owns
+   its context: simulations on separate domains share no scratch. *)
+type ctx = {
+  latency_ms : float array;
+  load : Link_load.t;
+  bonus : int array;
+      (* per link: subflows the selection being built adds; all zero
+         between calls *)
+  mutable taken : Bytes.t;  (* per offered index: already chosen *)
+  mutable lat : float array;  (* per offered index: latency, or nan *)
+}
 
-let path_latency ctx (p : Fwd_path.t) =
-  Array.fold_left (fun acc l -> acc +. ctx.latency_ms.(l)) 0.0 p.links
+let ctx ~latency_ms load =
+  {
+    latency_ms;
+    load;
+    bonus = Array.make (Array.length latency_ms) 0;
+    taken = Bytes.empty;
+    lat = [||];
+  }
 
-(* Indices sorted by (latency, index) — the canonical preference order
-   latency-greedy uses directly and the other strategies fall back
-   to on ties. *)
-let by_latency ctx offered =
-  let lat = Array.map (path_latency ctx) offered in
-  let order = Array.init (Array.length offered) Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = compare lat.(a) lat.(b) in
-      if c <> 0 then c else compare a b)
-    order;
-  (order, lat)
+let path_latency c (p : Fwd_path.t) =
+  let sum = ref 0.0 in
+  for x = 0 to Array.length p.links - 1 do
+    sum := !sum +. c.latency_ms.(p.links.(x))
+  done;
+  !sum
 
-let take_width width order =
-  Array.sub order 0 (min width (Array.length order))
+(* Clear the taken flags of [n] offered paths, growing the scratch if
+   the offered set is the largest seen so far. *)
+let reserve c n =
+  if Bytes.length c.taken < n then begin
+    let cap = max n (2 * Bytes.length c.taken) in
+    c.taken <- Bytes.create cap;
+    c.lat <- Array.make cap Float.nan
+  end;
+  Bytes.fill c.taken 0 n '\000'
 
-let select_latency ctx ~width offered =
-  let order, _ = by_latency ctx offered in
-  take_width width order
+let taken c i = Bytes.get c.taken i <> '\000'
+
+let add_bonus c links =
+  for x = 0 to Array.length links - 1 do
+    let l = links.(x) in
+    c.bonus.(l) <- c.bonus.(l) + 1
+  done
+
+let choose c sel r i =
+  Bytes.set c.taken i '\001';
+  sel.(r) <- i
+
+(* Restore the all-zero [bonus] invariant after a selection. *)
+let clear_bonus c offered sel =
+  for r = 0 to Array.length sel - 1 do
+    let links = offered.(sel.(r)).Fwd_path.links in
+    for x = 0 to Array.length links - 1 do
+      c.bonus.(links.(x)) <- 0
+    done
+  done
+
+(* The rate a new subflow on [links] would get: the minimum of
+   [capacity / (count + bonus + 1)] over its links, where [bonus]
+   counts the subflows the selection being built has already put
+   there. *)
+let rate c links =
+  let load = c.load in
+  let est = ref infinity in
+  for x = 0 to Array.length links - 1 do
+    let l = links.(x) in
+    est :=
+      Float.min !est
+        (Link_load.capacity_mbps load l
+        /. float_of_int (Link_load.count load l + c.bonus.(l) + 1))
+  done;
+  !est
+
+let fill_latencies c offered =
+  for i = 0 to Array.length offered - 1 do
+    c.lat.(i) <- path_latency c offered.(i)
+  done
+
+(* Latency of [offered.(i)], computed on first use. *)
+let latency c offered i =
+  let v = c.lat.(i) in
+  if Float.is_nan v then begin
+    let v = path_latency c offered.(i) in
+    c.lat.(i) <- v;
+    v
+  end
+  else v
+
+(* The [min width n] untaken paths of least (latency, index), in that
+   order: the canonical preference order latency-greedy uses directly
+   and the other strategies fall back to on ties. *)
+let select_latency c ~width offered =
+  let n = Array.length offered in
+  reserve c n;
+  fill_latencies c offered;
+  let sel = Array.make (min width n) 0 in
+  for r = 0 to Array.length sel - 1 do
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if
+        (not (taken c i))
+        && (!best < 0 || Float.compare c.lat.(i) c.lat.(!best) < 0)
+      then best := i
+    done;
+    choose c sel r !best
+  done;
+  sel
+
+let overlap c links =
+  let k = ref 0 in
+  for x = 0 to Array.length links - 1 do
+    if c.bonus.(links.(x)) > 0 then incr k
+  done;
+  !k
 
 (* Greedy maximal link-disjointness: seed with the lowest-latency
    path, then repeatedly add the candidate sharing the fewest links
    with everything chosen so far (ties broken by latency, then
-   index). Stops early only when the offered set runs out. *)
-let select_diversity ctx ~width offered =
-  let order, lat = by_latency ctx offered in
-  let n = Array.length order in
-  if n = 0 then [||]
-  else begin
-    let used = Hashtbl.create 16 in
-    let mark i =
-      Array.iter (fun l -> Hashtbl.replace used l ()) offered.(i).Fwd_path.links
-    in
-    let overlap i =
-      Array.fold_left
-        (fun acc l -> if Hashtbl.mem used l then acc + 1 else acc)
-        0
-        offered.(i).Fwd_path.links
-    in
-    let chosen = ref [ order.(0) ] in
-    mark order.(0);
-    let taken = Hashtbl.create 16 in
-    Hashtbl.replace taken order.(0) ();
-    while List.length !chosen < min width n do
-      let best = ref (-1) and best_key = ref (max_int, infinity, max_int) in
-      Array.iter
-        (fun i ->
-          if not (Hashtbl.mem taken i) then begin
-            let key = (overlap i, lat.(i), i) in
-            if key < !best_key then begin
-              best_key := key;
-              best := i
-            end
-          end)
-        order;
-      Hashtbl.replace taken !best ();
-      mark !best;
-      chosen := !best :: !chosen
-    done;
-    Array.of_list (List.rev !chosen)
-  end
-
-(* Maximise the rate a new subflow would actually get, the minimum of
-   [capacity / (count + 1)] over its links, accounting for the load the
-   already-chosen subflows of this same selection will add ([extra]).
-   Congestion feedback enters through [Link_load]'s counts. *)
-let select_adaptive ctx ~width offered =
+   index). Stops early only when the offered set runs out. Candidates
+   are scanned by index and replaced only on a strict improvement, so
+   a full tie keeps the lower index. *)
+let select_diversity c ~width offered =
   let n = Array.length offered in
-  if n = 0 then [||]
-  else begin
-    let _, lat = by_latency ctx offered in
-    let extra = Hashtbl.create 16 in
-    let est i =
-      Array.fold_left
-        (fun acc l ->
-          let bonus =
-            match Hashtbl.find_opt extra l with Some k -> k | None -> 0
-          in
-          Float.min acc
-            (Link_load.capacity_mbps ctx.load l
-            /. float_of_int (Link_load.count ctx.load l + bonus + 1)))
-        infinity
-        offered.(i).Fwd_path.links
-    in
-    let taken = Hashtbl.create 16 in
-    let chosen = ref [] in
-    for _ = 1 to min width n do
-      let best = ref (-1) and best_key = ref (neg_infinity, infinity, max_int) in
-      for i = 0 to n - 1 do
-        if not (Hashtbl.mem taken i) then begin
-          (* higher estimate wins; ties prefer lower latency, then index *)
-          let key = (est i, -.lat.(i), -i) in
-          if
-            !best < 0
-            ||
-            let e, l, j = !best_key in
-            let e', l', j' = key in
-            e' > e || (e' = e && (l' > l || (l' = l && j' > j)))
-          then begin
-            best_key := key;
-            best := i
-          end
+  reserve c n;
+  fill_latencies c offered;
+  let sel = Array.make (min width n) 0 in
+  for r = 0 to Array.length sel - 1 do
+    let best = ref (-1) and best_ov = ref max_int in
+    for i = 0 to n - 1 do
+      if not (taken c i) then begin
+        let ov = overlap c offered.(i).Fwd_path.links in
+        if
+          !best < 0 || ov < !best_ov
+          || (ov = !best_ov && Float.compare c.lat.(i) c.lat.(!best) < 0)
+        then begin
+          best := i;
+          best_ov := ov
         end
-      done;
-      Hashtbl.replace taken !best ();
-      Array.iter
-        (fun l ->
-          let k =
-            match Hashtbl.find_opt extra l with Some k -> k | None -> 0
-          in
-          Hashtbl.replace extra l (k + 1))
-        offered.(!best).Fwd_path.links;
-      chosen := !best :: !chosen
+      end
     done;
-    Array.of_list (List.rev !chosen)
-  end
+    choose c sel r !best;
+    add_bonus c offered.(!best).Fwd_path.links
+  done;
+  clear_bonus c offered sel;
+  sel
 
-let select t ctx ~width offered =
+(* Maximise the rate a new subflow would actually get ({!rate}),
+   accounting for the load the already-chosen subflows of this same
+   selection will add. Congestion feedback enters through
+   [Link_load]'s counts. A higher estimate wins; ties prefer lower
+   latency, then the lower index (the scan order). *)
+let select_adaptive c ~width offered =
+  let n = Array.length offered in
+  reserve c n;
+  Array.fill c.lat 0 n Float.nan;
+  let sel = Array.make (min width n) 0 in
+  for r = 0 to Array.length sel - 1 do
+    let best = ref (-1) and best_est = ref neg_infinity in
+    for i = 0 to n - 1 do
+      if not (taken c i) then begin
+        let e = rate c offered.(i).Fwd_path.links in
+        if
+          !best < 0 || e > !best_est
+          || (e = !best_est && latency c offered i < latency c offered !best)
+        then begin
+          best := i;
+          best_est := e
+        end
+      end
+    done;
+    choose c sel r !best;
+    add_bonus c offered.(!best).Fwd_path.links
+  done;
+  clear_bonus c offered sel;
+  sel
+
+let estimate c offered sel =
+  let total = ref 0.0 in
+  for r = 0 to Array.length sel - 1 do
+    let links = offered.(sel.(r)).Fwd_path.links in
+    total := !total +. rate c links;
+    add_bonus c links
+  done;
+  clear_bonus c offered sel;
+  !total
+
+let select t c ~width offered =
   if width < 1 then invalid_arg "Strategy.select: width < 1";
   if Array.length offered = 0 then [||]
   else
     match t with
-    | Latency_greedy -> select_latency ctx ~width offered
-    | Diversity_max -> select_diversity ctx ~width offered
-    | Load_adaptive -> select_adaptive ctx ~width offered
+    | Latency_greedy -> select_latency c ~width offered
+    | Diversity_max -> select_diversity c ~width offered
+    | Load_adaptive -> select_adaptive c ~width offered

@@ -13,9 +13,10 @@
     - {e load-adaptive} — maximizes the admission-rate estimate from
       {!Link_load}, i.e. steers by congestion feedback.
 
-    Selection is a deterministic pure function of the offered set,
-    the latency table and the current link loads — strategies carry
-    no hidden state, which is what makes sharded runs reproducible. *)
+    Selection is a deterministic function of the offered set, the
+    latency table and the current link loads only: the scratch a
+    {!ctx} carries never outlives a call, which is what makes sharded
+    runs reproducible. *)
 
 type t = Latency_greedy | Diversity_max | Load_adaptive
 
@@ -27,10 +28,15 @@ val name : t -> string
 
 val of_string : string -> (t, string) result
 
-type ctx = {
-  latency_ms : float array;  (** per-link propagation latency *)
-  load : Link_load.t;
-}
+type ctx
+(** The inputs a selection reads, a per-link latency table and the
+    current {!Link_load}, plus scratch reused across selections. A
+    context is not safe to share between domains: give each simulation
+    its own. *)
+
+val ctx : latency_ms:float array -> Link_load.t -> ctx
+(** [latency_ms] is indexed by link id; every offered path's links
+    must index it. *)
 
 val path_latency : ctx -> Fwd_path.t -> float
 (** One-way propagation latency: sum over the path's links. *)
@@ -39,5 +45,14 @@ val select : t -> ctx -> width:int -> Fwd_path.t array -> int array
 (** [select s ctx ~width offered] returns the indices of the chosen
     paths, best first: at most [width] distinct indices into
     [offered], at least one when [offered] is non-empty, [| |]
-    otherwise. Never invents paths and never mutates [ctx.load].
-    Raises [Invalid_argument] when [width < 1]. *)
+    otherwise. Never invents paths and never mutates the context's
+    {!Link_load.t}. Raises [Invalid_argument] when [width < 1]. *)
+
+val estimate : ctx -> Fwd_path.t array -> int array -> float
+(** [estimate ctx offered sel] is the aggregate rate the selection
+    [sel] (indices into [offered]) would get: the sum, in [sel]'s
+    order, of each subflow's admission-rate estimate (the minimum over
+    its links of [capacity / (count + 1)]), counting on every link the
+    subflows of [sel] before it. This is the score load-adaptive
+    selection maximises greedily and re-selection compares by. Never
+    mutates the context's {!Link_load.t}. *)

@@ -27,7 +27,10 @@ type state = {
   mutable cursor : int;  (** consumed fault events *)
   mutable next_arrival : int;
   mutable rejected : int;
-  mutable active : flow array;  (** admission order *)
+  mutable active : flow array;
+      (** admission order; the first [n_active] are the active flows,
+          the rest {!vacant} *)
+  mutable n_active : int;
   links : Link_state.t;
   load : Link_load.t;
   delivered : float array;  (** Mbit carried, per link *)
@@ -44,12 +47,25 @@ type t = {
   events : Fault_plan.event array;
   ctx : Strategy.ctx;
   state : state;
+  mutable shares : float array;
+      (** scratch for {!progress}: one rate per active subflow *)
   fct_h : Histogram.t;
   util_h : Histogram.t;
   switch_h : Histogram.t;
   admitted_c : float ref;
   completed_c : float ref;
 }
+
+(* Fills the active array past its last active flow; never mutated. *)
+let vacant =
+  {
+    id = -1;
+    pair = -1;
+    arrival_s = 0.0;
+    remaining = 0.0;
+    sel = [||];
+    switches = 0;
+  }
 
 let fct_metric = "traffic_fct_s"
 
@@ -87,8 +103,9 @@ let make t_of_state cfg =
   {
     config = cfg;
     events = Fault_plan.compile ~graph:cfg.graph cfg.plan;
-    ctx = { Strategy.latency_ms = cfg.latency_ms; load = t_of_state.load };
+    ctx = Strategy.ctx ~latency_ms:cfg.latency_ms t_of_state.load;
     state = t_of_state;
+    shares = [||];
     fct_h;
     util_h;
     switch_h;
@@ -105,6 +122,7 @@ let create cfg =
       next_arrival = 0;
       rejected = 0;
       active = [||];
+      n_active = 0;
       links = Link_state.create ~n_links:(Graph.num_links cfg.graph);
       load = Link_load.create ~capacity_scale:cfg.capacity_scale cfg.graph;
       delivered = Array.make (Graph.num_links cfg.graph) 0.0;
@@ -129,59 +147,69 @@ let recovery t = t.state.recov
 let links_of t pair i = t.config.paths.(pair).(i).Fwd_path.links
 
 let add_sel t f =
-  Array.iter (fun i -> Link_load.add_path t.state.load (links_of t f.pair i)) f.sel
+  for j = 0 to Array.length f.sel - 1 do
+    Link_load.add_path t.state.load (links_of t f.pair f.sel.(j))
+  done
 
 let remove_sel t f =
-  Array.iter
-    (fun i -> Link_load.remove_path t.state.load (links_of t f.pair i))
-    f.sel
+  for j = 0 to Array.length f.sel - 1 do
+    Link_load.remove_path t.state.load (links_of t f.pair f.sel.(j))
+  done
 
 let path_alive t (p : Fwd_path.t) =
-  Array.for_all (Link_state.up t.state.links) p.Fwd_path.links
+  let links = p.Fwd_path.links in
+  let rec from x =
+    x >= Array.length links
+    || (Link_state.up t.state.links links.(x) && from (x + 1))
+  in
+  from 0
 
 (* Run the configured strategy over the currently-alive subset of the
-   pair's offered paths, returning indices into the full offered set. *)
+   pair's offered paths, returning indices into the full offered set.
+   With every offered path alive that subset is the offered set. *)
 let select_alive t pair =
   let offered = t.config.paths.(pair) in
-  let alive_idx = ref [] in
-  Array.iteri (fun i p -> if path_alive t p then alive_idx := i :: !alive_idx) offered;
-  let alive_idx = Array.of_list (List.rev !alive_idx) in
-  if Array.length alive_idx = 0 then [||]
-  else
-    let alive = Array.map (fun i -> offered.(i)) alive_idx in
-    let sel =
-      Strategy.select t.config.strategy t.ctx ~width:t.config.width alive
-    in
-    Array.map (fun j -> alive_idx.(j)) sel
+  let select = Strategy.select t.config.strategy t.ctx ~width:t.config.width in
+  if Array.for_all (path_alive t) offered then select offered
+  else begin
+    let alive_idx = ref [] in
+    Array.iteri
+      (fun i p -> if path_alive t p then alive_idx := i :: !alive_idx)
+      offered;
+    let alive_idx = Array.of_list (List.rev !alive_idx) in
+    if Array.length alive_idx = 0 then [||]
+    else
+      let sel = select (Array.map (fun i -> offered.(i)) alive_idx) in
+      Array.map (fun j -> alive_idx.(j)) sel
+  end
 
-(* Aggregate rate a selection would get, accounting for the load its
-   own subflows add on shared links — the comparison metric for
-   load-adaptive re-selection. *)
-let selection_estimate t pair sel =
-  let load = t.state.load in
-  let extra = Hashtbl.create 8 in
-  let bonus l = match Hashtbl.find_opt extra l with Some k -> k | None -> 0 in
-  Array.fold_left
-    (fun total i ->
-      let links = links_of t pair i in
-      let est =
-        Array.fold_left
-          (fun acc l ->
-            Float.min acc
-              (Link_load.capacity_mbps load l
-              /. float_of_int (Link_load.count load l + bonus l + 1)))
-          infinity links
-      in
-      Array.iter (fun l -> Hashtbl.replace extra l (bonus l + 1)) links;
-      total +. est)
-    0.0 sel
+let same_sel a b =
+  let n = Array.length a in
+  let rec from i = i >= n || (a.(i) = b.(i) && from (i + 1)) in
+  n = Array.length b && from 0
+
+(* --- active flows ----------------------------------------------------- *)
+
+let push_active st f =
+  if st.n_active = Array.length st.active then begin
+    let grown = Array.make (max 16 (2 * st.n_active)) vacant in
+    Array.blit st.active 0 grown 0 st.n_active;
+    st.active <- grown
+  end;
+  st.active.(st.n_active) <- f;
+  st.n_active <- st.n_active + 1
+
+let iter_active f st =
+  for k = 0 to st.n_active - 1 do
+    f st.active.(k)
+  done
 
 (* --- fault reactions -------------------------------------------------- *)
 
 let on_down t ~now ~link =
   let st = t.state in
   Recovery.record_event st.recov ~action:Fault_plan.Down;
-  Array.iter
+  iter_active
     (fun f ->
       if
         Array.length f.sel > 0
@@ -210,12 +238,12 @@ let on_down t ~now ~link =
           Recovery.record_failover st.recov ~recovery_s:(lat /. 1000.0)
         end
       end)
-    st.active
+    st
 
 let on_up t ~now ~link:_ =
   let st = t.state in
   Recovery.record_event st.recov ~action:Fault_plan.Up;
-  Array.iter
+  iter_active
     (fun f ->
       if Array.length f.sel = 0 then begin
         let sel' = select_alive t f.pair in
@@ -225,7 +253,7 @@ let on_up t ~now ~link:_ =
           Recovery.close_blackout st.recov ~now ~pair:(f.id, 0)
         end
       end)
-    st.active
+    st
 
 (* --- one slot --------------------------------------------------------- *)
 
@@ -234,9 +262,10 @@ let reconsider t f =
     let st = t.state in
     remove_sel t f;
     let cand = select_alive t f.pair in
-    (if Array.length cand > 0 && cand <> f.sel then begin
-       let cur = selection_estimate t f.pair f.sel in
-       let better = selection_estimate t f.pair cand in
+    (if Array.length cand > 0 && not (same_sel cand f.sel) then begin
+       let offered = t.config.paths.(f.pair) in
+       let cur = Strategy.estimate t.ctx offered f.sel in
+       let better = Strategy.estimate t.ctx offered cand in
        if better > t.config.adapt_margin *. cur then begin
          f.sel <- cand;
          f.switches <- f.switches + 1;
@@ -250,7 +279,6 @@ let admit t ~t1 =
   let st = t.state in
   let arrivals = Demand.sorted_flows t.config.demand in
   let n = Array.length arrivals in
-  let acc = ref [] in
   while
     st.next_arrival < n && arrivals.(st.next_arrival).Demand.arrival_s < t1
   do
@@ -304,45 +332,61 @@ let admit t ~t1 =
         f.sel <- sel;
         add_sel t f
       end;
-      acc := f :: !acc
+      push_active st f
     end
-  done;
-  if !acc <> [] then
-    st.active <- Array.append st.active (Array.of_list (List.rev !acc))
+  done
 
-let deliver t f shares dur =
-  Array.iteri
-    (fun j i ->
-      let r = shares.(j) in
-      Array.iter
-        (fun l -> t.state.delivered.(l) <- t.state.delivered.(l) +. (r *. dur))
-        (links_of t f.pair i))
-    f.sel
+(* Credit [dur] seconds of flow [f]'s subflows, at the rates stored in
+   [t.shares] from [off] on, to the links they ride. *)
+let deliver t f off dur =
+  let delivered = t.state.delivered in
+  for j = 0 to Array.length f.sel - 1 do
+    let r = t.shares.(off + j) in
+    let links = links_of t f.pair f.sel.(j) in
+    for x = 0 to Array.length links - 1 do
+      let l = links.(x) in
+      delivered.(l) <- delivered.(l) +. (r *. dur)
+    done
+  done
 
 let progress t ~t0 ~t1 =
   let st = t.state in
-  if Array.length st.active > 0 then begin
+  let n = st.n_active in
+  if n > 0 then begin
     (* Rates snapshot first: completions release capacity only at the
        next slot, so a flow's rate cannot depend on its position in
        the active array. *)
-    let shares =
-      Array.map
-        (fun f ->
-          Array.map (fun i -> Link_load.fair_share st.load (links_of t f.pair i)) f.sel)
-        st.active
-    in
-    let keep = ref [] in
-    Array.iteri
-      (fun k f ->
-        let sh = shares.(k) in
-        let rate = Array.fold_left ( +. ) 0.0 sh in
-        if rate <= 0.0 then keep := f :: !keep
+    let subflows = ref 0 in
+    iter_active (fun f -> subflows := !subflows + Array.length f.sel) st;
+    if Array.length t.shares < !subflows then
+      t.shares <- Array.make (max !subflows (2 * Array.length t.shares)) 0.0;
+    let off = ref 0 in
+    iter_active
+      (fun f ->
+        for j = 0 to Array.length f.sel - 1 do
+          t.shares.(!off + j) <-
+            Link_load.fair_share st.load (links_of t f.pair f.sel.(j))
+        done;
+        off := !off + Array.length f.sel)
+      st;
+    (* Then compact the survivors in place, in admission order. *)
+    let kept = ref 0 and off = ref 0 in
+    for k = 0 to n - 1 do
+      let f = st.active.(k) in
+      let n_sub = Array.length f.sel in
+      let rate = ref 0.0 in
+      for j = 0 to n_sub - 1 do
+        rate := !rate +. t.shares.(!off + j)
+      done;
+      let rate = !rate in
+      let keep =
+        if rate <= 0.0 then true
         else begin
           let start = Float.max t0 f.arrival_s in
           let dt = t1 -. start in
           if rate *. dt >= f.remaining then begin
             let dur = f.remaining /. rate in
-            deliver t f sh dur;
+            deliver t f !off dur;
             let fct = start +. dur -. f.arrival_s in
             Histogram.observe t.fct_h fct;
             Histogram.observe t.switch_h (float_of_int f.switches);
@@ -350,16 +394,24 @@ let progress t ~t0 ~t1 =
             st.completed <- st.completed + 1;
             st.fct_sum <- st.fct_sum +. fct;
             remove_sel t f;
-            f.sel <- [||]
+            f.sel <- [||];
+            false
           end
           else begin
-            deliver t f sh dt;
+            deliver t f !off dt;
             f.remaining <- f.remaining -. (rate *. dt);
-            keep := f :: !keep
+            true
           end
-        end)
-      st.active;
-    st.active <- Array.of_list (List.rev !keep)
+        end
+      in
+      off := !off + n_sub;
+      if keep then begin
+        st.active.(!kept) <- f;
+        incr kept
+      end
+    done;
+    Array.fill st.active !kept (n - !kept) vacant;
+    st.n_active <- !kept
   end
 
 let advance ?watchdog t ~upto =
@@ -375,7 +427,7 @@ let advance ?watchdog t ~upto =
         Link_state.replay st.links t.events ~from:st.cursor ~until:t0
           ~on_down:(on_down t) ~on_up:(on_up t);
       if cfg.strategy = Strategy.Load_adaptive && cfg.adapt_margin > 1.0 then
-        Array.iter (reconsider t) st.active;
+        iter_active (reconsider t) st;
       admit t ~t1;
       progress t ~t0 ~t1;
       st.slot <- s + 1;
@@ -421,7 +473,7 @@ let encode t =
       Snapshot.w_f64 w f.remaining;
       Snapshot.w_arr w Snapshot.w_int f.sel;
       Snapshot.w_int w f.switches)
-    st.active;
+    (Array.sub st.active 0 st.n_active);
   Link_state.write w st.links;
   Snapshot.w_arr w Snapshot.w_f64 st.delivered;
   Recovery.write w st.recov;
@@ -484,6 +536,7 @@ let restore cfg data =
       next_arrival;
       rejected;
       active;
+      n_active = Array.length active;
       links;
       load;
       delivered;
@@ -566,7 +619,7 @@ let report t =
     flows_admitted = st.next_arrival - st.rejected;
     flows_rejected = st.rejected;
     flows_completed = st.completed;
-    flows_unfinished = Array.length st.active;
+    flows_unfinished = st.n_active;
     mean_fct_s =
       (if st.completed = 0 then Float.nan
        else st.fct_sum /. float_of_int st.completed);

@@ -449,6 +449,74 @@ let prop_resolve_forwardable =
         l1;
       !ok)
 
+(* A small seeded Caida-like ISD with a few seeded peering links added
+   between non-core ASes. *)
+let small_isd ~n ~n_core seed =
+  let full =
+    Caida_like.generate { Caida_like.small_params with Caida_like.n; seed }
+  in
+  let isd, _ = Caida_like.build_isd full ~n_core in
+  let g = Exp_common.coreify isd in
+  let leaves =
+    Array.of_list
+      (List.filter
+         (fun v -> not (Graph.is_core g v))
+         (List.init (Graph.n g) Fun.id))
+  in
+  let rng = Rng.create seed in
+  let b = Graph.to_builder g in
+  for _ = 1 to 4 do
+    let x = leaves.(Rng.int rng (Array.length leaves))
+    and y = leaves.(Rng.int rng (Array.length leaves)) in
+    if x <> y then Graph.add_link b ~rel:Graph.Peering x y
+  done;
+  Graph.freeze b
+
+(* Oracle for the lazy combiner: over every ordered (src, dst) pair of
+   five small ISDs, [Seg_combine.combine] returns exactly the eager
+   reference's list (crossings with their proofs, links, combination tag
+   and order) for the segments [Control_service.resolve] would combine.
+   Three-core ISDs carry core segments and overflow the 64-path cap;
+   one-core ISDs drawn from a larger graph have transit ASes whose
+   peering links give peering shortcuts of more than two ASes. *)
+let test_lazy_combine_equals_reference () =
+  let over_cap = ref 0 and long_peering = ref 0 in
+  List.iter
+    (fun (n, n_core, seed) ->
+      let g = small_isd ~n ~n_core seed in
+      let _, _, cs = Exp_common.control_plane g in
+      for src = 0 to Graph.n g - 1 do
+        for dst = 0 to Graph.n g - 1 do
+          if src <> dst then begin
+            let { Control_service.up; core; down } =
+              Control_service.lookup cs ~src ~dst
+            in
+            let all =
+              Reference_combine.reference_candidates g ~up ~core ~down ~src ~dst
+            in
+            if List.length all > Reference_combine.max_paths then incr over_cap;
+            let expected =
+              Reference_combine.take Reference_combine.max_paths all
+            in
+            List.iter
+              (fun p ->
+                if
+                  p.Fwd_path.combination = Fwd_path.Peering_shortcut
+                  && Fwd_path.length p > 2
+                then incr long_peering)
+              expected;
+            if Seg_combine.combine g ~up ~core ~down ~src ~dst <> expected then
+              Alcotest.failf "seed %Ld: %d -> %d differs from the reference"
+                seed src dst
+          end
+        done
+      done)
+    [ (60, 3, 1L); (60, 3, 2L); (100, 1, 1L); (100, 1, 2L); (100, 1, 3L) ];
+  Alcotest.(check bool) "some pair overflows the cap" true (!over_cap > 0);
+  Alcotest.(check bool)
+    "some pair keeps a peering shortcut of more than two ASes" true
+    (!long_peering > 0)
+
 (* A read creates no path server: every core AS has one from [build],
    so a revocation reaches the same servers whether or not lookups ran
    first. The lookup towards A5 asks both cores of ISD 2, C6 included. *)
@@ -506,5 +574,6 @@ let suite =
       `Quick,
       test_control_service_revocation_ignores_reads );
     QCheck_alcotest.to_alcotest prop_resolve_forwardable;
+    ("lazy combine equals reference", `Quick, test_lazy_combine_equals_reference);
     ("build rejects mismatched graphs", `Quick, test_build_rejects_mismatched_graphs);
   ]

@@ -116,11 +116,13 @@ let test_link_load_fair_share () =
 
 (* Two-link world: path 0 rides link 0 (fast), path 1 rides link 1
    (slow), path 2 rides both. *)
-let tiny_ctx () =
+let tiny_world () =
   let g = network () in
   let load = Link_load.create g in
   let latency_ms = Array.init (Graph.num_links g) (fun l -> 5.0 +. float_of_int l) in
-  { Strategy.latency_ms; load }
+  (Strategy.ctx ~latency_ms load, load)
+
+let tiny_ctx () = fst (tiny_world ())
 
 let offered_fixture = [| fpath [ 0 ]; fpath [ 1 ]; fpath [ 0; 1 ] |]
 
@@ -166,13 +168,13 @@ let test_strategy_diversity () =
     (List.sort compare (Array.to_list sel) = [ 0; 1 ])
 
 let test_strategy_load_adaptive_shifts () =
-  let ctx = tiny_ctx () in
+  let ctx, load = tiny_world () in
   let sel = Strategy.select Strategy.Load_adaptive ctx ~width:1 offered_fixture in
   check Alcotest.int "idle: fattest estimate wins" 0 sel.(0);
   (* Saturate link 0: the adaptive strategy must shift to link 1 while
      the latency-greedy one keeps herding onto the saturated link. *)
   for _ = 1 to 50 do
-    Link_load.add_path ctx.Strategy.load [| 0 |]
+    Link_load.add_path load [| 0 |]
   done;
   let sel' = Strategy.select Strategy.Load_adaptive ctx ~width:1 offered_fixture in
   check Alcotest.int "saturated: shifts to the idle link" 1 sel'.(0);
@@ -189,6 +191,79 @@ let test_strategy_names () =
   (match Strategy.of_string "bogus" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus strategy accepted")
+
+(* Oracle for the allocation-free selectors: on random worlds they pick
+   exactly what the eager reference picks, and [Strategy.estimate]
+   returns the reference's float bit for bit. Latencies of 1 or 2 ms
+   and three capacity classes force latency and estimate ties; each
+   world runs every selector several times on one context, so scratch
+   left over from one call would show in the next. *)
+let prop_selectors_equal_reference =
+  let gen =
+    QCheck.Gen.(
+      let* n_links = int_range 1 12 in
+      let* rels = array_repeat n_links (int_bound 2) in
+      let* lat = array_repeat n_links (int_range 1 2) in
+      let* counts = array_repeat n_links (int_bound 3) in
+      let* paths =
+        list_size (int_bound 16)
+          (list_size (int_range 1 5) (int_bound (n_links - 1)))
+      in
+      let* widths = list_repeat 4 (int_range 1 4) in
+      return (rels, lat, counts, paths, widths))
+  in
+  let print (rels, lat, counts, paths, widths) =
+    let ints a = String.concat "," (List.map string_of_int a) in
+    Printf.sprintf "rels=%s lat=%s counts=%s paths=[%s] widths=%s"
+      (ints (Array.to_list rels)) (ints (Array.to_list lat))
+      (ints (Array.to_list counts))
+      (String.concat " " (List.map ints paths))
+      (ints widths)
+  in
+  QCheck.Test.make ~name:"selectors equal the eager reference" ~count:300
+    (QCheck.make ~print gen)
+    (fun (rels, lat, counts, paths, widths) ->
+      let b = Graph.builder () in
+      let x = Graph.add_as b ~tier:1 (Id.ia 1 1) in
+      let y = Graph.add_as b (Id.ia 1 2) in
+      Array.iter
+        (fun r ->
+          let rel =
+            match r with
+            | 0 -> Graph.Core
+            | 1 -> Graph.Peering
+            | _ -> Graph.Provider_customer
+          in
+          Graph.add_link b ~rel x y)
+        rels;
+      let g = Graph.freeze b in
+      let load = Link_load.create g in
+      Array.iteri
+        (fun l k ->
+          for _ = 1 to k do
+            Link_load.add_path load [| l |]
+          done)
+        counts;
+      let latency_ms = Array.map float_of_int lat in
+      let offered = Array.of_list (List.map fpath paths) in
+      let ctx = Strategy.ctx ~latency_ms load in
+      let reference = { Reference_select.latency_ms; load } in
+      let same_estimate sel =
+        Int64.equal
+          (Int64.bits_of_float (Strategy.estimate ctx offered sel))
+          (Int64.bits_of_float
+             (Reference_select.selection_estimate load offered sel))
+      in
+      List.for_all
+        (fun width ->
+          List.for_all
+            (fun s ->
+              let sel = Strategy.select s ctx ~width offered in
+              sel = Reference_select.select s reference ~width offered
+              && same_estimate sel
+              && same_estimate (Array.of_list (List.rev (Array.to_list sel))))
+            Strategy.all)
+        widths)
 
 (* --- Demand ------------------------------------------------------------ *)
 
@@ -582,6 +657,7 @@ let suite =
     ("strategy diversity", `Quick, test_strategy_diversity);
     ("strategy load-adaptive shifts", `Quick, test_strategy_load_adaptive_shifts);
     ("strategy names", `Quick, test_strategy_names);
+    QCheck_alcotest.to_alcotest prop_selectors_equal_reference;
     ("demand pure and sorted", `Quick, test_demand_pure_and_sorted);
     ("recovery dump round-trip", `Quick, test_recovery_dump_roundtrip);
     ("sim accounting", `Quick, test_sim_accounting);
