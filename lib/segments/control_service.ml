@@ -29,19 +29,21 @@ let ingest_intra t (intra : Beaconing.outcome) =
         List.filter_map
           (fun pcb ->
             if Array.length pcb.Pcb.hops = 0 then None
-            else Some (Segment.terminate g t.keys ~kind:Segment.Up ~holder:v pcb))
+            else begin
+              let up =
+                Segment.terminate g t.keys ~kind:Segment.Up ~holder:v pcb
+              in
+              (* Register the same segment as a down-path segment at the
+                 core path server of its origin AS (§2.2: leaf ASes
+                 register). *)
+              ignore
+                (Path_server.register_down (ps t up.Segment.origin) ~now:t.now
+                   { up with Segment.kind = Segment.Down });
+              Some up
+            end)
           pcbs
       in
-      Hashtbl.replace t.up_store v ups;
-      (* Register the same segments as down-path segments at the core
-         path server of their origin AS (§2.2: leaf ASes register). *)
-      List.iter
-        (fun pcb ->
-          if Array.length pcb.Pcb.hops > 0 then begin
-            let seg = Segment.terminate g t.keys ~kind:Segment.Down ~holder:v pcb in
-            ignore (Path_server.register_down (ps t seg.Segment.origin) ~now:t.now seg)
-          end)
-        pcbs
+      Hashtbl.replace t.up_store v ups
     end
   done
 

@@ -44,15 +44,23 @@ let path_latency c (p : Fwd_path.t) =
   done;
   !sum
 
-(* Clear the taken flags of [n] offered paths, growing the scratch if
-   the offered set is the largest seen so far. *)
-let reserve c n =
+(* Mark each offered path [usable] rejects as taken and clear the
+   others' flags, growing the scratch if the offered set is the largest
+   seen so far. Returns how many paths are left to choose from. *)
+let reserve c ~usable offered =
+  let n = Array.length offered in
   if Bytes.length c.taken < n then begin
     let cap = max n (2 * Bytes.length c.taken) in
     c.taken <- Bytes.create cap;
     c.lat <- Array.make cap Float.nan
   end;
-  Bytes.fill c.taken 0 n '\000'
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    let u = usable offered.(i) in
+    if u then incr live;
+    Bytes.set c.taken i (if u then '\000' else '\001')
+  done;
+  !live
 
 let taken c i = Bytes.get c.taken i <> '\000'
 
@@ -106,14 +114,14 @@ let latency c offered i =
   end
   else v
 
-(* The [min width n] untaken paths of least (latency, index), in that
+(* The [min width live] usable paths of least (latency, index), in that
    order: the canonical preference order latency-greedy uses directly
    and the other strategies fall back to on ties. *)
-let select_latency c ~width offered =
+let select_latency c ~usable ~width offered =
   let n = Array.length offered in
-  reserve c n;
+  let live = reserve c ~usable offered in
   fill_latencies c offered;
-  let sel = Array.make (min width n) 0 in
+  let sel = Array.make (min width live) 0 in
   for r = 0 to Array.length sel - 1 do
     let best = ref (-1) in
     for i = 0 to n - 1 do
@@ -136,14 +144,14 @@ let overlap c links =
 (* Greedy maximal link-disjointness: seed with the lowest-latency
    path, then repeatedly add the candidate sharing the fewest links
    with everything chosen so far (ties broken by latency, then
-   index). Stops early only when the offered set runs out. Candidates
+   index). Stops early only when the usable paths run out. Candidates
    are scanned by index and replaced only on a strict improvement, so
    a full tie keeps the lower index. *)
-let select_diversity c ~width offered =
+let select_diversity c ~usable ~width offered =
   let n = Array.length offered in
-  reserve c n;
+  let live = reserve c ~usable offered in
   fill_latencies c offered;
-  let sel = Array.make (min width n) 0 in
+  let sel = Array.make (min width live) 0 in
   for r = 0 to Array.length sel - 1 do
     let best = ref (-1) and best_ov = ref max_int in
     for i = 0 to n - 1 do
@@ -169,11 +177,11 @@ let select_diversity c ~width offered =
    selection will add. Congestion feedback enters through
    [Link_load]'s counts. A higher estimate wins; ties prefer lower
    latency, then the lower index (the scan order). *)
-let select_adaptive c ~width offered =
+let select_adaptive c ~usable ~width offered =
   let n = Array.length offered in
-  reserve c n;
+  let live = reserve c ~usable offered in
   Array.fill c.lat 0 n Float.nan;
-  let sel = Array.make (min width n) 0 in
+  let sel = Array.make (min width live) 0 in
   for r = 0 to Array.length sel - 1 do
     let best = ref (-1) and best_est = ref neg_infinity in
     for i = 0 to n - 1 do
@@ -204,11 +212,16 @@ let estimate c offered sel =
   clear_bonus c offered sel;
   !total
 
-let select t c ~width offered =
+(* Each selector scans the offered paths by index and replaces its pick
+   only on a strict improvement, so a pick is the first best untaken
+   path. When a selection over every offered path happens to pick only
+   paths [usable] accepts, the masked selection makes the same picks:
+   in each round it scans the same candidates in the same order, with
+   the same bonus counts from the same earlier picks, and the first
+   best of a set is also the first best of any subset holding it. *)
+let select t c ~usable ~width offered =
   if width < 1 then invalid_arg "Strategy.select: width < 1";
-  if Array.length offered = 0 then [||]
-  else
-    match t with
-    | Latency_greedy -> select_latency c ~width offered
-    | Diversity_max -> select_diversity c ~width offered
-    | Load_adaptive -> select_adaptive c ~width offered
+  match t with
+  | Latency_greedy -> select_latency c ~usable ~width offered
+  | Diversity_max -> select_diversity c ~usable ~width offered
+  | Load_adaptive -> select_adaptive c ~usable ~width offered

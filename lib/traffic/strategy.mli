@@ -41,11 +41,18 @@ val ctx : latency_ms:float array -> Link_load.t -> ctx
 val path_latency : ctx -> Fwd_path.t -> float
 (** One-way propagation latency: sum over the path's links. *)
 
-val select : t -> ctx -> width:int -> Fwd_path.t array -> int array
-(** [select s ctx ~width offered] returns the indices of the chosen
-    paths, best first: at most [width] distinct indices into
-    [offered], at least one when [offered] is non-empty, [| |]
-    otherwise. Never invents paths and never mutates the context's
+val select :
+  t ->
+  ctx ->
+  usable:(Fwd_path.t -> bool) ->
+  width:int ->
+  Fwd_path.t array ->
+  int array
+(** [select s ctx ~usable ~width offered] returns indices into [offered]
+    of the chosen paths, best first. It chooses among the paths [usable]
+    (a liveness test) accepts as if no other path were offered, so the
+    selection has [min width live] distinct indices for [live] usable
+    paths: [| |] when none is. Never mutates the context's
     {!Link_load.t}. Raises [Invalid_argument] when [width < 1]. *)
 
 val estimate : ctx -> Fwd_path.t array -> int array -> float

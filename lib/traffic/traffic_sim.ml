@@ -164,24 +164,13 @@ let path_alive t (p : Fwd_path.t) =
   in
   from 0
 
-(* Run the configured strategy over the currently-alive subset of the
-   pair's offered paths, returning indices into the full offered set.
-   With every offered path alive that subset is the offered set. *)
-let select_alive t pair =
-  let offered = t.config.paths.(pair) in
-  let select = Strategy.select t.config.strategy t.ctx ~width:t.config.width in
-  if Array.for_all (path_alive t) offered then select offered
-  else begin
-    let alive_idx = ref [] in
-    Array.iteri
-      (fun i p -> if path_alive t p then alive_idx := i :: !alive_idx)
-      offered;
-    let alive_idx = Array.of_list (List.rev !alive_idx) in
-    if Array.length alive_idx = 0 then [||]
-    else
-      let sel = select (Array.map (fun i -> offered.(i)) alive_idx) in
-      Array.map (fun j -> alive_idx.(j)) sel
-  end
+(* Run the configured strategy over the pair's offered paths that
+   [usable] accepts, returning indices into the full offered set. *)
+let select t ~usable pair =
+  Strategy.select t.config.strategy t.ctx ~usable ~width:t.config.width
+    t.config.paths.(pair)
+
+let select_alive t pair = select t ~usable:(path_alive t) pair
 
 let same_sel a b =
   let n = Array.length a in
@@ -206,37 +195,39 @@ let iter_active f st =
 
 (* --- fault reactions -------------------------------------------------- *)
 
+(* Flow [f], holding no load, has lost a path it wanted: its endpoint
+   learns so from the SCMP and chooses again among the live paths. With
+   none left the flow stalls in a blackout until {!on_up} places it;
+   otherwise it fails over, and the recovery delay is the failure
+   notification travelling the new first path back to the source. *)
+let fail_over t f ~now =
+  let st = t.state in
+  Recovery.record_affected st.recov
+    ~pair:(Demand.pairs t.config.demand).(f.pair);
+  let sel = select_alive t f.pair in
+  f.sel <- sel;
+  if Array.length sel = 0 then
+    Recovery.open_blackout st.recov ~now ~pair:(f.id, 0)
+  else begin
+    add_sel t f;
+    f.switches <- f.switches + 1;
+    st.switches_total <- st.switches_total + 1;
+    let lat = Strategy.path_latency t.ctx t.config.paths.(f.pair).(sel.(0)) in
+    Recovery.record_failover st.recov ~recovery_s:(lat /. 1000.0)
+  end
+
 let on_down t ~now ~link =
   let st = t.state in
   Recovery.record_event st.recov ~action:Fault_plan.Down;
   iter_active
     (fun f ->
       if
-        Array.length f.sel > 0
-        && Array.exists
-             (fun i -> Fwd_path.contains_link t.config.paths.(f.pair).(i) link)
-             f.sel
+        Array.exists
+          (fun i -> Fwd_path.contains_link t.config.paths.(f.pair).(i) link)
+          f.sel
       then begin
-        Recovery.record_affected st.recov
-          ~pair:(Demand.pairs t.config.demand).(f.pair);
         remove_sel t f;
-        let sel' = select_alive t f.pair in
-        if Array.length sel' = 0 then begin
-          f.sel <- [||];
-          Recovery.open_blackout st.recov ~now ~pair:(f.id, 0)
-        end
-        else begin
-          f.sel <- sel';
-          add_sel t f;
-          f.switches <- f.switches + 1;
-          st.switches_total <- st.switches_total + 1;
-          (* Recovery delay: the failure notification travelling the
-             replacement path back to the source. *)
-          let lat =
-            Strategy.path_latency t.ctx t.config.paths.(f.pair).(sel'.(0))
-          in
-          Recovery.record_failover st.recov ~recovery_s:(lat /. 1000.0)
-        end
+        fail_over t f ~now
       end)
     st
 
@@ -246,9 +237,8 @@ let on_up t ~now ~link:_ =
   iter_active
     (fun f ->
       if Array.length f.sel = 0 then begin
-        let sel' = select_alive t f.pair in
-        if Array.length sel' > 0 then begin
-          f.sel <- sel';
+        f.sel <- select_alive t f.pair;
+        if Array.length f.sel > 0 then begin
           add_sel t f;
           Recovery.close_blackout st.recov ~now ~pair:(f.id, 0)
         end
@@ -301,37 +291,17 @@ let admit t ~t1 =
           switches = 0;
         }
       in
+      (* The endpoint holds the full, possibly stale, path set and puts
+         the flow on its preferred selection. If that touches a dead
+         link, it learns so from the SCMP on first use and fails over
+         like a flow in {!on_down}. *)
       let offered = t.config.paths.(f.pair) in
-      let sel = select_alive t f.pair in
-      if Array.length sel = 0 then begin
-        Recovery.record_affected t.state.recov
-          ~pair:(Demand.pairs t.config.demand).(f.pair);
-        Recovery.open_blackout t.state.recov ~now:f.arrival_s ~pair:(f.id, 0)
-      end
-      else begin
-        (* The endpoint holds the full (stale) path set: if its
-           preferred selection would touch a dead link, it learns so
-           from the SCMP on first use and fails over — the admission
-           analogue of {!on_down} for flows born inside an outage. *)
-        (if not (Array.for_all (path_alive t) offered) then begin
-           let pref =
-             Strategy.select t.config.strategy t.ctx ~width:t.config.width
-               offered
-           in
-           if
-             Array.exists (fun i -> not (path_alive t offered.(i))) pref
-           then begin
-             Recovery.record_affected st.recov
-               ~pair:(Demand.pairs t.config.demand).(f.pair);
-             let lat = Strategy.path_latency t.ctx offered.(sel.(0)) in
-             Recovery.record_failover st.recov ~recovery_s:(lat /. 1000.0);
-             f.switches <- f.switches + 1;
-             st.switches_total <- st.switches_total + 1
-           end
-         end);
-        f.sel <- sel;
+      let pref = select t ~usable:(fun _ -> true) f.pair in
+      if Array.for_all (fun i -> path_alive t offered.(i)) pref then begin
+        f.sel <- pref;
         add_sel t f
-      end;
+      end
+      else fail_over t f ~now:f.arrival_s;
       push_active st f
     end
   done

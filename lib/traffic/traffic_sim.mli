@@ -10,11 +10,13 @@
     subflows, and completions inside the slot are interpolated
     exactly.
 
-    When a link failure kills every path a flow rides, the flow fails
-    over through the same {!Strategy} to the surviving offered paths
-    and the event is booked in a {!Recovery} (failover vs blackout,
-    exactly the resilience scenario's accounting). All simulation
-    state snapshots through {!Snapshot} combinators, so runs chunk,
+    A link failure under a flow's path, and an arrival whose preferred
+    selection (over the full, possibly stale, offered set) touches a
+    dead link, take one failover path: the flow chooses again through
+    the same {!Strategy} among the live offered paths, booked in a
+    {!Recovery} as in the resilience scenario, as a failover or, with
+    no live path, a blackout until a link returns. All simulation state
+    snapshots through {!Snapshot} combinators, so runs chunk,
     checkpoint and resume byte-identically like [pathdyn]. *)
 
 type config = {

@@ -2,8 +2,9 @@
    they became allocation-free: [Strategy]'s three selectors, with the
    sort through [by_latency], hash-table sets and boxed tuple keys, and
    [Traffic_sim]'s [selection_estimate] (here over an offered array
-   instead of a simulation). Kept as the oracle for [Strategy.select]
-   and [Strategy.estimate]; do not optimise them. *)
+   instead of a simulation), and [Traffic_sim]'s selection over the
+   live subset of an offered set. Kept as the oracle for
+   [Strategy.select] and [Strategy.estimate]; do not optimise them. *)
 
 type ctx = { latency_ms : float array; load : Link_load.t }
 
@@ -135,6 +136,25 @@ let select t ctx ~width offered =
     | Strategy.Latency_greedy -> select_latency ctx ~width offered
     | Strategy.Diversity_max -> select_diversity ctx ~width offered
     | Strategy.Load_adaptive -> select_adaptive ctx ~width offered
+
+(* Selection over the usable paths as [Traffic_sim.select_alive] made
+   it before [Strategy.select] took a usability test: copy the usable
+   subset, select on the copy and map the indices back. With every
+   offered path usable that subset is the offered set. *)
+let select_usable t ctx ~usable ~width offered =
+  let select = select t ctx ~width in
+  if Array.for_all usable offered then select offered
+  else begin
+    let alive_idx = ref [] in
+    Array.iteri
+      (fun i p -> if usable p then alive_idx := i :: !alive_idx)
+      offered;
+    let alive_idx = Array.of_list (List.rev !alive_idx) in
+    if Array.length alive_idx = 0 then [||]
+    else
+      let sel = select (Array.map (fun i -> offered.(i)) alive_idx) in
+      Array.map (fun j -> alive_idx.(j)) sel
+  end
 
 (* Aggregate rate a selection would get, accounting for the load its
    own subflows add on shared links — the comparison metric for

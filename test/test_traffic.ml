@@ -126,18 +126,24 @@ let tiny_ctx () = fst (tiny_world ())
 
 let offered_fixture = [| fpath [ 0 ]; fpath [ 1 ]; fpath [ 0; 1 ] |]
 
+let all_usable (_ : Fwd_path.t) = true
+
 let test_strategy_contract () =
   let ctx = tiny_ctx () in
   List.iter
     (fun s ->
       check Alcotest.int "empty offer, empty selection" 0
-        (Array.length (Strategy.select s ctx ~width:2 [||]));
+        (Array.length (Strategy.select s ctx ~usable:all_usable ~width:2 [||]));
       Alcotest.check_raises "width must be positive"
         (Invalid_argument "Strategy.select: width < 1") (fun () ->
-          ignore (Strategy.select s ctx ~width:0 offered_fixture));
+          ignore
+            (Strategy.select s ctx ~usable:all_usable ~width:0
+               offered_fixture));
       List.iter
         (fun width ->
-          let sel = Strategy.select s ctx ~width offered_fixture in
+          let sel =
+            Strategy.select s ctx ~usable:all_usable ~width offered_fixture
+          in
           Alcotest.(check bool) "at least one path" true (Array.length sel >= 1);
           Alcotest.(check bool) "at most width" true (Array.length sel <= width);
           Array.iter
@@ -149,36 +155,90 @@ let test_strategy_contract () =
             (Array.length sel)
             (List.length (List.sort_uniq compare (Array.to_list sel)));
           Alcotest.(check bool) "deterministic" true
-            (sel = Strategy.select s ctx ~width offered_fixture))
+            (sel
+            = Strategy.select s ctx ~usable:all_usable ~width offered_fixture))
         [ 1; 2; 3; 5 ])
     Strategy.all
 
+(* A selection chooses among the usable paths only, as if the others
+   had not been offered, and has [min width live] indices. *)
+let test_strategy_usable () =
+  let ctx = tiny_ctx () in
+  let not_path_0 p = p != offered_fixture.(0) in
+  List.iter
+    (fun s ->
+      let select ~usable ~width =
+        Strategy.select s ctx ~usable ~width offered_fixture
+      in
+      check
+        Alcotest.(array int)
+        "nothing usable, empty selection" [||]
+        (select ~usable:(fun _ -> false) ~width:2);
+      check
+        Alcotest.(array int)
+        "one usable path, chosen alone" [| 1 |]
+        (select ~usable:(fun p -> p == offered_fixture.(1)) ~width:3);
+      List.iter
+        (fun width ->
+          let sel = select ~usable:not_path_0 ~width in
+          check Alcotest.int "min width live indices" (min width 2)
+            (Array.length sel);
+          Alcotest.(check bool) "only usable paths" true
+            (Array.for_all (fun i -> i <> 0) sel))
+        [ 1; 2; 3 ])
+    Strategy.all;
+  (* Path 0 is every strategy's first pick on the idle fixture; without
+     it, latency-greedy takes the next fastest. *)
+  check
+    Alcotest.(array int)
+    "masked latency-greedy" [| 1; 2 |]
+    (Strategy.select Strategy.Latency_greedy ctx ~usable:not_path_0 ~width:2
+       offered_fixture)
+
 let test_strategy_latency_greedy () =
   let ctx = tiny_ctx () in
-  let sel = Strategy.select Strategy.Latency_greedy ctx ~width:1 offered_fixture in
+  let sel =
+    Strategy.select Strategy.Latency_greedy ctx ~usable:all_usable ~width:1
+      offered_fixture
+  in
   check Alcotest.int "fastest path first" 0 sel.(0);
-  let sel2 = Strategy.select Strategy.Latency_greedy ctx ~width:2 offered_fixture in
+  let sel2 =
+    Strategy.select Strategy.Latency_greedy ctx ~usable:all_usable ~width:2
+      offered_fixture
+  in
   Alcotest.(check bool) "then next fastest" true (sel2 = [| 0; 1 |])
 
 let test_strategy_diversity () =
   let ctx = tiny_ctx () in
-  let sel = Strategy.select Strategy.Diversity_max ctx ~width:2 offered_fixture in
+  let sel =
+    Strategy.select Strategy.Diversity_max ctx ~usable:all_usable ~width:2
+      offered_fixture
+  in
   (* Paths 0 and 1 are link-disjoint; path 2 overlaps both. *)
   Alcotest.(check bool) "disjoint pair chosen" true
     (List.sort compare (Array.to_list sel) = [ 0; 1 ])
 
 let test_strategy_load_adaptive_shifts () =
   let ctx, load = tiny_world () in
-  let sel = Strategy.select Strategy.Load_adaptive ctx ~width:1 offered_fixture in
+  let sel =
+    Strategy.select Strategy.Load_adaptive ctx ~usable:all_usable ~width:1
+      offered_fixture
+  in
   check Alcotest.int "idle: fattest estimate wins" 0 sel.(0);
   (* Saturate link 0: the adaptive strategy must shift to link 1 while
      the latency-greedy one keeps herding onto the saturated link. *)
   for _ = 1 to 50 do
     Link_load.add_path load [| 0 |]
   done;
-  let sel' = Strategy.select Strategy.Load_adaptive ctx ~width:1 offered_fixture in
+  let sel' =
+    Strategy.select Strategy.Load_adaptive ctx ~usable:all_usable ~width:1
+      offered_fixture
+  in
   check Alcotest.int "saturated: shifts to the idle link" 1 sel'.(0);
-  let greedy = Strategy.select Strategy.Latency_greedy ctx ~width:1 offered_fixture in
+  let greedy =
+    Strategy.select Strategy.Latency_greedy ctx ~usable:all_usable ~width:1
+      offered_fixture
+  in
   check Alcotest.int "greedy ignores load" 0 greedy.(0)
 
 let test_strategy_names () =
@@ -197,8 +257,14 @@ let test_strategy_names () =
    returns the reference's float bit for bit. Latencies of 1 or 2 ms
    and three capacity classes force latency and estimate ties; each
    world runs every selector several times on one context, so scratch
-   left over from one call would show in the next. *)
+   left over from one call would show in the next. Each offered set
+   also gets a usability mask (all usable, none usable or random): the
+   masked selection must equal the reference's selection on the usable
+   subset, and a selection over the whole set that happens to pick only
+   usable paths must equal the masked one (the shortcut
+   [Traffic_sim]'s admission takes). *)
 let prop_selectors_equal_reference =
+  let max_paths = 16 in
   let gen =
     QCheck.Gen.(
       let* n_links = int_range 1 12 in
@@ -206,23 +272,34 @@ let prop_selectors_equal_reference =
       let* lat = array_repeat n_links (int_range 1 2) in
       let* counts = array_repeat n_links (int_bound 3) in
       let* paths =
-        list_size (int_bound 16)
+        list_size (int_bound max_paths)
           (list_size (int_range 1 5) (int_bound (n_links - 1)))
       in
       let* widths = list_repeat 4 (int_range 1 4) in
-      return (rels, lat, counts, paths, widths))
+      let* mask =
+        let* kind = int_bound 3 in
+        let* bits = array_repeat max_paths bool in
+        return
+          (match kind with
+          | 0 -> Array.make max_paths true
+          | 1 -> Array.make max_paths false
+          | _ -> bits)
+      in
+      return (rels, lat, counts, paths, widths, mask))
   in
-  let print (rels, lat, counts, paths, widths) =
+  let print (rels, lat, counts, paths, widths, mask) =
     let ints a = String.concat "," (List.map string_of_int a) in
-    Printf.sprintf "rels=%s lat=%s counts=%s paths=[%s] widths=%s"
+    Printf.sprintf "rels=%s lat=%s counts=%s paths=[%s] widths=%s mask=%s"
       (ints (Array.to_list rels)) (ints (Array.to_list lat))
       (ints (Array.to_list counts))
       (String.concat " " (List.map ints paths))
       (ints widths)
+      (String.concat ""
+         (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
   in
   QCheck.Test.make ~name:"selectors equal the eager reference" ~count:300
     (QCheck.make ~print gen)
-    (fun (rels, lat, counts, paths, widths) ->
+    (fun (rels, lat, counts, paths, widths, mask) ->
       let b = Graph.builder () in
       let x = Graph.add_as b ~tier:1 (Id.ia 1 1) in
       let y = Graph.add_as b (Id.ia 1 2) in
@@ -246,6 +323,13 @@ let prop_selectors_equal_reference =
         counts;
       let latency_ms = Array.map float_of_int lat in
       let offered = Array.of_list (List.map fpath paths) in
+      (* Offered paths are told apart by identity: two of them may ride
+         the same links and still differ in usability. *)
+      let usable p =
+        match Array.find_index (fun q -> q == p) offered with
+        | Some i -> mask.(i)
+        | None -> Alcotest.fail "usable called on a path not offered"
+      in
       let ctx = Strategy.ctx ~latency_ms load in
       let reference = { Reference_select.latency_ms; load } in
       let same_estimate sel =
@@ -258,8 +342,15 @@ let prop_selectors_equal_reference =
         (fun width ->
           List.for_all
             (fun s ->
-              let sel = Strategy.select s ctx ~width offered in
+              let sel =
+                Strategy.select s ctx ~usable:all_usable ~width offered
+              in
+              let masked = Strategy.select s ctx ~usable ~width offered in
               sel = Reference_select.select s reference ~width offered
+              && masked
+                 = Reference_select.select_usable s reference ~usable ~width
+                     offered
+              && ((not (Array.for_all (fun i -> mask.(i)) sel)) || masked = sel)
               && same_estimate sel
               && same_estimate (Array.of_list (List.rev (Array.to_list sel))))
             Strategy.all)
@@ -565,6 +656,84 @@ let test_sim_fault_composition () =
   check Alcotest.int "calm: no failovers" 0 c.Recovery.failovers;
   check Alcotest.int "calm: no blackouts" 0 c.Recovery.blackouts
 
+(* Oracle for blackout accounting, derived by hand. One pair rides the
+   two parallel core links of [network ()] (links 0 and 1), one link per
+   offered path; link 0 is the faster (5 vs 6 ms), so latency-greedy at
+   width 1 places every flow on path 0 while it is alive. Both links
+   fail at 40 s and return at 80 s, in plan order: down 0, down 1, up 0,
+   up 1. Capacity is so small that no flow completes: even alone on a
+   core link (0.01 Mbit/s) a flow carries 1.2 Mbit in the 120 s run,
+   below the least Pareto size, 40 × (1.5 - 1) / 1.5 = 13.3 Mbit. Faults
+   apply at the start of a slot, before its admissions, so:
+   - a flow arriving before 40 s rides path 0. Down 0 moves it to path
+     1 (a failover and a path switch, link 1 still up), down 1 strands
+     it (a blackout opened at 40 s), up 0 puts it back on path 0 at
+     80 s: 40 s of blackout each;
+   - a flow arriving at [a] in [40, 80) prefers path 0, finds it dead,
+     and finds no live path: a blackout from [a] to the up at 80 s;
+   - a flow arriving from 80 s on is placed normally and booked
+     nothing.
+   The up events re-place stalled flows without counting a switch, and
+   every window closes before the run ends. Seed 4 puts two arrivals
+   before the window (17.2 and 27.9 s), two inside (51.6 and 75.2 s)
+   and two after (87.3 and 105.4 s). *)
+let test_sim_blackout_oracle () =
+  let g = network () in
+  let demand =
+    Demand.create g
+      {
+        Demand.default_params with
+        Demand.n_pairs = 1;
+        flows = 6;
+        horizon_s = 120.0;
+        seed = 4L;
+      }
+  in
+  let arrivals =
+    Array.map (fun f -> f.Demand.arrival_s) (Demand.sorted_flows demand)
+  in
+  let count p = List.length (List.filter p (Array.to_list arrivals)) in
+  let before = count (fun a -> a < 40.0) in
+  let during = count (fun a -> a >= 40.0 && a < 80.0) in
+  check
+    Alcotest.(list int)
+    "arrivals before, during and after the window" [ 2; 2; 2 ]
+    [ before; during; 6 - before - during ];
+  let latency_ms = Array.make (Graph.num_links g) 5.0 in
+  latency_ms.(1) <- 6.0;
+  let window link = Fault_plan.Link_down { link; at = 40.0; duration = 40.0 } in
+  let cfg =
+    {
+      Traffic_sim.graph = g;
+      paths = [| [| fpath [ 0 ]; fpath [ 1 ] |] |];
+      latency_ms;
+      demand;
+      strategy = Strategy.Latency_greedy;
+      width = 1;
+      plan = Fault_plan.plan [ window 0; window 1 ];
+      capacity_scale = 1e-6;
+      slot_s = 1.0;
+      slots = 120;
+      adapt_margin = 0.0;
+      metric_labels = [];
+    }
+  in
+  let r = Traffic_sim.report (run_to_end cfg) in
+  let s = r.Traffic_sim.recovery in
+  check Alcotest.int "no flow completes" 0 r.Traffic_sim.flows_completed;
+  (* The two early flows fail over once each, to path 1. *)
+  check Alcotest.int "failovers" 2 s.Recovery.failovers;
+  check Alcotest.int "path switches" 2 r.Traffic_sim.path_switches;
+  (* Two early flows stranded by down 1, two arrivals inside. *)
+  check Alcotest.int "blackouts" 4 s.Recovery.blackouts;
+  check Alcotest.int "unrecovered" 0 s.Recovery.unrecovered;
+  check Alcotest.int "affected pairs" 1 s.Recovery.affected_pairs;
+  check
+    (Alcotest.float 1e-9)
+    "blackout time: 2 x 40 s + (80 - a) per arrival inside"
+    ((2.0 *. 40.0) +. (80.0 -. arrivals.(2)) +. (80.0 -. arrivals.(3)))
+    s.Recovery.blackout_time_s
+
 let test_sim_config_key_sensitivity () =
   let a = sim_config () in
   let b = sim_config ~strategy:Strategy.Diversity_max () in
@@ -653,6 +822,7 @@ let suite =
     ("link-load capacities", `Quick, test_link_load_capacities);
     ("link-load fair share", `Quick, test_link_load_fair_share);
     ("strategy contract", `Quick, test_strategy_contract);
+    ("strategy usable mask", `Quick, test_strategy_usable);
     ("strategy latency-greedy", `Quick, test_strategy_latency_greedy);
     ("strategy diversity", `Quick, test_strategy_diversity);
     ("strategy load-adaptive shifts", `Quick, test_strategy_load_adaptive_shifts);
@@ -665,6 +835,7 @@ let suite =
     ("sim chunked equals direct", `Quick, test_sim_chunked_equals_direct);
     ("sim restore rejects corrupt", `Quick, test_sim_restore_rejects_corrupt);
     ("sim fault composition", `Quick, test_sim_fault_composition);
+    ("sim blackout oracle", `Quick, test_sim_blackout_oracle);
     ("sim config-key sensitivity", `Quick, test_sim_config_key_sensitivity);
     ("swarm multipath wins", `Slow, test_swarm_multipath_wins);
     ("scenario jobs-independent", `Slow, test_scenario_jobs_independent);
