@@ -46,36 +46,29 @@ type selected = {
 let select_failures ~rng ~core ~scion ~now ~n_failures =
   Fault_plan.sample_adjacencies ~rng ~count:n_failures core
     ~accept:(fun ~link:lk ~siblings ->
-      let failed x = List.mem x siblings in
-      let on_any p = Array.exists failed p.Pcb.links in
       let s = lk.Graph.a in
-      let victims =
-        List.filter_map
-          (fun d ->
-            if d = s then None
-            else begin
-              let paths = Beacon_store.paths scion.Beaconing.stores.(s) ~now ~origin:d in
-              let on_link = List.filter on_any paths in
-              if on_link = [] then None
-              else begin
-                let alternatives =
-                  List.length (List.filter (fun p -> not (on_any p)) paths)
-                in
-                Some (d, alternatives, Fault_engine.failover_delay_s failed paths)
-              end
-            end)
-          (Beacon_store.origins scion.Beaconing.stores.(s))
-      in
-      match victims with
-      | [] -> None
-      | (_, alternatives, failover_s) :: _ ->
-          Some
-            {
-              sel_link = lk.Graph.link_id;
-              sel_siblings = siblings;
-              sel_alternatives = alternatives;
-              sel_failover_s = failover_s;
-            })
+      let store = scion.Beaconing.stores.(s) in
+      (* The first origin whose paths from [s] the failure hits and that
+         has a spare path: its failover is the SCION side of the row. *)
+      List.find_map
+        (fun d ->
+          if d = s then None
+          else
+            match
+              Fault_engine.react
+                (fun x -> List.mem x siblings)
+                (Beacon_store.paths store ~now ~origin:d)
+            with
+            | Fault_engine.Failover { delay_s; spares } ->
+                Some
+                  {
+                    sel_link = lk.Graph.link_id;
+                    sel_siblings = siblings;
+                    sel_alternatives = spares;
+                    sel_failover_s = delay_s;
+                  }
+            | Fault_engine.Unaffected | Fault_engine.Blackout -> None)
+        (Beacon_store.origins store))
 
 (* Each trial owns a private BGP simulator brought to quiescence from
    scratch, so trials are independent (and parallelisable) instead of

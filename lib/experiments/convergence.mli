@@ -23,7 +23,7 @@ type failure_sample = {
   scion_control_messages : int;  (** always 0: no dissemination needed *)
   scion_alternatives_ready : int;
       (** disseminated paths avoiding the failed link, already in the
-          endpoint's possession *)
+          endpoint's possession: a {!Fault_engine.react} failover, ≥ 1 *)
 }
 
 type result = {

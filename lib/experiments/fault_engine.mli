@@ -1,80 +1,103 @@
-(** Per-trial fault-injection engine.
+(** Fault-gated beaconing under a compiled fault plan (§4.1).
 
-    Couples one beaconing run to a compiled fault plan and closes the
-    failure→reaction→recovery loop of §4.1:
-
-    - before each beaconing round, {!Link_state.replay} applies the
-      plan's events up to that round's start time (and, after the
-      last round, up to the run's duration);
-    - on a real link-down transition, beacon stores expire every PCB
-      over the link ({!Beacon_store.drop_link}), the path server
-      revokes affected segments ({!Path_server.revoke_link}), and the
-      adjacent border router's {!Scmp} link-failure notification is
-      accounted to every monitored pair that was using the link;
-    - monitored pairs fail over to cached alternate paths when they
-      have one (recovery = the SCMP notification delay) or enter a
-      blackout until re-beaconing finds a new path (recovery = the
-      blackout duration, only re-beaconing can end it);
-    - dissemination over dead links is suppressed by the [link_up]
-      gate of every {!Beaconing.engine_round}, so the control plane
-      routes around failures instead of advertising them.
-
-    After the run, a validation pass builds a {!Control_service} from
-    the final stores and drives an {!Endpoint} per monitored pair over
-    a network whose still-down links are failed, counting end-to-end
-    deliveries and dataplane failovers.
-
-    Everything is deterministic: the plan compiles to a fixed event
-    sequence and rounds are the only scheduling interleaving. *)
+    A {!driver} couples a stepwise {!Beaconing.engine} to the plan. Each
+    {!step} replays the plan up to the round's start; on a real
+    link-down transition it drops every PCB over the link from the
+    beacon stores and revokes every segment over it at the path server;
+    it then runs the round with dissemination over dead links suppressed
+    (the [link_up] gate of {!Beaconing.engine_round}), registers each
+    monitored pair's best paths at the path server and hands the pair's
+    path list to the caller. {!Soak} and {!run} are its callers. *)
 
 type config = {
   graph : Graph.t;
   beacon : Beaconing.config;
   plan : Fault_plan.t;
-  pairs : (int * int) array;  (** monitored (src, dst) pairs *)
+  pairs : (int * int) array;  (** monitored (source AS, origin AS) pairs *)
 }
 
-type result = {
-  recovery : Recovery.summary;
-  validated_pairs : int;
-  validated_delivered : int;
-      (** pairs whose endpoint delivered a packet end-to-end in the
-          post-run validation pass *)
-  validated_failovers : int;
-      (** dataplane failovers (SCMP-triggered path switches) the
-          validation endpoints performed *)
-}
+type reaction =
+  | Unaffected  (** no path crosses a failed link *)
+  | Failover of { delay_s : float; spares : int }
+      (** to one of [spares] paths that avoid the failure *)
+  | Blackout  (** every path crosses a failed link *)
 
-val run : ?obs:Obs.t -> config -> result
-(** With an enabled [obs] (default {!Obs.disabled}): the beaconing
-    and path-server instrumentation attach to it, fault
-    transitions emit [fault]-category trace events ([Warn] down,
-    [Info] up) and {!Recovery.observe} exports the trial's counters
-    and histograms on completion. *)
-
-val failover_delay_s : (int -> bool) -> Pcb.t list -> float
-(** [failover_delay_s failed paths] is how long a source using [paths]
-    takes to fail over once the links satisfying [failed] go down (§4.1):
-    the SCMP notification travels back from the failure at 10 ms per
-    hop, the propagation delay BGP is timed with
-    ({!Bgp_sim.propagation_delay}), and the source switches to an
-    already-disseminated path at once. The hop count is the 1-based
-    position of the last failed link on the first path in [paths] that
-    has one, and 1 when no path is affected. Used by the fault engine
-    and by the convergence experiment. *)
-
-val invalidate_link :
-  Beacon_store.t array -> Path_server.t -> link:int -> int * int
-(** [invalidate_link stores ps ~link] is what a link failure takes out
-    of the control plane: every PCB over [link] in [stores]
-    ({!Beacon_store.drop_link}), then every segment over it at [ps]
-    ({!Path_server.revoke_link}). Returns [(dropped_pcbs,
-    revoked_segments)]. *)
+val react : (int -> bool) -> Pcb.t list -> reaction
+(** [react failed paths]: what a source using [paths] does when the
+    links satisfying [failed] go down (§4.1). It fails over once the
+    SCMP notification has travelled back from the failure: 10 ms
+    ({!Bgp_sim.propagation_delay}) per hop up to the last failed link of
+    the first affected path. Used by {!run} and by convergence. *)
 
 val revocation : Graph.link -> now:float -> notified:int -> int * int
 (** [revocation lk ~now ~notified] is the [(messages, bytes)] the
-    failure of [lk] at [now] costs the control plane (§4.1): one SCMP
-    link-failure notification ({!Scmp.link_failure}, reported by the
-    link's [a] end) to each of the [notified] endpoints whose paths
-    crossed the link, plus the one that reaches the path server. Used
-    by the fault engine and by Table 1. *)
+    failure of [lk] costs the control plane (§4.1): one SCMP link-failure
+    notification ({!Scmp.link_failure}, from the link's [a] end) to each
+    of the [notified] endpoints whose paths crossed the link, plus one
+    to the path server. Used by {!run} and by Table 1. *)
+
+(** {1 The driver} *)
+
+type driver
+
+type counts = {
+  link_failures : int;  (** real down transitions (refcount 0→1) *)
+  link_repairs : int;
+  pcbs_dropped : int;  (** PCBs dropped from beacon stores *)
+  segments_revoked : int;  (** segments revoked at the path server *)
+}
+
+val driver : ?obs:Obs.t -> config -> Path_server.t -> register:int -> driver
+(** Round 0, all links up; [obs] instruments the engine. Each step
+    registers the best [register] paths of every pair at the server. *)
+
+val step :
+  ?on_down:(now:float -> link:int -> int * int -> unit) ->
+  ?on_up:(now:float -> link:int -> unit) ->
+  driver ->
+  round:int ->
+  (now:float -> int -> Pcb.t list -> unit) ->
+  unit
+(** [step d ~round on_pair] runs [round] (rounds in increasing order),
+    then [on_pair ~now i paths] for each pair index [i]. On a failure,
+    [on_down ~now ~link] is applied {e before} the link is invalidated
+    (it still sees every path over it) and the function it returns
+    after, to [(dropped_pcbs, revoked_segments)]. *)
+
+val engine : driver -> Beaconing.engine
+
+val path_server : driver -> Path_server.t
+
+val counts : driver -> counts
+
+val invariant_ctx : driver -> now:float -> Invariants.ctx
+
+val write : Snapshot.writer -> driver -> unit
+(** Cursor, counts, engine ({!Beaconing.write}: [Baseline] only), link
+    state and path server. *)
+
+val read : Snapshot.reader -> config -> register:int -> driver
+(** Inverse of {!write}. Raises {!Snapshot.Corrupt} on malformed bytes
+    or a snapshot inconsistent with the config. *)
+
+(** {1 Resilience trials} *)
+
+type result = {
+  recovery : Recovery.summary;
+  violations : Invariants.violation list;  (** of the final state *)
+  validated_pairs : int;
+  validated_delivered : int;  (** pairs delivering end-to-end *)
+  validated_failovers : int;  (** SCMP-triggered path switches *)
+}
+
+val run : ?obs:Obs.t -> config -> result
+(** One trial: the driver runs every round (path server limit 60,
+    {!Beacon_policy.dissemination_limit} segments per pair) and replays
+    the plan to the duration. Each failure records every pair's
+    {!react}ion in a {!Recovery} account, keyed by pair (a blackout ends
+    at the first round that finds a path), and one {!revocation}. A
+    validation pass then sends from an {!Endpoint} per pair over the
+    final stores, with still-down links failed at the routers.
+
+    An enabled [obs] instruments the engine and path server, receives
+    [fault] trace events ([Warn] down, [Info] up) and the account. *)

@@ -113,7 +113,13 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   let results =
     Runner.map_jobs_obs ~obs ~jobs
       (fun ~obs engine ->
-        Obs.phase obs "resilience.trial" (fun () -> Fault_engine.run ~obs engine))
+        let r =
+          Obs.phase obs "resilience.trial" (fun () ->
+              Fault_engine.run ~obs engine)
+        in
+        if r.Fault_engine.violations <> [] then
+          raise (Invariants.Violated r.Fault_engine.violations);
+        r)
       trial_engines
   in
   let cell_results =

@@ -13,7 +13,8 @@
     summed blackout time, recovery-time quantiles (p50/p90/p99 over
     failover delays and blackout durations), revocation overhead in
     messages and bytes, and the post-run endpoint validation pass
-    (pairs that deliver end-to-end over the surviving topology).
+    (pairs that deliver end-to-end over the surviving topology). A trial
+    left failing {!Invariants.check_all} raises {!Invariants.Violated}.
 
     Deterministic in config: trials derive their plan seeds with
     {!Runner.job_seed}, run as independent jobs and aggregate in

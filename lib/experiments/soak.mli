@@ -1,27 +1,21 @@
 (** Checkpointable long-horizon beaconing soak under a fault plan.
 
-    One soak {e trial} runs the stepwise {!Beaconing.engine} for its
-    full configured duration while a compiled {!Fault_plan} flaps links
-    underneath it, and tracks path dynamics for a set of (source,
-    origin) AS pairs at every round barrier:
+    One soak {e trial} runs a {!Fault_engine.driver} (baseline beaconing
+    gated by the plan, registering at a path server limited to the
+    storage limit) for its configured duration and tracks, at every
+    round barrier, each (source, origin) pair's {e path lifetimes}
+    (rounds between a path key appearing in the source's beacon store
+    and vanishing from it), {e path-set stability} (Jaccard similarity
+    of consecutive rounds' key sets) and {e availability} (fraction of
+    rounds with a valid path). One seeded path-server lookup per round
+    keeps the trial's RNG live.
 
-    - {e path lifetimes}: rounds between a path key appearing in the
-      source's beacon store and vanishing from it;
-    - {e path-set stability}: Jaccard similarity of consecutive rounds'
-      path-key sets;
-    - {e availability}: fraction of rounds with at least one valid
-      path.
-
-    A trial keeps one live {!Beaconing.engine}, gated each round by the
-    plan's link state. The whole trial state — round counter, RNG, the
-    engine (beacon stores and byte accounting), link refcounts, fault
-    cursor, path server, per-pair tracks and the private metrics
-    registry — round-trips through {!encode}/{!restore}, and a restored
-    trial continues {e byte-identically}: advancing a trial to round [r]
-    in one go or in any sequence of [advance]/[encode]/[restore] chunks
-    yields the same {!encode} bytes and the same {!report}. Only the
-    [Baseline] beaconing algorithm is supported (see
-    {!Beaconing.write}). *)
+    The whole trial state (round, RNG, driver, per-pair tracks and the
+    private metrics registry) round-trips through {!encode}/{!restore},
+    and a restored trial continues {e byte-identically}: advancing to
+    round [r] in one go or in any sequence of [advance]/[encode]/[restore]
+    chunks yields the same {!encode} bytes and the same {!report}. Only
+    the [Baseline] algorithm is supported (see {!Beaconing.write}). *)
 
 type config = {
   graph : Graph.t;
@@ -29,9 +23,8 @@ type config = {
   plan : Fault_plan.t;
   pairs : (int * int) array;  (** tracked (source AS, origin AS) pairs *)
   register_top : int;
-      (** best segments per pair re-registered with the path server at
-          every barrier (keeps registry ↔ revocation consistency
-          observable) *)
+      (** best segments per pair registered at the path server every
+          round (keeps registry ↔ revocation consistency observable) *)
   metric_labels : (string * string) list;
       (** labels applied to the trial's metrics (e.g. the cell id) *)
 }
@@ -52,9 +45,8 @@ val advance : ?watchdog:Watchdog.t -> t -> upto:int -> unit
     state is consistent. *)
 
 val registry : t -> Registry.t
-(** The trial-private metrics registry (path-lifetime histogram);
-    serialized with the trial, mergeable into an observability context
-    by the caller. *)
+(** The trial-private metrics registry (path-lifetime histogram),
+    serialized with the trial; the caller may merge it into an [Obs]. *)
 
 val lifetime_metric : string
 (** Name of the path-lifetime histogram (rounds) in {!registry}. *)
@@ -81,20 +73,14 @@ val config_key : config -> string
 
 (** {1 Reports} *)
 
-type pair_report = {
-  src : int;
-  dst : int;
-  availability : float;  (** fraction of rounds with ≥ 1 valid path *)
-  jaccard_mean : float;
-      (** mean consecutive-round path-set similarity; 1.0 = static *)
-}
-
 type report = {
   rounds_done : int;
-  pair_reports : pair_report array;
   availability_mean : float;
+      (** over pairs, of the fraction of rounds with ≥ 1 valid path *)
   availability_min : float;
   jaccard_overall : float;
+      (** over pairs, of the mean consecutive-round path-set similarity;
+          1.0 = static *)
   lifetimes : Histogram.summary;
       (** completed path lifetimes, in rounds *)
   survivors : int;  (** paths still alive at the end *)

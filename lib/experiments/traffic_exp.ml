@@ -413,8 +413,8 @@ let print (r : result) =
         "fct mean";
         "fct p90";
         "switches";
-        "failovers";
-        "blackouts";
+        "flow failovers";
+        "flow blackouts";
         "util mean";
         "util max";
       ]

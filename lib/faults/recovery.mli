@@ -20,8 +20,8 @@ val record_affected : t -> pair:int * int -> unit
     is counted once per trial however often it is hit. *)
 
 val record_failover : t -> recovery_s:float -> unit
-(** A pair switched to an already-cached alternate segment;
-    [recovery_s] is the SCMP notification delay it had to wait. *)
+(** A unit (see {!open_blackout}) switched to an already-cached
+    alternate path; [recovery_s] is the delay it had to wait. *)
 
 val record_revocation : t -> segments:int -> msgs:int -> bytes:int -> unit
 (** Revocation fan-out of one link failure: [segments] purged from
@@ -32,11 +32,13 @@ val record_dropped_pcbs : t -> int -> unit
 (** PCBs expired from beacon stores by a revocation. *)
 
 val open_blackout : t -> now:float -> pair:int * int -> unit
-(** The pair has no path left; idempotent while already open. *)
+(** The unit keyed [pair] has no path left; idempotent while open. The
+    unit (of this key and of the failover and blackout counts) is the
+    caller's: an AS pair in resilience, a flow [(id, 0)] in traffic. *)
 
 val close_blackout : t -> now:float -> pair:int * int -> unit
-(** The pair regained a path: the blackout window closes and its
-    duration is recorded both as blackout time and as that pair's
+(** The unit regained a path: the blackout window closes and its
+    duration is recorded both as blackout time and as that unit's
     time-to-recovery. No-op if no blackout is open. *)
 
 val finish : t -> now:float -> unit

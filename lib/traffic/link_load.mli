@@ -6,9 +6,9 @@
     [--capacity-scale] knob. The loader tracks how many subflows
     currently ride each link and answers the fluid-model rate
     questions the engine and the load-adaptive strategy ask: what a
-    subflow on a path gets now (max-min-style fair share of its
-    bottleneck), and what a {e new} subflow would get if it joined —
-    the congestion-feedback signal path selection steers by. *)
+    subflow on a path gets now ({!fair_share}), and what a {e new}
+    subflow would get if it joined — the congestion-feedback signal
+    path selection steers by. *)
 
 type t
 
@@ -31,5 +31,6 @@ val remove_path : t -> int array -> unit
 
 val fair_share : t -> int array -> float
 (** Rate of one subflow {e already counted} on the path: the minimum
-    over its links of [capacity / count]. [infinity] on an empty
-    path. *)
+    over its links of [capacity / count], with no redistribution of what
+    subflows bottlenecked elsewhere leave unused (not max-min fair).
+    [infinity] on an empty path. *)

@@ -5,8 +5,9 @@
     {!Link_state} ({!Link_state.replay}), new flows are admitted onto
     strategy-chosen paths, the load-adaptive strategy may re-select
     paths for in-flight flows, and every active flow then transfers at
-    its fluid rate — each subflow gets the fair share of its bottleneck
-    link ({!Link_load.fair_share}), a flow's rate is the sum over its
+    its fluid rate — each subflow gets the minimum over its path's
+    links of capacity divided by subflow count, with no redistribution
+    ({!Link_load.fair_share}), a flow's rate is the sum over its
     subflows, and completions inside the slot are interpolated
     exactly.
 

@@ -355,20 +355,34 @@ let test_beaconing_link_up_gate () =
 (* --- Fault_engine --- *)
 
 (* The SCMP notification crosses every hop between the failure and the
-   source at 10 ms each (§4.1); the source then fails over at once. *)
+   source at 10 ms each (§4.1); the source then fails over at once to a
+   path that avoids the failure, or waits out a blackout if none does. *)
 let test_failover_delay () =
   let hop p asn link = Pcb.extend p ~asn ~ingress:1 ~egress:2 ~link ~peers:[||] in
   let origin = Pcb.origin_pcb ~origin:7 ~now:0.0 ~lifetime:3600.0 in
   let three = hop (hop (hop origin 7 10) 8 11) 9 12 in
   let spare = hop origin 7 20 in
+  let react failed =
+    Fault_engine.react (fun l -> List.mem l failed) [ spare; three ]
+  in
   let delay failed =
-    Fault_engine.failover_delay_s (fun l -> List.mem l failed) [ spare; three ]
+    match react failed with
+    | Fault_engine.Failover { delay_s; spares } ->
+        check Alcotest.int "one spare path" 1 spares;
+        delay_s
+    | Fault_engine.Unaffected | Fault_engine.Blackout ->
+        Alcotest.fail "expected a failover"
   in
   let ms = Alcotest.float 1e-12 in
   check ms "three hops" 0.030 (delay [ 12 ]);
   check ms "the last failed link counts" 0.030 (delay [ 10; 12 ]);
   check ms "adjacent failure" 0.010 (delay [ 10 ]);
-  check ms "no affected path: one hop" 0.010 (delay [ 99 ])
+  Alcotest.(check bool) "no affected path: unaffected" true
+    (react [ 99 ] = Fault_engine.Unaffected);
+  Alcotest.(check bool) "no spare path: blackout" true
+    (react [ 12; 20 ] = Fault_engine.Blackout);
+  Alcotest.(check bool) "no path at all: unaffected" true
+    (Fault_engine.react (fun _ -> true) [] = Fault_engine.Unaffected)
 
 (* 16 B header + 64 B quote + 16 B link payload = 96 B per message. *)
 let test_revocation_cost () =
@@ -474,6 +488,61 @@ let test_engine_deterministic () =
   check Alcotest.int "identical validation" a.Fault_engine.validated_delivered
     b.Fault_engine.validated_delivered
 
+(* A resilience trial's final state is exactly an [Invariants.ctx]: after
+   the post-run replay to the horizon, with an AS outage and stochastic
+   failures still holding links down, no stored PCB or registered
+   segment may cross a down link, for either algorithm. *)
+let test_engine_final_state_consistent () =
+  let full =
+    Caida_like.generate { Caida_like.small_params with Caida_like.n = 150 }
+  in
+  let g, _ = Caida_like.core_subset full ~k:20 in
+  let duration = 4800.0 in
+  let plan =
+    Fault_plan.plan ~seed:5L
+      [
+        Fault_plan.Stochastic
+          { mtbf = 3600.0; mttr = 1200.0; start = 600.0; until = duration };
+        Fault_plan.As_outage { as_idx = 3; at = 1800.0; duration = infinity };
+      ]
+  in
+  let events = Fault_plan.compile ~graph:g plan in
+  let links = Link_state.create ~n_links:(Graph.num_links g) in
+  ignore
+    (Link_state.replay links events ~from:0 ~until:duration
+       ~on_down:(fun ~now:_ ~link:_ -> ())
+       ~on_up:(fun ~now:_ ~link:_ -> ()));
+  Alcotest.(check bool) "links are still down at the horizon" true
+    (Link_state.down_links links <> []);
+  List.iter
+    (fun (name, algorithm) ->
+      let r =
+        Fault_engine.run
+          {
+            Fault_engine.graph = g;
+            beacon =
+              {
+                Beaconing.default_config with
+                Beaconing.algorithm;
+                storage_limit = 15;
+                duration;
+              };
+            plan;
+            pairs = [| (0, 3); (1, 2); (4, 0); (5, 6); (7, 1) |];
+          }
+      in
+      Alcotest.(check bool) (name ^ ": failures happened") true
+        (r.Fault_engine.recovery.Recovery.events_down > 0);
+      Alcotest.(check (list string))
+        (name ^ ": no invariant violated") []
+        (List.map
+           (fun v -> v.Invariants.check ^ ": " ^ v.Invariants.detail)
+           r.Fault_engine.violations))
+    [
+      ("baseline", Beacon_policy.Baseline);
+      ("diversity", Beacon_policy.Diversity Beacon_policy.default_div_params);
+    ]
+
 let suite =
   [
     ("plan compile deterministic", `Quick, test_plan_compile_deterministic);
@@ -493,4 +562,7 @@ let suite =
     ("engine blackout + recovery", `Quick, test_engine_blackout_and_recovery);
     ("engine permanent outage", `Quick, test_engine_permanent_outage);
     ("engine deterministic", `Quick, test_engine_deterministic);
+    ( "engine final state consistent",
+      `Quick,
+      test_engine_final_state_consistent );
   ]
