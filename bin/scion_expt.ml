@@ -6,10 +6,9 @@
 
      scion_expt run SCENARIO [FLAGS]
 
-   The remaining subcommands are not scenarios:
+   The remaining subcommand is not a scenario:
 
-   scion_expt lookup [--requests N]
-   scion_expt topo   [--scale S] [--save PREFIX] *)
+   scion_expt topo [--scale S] [--save PREFIX] *)
 
 open Cmdliner
 
@@ -394,25 +393,17 @@ let run_cmd =
       scenario (module Latency_exp)
         (seeded (fun seed scale -> Latency_exp.config ?seed scale));
       scenario (module Tuning) (Term.const (Tuning.config ()));
+      scenario (module Lookup_sim)
+        Term.(
+          const (fun requests -> Lookup_sim.config ~requests)
+          $ Arg.(
+              value
+              & opt positive Lookup_sim.default_params.requests
+              & info [ "requests" ] ~docv:"N"
+                  ~doc:"Lookup requests ($(docv) > 0)."));
       scenario ~exit_code:Traffic_exp.exit_code (module Traffic_exp)
         traffic_term;
     ]
-
-let lookup_cmd =
-  let requests =
-    Arg.(
-      value
-      & opt positive 50000
-      & info [ "requests" ] ~docv:"N" ~doc:"Lookup requests ($(docv) > 0).")
-  in
-  let run requests obs_opts =
-    with_obs obs_opts (fun obs ->
-        timed "lookup" (fun () ->
-            Lookup_sim.print_sweep (Lookup_sim.sweep ~obs ~requests ())))
-  in
-  Cmd.v
-    (Cmd.info "lookup" ~doc:"Path-lookup caching simulation (section 4.1)")
-    Term.(const run $ requests $ obs_term)
 
 let topo_cmd =
   let save =
@@ -460,4 +451,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; lookup_cmd; topo_cmd ]))
+          [ run_cmd; topo_cmd ]))

@@ -21,6 +21,8 @@ let default_config =
     verify_crypto = false;
   }
 
+let end_instant cfg = cfg.duration -. 1.0
+
 type stats = {
   bytes_on_iface : float array;
   pcbs_on_iface : int array;

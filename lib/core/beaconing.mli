@@ -54,6 +54,10 @@ val default_config : config
     interval, 6-hour lifetime and duration, storage limit 60, no crypto
     verification. PCB sizes use {!Wire.signature_bytes}. *)
 
+val end_instant : config -> float
+(** [duration - 1]: the instant, one second before a run ends, at which
+    experiments and the control service read the final beacon stores. *)
+
 type stats = {
   bytes_on_iface : float array;
       (** sent bytes per directed interface; index [2*link + 0] for the

@@ -70,27 +70,17 @@ let select_failures ~rng ~core ~scion ~now ~n_failures =
             | Fault_engine.Unaffected | Fault_engine.Blackout -> None)
         (Beacon_store.origins store))
 
-(* Each trial owns a private BGP simulator brought to quiescence from
-   scratch, so trials are independent (and parallelisable) instead of
-   threading one simulator through fail/restore cycles. *)
-type task = T_initial | T_sample of selected
-
-type task_result = R_initial of float * int | R_sample of failure_sample
-
 let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; n_failures; seed } =
   let prepared = Exp_common.prepare scale in
   let core = prepared.Exp_common.core in
   let rng = Rng.create seed in
   (* SCION: one diversity beaconing run; paths are then stable. *)
+  let diversity = Variant.diversity (Some 60) in
   let scion =
-    Obs.phase obs "convergence.beaconing" (fun () ->
-        Beaconing.run ~obs core
-          {
-            Exp_common.beacon_config with
-            Beaconing.algorithm = Beacon_policy.Diversity Beacon_policy.default_div_params;
-          })
+    Obs.phase obs (Variant.phase name diversity) (fun () ->
+        Beaconing.run ~obs core (Variant.config Exp_common.beacon_config diversity))
   in
-  let now = Exp_common.beacon_config.Beaconing.duration -. 1.0 in
+  let now = Beaconing.end_instant scion.Beaconing.config in
   let selected = select_failures ~rng ~core ~scion ~now ~n_failures in
   (* BGP over the core mesh: full transit, length-only decision (the
      §5.3 best-case model). *)
@@ -100,48 +90,46 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; n_failures; seed } =
     let t = Bgp_sim.run_to_quiescence bgp in
     (bgp, t)
   in
-  let tasks = Array.of_list (T_initial :: List.map (fun s -> T_sample s) selected) in
-  let task_results =
+  (* Each trial owns a private BGP simulator brought to quiescence from
+     scratch, so trials are independent (and parallelisable) instead of
+     threading one simulator through fail/restore cycles. A trial gives
+     its convergence time and message counts: [None] is the initial
+     convergence, [Some s] the churn after [s]'s adjacency fails,
+     measured from the converged state. *)
+  let trials =
     Runner.map_jobs_obs ~obs ~jobs
-      (fun ~obs task ->
-        match task with
-        | T_initial ->
-            let bgp, t =
-              Obs.phase obs "convergence.bgp_initial" (fun () -> converged ~obs ())
-            in
-            R_initial (t, (Bgp_sim.stats bgp).Bgp_sim.updates_sent)
-        | T_sample s ->
+      (fun ~obs -> function
+        | None ->
+            Obs.phase obs "convergence.bgp_initial" (fun () ->
+                let bgp, t = converged ~obs () in
+                (t, Bgp_sim.stats bgp))
+        | Some s ->
             Obs.phase obs "convergence.bgp_failure" (fun () ->
                 let bgp, _ = converged ~obs () in
-                (* Churn for the adjacency failure, measured from the
-                   converged state. *)
                 Bgp_sim.reset_stats bgp;
                 let t0 = Bgp_sim.now bgp in
                 List.iter (Bgp_sim.fail_link bgp) s.sel_siblings;
                 let tq = Bgp_sim.run_to_quiescence bgp in
-                let st = Bgp_sim.stats bgp in
-                R_sample
-                  {
-                    link = s.sel_link;
-                    bgp_convergence_s = tq -. t0;
-                    bgp_updates = st.Bgp_sim.updates_sent + st.Bgp_sim.withdrawals_sent;
-                    bgp_bytes = st.Bgp_sim.bytes_sent;
-                    scion_failover_s = s.sel_failover_s;
-                    scion_control_messages = 0;
-                    scion_alternatives_ready = s.sel_alternatives;
-                  }))
-      tasks
+                (tq -. t0, Bgp_sim.stats bgp)))
+      (Array.of_list (None :: List.map Option.some selected))
   in
-  let initial_convergence_s, initial_updates =
-    match task_results.(0) with
-    | R_initial (t, u) -> (t, u)
-    | R_sample _ -> assert false
-  in
+  let initial_convergence_s, initial = trials.(0) in
   let samples =
-    Array.to_list task_results
-    |> List.filter_map (function R_sample s -> Some s | R_initial _ -> None)
+    List.mapi
+      (fun i s ->
+        let dt, (st : Bgp_sim.stats) = trials.(i + 1) in
+        {
+          link = s.sel_link;
+          bgp_convergence_s = dt;
+          bgp_updates = st.updates_sent + st.withdrawals_sent;
+          bgp_bytes = st.bytes_sent;
+          scion_failover_s = s.sel_failover_s;
+          scion_control_messages = 0;
+          scion_alternatives_ready = s.sel_alternatives;
+        })
+      selected
   in
-  { initial_convergence_s; initial_updates; samples }
+  { initial_convergence_s; initial_updates = initial.Bgp_sim.updates_sent; samples }
 
 let to_json (r : result) =
   Obs_json.Obj

@@ -61,7 +61,11 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; seed; beacon } =
     min 400.0 (400.0 *. float_of_int (Graph.n core) /. float_of_int (Graph.n full))
   in
   let workload = Bgp_overhead.make_workload ~prefix_mean full ~seed:0xB6FL in
-  let cfg = beacon in
+  let beaconing phase g cfg ~obs =
+    S_beacon (Obs.phase obs phase (fun () -> Beaconing.run ~obs g cfg))
+  in
+  let core_beaconing v = beaconing (Variant.phase name v) core (Variant.config beacon v) in
+  let baseline = Variant.baseline (Some 60) in
   let stages =
     [|
       (fun ~obs ->
@@ -70,24 +74,11 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; seed; beacon } =
                Bgp_overhead.monthly_overhead full workload
                  ~monitors:prepared.Exp_common.monitors_full
                  Bgp_overhead.default_params)));
-      (fun ~obs ->
-        S_beacon
-          (Obs.phase obs "fig5.beaconing.baseline" (fun () ->
-               Beaconing.run ~obs core cfg)));
-      (fun ~obs ->
-        S_beacon
-          (Obs.phase obs "fig5.beaconing.diversity" (fun () ->
-               Beaconing.run ~obs core
-                 {
-                   cfg with
-                   Beaconing.algorithm =
-                     Beacon_policy.Diversity Beacon_policy.default_div_params;
-                 })));
+      core_beaconing baseline;
+      core_beaconing (Variant.diversity (Some 60));
       (* Intra-ISD beaconing (baseline, as in the paper). *)
-      (fun ~obs ->
-        S_beacon
-          (Obs.phase obs "fig5.beaconing.intra_isd" (fun () ->
-               Beaconing.run ~obs isd { cfg with Beaconing.scope = Beaconing.Intra_isd })));
+      beaconing "fig5.beaconing.intra_isd" isd
+        (Variant.config { beacon with Beaconing.scope = Beaconing.Intra_isd } baseline);
     |]
   in
   let bgp, base_out, div_out, intra_out =

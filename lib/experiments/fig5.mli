@@ -33,8 +33,9 @@ type config = {
 
 val config : ?seed:int64 -> ?beacon:Beaconing.config -> Exp_common.scale -> config
 (** [beacon] overrides the §5.1 beaconing configuration (used by the
-    benchmark to run shorter horizons). The diversity run always uses
-    {!Beacon_policy.default_div_params}. *)
+    benchmark to run shorter horizons). Each run sets its own variant:
+    baseline (60) and diversity (60) on the core, baseline (60) in the
+    ISD. *)
 
 val name : string
 
@@ -47,7 +48,8 @@ val run : ?obs:Obs.t -> ?jobs:int -> config -> result
     every [jobs] value.
 
     With an enabled [obs] context (default {!Obs.disabled}) the stages
-    are timed as [fig5.*] phases, the three beaconing runs are
+    are timed as [fig5.*] phases (the core runs as {!Variant.phase}
+    phases), the three beaconing runs are
     instrumented (see {!Beaconing.run}) and each series' per-monitor
     ratio distribution is recorded as a [fig5_overhead_ratio{series}]
     histogram. *)

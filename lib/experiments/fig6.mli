@@ -11,27 +11,12 @@
     Implements {!Scenario.Cli}: drive it through [scion_expt run fig6]
     or directly via {!config} and {!run}. *)
 
-(** Algorithms are identified structurally, not by display string, so
-    renaming a label can never silently turn a headline check into
-    [nan]. Storage limits are [int option]: [None] means unlimited (no
-    [max_int] sentinel in this interface). *)
-type algo_kind =
-  | Bgp
-  | Baseline of int  (** SCION baseline at the given storage limit *)
-  | Diversity of int option
-      (** SCION diversity; [None] = unlimited storage (∞ column) *)
-
-type algo = {
-  kind : algo_kind;
-  name : string;  (** display string derived from [kind] *)
-  flows : int array;  (** per sampled pair *)
-}
-
 type result = {
   scale : Exp_common.scale;
   pairs : (int * int) array;
   optimum : int array;
-  algos : algo list;  (** BGP, baseline, diversity at each storage limit *)
+  algos : Quality_sweep.column list;
+      (** BGP, baseline (60), diversity at each storage limit *)
 }
 
 type config = {
@@ -56,13 +41,11 @@ val name : string
 val doc : string
 
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
-(** With [jobs > 1] the independent stages — the optimum min-cuts, the
-    BGP flows, the baseline beaconing run and one diversity run per
-    storage limit — execute on that many domains; the result is
-    identical for every [jobs] value.
-
-    With an enabled [obs] (default {!Obs.disabled}) the stages are
-    timed as [fig6.*] phases and the beaconing runs instrumented. *)
+(** One {!Quality_sweep.run} over the sampled pairs: the optimum, BGP,
+    the baseline and one diversity run per storage limit are its jobs;
+    the result is identical for every [jobs] value. With an enabled
+    [obs] (default {!Obs.disabled}) the stages are timed as [fig6.*]
+    phases, one per variant (e.g. [fig6.beaconing.diversity.inf]). *)
 
 val to_json : result -> Obs_json.t
 (** Per-pair optimum cuts and, per algorithm, the flows array and

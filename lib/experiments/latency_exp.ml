@@ -25,7 +25,7 @@ let name = "latency"
 let doc = "Latency-aware path construction (§4.2 extension)"
 
 let evaluate name core weights pairs (outcome : Beaconing.outcome) =
-  let now = outcome.Beaconing.config.Beaconing.duration -. 1.0 in
+  let now = Beaconing.end_instant outcome.Beaconing.config in
   let stretch =
     Array.map
       (fun (s, d) ->
@@ -56,37 +56,29 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) { scale; seed; beacon } =
   in
   (* Scale chosen so a typical diameter-length path scores mid-range. *)
   let lat_scale = 4.0 *. Stats.mean weights *. 8.0 in
-  (* One independent stage per algorithm: beaconing plus the stretch
-     evaluation against the Dijkstra optimum. *)
-  let stages =
-    [|
-      ("SCION Baseline (60)", "latency.beaconing.baseline", beacon);
-      ( "SCION Diversity (60)",
-        "latency.beaconing.diversity",
-        {
-          beacon with
-          Beaconing.algorithm = Beacon_policy.Diversity Beacon_policy.default_div_params;
-        } );
-      ( "SCION Latency-aware (60)",
-        "latency.beaconing.latency_aware",
-        {
-          beacon with
-          Beaconing.algorithm =
-            Beacon_policy.Latency_aware
-              {
-                Beacon_policy.base = Beacon_policy.default_div_params;
-                link_latency_ms = weights;
-                latency_scale_ms = lat_scale;
-              };
-        } );
-    |]
+  let latency_aware =
+    {
+      Variant.algorithm =
+        Beacon_policy.Latency_aware
+          {
+            Beacon_policy.base = Beacon_policy.default_div_params;
+            link_latency_ms = weights;
+            latency_scale_ms = lat_scale;
+          };
+      limit = Some 60;
+    }
   in
+  (* One independent stage per variant: beaconing plus the stretch
+     evaluation against the Dijkstra optimum. *)
   let algos =
     Runner.map_jobs_obs ~obs ~jobs
-      (fun ~obs (algo_name, phase, cfg) ->
-        let out = Obs.phase obs phase (fun () -> Beaconing.run ~obs core cfg) in
-        evaluate algo_name core weights pairs out)
-      stages
+      (fun ~obs v ->
+        let out =
+          Obs.phase obs (Variant.phase name v) (fun () ->
+              Beaconing.run ~obs core (Variant.config beacon v))
+        in
+        evaluate ("SCION " ^ Variant.name v) core weights pairs out)
+      [| Variant.baseline (Some 60); Variant.diversity (Some 60); latency_aware |]
   in
   { scale; pairs; algos = Array.to_list algos }
 

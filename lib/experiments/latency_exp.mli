@@ -32,18 +32,19 @@ type config = {
 }
 
 val config : ?seed:int64 -> ?beacon:Beaconing.config -> Exp_common.scale -> config
-(** [beacon] overrides the §5.1 beaconing configuration. *)
+(** [beacon] overrides the §5.1 beaconing configuration; each variant
+    sets its own algorithm and a storage limit of 60. *)
 
 val name : string
 
 val doc : string
 
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
-(** With [jobs > 1] the three algorithm stages (beaconing + stretch
+(** With [jobs > 1] the three variant stages (beaconing + stretch
     evaluation each) run on that many domains; the result is identical
     for every [jobs] value. With an enabled [obs] (default
     {!Obs.disabled}) the beaconing runs are instrumented and timed as
-    [latency.*] phases. *)
+    {!Variant.phase} phases ([latency.beaconing.baseline.60], …). *)
 
 val to_json : result -> Obs_json.t
 

@@ -22,7 +22,7 @@ let default_params =
     segment_lifetime = 21_600.0;
   }
 
-type result = {
+type stats = {
   params : params;
   cache_hits : int;
   cache_misses : int;
@@ -32,9 +32,9 @@ type result = {
   expired_evictions : int;
 }
 
-let run ?(obs = Obs.disabled) p =
+let simulate ?(obs = Obs.disabled) p =
   if p.n_destinations < 1 || p.requests < 0 then
-    invalid_arg "Lookup_sim.run: invalid parameters";
+    invalid_arg "Lookup_sim.simulate: invalid parameters";
   let obs_on = Obs.on obs in
   let tr = Obs.trace obs in
   let rng = Rng.create seed in
@@ -113,15 +113,48 @@ let run ?(obs = Obs.disabled) p =
   end;
   r
 
-let sweep ?obs ~requests () =
+type config = { requests : int }
+
+let config ~requests = { requests }
+
+let name = "lookup"
+
+let doc = "Path-lookup caching simulation (section 4.1)"
+
+type result = stats list
+
+let run ?(obs = Obs.disabled) ?(jobs = 1) { requests } =
   List.concat_map
     (fun zipf_s ->
-      List.map
-        (fun cache -> run ?obs { default_params with zipf_s; cache; requests })
-        [ true; false ])
+      List.map (fun cache -> { default_params with zipf_s; cache; requests }) [ true; false ])
     [ 0.8; 1.1; 1.4 ]
+  |> Array.of_list
+  |> Runner.map_jobs_obs ~obs ~jobs (fun ~obs p -> simulate ~obs p)
+  |> Array.to_list
 
-let print_sweep results =
+let to_json results =
+  Obs_json.Obj
+    [
+      ("experiment", Obs_json.String name);
+      ( "runs",
+        Obs_json.List
+          (List.map
+             (fun r ->
+               Obs_json.Obj
+                 [
+                   ("zipf_s", Obs_json.Float r.params.zipf_s);
+                   ("cache", Obs_json.String (if r.params.cache then "on" else "off"));
+                   ("requests", Obs_json.Int r.params.requests);
+                   ("cache_hits", Obs_json.Int r.cache_hits);
+                   ("cache_misses", Obs_json.Int r.cache_misses);
+                   ("upstream_messages", Obs_json.Int r.upstream_messages);
+                   ("upstream_bytes", Obs_json.Float r.upstream_bytes);
+                   ("expired_evictions", Obs_json.Int r.expired_evictions);
+                 ])
+             results) );
+    ]
+
+let print results =
   print_endline
     "Down-path segment lookup with caching under Zipf popularity (section \
      4.1):";

@@ -24,7 +24,7 @@ val default_params : params
     cache, issue 10 requests/s in total, a reply carries 5 four-hop
     segments, and the request stream comes from one fixed seed. *)
 
-type result = {
+type stats = {
   params : params;
   cache_hits : int;
   cache_misses : int;
@@ -34,18 +34,25 @@ type result = {
   expired_evictions : int;
 }
 
-val run : ?obs:Obs.t -> params -> result
+val simulate : ?obs:Obs.t -> params -> stats
 (** With an enabled [obs] context (default {!Obs.disabled}) the run
     adds the result's hits, misses and upstream bytes to the
     [lookup_cache_{hits,misses}_total] and [lookup_upstream_bytes_total]
     counters labeled [{cache; zipf}] and emits [lookup]-category trace
     events (per-miss at [Debug], run summary at [Info]). *)
 
-val sweep : ?obs:Obs.t -> requests:int -> unit -> result list
-(** The §4.1 sweep: {!run} with [requests] requests for Zipf skews
-    0.8, 1.1 and 1.4, each with the cache on and then off; the other
-    parameters are {!default_params}. *)
+(** {1 The {!Scenario.Cli} face}
 
-val print_sweep : result list -> unit
-(** A title line, then one row per configuration: the Zipf-sweep
-    table. *)
+    [scion_expt run lookup] runs the §4.1 sweep: {!simulate} with
+    [requests] requests for Zipf skews 0.8, 1.1 and 1.4, each with the
+    cache on and then off; the other parameters are {!default_params}. *)
+
+type config = { requests : int }
+
+val config : requests:int -> config
+
+type result = stats list
+(** One entry per sweep configuration, in sweep order. *)
+
+include Scenario.Cli with type config := config and type result := result
+(** [print] writes a title line, then one row per configuration. *)

@@ -130,12 +130,9 @@ let build_cells cfg =
              {
                Soak.graph = core;
                beacon =
-                 {
-                   beacon with
-                   Beaconing.algorithm = Beacon_policy.Baseline;
-                   Beaconing.storage_limit = limit;
-                   Beaconing.duration;
-                 };
+                 Variant.config
+                   { beacon with Beaconing.duration }
+                   (Variant.baseline (Some limit));
                plan;
                pairs;
                register_top;

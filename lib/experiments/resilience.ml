@@ -1,9 +1,7 @@
 type rate = { rate_name : string; mtbf_s : float; mttr_s : float }
 
-type algo_kind = A_baseline of int | A_diversity of int
-
 type cell_result = {
-  algo : algo_kind;
+  algo : Variant.t;
   rate : rate;
   trials : int;
   recovery : Recovery.summary;
@@ -28,7 +26,7 @@ let rates =
     { rate_name = "high"; mtbf_s = 7200.0; mttr_s = 900.0 };
   ]
 
-let algos = [ A_baseline 5; A_diversity 60 ]
+let algos = [ Variant.baseline (Some 5); Variant.diversity (Some 60) ]
 
 let outage_at = 3600.0
 
@@ -43,25 +41,6 @@ let config ?(seed = 0xFA17L) scale = { scale; seed }
 let name = "resilience"
 
 let doc = "Failure recovery under injected faults: failover vs blackout"
-
-let algo_name = function
-  | A_baseline limit -> Printf.sprintf "Baseline (%d)" limit
-  | A_diversity limit -> Printf.sprintf "Diversity (%d)" limit
-
-let beacon_of = function
-  | A_baseline limit ->
-      {
-        beacon with
-        Beaconing.algorithm = Beacon_policy.Baseline;
-        Beaconing.storage_limit = limit;
-      }
-  | A_diversity limit ->
-      {
-        beacon with
-        Beaconing.algorithm =
-          Beacon_policy.Diversity Beacon_policy.default_div_params;
-        Beaconing.storage_limit = limit;
-      }
 
 let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
   let prepared =
@@ -105,7 +84,7 @@ let run ?(obs = Obs.disabled) ?(jobs = 1) cfg =
         in
         {
           Fault_engine.graph = core;
-          beacon = beacon_of algo;
+          beacon = Variant.config beacon algo;
           plan;
           pairs;
         })
@@ -167,7 +146,7 @@ let to_json (r : result) =
                in
                Obs_json.Obj
                  [
-                   ("algo", Obs_json.String (algo_name c.algo));
+                   ("algo", Obs_json.String (Variant.name c.algo));
                    ("rate", Obs_json.String c.rate.rate_name);
                    ("mtbf_s", Obs_json.Float c.rate.mtbf_s);
                    ("mttr_s", Obs_json.Float c.rate.mttr_s);
@@ -227,7 +206,7 @@ let print (r : result) =
          (fun c ->
            let (s : Recovery.summary) = c.recovery in
            [
-             algo_name c.algo;
+             Variant.name c.algo;
              c.rate.rate_name;
              Printf.sprintf "%d/%d" s.events_down s.events_up;
              string_of_int s.affected_pairs;

@@ -27,12 +27,8 @@ type rate = {
   mttr_s : float;  (** per-link mean time to repair *)
 }
 
-type algo_kind =
-  | A_baseline of int  (** baseline selection, PCB storage limit *)
-  | A_diversity of int  (** diversity selection, PCB storage limit *)
-
 type cell_result = {
-  algo : algo_kind;
+  algo : Variant.t;
   rate : rate;
   trials : int;
   recovery : Recovery.summary;  (** summed over the cell's trials *)

@@ -1,9 +1,7 @@
-type algo = { name : string; flows : int array }
-
 type result = {
   pairs : (int * int) array;
   optimum : int array;
-  algos : algo list;
+  algos : Quality_sweep.column list;
   iface_bps : float array;
 }
 
@@ -25,77 +23,30 @@ let all_pairs g =
   done;
   Array.of_list (List.rev !acc)
 
-(* Independent stages: the all-pairs optimum, the baseline(5) run (which
-   also yields the measured path set and the Fig. 9 interface rates) and
-   one diversity run per storage limit. *)
-type stage =
-  | S_optimum of int array
-  | S_baseline of Beaconing.outcome
-  | S_div of algo
-
-let div_limits = [ 5; 10; 15; 60 ]
-
 let run ?(obs = Obs.disabled) ?(jobs = 1) () =
   let g = Scionlab.generate Scionlab.default_params in
   let pairs = all_pairs g in
-  let cfg = Exp_common.beacon_config in
-  let stages =
-    Array.of_list
-      ((fun ~obs ->
-         S_optimum
-           (Obs.phase obs "scionlab.optimum_cuts" (fun () ->
-                Array.map (fun (s, d) -> Path_quality.optimum g ~src:s ~dst:d) pairs)))
-      :: (fun ~obs ->
-           S_baseline
-             (Obs.phase obs "scionlab.beaconing.baseline" (fun () ->
-                  Beaconing.run ~obs g { cfg with Beaconing.storage_limit = 5 })))
-      :: List.map
-           (fun limit ~obs ->
-             S_div
-               (Obs.phase obs "scionlab.beaconing.diversity" (fun () ->
-                    let out =
-                      Beaconing.run ~obs g
-                        {
-                          cfg with
-                          Beaconing.storage_limit = limit;
-                          Beaconing.algorithm =
-                            Beacon_policy.Diversity
-                              Beacon_policy.default_div_params;
-                        }
-                    in
-                    {
-                      name = Printf.sprintf "SCION Diversity (%d)" limit;
-                      flows = Path_quality.of_outcome g out pairs;
-                    })))
-           div_limits)
+  let { Quality_sweep.optimum; columns } =
+    Quality_sweep.run ~obs ~jobs ~scenario:name g Exp_common.beacon_config pairs
+      (List.map
+         (fun v -> Quality_sweep.Scion v)
+         (Variant.baseline (Some 5)
+         :: List.map (fun l -> Variant.diversity (Some l)) [ 5; 10; 15; 60 ]))
   in
-  let staged = Runner.map_jobs_obs ~obs ~jobs (fun ~obs stage -> stage ~obs) stages in
-  let optimum =
-    match staged.(0) with S_optimum o -> o | _ -> assert false
-  in
-  let baseline5 =
-    match staged.(1) with S_baseline b -> b | _ -> assert false
-  in
-  let divs =
-    Array.to_list staged
-    |> List.filter_map (function S_div a -> Some a | _ -> None)
-  in
-  let baseline_flows = Path_quality.of_outcome g baseline5 pairs in
-  let algos =
-    { name = "Measurement"; flows = baseline_flows }
-    :: { name = "SCION Baseline (5)"; flows = baseline_flows }
-    :: divs
-  in
-  let iface_bps =
-    Array.map
-      (fun b -> b /. baseline5.Beaconing.config.Beaconing.duration)
-      (Beaconing.eligible_iface_bytes baseline5)
-  in
+  (* The testbed's measured path set is modelled by the baseline (5),
+     which also gives the Fig. 9 interface rates. *)
+  let baseline5 = List.hd columns in
+  let iface_bps = baseline5.iface_bps in
   if Obs.on obs then begin
     let h = Registry.histogram (Obs.registry obs) "scionlab_iface_bps" in
     Array.iter (Histogram.observe h) iface_bps
   end;
-  { pairs; optimum; algos; iface_bps }
+  {
+    pairs;
+    optimum;
+    algos = { baseline5 with name = "Measurement" } :: columns;
+    iface_bps;
+  }
 
 let to_json (r : result) =
   let ints a = Obs_json.List (List.map (fun v -> Obs_json.Int v) (Array.to_list a)) in
@@ -107,7 +58,7 @@ let to_json (r : result) =
       ( "algos",
         Obs_json.List
           (List.map
-             (fun a ->
+             (fun (a : Quality_sweep.column) ->
                Obs_json.Obj
                  [ ("name", Obs_json.String a.name); ("flows", ints a.flows) ])
              r.algos) );
@@ -121,39 +72,23 @@ let print (r : result) =
     (Array.length r.pairs);
   print_endline
     "Fig. 7/8 — resilience & capacity CDF (fraction of pairs with max-flow <= c):";
-  let caps = [ 1; 2; 3; 4; 5; 6 ] in
-  let series = List.map (fun a -> a.flows) r.algos @ [ r.optimum ] in
-  let header =
-    "flow <=" :: List.map (fun a -> a.name) r.algos @ [ "All Paths (optimum)" ]
-  in
-  let rows =
-    List.map
-      (fun c ->
-        string_of_int c
-        :: List.map
-             (fun vs -> Printf.sprintf "%.2f" (Stats.fraction_le vs c))
-             series)
-      caps
-  in
-  Table.print ~header ~rows;
+  Quality_sweep.print_cdf ~label:"flow <=" ~caps:[ 1; 2; 3; 4; 5; 6 ]
+    ~optimum:r.optimum r.algos;
   print_newline ();
   (* Fraction of pairs where each diversity variant beats Measurement. *)
-  (match List.find_opt (fun a -> a.name = "Measurement") r.algos with
-  | None -> ()
-  | Some m ->
-      print_endline
-        "Fraction of pairs where diversity beats the measured path set (paper: 17/42/52/55% for 5/10/15/60):";
-      List.iter
-        (fun a ->
-          if a.name <> "Measurement" && a.name <> "SCION Baseline (5)" then begin
-            let better = ref 0 in
-            Array.iteri
-              (fun i f -> if f > m.flows.(i) then incr better)
-              a.flows;
-            Printf.printf "  %s: %.0f%%\n" a.name
-              (100.0 *. float_of_int !better /. float_of_int (Array.length m.flows))
-          end)
-        r.algos);
+  print_endline
+    "Fraction of pairs where diversity beats the measured path set (paper: 17/42/52/55% for 5/10/15/60):";
+  let measured = (List.hd r.algos).flows in
+  List.iter
+    (fun (a : Quality_sweep.column) ->
+      match a.source with
+      | Scion { algorithm = Beacon_policy.Diversity _; _ } ->
+          let better = ref 0 in
+          Array.iteri (fun i f -> if f > measured.(i) then incr better) a.flows;
+          Printf.printf "  %s: %.0f%%\n" a.name
+            (100.0 *. float_of_int !better /. float_of_int (Array.length measured))
+      | Scion _ | Bgp -> ())
+    r.algos;
   print_newline ();
   print_endline "Fig. 9 — per-interface core-beaconing bandwidth (Bps), baseline(5):";
   (* Log-bucketed histogram over the per-interface rates: the same

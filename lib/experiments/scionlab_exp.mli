@@ -12,12 +12,12 @@
     The SCIONLab topology is fixed, so the subcommand takes no scale or
     seed. *)
 
-type algo = { name : string; flows : int array }
-
 type result = {
   pairs : (int * int) array;  (** all core AS pairs *)
   optimum : int array;
-  algos : algo list;
+  algos : Quality_sweep.column list;
+      (** "Measurement" (a copy of the baseline (5) column), then the
+          baseline (5) and diversity at 5, 10, 15 and 60 *)
   iface_bps : float array;  (** Fig. 9: Bps per core interface, baseline(5) *)
 }
 
@@ -32,10 +32,10 @@ val name : string
 val doc : string
 
 val run : ?obs:Obs.t -> ?jobs:int -> config -> result
-(** With [jobs > 1] the independent stages — the all-pairs optimum
-    cuts, the baseline(5) run and one diversity run per storage
-    limit — execute on that many domains; the result is identical for
-    every [jobs] value.
+(** One {!Quality_sweep.run} over all pairs: the optimum, the
+    baseline (5) and one diversity run per storage limit are its jobs;
+    the result is identical for every [jobs] value. The baseline (5)
+    column gives the Fig. 9 rates.
 
     With an enabled [obs] (default {!Obs.disabled}) the beaconing runs
     are instrumented, the stages timed as [scionlab.*] phases, and the

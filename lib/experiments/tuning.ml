@@ -6,7 +6,11 @@ type objective = {
   score : float;
 }
 
-let evaluate ?(obs = Obs.disabled) ?(duration_rounds = 24) ?(lifetime_rounds = 12) g params =
+(* PCB lifetime of a tuning run, in 10-minute rounds: half the default
+   horizon, so refresh behaviour is exercised. *)
+let lifetime_rounds = 12
+
+let evaluate ?(obs = Obs.disabled) ?(duration_rounds = 24) g params =
   let cfg =
     {
       Exp_common.beacon_config with
@@ -16,7 +20,7 @@ let evaluate ?(obs = Obs.disabled) ?(duration_rounds = 24) ?(lifetime_rounds = 1
     }
   in
   let out = Beaconing.run ~obs g cfg in
-  let now = cfg.Beaconing.duration -. 1.0 in
+  let now = Beaconing.end_instant cfg in
   let n = Graph.n g in
   (* Connectivity: every AS should hold a valid path to every origin. *)
   let have = ref 0 and want = ref 0 in

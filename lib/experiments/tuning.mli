@@ -12,19 +12,18 @@
 type objective = {
   params : Beacon_policy.div_params;
   overhead_bytes : float;
-  capacity_fraction : float;  (** achieved/optimal max-flow over pairs *)
+  capacity_fraction : float;
+      (** pooled Σ flow / Σ optimum max-flow over 40 sampled pairs; not
+          Fig. 6's capacity fraction, which is the mean of per-pair
+          ratios capped at 1 *)
   connectivity : float;  (** fraction of (AS, origin) with a valid path *)
   score : float;  (** composite; higher is better *)
 }
 
 val evaluate :
-  ?obs:Obs.t ->
-  ?duration_rounds:int ->
-  ?lifetime_rounds:int ->
-  Graph.t ->
-  Beacon_policy.div_params ->
-  objective
-(** Run diversity beaconing with a deliberately short PCB lifetime so
+  ?obs:Obs.t -> ?duration_rounds:int -> Graph.t -> Beacon_policy.div_params -> objective
+(** Run diversity beaconing for [duration_rounds] 10-minute rounds
+    (default 24) with a deliberately short PCB lifetime of 12 rounds so
     refresh behaviour is exercised, then score the outcome. *)
 
 (** {1 The {!Scenario.Cli} face}

@@ -82,9 +82,9 @@ let build ~(core : Beaconing.outcome) ~(intra : Beaconing.outcome) () =
   if not (same_graph core.Beaconing.graph intra.Beaconing.graph) then
     invalid_arg "Control_service.build: outcomes are over different graphs";
   let now =
-    max core.Beaconing.config.Beaconing.duration
-      intra.Beaconing.config.Beaconing.duration
-    -. 1.0
+    max
+      (Beaconing.end_instant core.Beaconing.config)
+      (Beaconing.end_instant intra.Beaconing.config)
   in
   let t = make core.Beaconing.graph now in
   ingest_intra t intra;

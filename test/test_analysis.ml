@@ -148,6 +148,100 @@ let test_disseminated_never_beats_optimum () =
       if pcbs <> [] then Alcotest.(check bool) "positive when paths exist" true (flow >= 1))
     pairs
 
+(* Brute-force oracle for Path_quality: the size of the smallest subset
+   of [links] whose removal leaves no src-dst path over the rest of
+   [links], by enumerating every subset and searching each remainder
+   breadth-first. *)
+let brute_min_cut g links ~src ~dst =
+  let links = Array.of_list links in
+  let k = Array.length links in
+  let connected removed =
+    let seen = Array.make (Graph.n g) false in
+    let queue = Queue.create () in
+    seen.(src) <- true;
+    Queue.add src queue;
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      Array.iteri
+        (fun i l ->
+          let lk = Graph.link g l in
+          let next =
+            if lk.Graph.a = u then lk.Graph.b
+            else if lk.Graph.b = u then lk.Graph.a
+            else -1
+          in
+          if removed land (1 lsl i) = 0 && next >= 0 && not seen.(next) then begin
+            seen.(next) <- true;
+            Queue.add next queue
+          end)
+        links
+    done;
+    seen.(dst)
+  in
+  let size removed =
+    let c = ref 0 in
+    for i = 0 to k - 1 do
+      if removed land (1 lsl i) <> 0 then incr c
+    done;
+    !c
+  in
+  let best = ref k in
+  for removed = 0 to (1 lsl k) - 1 do
+    if size removed < !best && not (connected removed) then best := size removed
+  done;
+  !best
+
+(* A PCB from [origin] that follows one adjacency per choice. *)
+let walk_pcb g ~origin choices =
+  let rec go pcb at ingress = function
+    | [] -> pcb
+    | c :: rest ->
+        let adj = Graph.adj g at in
+        if Array.length adj = 0 then pcb
+        else
+          let h = adj.(c mod Array.length adj) in
+          go
+            (Pcb.extend pcb ~asn:at ~ingress ~egress:h.Graph.local_if
+               ~link:h.Graph.via ~peers:[||])
+            h.Graph.peer h.Graph.remote_if rest
+  in
+  go (Pcb.origin_pcb ~origin ~now:0.0 ~lifetime:600.0) origin 0 choices
+
+let prop_path_quality_min_cut =
+  (* Random multigraphs of at most 12 links, parallel links included,
+     and PCBs from dst as random walks. *)
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 2 5 in
+      let* edges =
+        list_size (int_range 1 6)
+          (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 1 2))
+      in
+      let* walks = list_size (int_range 0 4) (list_size (int_range 1 4) nat) in
+      return (n, edges, walks))
+  in
+  QCheck.Test.make ~name:"path quality equals the brute-force min cut"
+    ~count:200 (QCheck.make gen) (fun (n, edges, walks) ->
+      let b = Graph.builder () in
+      for i = 1 to n do
+        ignore (Graph.add_as b ~core:true (Id.ia 1 i))
+      done;
+      List.iter
+        (fun (x, y, count) ->
+          if x <> y then Graph.add_link b ~count ~rel:Graph.Core x y)
+        edges;
+      let g = Graph.freeze b in
+      let src = 0 and dst = n - 1 in
+      let pcbs = List.map (walk_pcb g ~origin:dst) walks in
+      let pcb_links =
+        List.sort_uniq compare
+          (List.concat_map (fun (p : Pcb.t) -> Array.to_list p.Pcb.links) pcbs)
+      in
+      Path_quality.optimum g ~src ~dst
+      = brute_min_cut g (List.init (Graph.num_links g) Fun.id) ~src ~dst
+      && Path_quality.of_pcbs g pcbs ~src ~dst
+         = brute_min_cut g pcb_links ~src ~dst)
+
 let suite =
   [
     ("maxflow single edge", `Quick, test_maxflow_single_edge);
@@ -163,5 +257,6 @@ let suite =
     ("of_pcbs subset", `Quick, test_of_pcbs_subset);
     ("of_as_paths", `Quick, test_of_as_paths);
     ("links_of_pcbs dedup", `Quick, test_links_of_pcbs_dedup);
+    QCheck_alcotest.to_alcotest prop_path_quality_min_cut;
     ("disseminated never beats optimum", `Quick, test_disseminated_never_beats_optimum);
   ]

@@ -132,22 +132,22 @@ let test_scionlab_experiment () =
   check Alcotest.int "210 pairs" 210 (Array.length r.Scionlab_exp.pairs);
   check Alcotest.int "six algos" 6 (List.length r.Scionlab_exp.algos);
   (* Flows bounded by optimum; measurement equals baseline(5). *)
-  let find name = List.find (fun a -> a.Scionlab_exp.name = name) r.Scionlab_exp.algos in
+  let find name = List.find (fun (a : Quality_sweep.column) -> a.name = name) r.Scionlab_exp.algos in
   let meas = find "Measurement" and base5 = find "SCION Baseline (5)" in
   check (Alcotest.array Alcotest.int) "measurement = baseline(5)"
-    meas.Scionlab_exp.flows base5.Scionlab_exp.flows;
+    meas.flows base5.flows;
   List.iter
-    (fun a ->
+    (fun (a : Quality_sweep.column) ->
       Array.iteri
         (fun i f ->
           Alcotest.(check bool) "bounded by optimum" true
             (f <= r.Scionlab_exp.optimum.(i)))
-        a.Scionlab_exp.flows)
+        a.flows)
     r.Scionlab_exp.algos;
   (* Diversity with a bigger store is never worse on average. *)
-  let mean a =
-    let s = Array.fold_left ( + ) 0 a.Scionlab_exp.flows in
-    float_of_int s /. float_of_int (Array.length a.Scionlab_exp.flows)
+  let mean (a : Quality_sweep.column) =
+    let s = Array.fold_left ( + ) 0 a.flows in
+    float_of_int s /. float_of_int (Array.length a.flows)
   in
   Alcotest.(check bool) "div(60) >= div(5) on average" true
     (mean (find "SCION Diversity (60)") >= mean (find "SCION Diversity (5)") -. 1e-9);
@@ -164,7 +164,7 @@ let test_tuning_evaluate () =
   let g =
     Scionlab.generate { Scionlab.default_params with Scionlab.n_core = 8; chords = 3 }
   in
-  let o = Tuning.evaluate ~duration_rounds:16 ~lifetime_rounds:12 g Beacon_policy.default_div_params in
+  let o = Tuning.evaluate ~duration_rounds:16 g Beacon_policy.default_div_params in
   Alcotest.(check bool) "connectivity reached" true (o.Tuning.connectivity > 0.9);
   Alcotest.(check bool) "some overhead" true (o.Tuning.overhead_bytes > 0.0);
   Alcotest.(check bool) "capacity fraction in [0,1]" true

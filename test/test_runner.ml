@@ -211,9 +211,9 @@ let test_fig6_determinism () =
   check (Alcotest.array Alcotest.int) "optimum" r1.Fig6.optimum r4.Fig6.optimum;
   check Alcotest.int "same algos" (List.length r1.Fig6.algos) (List.length r4.Fig6.algos);
   List.iter2
-    (fun (a : Fig6.algo) (b : Fig6.algo) ->
-      check Alcotest.string "algo name" a.Fig6.name b.Fig6.name;
-      check (Alcotest.array Alcotest.int) a.Fig6.name a.Fig6.flows b.Fig6.flows)
+    (fun (a : Quality_sweep.column) (b : Quality_sweep.column) ->
+      check Alcotest.string "algo name" a.name b.name;
+      check (Alcotest.array Alcotest.int) a.name a.flows b.flows)
     r1.Fig6.algos r4.Fig6.algos
 
 (* The --metrics-out document of a run under [jobs] domains. *)

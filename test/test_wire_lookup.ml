@@ -4,7 +4,7 @@ let check = Alcotest.check
 
 (* --- Lookup_sim --- *)
 
-let quick p = Lookup_sim.run p
+let quick p = Lookup_sim.simulate p
 
 let test_lookup_no_cache () =
   let r =
@@ -44,7 +44,7 @@ let test_lookup_counts_consistent () =
     (r.Lookup_sim.cache_hits + r.Lookup_sim.cache_misses)
 
 let test_lookup_invalid () =
-  Alcotest.check_raises "invalid" (Invalid_argument "Lookup_sim.run: invalid parameters")
+  Alcotest.check_raises "invalid" (Invalid_argument "Lookup_sim.simulate: invalid parameters")
     (fun () ->
       ignore (quick { Lookup_sim.default_params with Lookup_sim.n_destinations = 0 }))
 
