@@ -1,15 +1,24 @@
 let block_size = Sha256.block_size
 
+type key = { inner : Sha256.prefix; outer : Sha256.prefix }
+
 let normalize_key key =
   let key = if String.length key > block_size then Sha256.digest key else key in
   key ^ String.make (block_size - String.length key) '\000'
 
 let xor_with s byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) s
 
-let mac ~key msg =
+(* RFC 2104 §4: the padded key blocks open every inner and outer hash
+   of a key, so their compressions are done once, here. *)
+let prepare key =
   let k0 = normalize_key key in
-  let inner = Sha256.digest (xor_with k0 0x36 ^ msg) in
-  Sha256.digest (xor_with k0 0x5c ^ inner)
+  {
+    inner = Sha256.hash_prefix (xor_with k0 0x36);
+    outer = Sha256.hash_prefix (xor_with k0 0x5c);
+  }
+
+let mac ~key msg =
+  Sha256.digest_from key.outer (Sha256.digest_from key.inner msg)
 
 let truncated ~key ~length msg =
   if length < 1 || length > Sha256.digest_size then

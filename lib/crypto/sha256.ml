@@ -68,17 +68,34 @@ let compress h w data off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-let digest s =
-  let h = Array.copy h0 and w = Array.make 64 0 in
-  let len = String.length s in
-  let whole = len - (len mod block_size) in
+type prefix = { chain : int array; blocks : int }
+
+let empty = { chain = h0; blocks = 0 }
+
+(* Compress the whole blocks of [s] that start before [whole] into [h]. *)
+let absorb h w s whole =
   let off = ref 0 in
   while !off < whole do
     compress h w s !off;
     off := !off + block_size
-  done;
+  done
+
+let hash_prefix s =
+  let len = String.length s in
+  if len mod block_size <> 0 then
+    invalid_arg "Sha256.hash_prefix: length not a multiple of the block size";
+  let h = Array.copy h0 in
+  absorb h (Array.make 64 0) s len;
+  { chain = h; blocks = len / block_size }
+
+let digest_from p s =
+  let h = Array.copy p.chain and w = Array.make 64 0 in
+  let len = String.length s in
+  let whole = len - (len mod block_size) in
+  absorb h w s whole;
   (* The last one or two blocks: the remaining bytes, 0x80, zeros and
-     the message length in bits as a 64-bit big-endian integer. *)
+     the message length in bits, the prefix's blocks included, as a
+     64-bit big-endian integer. *)
   let rest = len - whole in
   let tail_len =
     if rest + 9 <= block_size then block_size else 2 * block_size
@@ -86,13 +103,16 @@ let digest s =
   let tail = Bytes.make tail_len '\000' in
   Bytes.blit_string s whole tail 0 rest;
   Bytes.set tail rest '\x80';
-  Bytes.set_int64_be tail (tail_len - 8) (Int64.mul (Int64.of_int len) 8L);
+  let bits = Int64.mul (Int64.of_int ((p.blocks * block_size) + len)) 8L in
+  Bytes.set_int64_be tail (tail_len - 8) bits;
   let tail = Bytes.unsafe_to_string tail in
   compress h w tail 0;
   if tail_len > block_size then compress h w tail block_size;
   let out = Bytes.create digest_size in
   Array.iteri (fun i x -> Bytes.set_int32_be out (i * 4) (Int32.of_int x)) h;
   Bytes.unsafe_to_string out
+
+let digest s = digest_from empty s
 
 let hex s =
   let d = digest s in

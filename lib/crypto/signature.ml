@@ -2,7 +2,7 @@ type scheme = Ecdsa_p384 | Ecdsa_p256 | Ed25519
 
 let signature_size = function Ecdsa_p384 -> 96 | Ecdsa_p256 -> 64 | Ed25519 -> 64
 
-type keypair = { id : string; secret : string; scheme : scheme }
+type keypair = { id : string; secret : Hmac.key; scheme : scheme }
 
 type keystore = (string, keypair) Hashtbl.t
 
@@ -11,7 +11,7 @@ let create_keystore () = Hashtbl.create 64
 let generate ks scheme ~id =
   if Hashtbl.mem ks id then
     invalid_arg (Printf.sprintf "Signature.generate: duplicate key id %S" id);
-  let secret = Sha256.digest ("scion-sim-key:" ^ id) in
+  let secret = Hmac.prepare (Sha256.digest ("scion-sim-key:" ^ id)) in
   let kp = { id; secret; scheme } in
   Hashtbl.replace ks id kp;
   kp

@@ -1,4 +1,4 @@
-type t = (int, string) Hashtbl.t
+type t = (int, Hmac.key) Hashtbl.t
 
 let create () = Hashtbl.create 64
 
@@ -7,6 +7,8 @@ let key t v =
   | Some k -> k
   | None ->
       (* The 0 is the key generation: keys are never rotated. *)
-      let k = Sha256.digest (Printf.sprintf "scion-fwd-key:0:%d" v) in
+      let k =
+        Hmac.prepare (Sha256.digest (Printf.sprintf "scion-fwd-key:0:%d" v))
+      in
       Hashtbl.replace t v k;
       k

@@ -9,5 +9,7 @@ type t
 
 val create : unit -> t
 
-val key : t -> int -> string
-(** The forwarding secret of an AS (32 bytes, derived and cached). *)
+val key : t -> int -> Hmac.key
+(** The forwarding secret of an AS (32 bytes), derived on first use and
+    cached prepared for HMAC ({!Hmac.prepare}), so every hop-field MAC
+    of the AS starts from its precomputed padded-key hash states. *)

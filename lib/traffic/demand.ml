@@ -61,15 +61,45 @@ let spec p pair_zipf i =
   let size_mbit = Rng.pareto rng ~alpha:p.pareto_alpha ~x_min in
   { arrival_s; size_mbit; pair }
 
+(* A stable bucket sort on a monotone key: bucket [floor (a * n / h)]
+   never decreases as arrival [a] grows (rounding is monotone), so a
+   flow in an earlier bucket arrives strictly earlier. Flows are dealt
+   into buckets in index order, then an insertion pass moves each one
+   only past strictly later arrivals, which all share its bucket: ties
+   keep flow-index order. Arrivals are uniform on the horizon, so a
+   bucket holds one flow on average and the sort takes linear expected
+   time. *)
 let arrival_order p pair_zipf =
-  let specs = Array.init p.flows (spec p pair_zipf) in
-  (* Stable by construction: ties on arrival keep flow-index order. *)
-  let order = Array.init p.flows Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = compare specs.(a).arrival_s specs.(b).arrival_s in
-      if c <> 0 then c else compare a b)
-    order;
+  let n = p.flows in
+  let specs = Array.init n (spec p pair_zipf) in
+  let arrival = Array.map (fun s -> s.arrival_s) specs in
+  let scale = float_of_int n /. p.horizon_s in
+  let bucket a = min (n - 1) (int_of_float (a *. scale)) in
+  (* [next.(b)]: the next free slot of bucket [b]. *)
+  let next = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let b = bucket arrival.(i) + 1 in
+    next.(b) <- next.(b) + 1
+  done;
+  for b = 1 to n do
+    next.(b) <- next.(b) + next.(b - 1)
+  done;
+  let order = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let b = bucket arrival.(i) in
+    order.(next.(b)) <- i;
+    next.(b) <- next.(b) + 1
+  done;
+  for k = 1 to n - 1 do
+    let i = order.(k) in
+    let a = arrival.(i) in
+    let j = ref (k - 1) in
+    while !j >= 0 && arrival.(order.(!j)) > a do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- i
+  done;
   Array.map (fun i -> specs.(i)) order
 
 let create g p =

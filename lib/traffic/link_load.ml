@@ -33,6 +33,10 @@ let capacity_mbps t l = t.capacity.(l)
 
 let count t l = t.counts.(l)
 
+let capacities t = t.capacity
+
+let counts t = t.counts
+
 let add_path t links =
   for x = 0 to Array.length links - 1 do
     let l = links.(x) in
@@ -47,12 +51,17 @@ let remove_path t links =
     t.counts.(l) <- t.counts.(l) - 1
   done
 
-let fair_share t links =
+(* Capacities are positive and never NaN, so [<] picks what [Float.min]
+   would. The rate is stored, not returned: a float returned across a
+   module boundary is boxed. *)
+let fair_share_into t links dst i =
   let share = ref infinity in
   for x = 0 to Array.length links - 1 do
     let l = links.(x) in
     let c = t.counts.(l) in
-    if c <> 0 then
-      share := Float.min !share (t.capacity.(l) /. float_of_int c)
+    if c <> 0 then begin
+      let v = t.capacity.(l) /. float_of_int c in
+      if v < !share then share := v
+    end
   done;
-  !share
+  dst.(i) <- !share

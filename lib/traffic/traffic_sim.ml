@@ -42,10 +42,14 @@ type state = {
   mutable finished : bool;
 }
 
+(* Besides the state, a simulation holds one selection table per pair,
+   derived from the config. It is not snapshotted: {!make} builds the
+   tables again on every create and restore. *)
 type t = {
   config : config;
   events : Fault_plan.event array;
   ctx : Strategy.ctx;
+  offers : Strategy.offer array;  (** per pair: the selection table *)
   state : state;
   mutable shares : float array;
       (** scratch for {!progress}: one rate per active subflow *)
@@ -100,10 +104,12 @@ let make t_of_state cfg =
   let completed_c =
     Registry.counter metrics ~labels "traffic_flows_completed_total"
   in
+  let ctx = Strategy.ctx ~latency_ms:cfg.latency_ms t_of_state.load in
   {
     config = cfg;
     events = Fault_plan.compile ~graph:cfg.graph cfg.plan;
-    ctx = Strategy.ctx ~latency_ms:cfg.latency_ms t_of_state.load;
+    ctx;
+    offers = Array.map (Strategy.offer ctx) cfg.paths;
     state = t_of_state;
     shares = [||];
     fct_h;
@@ -168,7 +174,7 @@ let path_alive t (p : Fwd_path.t) =
    [usable] accepts, returning indices into the full offered set. *)
 let select t ~usable pair =
   Strategy.select t.config.strategy t.ctx ~usable ~width:t.config.width
-    t.config.paths.(pair)
+    t.offers.(pair)
 
 let select_alive t pair = select t ~usable:(path_alive t) pair
 
@@ -212,7 +218,7 @@ let fail_over t f ~now =
     add_sel t f;
     f.switches <- f.switches + 1;
     st.switches_total <- st.switches_total + 1;
-    let lat = Strategy.path_latency t.ctx t.config.paths.(f.pair).(sel.(0)) in
+    let lat = Strategy.latency t.offers.(f.pair) sel.(0) in
     Recovery.record_failover st.recov ~recovery_s:(lat /. 1000.0)
   end
 
@@ -253,9 +259,9 @@ let reconsider t f =
     remove_sel t f;
     let cand = select_alive t f.pair in
     (if Array.length cand > 0 && not (same_sel cand f.sel) then begin
-       let offered = t.config.paths.(f.pair) in
-       let cur = Strategy.estimate t.ctx offered f.sel in
-       let better = Strategy.estimate t.ctx offered cand in
+       let offer = t.offers.(f.pair) in
+       let cur = Strategy.estimate t.ctx offer f.sel in
+       let better = Strategy.estimate t.ctx offer cand in
        if better > t.config.adapt_margin *. cur then begin
          f.sel <- cand;
          f.switches <- f.switches + 1;
@@ -334,8 +340,9 @@ let progress t ~t0 ~t1 =
     iter_active
       (fun f ->
         for j = 0 to Array.length f.sel - 1 do
-          t.shares.(!off + j) <-
-            Link_load.fair_share st.load (links_of t f.pair f.sel.(j))
+          Link_load.fair_share_into st.load
+            (links_of t f.pair f.sel.(j))
+            t.shares (!off + j)
         done;
         off := !off + Array.length f.sel)
       st;

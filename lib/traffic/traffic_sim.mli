@@ -7,7 +7,7 @@
     paths for in-flight flows, and every active flow then transfers at
     its fluid rate — each subflow gets the minimum over its path's
     links of capacity divided by subflow count, with no redistribution
-    ({!Link_load.fair_share}), a flow's rate is the sum over its
+    ({!Link_load.fair_share_into}), a flow's rate is the sum over its
     subflows, and completions inside the slot are interpolated
     exactly.
 
@@ -18,7 +18,11 @@
     {!Recovery} as in the resilience scenario, as a failover or, with
     no live path, a blackout until a link returns. All simulation state
     snapshots through {!Snapshot} combinators, so runs chunk,
-    checkpoint and resume byte-identically like [pathdyn]. *)
+    checkpoint and resume byte-identically like [pathdyn].
+
+    A simulation also holds one {!Strategy.offer} per pair (path
+    latencies and their order), derived from its config and never
+    snapshotted: {!create} and {!restore} rebuild them. *)
 
 type config = {
   graph : Graph.t;

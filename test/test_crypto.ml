@@ -204,43 +204,77 @@ let test_hmac_rfc4231_case1 () =
   let key = String.make 20 '\x0b' in
   check Alcotest.string "case 1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Test_pcb_codec.hex (Hmac.mac ~key "Hi There"))
+    (Test_pcb_codec.hex (Hmac.mac ~key:(Hmac.prepare key) "Hi There"))
 
 let test_hmac_rfc4231_case2 () =
   check Alcotest.string "case 2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Test_pcb_codec.hex (Hmac.mac ~key:"Jefe" "what do ya want for nothing?"))
+    (Test_pcb_codec.hex
+       (Hmac.mac ~key:(Hmac.prepare "Jefe") "what do ya want for nothing?"))
 
 let test_hmac_rfc4231_case6_long_key () =
   let key = String.make 131 '\xaa' in
   check Alcotest.string "case 6 (key > block size)"
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
     (Test_pcb_codec.hex
-       (Hmac.mac ~key "Test Using Larger Than Block-Size Key - Hash Key First"))
+       (Hmac.mac ~key:(Hmac.prepare key)
+          "Test Using Larger Than Block-Size Key - Hash Key First"))
 
 let test_hmac_truncated () =
-  let tag = Hmac.truncated ~key:"k" ~length:6 "msg" in
+  let key = Hmac.prepare "k" in
+  let tag = Hmac.truncated ~key ~length:6 "msg" in
   check Alcotest.int "6 bytes" 6 (String.length tag);
-  check Alcotest.string "is a prefix" (String.sub (Hmac.mac ~key:"k" "msg") 0 6) tag
+  check Alcotest.string "is a prefix" (String.sub (Hmac.mac ~key "msg") 0 6) tag
 
 let test_hmac_truncated_invalid () =
   Alcotest.check_raises "length 0" (Invalid_argument "Hmac.truncated: length outside [1, 32]")
-    (fun () -> ignore (Hmac.truncated ~key:"k" ~length:0 "m"))
+    (fun () -> ignore (Hmac.truncated ~key:(Hmac.prepare "k") ~length:0 "m"))
 
 let test_hmac_verify () =
-  let tag = Hmac.truncated ~key:"secret" ~length:6 "payload" in
-  Alcotest.(check bool) "accepts" true (Hmac.verify ~key:"secret" ~tag "payload");
+  let key = Hmac.prepare "secret" in
+  let tag = Hmac.truncated ~key ~length:6 "payload" in
+  Alcotest.(check bool) "accepts" true (Hmac.verify ~key ~tag "payload");
   Alcotest.(check bool) "rejects wrong payload" false
-    (Hmac.verify ~key:"secret" ~tag "other");
-  Alcotest.(check bool) "rejects wrong key" false (Hmac.verify ~key:"x" ~tag "payload");
-  Alcotest.(check bool) "rejects empty tag" false (Hmac.verify ~key:"secret" ~tag:"" "payload")
+    (Hmac.verify ~key ~tag "other");
+  Alcotest.(check bool) "rejects wrong key" false
+    (Hmac.verify ~key:(Hmac.prepare "x") ~tag "payload");
+  Alcotest.(check bool) "rejects empty tag" false
+    (Hmac.verify ~key ~tag:"" "payload")
 
 let prop_hmac_verify_roundtrip =
   QCheck.Test.make ~name:"verify accepts every generated mac" ~count:100
     QCheck.(pair string string)
     (fun (key, msg) ->
+      let key = Hmac.prepare key in
       let tag = Hmac.mac ~key msg in
       Hmac.verify ~key ~tag msg)
+
+(* The precomputed-pad MAC against HMAC written out from RFC 2104 with
+   two one-shot digests. Keys run past the 64-byte block (hashed
+   first); inner messages of 55, 56, 63, 64, 119 and 120 bytes put the
+   inner hash's padding on either side of a block boundary. *)
+let textbook_hmac key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let k0 = key ^ String.make (64 - String.length key) '\000' in
+  let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) k0 in
+  Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
+
+let prop_hmac_prepared_key =
+  let gen =
+    QCheck.Gen.(
+      let bytes n = string_size ~gen:char (return n) in
+      pair
+        (int_bound 130 >>= bytes)
+        (oneof
+           [ oneofl [ 55; 56; 63; 64; 119; 120 ]; int_bound 200 ] >>= bytes))
+  in
+  let print (k, m) =
+    Printf.sprintf "key %d bytes %S, msg %d bytes %S" (String.length k) k
+      (String.length m) m
+  in
+  QCheck.Test.make ~name:"hmac prepared key" ~count:300 (QCheck.make ~print gen)
+    (fun (key, msg) ->
+      Hmac.mac ~key:(Hmac.prepare key) msg = textbook_hmac key msg)
 
 (* --- Signatures --- *)
 
@@ -319,6 +353,7 @@ let suite =
     ("hmac truncated invalid", `Quick, test_hmac_truncated_invalid);
     ("hmac verify", `Quick, test_hmac_verify);
     QCheck_alcotest.to_alcotest prop_hmac_verify_roundtrip;
+    QCheck_alcotest.to_alcotest prop_hmac_prepared_key;
     ("signature sizes", `Quick, test_signature_sizes);
     ("signature roundtrip", `Quick, test_signature_roundtrip);
     ("signature duplicate id", `Quick, test_signature_duplicate_id);

@@ -85,6 +85,12 @@ let test_link_load_capacities () =
     (Invalid_argument "Link_load.create: capacity_scale <= 0")
     (fun () -> ignore (Link_load.create ~capacity_scale:0.0 g))
 
+(* [Link_load.fair_share_into] read back as a value. *)
+let fair_share load links =
+  let dst = [| Float.nan |] in
+  Link_load.fair_share_into load links dst 0;
+  dst.(0)
+
 let test_link_load_fair_share () =
   let g = network () in
   let ll = Link_load.create g in
@@ -94,14 +100,14 @@ let test_link_load_fair_share () =
   in
   Link_load.add_path ll path;
   check (Alcotest.float 1e-9) "one subflow gets the thinnest capacity" thin
-    (Link_load.fair_share ll path);
+    (fair_share ll path);
   Link_load.add_path ll path;
   check Alcotest.int "both subflows counted" 2 (Link_load.count ll 0);
   check (Alcotest.float 1e-9) "fair share splits the bottleneck" (thin /. 2.0)
-    (Link_load.fair_share ll path);
+    (fair_share ll path);
   Link_load.add_path ll path;
   check (Alcotest.float 1e-9) "a third subflow gets a third" (thin /. 3.0)
-    (Link_load.fair_share ll path);
+    (fair_share ll path);
   Link_load.remove_path ll path;
   Link_load.remove_path ll path;
   Link_load.remove_path ll path;
@@ -110,7 +116,110 @@ let test_link_load_fair_share () =
     (Invalid_argument "Link_load.remove_path: count underflow")
     (fun () -> Link_load.remove_path ll path);
   check (Alcotest.float 1e-9) "empty path share" infinity
-    (Link_load.fair_share ll [||])
+    (fair_share ll [||])
+
+(* The rates [Link_load] and [Strategy] compute from the load's
+   counts, read in place, against a from-scratch recomputation from
+   counts the test keeps itself. Random add/remove sequences bring
+   counts back to 0 on the way; after every step
+   [Link_load.fair_share_into] and [Strategy.estimate] over a few probe
+   paths must equal [capacity / count] (and
+   [capacity / (count + bonus + 1)] for an estimate) bit for bit. A
+   remove on an empty load still raises. *)
+let prop_link_load_rates =
+  let g = network () in
+  let n_links = Graph.num_links g in
+  let gen =
+    QCheck.Gen.(
+      let path = list_size (int_range 1 4) (int_bound (n_links - 1)) in
+      triple
+        (oneofl [ 1.0; 0.37; 0.02 ])
+        (list_size (int_bound 40) (pair bool path))
+        (list_size (int_range 1 4) path))
+  in
+  let print (scale, ops, probes) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Printf.sprintf "scale=%g ops=[%s] probes=[%s]" scale
+      (String.concat " "
+         (List.map (fun (add, p) -> (if add then "+" else "-") ^ ints p) ops))
+      (String.concat " " (List.map ints probes))
+  in
+  QCheck.Test.make ~name:"link load rates follow counts" ~count:300
+    (QCheck.make ~print gen)
+    (fun (capacity_scale, ops, probes) ->
+      let load = Link_load.create ~capacity_scale g in
+      let cap l = Link_load.capacity_mbps load l in
+      let counts = Array.make n_links 0 in
+      let live = ref [] in
+      let bits = Int64.bits_of_float in
+      let share links =
+        Array.fold_left
+          (fun acc l ->
+            if counts.(l) = 0 then acc
+            else Float.min acc (cap l /. float_of_int counts.(l)))
+          infinity links
+      in
+      let estimate offered sel =
+        let bonus = Array.make n_links 0 in
+        Array.fold_left
+          (fun total i ->
+            let links = offered.(i).Fwd_path.links in
+            let est =
+              Array.fold_left
+                (fun acc l ->
+                  Float.min acc
+                    (cap l /. float_of_int (counts.(l) + bonus.(l) + 1)))
+                infinity links
+            in
+            Array.iter (fun l -> bonus.(l) <- bonus.(l) + 1) links;
+            total +. est)
+          0.0 sel
+      in
+      let offered = Array.of_list (List.map fpath probes) in
+      let ctx = Strategy.ctx ~latency_ms:(Array.make n_links 1.0) load in
+      let offer = Strategy.offer ctx offered in
+      let sels =
+        [
+          Array.init (Array.length offered) Fun.id;
+          [| 0 |];
+          [| Array.length offered - 1; 0 |];
+        ]
+      in
+      let consistent () =
+        Array.for_all
+          (fun (p : Fwd_path.t) ->
+            bits (fair_share load p.links) = bits (share p.links))
+          offered
+        && List.for_all
+             (fun sel ->
+               bits (Strategy.estimate ctx offer sel)
+               = bits (estimate offered sel))
+             sels
+      in
+      let step (add, p) =
+        let links = Array.of_list p in
+        if add then begin
+          Link_load.add_path load links;
+          Array.iter (fun l -> counts.(l) <- counts.(l) + 1) links;
+          live := links :: !live
+        end
+        else
+          match !live with
+          | links :: rest ->
+              Link_load.remove_path load links;
+              Array.iter (fun l -> counts.(l) <- counts.(l) - 1) links;
+              live := rest
+          | [] -> (
+              match Link_load.remove_path load links with
+              | () -> QCheck.Test.fail_report "underflow not detected"
+              | exception Invalid_argument _ -> ())
+      in
+      consistent ()
+      && List.for_all
+           (fun op ->
+             step op;
+             consistent ())
+           ops)
 
 (* --- Strategy ---------------------------------------------------------- *)
 
@@ -122,28 +231,29 @@ let tiny_world () =
   let latency_ms = Array.init (Graph.num_links g) (fun l -> 5.0 +. float_of_int l) in
   (Strategy.ctx ~latency_ms load, load)
 
-let tiny_ctx () = fst (tiny_world ())
-
 let offered_fixture = [| fpath [ 0 ]; fpath [ 1 ]; fpath [ 0; 1 ] |]
+
+(* A fresh context and the fixture's offer on it. *)
+let tiny_offer () =
+  let ctx, _ = tiny_world () in
+  (ctx, Strategy.offer ctx offered_fixture)
 
 let all_usable (_ : Fwd_path.t) = true
 
 let test_strategy_contract () =
-  let ctx = tiny_ctx () in
+  let ctx, fixture = tiny_offer () in
+  let empty = Strategy.offer ctx [||] in
   List.iter
     (fun s ->
       check Alcotest.int "empty offer, empty selection" 0
-        (Array.length (Strategy.select s ctx ~usable:all_usable ~width:2 [||]));
+        (Array.length
+           (Strategy.select s ctx ~usable:all_usable ~width:2 empty));
       Alcotest.check_raises "width must be positive"
         (Invalid_argument "Strategy.select: width < 1") (fun () ->
-          ignore
-            (Strategy.select s ctx ~usable:all_usable ~width:0
-               offered_fixture));
+          ignore (Strategy.select s ctx ~usable:all_usable ~width:0 fixture));
       List.iter
         (fun width ->
-          let sel =
-            Strategy.select s ctx ~usable:all_usable ~width offered_fixture
-          in
+          let sel = Strategy.select s ctx ~usable:all_usable ~width fixture in
           Alcotest.(check bool) "at least one path" true (Array.length sel >= 1);
           Alcotest.(check bool) "at most width" true (Array.length sel <= width);
           Array.iter
@@ -155,20 +265,19 @@ let test_strategy_contract () =
             (Array.length sel)
             (List.length (List.sort_uniq compare (Array.to_list sel)));
           Alcotest.(check bool) "deterministic" true
-            (sel
-            = Strategy.select s ctx ~usable:all_usable ~width offered_fixture))
+            (sel = Strategy.select s ctx ~usable:all_usable ~width fixture))
         [ 1; 2; 3; 5 ])
     Strategy.all
 
 (* A selection chooses among the usable paths only, as if the others
    had not been offered, and has [min width live] indices. *)
 let test_strategy_usable () =
-  let ctx = tiny_ctx () in
+  let ctx, fixture = tiny_offer () in
   let not_path_0 p = p != offered_fixture.(0) in
   List.iter
     (fun s ->
       let select ~usable ~width =
-        Strategy.select s ctx ~usable ~width offered_fixture
+        Strategy.select s ctx ~usable ~width fixture
       in
       check
         Alcotest.(array int)
@@ -193,26 +302,26 @@ let test_strategy_usable () =
     Alcotest.(array int)
     "masked latency-greedy" [| 1; 2 |]
     (Strategy.select Strategy.Latency_greedy ctx ~usable:not_path_0 ~width:2
-       offered_fixture)
+       fixture)
 
 let test_strategy_latency_greedy () =
-  let ctx = tiny_ctx () in
+  let ctx, fixture = tiny_offer () in
   let sel =
     Strategy.select Strategy.Latency_greedy ctx ~usable:all_usable ~width:1
-      offered_fixture
+      fixture
   in
   check Alcotest.int "fastest path first" 0 sel.(0);
   let sel2 =
     Strategy.select Strategy.Latency_greedy ctx ~usable:all_usable ~width:2
-      offered_fixture
+      fixture
   in
   Alcotest.(check bool) "then next fastest" true (sel2 = [| 0; 1 |])
 
 let test_strategy_diversity () =
-  let ctx = tiny_ctx () in
+  let ctx, fixture = tiny_offer () in
   let sel =
     Strategy.select Strategy.Diversity_max ctx ~usable:all_usable ~width:2
-      offered_fixture
+      fixture
   in
   (* Paths 0 and 1 are link-disjoint; path 2 overlaps both. *)
   Alcotest.(check bool) "disjoint pair chosen" true
@@ -220,9 +329,10 @@ let test_strategy_diversity () =
 
 let test_strategy_load_adaptive_shifts () =
   let ctx, load = tiny_world () in
+  let fixture = Strategy.offer ctx offered_fixture in
   let sel =
     Strategy.select Strategy.Load_adaptive ctx ~usable:all_usable ~width:1
-      offered_fixture
+      fixture
   in
   check Alcotest.int "idle: fattest estimate wins" 0 sel.(0);
   (* Saturate link 0: the adaptive strategy must shift to link 1 while
@@ -232,12 +342,12 @@ let test_strategy_load_adaptive_shifts () =
   done;
   let sel' =
     Strategy.select Strategy.Load_adaptive ctx ~usable:all_usable ~width:1
-      offered_fixture
+      fixture
   in
   check Alcotest.int "saturated: shifts to the idle link" 1 sel'.(0);
   let greedy =
     Strategy.select Strategy.Latency_greedy ctx ~usable:all_usable ~width:1
-      offered_fixture
+      fixture
   in
   check Alcotest.int "greedy ignores load" 0 greedy.(0)
 
@@ -331,10 +441,11 @@ let prop_selectors_equal_reference =
         | None -> Alcotest.fail "usable called on a path not offered"
       in
       let ctx = Strategy.ctx ~latency_ms load in
+      let offer = Strategy.offer ctx offered in
       let reference = { Reference_select.latency_ms; load } in
       let same_estimate sel =
         Int64.equal
-          (Int64.bits_of_float (Strategy.estimate ctx offered sel))
+          (Int64.bits_of_float (Strategy.estimate ctx offer sel))
           (Int64.bits_of_float
              (Reference_select.selection_estimate load offered sel))
       in
@@ -342,10 +453,8 @@ let prop_selectors_equal_reference =
         (fun width ->
           List.for_all
             (fun s ->
-              let sel =
-                Strategy.select s ctx ~usable:all_usable ~width offered
-              in
-              let masked = Strategy.select s ctx ~usable ~width offered in
+              let sel = Strategy.select s ctx ~usable:all_usable ~width offer in
+              let masked = Strategy.select s ctx ~usable ~width offer in
               sel = Reference_select.select s reference ~width offered
               && masked
                  = Reference_select.select_usable s reference ~usable ~width
@@ -405,7 +514,29 @@ let test_demand_pure_and_sorted () =
   Alcotest.(check bool) "seed changes the fingerprint" true
     (Demand.config_key d <> Demand.config_key other);
   Alcotest.(check bool) "fingerprint stable" true
-    (Demand.config_key d = Demand.config_key d')
+    (Demand.config_key d = Demand.config_key d');
+  (* The arrival sort's edge sizes: no flow, one, two. *)
+  List.iter
+    (fun flows ->
+      for seed = 0 to 19 do
+        let sorted =
+          Demand.sorted_flows
+            (Demand.create g
+               {
+                 (Demand.params d) with
+                 Demand.flows;
+                 seed = Runner.job_seed 0x5EEDL seed;
+               })
+        in
+        check Alcotest.int "one entry per flow" flows (Array.length sorted);
+        Array.iteri
+          (fun i (f : Demand.flow_spec) ->
+            if i > 0 then
+              Alcotest.(check bool) "non-decreasing arrivals" true
+                (sorted.(i - 1).Demand.arrival_s <= f.Demand.arrival_s))
+          sorted
+      done)
+    [ 0; 1; 2 ]
 
 (* --- Recovery codec (shared with the resilience scenario) --------------- *)
 
@@ -557,28 +688,35 @@ let registry_bytes t =
   Registry.write w (Traffic_sim.registry t);
   Snapshot.contents w
 
+(* Every strategy, so each one's selection over the per-pair tables a
+   restore rebuilds, inside the outage too, is covered. *)
 let test_sim_chunked_equals_direct () =
-  let cfg = sim_config ~strategy:Strategy.Load_adaptive ~width:2
-      ~plan:(outage_events ()) ()
-  in
-  let direct = run_to_end cfg in
-  (* Chunked: advance 7 slots at a time, snapshotting and restoring
-     between every chunk — the checkpoint/resume path. *)
-  let state = ref (Traffic_sim.encode (Traffic_sim.create cfg)) in
-  let upto = ref 0 in
-  while !upto < 200 do
-    upto := min 200 (!upto + 7);
-    let t = Traffic_sim.restore cfg !state in
-    Traffic_sim.advance t ~upto:!upto;
-    state := Traffic_sim.encode t
-  done;
-  let chunked = Traffic_sim.restore cfg !state in
-  Traffic_sim.finish chunked;
-  let t_direct = Traffic_sim.report direct in
-  Alcotest.(check bool) "chunked run is byte-identical" true
-    (t_direct = Traffic_sim.report chunked);
-  Alcotest.(check bool) "registries agree" true
-    (registry_bytes direct = registry_bytes chunked)
+  List.iter
+    (fun strategy ->
+      let cfg = sim_config ~strategy ~width:2 ~plan:(outage_events ()) () in
+      let direct = run_to_end cfg in
+      (* Chunked: advance 7 slots at a time, snapshotting and restoring
+         between every chunk — the checkpoint/resume path. *)
+      let state = ref (Traffic_sim.encode (Traffic_sim.create cfg)) in
+      let upto = ref 0 in
+      while !upto < 200 do
+        upto := min 200 (!upto + 7);
+        let t = Traffic_sim.restore cfg !state in
+        Traffic_sim.advance t ~upto:!upto;
+        state := Traffic_sim.encode t
+      done;
+      let chunked = Traffic_sim.restore cfg !state in
+      Traffic_sim.finish chunked;
+      let t_direct = Traffic_sim.report direct in
+      Alcotest.(check bool)
+        (Strategy.name strategy ^ ": chunked run is byte-identical")
+        true
+        (t_direct = Traffic_sim.report chunked);
+      Alcotest.(check bool)
+        (Strategy.name strategy ^ ": registries agree")
+        true
+        (registry_bytes direct = registry_bytes chunked))
+    Strategy.all
 
 let test_sim_restore_rejects_corrupt () =
   let cfg = sim_config () in
@@ -821,6 +959,7 @@ let suite =
   [
     ("link-load capacities", `Quick, test_link_load_capacities);
     ("link-load fair share", `Quick, test_link_load_fair_share);
+    QCheck_alcotest.to_alcotest prop_link_load_rates;
     ("strategy contract", `Quick, test_strategy_contract);
     ("strategy usable mask", `Quick, test_strategy_usable);
     ("strategy latency-greedy", `Quick, test_strategy_latency_greedy);
